@@ -208,8 +208,9 @@ def cmd_index(args: argparse.Namespace) -> int:
     except ProviderError as exc:
         print(f"error: embedding provider failed: {exc}", file=sys.stderr)
         return EXIT_PROVIDER_ERROR
-    store = VectorStore.create(Path(args.out), encoder.dims)
-    store.insert([StoreEntry(b, v) for b, v in zip(blocks, vectors)])
+    store = VectorStore.create(
+        Path(args.out), encoder.dims, [StoreEntry(b, v) for b, v in zip(blocks, vectors)]
+    )
     print(f"indexed {store.count()} blocks at dims {store.dims} -> {args.out}")
     return EXIT_OK
 

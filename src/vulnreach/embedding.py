@@ -13,7 +13,8 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass
-from typing import Protocol, Sequence, runtime_checkable
+from itertools import chain
+from typing import Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -97,23 +98,48 @@ def _lexical_normalize(text: str) -> str:
     return " ".join(text.lower().split())
 
 
-def _hashed_features(text: str, dims: int) -> np.ndarray:
+def _hash64(text: str) -> int:
+    return int.from_bytes(hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest(), "little")
+
+
+class _GramCodes(dict):
+    """Memo of n-gram -> feature code for one ``dims``, filled on first lookup.
+
+    A code is the n-gram's bucket when its sign is +1 and ``dims`` plus the
+    bucket when it is -1, so one ``np.bincount`` over ``2 * dims`` slots
+    counts both signs at once.
+    """
+
+    def __init__(self, dims: int):
+        super().__init__()
+        self.dims = dims
+
+    def __missing__(self, gram: str) -> int:
+        h = _hash64(gram)
+        # The low bits pick the bucket, the top bit the sign.
+        code = self[gram] = h % self.dims + (self.dims if h >> 63 else 0)
+        return code
+
+
+def _hashed_features(text: str, codes: _GramCodes) -> np.ndarray:
+    """Signed feature hashing of one text's n-grams into ``codes.dims`` buckets.
+
+    Each bucket holds (occurrences of +1 n-grams) - (occurrences of -1
+    n-grams). Every count is a small integer, exact in float64, so this equals
+    adding each occurrence's sign one at a time, in any order.
+    """
+    dims = codes.dims
     normalized = _lexical_normalize(text)
-    grams: list[str] = []
-    for n in _NGRAM_SIZES:
-        if len(normalized) >= n:
-            grams.extend(normalized[i : i + n] for i in range(len(normalized) - n + 1))
-    if not grams:
-        grams = [normalized]
-    acc = np.zeros(dims, dtype=np.float64)
-    for gram in grams:
-        digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
-        h = int.from_bytes(digest, "little")
-        sign = 1.0 if (h >> 63) & 1 == 0 else -1.0
-        acc[h % dims] += sign
+    if len(normalized) < _NGRAM_SIZES[0]:
+        grams: Iterable[str] = (normalized,)
+    else:
+        grams = chain.from_iterable(
+            map("".join, zip(*(normalized[k:] for k in range(n)))) for n in _NGRAM_SIZES
+        )
+    tally = np.bincount(np.fromiter(map(codes.__getitem__, grams), np.intp), minlength=2 * dims)
+    acc = (tally[:dims] - tally[dims:]).astype(np.float64)
     if not acc.any():
-        digest = hashlib.blake2b(normalized.encode("utf-8"), digest_size=8).digest()
-        acc[int.from_bytes(digest, "little") % dims] = 1.0
+        acc[_hash64(normalized) % dims] = 1.0
     return acc
 
 
@@ -122,13 +148,16 @@ def reference_encode(text: str, dims: int = 256) -> EmbeddingVector:
 
     Signed feature hashing of character n-grams (n in 3..5) over the
     lexically normalized text, L2-normalized. Texts sharing many n-grams get
-    higher cosine similarity.
+    higher cosine similarity. The vector definition (the sum of the signed
+    bucket of every n-gram occurrence) is unchanged, so existing indexes stay
+    valid; it is computed from per-bucket counts of the distinct n-grams,
+    each hashed once, which gives the same float64 values bit for bit.
     """
     if dims < 8:
         raise ValueError("reference encoder needs dims >= 8")
     if not text.strip():
         raise EmptyText("cannot encode blank text")
-    return EmbeddingVector.normalized(_hashed_features(text, dims).tolist())
+    return EmbeddingVector.normalized(_hashed_features(text, _GramCodes(dims)).tolist())
 
 
 class ReferenceEncoder:
@@ -143,7 +172,10 @@ class ReferenceEncoder:
         self.batch_limit = batch_limit
 
     def encode_batch(self, texts: Sequence[str]) -> list[list[float]]:
-        return [_hashed_features(t, self.dims).tolist() for t in texts]
+        # One memo per call: n-grams shared across the batch hash once, and
+        # nothing is kept between calls.
+        codes = _GramCodes(self.dims)
+        return [_hashed_features(t, codes).tolist() for t in texts]
 
 
 class RemoteEncoderProvider:

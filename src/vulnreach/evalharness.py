@@ -183,12 +183,11 @@ def build_index(
             return VectorStore.open(cache_path)
     blocks = segment_project(root, seg_cfg, ignore_globs=tuple(ignore_globs))
     vectors = embed(encoder, [b.source for b in blocks])
-    store = (
-        VectorStore.in_memory(encoder.dims)
-        if cache_path is None
-        else VectorStore.create(cache_path, encoder.dims)
-    )
-    store.insert([StoreEntry(b, v) for b, v in zip(blocks, vectors)])
+    entries = [StoreEntry(b, v) for b, v in zip(blocks, vectors)]
+    if cache_path is not None:
+        return VectorStore.create(cache_path, encoder.dims, entries)
+    store = VectorStore.in_memory(encoder.dims)
+    store.insert(entries)
     return store
 
 

@@ -16,6 +16,7 @@ real-world corpora containing unparseable files.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ParseError
 
@@ -47,8 +48,9 @@ _IDENT_PART = _IDENT_START | frozenset("0123456789")
 _DIGITS = frozenset("0123456789")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    # A NamedTuple rather than a frozen dataclass: lex() builds one per token,
+    # and tuple construction is several times cheaper.
     kind: str  # ident | number | string | char | punct | comment
     text: str
     line_start: int

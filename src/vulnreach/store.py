@@ -15,7 +15,7 @@ import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -110,8 +110,18 @@ class VectorStore:
         return cls(dims=dims)
 
     @classmethod
-    def create(cls, path: Path | str, dims: int) -> "VectorStore":
-        store = cls(dims=dims, path=Path(path))
+    def create(
+        cls, path: Path | str, dims: int, entries: Sequence[StoreEntry] = ()
+    ) -> "VectorStore":
+        """New index at ``path`` holding ``entries``, written once.
+
+        Entries are inserted before anything touches the disk, so a failed
+        insert leaves no file rather than an empty index that later opens as
+        a valid one.
+        """
+        store = cls(dims=dims)
+        store.insert(list(entries))
+        store.path = Path(path)
         store.save()
         return store
 

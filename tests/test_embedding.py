@@ -1,5 +1,7 @@
+import hashlib
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from vulnreach.embedding import (
     ReferenceEncoder,
     RetryPolicy,
+    _lexical_normalize,
     cosine,
     embed,
     reference_encode,
@@ -22,6 +25,72 @@ GOLDEN_STREAM_UNRELATED = -0.011303946105
 LOOP_SUM = "for (int i = 0; i < values.length; i++) { total += values[i]; }"
 STREAM_SUM = "int total = Arrays.stream(values).sum();"
 UNRELATED = 'return "unrelated banner text";'
+
+
+
+
+def per_occurrence_features(text: str, dims: int) -> np.ndarray:
+    """Reference for the encoder kernel: one hash and one signed add per
+    n-gram occurrence, in text order (the encoder's original loop)."""
+    normalized = _lexical_normalize(text)
+    grams: list[str] = []
+    for n in (3, 4, 5):
+        if len(normalized) >= n:
+            grams.extend(normalized[i : i + n] for i in range(len(normalized) - n + 1))
+    if not grams:
+        grams = [normalized]
+    acc = np.zeros(dims, dtype=np.float64)
+    for gram in grams:
+        digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
+        h = int.from_bytes(digest, "little")
+        sign = 1.0 if (h >> 63) & 1 == 0 else -1.0
+        acc[h % dims] += sign
+    if not acc.any():
+        digest = hashlib.blake2b(normalized.encode("utf-8"), digest_size=8).digest()
+        acc[int.from_bytes(digest, "little") % dims] = 1.0
+    return acc
+
+
+def bits(rows) -> bytes:
+    # Compare float64 bit patterns, so -0.0 vs 0.0 would count as a difference.
+    return np.asarray(rows, dtype=np.float64).tobytes()
+
+
+_TEXT_PIECES = st.one_of(
+    st.text(max_size=30),
+    st.text(alphabet=" \t\n\r\x0b\x0c\u00a0\u2003", min_size=1, max_size=5),
+    st.text(max_size=2),
+    st.sampled_from(["for (int i", "i++)", "ab", "abab", "İ", "ß"]),
+)
+_TEXTS = st.lists(_TEXT_PIECES, max_size=5).map("".join)
+# Batches sampled from a small pool, so they repeat texts and share n-grams.
+_BATCHES = st.lists(_TEXTS, min_size=1, max_size=5).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=8)
+)
+
+
+class TestEncoderKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(_BATCHES)
+    def test_batch_matches_per_occurrence_reference(self, texts):
+        for dims in (8, 13, 256):
+            encoder = ReferenceEncoder(dims)
+            batch = encoder.encode_batch(texts)
+            assert bits(batch) == bits([per_occurrence_features(t, dims) for t in texts])
+            for text, row in zip(texts, batch):
+                assert bits(encoder.encode_batch([text])) == bits([row])
+
+    def test_short_and_cancelling_texts_match_reference(self):
+        # At dims=8 the six signed n-grams of "aaagc" cancel to all zeros, so
+        # its one +1 comes from the single-bucket fallback (six signs cannot
+        # sum to an odd total).
+        fallback = per_occurrence_features("aaagc", 8)
+        assert np.count_nonzero(fallback) == 1 and fallback.sum() == 1.0
+        texts = ["", "a", "ab", " a ", "abc", "aaagc", "abab" * 40, "  x\t\ny  "]
+        for dims in (8, 13, 256):
+            assert bits(ReferenceEncoder(dims).encode_batch(texts)) == bits(
+                [per_occurrence_features(t, dims) for t in texts]
+            )
 
 
 class TestReferenceEncode:

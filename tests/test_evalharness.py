@@ -23,6 +23,7 @@ from vulnreach.evalharness import (
 from vulnreach.gateway import ScriptedChatProvider
 from vulnreach.model import Judgment, VulnSpec
 from vulnreach.embedding import ReferenceEncoder
+from vulnreach.store import VectorStore
 
 
 def toy_manifest(tmp_path: Path) -> BenchmarkManifest:
@@ -249,3 +250,21 @@ class TestBuildIndex:
         assert [e.block.to_dict() for e in first.entries()] == [
             e.block.to_dict() for e in second.entries()
         ]
+
+    def test_failed_build_leaves_no_cached_index(self, tmp_path: Path, encoder, monkeypatch):
+        # A build that dies before its index is complete must not leave a
+        # cache file behind: the next run would open it and get 0 blocks.
+        cache = tmp_path / "cache"
+        root = FIXTURES / "plain_app"
+        cfg = HarnessConfig(theta=60).segmenter()
+
+        def crash(self, entries):
+            raise RuntimeError("simulated crash during insert")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(VectorStore, "insert", crash)
+            with pytest.raises(RuntimeError):
+                build_index(root, cfg, encoder, (), cache_dir=cache)
+        full = build_index(root, cfg, encoder, ())
+        rebuilt = build_index(root, cfg, encoder, (), cache_dir=cache)
+        assert rebuilt.count() == full.count() > 0

@@ -97,6 +97,21 @@ class TestPersistence:
         assert store.insert(entries) == 0
         assert VectorStore.open(path).count() == 3
 
+    def test_create_with_entries_writes_once(self, tmp_path: Path, monkeypatch):
+        saves = []
+        save = VectorStore.save
+        monkeypatch.setattr(VectorStore, "save", lambda self: (saves.append(self.count()), save(self)))
+        path = tmp_path / "idx.vrix"
+        VectorStore.create(path, DIMS, [entry(i, axis(i)) for i in range(3)])
+        assert saves == [3]
+        assert VectorStore.open(path).count() == 3
+
+    def test_create_without_entries_is_an_openable_empty_index(self, tmp_path: Path):
+        path = tmp_path / "idx.vrix"
+        VectorStore.create(path, DIMS, [])
+        reopened = VectorStore.open(path)
+        assert reopened.count() == 0 and reopened.dims == DIMS
+
     def test_duplicate_id_with_different_vector_conflicts(self):
         store = VectorStore.in_memory(DIMS)
         first = entry(0, axis(0))
