@@ -29,6 +29,7 @@ from .errors import (
 from .gateway import (
     ChatGateway,
     ChatProvider,
+    MemoChatProvider,
     PromptLibrary,
     RemoteChatProvider,
     ReplayChatProvider,
@@ -160,6 +161,12 @@ def build_encoder(spec: Mapping[str, Any]) -> EncoderProvider:
 
 
 def build_chat(spec: Mapping[str, Any]) -> ChatProvider:
+    """The configured provider, behind a memo that lives as long as the
+    command: within one run each distinct question is asked once."""
+    return MemoChatProvider(_chat_provider(spec))
+
+
+def _chat_provider(spec: Mapping[str, Any]) -> ChatProvider:
     provider = spec.get("provider")
     if provider == "scripted":
         try:
@@ -204,7 +211,8 @@ def cmd_index(args: argparse.Namespace) -> int:
         print("error: no source files found under the project root", file=sys.stderr)
         return EXIT_USER_ERROR
     try:
-        vectors = embed(encoder, [b.source for b in blocks])
+        # A project whose files hold no code yields no blocks and an empty index.
+        vectors = embed(encoder, [b.source for b in blocks]) if blocks else []
     except ProviderError as exc:
         print(f"error: embedding provider failed: {exc}", file=sys.stderr)
         return EXIT_PROVIDER_ERROR
@@ -224,10 +232,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return EXIT_USER_ERROR
     store = VectorStore.open(args.index)
     encoder = build_encoder(config.encoder)
-    if args.transcript:
-        chat_provider: ChatProvider = ReplayChatProvider(Transcript.load(args.transcript))
-    else:
-        chat_provider = build_chat(config.chat)
+    chat_spec = (
+        {"provider": "replay", "transcript_path": args.transcript}
+        if args.transcript
+        else config.chat
+    )
+    chat_provider = build_chat(chat_spec)
 
     report_path = Path(args.report)
     transcript_path = report_path.with_name(report_path.name + ".transcript.jsonl")

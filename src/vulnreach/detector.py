@@ -18,7 +18,15 @@ from typing import Sequence
 from .embedding import EncoderProvider, embed
 from .errors import EmptyIndex
 from .gateway import ChatGateway
-from .model import Candidate, CandidateJudgment, CodeBlock, MatchedBy, Verdict, VulnSpec
+from .model import (
+    Candidate,
+    CandidateJudgment,
+    CodeBlock,
+    EmbeddingVector,
+    MatchedBy,
+    Verdict,
+    VulnSpec,
+)
 from .store import EMPTY_SCOPE, VectorStore
 
 
@@ -58,9 +66,30 @@ class ContextCompletion:
     new_blocks: tuple[CodeBlock, ...]  # feeds the global candidate pool
 
 
-def _seed_vectors(encoder: EncoderProvider, vuln: VulnSpec):
-    api_vecs = embed(encoder, list(vuln.api_signatures))
-    test_vec = embed(encoder, [vuln.pov_test_source])[0]
+class QueryVectors:
+    """Query text -> vector for one analysis: each distinct seed or inferred
+    snippet is encoded once. A vector depends on its text alone, so reuse
+    changes no score.
+
+    Entries are only ever added and each dict operation is atomic, so
+    parallel candidates share one memo without a lock; a text two threads
+    encode at once is simply encoded twice.
+    """
+
+    def __init__(self, encoder: EncoderProvider):
+        self.encoder = encoder
+        self._vectors: dict[str, EmbeddingVector] = {}
+
+    def __call__(self, texts: Sequence[str]) -> list[EmbeddingVector]:
+        missing = [t for t in dict.fromkeys(texts) if t not in self._vectors]
+        if missing:
+            for text, vector in zip(missing, embed(self.encoder, missing)):
+                self._vectors.setdefault(text, vector)
+        return [self._vectors[t] for t in texts]
+
+
+def _seed_vectors(queries: QueryVectors, vuln: VulnSpec):
+    *api_vecs, test_vec = queries([*vuln.api_signatures, vuln.pov_test_source])
     return api_vecs, test_vec
 
 
@@ -70,6 +99,7 @@ def identify_candidates(
     chat: ChatGateway,
     vuln: VulnSpec,
     cfg: DetectorConfig,
+    queries: QueryVectors | None = None,
 ) -> list[Candidate]:
     """Dual-seed candidate identification.
 
@@ -80,7 +110,7 @@ def identify_candidates(
     """
     if store.count() == 0:
         raise EmptyIndex("cannot identify candidates in an empty index")
-    api_vecs, test_vec = _seed_vectors(encoder, vuln)
+    api_vecs, test_vec = _seed_vectors(queries or QueryVectors(encoder), vuln)
 
     hits: dict[str, CodeBlock] = {}
     vectors: dict[str, object] = {}
@@ -117,6 +147,7 @@ def complete_context(
     candidate: Candidate,
     vuln: VulnSpec,
     cfg: DetectorConfig,
+    queries: QueryVectors | None = None,
 ) -> ContextCompletion:
     """Iteratively expand one candidate's context until the model confirms
     adequacy, retrieval stops yielding new blocks, or the iteration cap hits.
@@ -125,6 +156,7 @@ def complete_context(
     not extend the loop, so termination is guaranteed on any finite store
     even without the cap.
     """
+    queries = queries or QueryVectors(encoder)
     current = candidate
     new_blocks: list[CodeBlock] = []
     reflections = 0
@@ -140,7 +172,7 @@ def complete_context(
             break
         snippet, scope = chat.code_inference(current.context, vuln, reason)
         inferences += 1
-        query_vec = embed(encoder, [snippet])[0]
+        query_vec = queries([snippet])[0]
         results = store.search(query_vec, cfg.top_k, cfg.tau, scope)
         searches += 1
         known = current.context_ids()
@@ -193,8 +225,9 @@ def analyze(
     """
     if store.count() == 0:
         raise EmptyIndex("cannot analyze against an empty index")
-    api_vecs, test_vec = _seed_vectors(encoder, vuln)
-    initial = identify_candidates(store, encoder, chat, vuln, cfg)
+    queries = QueryVectors(encoder)
+    api_vecs, test_vec = _seed_vectors(queries, vuln)
+    initial = identify_candidates(store, encoder, chat, vuln, cfg, queries)
 
     pending: queue.SimpleQueue[Candidate] = queue.SimpleQueue()
     enqueued: set[str] = set()
@@ -206,7 +239,7 @@ def analyze(
         enqueued.add(candidate.anchor.id)
 
     def process(candidate: Candidate) -> list[Candidate]:
-        completion = complete_context(store, encoder, chat, candidate, vuln, cfg)
+        completion = complete_context(store, encoder, chat, candidate, vuln, cfg, queries)
         judgment, rationale = chat.judge_reachability(completion.candidate, vuln)
         followups = []
         with state_lock:

@@ -182,7 +182,7 @@ def build_index(
         if cache_path.exists():
             return VectorStore.open(cache_path)
     blocks = segment_project(root, seg_cfg, ignore_globs=tuple(ignore_globs))
-    vectors = embed(encoder, [b.source for b in blocks])
+    vectors = embed(encoder, [b.source for b in blocks]) if blocks else []
     entries = [StoreEntry(b, v) for b, v in zip(blocks, vectors)]
     if cache_path is not None:
         return VectorStore.create(cache_path, encoder.dims, entries)

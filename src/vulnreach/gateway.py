@@ -10,6 +10,7 @@ its inputs for offline and regression runs.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
@@ -301,7 +302,13 @@ class ScriptedChatProvider:
 
 
 class ReplayChatProvider:
-    """Replays the raw responses of a recorded transcript in order."""
+    """Replays a recorded transcript by question, not by position.
+
+    Each call gets the next recorded response for its own (role, prompt),
+    first recorded first, so calls may arrive in any order: a run recorded
+    at one parallelism replays at any other. A question with no recorded
+    response left is a provider error, never another question's answer.
+    """
 
     def __init__(self, transcript: Transcript, name: str = "replay"):
         self.name = name
@@ -309,22 +316,50 @@ class ReplayChatProvider:
         self.temperature = 0.0
         self.max_output_tokens = 4096
         self.context_window = 1_000_000
-        self._entries = list(transcript.entries)
-        self._cursor = 0
+        self._recorded: dict[tuple[RoleKind, str], deque[str]] = {}
+        for entry in transcript.entries:
+            key = (entry.role_kind, entry.rendered_prompt)
+            self._recorded.setdefault(key, deque()).append(entry.raw_response)
         self._lock = threading.Lock()
 
     def complete(self, prompt: str, role: RoleKind) -> str:
         with self._lock:
-            if self._cursor >= len(self._entries):
-                raise ProviderError("replay transcript exhausted")
-            entry = self._entries[self._cursor]
-            if entry.role_kind is not role:
+            responses = self._recorded.get((role, prompt))
+            if not responses:
+                state = "all used" if responses is not None else "none recorded"
                 raise ProviderError(
-                    f"replay mismatch at seq {entry.seq}: recorded {entry.role_kind.value}, "
-                    f"requested {role.value}"
+                    f"replay has no {role.value} response for this prompt ({state}):"
+                    f" {prompt[:80]!r}"
                 )
-            self._cursor += 1
-            return entry.raw_response
+            return responses.popleft()
+
+
+class MemoChatProvider:
+    """Asks the wrapped provider each distinct question once.
+
+    The key is the sha256 of the role and the prompt as sent (a reprompt is
+    its own question); the first response for a key answers every repeat.
+    Failures are not kept. Entries are only ever added and each dict
+    operation is atomic, so concurrent callers need no lock: two first asks
+    of one question may both reach the provider, and both get the response
+    that was kept.
+    """
+
+    def __init__(self, provider: ChatProvider):
+        self.provider = provider
+        self.name = provider.name
+        self.model_id = provider.model_id
+        self.temperature = provider.temperature
+        self.max_output_tokens = provider.max_output_tokens
+        self.context_window = provider.context_window
+        self._responses: dict[bytes, str] = {}
+
+    def complete(self, prompt: str, role: RoleKind) -> str:
+        key = hashlib.sha256(f"{role.value}\0{prompt}".encode("utf-8")).digest()
+        response = self._responses.get(key)
+        if response is None:
+            response = self._responses.setdefault(key, self.provider.complete(prompt, role))
+        return response
 
 
 class RemoteChatProvider:
@@ -497,7 +532,9 @@ class ChatGateway:
         self.provider = provider
         self.prompts = prompts or PromptLibrary.bundled()
         self.transcript = transcript if transcript is not None else Transcript()
-        self.token_counter = token_counter
+        # Packing recounts the same template, vulnerability text and blocks
+        # on every call; each distinct text is counted once per gateway.
+        self.token_counter = functools.lru_cache(maxsize=None)(token_counter)
 
     # -- context packing ---------------------------------------------------
 

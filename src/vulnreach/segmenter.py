@@ -7,7 +7,8 @@ when their own size is at or above the threshold, and everything else
 (package declaration, type headers, initializers, enum constants, parse
 errors) lands in Other blocks. Every line of every file is covered by
 exactly one block, and concatenating block sources reproduces the file
-byte-for-byte.
+byte-for-byte; the exception is a file of only whitespace, which, like an
+empty one, yields no block, so no block is ever blank.
 """
 
 from __future__ import annotations
@@ -69,10 +70,10 @@ class _Draft:
 def segment_unit(unit: CompilationUnit, cfg: SegmenterConfig) -> list[CodeBlock]:
     """Apply the size-thresholded segmentation rule to one compilation unit."""
     line_count = unit.line_count
-    if line_count == 0:
-        return []
-    tok = cfg.tokenizer
     whole_text = unit.slice_text(1, line_count)
+    if not whole_text.strip():
+        return []  # an empty or whitespace-only file holds nothing to index
+    tok = cfg.tokenizer
     primary_class = next((n.name for n in unit.nodes if n.kind == "type" and n.name), None)
 
     if tok.count(whole_text) < cfg.theta:

@@ -1,12 +1,16 @@
 import hashlib
 import json
 import re
+import shutil
+import threading
 from pathlib import Path
 
 import pytest
 
 from conftest import DIMS, FIXTURES, FIXTURE_THETA, write_tool_config, write_toy_manifest
 from vulnreach import cli
+from vulnreach.gateway import ChatGateway, ScriptedChatProvider
+from vulnreach.store import VectorStore
 
 
 def run_cli(*args: str) -> int:
@@ -87,6 +91,76 @@ class TestIndexCommand:
         )
         assert code == 2
         assert "provider" in capsys.readouterr().err.lower()
+
+    def test_whitespace_only_file_contributes_no_block(self, tmp_path: Path, capsys):
+        tool = FIXTURES / "unguarded_app" / "src" / "main" / "java" / "com" / "acme" / "tool"
+        counts = []
+        for blank in (False, True):
+            project = tmp_path / f"app{int(blank)}"
+            shutil.copytree(tool, project)
+            if blank:
+                (project / "Blank.java").write_text("\n")
+            code = run_cli(
+                "index", "--project", str(project), "--out", str(tmp_path / f"i{int(blank)}.vrix")
+            )
+            assert code == 0, capsys.readouterr().err
+            counts.append(int(re.search(r"indexed (\d+) blocks", capsys.readouterr().out).group(1)))
+        assert counts[0] == counts[1] >= 1
+
+
+def write_empty_files_project(root: Path) -> Path:
+    """A project whose only sources are 0-byte files: no blocks at all."""
+    for name in ("A.java", "pkg/B.java"):
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_bytes(b"")
+    return root
+
+
+class TestProjectWithoutBlocks:
+    def test_index_writes_an_openable_empty_index(self, tmp_path: Path, capsys):
+        project = write_empty_files_project(tmp_path / "app")
+        out = tmp_path / "i.vrix"
+        assert run_cli("index", "--project", str(project), "--out", str(out)) == 0
+        assert "indexed 0 blocks" in capsys.readouterr().out
+        assert VectorStore.open(out).count() == 0
+
+    def test_analyze_of_the_empty_index_exits_1(self, tmp_path: Path, config_file: Path, capsys):
+        project = write_empty_files_project(tmp_path / "app")
+        out = tmp_path / "i.vrix"
+        assert run_cli("index", "--project", str(project), "--out", str(out)) == 0
+        code = run_cli(
+            "analyze",
+            "--index", str(out),
+            "--vuln", str(FIXTURES / "vuln_encoder_null.json"),
+            "--config", str(config_file),
+            "--report", str(tmp_path / "r.json"),
+        )
+        assert code == 1
+        assert "empty index" in capsys.readouterr().err
+
+    def test_evaluate_marks_the_project_failed(self, tmp_path: Path, config_file: Path):
+        manifest_path = write_toy_manifest(tmp_path / "manifest.json")
+        manifest = json.loads(manifest_path.read_text())
+        manifest["projects"].append(
+            {
+                "project_id": "hollow",
+                "root_path": str(write_empty_files_project(tmp_path / "hollow")),
+                "ground_truth": "Secure",
+                "vuln_refs": ["CVE-2020-5408"],
+            }
+        )
+        manifest_path.write_text(json.dumps(manifest))
+        out_dir = tmp_path / "out"
+        code = run_cli(
+            "evaluate", "--manifest", str(manifest_path), "--config", str(config_file),
+            "--out", str(out_dir),
+        )
+        assert code == 0
+        report = read_report(out_dir / f"report_theta_{FIXTURE_THETA}.json")
+        row = next(r for r in report["projects"] if r["project_id"] == "hollow")
+        assert row["prediction"] == "failed" and "EmptyIndex" in row["error"]
+        assert report["failed_projects"] == 1
+        assert report["confusion_matrix"] == {"tp": 2, "fp": 0, "tn": 2, "fn": 0}
 
 
 def build_index_for(project: str, tmp_path: Path) -> Path:
@@ -196,6 +270,91 @@ class TestAnalyzeCommand:
         assert code == 2
 
 
+def write_hasher_project(root: Path) -> Path:
+    """Three classes that each hand a password to the encoder; only the
+    last one rejects null first, so the judge tells them apart."""
+    guard = (
+        "        if (raw == null) {\n"
+        '            throw new IllegalArgumentException("raw");\n'
+        "        }\n"
+    )
+    for name, check in (("Signup", ""), ("Reset", ""), ("Login", guard)):
+        path = root / "src" / "com" / "acme" / f"{name}Tool.java"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(
+            "package com.acme;\n\n"
+            "import org.springframework.security.crypto.bcrypt.BCryptPasswordEncoder;\n\n"
+            f"public class {name}Tool {{\n\n"
+            "    private final BCryptPasswordEncoder encoder = new BCryptPasswordEncoder();\n\n"
+            f"    public String hash{name}(String raw) {{\n"
+            f"{check}"
+            "        return encoder.encode(raw);\n"
+            "    }\n"
+            "}\n"
+        )
+    return root
+
+
+class TestReplayAcrossParallelism:
+    CANDIDATES = 3
+
+    def analyze(
+        self, tmp_path: Path, index: Path, name: str, parallelism: int, *extra: str
+    ) -> dict:
+        config = write_tool_config(tmp_path / f"{name}.cfg.json", parallelism=parallelism)
+        report = tmp_path / f"{name}.json"
+        code = run_cli(
+            "analyze",
+            "--index", str(index),
+            "--vuln", str(FIXTURES / "vuln_encoder_null.json"),
+            "--config", str(config),
+            "--report", str(report),
+            *extra,
+        )
+        assert code == 3, f"{name}: exit {code}"
+        return read_report(report)
+
+    def hold_judgments(self, patch: pytest.MonkeyPatch) -> None:
+        """Hold every judgment until all candidates have reflected, so that
+        at parallelism > 1 the model is asked in another order than at 1."""
+        barrier = threading.Barrier(self.CANDIDATES, timeout=10)
+        judge = ChatGateway.judge_reachability
+
+        def judge_after_all_reflections(gateway, candidate, vuln):
+            barrier.wait()
+            return judge(gateway, candidate, vuln)
+
+        patch.setattr(ChatGateway, "judge_reachability", judge_after_all_reflections)
+
+    @pytest.mark.parametrize("recorded_at, replayed_at", [(1, 4), (4, 1)])
+    def test_recorded_run_replays_at_other_parallelism(
+        self, tmp_path: Path, monkeypatch, recorded_at: int, replayed_at: int
+    ):
+        index = tmp_path / "app.vrix"
+        project = write_hasher_project(tmp_path / "app")
+        assert run_cli(
+            "index", "--project", str(project), "--out", str(index), "--theta", str(FIXTURE_THETA)
+        ) == 0
+
+        transcript = str(tmp_path / "recorded.json.transcript.jsonl")
+        runs = []
+        for name, parallelism, extra in (
+            ("recorded", recorded_at, ()),
+            ("replayed", replayed_at, ("--transcript", transcript)),
+        ):
+            with monkeypatch.context() as patch:
+                if parallelism > 1:
+                    self.hold_judgments(patch)
+                runs.append(self.analyze(tmp_path, index, name, parallelism, *extra))
+        recorded, replayed = runs
+        assert len(recorded["per_candidate"]) == self.CANDIDATES
+        assert sorted(c["judgment"] for c in recorded["per_candidate"]) == [
+            "Secure", "Vulnerable", "Vulnerable",
+        ]
+        assert replayed["per_candidate"] == recorded["per_candidate"]
+        assert replayed["project_judgment"] == recorded["project_judgment"] == "Vulnerable"
+
+
 class TestEvaluateCommand:
     def test_toy_manifest_end_to_end(self, tmp_path: Path, config_file: Path, capsys):
         manifest = write_toy_manifest(tmp_path / "manifest.json")
@@ -270,6 +429,35 @@ class TestEvaluateCommand:
         stdout = capsys.readouterr().out
         for theta in (500, 1000, 1500, 2000, 2500, 3000):
             assert f"theta={theta}:" in stdout
+
+    def test_sweep_asks_fewer_questions_than_six_runs_and_reports_the_same(
+        self, tmp_path: Path, monkeypatch
+    ):
+        calls: list[str] = []
+        complete = ScriptedChatProvider.complete
+
+        def counting(provider, prompt, role):
+            calls.append(prompt)
+            return complete(provider, prompt, role)
+
+        monkeypatch.setattr(ScriptedChatProvider, "complete", counting)
+        manifest = write_toy_manifest(tmp_path / "manifest.json")
+        config = write_tool_config(tmp_path / "cfg.json")
+        args = ("evaluate", "--manifest", str(manifest), "--config", str(config))
+        assert run_cli(*args, "--out", str(tmp_path / "sweep"), "--sweep-theta") == 0
+        sweep_calls = len(calls)
+        single_calls = 0
+        for theta in (500, 1000, 1500, 2000, 2500, 3000):
+            calls.clear()
+            out = tmp_path / f"single{theta}"
+            assert run_cli(*args, "--out", str(out), "--theta", str(theta)) == 0
+            single_calls += len(calls)
+            name = f"report_theta_{theta}.json"
+            single, swept = read_report(out / name), read_report(tmp_path / "sweep" / name)
+            single.pop("generated_at")
+            swept.pop("generated_at")
+            assert swept == single
+        assert 0 < sweep_calls < single_calls
 
     def test_malformed_manifest_exit_1_with_diagnostics(self, tmp_path: Path, config_file: Path, capsys):
         bad = tmp_path / "bad.json"

@@ -5,12 +5,13 @@ import pytest
 from conftest import FIXTURES, FIXTURE_TAU, make_block
 from vulnreach.detector import (
     DetectorConfig,
+    QueryVectors,
     TerminationReason,
     analyze,
     complete_context,
     identify_candidates,
 )
-from vulnreach.embedding import embed, reference_encode
+from vulnreach.embedding import ReferenceEncoder, embed, reference_encode
 from vulnreach.errors import EmptyIndex, ProviderError
 from vulnreach.gateway import ChatGateway, RoleKind, ScriptedChatProvider, Transcript
 from vulnreach.model import (
@@ -356,3 +357,50 @@ class TestAnalyze:
     def test_empty_index_raises(self, encoder, vuln):
         with pytest.raises(EmptyIndex):
             analyze(VectorStore.in_memory(encoder.dims), encoder, fixture_gateway(), vuln, CFG, "p")
+
+
+class CountingEncoder(ReferenceEncoder):
+    def __init__(self, dims: int):
+        super().__init__(dims=dims)
+        self.texts: list[str] = []
+
+    def encode_batch(self, texts):
+        self.texts.extend(texts)
+        return super().encode_batch(texts)
+
+
+class TestQueryVectors:
+    def test_each_seed_text_is_encoded_once_per_analysis(self, unguarded_store, encoder, vuln):
+        counting = CountingEncoder(encoder.dims)
+        seeds = [*vuln.api_signatures, vuln.pov_test_source]
+        expected = analyze(unguarded_store, encoder, fixture_gateway(), vuln, CFG, "p")
+        for runs in (1, 2):
+            verdict = analyze(unguarded_store, counting, fixture_gateway(), vuln, CFG, "p")
+            assert verdict.to_dict() == expected.to_dict()
+            assert [counting.texts.count(seed) for seed in seeds] == [runs] * len(seeds)
+
+    def test_repeated_inferred_snippets_are_encoded_once(self, guarded_store, encoder, vuln):
+        counting = CountingEncoder(encoder.dims)
+        provider = ScriptedChatProvider(
+            rules=[(RoleKind.GRADER, ".encode(", '{"answer": "yes"}')],
+            defaults={
+                RoleKind.GRADER: '{"answer": "no"}',
+                RoleKind.REFLECTION: '{"complete": false, "reason": "need the caller"}',
+                RoleKind.INFERENCE: json.dumps(
+                    {"missing_snippet": "public String getNewPassword()", "scope": {}}
+                ),
+                RoleKind.JUDGE: '{"judgment": "secure", "rationale": "guarded"}',
+            },
+        )
+        gw = ChatGateway(provider, transcript=Transcript())
+        analyze(guarded_store, counting, gw, vuln, CFG, "p")
+        inferences = sum(e.role_kind is RoleKind.INFERENCE for e in gw.transcript.entries)
+        assert inferences > 1
+        assert len(counting.texts) == len(set(counting.texts))
+
+    def test_vectors_match_encoding_each_text_alone(self, encoder):
+        queries = QueryVectors(encoder)
+        texts = ["int a = b;", "encoder.encode(raw)", "int a = b;"]
+        got = queries(texts)
+        assert got[0] is got[2]
+        assert [v.values for v in got] == [reference_encode(t, encoder.dims).values for t in texts]

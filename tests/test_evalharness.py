@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -268,3 +269,24 @@ class TestBuildIndex:
         full = build_index(root, cfg, encoder, ())
         rebuilt = build_index(root, cfg, encoder, (), cache_dir=cache)
         assert rebuilt.count() == full.count() > 0
+
+    def test_whitespace_only_file_contributes_no_block(self, tmp_path: Path, encoder):
+        root = tmp_path / "app"
+        shutil.copytree(FIXTURES / "plain_app", root)
+        cfg = HarnessConfig(theta=60).segmenter()
+        without = build_index(root, cfg, encoder, ())
+        (root / "Blank.java").write_text("\n")
+        with_blank = build_index(root, cfg, encoder, (), cache_dir=tmp_path / "cache")
+        assert [e.block.to_dict() for e in with_blank.entries()] == [
+            e.block.to_dict() for e in without.entries()
+        ]
+
+    def test_project_without_blocks_builds_an_empty_index(self, tmp_path: Path, encoder):
+        root = tmp_path / "hollow"
+        root.mkdir()
+        (root / "A.java").write_bytes(b"")
+        cfg = HarnessConfig(theta=60).segmenter()
+        assert build_index(root, cfg, encoder, ()).count() == 0
+        cached = build_index(root, cfg, encoder, (), cache_dir=tmp_path / "cache")
+        assert cached.count() == 0
+        assert VectorStore.open(next((tmp_path / "cache").glob("index-*.vrix"))).count() == 0

@@ -1,4 +1,8 @@
+import itertools
 import json
+import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -7,6 +11,7 @@ from conftest import FIXTURES, make_block
 from vulnreach.errors import ConfigError, MalformedResponse, ProviderError
 from vulnreach.gateway import (
     ChatGateway,
+    MemoChatProvider,
     PromptLibrary,
     PromptTemplate,
     ReplayChatProvider,
@@ -354,6 +359,141 @@ class TestTranscript:
         replayed = gateway(ReplayChatProvider(recorded.transcript))
         with pytest.raises(ProviderError):
             replayed.reflection_query([ENCODE_BLOCK], vuln)
+
+    def test_replay_answers_each_question_in_any_order(self, vuln):
+        recorded = gateway(
+            scripted(
+                rules=[(RoleKind.GRADER, "encoder.encode", '{"answer": "yes"}')],
+                defaults={RoleKind.GRADER: '{"answer": "no"}'},
+            )
+        )
+        assert recorded.grade_invocation(ENCODE_BLOCK, vuln.api_signatures[0]) is True
+        assert recorded.grade_invocation(COMMENT_BLOCK, vuln.api_signatures[0]) is False
+        replayed = gateway(ReplayChatProvider(recorded.transcript))
+        assert replayed.grade_invocation(COMMENT_BLOCK, vuln.api_signatures[0]) is False
+        assert replayed.grade_invocation(ENCODE_BLOCK, vuln.api_signatures[0]) is True
+
+    def test_replay_of_an_unrecorded_or_used_up_question_is_loud(self, vuln):
+        recorded = gateway(scripted(defaults={RoleKind.GRADER: '{"answer": "yes"}'}))
+        recorded.grade_invocation(ENCODE_BLOCK, vuln.api_signatures[0])
+        replayed = gateway(ReplayChatProvider(recorded.transcript))
+        with pytest.raises(ProviderError, match="none recorded"):
+            replayed.grade_invocation(COMMENT_BLOCK, vuln.api_signatures[0])
+        replayed.grade_invocation(ENCODE_BLOCK, vuln.api_signatures[0])
+        with pytest.raises(ProviderError, match="all used"):
+            replayed.grade_invocation(ENCODE_BLOCK, vuln.api_signatures[0])
+
+
+class CountingProvider(ScriptedChatProvider):
+    def __init__(self, **kw):
+        super().__init__(**kw)
+        self.asked: list[tuple[RoleKind, str]] = []
+
+    def complete(self, prompt: str, role: RoleKind) -> str:
+        self.asked.append((role, prompt))
+        return super().complete(prompt, role)
+
+
+class TestMemoChatProvider:
+    def test_repeated_prompt_reaches_provider_once_with_two_transcript_entries(self, vuln):
+        inner = CountingProvider(
+            sequences={
+                RoleKind.REFLECTION: [
+                    '{"complete": false, "reason": "need caller"}',
+                    '{"complete": true, "reason": ""}',
+                ]
+            },
+            name="inner",
+            model_id="inner-model",
+        )
+        gw = gateway(MemoChatProvider(inner))
+        first = gw.reflection_query([ENCODE_BLOCK], vuln)
+        second = gw.reflection_query([ENCODE_BLOCK], vuln)
+        assert first == second == (False, "need caller")  # one answer per question
+        assert len(inner.asked) == 1
+        entries = [e.to_dict() for e in gw.transcript.entries]
+        assert [e["seq"] for e in entries] == [0, 1]
+        for entry in entries:
+            del entry["seq"], entry["timestamp"]
+        assert entries[0] == entries[1]
+        assert (entries[0]["provider_name"], entries[0]["model_id"]) == ("inner", "inner-model")
+
+    def test_role_and_reprompt_make_distinct_questions(self):
+        inner = CountingProvider(defaults={role: '{"answer": "no"}' for role in RoleKind})
+        memo = MemoChatProvider(inner)
+        for role, prompt in [
+            (RoleKind.GRADER, "p"),
+            (RoleKind.JUDGE, "p"),
+            (RoleKind.GRADER, "p" + "\n\nretry"),
+            (RoleKind.GRADER, "p"),
+        ]:
+            memo.complete(prompt, role)
+        assert len(inner.asked) == 3
+
+    def test_a_failed_call_is_not_kept(self):
+        class FailsFirst(CountingProvider):
+            def complete(self, prompt, role):
+                response = super().complete(prompt, role)
+                if len(self.asked) == 1:
+                    raise ProviderError("rate limited", status=429)
+                return response
+
+        inner = FailsFirst(defaults={RoleKind.GRADER: '{"answer": "yes"}'})
+        memo = MemoChatProvider(inner)
+        with pytest.raises(ProviderError):
+            memo.complete("p", RoleKind.GRADER)
+        assert memo.complete("p", RoleKind.GRADER) == '{"answer": "yes"}'
+        assert memo.complete("p", RoleKind.GRADER) == '{"answer": "yes"}'
+        assert len(inner.asked) == 2
+
+    def test_concurrent_askers_all_get_the_kept_answer(self):
+        threads, questions = 8, 200
+        numbers = itertools.count()
+
+        class Numbering(ScriptedChatProvider):
+            def complete(self, prompt, role):
+                time.sleep(0)  # let another asker in while this one is in flight
+                return f"{prompt}: answer {next(numbers)}"
+
+        memo = MemoChatProvider(Numbering())
+        start = threading.Barrier(threads, timeout=10)
+        answers: list[list[str]] = [[] for _ in range(threads)]
+
+        def ask(mine: list[str]) -> None:
+            start.wait()
+            mine.extend(memo.complete(f"q{k}", RoleKind.GRADER) for k in range(questions))
+
+        workers = [threading.Thread(target=ask, args=(mine,)) for mine in answers]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert len(answers[0]) == questions
+        assert all(mine == answers[0] for mine in answers)  # one answer per question
+
+
+class TestTokenCountMemo:
+    def test_each_distinct_text_is_counted_once_per_gateway(self, vuln):
+        counted: list[str] = []
+
+        def counter(text: str) -> int:
+            counted.append(text)
+            return len(text.split())
+
+        gw = gateway(
+            scripted(defaults={RoleKind.REFLECTION: '{"complete": true, "reason": ""}'}),
+            token_counter=counter,
+        )
+        for _ in range(3):
+            gw.reflection_query([ENCODE_BLOCK, COMMENT_BLOCK], vuln)
+        assert counted and len(counted) == len(set(counted))
+        assert gw.token_counter("a b c") == 3
 
 
 class TestScriptedProvider:
