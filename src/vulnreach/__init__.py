@@ -4,7 +4,6 @@ chat-model reflection loop that completes context before judging impact."""
 
 from .detector import (
     ContextCompletion,
-    DetectorConfig,
     TerminationReason,
     analyze,
     complete_context,
@@ -14,10 +13,8 @@ from .embedding import EncoderProvider, ReferenceEncoder, cosine, embed, referen
 from .evalharness import (
     BenchmarkManifest,
     ConfusionMatrix,
-    HarnessConfig,
     metrics,
     run_benchmark,
-    run_tau_sweep,
     run_theta_sweep,
     score,
 )
@@ -36,6 +33,7 @@ from .model import (
     Candidate,
     CandidateJudgment,
     CodeBlock,
+    Config,
     EmbeddingVector,
     Judgment,
     MatchedBy,
@@ -43,7 +41,7 @@ from .model import (
     Verdict,
     VulnSpec,
 )
-from .segmenter import SegmenterConfig, segment_project, segment_unit
+from .segmenter import segment_project, segment_unit
 from .store import ScopeFilter, StoreEntry, VectorStore
 from .tokenizer import DEFAULT_TOKENIZER, LexicalTokenizer
 
@@ -58,16 +56,15 @@ __all__ = [
     "ChatProvider",
     "CodeBlock",
     "CompilationUnit",
+    "Config",
     "complete_context",
     "ConfusionMatrix",
     "ContextCompletion",
     "cosine",
     "DEFAULT_TOKENIZER",
-    "DetectorConfig",
     "embed",
     "EmbeddingVector",
     "EncoderProvider",
-    "HarnessConfig",
     "identify_candidates",
     "Judgment",
     "LexicalTokenizer",
@@ -82,12 +79,10 @@ __all__ = [
     "ReplayChatProvider",
     "RoleKind",
     "run_benchmark",
-    "run_tau_sweep",
     "run_theta_sweep",
     "ScopeFilter",
     "score",
     "ScriptedChatProvider",
-    "SegmenterConfig",
     "segment_project",
     "segment_unit",
     "StoreEntry",

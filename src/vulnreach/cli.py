@@ -11,13 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from . import evalharness
-from .detector import DetectorConfig, analyze
+from .detector import analyze
 from .embedding import EncoderProvider, ReferenceEncoder, RemoteEncoderProvider, embed
 from .errors import (
     ConfigError,
@@ -36,8 +36,8 @@ from .gateway import (
     ScriptedChatProvider,
     Transcript,
 )
-from .model import Judgment, VulnSpec
-from .segmenter import DEFAULT_IGNORE_GLOBS, SegmenterConfig, segment_project
+from .model import Config, Judgment, VulnSpec
+from .segmenter import segment_project
 from .store import StoreEntry, VectorStore
 
 EXIT_OK = 0
@@ -45,100 +45,24 @@ EXIT_USER_ERROR = 1
 EXIT_PROVIDER_ERROR = 2
 EXIT_VULNERABLE = 3
 
-_CONFIG_KEYS = {
-    "theta",
-    "tau",
-    "top_k",
-    "max_iterations",
-    "parallelism",
-    "encoder",
-    "chat",
-    "ignore_globs",
-    "prompts_dir",
-}
 
-
-@dataclass
-class ToolConfig:
-    theta: int = 2500
-    tau: float = 0.35
-    top_k: int = 10
-    max_iterations: int = 5
-    parallelism: int = 1
-    encoder: dict[str, Any] = field(default_factory=lambda: {"provider": "reference", "dims": 256})
-    chat: dict[str, Any] = field(default_factory=dict)
-    ignore_globs: list[str] = field(default_factory=lambda: list(DEFAULT_IGNORE_GLOBS))
-    prompts_dir: str | None = None
-
-    @classmethod
-    def load(cls, path: Path | str | None) -> "ToolConfig":
-        cfg = cls()
-        if path is None:
-            return cfg
+def load_config(args: argparse.Namespace) -> Config:
+    """Defaults, overridden by the ``--config`` file, overridden by flags."""
+    config = Config()
+    if args.config is not None:
         try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+            raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config {path} must be a JSON object")
-        unknown = set(raw) - _CONFIG_KEYS
-        if unknown:
-            raise ConfigError(f"config {path} has unknown keys: {sorted(unknown)}")
-        for key, value in raw.items():
-            setattr(cfg, key, value)
-        cfg.validate()
-        return cfg
-
-    def apply_flags(self, args: argparse.Namespace) -> "ToolConfig":
-        if getattr(args, "theta", None) is not None:
-            self.theta = args.theta
-        if getattr(args, "tau", None) is not None:
-            self.tau = args.tau
-        if getattr(args, "encoder", None) is not None:
-            self.encoder = {"provider": args.encoder, "dims": self.encoder.get("dims", 256)}
-        self.validate()
-        return self
-
-    def validate(self) -> None:
-        if not isinstance(self.theta, int) or self.theta < 1:
-            raise ConfigError(f"theta must be a positive integer, got {self.theta!r}")
-        if not 0.0 < float(self.tau) <= 1.0:
-            raise ConfigError(f"tau must be in (0, 1], got {self.tau!r}")
-        if not isinstance(self.top_k, int) or self.top_k < 1:
-            raise ConfigError(f"top_k must be a positive integer, got {self.top_k!r}")
-        if not isinstance(self.max_iterations, int) or self.max_iterations < 1:
-            raise ConfigError(f"max_iterations must be positive, got {self.max_iterations!r}")
-        if not isinstance(self.parallelism, int) or self.parallelism < 1:
-            raise ConfigError(f"parallelism must be positive, got {self.parallelism!r}")
-
-    def echo(self) -> dict[str, Any]:
-        return {
-            "theta": self.theta,
-            "tau": self.tau,
-            "top_k": self.top_k,
-            "max_iterations": self.max_iterations,
-            "parallelism": self.parallelism,
-            "encoder": dict(self.encoder),
-            "chat": {k: v for k, v in self.chat.items() if "key" not in k.lower()},
-            "ignore_globs": list(self.ignore_globs),
-            "prompts_dir": self.prompts_dir,
-        }
-
-    def detector(self) -> DetectorConfig:
-        return DetectorConfig(
-            tau=float(self.tau),
-            top_k=self.top_k,
-            max_iterations=self.max_iterations,
-            parallelism=self.parallelism,
-        )
-
-    def segmenter(self) -> SegmenterConfig:
-        return SegmenterConfig(theta=self.theta)
-
-    def prompts(self) -> PromptLibrary:
-        if self.prompts_dir:
-            return PromptLibrary.from_dir(self.prompts_dir)
-        return PromptLibrary.bundled()
+            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+        config = Config.from_dict(raw)
+    flags = {
+        name: getattr(args, name)
+        for name in ("theta", "tau")
+        if getattr(args, name, None) is not None
+    }
+    if getattr(args, "encoder", None) is not None:
+        flags["encoder"] = {"provider": args.encoder, "dims": config.encoder.get("dims", 256)}
+    return replace(config, **flags)
 
 
 def build_encoder(spec: Mapping[str, Any]) -> EncoderProvider:
@@ -201,12 +125,10 @@ def _chat_provider(spec: Mapping[str, Any]) -> ChatProvider:
 
 
 def cmd_index(args: argparse.Namespace) -> int:
-    config = ToolConfig.load(args.config).apply_flags(args)
+    config = load_config(args)
     encoder = build_encoder(config.encoder)
     try:
-        blocks = segment_project(
-            Path(args.project), config.segmenter(), ignore_globs=tuple(config.ignore_globs)
-        )
+        blocks = segment_project(Path(args.project), config)
     except EmptyProject:
         print("error: no source files found under the project root", file=sys.stderr)
         return EXIT_USER_ERROR
@@ -224,7 +146,7 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    config = ToolConfig.load(args.config).apply_flags(args)
+    config = load_config(args)
     try:
         vuln = VulnSpec.from_dict(json.loads(Path(args.vuln).read_text(encoding="utf-8")))
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
@@ -232,17 +154,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return EXIT_USER_ERROR
     store = VectorStore.open(args.index)
     encoder = build_encoder(config.encoder)
-    chat_spec = (
-        {"provider": "replay", "transcript_path": args.transcript}
-        if args.transcript
-        else config.chat
-    )
-    chat_provider = build_chat(chat_spec)
+    if args.transcript:
+        # Every answer comes from the replay, so the report names it.
+        config = replace(config, chat={"provider": "replay", "transcript_path": args.transcript})
+    chat_provider = build_chat(config.chat)
 
     report_path = Path(args.report)
     transcript_path = report_path.with_name(report_path.name + ".transcript.jsonl")
     gateway = ChatGateway(
-        chat_provider, config.prompts(), Transcript(sink_path=transcript_path)
+        chat_provider, PromptLibrary.load(config.prompts_dir), Transcript(sink_path=transcript_path)
     )
     try:
         verdict = analyze(
@@ -250,7 +170,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             encoder,
             gateway,
             vuln,
-            config.detector(),
+            config,
             project_id=args.project_id,
             transcript_path=str(transcript_path),
         )
@@ -259,7 +179,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return EXIT_PROVIDER_ERROR
     report = {
         "generated_at": datetime.now(timezone.utc).isoformat(),
-        "config": config.echo(),
+        "config": config.to_dict(),
         **verdict.to_dict(),
     }
     report_path.parent.mkdir(parents=True, exist_ok=True)
@@ -272,7 +192,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    config = ToolConfig.load(args.config).apply_flags(args)
+    config = load_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -286,24 +206,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         return EXIT_USER_ERROR
     encoder = build_encoder(config.encoder)
     chat_provider = build_chat(config.chat)
-    harness = evalharness.HarnessConfig(
-        theta=config.theta,
-        tau=float(config.tau),
-        top_k=config.top_k,
-        max_iterations=config.max_iterations,
-        parallelism=config.parallelism,
-        ignore_globs=tuple(config.ignore_globs),
-    )
     if args.sweep_theta:
         reports = evalharness.run_theta_sweep(
-            manifest, harness, encoder, chat_provider, out_dir=out_dir, prompts=config.prompts()
+            manifest, config, encoder, chat_provider, out_dir=out_dir
         )
         for theta, report in sorted(reports.items()):
             m = report["metrics"]
             print(f"theta={theta}: {_format_metrics(m)}")
     else:
         report = evalharness.run_benchmark(
-            manifest, harness, encoder, chat_provider, out_dir=out_dir, prompts=config.prompts()
+            manifest, config, encoder, chat_provider, out_dir=out_dir
         )
         print(evalharness.render_table(report), end="")
     return EXIT_OK

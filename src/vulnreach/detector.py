@@ -22,30 +22,13 @@ from .model import (
     Candidate,
     CandidateJudgment,
     CodeBlock,
+    Config,
     EmbeddingVector,
     MatchedBy,
     Verdict,
     VulnSpec,
 )
 from .store import EMPTY_SCOPE, VectorStore
-
-
-@dataclass(frozen=True)
-class DetectorConfig:
-    tau: float = 0.35
-    top_k: int = 10
-    max_iterations: int = 5  # reflection-loop cap per candidate
-    parallelism: int = 1
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.tau <= 1.0:
-            raise ValueError(f"tau must be in (0, 1], got {self.tau}")
-        if self.top_k < 1:
-            raise ValueError("top_k must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be positive")
 
 
 class TerminationReason(str, Enum):
@@ -98,7 +81,7 @@ def identify_candidates(
     encoder: EncoderProvider,
     chat: ChatGateway,
     vuln: VulnSpec,
-    cfg: DetectorConfig,
+    config: Config,
     queries: QueryVectors | None = None,
 ) -> list[Candidate]:
     """Dual-seed candidate identification.
@@ -115,8 +98,8 @@ def identify_candidates(
     hits: dict[str, CodeBlock] = {}
     vectors: dict[str, object] = {}
     for seed in [*api_vecs, test_vec]:
-        for entry, score in store.search(seed, cfg.top_k, cfg.tau, EMPTY_SCOPE):
-            if score > cfg.tau and entry.block.id not in hits:
+        for entry, score in store.search(seed, config.top_k, config.tau, EMPTY_SCOPE):
+            if score > config.tau and entry.block.id not in hits:
                 hits[entry.block.id] = entry.block
                 vectors[entry.block.id] = entry.vector
 
@@ -126,8 +109,8 @@ def identify_candidates(
         vec = vectors[block.id]
         sim_api = max(vec.dot(av) for av in api_vecs)
         sim_test = vec.dot(test_vec)
-        api_pass = sim_api > cfg.tau
-        test_pass = sim_test > cfg.tau
+        api_pass = sim_api > config.tau
+        test_pass = sim_test > config.tau
         if api_pass and test_pass:
             matched_by = MatchedBy.BOTH
         elif api_pass:
@@ -146,7 +129,7 @@ def complete_context(
     chat: ChatGateway,
     candidate: Candidate,
     vuln: VulnSpec,
-    cfg: DetectorConfig,
+    config: Config,
     queries: QueryVectors | None = None,
 ) -> ContextCompletion:
     """Iteratively expand one candidate's context until the model confirms
@@ -167,13 +150,13 @@ def complete_context(
     reflections += 1
     termination = TerminationReason.CONTEXT_COMPLETE
     while not complete:
-        if reflections >= cfg.max_iterations:
+        if reflections >= config.max_iterations:
             termination = TerminationReason.ITERATION_CAP
             break
         snippet, scope = chat.code_inference(current.context, vuln, reason)
         inferences += 1
         query_vec = queries([snippet])[0]
-        results = store.search(query_vec, cfg.top_k, cfg.tau, scope)
+        results = store.search(query_vec, config.top_k, config.tau, scope)
         searches += 1
         known = current.context_ids()
         retrieved = [entry.block for entry, _ in results if entry.block.id not in known]
@@ -212,7 +195,7 @@ def analyze(
     encoder: EncoderProvider,
     chat: ChatGateway,
     vuln: VulnSpec,
-    cfg: DetectorConfig,
+    config: Config,
     project_id: str,
     transcript_path: str | None = None,
 ) -> Verdict:
@@ -227,7 +210,7 @@ def analyze(
         raise EmptyIndex("cannot analyze against an empty index")
     queries = QueryVectors(encoder)
     api_vecs, test_vec = _seed_vectors(queries, vuln)
-    initial = identify_candidates(store, encoder, chat, vuln, cfg, queries)
+    initial = identify_candidates(store, encoder, chat, vuln, config, queries)
 
     pending: queue.SimpleQueue[Candidate] = queue.SimpleQueue()
     enqueued: set[str] = set()
@@ -239,7 +222,7 @@ def analyze(
         enqueued.add(candidate.anchor.id)
 
     def process(candidate: Candidate) -> list[Candidate]:
-        completion = complete_context(store, encoder, chat, candidate, vuln, cfg, queries)
+        completion = complete_context(store, encoder, chat, candidate, vuln, config, queries)
         judgment, rationale = chat.judge_reachability(completion.candidate, vuln)
         followups = []
         with state_lock:
@@ -253,17 +236,17 @@ def analyze(
                     followups.append(_retrieval_candidate(store, api_vecs, test_vec, block))
         return followups
 
-    if cfg.parallelism == 1:
+    if config.parallelism == 1:
         while not pending.empty():
             for followup in process(pending.get()):
                 pending.put(followup)
     else:
         from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
-        with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
+        with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
             in_flight = set()
             while not pending.empty() or in_flight:
-                while not pending.empty() and len(in_flight) < cfg.parallelism:
+                while not pending.empty() and len(in_flight) < config.parallelism:
                     in_flight.add(pool.submit(process, pending.get()))
                 done, in_flight = wait(in_flight, return_when=FIRST_COMPLETED)
                 for future in done:

@@ -14,17 +14,17 @@ import hashlib
 import json
 import logging
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from .detector import DetectorConfig, analyze
+from .detector import analyze
 from .embedding import EncoderProvider, embed
 from .errors import MissingPrediction, VulnReachError
 from .gateway import ChatGateway, ChatProvider, PromptLibrary, Transcript
-from .model import CodeBlock, Judgment, VulnSpec
-from .segmenter import SegmenterConfig, iter_project_files, segment_project
+from .model import Config, Judgment, VulnSpec
+from .segmenter import iter_project_files, segment_project
 from .store import StoreEntry, VectorStore
 
 log = logging.getLogger(__name__)
@@ -165,23 +165,22 @@ def corpus_digest(root: Path, ignore_globs: Sequence[str]) -> str:
 
 def build_index(
     root: Path,
-    seg_cfg: SegmenterConfig,
+    config: Config,
     encoder: EncoderProvider,
-    ignore_globs: Sequence[str],
     cache_dir: Path | None = None,
 ) -> VectorStore:
     """Segment and embed a project; reuse a cached index when the corpus,
     theta and encoder all match."""
     cache_path: Path | None = None
     if cache_dir is not None:
-        digest = corpus_digest(root, ignore_globs)
+        digest = corpus_digest(root, config.ignore_globs)
         key = hashlib.sha256(
-            f"{digest}|{seg_cfg.theta}|{encoder.name}|{encoder.dims}".encode("utf-8")
+            f"{digest}|{config.theta}|{encoder.name}|{encoder.dims}".encode("utf-8")
         ).hexdigest()[:24]
         cache_path = Path(cache_dir) / f"index-{key}.vrix"
         if cache_path.exists():
             return VectorStore.open(cache_path)
-    blocks = segment_project(root, seg_cfg, ignore_globs=tuple(ignore_globs))
+    blocks = segment_project(root, config)
     vectors = embed(encoder, [b.source for b in blocks]) if blocks else []
     entries = [StoreEntry(b, v) for b, v in zip(blocks, vectors)]
     if cache_path is not None:
@@ -191,48 +190,27 @@ def build_index(
     return store
 
 
-@dataclass(frozen=True)
-class HarnessConfig:
-    """Everything a benchmark run needs besides the manifest and providers."""
-
-    theta: int = 2500
-    tau: float = 0.35
-    top_k: int = 10
-    max_iterations: int = 5
-    parallelism: int = 1
-    ignore_globs: tuple[str, ...] = ("target/**", "build/**", "out/**", ".git/**")
-
-    def detector(self) -> DetectorConfig:
-        return DetectorConfig(
-            tau=self.tau,
-            top_k=self.top_k,
-            max_iterations=self.max_iterations,
-            parallelism=self.parallelism,
-        )
-
-    def segmenter(self) -> SegmenterConfig:
-        return SegmenterConfig(theta=self.theta)
-
-
 def run_benchmark(
     manifest: BenchmarkManifest,
-    config: HarnessConfig,
+    config: Config,
     encoder: EncoderProvider,
     chat_provider: ChatProvider,
     out_dir: Path | str | None = None,
-    prompts: PromptLibrary | None = None,
 ) -> dict[str, Any]:
     """Evaluate every manifest project against its referenced vulnerabilities.
 
     Returns the report dict (also written to ``out_dir`` when given, along
-    with per-analysis transcripts and a rendered plain-text table).
+    with a rendered plain-text table and per-analysis transcripts under
+    ``transcripts/theta_<N>/``).
     """
     out_path = Path(out_dir) if out_dir is not None else None
     cache_dir = out_path / "cache" if out_path is not None else None
-    transcripts_dir = out_path / "transcripts" if out_path is not None else None
+    transcripts_dir = (
+        out_path / "transcripts" / f"theta_{config.theta}" if out_path is not None else None
+    )
     if transcripts_dir is not None:
         transcripts_dir.mkdir(parents=True, exist_ok=True)
-    prompts = prompts or PromptLibrary.bundled()
+    prompts = PromptLibrary.load(config.prompts_dir)
 
     rows: list[dict[str, Any]] = []
     predictions: dict[str, Judgment] = {}
@@ -245,9 +223,7 @@ def run_benchmark(
         }
         try:
             root = Path(project.root_path)
-            store = build_index(
-                root, config.segmenter(), encoder, config.ignore_globs, cache_dir
-            )
+            store = build_index(root, config, encoder, cache_dir)
             block_counts[project.project_id] = store.count()
             judgments: list[Judgment] = []
             for vuln_id in project.vuln_refs:
@@ -265,7 +241,7 @@ def run_benchmark(
                     encoder,
                     gateway,
                     vuln,
-                    config.detector(),
+                    config,
                     project.project_id,
                     transcript_path=str(transcript_path) if transcript_path else None,
                 )
@@ -295,7 +271,7 @@ def run_benchmark(
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "config": {
             "theta": config.theta,
-            "tau": config.tau,
+            "tau": float(config.tau),
             "top_k": config.top_k,
             "max_iterations": config.max_iterations,
             "parallelism": config.parallelism,
@@ -322,44 +298,19 @@ def run_benchmark(
 
 def run_theta_sweep(
     manifest: BenchmarkManifest,
-    config: HarnessConfig,
+    config: Config,
     encoder: EncoderProvider,
     chat_provider: ChatProvider,
     thetas: Sequence[int] = (500, 1000, 1500, 2000, 2500, 3000),
     out_dir: Path | str | None = None,
-    prompts: PromptLibrary | None = None,
 ) -> dict[int, dict[str, Any]]:
     """One full benchmark report per segment-size setting."""
-    from dataclasses import replace
-
-    reports: dict[int, dict[str, Any]] = {}
-    for theta in thetas:
-        reports[theta] = run_benchmark(
-            manifest, replace(config, theta=theta), encoder, chat_provider, out_dir, prompts
+    return {
+        theta: run_benchmark(
+            manifest, replace(config, theta=theta), encoder, chat_provider, out_dir
         )
-    return reports
-
-
-def run_tau_sweep(
-    manifest: BenchmarkManifest,
-    config: HarnessConfig,
-    encoder: EncoderProvider,
-    chat_provider: ChatProvider,
-    taus: Sequence[float],
-    out_dir: Path | str | None = None,
-    prompts: PromptLibrary | None = None,
-) -> dict[float, dict[str, Any]]:
-    """One full benchmark report per similarity-threshold setting. Reports
-    land in a ``tau_<value>`` subdirectory each, since theta is unchanged."""
-    from dataclasses import replace
-
-    reports: dict[float, dict[str, Any]] = {}
-    for tau in taus:
-        sub = Path(out_dir) / f"tau_{tau}" if out_dir is not None else None
-        reports[tau] = run_benchmark(
-            manifest, replace(config, tau=tau), encoder, chat_provider, sub, prompts
-        )
-    return reports
+        for theta in thetas
+    }
 
 
 def render_table(report: Mapping[str, Any]) -> str:

@@ -101,6 +101,11 @@ class PromptLibrary:
         return cls(templates)
 
     @classmethod
+    def load(cls, prompts_dir: Path | str | None) -> "PromptLibrary":
+        """The templates in ``prompts_dir``, or the bundled ones without it."""
+        return cls.from_dir(prompts_dir) if prompts_dir else cls.bundled()
+
+    @classmethod
     def from_dir(cls, prompts_dir: Path | str) -> "PromptLibrary":
         prompts_dir = Path(prompts_dir)
         templates = {}

@@ -9,11 +9,73 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Any, Iterable, Mapping, Sequence
 
+from .errors import ConfigError
+
 _NORM_TOLERANCE = 1e-6
+
+DEFAULT_IGNORE_GLOBS: tuple[str, ...] = ("target/**", "build/**", "out/**", ".git/**")
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+@dataclass(frozen=True)
+class Config:
+    """Every setting of a run, checked on construction.
+
+    ``from_dict`` reads a ``config.json`` object and ``to_dict`` is the echo
+    written into reports, minus any chat key that names a credential.
+    """
+
+    theta: int = 2500  # max block size in tokens
+    tau: float = 0.35  # similarity threshold
+    top_k: int = 10
+    max_iterations: int = 5  # reflection-loop cap per candidate
+    parallelism: int = 1
+    ignore_globs: tuple[str, ...] = DEFAULT_IGNORE_GLOBS
+    encoder: Mapping[str, Any] = field(
+        default_factory=lambda: {"provider": "reference", "dims": 256}
+    )
+    chat: Mapping[str, Any] = field(default_factory=dict)
+    prompts_dir: str | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("theta", "top_k", "max_iterations", "parallelism"):
+            value = getattr(self, name)
+            if not _is_int(value) or value < 1:
+                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        if not (_is_int(self.tau) or isinstance(self.tau, float)) or not 0.0 < self.tau <= 1.0:
+            raise ConfigError(f"tau must be a number in (0, 1], got {self.tau!r}")
+        globs = self.ignore_globs
+        if not isinstance(globs, (list, tuple)) or not all(isinstance(g, str) for g in globs):
+            raise ConfigError(f"ignore_globs must be a list of strings, got {globs!r}")
+        object.__setattr__(self, "ignore_globs", tuple(globs))
+        for name in ("encoder", "chat"):
+            if not isinstance(getattr(self, name), Mapping):
+                raise ConfigError(f"{name} must be a JSON object, got {getattr(self, name)!r}")
+        if self.prompts_dir is not None and not isinstance(self.prompts_dir, str):
+            raise ConfigError(f"prompts_dir must be a string or null, got {self.prompts_dir!r}")
+
+    @classmethod
+    def from_dict(cls, raw: Any) -> "Config":
+        if not isinstance(raw, Mapping):
+            raise ConfigError("config must be a JSON object")
+        unknown = set(raw) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigError(f"config has unknown keys: {sorted(unknown)}")
+        return cls(**raw)
+
+    def to_dict(self) -> dict[str, Any]:
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["ignore_globs"] = list(self.ignore_globs)
+        out["encoder"] = dict(self.encoder)
+        out["chat"] = {k: v for k, v in self.chat.items() if "key" not in k.lower()}
+        return out
 
 
 class NodeKind(str, Enum):

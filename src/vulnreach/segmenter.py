@@ -16,18 +16,16 @@ from __future__ import annotations
 import fnmatch
 import logging
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .errors import EmptyProject
 from .javaparse import CompilationUnit, JavaNode, parse_source
-from .model import SPLIT_KINDS, CodeBlock, NodeKind
-from .tokenizer import DEFAULT_TOKENIZER, Tokenizer
+from .model import CodeBlock, Config, NodeKind
+from .tokenizer import DEFAULT_TOKENIZER
 
 log = logging.getLogger(__name__)
-
-DEFAULT_IGNORE_GLOBS: tuple[str, ...] = ("target/**", "build/**", "out/**", ".git/**")
 
 # Residue runs made only of whitespace, closing braces and semicolons carry
 # no semantic content; they are absorbed into a neighboring block instead of
@@ -35,22 +33,11 @@ DEFAULT_IGNORE_GLOBS: tuple[str, ...] = ("target/**", "build/**", "out/**", ".gi
 _STRUCTURAL_RESIDUE = re.compile(r"^[\s;}]*$")
 
 
-@dataclass(frozen=True)
-class SegmenterConfig:
-    theta: int = 2500
-    language: str = "java"
-    split_kinds: frozenset[NodeKind] = SPLIT_KINDS
-    tokenizer: Tokenizer = DEFAULT_TOKENIZER
-
-    def __post_init__(self) -> None:
-        if self.theta < 1:
-            raise ValueError("theta must be >= 1")
-        if self.language.lower() != "java":
-            raise ValueError(f"unsupported language: {self.language}")
-
-
 @dataclass
-class _Anchor:
+class _Span:
+    """A line span of one block kind: first a declaration's anchor, then,
+    widened over residue, the extent of the block it becomes."""
+
     kind: NodeKind
     line_start: int
     line_end: int
@@ -58,51 +45,40 @@ class _Anchor:
     enclosing_method: str | None = None
 
 
-@dataclass
-class _Draft:
-    kind: NodeKind
-    line_start: int
-    line_end: int
-    enclosing_class: str | None = None
-    enclosing_method: str | None = None
-
-
-def segment_unit(unit: CompilationUnit, cfg: SegmenterConfig) -> list[CodeBlock]:
+def segment_unit(unit: CompilationUnit, config: Config) -> list[CodeBlock]:
     """Apply the size-thresholded segmentation rule to one compilation unit."""
     line_count = unit.line_count
     whole_text = unit.slice_text(1, line_count)
     if not whole_text.strip():
         return []  # an empty or whitespace-only file holds nothing to index
-    tok = cfg.tokenizer
     primary_class = next((n.name for n in unit.nodes if n.kind == "type" and n.name), None)
 
-    if tok.count(whole_text) < cfg.theta:
+    if DEFAULT_TOKENIZER.count(whole_text) < config.theta:
         return [
             _make_block(
                 unit,
-                _Draft(NodeKind.COMPILATION_UNIT, 1, line_count, primary_class, None),
-                tok,
-                cfg.theta,
+                _Span(NodeKind.COMPILATION_UNIT, 1, line_count, primary_class, None),
+                config.theta,
             )
         ]
 
-    anchors = _collect_anchors(unit, unit.nodes, cfg, [])
+    anchors = _collect_anchors(unit, unit.nodes, config.theta, [])
     anchors = _normalize_anchors(anchors)
-    drafts = _carve(unit, anchors)
-    return [_make_block(unit, d, tok, cfg.theta) for d in drafts]
+    spans = _carve(unit, anchors)
+    return [_make_block(unit, span, config.theta) for span in spans]
 
 
-def _make_block(unit: CompilationUnit, draft: _Draft, tok: Tokenizer, theta: int) -> CodeBlock:
-    source = unit.slice_text(draft.line_start, draft.line_end)
-    size = tok.count(source)
+def _make_block(unit: CompilationUnit, span: _Span, theta: int) -> CodeBlock:
+    source = unit.slice_text(span.line_start, span.line_end)
+    size = DEFAULT_TOKENIZER.count(source)
     return CodeBlock.create(
         unit.file_path,
-        draft.line_start,
-        draft.line_end,
+        span.line_start,
+        span.line_end,
         source,
-        draft.kind,
-        enclosing_class=draft.enclosing_class,
-        enclosing_method=draft.enclosing_method,
+        span.kind,
+        enclosing_class=span.enclosing_class,
+        enclosing_method=span.enclosing_method,
         size=size,
         oversize=size >= theta,
     )
@@ -111,10 +87,10 @@ def _make_block(unit: CompilationUnit, draft: _Draft, tok: Tokenizer, theta: int
 def _collect_anchors(
     unit: CompilationUnit,
     nodes: Sequence[JavaNode],
-    cfg: SegmenterConfig,
+    theta: int,
     class_path: list[str],
-) -> list[_Anchor]:
-    anchors: list[_Anchor] = []
+) -> list[_Span]:
+    anchors: list[_Span] = []
     enclosing = ".".join(class_path) or None
     i = 0
     while i < len(nodes):
@@ -128,23 +104,23 @@ def _collect_anchors(
             ):
                 j += 1
             anchors.append(
-                _Anchor(NodeKind.IMPORT_DECLARATION, nodes[i].line_start, nodes[j].line_end)
+                _Span(NodeKind.IMPORT_DECLARATION, nodes[i].line_start, nodes[j].line_end)
             )
             i = j + 1
             continue
         if node.kind == "type":
             path = class_path + [node.name or "<anonymous>"]
-            if cfg.tokenizer.count(unit.text_of(node)) >= cfg.theta:
-                anchors.extend(_collect_member_anchors(unit, node, cfg, path))
+            if DEFAULT_TOKENIZER.count(unit.text_of(node)) >= theta:
+                anchors.extend(_collect_member_anchors(unit, node, theta, path))
             else:
                 anchors.append(
-                    _Anchor(NodeKind.OTHER, node.line_start, node.line_end, ".".join(path))
+                    _Span(NodeKind.OTHER, node.line_start, node.line_end, ".".join(path))
                 )
             i += 1
             continue
         if node.kind == "error":
             anchors.append(
-                _Anchor(NodeKind.OTHER, node.line_start, node.line_end, enclosing)
+                _Span(NodeKind.OTHER, node.line_start, node.line_end, enclosing)
             )
             i += 1
             continue
@@ -156,19 +132,19 @@ def _collect_anchors(
 def _collect_member_anchors(
     unit: CompilationUnit,
     type_node: JavaNode,
-    cfg: SegmenterConfig,
+    theta: int,
     class_path: list[str],
-) -> list[_Anchor]:
+) -> list[_Span]:
     dotted = ".".join(class_path)
-    anchors: list[_Anchor] = []
+    anchors: list[_Span] = []
     for member in type_node.members:
         if member.kind == "field":
             anchors.append(
-                _Anchor(NodeKind.FIELD_DECLARATION, member.line_start, member.line_end, dotted)
+                _Span(NodeKind.FIELD_DECLARATION, member.line_start, member.line_end, dotted)
             )
         elif member.kind == "method":
             anchors.append(
-                _Anchor(
+                _Span(
                     NodeKind.METHOD_DECLARATION,
                     member.line_start,
                     member.line_end,
@@ -178,7 +154,7 @@ def _collect_member_anchors(
             )
         elif member.kind == "constructor":
             anchors.append(
-                _Anchor(
+                _Span(
                     NodeKind.CONSTRUCTOR_DECLARATION,
                     member.line_start,
                     member.line_end,
@@ -188,15 +164,15 @@ def _collect_member_anchors(
             )
         elif member.kind == "type":
             path = class_path + [member.name or "<anonymous>"]
-            if cfg.tokenizer.count(unit.text_of(member)) >= cfg.theta:
-                anchors.extend(_collect_member_anchors(unit, member, cfg, path))
+            if DEFAULT_TOKENIZER.count(unit.text_of(member)) >= theta:
+                anchors.extend(_collect_member_anchors(unit, member, theta, path))
             else:
                 anchors.append(
-                    _Anchor(NodeKind.OTHER, member.line_start, member.line_end, ".".join(path))
+                    _Span(NodeKind.OTHER, member.line_start, member.line_end, ".".join(path))
                 )
         elif member.kind in ("initializer", "enum_constants", "error"):
             anchors.append(
-                _Anchor(NodeKind.OTHER, member.line_start, member.line_end, dotted)
+                _Span(NodeKind.OTHER, member.line_start, member.line_end, dotted)
             )
     return anchors
 
@@ -208,7 +184,7 @@ def _only_blank_between(unit: CompilationUnit, end_line: int, start_line: int) -
     return not between.strip()
 
 
-def _normalize_anchors(anchors: list[_Anchor]) -> list[_Anchor]:
+def _normalize_anchors(anchors: list[_Span]) -> list[_Span]:
     """Sort and make line spans pairwise disjoint.
 
     Declarations sharing a line (``int x; int y;``) overlap at line
@@ -216,31 +192,25 @@ def _normalize_anchors(anchors: list[_Anchor]) -> list[_Anchor]:
     and dropped entirely when swallowed.
     """
     ordered = sorted(anchors, key=lambda a: (a.line_start, a.line_end))
-    cleaned: list[_Anchor] = []
+    cleaned: list[_Span] = []
     for anchor in ordered:
         if cleaned and anchor.line_start <= cleaned[-1].line_end:
             new_start = cleaned[-1].line_end + 1
             if new_start > anchor.line_end:
                 continue
-            anchor = _Anchor(
-                anchor.kind,
-                new_start,
-                anchor.line_end,
-                anchor.enclosing_class,
-                anchor.enclosing_method,
-            )
+            anchor.line_start = new_start
         cleaned.append(anchor)
     return cleaned
 
 
-def _carve(unit: CompilationUnit, anchors: list[_Anchor]) -> list[_Draft]:
+def _carve(unit: CompilationUnit, anchors: list[_Span]) -> list[_Span]:
     """Turn disjoint anchors into full line coverage of the unit.
 
     Gaps with content become Other blocks; blank or brace-only gaps are
     absorbed into the preceding block (or the following one at file start).
     """
     line_count = unit.line_count
-    drafts: list[_Draft] = []
+    drafts: list[_Span] = []
     pending_prefix: int | None = None
     pointer = 1
 
@@ -258,7 +228,7 @@ def _carve(unit: CompilationUnit, anchors: list[_Anchor]) -> list[_Draft]:
             # Attribute trailing-edge residue (type headers and preambles
             # leading into a declaration) to the type it opens.
             drafts.append(
-                _Draft(NodeKind.OTHER, start, gap_end, _enclosing_class_at(unit, gap_end))
+                _Span(NodeKind.OTHER, start, gap_end, _enclosing_class_at(unit, gap_end))
             )
 
     for anchor in anchors:
@@ -266,16 +236,15 @@ def _carve(unit: CompilationUnit, anchors: list[_Anchor]) -> list[_Draft]:
             handle_gap(pointer, anchor.line_start - 1)
         start = pending_prefix if pending_prefix is not None else anchor.line_start
         pending_prefix = None
-        drafts.append(
-            _Draft(anchor.kind, start, anchor.line_end, anchor.enclosing_class, anchor.enclosing_method)
-        )
+        anchor.line_start = start
+        drafts.append(anchor)
         pointer = anchor.line_end + 1
     if pointer <= line_count:
         handle_gap(pointer, line_count)
     if pending_prefix is not None:
         # No block ever followed: the whole tail is residue on its own.
         drafts.append(
-            _Draft(NodeKind.OTHER, pending_prefix, line_count, _enclosing_class_at(unit, pending_prefix))
+            _Span(NodeKind.OTHER, pending_prefix, line_count, _enclosing_class_at(unit, pending_prefix))
         )
     return drafts
 
@@ -293,9 +262,7 @@ def _enclosing_class_at(unit: CompilationUnit, line: int) -> str | None:
     return best
 
 
-def iter_project_files(
-    root: Path, ignore_globs: Sequence[str] = DEFAULT_IGNORE_GLOBS
-) -> list[Path]:
+def iter_project_files(root: Path, ignore_globs: Sequence[str]) -> list[Path]:
     """Discover ``*.java`` files under root, deterministic order, honoring
     ignore globs (matched against the posix relative path; a glob without a
     slash also matches any single path segment)."""
@@ -324,19 +291,19 @@ def _ignored(rel_path: str, ignore_globs: Sequence[str]) -> bool:
 
 def segment_project(
     root: Path | str,
-    cfg: SegmenterConfig,
+    config: Config,
     *,
-    ignore_globs: Sequence[str] = DEFAULT_IGNORE_GLOBS,
     on_io_error: Callable[[Path, OSError], None] | None = None,
 ) -> list[CodeBlock]:
-    """Segment every source file under root.
+    """Segment every source file under root that ``config.ignore_globs``
+    leaves in.
 
     Unreadable files are collected via ``on_io_error`` (default: logged) and
     skipped; an empty project raises EmptyProject. Output is deterministic:
     ordered by (file_path, line_start).
     """
     root = Path(root)
-    files = iter_project_files(root, ignore_globs)
+    files = iter_project_files(root, config.ignore_globs)
     if not files:
         raise EmptyProject(f"no source files under {root}")
     blocks: list[CodeBlock] = []
@@ -352,6 +319,6 @@ def segment_project(
             continue
         text = data.decode("utf-8", errors="replace")
         unit = parse_source(rel, text)[0]
-        blocks.extend(segment_unit(unit, cfg))
+        blocks.extend(segment_unit(unit, config))
     blocks.sort(key=lambda b: (b.file_path, b.line_start))
     return blocks

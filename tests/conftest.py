@@ -7,10 +7,10 @@ import pytest
 
 from vulnreach import (
     CodeBlock,
+    Config,
     EmbeddingVector,
     NodeKind,
     ReferenceEncoder,
-    SegmenterConfig,
     StoreEntry,
     VectorStore,
     VulnSpec,
@@ -48,7 +48,7 @@ def make_block(
 
 
 def build_fixture_store(project: str, encoder: ReferenceEncoder) -> VectorStore:
-    blocks = segment_project(FIXTURES / project, SegmenterConfig(theta=FIXTURE_THETA))
+    blocks = segment_project(FIXTURES / project, Config(theta=FIXTURE_THETA))
     store = VectorStore.in_memory(encoder.dims)
     vectors = embed(encoder, [b.source for b in blocks])
     store.insert([StoreEntry(b, v) for b, v in zip(blocks, vectors)])

@@ -14,20 +14,21 @@ from conftest import FIXTURES, FIXTURE_TAU, FIXTURE_THETA, write_tool_config, wr
 from corpus import generate_corpus
 from test_store import brute_force_search, random_store
 from vulnreach import cli
-from vulnreach.detector import DetectorConfig, TerminationReason, complete_context
+from vulnreach.detector import TerminationReason, complete_context
 from vulnreach.evalharness import ConfusionMatrix, harmonic_f1, metrics
 from vulnreach.gateway import ChatGateway, RoleKind, ScriptedChatProvider, Transcript
 from vulnreach.javaparse import parse_source
 from vulnreach.model import (
     Candidate,
     CandidateJudgment,
+    Config,
     EmbeddingVector,
     Judgment,
     MatchedBy,
     NodeKind,
     Verdict,
 )
-from vulnreach.segmenter import SegmenterConfig, segment_unit
+from vulnreach.segmenter import segment_unit
 from vulnreach.store import EMPTY_SCOPE, StoreEntry, VectorStore
 from vulnreach.tokenizer import DEFAULT_TOKENIZER
 
@@ -84,7 +85,7 @@ def test_criterion_3_segmentation_laws(tmp_path: Path):
             line_total = len(src.splitlines())
             prev_count = None
             for theta in THETA_GRID:
-                blocks = segment_unit(unit, SegmenterConfig(theta=theta))
+                blocks = segment_unit(unit, Config(theta=theta))
                 # line-coverage exactness
                 covered = sorted(
                     ln for b in blocks for ln in range(b.line_start, b.line_end + 1)
@@ -140,7 +141,7 @@ def _anchor_candidate(store: VectorStore) -> Candidate:
 
 def test_criterion_5_reflection_loop_termination(guarded_store, encoder, vuln):
     with Budget("criterion 5: reflection-loop trace shapes and termination", 5.0):
-        cfg = DetectorConfig(tau=FIXTURE_TAU, top_k=10, max_iterations=5)
+        cfg = Config(tau=FIXTURE_TAU, top_k=10, max_iterations=5)
 
         # (a) the two-step scenario: context grows 1 -> 2 and the model
         # confirms adequacy on the second reflection.
@@ -205,7 +206,7 @@ def test_criterion_5_reflection_loop_termination(guarded_store, encoder, vuln):
             defaults={RoleKind.REFLECTION: '{"complete": false, "reason": "keep going"}'},
         )
         gw_c = ChatGateway(provider_c, transcript=Transcript())
-        cfg_c = DetectorConfig(tau=0.2, top_k=1, max_iterations=3)
+        cfg_c = Config(tau=0.2, top_k=1, max_iterations=3)
         completion_c = complete_context(guarded_store, encoder, gw_c, anchor, vuln, cfg_c)
         assert completion_c.termination_reason is TerminationReason.ITERATION_CAP
         assert completion_c.reflection_calls == cfg_c.max_iterations

@@ -10,6 +10,7 @@ import pytest
 from conftest import DIMS, FIXTURES, FIXTURE_THETA, write_tool_config, write_toy_manifest
 from vulnreach import cli
 from vulnreach.gateway import ChatGateway, ScriptedChatProvider
+from vulnreach.model import Config
 from vulnreach.store import VectorStore
 
 
@@ -232,11 +233,18 @@ class TestAnalyzeCommand:
             "--transcript", str(transcript),
         )
         assert code == 0
-        first_text = strip_timestamps(first_report.read_text())
-        second_text = strip_timestamps(second_report.read_text())
-        assert first_text.replace("first.json", "X").replace("second.json", "X") == (
-            second_text.replace("first.json", "X").replace("second.json", "X")
-        )
+        first, second = read_report(first_report), read_report(second_report)
+        # The replayed report names the provider that answered.
+        assert first["config"].pop("chat")["provider"] == "scripted"
+        assert second["config"].pop("chat") == {
+            "provider": "replay",
+            "transcript_path": str(transcript),
+        }
+        assert second["per_candidate"] and second["per_candidate"] == first["per_candidate"]
+        assert second["project_judgment"] == first["project_judgment"]
+        first_text = strip_timestamps(json.dumps(first, indent=2, sort_keys=True))
+        second_text = strip_timestamps(json.dumps(second, indent=2, sort_keys=True))
+        assert first_text.replace("first.json", "X") == second_text.replace("second.json", "X")
 
     def test_invalid_vuln_spec_exit_1(self, tmp_path: Path, config_file: Path, capsys):
         index = build_index_for("plain_app", tmp_path)
@@ -510,11 +518,45 @@ class TestConfig:
         )
         assert code == 1
 
-    def test_config_echo_never_leaks_credentials(self, tmp_path: Path):
-        from vulnreach.cli import ToolConfig
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            pytest.param({"chat": "scripted"}, id="chat-string"),
+            pytest.param({"encoder": ["reference"]}, id="encoder-list"),
+            pytest.param({"ignore_globs": "src/**"}, id="ignore_globs-string"),
+            pytest.param({"ignore_globs": ["src/**", 3]}, id="ignore_globs-number-item"),
+            pytest.param({"theta": True}, id="theta-bool"),
+            pytest.param({"top_k": 2.0}, id="top_k-float"),
+            pytest.param({"max_iterations": "5"}, id="max_iterations-string"),
+            pytest.param({"parallelism": False}, id="parallelism-bool"),
+            pytest.param({"tau": "0.5"}, id="tau-string"),
+            pytest.param({"tau": True}, id="tau-bool"),
+            pytest.param({"prompts_dir": 7}, id="prompts_dir-number"),
+        ],
+    )
+    def test_ill_typed_value_exits_1_naming_the_key(self, tmp_path: Path, config_file: Path, bad, capsys):
+        index = build_index_for("unguarded_app", tmp_path)
+        config = json.loads(config_file.read_text())
+        config.update(bad)
+        config_file.write_text(json.dumps(config))
+        capsys.readouterr()
+        code = run_cli(
+            "analyze",
+            "--index", str(index),
+            "--vuln", str(FIXTURES / "vuln_encoder_null.json"),
+            "--config", str(config_file),
+            "--report", str(tmp_path / "r.json"),
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+        assert next(iter(bad)) in err and "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
 
-        config = ToolConfig()
-        config.chat = {"provider": "openai-compat", "api_key_env": "X_API_KEY", "model": "m", "endpoint": "e"}
-        echoed = config.echo()
+    def test_config_echo_never_leaks_credentials(self, tmp_path: Path):
+        config = Config(
+            chat={"provider": "openai-compat", "api_key_env": "X_API_KEY", "model": "m", "endpoint": "e"}
+        )
+        echoed = config.to_dict()
         assert "api_key_env" not in echoed["chat"]
         assert echoed["chat"]["model"] == "m"

@@ -4,7 +4,6 @@ import pytest
 
 from conftest import FIXTURES, FIXTURE_TAU, make_block
 from vulnreach.detector import (
-    DetectorConfig,
     QueryVectors,
     TerminationReason,
     analyze,
@@ -16,6 +15,7 @@ from vulnreach.errors import EmptyIndex, ProviderError
 from vulnreach.gateway import ChatGateway, RoleKind, ScriptedChatProvider, Transcript
 from vulnreach.model import (
     Candidate,
+    Config,
     EmbeddingVector,
     Judgment,
     MatchedBy,
@@ -24,7 +24,7 @@ from vulnreach.model import (
 )
 from vulnreach.store import StoreEntry, VectorStore
 
-CFG = DetectorConfig(tau=FIXTURE_TAU, top_k=10, max_iterations=5)
+CFG = Config(tau=FIXTURE_TAU, top_k=10, max_iterations=5)
 
 
 def fixture_gateway() -> ChatGateway:
@@ -120,7 +120,7 @@ class TestIdentifyCandidates:
         assert anchor.matched_by is expected_matched
 
     def test_tau_one_yields_no_candidates(self, guarded_store, encoder, vuln):
-        cfg = DetectorConfig(tau=1.0, top_k=10, max_iterations=5)
+        cfg = Config(tau=1.0, top_k=10, max_iterations=5)
         assert identify_candidates(guarded_store, encoder, fixture_gateway(), vuln, cfg) == []
 
     def test_grader_always_no_dominates_similarity(self, guarded_store, encoder, vuln):
@@ -223,7 +223,7 @@ class TestCompleteContext:
             defaults={RoleKind.REFLECTION: '{"complete": false, "reason": "never enough"}'},
         )
         gw = ChatGateway(provider, transcript=Transcript())
-        cfg = DetectorConfig(tau=0.5, top_k=10, max_iterations=5)
+        cfg = Config(tau=0.5, top_k=10, max_iterations=5)
         completion = complete_context(store, encoder, gw, self._candidate(entries[0].block), vuln, cfg)
         assert completion.termination_reason is TerminationReason.ITERATION_CAP
         assert completion.reflection_calls == cfg.max_iterations
@@ -239,7 +239,7 @@ class TestCompleteContext:
             ),
             transcript=Transcript(),
         )
-        cfg = DetectorConfig(tau=0.5, top_k=10, max_iterations=1)
+        cfg = Config(tau=0.5, top_k=10, max_iterations=1)
         completion = complete_context(store, encoder, gw, self._candidate(entries[0].block), vuln, cfg)
         assert completion.termination_reason is TerminationReason.ITERATION_CAP
         assert completion.reflection_calls == 1
@@ -273,7 +273,7 @@ class TestAnalyze:
             },
         )
         gw = ChatGateway(provider, transcript=Transcript())
-        cfg = DetectorConfig(tau=0.5, top_k=10, max_iterations=5)
+        cfg = Config(tau=0.5, top_k=10, max_iterations=5)
         verdict = analyze(store, encoder, gw, vuln, cfg, "proj")
         assert [c.judgment for c in verdict.per_candidate] == [
             Judgment.SECURE,
@@ -340,7 +340,7 @@ class TestAnalyze:
 
     def test_parallel_workers_reach_same_verdict(self, guarded_store, encoder, vuln):
         sequential = analyze(guarded_store, encoder, fixture_gateway(), vuln, CFG, "p")
-        parallel_cfg = DetectorConfig(
+        parallel_cfg = Config(
             tau=CFG.tau, top_k=CFG.top_k, max_iterations=CFG.max_iterations, parallelism=3
         )
         parallel = analyze(guarded_store, encoder, fixture_gateway(), vuln, parallel_cfg, "p")

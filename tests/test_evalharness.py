@@ -11,18 +11,16 @@ from vulnreach.errors import MissingPrediction
 from vulnreach.evalharness import (
     BenchmarkManifest,
     ConfusionMatrix,
-    HarnessConfig,
     ProjectSpec,
     build_index,
     metrics,
     render_table,
     run_benchmark,
-    run_tau_sweep,
     run_theta_sweep,
     score,
 )
 from vulnreach.gateway import ScriptedChatProvider
-from vulnreach.model import Judgment, VulnSpec
+from vulnreach.model import Config, Judgment, VulnSpec
 from vulnreach.embedding import ReferenceEncoder
 from vulnreach.store import VectorStore
 
@@ -31,8 +29,8 @@ def toy_manifest(tmp_path: Path) -> BenchmarkManifest:
     return BenchmarkManifest.from_file(write_toy_manifest(tmp_path / "manifest.json"))
 
 
-def harness_config() -> HarnessConfig:
-    return HarnessConfig(theta=FIXTURE_THETA, tau=FIXTURE_TAU)
+def harness_config() -> Config:
+    return Config(theta=FIXTURE_THETA, tau=FIXTURE_TAU)
 
 
 def scripted_chat() -> ScriptedChatProvider:
@@ -169,7 +167,8 @@ class TestRunBenchmark:
         # artifacts written
         assert (tmp_path / "out" / f"report_theta_{FIXTURE_THETA}.json").exists()
         assert (tmp_path / "out" / f"report_theta_{FIXTURE_THETA}.txt").exists()
-        assert (tmp_path / "out" / "transcripts" / "guarded_app__CVE-2020-5408.jsonl").exists()
+        transcripts = tmp_path / "out" / "transcripts" / f"theta_{FIXTURE_THETA}"
+        assert (transcripts / "guarded_app__CVE-2020-5408.jsonl").exists()
 
     def test_missing_root_marks_row_failed_and_excludes_from_metrics(self, tmp_path: Path, encoder, vuln):
         manifest = toy_manifest(tmp_path)
@@ -207,21 +206,36 @@ class TestRunBenchmark:
             counts = [reports[t]["block_counts"][project_id] for t in (30, 60, 120, 100000)]
             assert counts == sorted(counts, reverse=True)
 
-    def test_tau_sweep_high_threshold_suppresses_candidates(self, tmp_path: Path, encoder):
-        reports = run_tau_sweep(
-            toy_manifest(tmp_path),
-            harness_config(),
-            encoder,
-            scripted_chat(),
-            taus=(FIXTURE_TAU, 0.999),
-            out_dir=tmp_path / "out",
+    def test_theta_sweep_keeps_every_settings_transcripts(self, tmp_path: Path, encoder):
+        out = tmp_path / "out"
+        run_theta_sweep(
+            toy_manifest(tmp_path), harness_config(), encoder, scripted_chat(), (30, 60), out
         )
-        loose = reports[FIXTURE_TAU]
-        strict = reports[0.999]
+        transcripts = sorted((out / "transcripts").rglob("*.jsonl"))
+        assert len(transcripts) == 8  # 4 projects x 1 vuln x 2 thetas
+        # plain_app never calls the API, so no block reaches the model
+        asked = {(p.parent.name, p.name.split("__")[0]) for p in transcripts if p.stat().st_size}
+        assert asked == {
+            (f"theta_{theta}", project)
+            for theta in (30, 60)
+            for project in ("guarded_app", "unguarded_app", "legacy_app")
+        }
+
+    def test_tau_sweep_high_threshold_suppresses_candidates(self, tmp_path: Path, encoder):
+        manifest = toy_manifest(tmp_path)
+        loose, strict = (
+            run_benchmark(
+                manifest,
+                Config(theta=FIXTURE_THETA, tau=tau),
+                encoder,
+                scripted_chat(),
+                out_dir=tmp_path / f"out_{tau}",
+            )
+            for tau in (FIXTURE_TAU, 0.999)
+        )
         assert loose["confusion_matrix"] == {"tp": 2, "fp": 0, "tn": 2, "fn": 0}
         # at tau near 1 nothing passes the similarity prefilter: all Secure
         assert strict["confusion_matrix"] == {"tp": 0, "fp": 0, "tn": 2, "fn": 2}
-        assert (tmp_path / "out" / "tau_0.999" / f"report_theta_{FIXTURE_THETA}.json").exists()
 
     def test_render_table_mentions_every_project_and_config(self, tmp_path: Path, encoder):
         report = run_benchmark(toy_manifest(tmp_path), harness_config(), encoder, scripted_chat())
@@ -235,19 +249,19 @@ class TestBuildIndex:
     def test_cache_key_sensitive_to_theta(self, tmp_path: Path, encoder):
         cache = tmp_path / "cache"
         root = FIXTURES / "guarded_app"
-        cfg_small = HarnessConfig(theta=40).segmenter()
-        cfg_large = HarnessConfig(theta=4000).segmenter()
-        store_small = build_index(root, cfg_small, encoder, (), cache_dir=cache)
-        store_large = build_index(root, cfg_large, encoder, (), cache_dir=cache)
+        cfg_small = Config(theta=40, ignore_globs=())
+        cfg_large = Config(theta=4000, ignore_globs=())
+        store_small = build_index(root, cfg_small, encoder, cache_dir=cache)
+        store_large = build_index(root, cfg_large, encoder, cache_dir=cache)
         assert store_small.count() > store_large.count()
         assert len(list(cache.glob("index-*.vrix"))) == 2
 
     def test_cache_hit_returns_equal_store(self, tmp_path: Path, encoder):
         cache = tmp_path / "cache"
         root = FIXTURES / "plain_app"
-        cfg = HarnessConfig(theta=60).segmenter()
-        first = build_index(root, cfg, encoder, (), cache_dir=cache)
-        second = build_index(root, cfg, encoder, (), cache_dir=cache)
+        cfg = Config(theta=60, ignore_globs=())
+        first = build_index(root, cfg, encoder, cache_dir=cache)
+        second = build_index(root, cfg, encoder, cache_dir=cache)
         assert [e.block.to_dict() for e in first.entries()] == [
             e.block.to_dict() for e in second.entries()
         ]
@@ -257,7 +271,7 @@ class TestBuildIndex:
         # cache file behind: the next run would open it and get 0 blocks.
         cache = tmp_path / "cache"
         root = FIXTURES / "plain_app"
-        cfg = HarnessConfig(theta=60).segmenter()
+        cfg = Config(theta=60, ignore_globs=())
 
         def crash(self, entries):
             raise RuntimeError("simulated crash during insert")
@@ -265,18 +279,18 @@ class TestBuildIndex:
         with monkeypatch.context() as patched:
             patched.setattr(VectorStore, "insert", crash)
             with pytest.raises(RuntimeError):
-                build_index(root, cfg, encoder, (), cache_dir=cache)
-        full = build_index(root, cfg, encoder, ())
-        rebuilt = build_index(root, cfg, encoder, (), cache_dir=cache)
+                build_index(root, cfg, encoder, cache_dir=cache)
+        full = build_index(root, cfg, encoder)
+        rebuilt = build_index(root, cfg, encoder, cache_dir=cache)
         assert rebuilt.count() == full.count() > 0
 
     def test_whitespace_only_file_contributes_no_block(self, tmp_path: Path, encoder):
         root = tmp_path / "app"
         shutil.copytree(FIXTURES / "plain_app", root)
-        cfg = HarnessConfig(theta=60).segmenter()
-        without = build_index(root, cfg, encoder, ())
+        cfg = Config(theta=60, ignore_globs=())
+        without = build_index(root, cfg, encoder)
         (root / "Blank.java").write_text("\n")
-        with_blank = build_index(root, cfg, encoder, (), cache_dir=tmp_path / "cache")
+        with_blank = build_index(root, cfg, encoder, cache_dir=tmp_path / "cache")
         assert [e.block.to_dict() for e in with_blank.entries()] == [
             e.block.to_dict() for e in without.entries()
         ]
@@ -285,8 +299,8 @@ class TestBuildIndex:
         root = tmp_path / "hollow"
         root.mkdir()
         (root / "A.java").write_bytes(b"")
-        cfg = HarnessConfig(theta=60).segmenter()
-        assert build_index(root, cfg, encoder, ()).count() == 0
-        cached = build_index(root, cfg, encoder, (), cache_dir=tmp_path / "cache")
+        cfg = Config(theta=60, ignore_globs=())
+        assert build_index(root, cfg, encoder).count() == 0
+        cached = build_index(root, cfg, encoder, cache_dir=tmp_path / "cache")
         assert cached.count() == 0
         assert VectorStore.open(next((tmp_path / "cache").glob("index-*.vrix"))).count() == 0

@@ -7,8 +7,8 @@ from conftest import FIXTURES
 from corpus import generate_corpus
 from vulnreach.errors import EmptyProject
 from vulnreach.javaparse import parse_source
-from vulnreach.model import SPLIT_KINDS, NodeKind
-from vulnreach.segmenter import SegmenterConfig, segment_project, segment_unit
+from vulnreach.model import SPLIT_KINDS, Config, NodeKind
+from vulnreach.segmenter import segment_project, segment_unit
 from vulnreach.tokenizer import DEFAULT_TOKENIZER
 
 THETA_GRID = (500, 1000, 1500, 2000, 2500, 3000)
@@ -39,7 +39,7 @@ class TestSegmentUnit:
     def test_below_threshold_yields_single_unit_block(self):
         src = "package p;\n\nclass A {\n    void m() {}\n}\n"
         unit = parse_source("A.java", src)[0]
-        blocks = segment_unit(unit, SegmenterConfig(theta=2500))
+        blocks = segment_unit(unit, Config(theta=2500))
         assert [b.node_kind for b in blocks] == [NodeKind.COMPILATION_UNIT]
         assert (blocks[0].line_start, blocks[0].line_end) == (1, 5)
         assert blocks[0].source == src
@@ -47,13 +47,13 @@ class TestSegmentUnit:
 
     def test_empty_input_yields_zero_blocks(self):
         unit = parse_source("Empty.java", "")[0]
-        assert segment_unit(unit, SegmenterConfig(theta=2500)) == []
+        assert segment_unit(unit, Config(theta=2500)) == []
 
     def test_three_large_methods_split_into_methods_plus_header_residue(self):
         src = build_triple_worker()
         unit = parse_source("TripleWorker.java", src)[0]
         assert DEFAULT_TOKENIZER.count(src) >= 2500
-        blocks = segment_unit(unit, SegmenterConfig(theta=2500))
+        blocks = segment_unit(unit, Config(theta=2500))
         kinds = [b.node_kind for b in blocks]
         assert kinds == [
             NodeKind.OTHER,
@@ -70,7 +70,7 @@ class TestSegmentUnit:
     def test_block_count_non_increasing_across_theta_sweep(self):
         src = build_triple_worker()
         unit = parse_source("TripleWorker.java", src)[0]
-        counts = [len(segment_unit(unit, SegmenterConfig(theta=t))) for t in THETA_GRID]
+        counts = [len(segment_unit(unit, Config(theta=t))) for t in THETA_GRID]
         assert counts == sorted(counts, reverse=True)
 
     def test_consecutive_imports_merge_into_one_block(self):
@@ -82,7 +82,7 @@ class TestSegmentUnit:
             "class A {\n    void m() {}\n}\n"
         )
         unit = parse_source("A.java", src)[0]
-        blocks = segment_unit(unit, SegmenterConfig(theta=1))
+        blocks = segment_unit(unit, Config(theta=1))
         imports = [b for b in blocks if b.node_kind == NodeKind.IMPORT_DECLARATION]
         assert len(imports) == 1
         assert (imports[0].line_start, imports[0].line_end) >= (3, 6)
@@ -92,7 +92,7 @@ class TestSegmentUnit:
         body = "".join(f"        total += {i};\n" for i in range(300))
         src = f"package p;\n\nclass Big {{\n    int crunch(int total) {{\n{body}        return total;\n    }}\n}}\n"
         unit = parse_source("Big.java", src)[0]
-        blocks = segment_unit(unit, SegmenterConfig(theta=100))
+        blocks = segment_unit(unit, Config(theta=100))
         methods = [b for b in blocks if b.node_kind == NodeKind.METHOD_DECLARATION]
         assert len(methods) == 1
         assert methods[0].oversize and methods[0].size >= 100
@@ -101,7 +101,7 @@ class TestSegmentUnit:
     def test_error_regions_become_other_blocks_with_full_coverage(self):
         src = "package p;\n\npublic class Broken {\n    public int half(int v {\n        return v / 2;\n}\n"
         unit = parse_source("Broken.java", src)[0]
-        blocks = segment_unit(unit, SegmenterConfig(theta=1))
+        blocks = segment_unit(unit, Config(theta=1))
         assert all(b.node_kind in SPLIT_KINDS | {NodeKind.OTHER} for b in blocks)
         assert_coverage_and_reassembly(src, blocks)
 
@@ -112,7 +112,7 @@ class TestSegmentUnit:
             + "    static class Inner {\n        void tiny() {}\n    }\n}\n"
         )
         unit = parse_source("O.java", src)[0]
-        blocks = segment_unit(unit, SegmenterConfig(theta=30))
+        blocks = segment_unit(unit, Config(theta=30))
         inner = [b for b in blocks if b.enclosing_class == "Outer.Inner"]
         assert [b.node_kind for b in inner] == [NodeKind.OTHER]
 
@@ -132,7 +132,7 @@ class TestSegmentationLawsOnCorpus:
             unit_size = DEFAULT_TOKENIZER.count(src)
             prev_count = None
             for theta in THETA_GRID:
-                blocks = segment_unit(unit, SegmenterConfig(theta=theta))
+                blocks = segment_unit(unit, Config(theta=theta))
                 assert_coverage_and_reassembly(src, blocks)
                 single_unit = len(blocks) == 1 and blocks[0].node_kind == NodeKind.COMPILATION_UNIT
                 assert single_unit == (unit_size < theta)
@@ -144,7 +144,7 @@ class TestSegmentationLawsOnCorpus:
                 prev_count = len(blocks)
 
     def test_determinism(self, corpus_root: Path):
-        cfg = SegmenterConfig(theta=1000)
+        cfg = Config(theta=1000)
         first = segment_project(corpus_root, cfg)
         second = segment_project(corpus_root, cfg)
         assert first == second
@@ -154,7 +154,7 @@ class TestSegmentProject:
     def test_two_small_files_two_blocks(self, tmp_path: Path):
         (tmp_path / "A.java").write_text("class A { void a() {} }\n")
         (tmp_path / "B.java").write_text("class B { void b() {} }\n")
-        blocks = segment_project(tmp_path, SegmenterConfig(theta=2500))
+        blocks = segment_project(tmp_path, Config(theta=2500))
         assert [(b.file_path, b.node_kind) for b in blocks] == [
             ("A.java", NodeKind.COMPILATION_UNIT),
             ("B.java", NodeKind.COMPILATION_UNIT),
@@ -165,12 +165,12 @@ class TestSegmentProject:
         (tmp_path / "src" / "A.java").write_text("class A {}\n")
         (tmp_path / "target").mkdir()
         (tmp_path / "target" / "Gen.java").write_text("class Gen {}\n")
-        blocks = segment_project(tmp_path, SegmenterConfig(theta=2500))
+        blocks = segment_project(tmp_path, Config(theta=2500))
         assert [b.file_path for b in blocks] == ["src/A.java"]
 
     def test_empty_project_raises(self, tmp_path: Path):
         with pytest.raises(EmptyProject):
-            segment_project(tmp_path, SegmenterConfig(theta=2500))
+            segment_project(tmp_path, Config(theta=2500))
 
     def test_unreadable_file_is_collected_not_fatal(self, tmp_path: Path, monkeypatch):
         (tmp_path / "A.java").write_text("class A {}\n")
@@ -186,14 +186,14 @@ class TestSegmentProject:
         failures: list[tuple[Path, OSError]] = []
         blocks = segment_project(
             tmp_path,
-            SegmenterConfig(theta=2500),
+            Config(theta=2500),
             on_io_error=lambda p, e: failures.append((p, e)),
         )
         assert [b.file_path for b in blocks] == ["B.java"]
         assert len(failures) == 1 and failures[0][0].name == "A.java"
 
     def test_miniproj_matches_frozen_golden_block_list(self):
-        blocks = segment_project(FIXTURES / "miniproj", SegmenterConfig(theta=80))
+        blocks = segment_project(FIXTURES / "miniproj", Config(theta=80))
         golden = json.loads(
             (FIXTURES / "golden_miniproj_theta80.json").read_text(encoding="utf-8")
         )
