@@ -65,17 +65,23 @@ def load_config(args: argparse.Namespace) -> Config:
     return replace(config, **flags)
 
 
+def _encoder_dims(dims: Any, least: int) -> int:
+    if type(dims) is not int or dims < least:
+        raise ConfigError(f"encoder dims must be an integer >= {least}, got {dims!r}")
+    return dims
+
+
 def build_encoder(spec: Mapping[str, Any]) -> EncoderProvider:
     provider = spec.get("provider", "reference")
     if provider == "reference":
-        return ReferenceEncoder(dims=int(spec.get("dims", 256)))
+        return ReferenceEncoder(dims=_encoder_dims(spec.get("dims", 256), 8))
     if provider in ("openai-compat", "remote"):
         try:
             return RemoteEncoderProvider(
                 name=spec.get("name", provider),
                 model_id=str(spec["model"]),
                 endpoint=str(spec["endpoint"]),
-                dims=int(spec["dims"]),
+                dims=_encoder_dims(spec["dims"], 1),
                 api_key_env=str(spec["api_key_env"]),
                 batch_limit=int(spec.get("batch_limit", 64)),
             )
@@ -161,22 +167,21 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     report_path = Path(args.report)
     transcript_path = report_path.with_name(report_path.name + ".transcript.jsonl")
-    gateway = ChatGateway(
-        chat_provider, PromptLibrary.load(config.prompts_dir), Transcript(sink_path=transcript_path)
-    )
-    try:
-        verdict = analyze(
-            store,
-            encoder,
-            gateway,
-            vuln,
-            config,
-            project_id=args.project_id,
-            transcript_path=str(transcript_path),
-        )
-    except ProviderError as exc:
-        print(f"error: chat provider failed: {exc}", file=sys.stderr)
-        return EXIT_PROVIDER_ERROR
+    prompts = PromptLibrary.load(config.prompts_dir)
+    with Transcript(sink_path=transcript_path) as transcript:
+        try:
+            verdict = analyze(
+                store,
+                encoder,
+                ChatGateway(chat_provider, prompts, transcript),
+                vuln,
+                config,
+                project_id=args.project_id,
+                transcript_path=str(transcript_path),
+            )
+        except ProviderError as exc:
+            print(f"error: chat provider failed: {exc}", file=sys.stderr)
+            return EXIT_PROVIDER_ERROR
     report = {
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "config": config.to_dict(),

@@ -28,7 +28,7 @@ from .model import (
     Verdict,
     VulnSpec,
 )
-from .store import EMPTY_SCOPE, VectorStore
+from .store import EMPTY_SCOPE, ScopeFilter, StoreEntry, VectorStore
 
 
 class TerminationReason(str, Enum):
@@ -50,18 +50,22 @@ class ContextCompletion:
 
 
 class QueryVectors:
-    """Query text -> vector for one analysis: each distinct seed or inferred
-    snippet is encoded once. A vector depends on its text alone, so reuse
-    changes no score.
+    """Query vectors and search hits for one analysis.
 
-    Entries are only ever added and each dict operation is atomic, so
+    Each distinct seed or inferred snippet is encoded once, and each
+    distinct (query text, scope) is searched once. A vector depends on its
+    text alone, and one analysis searches one store with one config, so
+    reuse changes no score and no hit.
+
+    Entries are only ever added and ``setdefault`` keeps the first, so
     parallel candidates share one memo without a lock; a text two threads
-    encode at once is simply encoded twice.
+    look up at once is simply encoded or searched twice.
     """
 
     def __init__(self, encoder: EncoderProvider):
         self.encoder = encoder
         self._vectors: dict[str, EmbeddingVector] = {}
+        self._hits: dict[tuple[str, ScopeFilter], tuple[tuple[StoreEntry, float], ...]] = {}
 
     def __call__(self, texts: Sequence[str]) -> list[EmbeddingVector]:
         missing = [t for t in dict.fromkeys(texts) if t not in self._vectors]
@@ -69,6 +73,16 @@ class QueryVectors:
             for text, vector in zip(missing, embed(self.encoder, missing)):
                 self._vectors.setdefault(text, vector)
         return [self._vectors[t] for t in texts]
+
+    def search(
+        self, store: VectorStore, text: str, scope: ScopeFilter, config: Config
+    ) -> tuple[tuple[StoreEntry, float], ...]:
+        key = (text, scope)
+        hits = self._hits.get(key)
+        if hits is None:
+            found = store.search(self([text])[0], config.top_k, config.tau, scope)
+            hits = self._hits.setdefault(key, tuple(found))
+        return hits
 
 
 def _seed_vectors(queries: QueryVectors, vuln: VulnSpec):
@@ -93,12 +107,13 @@ def identify_candidates(
     """
     if store.count() == 0:
         raise EmptyIndex("cannot identify candidates in an empty index")
-    api_vecs, test_vec = _seed_vectors(queries or QueryVectors(encoder), vuln)
+    queries = queries or QueryVectors(encoder)
+    api_vecs, test_vec = _seed_vectors(queries, vuln)
 
     hits: dict[str, CodeBlock] = {}
-    vectors: dict[str, object] = {}
-    for seed in [*api_vecs, test_vec]:
-        for entry, score in store.search(seed, config.top_k, config.tau, EMPTY_SCOPE):
+    vectors: dict[str, EmbeddingVector] = {}
+    for seed in [*vuln.api_signatures, vuln.pov_test_source]:
+        for entry, score in queries.search(store, seed, EMPTY_SCOPE, config):
             if score > config.tau and entry.block.id not in hits:
                 hits[entry.block.id] = entry.block
                 vectors[entry.block.id] = entry.vector
@@ -155,8 +170,7 @@ def complete_context(
             break
         snippet, scope = chat.code_inference(current.context, vuln, reason)
         inferences += 1
-        query_vec = queries([snippet])[0]
-        results = store.search(query_vec, config.top_k, config.tau, scope)
+        results = queries.search(store, snippet, scope, config)
         searches += 1
         known = current.context_ids()
         retrieved = [entry.block for entry, _ in results if entry.block.id not in known]

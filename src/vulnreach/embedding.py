@@ -30,7 +30,7 @@ class EncoderProvider(Protocol):
     dims: int
     batch_limit: int
 
-    def encode_batch(self, texts: Sequence[str]) -> list[list[float]]: ...
+    def encode_batch(self, texts: Sequence[str]) -> Sequence[np.ndarray | Sequence[float]]: ...
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ def embed(
 
 def _call_with_retry(
     provider: EncoderProvider, batch: list[str], retry: RetryPolicy
-) -> list[list[float]]:
+) -> Sequence[np.ndarray | Sequence[float]]:
     delay = retry.base_delay
     last: ProviderError | None = None
     for attempt in range(retry.retries + 1):
@@ -157,7 +157,7 @@ def reference_encode(text: str, dims: int = 256) -> EmbeddingVector:
         raise ValueError("reference encoder needs dims >= 8")
     if not text.strip():
         raise EmptyText("cannot encode blank text")
-    return EmbeddingVector.normalized(_hashed_features(text, _GramCodes(dims)).tolist())
+    return EmbeddingVector.normalized(_hashed_features(text, _GramCodes(dims)))
 
 
 class ReferenceEncoder:
@@ -171,11 +171,11 @@ class ReferenceEncoder:
         self.dims = dims
         self.batch_limit = batch_limit
 
-    def encode_batch(self, texts: Sequence[str]) -> list[list[float]]:
+    def encode_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
         # One memo per call: n-grams shared across the batch hash once, and
         # nothing is kept between calls.
         codes = _GramCodes(self.dims)
-        return [_hashed_features(t, codes).tolist() for t in texts]
+        return [_hashed_features(t, codes) for t in texts]
 
 
 class RemoteEncoderProvider:

@@ -233,18 +233,16 @@ def run_benchmark(
                     if transcripts_dir is not None
                     else None
                 )
-                gateway = ChatGateway(
-                    chat_provider, prompts, Transcript(sink_path=transcript_path)
-                )
-                verdict = analyze(
-                    store,
-                    encoder,
-                    gateway,
-                    vuln,
-                    config,
-                    project.project_id,
-                    transcript_path=str(transcript_path) if transcript_path else None,
-                )
+                with Transcript(sink_path=transcript_path) as transcript:
+                    verdict = analyze(
+                        store,
+                        encoder,
+                        ChatGateway(chat_provider, prompts, transcript),
+                        vuln,
+                        config,
+                        project.project_id,
+                        transcript_path=str(transcript_path) if transcript_path else None,
+                    )
                 row["per_vuln"][vuln_id] = verdict.project_judgment.value
                 judgments.append(verdict.project_judgment)
             prediction = (

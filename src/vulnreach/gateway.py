@@ -15,13 +15,14 @@ import hashlib
 import json
 import re
 import threading
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Mapping, Protocol, Sequence, runtime_checkable
+from typing import Any, Callable, Mapping, Protocol, Sequence, TextIO, runtime_checkable
 
 from .errors import ConfigError, MalformedResponse, ProviderError
 from .model import Candidate, CodeBlock, Judgment, VulnSpec
@@ -163,18 +164,23 @@ class TranscriptEntry:
 class Transcript:
     """Append-only record of every provider interaction.
 
-    When bound to a sink path, each entry is written as one JSON line the
-    moment it lands, so an aborted run still leaves a usable partial
-    transcript. Appends are synchronized; sequence numbers are monotone.
+    When bound to a sink path, the sink is created at once and each entry
+    is written and flushed as one JSON line the moment it lands, so an
+    aborted run still leaves a usable partial transcript. The sink stays
+    open until :meth:`close` (or the end of a ``with`` block), or until the
+    transcript is garbage-collected. Appends are synchronized; sequence
+    numbers are monotone.
     """
 
     def __init__(self, sink_path: Path | str | None = None):
         self._entries: list[TranscriptEntry] = []
         self._lock = threading.Lock()
         self.sink_path = Path(sink_path) if sink_path is not None else None
+        self._sink: TextIO | None = None
         if self.sink_path is not None:
             self.sink_path.parent.mkdir(parents=True, exist_ok=True)
-            self.sink_path.write_text("", encoding="utf-8")
+            self._sink = self.sink_path.open("w", encoding="utf-8")
+            self._close_sink = weakref.finalize(self, self._sink.close)
 
     def append(
         self,
@@ -198,11 +204,23 @@ class Transcript:
                 parsed_response=parsed_response,
                 timestamp=datetime.now(timezone.utc).isoformat(),
             )
+            if self._sink is not None:
+                # Raises once the transcript is closed.
+                self._sink.write(json.dumps(entry.to_dict(), sort_keys=True) + "\n")
+                self._sink.flush()
             self._entries.append(entry)
-            if self.sink_path is not None:
-                with self.sink_path.open("a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(entry.to_dict(), sort_keys=True) + "\n")
             return entry
+
+    def close(self) -> None:
+        with self._lock:
+            if self._sink is not None:
+                self._close_sink()
+
+    def __enter__(self) -> "Transcript":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     @property
     def entries(self) -> tuple[TranscriptEntry, ...]:

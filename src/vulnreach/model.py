@@ -13,6 +13,8 @@ from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Any, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import ConfigError
 
 _NORM_TOLERANCE = 1e-6
@@ -203,40 +205,58 @@ class CodeBlock:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingVector:
-    """Fixed-dimension unit-norm vector representing a block of code."""
+    """Fixed-dimension unit-norm vector representing a block of code.
+
+    ``values`` is a read-only float64 array; vectors compare equal when
+    their values do.
+    """
 
     dims: int
-    values: tuple[float, ...]
+    values: np.ndarray
 
     def __post_init__(self) -> None:
         if self.dims <= 0:
             raise ValueError("dims must be positive")
-        if len(self.values) != self.dims:
-            raise ValueError(f"expected {self.dims} values, got {len(self.values)}")
-        norm = math.sqrt(math.fsum(v * v for v in self.values))
+        values = np.array(self.values, dtype=np.float64)
+        if values.shape != (self.dims,):
+            raise ValueError(f"expected {self.dims} values, got shape {values.shape}")
+        norm = math.sqrt(float(values @ values))
         if abs(norm - 1.0) > _NORM_TOLERANCE:
             raise ValueError(f"vector norm {norm!r} is not 1.0 within {_NORM_TOLERANCE}")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     @classmethod
-    def normalized(cls, values: Sequence[float]) -> "EmbeddingVector":
-        norm = math.sqrt(math.fsum(float(v) * float(v) for v in values))
+    def normalized(cls, values: Sequence[float] | np.ndarray) -> "EmbeddingVector":
+        # fsum of the squares, then one IEEE division per element: the same
+        # floats as dividing each Python float by the exactly summed norm.
+        values = np.asarray(values, dtype=np.float64)
+        norm = math.sqrt(math.fsum((values * values).tolist()))
         if norm == 0.0:
             raise ValueError("cannot normalize a zero vector")
-        return cls(dims=len(values), values=tuple(float(v) / norm for v in values))
+        return cls(dims=len(values), values=values / norm)
 
     def dot(self, other: "EmbeddingVector") -> float:
         if other.dims != self.dims:
             raise ValueError(f"dims mismatch: {self.dims} vs {other.dims}")
-        return math.fsum(a * b for a, b in zip(self.values, other.values))
+        return math.fsum((self.values * other.values).tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EmbeddingVector):
+            return NotImplemented
+        return self.dims == other.dims and np.array_equal(self.values, other.values)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.values.tolist()))
 
     def to_dict(self) -> dict[str, Any]:
-        return {"dims": self.dims, "values": list(self.values)}
+        return {"dims": self.dims, "values": self.values.tolist()}
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "EmbeddingVector":
-        return cls(dims=int(raw["dims"]), values=tuple(float(v) for v in raw["values"]))
+        return cls(dims=int(raw["dims"]), values=raw["values"])
 
 
 @dataclass(frozen=True)

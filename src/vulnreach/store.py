@@ -46,22 +46,30 @@ class ScopeFilter:
         return self.class_name is None and self.method_name is None and self.file_glob is None
 
     def matches(self, block: CodeBlock) -> bool:
-        if self.class_name is not None:
-            enclosing = block.enclosing_class
-            if enclosing is None:
-                return False
-            # Accept either the dotted nesting path or its final component.
-            if enclosing != self.class_name and enclosing.split(".")[-1] != self.class_name:
-                return False
-        if self.method_name is not None and block.enclosing_method != self.method_name:
+        return (
+            self.accepts_class(block.enclosing_class)
+            and self.accepts_method(block.enclosing_method)
+            and self.accepts_file(block.file_path)
+        )
+
+    def accepts_class(self, enclosing: str | None) -> bool:
+        if self.class_name is None:
+            return True
+        if enclosing is None:
             return False
-        if self.file_glob is not None:
-            if not fnmatch.fnmatchcase(block.file_path, self.file_glob) and not (
-                "/" not in self.file_glob
-                and fnmatch.fnmatchcase(block.file_path.rsplit("/", 1)[-1], self.file_glob)
-            ):
-                return False
-        return True
+        # Accept either the dotted nesting path or its final component.
+        return enclosing == self.class_name or enclosing.split(".")[-1] == self.class_name
+
+    def accepts_method(self, enclosing: str | None) -> bool:
+        return self.method_name is None or enclosing == self.method_name
+
+    def accepts_file(self, file_path: str) -> bool:
+        if self.file_glob is None:
+            return True
+        return fnmatch.fnmatchcase(file_path, self.file_glob) or (
+            "/" not in self.file_glob
+            and fnmatch.fnmatchcase(file_path.rsplit("/", 1)[-1], self.file_glob)
+        )
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {}
@@ -89,9 +97,47 @@ def _sidecar_path(path: Path) -> Path:
     return path.with_name(path.name + ".meta.json")
 
 
+def _codes(values: Sequence[Any]) -> tuple[list[Any], np.ndarray]:
+    """Distinct values in first-seen order, and each value's index into them."""
+    index: dict[Any, int] = {}
+    codes = np.fromiter((index.setdefault(v, len(index)) for v in values), np.intp, len(values))
+    return list(index), codes
+
+
+class _Columns:
+    """The metadata a search reads, one entry per row, built once per store.
+
+    File paths are ranked in ``str`` order, so ranks order rows as the paths
+    do. A scope is tested once per distinct path, class and method.
+    """
+
+    def __init__(self, meta: Sequence[Mapping[str, Any]]):
+        paths = [m["file_path"] for m in meta]
+        self.paths = sorted(set(paths))
+        rank = {path: i for i, path in enumerate(self.paths)}
+        self.path_rank = np.fromiter(map(rank.__getitem__, paths), np.intp, len(paths))
+        self.line_start = np.fromiter((m["line_start"] for m in meta), np.int64, len(meta))
+        self.classes, self.class_codes = _codes([m.get("enclosing_class") for m in meta])
+        self.methods, self.method_codes = _codes([m.get("enclosing_method") for m in meta])
+
+    def scope_mask(self, scope: ScopeFilter) -> np.ndarray:
+        mask = np.ones(len(self.line_start), dtype=bool)
+        for distinct, codes, accepts in (
+            (self.paths, self.path_rank, scope.accepts_file),
+            (self.classes, self.class_codes, scope.accepts_class),
+            (self.methods, self.method_codes, scope.accepts_method),
+        ):
+            mask &= np.fromiter(map(accepts, distinct), bool, len(distinct))[codes]
+        return mask
+
+
 class VectorStore:
     """Many concurrent readers, single writer; reopening after a write gives
-    read-your-writes."""
+    read-your-writes.
+
+    Block metadata is held as one sidecar dict per row, and a row's
+    ``CodeBlock`` is built from it on first access and kept.
+    """
 
     def __init__(self, dims: int, path: Path | None = None):
         if dims <= 0:
@@ -99,9 +145,11 @@ class VectorStore:
         self.dims = dims
         self.path = path
         self._vectors = np.empty((0, dims), dtype=np.float32)
-        self._blocks: list[CodeBlock] = []
+        self._meta: list[Mapping[str, Any]] = []
+        self._blocks: dict[int, CodeBlock] = {}  # row -> block, built on first access
         self._row_by_id: dict[str, int] = {}
         self._matrix64: np.ndarray | None = None  # renormalized scoring cache
+        self._cols: _Columns | None = None
 
     # -- lifecycle ------------------------------------------------------
 
@@ -149,22 +197,37 @@ class VectorStore:
             meta = json.loads(sidecar.read_text(encoding="utf-8"))
         except FileNotFoundError as exc:
             raise IndexFormatError(f"{path}: missing metadata sidecar {sidecar}") from exc
-        blocks = [CodeBlock.from_dict(b) for b in meta["blocks"]]
+        except ValueError as exc:
+            raise IndexFormatError(f"{path}: unreadable metadata sidecar {sidecar}: {exc}") from exc
+        blocks = meta.get("blocks") if isinstance(meta, dict) else None
+        if not isinstance(blocks, list):
+            raise IndexFormatError(f"{path}: metadata sidecar {sidecar} has no block list")
         if len(blocks) != count:
             raise IndexFormatError(
                 f"{path}: sidecar has {len(blocks)} blocks for {count} records"
             )
+        for row, raw in enumerate(blocks):
+            # The fields every search reads; the rest are checked on first use.
+            if not (
+                isinstance(raw, dict)
+                and isinstance(raw.get("id"), str)
+                and isinstance(raw.get("file_path"), str)
+                and type(raw.get("line_start")) is int
+            ):
+                raise IndexFormatError(
+                    f"{path}: block {row} lacks a string id and file_path and an integer line_start"
+                )
         store = cls(dims=dims, path=path)
         store._vectors = np.array(vectors, dtype=np.float32)
-        store._blocks = blocks
-        store._row_by_id = {b.id: i for i, b in enumerate(blocks)}
+        store._meta = blocks
+        store._row_by_id = {raw["id"]: row for row, raw in enumerate(blocks)}
         return store
 
     def save(self) -> None:
         if self.path is None:
             raise ValueError("in-memory store has no path to save to")
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        header = _HEADER.pack(MAGIC, FORMAT_VERSION, self.dims, len(self._blocks))
+        header = _HEADER.pack(MAGIC, FORMAT_VERSION, self.dims, len(self._meta))
         self.path.write_bytes(header + self._vectors.astype("<f4").tobytes())
         sidecar = _sidecar_path(self.path)
         sidecar.write_text(
@@ -172,8 +235,8 @@ class VectorStore:
                 {
                     "format_version": FORMAT_VERSION,
                     "dims": self.dims,
-                    "count": len(self._blocks),
-                    "blocks": [b.to_dict() for b in self._blocks],
+                    "count": len(self._meta),
+                    "blocks": self._meta,
                 },
                 indent=2,
                 sort_keys=True,
@@ -185,31 +248,44 @@ class VectorStore:
     # -- data access -----------------------------------------------------
 
     def count(self) -> int:
-        return len(self._blocks)
+        return len(self._meta)
 
     def get(self, block_id: str) -> StoreEntry | None:
         row = self._row_by_id.get(block_id)
         if row is None:
             return None
-        return StoreEntry(self._blocks[row], self._vector_at(row))
+        return self._entry_at(row)
 
     def entries(self) -> Iterator[StoreEntry]:
-        for row, block in enumerate(self._blocks):
-            yield StoreEntry(block, self._vector_at(row))
+        for row in range(len(self._meta)):
+            yield self._entry_at(row)
 
-    def _vector_at(self, row: int) -> EmbeddingVector:
+    def _entry_at(self, row: int) -> StoreEntry:
+        block = self._blocks.get(row)
+        if block is None:
+            try:
+                block = CodeBlock.from_dict(self._meta[row])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise IndexFormatError(f"{self.path}: block {row} is malformed: {exc!r}") from exc
+            # Parallel readers may build a row at once; all keep the first.
+            block = self._blocks.setdefault(row, block)
         # Renormalize in float64: float32 storage rounds the norm slightly.
-        return EmbeddingVector.normalized(self._vectors[row].astype(np.float64).tolist())
+        return StoreEntry(block, EmbeddingVector.normalized(self._vectors[row]))
 
     def _scoring_matrix(self) -> np.ndarray:
         """Float64 rows renormalized to exact unit length, so scores agree
         with dot products of the vectors this store exposes via entries()."""
-        if self._matrix64 is None or len(self._matrix64) != len(self._blocks):
+        if self._matrix64 is None:
             mat = self._vectors.astype(np.float64)
             if len(mat):
                 mat = mat / np.linalg.norm(mat, axis=1, keepdims=True)
             self._matrix64 = mat
         return self._matrix64
+
+    def _columns(self) -> _Columns:
+        if self._cols is None:
+            self._cols = _Columns(self._meta)
+        return self._cols
 
     # -- operations --------------------------------------------------------
 
@@ -224,7 +300,7 @@ class VectorStore:
                 raise DimsMismatch(
                     f"entry {entry.block.id} has dims {entry.vector.dims}, store has {self.dims}"
                 )
-            incoming = np.asarray(entry.vector.values, dtype=np.float32)
+            incoming = entry.vector.values.astype(np.float32)
             existing_row = self._row_by_id.get(entry.block.id)
             if existing_row is not None:
                 if np.array_equal(self._vectors[existing_row], incoming):
@@ -244,9 +320,12 @@ class VectorStore:
         if new_blocks:
             self._vectors = np.vstack([self._vectors, np.array(new_vectors, dtype=np.float32)])
             self._matrix64 = None
+            self._cols = None
             for block in new_blocks:
-                self._row_by_id[block.id] = len(self._blocks)
-                self._blocks.append(block)
+                row = len(self._meta)
+                self._row_by_id[block.id] = row
+                self._blocks[row] = block
+                self._meta.append(block.to_dict())
             if self.path is not None:
                 self.save()
         return len(new_blocks)
@@ -260,7 +339,8 @@ class VectorStore:
     ) -> list[tuple[StoreEntry, float]]:
         """Entries matching scope with cosine score >= tau, best first.
 
-        Ties break by (file_path, line_start) ascending; at most k results.
+        Ties break by (file_path, line_start) ascending, then by row; at
+        most k results.
         """
         if query.dims != self.dims:
             raise DimsMismatch(f"query has dims {query.dims}, store has {self.dims}")
@@ -268,23 +348,17 @@ class VectorStore:
             raise ValueError(f"tau must be in [0, 1], got {tau}")
         if k < 1:
             raise ValueError("k must be positive")
-        if not self._blocks:
+        if not self._meta:
             return []
-        q = np.asarray(query.values, dtype=np.float64)
         # Row-wise reduction instead of BLAS matmul: identical vectors must
         # produce bit-identical scores regardless of row position, or the
         # (score, file, line) tie-break becomes nondeterministic.
-        scores = (self._scoring_matrix() * q).sum(axis=1)
-        hits: list[tuple[float, str, int, int]] = []
-        for row, score in enumerate(scores):
-            if score < tau:
-                continue
-            block = self._blocks[row]
-            if not scope.matches(block):
-                continue
-            hits.append((float(score), block.file_path, block.line_start, row))
-        hits.sort(key=lambda h: (-h[0], h[1], h[2]))
-        return [
-            (StoreEntry(self._blocks[row], self._vector_at(row)), score)
-            for score, _, _, row in hits[:k]
-        ]
+        scores = (self._scoring_matrix() * query.values).sum(axis=1)
+        keep = scores >= tau
+        cols = self._columns()
+        if not scope.is_empty():
+            keep &= cols.scope_mask(scope)
+        rows = np.flatnonzero(keep)
+        # lexsort is stable and its last key is the primary one.
+        rows = rows[np.lexsort((cols.line_start[rows], cols.path_rank[rows], -scores[rows]))]
+        return [(self._entry_at(row), float(scores[row])) for row in rows[:k].tolist()]

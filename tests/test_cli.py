@@ -553,6 +553,22 @@ class TestConfig:
         assert next(iter(bad)) in err and "Traceback" not in err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("dims", [4, 0, True, "64"], ids=["4", "0", "true", "string-64"])
+    def test_invalid_encoder_dims_exits_1_with_one_error_line(self, tmp_path: Path, dims, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"encoder": {"provider": "reference", "dims": dims}}))
+        code = run_cli(
+            "index",
+            "--project", str(FIXTURES / "unguarded_app"),
+            "--out", str(tmp_path / "i.vrix"),
+            "--config", str(config),
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+        assert "dims" in err and "Traceback" not in err
+        assert not (tmp_path / "i.vrix").exists()
+
     def test_config_echo_never_leaks_credentials(self, tmp_path: Path):
         config = Config(
             chat={"provider": "openai-compat", "api_key_env": "X_API_KEY", "model": "m", "endpoint": "e"}

@@ -403,4 +403,64 @@ class TestQueryVectors:
         texts = ["int a = b;", "encoder.encode(raw)", "int a = b;"]
         got = queries(texts)
         assert got[0] is got[2]
-        assert [v.values for v in got] == [reference_encode(t, encoder.dims).values for t in texts]
+        assert [v.values.tolist() for v in got] == [
+            reference_encode(t, encoder.dims).values.tolist() for t in texts
+        ]
+
+
+class CountingStore:
+    """Passes every call through to a store and records each search as
+    (query vector bytes, scope)."""
+
+    def __init__(self, store: VectorStore):
+        self.store = store
+        self.searches: list[tuple[bytes, object]] = []
+
+    def __getattr__(self, name):
+        return getattr(self.store, name)
+
+    def search(self, query, k, tau, scope):
+        self.searches.append((query.values.tobytes(), scope))
+        return self.store.search(query, k, tau, scope)
+
+
+class TestSearchMemo:
+    @staticmethod
+    def looping_gateway() -> ChatGateway:
+        # Every reflection asks for more and every inference names one of two
+        # snippets, so candidates repeat the same (snippet, scope) searches.
+        provider = ScriptedChatProvider(
+            rules=[(RoleKind.GRADER, ".encode(", '{"answer": "yes"}')],
+            defaults={
+                RoleKind.GRADER: '{"answer": "no"}',
+                RoleKind.REFLECTION: '{"complete": false, "reason": "need the caller"}',
+                RoleKind.JUDGE: '{"judgment": "secure", "rationale": "guarded"}',
+            },
+            sequences={
+                RoleKind.INFERENCE: [
+                    json.dumps({"missing_snippet": "getNewPassword()", "scope": {}}),
+                    json.dumps(
+                        {"missing_snippet": "getNewPassword()", "scope": {"file_glob": "*.java"}}
+                    ),
+                ]
+                * 20
+            },
+        )
+        return ChatGateway(provider, transcript=Transcript())
+
+    def test_each_distinct_query_and_scope_is_searched_once(
+        self, guarded_store, encoder, vuln, monkeypatch
+    ):
+        memo = CountingStore(guarded_store)
+        verdict = analyze(memo, encoder, self.looping_gateway(), vuln, CFG, "p")
+        assert len(memo.searches) == len(set(memo.searches))
+
+        def unmemoized(self, store, text, scope, config):
+            return tuple(store.search(self([text])[0], config.top_k, config.tau, scope))
+
+        monkeypatch.setattr(QueryVectors, "search", unmemoized)
+        plain = CountingStore(guarded_store)
+        expected = analyze(plain, encoder, self.looping_gateway(), vuln, CFG, "p")
+        assert verdict.to_dict() == expected.to_dict()
+        assert set(plain.searches) == set(memo.searches)
+        assert len(plain.searches) > len(memo.searches)

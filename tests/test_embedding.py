@@ -203,7 +203,7 @@ class TestEmbed:
                 return [[2.0, 0.0, 0.0, 0.0] for _ in texts]
 
         vec = embed(Denormalized(), ["x"])[0]
-        assert vec.values == (1.0, 0.0, 0.0, 0.0)
+        assert vec.values.tolist() == [1.0, 0.0, 0.0, 0.0]
 
     def test_retry_then_success(self):
         attempts = {"n": 0}

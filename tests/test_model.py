@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -57,6 +58,70 @@ class TestEmbeddingVector:
     def test_dims_must_match_values(self):
         with pytest.raises(ValueError):
             EmbeddingVector(dims=3, values=(1.0, 0.0))
+
+
+def tuple_normalized(values) -> tuple[float, ...]:
+    """The tuple-of-floats definition vectors used to have, kept as reference."""
+    norm = math.sqrt(math.fsum(float(v) * float(v) for v in values))
+    if norm == 0.0:
+        raise ValueError("cannot normalize a zero vector")
+    return tuple(float(v) / norm for v in values)
+
+
+def tuple_dot(a, b) -> float:
+    return math.fsum(x * y for x, y in zip(a, b))
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+_COMPONENTS = st.one_of(
+    st.just(0.0), st.floats(1e-6, 1e6), st.floats(-1e6, -1e-6), st.integers(-1000, 1000)
+)
+_RAW = st.lists(_COMPONENTS, min_size=1, max_size=40)
+_RAW_PAIRS = st.integers(1, 40).flatmap(
+    lambda n: st.tuples(*[st.lists(_COMPONENTS, min_size=n, max_size=n)] * 2)
+)
+
+
+class TestVectorBitIdentity:
+    @given(_RAW)
+    def test_normalized_matches_the_tuple_definition(self, raw):
+        try:
+            expected = tuple_normalized(raw)
+        except ValueError:
+            with pytest.raises(ValueError):
+                EmbeddingVector.normalized(raw)
+            return
+        for given_as in (raw, np.array(raw, dtype=np.float64)):
+            assert bits(EmbeddingVector.normalized(given_as).values) == bits(expected)
+        # Float32 rows, as an index stores them, widened the way the store does.
+        rows32 = np.array(raw, dtype=np.float32)
+        if rows32.any():
+            assert bits(EmbeddingVector.normalized(rows32).values) == bits(
+                tuple_normalized(rows32.astype(np.float64).tolist())
+            )
+
+    @given(_RAW_PAIRS)
+    def test_dot_matches_the_tuple_definition(self, pair):
+        a_raw, b_raw = pair
+        try:
+            a, b = tuple_normalized(a_raw), tuple_normalized(b_raw)
+        except ValueError:
+            return
+        va, vb = EmbeddingVector.normalized(a_raw), EmbeddingVector.normalized(b_raw)
+        assert bits([va.dot(vb)]) == bits([tuple_dot(a, b)])
+        assert bits([vb.dot(va)]) == bits([tuple_dot(b, a)])
+
+    def test_values_are_read_only_and_equality_is_by_value(self):
+        vec = EmbeddingVector.normalized([3.0, 4.0])
+        with pytest.raises(ValueError):
+            vec.values[0] = 1.0
+        assert vec == EmbeddingVector(dims=2, values=(0.6, 0.8))
+        assert vec != EmbeddingVector(dims=2, values=(0.8, 0.6))
+        assert hash(vec) == hash(EmbeddingVector.normalized([6.0, 8.0]))
+        assert vec.to_dict() == {"dims": 2, "values": [0.6, 0.8]}
 
 
 class TestVulnSpec:

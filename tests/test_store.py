@@ -1,8 +1,12 @@
+import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_block
 from vulnreach.errors import DimsMismatch, DuplicateIdConflict, IndexFormatError
@@ -141,6 +145,74 @@ class TestPersistence:
             VectorStore.open(path)
 
 
+def write_index_with_blocks(path: Path, edit) -> Path:
+    """Three-row index whose sidecar block list is passed through ``edit``."""
+    VectorStore.create(path, DIMS, [entry(i, axis(i)) for i in range(3)])
+    sidecar = path.with_name(path.name + ".meta.json")
+    meta = json.loads(sidecar.read_text())
+    edit(meta["blocks"])
+    sidecar.write_text(json.dumps(meta))
+    return path
+
+
+class TestLazyBlocks:
+    def test_opened_store_equals_the_store_it_saved(self, tmp_path: Path):
+        entries = [entry(i, unit(range(i, i + DIMS))) for i in range(5)]
+        saved = VectorStore.create(tmp_path / "idx.vrix", DIMS, entries)
+        opened = VectorStore.open(tmp_path / "idx.vrix")
+        assert list(opened.entries()) == list(saved.entries())
+        assert opened.get(entries[3].block.id) == saved.get(entries[3].block.id)
+
+    def test_resave_of_an_opened_store_writes_the_same_files(self, tmp_path: Path):
+        path = tmp_path / "idx.vrix"
+        VectorStore.create(path, DIMS, [entry(i, axis(i)) for i in range(3)])
+        before = path.read_bytes(), path.with_name("idx.vrix.meta.json").read_bytes()
+        VectorStore.open(path).save()
+        assert (path.read_bytes(), path.with_name("idx.vrix.meta.json").read_bytes()) == before
+
+    @pytest.mark.parametrize(
+        "text", ['{"dims": 16', '{"dims": 16}', "[]"], ids=["torn", "no-blocks", "list"]
+    )
+    def test_garbled_sidecar_is_a_format_error(self, tmp_path: Path, text):
+        path = tmp_path / "idx.vrix"
+        VectorStore.create(path, DIMS, [entry(0, axis(0))])
+        path.with_name("idx.vrix.meta.json").write_text(text)
+        with pytest.raises(IndexFormatError, match="sidecar"):
+            VectorStore.open(path)
+
+    def test_count_mismatch_is_a_format_error(self, tmp_path: Path):
+        path = write_index_with_blocks(tmp_path / "idx.vrix", lambda blocks: blocks.pop())
+        with pytest.raises(IndexFormatError, match="2 blocks for 3 records"):
+            VectorStore.open(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda b: b.pop("id"), id="no-id"),
+            pytest.param(lambda b: b.pop("file_path"), id="no-file_path"),
+            pytest.param(lambda b: b.pop("line_start"), id="no-line_start"),
+            pytest.param(lambda b: b.update(line_start="4"), id="string-line_start"),
+            pytest.param(lambda b: b.update(line_start=True), id="bool-line_start"),
+        ],
+    )
+    def test_block_without_a_search_field_fails_open(self, tmp_path: Path, edit):
+        path = write_index_with_blocks(tmp_path / "idx.vrix", lambda blocks: edit(blocks[1]))
+        with pytest.raises(IndexFormatError, match="block 1"):
+            VectorStore.open(path)
+
+    def test_malformed_block_fails_on_first_access_naming_the_row(self, tmp_path: Path):
+        path = write_index_with_blocks(
+            tmp_path / "idx.vrix", lambda blocks: blocks[2].update(node_kind="Nonsense")
+        )
+        store = VectorStore.open(path)
+        assert store.count() == 3
+        assert store.get(entry(0, axis(0)).block.id) is not None
+        with pytest.raises(IndexFormatError, match="block 2"):
+            store.get(entry(2, axis(2)).block.id)
+        with pytest.raises(IndexFormatError, match="block 2"):
+            store.search(axis(2), k=1, tau=0.5)
+
+
 class TestSearch:
     def test_self_similarity_first_with_score_one(self):
         store = VectorStore.in_memory(DIMS)
@@ -231,3 +303,81 @@ class TestScopeFilter:
     def test_roundtrip(self):
         scope = ScopeFilter(class_name="A", file_glob="*.java")
         assert ScopeFilter.from_dict(scope.to_dict()) == scope
+
+
+# Vectors whose every component is 0, +-1 or +-0.5 have exactly unit norm in
+# float32 and float64, and their dot products are exact multiples of 0.25.
+# So every score is exact in any summation order: the oracle and the store
+# agree bit for bit, ties are frequent and a tau of 0.25*j hits scores equal
+# to tau.
+_HALVES = st.lists(st.sampled_from([0.5, -0.5]), min_size=4, max_size=4)
+_AXES = st.tuples(st.integers(0, 3), st.sampled_from([1.0, -1.0])).map(
+    lambda a: [a[1] if i == a[0] else 0.0 for i in range(4)]
+)
+_EXACT_VECTORS = st.one_of(_HALVES, _AXES).map(lambda v: EmbeddingVector(4, tuple(v)))
+_ROWS = st.lists(
+    st.tuples(
+        _EXACT_VECTORS,
+        st.sampled_from(
+            ["A.java", "src/A.java", "src/b/A.java", "src/b/B.java", "lib/C.java", "src/b/c/U.java"]
+        ),
+        st.integers(1, 4),
+        st.sampled_from([None, "A", "Inner", "Outer.Inner", "Outer.Inner.Deep", "B"]),
+        st.sampled_from([None, "run", "parse"]),
+    ),
+    min_size=1,
+    max_size=40,
+)
+# Each scope field is unset about half the time, so many searches keep
+# enough hits to order.
+_SCOPES = st.builds(
+    ScopeFilter,
+    class_name=st.none() | st.sampled_from(["Inner", "Outer.Inner", "Outer", "Deep", "A"]),
+    method_name=st.none() | st.sampled_from(["run", "parse"]),
+    file_glob=st.none()
+    | st.sampled_from(["A.java", "*.java", "src/*.java", "src/**", "src/b/*.java", "*/c/*"]),
+)
+
+
+class TestSearchOracleProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        _ROWS,
+        _EXACT_VECTORS,
+        st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+        st.integers(1, 45),
+        _SCOPES,
+    )
+    def test_in_memory_and_opened_stores_match_the_oracle(self, rows, query, tau, k, scope):
+        # line_end is unique per row, so ids are unique while (file, line)
+        # pairs and vectors repeat across rows.
+        entries = [
+            StoreEntry(
+                make_block(
+                    file_path=path,
+                    line_start=line,
+                    line_end=line + row,
+                    enclosing_class=cls,
+                    enclosing_method=method,
+                ),
+                vector,
+            )
+            for row, (vector, path, line, cls, method) in enumerate(rows)
+        ]
+        expected = brute_force_search(entries, query, k, tau, scope)
+        in_memory = VectorStore.in_memory(4)
+        in_memory.insert(entries)
+        with tempfile.TemporaryDirectory() as tmp:
+            VectorStore.create(Path(tmp) / "idx.vrix", 4, entries)
+            opened = VectorStore.open(Path(tmp) / "idx.vrix")
+        for store in (in_memory, opened):
+            actual = store.search(query, k=k, tau=tau, scope=scope)
+            assert [(e.block.id, score) for e, score in actual] == [
+                (bid, score) for bid, score, *_ in expected
+            ]
+            assert [e.block for e, _ in actual] == [
+                next(x.block for x in entries if x.block.id == bid) for bid, *_ in expected
+            ]
+        assert opened.search(query, k=k, tau=tau, scope=scope) == in_memory.search(
+            query, k=k, tau=tau, scope=scope
+        )
