@@ -11,15 +11,6 @@ class ConfigError(VulnReachError):
     """Invalid or inconsistent configuration (bad values, unknown keys)."""
 
 
-class ParseError(VulnReachError):
-    """The parser produced no usable tree for a source file."""
-
-    def __init__(self, file_path: str, line: int, message: str = "unparseable source"):
-        super().__init__(f"{file_path}:{line}: {message}")
-        self.file_path = file_path
-        self.line = line
-
-
 class EmptyProject(VulnReachError):
     """Project root contains no source files after ignore filtering."""
 

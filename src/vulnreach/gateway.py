@@ -15,7 +15,6 @@ import hashlib
 import json
 import re
 import threading
-import weakref
 from collections import deque
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -167,9 +166,8 @@ class Transcript:
     When bound to a sink path, the sink is created at once and each entry
     is written and flushed as one JSON line the moment it lands, so an
     aborted run still leaves a usable partial transcript. The sink stays
-    open until :meth:`close` (or the end of a ``with`` block), or until the
-    transcript is garbage-collected. Appends are synchronized; sequence
-    numbers are monotone.
+    open until :meth:`close` (or the end of a ``with`` block). Appends are
+    synchronized; sequence numbers are monotone.
     """
 
     def __init__(self, sink_path: Path | str | None = None):
@@ -180,7 +178,6 @@ class Transcript:
         if self.sink_path is not None:
             self.sink_path.parent.mkdir(parents=True, exist_ok=True)
             self._sink = self.sink_path.open("w", encoding="utf-8")
-            self._close_sink = weakref.finalize(self, self._sink.close)
 
     def append(
         self,
@@ -214,7 +211,7 @@ class Transcript:
     def close(self) -> None:
         with self._lock:
             if self._sink is not None:
-                self._close_sink()
+                self._sink.close()
 
     def __enter__(self) -> "Transcript":
         return self
@@ -448,37 +445,18 @@ def extract_json_object(text: str) -> Any:
     stripped = text.strip()
     if stripped.startswith("```"):
         stripped = re.sub(r"^```[a-zA-Z]*\s*|\s*```$", "", stripped).strip()
+    # A reply nested past the recursion limit is no object either.
     try:
         return json.loads(stripped)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         pass
+    decoder = json.JSONDecoder()
     start = stripped.find("{")
     while start != -1:
-        depth = 0
-        in_string = False
-        escape = False
-        for idx in range(start, len(stripped)):
-            ch = stripped[idx]
-            if in_string:
-                if escape:
-                    escape = False
-                elif ch == "\\":
-                    escape = True
-                elif ch == '"':
-                    in_string = False
-                continue
-            if ch == '"':
-                in_string = True
-            elif ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0:
-                    try:
-                        return json.loads(stripped[start : idx + 1])
-                    except json.JSONDecodeError:
-                        break
-        start = stripped.find("{", start + 1)
+        try:
+            return decoder.raw_decode(stripped, start)[0]
+        except (json.JSONDecodeError, RecursionError):
+            start = stripped.find("{", start + 1)
     raise MalformedResponse(f"no JSON object found in response: {text[:120]!r}")
 
 

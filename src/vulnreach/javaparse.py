@@ -15,10 +15,9 @@ real-world corpora containing unparseable files.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
-
-from .errors import ParseError
 
 MODIFIERS = frozenset(
     {
@@ -40,12 +39,15 @@ MODIFIERS = frozenset(
 
 TYPE_KEYWORDS = frozenset({"class", "interface", "enum", "record"})
 
-_OPENERS = {"(": ")", "{": "}", "[": "]"}
-_CLOSERS = {")", "}", "]"}
+_OPENERS = frozenset("({[")
+_CLOSERS = frozenset(")}]")
 
 _IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$")
 _IDENT_PART = _IDENT_START | frozenset("0123456789")
 _DIGITS = frozenset("0123456789")
+# The line model (JLS 3.4): a line ends at LF, CRLF or a lone CR.
+_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
+_LINE_TERMINATOR = re.compile(r"[\r\n]")
 
 
 class Token(NamedTuple):
@@ -57,33 +59,57 @@ class Token(NamedTuple):
     line_end: int
 
 
+def _line_breaks(text: str) -> int:
+    """Line terminators in ``text``: LF, CRLF or a lone CR (JLS 3.4)."""
+    return text.count("\n") + text.count("\r") - text.count("\r\n")
+
+
+def _literal_end(source: str, i: int, quote: str) -> int:
+    """End of the string or char literal opened at ``i``: past its closing
+    quote, or at the first unescaped line terminator or end of input. An
+    escaped line terminator (CRLF as one) stays inside the literal."""
+    n = len(source)
+    stop = quote + "\r\n"
+    j = i + 1
+    while j < n and source[j] not in stop:
+        if source[j] == "\\":
+            j += source.startswith("\r\n", j + 1)
+            j += 1
+        j += 1
+    if j < n and source[j] == quote:
+        j += 1
+    return min(j, n)
+
+
 def lex(source: str) -> list[Token]:
     """Tokenize Java source, keeping comments as tokens (needed for
-    attaching leading comment runs to declarations)."""
+    attaching leading comment runs to declarations). Lines end at LF, CRLF
+    or a lone CR, as in :attr:`CompilationUnit.lines`."""
     tokens: list[Token] = []
     i = 0
     n = len(source)
     line = 1
 
-    def advance_lines(text: str) -> int:
-        return text.count("\n")
-
     while i < n:
         ch = source[i]
+        if ch in " \t\f\v":
+            i += 1
+            continue
         if ch == "\n":
             line += 1
             i += 1
             continue
-        if ch in " \t\r\f\v":
+        if ch == "\r":
+            if not source.startswith("\n", i + 1):
+                line += 1
             i += 1
             continue
         start_line = line
         if ch == "/" and i + 1 < n:
             nxt = source[i + 1]
             if nxt == "/":
-                j = source.find("\n", i)
-                if j == -1:
-                    j = n
+                eol = _LINE_TERMINATOR.search(source, i)
+                j = eol.start() if eol else n
                 tokens.append(Token("comment", source[i:j], start_line, start_line))
                 i = j
                 continue
@@ -95,10 +121,10 @@ def lex(source: str) -> list[Token]:
                 else:
                     text = source[i : j + 2]
                     i = j + 2
-                line += advance_lines(text)
+                line += _line_breaks(text)
                 tokens.append(Token("comment", text, start_line, line))
                 continue
-        if ch == '"':
+        if ch in "\"'":
             if source.startswith('"""', i):
                 j = i + 3
                 while j < n:
@@ -111,31 +137,12 @@ def lex(source: str) -> list[Token]:
                     j += 1
                 else:
                     j = n
-                text = source[i:j]
-                i = j
-                line += advance_lines(text)
-                tokens.append(Token("string", text, start_line, line))
-                continue
-            j = i + 1
-            while j < n and source[j] not in '"\n':
-                if source[j] == "\\":
-                    j += 1
-                j += 1
-            if j < n and source[j] == '"':
-                j += 1
-            tokens.append(Token("string", source[i:j], start_line, start_line))
+            else:
+                j = _literal_end(source, i, ch)
+            text = source[i:j]
             i = j
-            continue
-        if ch == "'":
-            j = i + 1
-            while j < n and source[j] not in "'\n":
-                if source[j] == "\\":
-                    j += 1
-                j += 1
-            if j < n and source[j] == "'":
-                j += 1
-            tokens.append(Token("char", source[i:j], start_line, start_line))
-            i = j
+            line += _line_breaks(text)
+            tokens.append(Token("string" if ch == '"' else "char", text, start_line, line))
             continue
         if ch in _IDENT_START:
             j = i + 1
@@ -175,7 +182,9 @@ class CompilationUnit:
     """Root handle for one parsed source file."""
 
     file_path: str
-    lines: list[str]  # keepends=True; exact reassembly is ``"".join(lines)``
+    # Lines end at LF, CRLF or a lone CR (JLS 3.4), terminator kept; exact
+    # reassembly is ``"".join(lines)``.
+    lines: list[str]
     nodes: list[JavaNode]
 
     @property
@@ -204,84 +213,74 @@ class CompilationUnit:
 
 
 class _Parser:
-    def __init__(self, file_path: str, tokens: list[Token]):
-        self.file_path = file_path
+    def __init__(self, tokens: list[Token]):
         self.tokens = tokens
+        # The cursor walks the significant tokens; ``_comments`` keeps the
+        # comment run directly before each significant token that has one.
+        self.sig: list[Token] = []
+        self._comments: dict[int, list[Token]] = {}
+        for tok in tokens:
+            if tok.kind == "comment":
+                self._comments.setdefault(len(self.sig), []).append(tok)
+            else:
+                self.sig.append(tok)
         self.pos = 0
+        # Every bracket kind nests on one shared stack, so lambdas and
+        # anonymous classes inside argument lists balance; an opener left
+        # open at end of input has no entry.
+        self._closer: dict[int, int] = {}
+        stack: list[int] = []
+        for i, tok in enumerate(self.sig):
+            if tok.kind == "punct":
+                if tok.text in _OPENERS:
+                    stack.append(i)
+                elif tok.text in _CLOSERS and stack:
+                    self._closer[stack.pop()] = i
 
     # -- token access -------------------------------------------------
 
-    def _at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
-
     def _peek(self, offset: int = 0) -> Token | None:
         """Next significant token (skipping comments), without consuming."""
-        idx = self.pos
-        seen = 0
-        while idx < len(self.tokens):
-            tok = self.tokens[idx]
-            if tok.kind != "comment":
-                if seen == offset:
-                    return tok
-                seen += 1
-            idx += 1
-        return None
+        idx = self.pos + offset
+        return self.sig[idx] if idx < len(self.sig) else None
 
     def _next(self) -> Token | None:
         """Consume and return the next significant token."""
-        while self.pos < len(self.tokens):
-            tok = self.tokens[self.pos]
-            self.pos += 1
-            if tok.kind != "comment":
-                return tok
-        return None
+        if self.pos >= len(self.sig):
+            return None
+        self.pos += 1
+        return self.sig[self.pos - 1]
 
-    def _attached_comment_start(self, decl_line: int) -> int | None:
-        """Line where the comment run directly above ``decl_line`` starts.
+    def _decl_start(self) -> int:
+        """First line of the declaration at the cursor: the line where the
+        comment run directly above it starts, else its own first line.
 
-        The pending comments sit between the cursor and the next significant
-        token. A run attaches when each comment ends on the line directly
-        above the next element (javadoc style); a blank line breaks it.
+        A run attaches when each comment ends on the line directly above the
+        next element (javadoc style); a blank line breaks it.
         """
-        idx = self.pos
-        pending: list[Token] = []
-        while idx < len(self.tokens) and self.tokens[idx].kind == "comment":
-            pending.append(self.tokens[idx])
-            idx += 1
-        anchor = decl_line
-        start: int | None = None
-        for tok in reversed(pending):
+        anchor = self.sig[self.pos].line_start
+        for tok in reversed(self._comments.get(self.pos, ())):
             if anchor - tok.line_end > 1:
                 break
-            start = tok.line_start
             anchor = tok.line_start
-        return start
+        return anchor
 
     # -- balanced consumption ------------------------------------------
 
     def _consume_balanced(self) -> Token | None:
         """Consume an opener token and everything up to its matching closer.
 
-        All bracket kinds nest on one shared stack so lambdas and anonymous
-        classes inside argument lists balance correctly. Returns the closing
-        token, or None when input ends first (malformed).
+        Returns the closing token, or None when input ends first (malformed).
         """
         opener = self._next()
         if opener is None or opener.text not in _OPENERS:
             return opener
-        stack = [opener.text]
-        last = opener
-        while stack:
-            tok = self._next()
-            if tok is None:
-                return None
-            last = tok
-            if tok.kind == "punct":
-                if tok.text in _OPENERS:
-                    stack.append(tok.text)
-                elif tok.text in _CLOSERS:
-                    stack.pop()
-        return last
+        closer = self._closer.get(self.pos - 1)
+        if closer is None:
+            self.pos = len(self.sig)
+            return None
+        self.pos = closer + 1
+        return self.sig[closer]
 
     def _consume_to_semicolon(self) -> Token | None:
         """Consume until a ';' at bracket depth zero. Returns that token or
@@ -296,9 +295,9 @@ class _Parser:
                 if last is None:
                     return None
                 continue
-            tok = self._next()
+            self.pos += 1
             last = tok
-            if tok is not None and tok.kind == "punct" and tok.text == ";":
+            if tok.kind == "punct" and tok.text == ";":
                 return tok
 
     # -- declaration-head scanning ---------------------------------------
@@ -307,7 +306,8 @@ class _Parser:
         """Look ahead past annotations/modifiers/type parameters.
 
         Returns (type_keyword or None, significant-token offset of that
-        keyword). Does not consume anything.
+        keyword, or of the first token that is none of these). Does not
+        consume anything.
         """
         offset = 0
         while True:
@@ -332,19 +332,10 @@ class _Parser:
                     break
                 paren = self._peek(offset)
                 if paren is not None and paren.kind == "punct" and paren.text == "(":
-                    depth = 0
-                    while True:
-                        tok2 = self._peek(offset)
-                        if tok2 is None:
-                            return None, offset
-                        if tok2.kind == "punct":
-                            if tok2.text in _OPENERS:
-                                depth += 1
-                            elif tok2.text in _CLOSERS:
-                                depth -= 1
-                        offset += 1
-                        if depth == 0:
-                            break
+                    closer = self._closer.get(self.pos + offset)
+                    if closer is None:
+                        return None, len(self.sig) - self.pos
+                    offset = closer - self.pos + 1
                 continue
             if tok.kind == "ident":
                 if tok.text in MODIFIERS:
@@ -396,9 +387,9 @@ class _Parser:
             if tok.kind == "ident" and tok.text == "import":
                 nodes.append(self._parse_simple("import"))
                 continue
-            keyword, _ = self._scan_decl_head()
+            keyword, offset = self._scan_decl_head()
             if keyword is not None:
-                nodes.append(self._parse_type_decl(keyword))
+                nodes.append(self._parse_type_decl(self._decl_start(), keyword, offset))
                 continue
             if tok.kind == "punct" and tok.text == ";":
                 self._next()  # stray top-level semicolon: residue
@@ -407,24 +398,20 @@ class _Parser:
         return nodes
 
     def _parse_simple(self, kind: str) -> JavaNode:
-        first = self._peek()
-        assert first is not None
-        start = self._attached_comment_start(first.line_start) or first.line_start
-        self._next()  # keyword
+        start = self._decl_start()
+        self.pos += 1  # keyword
         name_parts: list[str] = []
         tok = self._peek()
         while tok is not None and not (tok.kind == "punct" and tok.text == ";"):
             if tok.kind in ("ident", "punct"):
                 name_parts.append(tok.text)
-            tok2 = self._next()
-            assert tok2 is not None
-            last = tok2
+            self.pos += 1
             tok = self._peek()
         if tok is not None:
-            last = self._next()  # the ';'
-            assert last is not None
+            self.pos += 1  # the ';'
+            last = tok
         else:
-            last = self.tokens[-1] if self.tokens else first
+            last = self.tokens[-1]
         return JavaNode(
             kind=kind,
             line_start=start,
@@ -433,25 +420,10 @@ class _Parser:
             malformed=tok is None,
         )
 
-    def _parse_type_decl(self, keyword: str) -> JavaNode:
-        first = self._peek()
-        assert first is not None
-        start = self._attached_comment_start(first.line_start) or first.line_start
-        # Consume everything up to (and including) the type keyword.
-        while True:
-            tok = self._peek()
-            if tok is None:
-                return JavaNode("error", start, self.tokens[-1].line_end, malformed=True)
-            if tok.kind == "ident" and tok.text in TYPE_KEYWORDS:
-                self._next()
-                break
-            if tok.kind == "punct" and tok.text == "@":
-                nxt = self._peek(1)
-                if nxt is not None and nxt.text == "interface":
-                    self._next()
-                    self._next()
-                    break
-            self._next()
+    def _parse_type_decl(self, start: int, keyword: str, offset: int) -> JavaNode:
+        """Parse a type declaration whose keyword ``_scan_decl_head`` found
+        ``offset`` significant tokens past the cursor."""
+        self.pos += offset + (2 if keyword == "@interface" else 1)
         name_tok = self._peek()
         name = name_tok.text if name_tok is not None and name_tok.kind == "ident" else None
         # Header: everything before the body brace (extends/implements/record
@@ -487,7 +459,7 @@ class _Parser:
                 node.members.append(constants)
         closing = self._parse_members(node)
         if closing is None:
-            node.line_end = self.tokens[-1].line_end if self.tokens else start
+            node.line_end = self.tokens[-1].line_end
             node.malformed = True
         else:
             node.line_end = closing.line_end
@@ -508,18 +480,16 @@ class _Parser:
             if tok.kind == "punct" and tok.text == "}":
                 return JavaNode("enum_constants", start, last.line_end)
             if tok.kind == "punct" and tok.text == ";":
-                consumed = self._next()
-                assert consumed is not None
-                return JavaNode("enum_constants", start, consumed.line_end)
+                self.pos += 1
+                return JavaNode("enum_constants", start, tok.line_end)
             if tok.kind == "punct" and tok.text in _OPENERS:
                 closed = self._consume_balanced()
                 if closed is None:
                     return JavaNode("enum_constants", start, last.line_end, malformed=True)
                 last = closed
                 continue
-            consumed = self._next()
-            assert consumed is not None
-            last = consumed
+            self.pos += 1
+            last = tok
 
     def _parse_members(self, type_node: JavaNode) -> Token | None:
         """Parse members until the type body's closing brace. Returns that
@@ -533,84 +503,37 @@ class _Parser:
             if tok.kind == "punct" and tok.text == ";":
                 self._next()  # stray semicolon: residue
                 continue
-            member = self._parse_member(type_node.name)
-            if member is not None:
-                type_node.members.append(member)
+            type_node.members.append(self._parse_member(type_node.name))
 
-    def _parse_member(self, enclosing_name: str | None) -> JavaNode | None:
+    def _parse_member(self, enclosing_name: str | None) -> JavaNode:
         first = self._peek()
         assert first is not None
-        start = self._attached_comment_start(first.line_start) or first.line_start
+        start = self._decl_start()
 
         if first.kind == "ident" and first.text == "static":
             nxt = self._peek(1)
             if nxt is not None and nxt.kind == "punct" and nxt.text == "{":
                 self._next()  # 'static'
-                closing = self._consume_balanced()
-                end = closing.line_end if closing is not None else self.tokens[-1].line_end
-                return JavaNode("initializer", start, end, malformed=closing is None)
+                first = nxt
         if first.kind == "punct" and first.text == "{":
             closing = self._consume_balanced()
             end = closing.line_end if closing is not None else self.tokens[-1].line_end
             return JavaNode("initializer", start, end, malformed=closing is None)
 
-        keyword, _ = self._scan_decl_head()
+        keyword, offset = self._scan_decl_head()
         if keyword is not None:
-            nested = self._parse_type_decl(keyword)
-            nested.line_start = min(nested.line_start, start)
-            return nested
-
+            return self._parse_type_decl(start, keyword, offset)
+        self.pos += offset
         return self._parse_field_or_callable(start, enclosing_name)
 
     def _parse_field_or_callable(self, start: int, enclosing_name: str | None) -> JavaNode:
-        # Strip annotations, modifiers and generic type parameters.
-        while True:
-            tok = self._peek()
-            if tok is None:
-                return JavaNode("error", start, self.tokens[-1].line_end, malformed=True)
-            if tok.kind == "punct" and tok.text == "@":
-                self._next()
-                while True:
-                    name_tok = self._peek()
-                    if name_tok is None or name_tok.kind != "ident":
-                        break
-                    self._next()
-                    dot = self._peek()
-                    if dot is not None and dot.kind == "punct" and dot.text == ".":
-                        self._next()
-                        continue
-                    break
-                paren = self._peek()
-                if paren is not None and paren.kind == "punct" and paren.text == "(":
-                    if self._consume_balanced() is None:
-                        return JavaNode("error", start, self.tokens[-1].line_end, malformed=True)
-                continue
-            if tok.kind == "ident" and tok.text in MODIFIERS:
-                self._next()
-                continue
-            if tok.kind == "punct" and tok.text == "<":
-                depth = 0
-                while True:
-                    tok2 = self._next()
-                    if tok2 is None:
-                        return JavaNode("error", start, self.tokens[-1].line_end, malformed=True)
-                    if tok2.kind == "punct":
-                        if tok2.text == "<":
-                            depth += 1
-                        elif tok2.text == ">":
-                            depth -= 1
-                    if depth == 0:
-                        break
-                continue
-            break
-
         # Collect signature tokens until the decision point: '(' means a
         # callable, '=' or ';' a field, '{' a record compact constructor.
         sig: list[Token] = []
         while True:
             tok = self._peek()
             if tok is None:
-                last_line = sig[-1].line_end if sig else start
+                last_line = sig[-1].line_end if sig else self.tokens[-1].line_end
                 return JavaNode("error", start, max(last_line, start), malformed=True)
             if tok.kind == "punct" and tok.text == "(":
                 return self._finish_callable(start, sig, enclosing_name)
@@ -628,10 +551,8 @@ class _Parser:
                 # without consuming the brace (it closes the enclosing type).
                 last_line = sig[-1].line_end if sig else start
                 return JavaNode("error", start, max(last_line, start), malformed=True)
-            consumed = self._next()
-            assert consumed is not None
-            sig.append(consumed)
-
+            self.pos += 1
+            sig.append(tok)
     def _finish_callable(self, start: int, sig: list[Token], enclosing_name: str | None) -> JavaNode:
         name = sig[-1].text if sig and sig[-1].kind == "ident" else None
         idents = [t for t in sig if t.kind in ("ident", "number")]
@@ -657,9 +578,8 @@ class _Parser:
                 last = closing
                 break
             if tok.kind == "punct" and tok.text == ";":
-                consumed = self._next()
-                assert consumed is not None
-                last = consumed
+                self.pos += 1
+                last = tok
                 break
             if tok.kind == "punct" and tok.text == "}":
                 # Body never opened and the enclosing type is closing:
@@ -672,9 +592,8 @@ class _Parser:
                     return JavaNode("error", start, self.tokens[-1].line_end, name=name, malformed=True)
                 last = closed
                 continue
-            consumed = self._next()
-            assert consumed is not None
-            last = consumed
+            self.pos += 1
+            last = tok
         return JavaNode(
             "constructor" if is_constructor else "method",
             start,
@@ -694,9 +613,7 @@ class _Parser:
         return JavaNode("field", start, last.line_end, name=name)
 
     def _recover_error(self) -> JavaNode:
-        first = self._peek()
-        assert first is not None
-        start = self._attached_comment_start(first.line_start) or first.line_start
+        start = self._decl_start()
         last: Token | None = None
         while True:
             tok = self._peek()
@@ -709,9 +626,9 @@ class _Parser:
                     break
                 last = closed
                 continue
-            consumed = self._next()
-            last = consumed
-            if consumed is not None and consumed.kind == "punct" and consumed.text == ";":
+            self.pos += 1
+            last = tok
+            if tok.kind == "punct" and tok.text == ";":
                 break
         end = last.line_end if last is not None else start
         return JavaNode("error", start, max(end, start), malformed=True)
@@ -720,16 +637,16 @@ class _Parser:
 def parse_source(file_path: str, source: str) -> list[CompilationUnit]:
     """Parse one file into its compilation unit (always a 1-element list).
 
-    Raises ParseError only when the lexer itself cannot make progress, which
-    for text input effectively never happens; recoverable trouble surfaces
-    as error nodes instead.
+    Never raises: recoverable trouble surfaces as error nodes, and a file
+    nested too deeply for the recursive descent becomes one error node
+    spanning the whole file.
     """
-    lines = source.splitlines(keepends=True)
+    lines = _LINE.findall(source)
     try:
         tokens = lex(source)
-        nodes = _Parser(file_path, tokens).parse_unit() if tokens else []
-    except RecursionError as exc:
-        raise ParseError(file_path, 1, f"parser recursion limit: {exc}") from exc
+        nodes = _Parser(tokens).parse_unit() if tokens else []
+    except RecursionError:
+        nodes = [JavaNode("error", 1, len(lines), malformed=True)]
     unit = CompilationUnit(file_path=file_path, lines=lines, nodes=nodes)
     _clamp_spans(unit)
     return [unit]

@@ -84,12 +84,25 @@ def _make_block(unit: CompilationUnit, span: _Span, theta: int) -> CodeBlock:
     )
 
 
+# Member kinds that become blocks of their own, keyed by parser node kind.
+_SPLIT_NODES = {
+    "field": NodeKind.FIELD_DECLARATION,
+    "method": NodeKind.METHOD_DECLARATION,
+    "constructor": NodeKind.CONSTRUCTOR_DECLARATION,
+}
+
+
 def _collect_anchors(
     unit: CompilationUnit,
     nodes: Sequence[JavaNode],
     theta: int,
     class_path: list[str],
 ) -> list[_Span]:
+    """Anchors of a unit's top-level nodes or of one type's members.
+
+    The parser yields imports and packages only at the top level and
+    members only inside types, so one walk serves both levels.
+    """
     anchors: list[_Span] = []
     enclosing = ".".join(class_path) or None
     i = 0
@@ -111,69 +124,20 @@ def _collect_anchors(
         if node.kind == "type":
             path = class_path + [node.name or "<anonymous>"]
             if DEFAULT_TOKENIZER.count(unit.text_of(node)) >= theta:
-                anchors.extend(_collect_member_anchors(unit, node, theta, path))
+                anchors.extend(_collect_anchors(unit, node.members, theta, path))
             else:
                 anchors.append(
                     _Span(NodeKind.OTHER, node.line_start, node.line_end, ".".join(path))
                 )
-            i += 1
-            continue
-        if node.kind == "error":
+        elif node.kind in _SPLIT_NODES:
+            method = None if node.kind == "field" else node.name
             anchors.append(
-                _Span(NodeKind.OTHER, node.line_start, node.line_end, enclosing)
+                _Span(_SPLIT_NODES[node.kind], node.line_start, node.line_end, enclosing, method)
             )
-            i += 1
-            continue
-        # package declarations and anything else at this level stay residue
+        elif node.kind in ("initializer", "enum_constants", "error"):
+            anchors.append(_Span(NodeKind.OTHER, node.line_start, node.line_end, enclosing))
+        # package declarations stay residue
         i += 1
-    return anchors
-
-
-def _collect_member_anchors(
-    unit: CompilationUnit,
-    type_node: JavaNode,
-    theta: int,
-    class_path: list[str],
-) -> list[_Span]:
-    dotted = ".".join(class_path)
-    anchors: list[_Span] = []
-    for member in type_node.members:
-        if member.kind == "field":
-            anchors.append(
-                _Span(NodeKind.FIELD_DECLARATION, member.line_start, member.line_end, dotted)
-            )
-        elif member.kind == "method":
-            anchors.append(
-                _Span(
-                    NodeKind.METHOD_DECLARATION,
-                    member.line_start,
-                    member.line_end,
-                    dotted,
-                    member.name,
-                )
-            )
-        elif member.kind == "constructor":
-            anchors.append(
-                _Span(
-                    NodeKind.CONSTRUCTOR_DECLARATION,
-                    member.line_start,
-                    member.line_end,
-                    dotted,
-                    member.name,
-                )
-            )
-        elif member.kind == "type":
-            path = class_path + [member.name or "<anonymous>"]
-            if DEFAULT_TOKENIZER.count(unit.text_of(member)) >= theta:
-                anchors.extend(_collect_member_anchors(unit, member, theta, path))
-            else:
-                anchors.append(
-                    _Span(NodeKind.OTHER, member.line_start, member.line_end, ".".join(path))
-                )
-        elif member.kind in ("initializer", "enum_constants", "error"):
-            anchors.append(
-                _Span(NodeKind.OTHER, member.line_start, member.line_end, dotted)
-            )
     return anchors
 
 

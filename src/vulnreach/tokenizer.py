@@ -3,25 +3,14 @@
 The size threshold that drives segmentation is measured in tokens. The
 default tokenizer is a plain lexical one: identifier/number runs count as
 one token each, every other non-space character counts individually. It
-needs no vocabulary, so indexing stays offline-testable; providers that
-bill by their own tokenizer can plug in a replacement.
+needs no vocabulary, so indexing stays offline-testable.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Protocol, runtime_checkable
 
 _LEXEME = re.compile(r"\w+|[^\w\s]", re.UNICODE)
-
-
-@runtime_checkable
-class Tokenizer(Protocol):
-    name: str
-
-    def tokenize(self, text: str) -> list[str]: ...
-
-    def count(self, text: str) -> int: ...
 
 
 class LexicalTokenizer:

@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from vulnreach import (
     CodeBlock,
@@ -127,3 +128,30 @@ def write_tool_config(path: Path, **overrides) -> Path:
 
 def unit_vector(values, dims: int | None = None) -> EmbeddingVector:
     return EmbeddingVector.normalized(list(values))
+
+
+# Adversarial Java-ish fragments: unbalanced brackets, unterminated strings,
+# text blocks, chars and comments, every line terminator and the characters
+# ``str.splitlines`` also splits at (FF, VT, NEL, U+2028/9), NUL, non-BMP
+# text, escapes, annotations naming ``.class``, and declaration keywords.
+_JAVA_FRAGMENTS = [
+    "{", "}", "(", ")", "[", "]", "<", ">", ";", "=", ",", ".", "@", "-", "*", "/",
+    '"', "'", '"""', "//", "/*", "*/", "\\", " ", "\t", "\n", "\r\n", "\r", "\f", "\v",
+    "\x85", "\u2028", "\u2029", "\x00", "\U0001f600", "\u00e9", "class", "interface",
+    "enum", "record", "@interface", "static", "public", "non-sealed", "import", "package",
+    "A", "x", "int", "void", "default", "Foo.class", "@Ann(Foo.class) ", "/** d */",
+    '"s"', "'c'", "class A { ", "void m() { ", "A() {} ", "int f; ",
+]
+_FRAGMENT_TEXT = st.lists(st.sampled_from(_JAVA_FRAGMENTS), max_size=40).map("".join)
+
+# Java source text for property tests: fragment soup, optionally wrapped in
+# classes nested up to well past the parser's recursion limit.
+JAVA_SOURCES = st.one_of(
+    _FRAGMENT_TEXT,
+    st.builds(
+        lambda depth, body, close: "class A {\n" * depth + body + "}\n" * (depth if close else 0),
+        st.integers(1, 450),
+        _FRAGMENT_TEXT,
+        st.booleans(),
+    ),
+)

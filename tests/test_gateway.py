@@ -1,11 +1,14 @@
 import itertools
 import json
+import re
 import sys
 import threading
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES, make_block
 from vulnreach.errors import ConfigError, MalformedResponse, ProviderError
@@ -86,6 +89,56 @@ class TestPromptTemplate:
         assert a.sha256 == b.sha256 and len(a.sha256) == 16
 
 
+# Fragments of prose, fences and (often broken) JSON, with braces in strings
+# and escapes, so candidate objects nest, fail and overlap.
+_JSONISH = [
+    "{", "}", "[", "]", '"', "\\", '\\"', ":", ",", " ", "\n", "x", "1", "true", "null",
+    '"a"', '"b": ', '"{"', '"}"', '{"a": 1}', '{"r": "needs {more}"}', "```json\n", "```",
+    "Sure: ",
+]
+
+
+def brace_matching_extract(text: str):
+    """The hand-written matcher ``extract_json_object`` used before
+    ``raw_decode``: the first brace-balanced, string-aware span from some
+    ``{`` that parses as JSON."""
+    stripped = text.strip()
+    if stripped.startswith("```"):
+        stripped = re.sub(r"^```[a-zA-Z]*\s*|\s*```$", "", stripped).strip()
+    try:
+        return json.loads(stripped)
+    except json.JSONDecodeError:
+        pass
+    start = stripped.find("{")
+    while start != -1:
+        depth = 0
+        in_string = False
+        escape = False
+        for idx in range(start, len(stripped)):
+            ch = stripped[idx]
+            if in_string:
+                if escape:
+                    escape = False
+                elif ch == "\\":
+                    escape = True
+                elif ch == '"':
+                    in_string = False
+                continue
+            if ch == '"':
+                in_string = True
+            elif ch == "{":
+                depth += 1
+            elif ch == "}":
+                depth -= 1
+                if depth == 0:
+                    try:
+                        return json.loads(stripped[start : idx + 1])
+                    except json.JSONDecodeError:
+                        break
+        start = stripped.find("{", start + 1)
+    raise MalformedResponse(f"no JSON object found in response: {text[:120]!r}")
+
+
 class TestExtractJson:
     def test_bare_object(self):
         assert extract_json_object('{"answer": "yes"}') == {"answer": "yes"}
@@ -100,6 +153,23 @@ class TestExtractJson:
     def test_no_object_raises(self):
         with pytest.raises(MalformedResponse):
             extract_json_object("I cannot answer that.")
+
+    def test_nesting_past_the_recursion_limit_is_no_object(self):
+        with pytest.raises(MalformedResponse):
+            extract_json_object("[" * 5000)
+        text = 'Sure: ' + '{"a": ' * 1500 + '{"answer": "yes"}'
+        assert extract_json_object(text) == {"answer": "yes"}
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from(_JSONISH), max_size=24).map("".join))
+    def test_matches_brace_matching_reference(self, text):
+        try:
+            expected = brace_matching_extract(text)
+        except MalformedResponse:
+            with pytest.raises(MalformedResponse):
+                extract_json_object(text)
+        else:
+            assert extract_json_object(text) == expected
 
 
 class TestGradeInvocation:
@@ -292,12 +362,13 @@ class TestTranscript:
 
     def test_sink_streams_entries_as_they_land(self, tmp_path: Path, vuln):
         path = tmp_path / "stream.jsonl"
-        gw = ChatGateway(
-            scripted(defaults={RoleKind.GRADER: '{"answer": "no"}'}),
-            transcript=Transcript(sink_path=path),
-        )
-        gw.grade_invocation(ENCODE_BLOCK, vuln.api_signatures[0])
-        lines = path.read_text().strip().splitlines()
+        with Transcript(sink_path=path) as transcript:
+            gw = ChatGateway(
+                scripted(defaults={RoleKind.GRADER: '{"answer": "no"}'}),
+                transcript=transcript,
+            )
+            gw.grade_invocation(ENCODE_BLOCK, vuln.api_signatures[0])
+            lines = path.read_text().strip().splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["role_kind"] == "grader"
 
     def test_replay_reproduces_identical_parsed_sequence(self, vuln):

@@ -1,4 +1,13 @@
+import bisect
+import itertools
+
+from hypothesis import given, settings
+
+from conftest import JAVA_SOURCES
 from vulnreach.javaparse import lex, parse_source
+
+# What lex skips between tokens; every other character starts one.
+_LEX_SPACE = " \t\f\v\r\n"
 
 
 def kinds(unit):
@@ -133,3 +142,93 @@ class TestParseSource:
     def test_stray_top_level_garbage_becomes_error(self):
         unit = parse_source("G.java", ") ;\nclass A {}\n")[0]
         assert kinds(unit) == ["error", "type"]
+
+
+def walk(nodes):
+    for node in nodes:
+        yield node
+        yield from walk(node.members)
+
+
+def deep_nest(depth: int) -> str:
+    return "class A {\n" * depth + "}\n" * depth
+
+
+class TestFuzzNet:
+    @settings(max_examples=300, deadline=None)
+    @given(JAVA_SOURCES)
+    def test_parse_never_raises_and_lines_agree(self, source):
+        unit = parse_source("F.java", source)[0]
+        assert "".join(unit.lines) == source
+        for k, line in enumerate(unit.lines):
+            # One terminator per line, at its end; only the last may lack it.
+            body = line.removesuffix("\n").removesuffix("\r")
+            assert "\r" not in body and "\n" not in body
+            assert body != line or k == unit.line_count - 1
+        # Each token's line_start is the unit line holding its first char.
+        line_ends = list(itertools.accumulate(len(line) for line in unit.lines))
+        pos = 0
+        for tok in lex(source):
+            while source[pos] in _LEX_SPACE:
+                pos += 1
+            assert source.startswith(tok.text, pos)
+            assert tok.line_start == bisect.bisect_right(line_ends, pos) + 1
+            assert tok.line_end >= tok.line_start
+            pos += len(tok.text)
+        assert not source[pos:].strip(_LEX_SPACE)
+        for node in walk(unit.nodes):
+            assert 1 <= node.line_start <= node.line_end <= unit.line_count
+
+    def test_annotation_naming_class_literal_keeps_type_name(self):
+        src = (
+            "@RunWith(SpringRunner.class) public class OrderServiceTest {\n"
+            "    public OrderServiceTest() {}\n"
+            "}\n"
+        )
+        node = parse_source("T.java", src)[0].nodes[0]
+        assert (node.kind, node.name, node.type_keyword) == ("type", "OrderServiceTest", "class")
+        assert [(m.kind, m.name) for m in node.members] == [("constructor", "OrderServiceTest")]
+
+    def test_nested_annotation_naming_class_literal_keeps_type_name(self):
+        src = (
+            "class Outer {\n"
+            "    @Ann(value = Foo.class) static class Inner {\n"
+            "        Inner() {}\n"
+            "    }\n"
+            "}\n"
+        )
+        unit = parse_source("O.java", src)[0]
+        assert [dotted for _, dotted in unit.iter_types()] == ["Outer", "Outer.Inner"]
+        inner = unit.nodes[0].members[0]
+        assert [(m.kind, m.name) for m in inner.members] == [("constructor", "Inner")]
+
+    def test_lone_cr_ends_lines(self):
+        unit = parse_source("C.java", "class A {\r    int x;\r    void m() {\r    }\r}\r")[0]
+        assert unit.line_count == 5
+        members = unit.nodes[0].members
+        assert [(m.kind, m.line_start, m.line_end) for m in members] == [
+            ("field", 2, 2),
+            ("method", 3, 4),
+        ]
+
+    def test_form_feed_and_line_separator_do_not_end_lines(self):
+        src = "// page\f break \u2028 in a comment\nclass A {\f\n    void m() {}\n}\n"
+        unit = parse_source("F.java", src)[0]
+        assert unit.line_count == 4
+        method = unit.nodes[0].members[0]
+        assert (method.kind, method.line_start) == ("method", 3)
+        assert unit.text_of(method) == "    void m() {}\n"
+
+    def test_escaped_line_break_in_string_advances_lines(self):
+        for eol in ("\n", "\r\n", "\r"):
+            src = eol.join(["class A {", '    String s = "a\\', 'b";', "    void m() {}", "}", ""])
+            members = parse_source("S.java", src)[0].nodes[0].members
+            assert [(m.kind, m.line_start, m.line_end) for m in members] == [
+                ("field", 2, 3),
+                ("method", 4, 4),
+            ]
+
+    def test_too_deep_nesting_becomes_one_error_node(self):
+        src = deep_nest(400)
+        unit = parse_source("D.java", src)[0]
+        assert [(n.kind, n.line_start, n.line_end) for n in unit.nodes] == [("error", 1, 800)]

@@ -2,9 +2,11 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import FIXTURES
+from conftest import FIXTURES, JAVA_SOURCES
 from corpus import generate_corpus
+from vulnreach import cli
 from vulnreach.errors import EmptyProject
 from vulnreach.javaparse import parse_source
 from vulnreach.model import SPLIT_KINDS, Config, NodeKind
@@ -28,8 +30,9 @@ def build_triple_worker() -> str:
     return "\n".join(lines) + "\n"
 
 
-def assert_coverage_and_reassembly(source: str, blocks) -> None:
-    lines_total = len(source.splitlines())
+def assert_coverage_and_reassembly(source: str, blocks, lines_total: int | None = None) -> None:
+    if lines_total is None:
+        lines_total = len(source.splitlines())
     covered = sorted(ln for b in blocks for ln in range(b.line_start, b.line_end + 1))
     assert covered == list(range(1, lines_total + 1)), "line coverage must be exact"
     assert "".join(b.source for b in blocks) == source, "reassembly must be byte-exact"
@@ -198,3 +201,55 @@ class TestSegmentProject:
             (FIXTURES / "golden_miniproj_theta80.json").read_text(encoding="utf-8")
         )
         assert [b.to_dict() for b in blocks] == golden
+
+
+class TestFuzzNet:
+    @settings(max_examples=100, deadline=None)
+    @given(JAVA_SOURCES)
+    def test_every_line_covered_once_at_every_theta(self, source):
+        unit = parse_source("F.java", source)[0]
+        for theta in (1, 5, 80, 2500):
+            blocks = segment_unit(unit, Config(theta=theta))
+            if not source.strip():
+                assert blocks == []
+            else:
+                assert_coverage_and_reassembly(source, blocks, unit.line_count)
+
+    def test_lone_cr_blocks_hold_their_declarations(self):
+        src = "class A {\r    int x;\r    void m() {\r    }\r}\r"
+        blocks = segment_unit(parse_source("C.java", src)[0], Config(theta=1))
+        by_kind = {b.node_kind: b for b in blocks}
+        assert by_kind[NodeKind.FIELD_DECLARATION].source == "    int x;\r"
+        method = by_kind[NodeKind.METHOD_DECLARATION]
+        assert (method.enclosing_method, method.source) == ("m", "    void m() {\r    }\r}\r")
+        assert_coverage_and_reassembly(src, blocks, 5)
+
+    def test_class_literal_annotation_keeps_enclosing_class(self):
+        src = (
+            "@RunWith(SpringRunner.class) public class OrderServiceTest {\n"
+            "    public OrderServiceTest() {}\n"
+            "    void check() {}\n"
+            "}\n"
+        )
+        blocks = segment_unit(parse_source("T.java", src)[0], Config(theta=1))
+        assert {b.enclosing_class for b in blocks} == {"OrderServiceTest"}
+        assert [b.node_kind for b in blocks if b.enclosing_method] == [
+            NodeKind.CONSTRUCTOR_DECLARATION,
+            NodeKind.METHOD_DECLARATION,
+        ]
+
+    def test_too_deep_file_indexes_next_to_a_normal_one(self, tmp_path: Path):
+        project = tmp_path / "proj"
+        project.mkdir()
+        (project / "A.java").write_text("class A {\n    void a() {}\n}\n")
+        deep = "class D {\n" * 400 + "}\n" * 400
+        (project / "Deep.java").write_text(deep)
+        out = tmp_path / "app.vrix"
+        code = cli.main(["index", "--project", str(project), "--out", str(out), "--theta", "80"])
+        assert code == 0
+        blocks = segment_project(project, Config(theta=80))
+        assert [(b.file_path, b.node_kind) for b in blocks] == [
+            ("A.java", NodeKind.COMPILATION_UNIT),
+            ("Deep.java", NodeKind.OTHER),
+        ]
+        assert blocks[1].source == deep
