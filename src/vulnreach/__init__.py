@@ -29,6 +29,7 @@ from .gateway import (
     Transcript,
 )
 from .javaparse import CompilationUnit, parse_source
+from .memo import Memo, MemoChatProvider, MemoEncoder
 from .model import (
     Candidate,
     CandidateJudgment,
@@ -69,6 +70,9 @@ __all__ = [
     "Judgment",
     "LexicalTokenizer",
     "MatchedBy",
+    "Memo",
+    "MemoChatProvider",
+    "MemoEncoder",
     "metrics",
     "NodeKind",
     "parse_source",

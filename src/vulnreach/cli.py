@@ -18,7 +18,7 @@ from typing import Any, Mapping, Sequence
 
 from . import evalharness
 from .detector import analyze
-from .embedding import EncoderProvider, ReferenceEncoder, RemoteEncoderProvider, embed
+from .embedding import EncoderProvider, ReferenceEncoder, RemoteEncoderProvider
 from .errors import (
     ConfigError,
     EmptyProject,
@@ -29,14 +29,14 @@ from .errors import (
 from .gateway import (
     ChatGateway,
     ChatProvider,
-    MemoChatProvider,
     PromptLibrary,
     RemoteChatProvider,
     ReplayChatProvider,
     ScriptedChatProvider,
     Transcript,
 )
-from .model import Config, Judgment, VulnSpec
+from .memo import Memo, MemoChatProvider, MemoEncoder
+from .model import CodeBlock, Config, Judgment, VulnSpec
 from .segmenter import segment_project
 from .store import StoreEntry, VectorStore
 
@@ -71,7 +71,13 @@ def _encoder_dims(dims: Any, least: int) -> int:
     return dims
 
 
-def build_encoder(spec: Mapping[str, Any]) -> EncoderProvider:
+def build_encoder(spec: Mapping[str, Any], memo: Memo) -> MemoEncoder:
+    """The configured encoder, behind the command's memo: within one run
+    each distinct text is embedded once."""
+    return MemoEncoder(_encoder_provider(spec), memo)
+
+
+def _encoder_provider(spec: Mapping[str, Any]) -> EncoderProvider:
     provider = spec.get("provider", "reference")
     if provider == "reference":
         return ReferenceEncoder(dims=_encoder_dims(spec.get("dims", 256), 8))
@@ -90,10 +96,10 @@ def build_encoder(spec: Mapping[str, Any]) -> EncoderProvider:
     raise ConfigError(f"unknown encoder provider {provider!r}")
 
 
-def build_chat(spec: Mapping[str, Any]) -> ChatProvider:
-    """The configured provider, behind a memo that lives as long as the
-    command: within one run each distinct question is asked once."""
-    return MemoChatProvider(_chat_provider(spec))
+def build_chat(spec: Mapping[str, Any], memo: Memo) -> MemoChatProvider:
+    """The configured provider, behind the command's memo: within one run
+    each distinct question is asked once."""
+    return MemoChatProvider(_chat_provider(spec), memo)
 
 
 def _chat_provider(spec: Mapping[str, Any]) -> ChatProvider:
@@ -132,22 +138,27 @@ def _chat_provider(spec: Mapping[str, Any]) -> ChatProvider:
 
 def cmd_index(args: argparse.Namespace) -> int:
     config = load_config(args)
-    encoder = build_encoder(config.encoder)
+    encoder = build_encoder(config.encoder, Memo())
+    error_blocks: list[CodeBlock] = []
     try:
-        blocks = segment_project(Path(args.project), config)
+        # No parse memo: each file is parsed once anyway.
+        blocks = segment_project(Path(args.project), config, on_error_block=error_blocks.append)
     except EmptyProject:
         print("error: no source files found under the project root", file=sys.stderr)
         return EXIT_USER_ERROR
     try:
         # A project whose files hold no code yields no blocks and an empty index.
-        vectors = embed(encoder, [b.source for b in blocks]) if blocks else []
+        vectors = encoder.embed([b.source for b in blocks])
     except ProviderError as exc:
         print(f"error: embedding provider failed: {exc}", file=sys.stderr)
         return EXIT_PROVIDER_ERROR
     store = VectorStore.create(
         Path(args.out), encoder.dims, [StoreEntry(b, v) for b, v in zip(blocks, vectors)]
     )
-    print(f"indexed {store.count()} blocks at dims {store.dims} -> {args.out}")
+    print(
+        f"indexed {store.count()} blocks at dims {store.dims} -> {args.out}"
+        f" ({len(error_blocks)} parse error region(s) kept as Other blocks)"
+    )
     return EXIT_OK
 
 
@@ -159,11 +170,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"error: invalid vulnerability spec: {exc}", file=sys.stderr)
         return EXIT_USER_ERROR
     store = VectorStore.open(args.index)
-    encoder = build_encoder(config.encoder)
+    memo = Memo()
+    encoder = build_encoder(config.encoder, memo)
     if args.transcript:
         # Every answer comes from the replay, so the report names it.
         config = replace(config, chat={"provider": "replay", "transcript_path": args.transcript})
-    chat_provider = build_chat(config.chat)
+    chat_provider = build_chat(config.chat, memo)
 
     report_path = Path(args.report)
     transcript_path = report_path.with_name(report_path.name + ".transcript.jsonl")
@@ -209,20 +221,27 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: invalid manifest {args.manifest}: {exc}", file=sys.stderr)
         return EXIT_USER_ERROR
-    encoder = build_encoder(config.encoder)
-    chat_provider = build_chat(config.chat)
-    if args.sweep_theta:
-        reports = evalharness.run_theta_sweep(
-            manifest, config, encoder, chat_provider, out_dir=out_dir
-        )
-        for theta, report in sorted(reports.items()):
-            m = report["metrics"]
-            print(f"theta={theta}: {_format_metrics(m)}")
-    else:
-        report = evalharness.run_benchmark(
-            manifest, config, encoder, chat_provider, out_dir=out_dir
-        )
-        print(evalharness.render_table(report), end="")
+    memo = Memo()
+    encoder = build_encoder(config.encoder, memo)
+    chat_provider = build_chat(config.chat, memo)
+    # Embeddings outlive the command, so a re-run embeds only what changed.
+    cache_dir = out_dir / "cache"
+    memo.load_vectors(cache_dir, encoder)
+    try:
+        if args.sweep_theta:
+            reports = evalharness.run_theta_sweep(
+                manifest, config, encoder, chat_provider, out_dir=out_dir
+            )
+            for theta, report in sorted(reports.items()):
+                m = report["metrics"]
+                print(f"theta={theta}: {_format_metrics(m)}")
+        else:
+            report = evalharness.run_benchmark(
+                manifest, config, encoder, chat_provider, out_dir=out_dir
+            )
+            print(evalharness.render_table(report), end="")
+    finally:
+        memo.save_vectors(cache_dir, encoder)
     return EXIT_OK
 
 

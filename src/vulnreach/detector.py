@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .embedding import EncoderProvider, embed
+from .embedding import EncoderProvider
 from .errors import EmptyIndex
 from .gateway import ChatGateway
+from .memo import memoized
 from .model import (
     Candidate,
     CandidateJudgment,
@@ -52,10 +53,11 @@ class ContextCompletion:
 class QueryVectors:
     """Query vectors and search hits for one analysis.
 
-    Each distinct seed or inferred snippet is encoded once, and each
-    distinct (query text, scope) is searched once. A vector depends on its
-    text alone, and one analysis searches one store with one config, so
-    reuse changes no score and no hit.
+    Each distinct seed or inferred snippet is encoded once, through the
+    encoder's memo (a fresh one for a bare encoder), and each distinct
+    (query text, scope) is searched once. A vector depends on its text
+    alone, and one analysis searches one store with one config, so reuse
+    changes no score and no hit.
 
     Entries are only ever added and ``setdefault`` keeps the first, so
     parallel candidates share one memo without a lock; a text two threads
@@ -63,16 +65,11 @@ class QueryVectors:
     """
 
     def __init__(self, encoder: EncoderProvider):
-        self.encoder = encoder
-        self._vectors: dict[str, EmbeddingVector] = {}
+        self.encoder = memoized(encoder)
         self._hits: dict[tuple[str, ScopeFilter], tuple[tuple[StoreEntry, float], ...]] = {}
 
     def __call__(self, texts: Sequence[str]) -> list[EmbeddingVector]:
-        missing = [t for t in dict.fromkeys(texts) if t not in self._vectors]
-        if missing:
-            for text, vector in zip(missing, embed(self.encoder, missing)):
-                self._vectors.setdefault(text, vector)
-        return [self._vectors[t] for t in texts]
+        return self.encoder.embed(texts)
 
     def search(
         self, store: VectorStore, text: str, scope: ScopeFilter, config: Config

@@ -72,20 +72,19 @@ def embed(
 def _call_with_retry(
     provider: EncoderProvider, batch: list[str], retry: RetryPolicy
 ) -> Sequence[np.ndarray | Sequence[float]]:
+    """Retry only transient failures, with exponential backoff; any other
+    failure is raised at once."""
     delay = retry.base_delay
-    last: ProviderError | None = None
-    for attempt in range(retry.retries + 1):
+    for _ in range(retry.retries):
         try:
             return provider.encode_batch(batch)
         except ProviderError as exc:
-            last = exc
-            if attempt == retry.retries:
-                break
-            if delay > 0:
-                time.sleep(delay)
-            delay *= retry.multiplier
-    assert last is not None
-    raise last
+            if not exc.transient:
+                raise
+        if delay > 0:
+            time.sleep(delay)
+        delay *= retry.multiplier
+    return provider.encode_batch(batch)
 
 
 def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
@@ -220,7 +219,7 @@ class RemoteEncoderProvider:
                 timeout=self.timeout,
             )
         except requests.RequestException as exc:
-            raise ProviderError(f"embedding request failed: {exc}") from exc
+            raise ProviderError(f"embedding request failed: {exc}", connection=True) from exc
         if response.status_code != 200:
             raise ProviderError(
                 f"embedding endpoint returned {response.status_code}: {response.text[:200]}",

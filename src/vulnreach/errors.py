@@ -20,11 +20,20 @@ class EmptyText(VulnReachError):
 
 
 class ProviderError(VulnReachError):
-    """A model provider call failed after exhausting the retry policy."""
+    """A model provider call failed, after any retries its policy allows."""
 
-    def __init__(self, message: str, status: int | None = None):
+    def __init__(self, message: str, status: int | None = None, *, connection: bool = False):
         super().__init__(message)
         self.status = status
+        self.connection = connection  # the provider could not be reached at all
+
+    @property
+    def transient(self) -> bool:
+        """Worth retrying: no connection, a timeout (408), a rate limit (429)
+        or a server error (5xx). Anything else, such as a 401 or an unset
+        API key, fails the same way every time."""
+        status = self.status
+        return self.connection or status in (408, 429) or (status is not None and 500 <= status < 600)
 
 
 class MalformedResponse(VulnReachError):

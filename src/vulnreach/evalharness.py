@@ -20,9 +20,10 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from .detector import analyze
-from .embedding import EncoderProvider, embed
+from .embedding import EncoderProvider
 from .errors import MissingPrediction, VulnReachError
 from .gateway import ChatGateway, ChatProvider, PromptLibrary, Transcript
+from .memo import MemoChatProvider, MemoEncoder, memoized
 from .model import Config, Judgment, VulnSpec
 from .segmenter import iter_project_files, segment_project
 from .store import StoreEntry, VectorStore
@@ -153,7 +154,8 @@ def metrics(cm: ConfusionMatrix) -> dict[str, float | None]:
 
 
 def corpus_digest(root: Path, ignore_globs: Sequence[str]) -> str:
-    """Content hash of a source tree, for index cache keys."""
+    """Content hash of a source tree. Unused by the program; kept because
+    the benchmark's tracer names it."""
     acc = hashlib.sha256()
     for path in iter_project_files(root, ignore_globs):
         rel = path.relative_to(root).as_posix()
@@ -163,31 +165,28 @@ def corpus_digest(root: Path, ignore_globs: Sequence[str]) -> str:
     return acc.hexdigest()
 
 
-def build_index(
-    root: Path,
-    config: Config,
-    encoder: EncoderProvider,
-    cache_dir: Path | None = None,
-) -> VectorStore:
-    """Segment and embed a project; reuse a cached index when the corpus,
-    theta and encoder all match."""
-    cache_path: Path | None = None
-    if cache_dir is not None:
-        digest = corpus_digest(root, config.ignore_globs)
-        key = hashlib.sha256(
-            f"{digest}|{config.theta}|{encoder.name}|{encoder.dims}".encode("utf-8")
-        ).hexdigest()[:24]
-        cache_path = Path(cache_dir) / f"index-{key}.vrix"
-        if cache_path.exists():
-            return VectorStore.open(cache_path)
-    blocks = segment_project(root, config)
-    vectors = embed(encoder, [b.source for b in blocks]) if blocks else []
-    entries = [StoreEntry(b, v) for b, v in zip(blocks, vectors)]
-    if cache_path is not None:
-        return VectorStore.create(cache_path, encoder.dims, entries)
+def build_index(root: Path, config: Config, encoder: EncoderProvider) -> VectorStore:
+    """Segment and embed a project into an in-memory index.
+
+    Through a memo-backed encoder, files and block texts already seen by
+    its memo (at another theta, say) are not parsed or embedded again.
+    """
+    encoder = memoized(encoder)
+    blocks = segment_project(root, config, memo=encoder.memo)
+    vectors = encoder.embed([b.source for b in blocks])
     store = VectorStore.in_memory(encoder.dims)
-    store.insert(entries)
+    store.insert([StoreEntry(b, v) for b, v in zip(blocks, vectors)])
     return store
+
+
+def _memo_backed(
+    encoder: EncoderProvider, chat_provider: ChatProvider
+) -> tuple[MemoEncoder, ChatProvider]:
+    """Both providers behind one memo: the encoder's, or a fresh one."""
+    encoder = memoized(encoder)
+    if not isinstance(chat_provider, MemoChatProvider):
+        chat_provider = MemoChatProvider(chat_provider, encoder.memo)
+    return encoder, chat_provider
 
 
 def run_benchmark(
@@ -201,10 +200,11 @@ def run_benchmark(
 
     Returns the report dict (also written to ``out_dir`` when given, along
     with a rendered plain-text table and per-analysis transcripts under
-    ``transcripts/theta_<N>/``).
+    ``transcripts/theta_<N>/``). Bare providers are put behind one fresh
+    memo for the run.
     """
+    encoder, chat_provider = _memo_backed(encoder, chat_provider)
     out_path = Path(out_dir) if out_dir is not None else None
-    cache_dir = out_path / "cache" if out_path is not None else None
     transcripts_dir = (
         out_path / "transcripts" / f"theta_{config.theta}" if out_path is not None else None
     )
@@ -223,7 +223,7 @@ def run_benchmark(
         }
         try:
             root = Path(project.root_path)
-            store = build_index(root, config, encoder, cache_dir)
+            store = build_index(root, config, encoder)
             block_counts[project.project_id] = store.count()
             judgments: list[Judgment] = []
             for vuln_id in project.vuln_refs:
@@ -302,7 +302,9 @@ def run_theta_sweep(
     thetas: Sequence[int] = (500, 1000, 1500, 2000, 2500, 3000),
     out_dir: Path | str | None = None,
 ) -> dict[int, dict[str, Any]]:
-    """One full benchmark report per segment-size setting."""
+    """One full benchmark report per segment-size setting, all behind one
+    memo: each file is parsed, and each block text embedded, once."""
+    encoder, chat_provider = _memo_backed(encoder, chat_provider)
     return {
         theta: run_benchmark(
             manifest, replace(config, theta=theta), encoder, chat_provider, out_dir

@@ -354,34 +354,6 @@ class ReplayChatProvider:
             return responses.popleft()
 
 
-class MemoChatProvider:
-    """Asks the wrapped provider each distinct question once.
-
-    The key is the sha256 of the role and the prompt as sent (a reprompt is
-    its own question); the first response for a key answers every repeat.
-    Failures are not kept. Entries are only ever added and each dict
-    operation is atomic, so concurrent callers need no lock: two first asks
-    of one question may both reach the provider, and both get the response
-    that was kept.
-    """
-
-    def __init__(self, provider: ChatProvider):
-        self.provider = provider
-        self.name = provider.name
-        self.model_id = provider.model_id
-        self.temperature = provider.temperature
-        self.max_output_tokens = provider.max_output_tokens
-        self.context_window = provider.context_window
-        self._responses: dict[bytes, str] = {}
-
-    def complete(self, prompt: str, role: RoleKind) -> str:
-        key = hashlib.sha256(f"{role.value}\0{prompt}".encode("utf-8")).digest()
-        response = self._responses.get(key)
-        if response is None:
-            response = self._responses.setdefault(key, self.provider.complete(prompt, role))
-        return response
-
-
 class RemoteChatProvider:
     """Adapter for HTTP chat endpoints speaking the common
     ``{"model": ..., "messages": [...]}`` request shape. Temperature is
@@ -427,7 +399,7 @@ class RemoteChatProvider:
                 timeout=self.timeout,
             )
         except requests.RequestException as exc:
-            raise ProviderError(f"chat request failed: {exc}") from exc
+            raise ProviderError(f"chat request failed: {exc}", connection=True) from exc
         if response.status_code != 200:
             raise ProviderError(
                 f"chat endpoint returned {response.status_code}: {response.text[:200]}",

@@ -18,12 +18,15 @@ import logging
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import EmptyProject
 from .javaparse import CompilationUnit, JavaNode, parse_source
 from .model import CodeBlock, Config, NodeKind
 from .tokenizer import DEFAULT_TOKENIZER
+
+if TYPE_CHECKING:
+    from .memo import Memo
 
 log = logging.getLogger(__name__)
 
@@ -43,10 +46,18 @@ class _Span:
     line_end: int
     enclosing_class: str | None = None
     enclosing_method: str | None = None
+    error: bool = False  # anchored on a parse error region
 
 
-def segment_unit(unit: CompilationUnit, config: Config) -> list[CodeBlock]:
-    """Apply the size-thresholded segmentation rule to one compilation unit."""
+def segment_unit(
+    unit: CompilationUnit,
+    config: Config,
+    on_error_block: Callable[[CodeBlock], None] | None = None,
+) -> list[CodeBlock]:
+    """Apply the size-thresholded segmentation rule to one compilation unit.
+
+    ``on_error_block`` gets each Other block a parse error region became.
+    """
     line_count = unit.line_count
     whole_text = unit.slice_text(1, line_count)
     if not whole_text.strip():
@@ -65,7 +76,12 @@ def segment_unit(unit: CompilationUnit, config: Config) -> list[CodeBlock]:
     anchors = _collect_anchors(unit, unit.nodes, config.theta, [])
     anchors = _normalize_anchors(anchors)
     spans = _carve(unit, anchors)
-    return [_make_block(unit, span, config.theta) for span in spans]
+    blocks = [_make_block(unit, span, config.theta) for span in spans]
+    if on_error_block is not None:
+        for span, block in zip(spans, blocks):
+            if span.error:
+                on_error_block(block)
+    return blocks
 
 
 def _make_block(unit: CompilationUnit, span: _Span, theta: int) -> CodeBlock:
@@ -135,7 +151,12 @@ def _collect_anchors(
                 _Span(_SPLIT_NODES[node.kind], node.line_start, node.line_end, enclosing, method)
             )
         elif node.kind in ("initializer", "enum_constants", "error"):
-            anchors.append(_Span(NodeKind.OTHER, node.line_start, node.line_end, enclosing))
+            anchors.append(
+                _Span(
+                    NodeKind.OTHER, node.line_start, node.line_end, enclosing,
+                    error=node.kind == "error",
+                )
+            )
         # package declarations stay residue
         i += 1
     return anchors
@@ -258,13 +279,17 @@ def segment_project(
     config: Config,
     *,
     on_io_error: Callable[[Path, OSError], None] | None = None,
+    on_error_block: Callable[[CodeBlock], None] | None = None,
+    memo: Memo | None = None,
 ) -> list[CodeBlock]:
     """Segment every source file under root that ``config.ignore_globs``
     leaves in.
 
     Unreadable files are collected via ``on_io_error`` (default: logged) and
-    skipped; an empty project raises EmptyProject. Output is deterministic:
-    ordered by (file_path, line_start).
+    skipped; an empty project raises EmptyProject. ``on_error_block`` gets
+    each Other block a parse error region became. A ``memo`` parses each
+    file's content once across calls, as a theta sweep needs. Output is
+    deterministic: ordered by (file_path, line_start).
     """
     root = Path(root)
     files = iter_project_files(root, config.ignore_globs)
@@ -282,7 +307,7 @@ def segment_project(
                 log.warning("skipping unreadable file %s: %s", path, exc)
             continue
         text = data.decode("utf-8", errors="replace")
-        unit = parse_source(rel, text)[0]
-        blocks.extend(segment_unit(unit, config))
+        unit = memo.parse(rel, text) if memo is not None else parse_source(rel, text)[0]
+        blocks.extend(segment_unit(unit, config, on_error_block))
     blocks.sort(key=lambda b: (b.file_path, b.line_start))
     return blocks

@@ -78,6 +78,18 @@ def unguarded_store(encoder: ReferenceEncoder) -> VectorStore:
     return build_fixture_store("unguarded_app", encoder)
 
 
+class CountingEncoder(ReferenceEncoder):
+    """The reference encoder, recording every text it is sent."""
+
+    def __init__(self, dims: int):
+        super().__init__(dims=dims)
+        self.texts: list[str] = []
+
+    def encode_batch(self, texts):
+        self.texts.extend(texts)
+        return super().encode_batch(texts)
+
+
 def write_toy_manifest(path: Path) -> Path:
     """4-project manifest over the bundled fixture apps (absolute roots)."""
     vuln_spec = json.loads((FIXTURES / "vuln_encoder_null.json").read_text(encoding="utf-8"))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import re
 import shutil
 import threading
@@ -9,8 +10,10 @@ import pytest
 
 from conftest import DIMS, FIXTURES, FIXTURE_THETA, write_tool_config, write_toy_manifest
 from vulnreach import cli
+from vulnreach.embedding import ReferenceEncoder
 from vulnreach.gateway import ChatGateway, ScriptedChatProvider
 from vulnreach.model import Config
+from vulnreach.segmenter import segment_project
 from vulnreach.store import VectorStore
 
 
@@ -107,6 +110,31 @@ class TestIndexCommand:
             assert code == 0, capsys.readouterr().err
             counts.append(int(re.search(r"indexed (\d+) blocks", capsys.readouterr().out).group(1)))
         assert counts[0] == counts[1] >= 1
+
+    def test_reports_parse_error_regions_kept_as_other_blocks(self, tmp_path: Path, capsys):
+        project = tmp_path / "app"
+        project.mkdir()
+        (project / "Broken.java").write_text(
+            "class Broken {\n"
+            "    void ok() {\n        run();\n    }\n"
+            "    int ) garbage (;\n"
+            "    void fine() {\n        go();\n    }\n"
+            "}\n"
+        )
+        reported = []
+        for root in (project, FIXTURES / "guarded_app"):
+            code = run_cli(
+                "index", "--project", str(root), "--out", str(tmp_path / "i.vrix"), "--theta", "5"
+            )
+            assert code == 0
+            reported.append(
+                re.match(
+                    r"indexed \d+ blocks at dims \d+ -> .* \((\d+) parse error region\(s\)"
+                    r" kept as Other blocks\)$",
+                    capsys.readouterr().out.strip(),
+                ).group(1)
+            )
+        assert reported == ["1", "0"]
 
 
 def write_empty_files_project(root: Path) -> Path:
@@ -479,6 +507,101 @@ class TestEvaluateCommand:
 
     def test_evaluate_requires_some_input(self, tmp_path: Path, capsys):
         assert run_cli("evaluate", "--out", str(tmp_path / "o")) == 1
+
+
+class TestEmbeddingCache:
+    """`evaluate` keeps its embeddings under --out/cache across runs."""
+
+    @pytest.fixture()
+    def encoded(self, monkeypatch) -> list[str]:
+        texts: list[str] = []
+        encode = ReferenceEncoder.encode_batch
+
+        def counting(encoder, batch):
+            texts.extend(batch)
+            return encode(encoder, batch)
+
+        monkeypatch.setattr(ReferenceEncoder, "encode_batch", counting)
+        return texts
+
+    @staticmethod
+    def evaluate(tmp_path: Path, manifest: Path, out: Path, *extra: str, dims: int = DIMS) -> dict:
+        config = write_tool_config(
+            tmp_path / "cfg.json", encoder={"provider": "reference", "dims": dims}
+        )
+        code = run_cli(
+            "evaluate", "--manifest", str(manifest), "--config", str(config), "--out", str(out), *extra
+        )
+        assert code == 0
+        reports = {}
+        for path in sorted(out.glob("report_theta_*.json")):
+            report = read_report(path)
+            report.pop("generated_at")
+            reports[path.name] = report
+        return reports
+
+    def test_second_sweep_into_the_same_out_makes_no_encoder_call(self, tmp_path: Path, encoded):
+        manifest = write_toy_manifest(tmp_path / "manifest.json")
+        out = tmp_path / "out"
+        first = self.evaluate(tmp_path, manifest, out, "--sweep-theta")
+        assert encoded and len(encoded) == len(set(encoded))
+        encoded.clear()
+        assert self.evaluate(tmp_path, manifest, out, "--sweep-theta") == first
+        assert encoded == []
+        assert len(list((out / "cache").iterdir())) == 1
+
+    def test_an_edited_file_re_embeds_only_its_changed_blocks(self, tmp_path: Path, encoded):
+        project = tmp_path / "app"
+        shutil.copytree(FIXTURES / "unguarded_app", project)
+        manifest = write_toy_manifest(tmp_path / "manifest.json")
+        raw = json.loads(manifest.read_text())
+        raw["projects"] = [dict(raw["projects"][1], root_path=str(project))]
+        manifest.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        self.evaluate(tmp_path, manifest, out)
+        config = Config(theta=FIXTURE_THETA)
+        before = {b.source for b in segment_project(project, config)}
+        (edited,) = [p for p in project.rglob("*.java") if "encoder.encode(" in p.read_text()]
+        edited.write_text(edited.read_text().replace("encoder.encode(", "this.encoder.encode("))
+        changed = {b.source for b in segment_project(project, config)} - before
+        assert changed
+        encoded.clear()
+        self.evaluate(tmp_path, manifest, out)
+        assert sorted(encoded) == sorted(changed)
+
+    def test_the_cache_of_another_encoder_is_never_read(self, tmp_path: Path, encoded):
+        manifest = write_toy_manifest(tmp_path / "manifest.json")
+        out = tmp_path / "out"
+        self.evaluate(tmp_path, manifest, out)
+        first = list(encoded)
+        encoded.clear()
+        self.evaluate(tmp_path, manifest, out, dims=128)
+        assert sorted(encoded) == sorted(first)
+        assert len(list((out / "cache").iterdir())) == 2
+
+    @pytest.mark.parametrize("damage", ["truncated", "byte-flipped"])
+    def test_a_damaged_cache_is_re_embedded_with_the_same_report(
+        self, tmp_path: Path, encoded, damage: str, caplog
+    ):
+        manifest = write_toy_manifest(tmp_path / "manifest.json")
+        out = tmp_path / "out"
+        first = self.evaluate(tmp_path, manifest, out)
+        (cache,) = (out / "cache").iterdir()
+        data = bytearray(cache.read_bytes())
+        if damage == "truncated":
+            del data[len(data) // 2 :]
+        else:
+            data[len(data) // 2] ^= 0xFF
+        cache.write_bytes(bytes(data))
+        embedded = len(encoded)
+        encoded.clear()
+        with caplog.at_level(logging.WARNING):
+            assert self.evaluate(tmp_path, manifest, out) == first
+        assert len(encoded) == embedded
+        assert "ignoring embedding cache" in caplog.text
+        encoded.clear()
+        self.evaluate(tmp_path, manifest, out)  # the rewritten cache loads
+        assert encoded == []
 
 
 class TestConfig:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import FIXTURES, FIXTURE_TAU, make_block
+from conftest import FIXTURES, FIXTURE_TAU, CountingEncoder, make_block
 from vulnreach.detector import (
     QueryVectors,
     TerminationReason,
@@ -357,16 +357,6 @@ class TestAnalyze:
     def test_empty_index_raises(self, encoder, vuln):
         with pytest.raises(EmptyIndex):
             analyze(VectorStore.in_memory(encoder.dims), encoder, fixture_gateway(), vuln, CFG, "p")
-
-
-class CountingEncoder(ReferenceEncoder):
-    def __init__(self, dims: int):
-        super().__init__(dims=dims)
-        self.texts: list[str] = []
-
-    def encode_batch(self, texts):
-        self.texts.extend(texts)
-        return super().encode_batch(texts)
 
 
 class TestQueryVectors:

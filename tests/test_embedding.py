@@ -1,5 +1,6 @@
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from vulnreach.embedding import (
     ReferenceEncoder,
+    RemoteEncoderProvider,
     RetryPolicy,
     _lexical_normalize,
     cosine,
@@ -245,3 +247,80 @@ class TestEmbed:
 
         with pytest.raises(ProviderError):
             embed(WrongDims(), ["x();"])
+
+
+class TestRetry:
+    """Only a failure that may pass is retried: no connection, 408, 429 or
+    5xx. The default policy sleeps 0.5, 1 and 2 s between four attempts."""
+
+    @staticmethod
+    def failing(*errors: ProviderError):
+        class Scripted:
+            name = "scripted"
+            dims = 16
+            batch_limit = 8
+            calls = 0
+
+            def encode_batch(self, texts):
+                self.calls += 1
+                if self.calls <= len(errors):
+                    raise errors[self.calls - 1]
+                return [reference_encode(t, 16).values for t in texts]
+
+        return Scripted()
+
+    @pytest.fixture()
+    def sleeps(self, monkeypatch) -> list[float]:
+        delays: list[float] = []
+        monkeypatch.setattr(time, "sleep", delays.append)
+        return delays
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            ProviderError("refused", connection=True),
+            ProviderError("timeout", status=408),
+            ProviderError("rate limited", status=429),
+            ProviderError("down", status=500),
+            ProviderError("gateway", status=599),
+        ],
+        ids=["connection", "408", "429", "500", "599"],
+    )
+    def test_transient_failures_are_retried_with_backoff(self, error, sleeps):
+        encoder = self.failing(error, error, error)
+        assert len(embed(encoder, ["x();"])) == 1
+        assert encoder.calls == 4 and sleeps == [0.5, 1.0, 2.0]
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            ProviderError("unauthorized", status=401),
+            ProviderError("forbidden", status=403),
+            ProviderError("bad request", status=400),
+            ProviderError("moved", status=301),
+            ProviderError("environment variable KEY is not set"),
+        ],
+        ids=["401", "403", "400", "301", "no-status"],
+    )
+    def test_other_failures_fail_at_once(self, error, sleeps):
+        encoder = self.failing(error)
+        with pytest.raises(ProviderError) as raised:
+            embed(encoder, ["x();"])
+        assert raised.value is error
+        assert encoder.calls == 1 and sleeps == []
+
+    def test_an_unset_api_key_fails_at_once(self, monkeypatch, sleeps):
+        monkeypatch.delenv("VULNREACH_TEST_UNSET_KEY", raising=False)
+        remote = RemoteEncoderProvider(
+            name="remote", model_id="m", endpoint="http://localhost:9/embed", dims=16,
+            api_key_env="VULNREACH_TEST_UNSET_KEY",
+        )
+        with pytest.raises(ProviderError, match="not set"):
+            embed(remote, ["x();"])
+        assert sleeps == []
+
+    def test_the_last_attempt_surfaces_its_own_error(self, sleeps):
+        errors = [ProviderError(f"down {n}", status=503) for n in range(4)]
+        with pytest.raises(ProviderError) as raised:
+            embed(self.failing(*errors), ["x();"])
+        assert raised.value is errors[-1] and sleeps == [0.5, 1.0, 2.0]

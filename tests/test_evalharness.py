@@ -1,12 +1,14 @@
 import json
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, FIXTURE_TAU, FIXTURE_THETA, write_toy_manifest
+from conftest import FIXTURES, FIXTURE_TAU, FIXTURE_THETA, CountingEncoder, write_toy_manifest
+from vulnreach import memo as memo_module
 from vulnreach.errors import MissingPrediction
 from vulnreach.evalharness import (
     BenchmarkManifest,
@@ -20,8 +22,11 @@ from vulnreach.evalharness import (
     score,
 )
 from vulnreach.gateway import ScriptedChatProvider
+from vulnreach.javaparse import parse_source
+from vulnreach.memo import MemoEncoder
 from vulnreach.model import Config, Judgment, VulnSpec
 from vulnreach.embedding import ReferenceEncoder
+from vulnreach.segmenter import iter_project_files
 from vulnreach.store import VectorStore
 
 
@@ -184,15 +189,49 @@ class TestRunBenchmark:
         assert report["failed_projects"] == 1
         assert report["confusion_matrix"] == {"tp": 2, "fp": 0, "tn": 2, "fn": 0}
 
-    def test_index_cache_reused_across_runs(self, tmp_path: Path, encoder):
-        out = tmp_path / "out"
-        first = run_benchmark(toy_manifest(tmp_path), harness_config(), encoder, scripted_chat(), out_dir=out)
-        cache_files = sorted((out / "cache").glob("index-*.vrix"))
-        assert cache_files, "expected cached index files"
-        second = run_benchmark(toy_manifest(tmp_path), harness_config(), encoder, scripted_chat(), out_dir=out)
-        assert sorted((out / "cache").glob("index-*.vrix")) == cache_files
+    def test_memo_reused_across_runs(self, tmp_path: Path, encoder):
+        counting = MemoEncoder(CountingEncoder(encoder.dims))
+        first = run_benchmark(toy_manifest(tmp_path), harness_config(), counting, scripted_chat())
+        assert counting.provider.texts
+        counting.provider.texts.clear()
+        second = run_benchmark(toy_manifest(tmp_path), harness_config(), counting, scripted_chat())
+        assert counting.provider.texts == []
         for key in ("projects", "confusion_matrix", "metrics", "block_counts"):
             assert first[key] == second[key]
+
+    def test_sweep_embeds_each_text_once_and_parses_each_file_once(
+        self, tmp_path: Path, encoder, monkeypatch
+    ):
+        parsed: list[tuple[str, str]] = []
+
+        def counting_parse(rel_path, text):
+            parsed.append((rel_path, text))
+            return parse_source(rel_path, text)
+
+        monkeypatch.setattr(memo_module, "parse_source", counting_parse)
+        counting = CountingEncoder(encoder.dims)
+        manifest = toy_manifest(tmp_path)
+        run_theta_sweep(manifest, harness_config(), counting, scripted_chat(), (30, 60, 120))
+        assert counting.texts and len(counting.texts) == len(set(counting.texts))
+        files = {
+            (path.relative_to(p.root_path).as_posix(), path.read_text(encoding="utf-8"))
+            for p in manifest.projects
+            for path in iter_project_files(Path(p.root_path), harness_config().ignore_globs)
+        }
+        assert sorted(parsed) == sorted(files)
+
+    def test_sweep_reports_equal_runs_with_fresh_memos(self, tmp_path: Path, encoder):
+        thetas = (30, 60, 100000)
+        manifest = toy_manifest(tmp_path)
+        swept = run_theta_sweep(manifest, harness_config(), encoder, scripted_chat(), thetas)
+        for theta in thetas:
+            alone = run_benchmark(
+                manifest, replace(harness_config(), theta=theta), ReferenceEncoder(encoder.dims),
+                scripted_chat(),
+            )
+            for report in (alone, swept[theta]):
+                report.pop("generated_at")
+            assert swept[theta] == alone
 
     def test_theta_sweep_block_counts_non_increasing(self, tmp_path: Path, encoder):
         reports = run_theta_sweep(
@@ -246,32 +285,34 @@ class TestRunBenchmark:
 
 
 class TestBuildIndex:
-    def test_cache_key_sensitive_to_theta(self, tmp_path: Path, encoder):
-        cache = tmp_path / "cache"
+    def test_memo_shared_across_theta_keeps_stores_apart(self, encoder):
         root = FIXTURES / "guarded_app"
-        cfg_small = Config(theta=40, ignore_globs=())
-        cfg_large = Config(theta=4000, ignore_globs=())
-        store_small = build_index(root, cfg_small, encoder, cache_dir=cache)
-        store_large = build_index(root, cfg_large, encoder, cache_dir=cache)
-        assert store_small.count() > store_large.count()
-        assert len(list(cache.glob("index-*.vrix"))) == 2
+        counting = MemoEncoder(CountingEncoder(encoder.dims))
+        small = build_index(root, Config(theta=40, ignore_globs=()), counting)
+        large = build_index(root, Config(theta=4000, ignore_globs=()), counting)
+        assert small.count() > large.count()
+        for store, theta in ((small, 40), (large, 4000)):
+            alone = build_index(root, Config(theta=theta, ignore_globs=()), encoder)
+            assert list(store.entries()) == list(alone.entries())
+        texts = counting.provider.texts
+        assert len(texts) == len(set(texts))
 
-    def test_cache_hit_returns_equal_store(self, tmp_path: Path, encoder):
-        cache = tmp_path / "cache"
+    def test_cache_hit_returns_equal_store(self, encoder):
         root = FIXTURES / "plain_app"
         cfg = Config(theta=60, ignore_globs=())
-        first = build_index(root, cfg, encoder, cache_dir=cache)
-        second = build_index(root, cfg, encoder, cache_dir=cache)
-        assert [e.block.to_dict() for e in first.entries()] == [
-            e.block.to_dict() for e in second.entries()
-        ]
+        counting = MemoEncoder(CountingEncoder(encoder.dims))
+        first = build_index(root, cfg, counting)
+        embedded = len(counting.provider.texts)
+        second = build_index(root, cfg, counting)
+        assert len(counting.provider.texts) == embedded > 0
+        assert list(first.entries()) == list(second.entries())
 
-    def test_failed_build_leaves_no_cached_index(self, tmp_path: Path, encoder, monkeypatch):
-        # A build that dies before its index is complete must not leave a
-        # cache file behind: the next run would open it and get 0 blocks.
-        cache = tmp_path / "cache"
+    def test_failed_build_leaves_the_memo_whole(self, encoder, monkeypatch):
+        # A build that dies part-way keeps only finished answers: the next
+        # build through the same memo gets every block and vector.
         root = FIXTURES / "plain_app"
         cfg = Config(theta=60, ignore_globs=())
+        memo_backed = MemoEncoder(encoder)
 
         def crash(self, entries):
             raise RuntimeError("simulated crash during insert")
@@ -279,18 +320,20 @@ class TestBuildIndex:
         with monkeypatch.context() as patched:
             patched.setattr(VectorStore, "insert", crash)
             with pytest.raises(RuntimeError):
-                build_index(root, cfg, encoder, cache_dir=cache)
+                build_index(root, cfg, memo_backed)
         full = build_index(root, cfg, encoder)
-        rebuilt = build_index(root, cfg, encoder, cache_dir=cache)
-        assert rebuilt.count() == full.count() > 0
+        rebuilt = build_index(root, cfg, memo_backed)
+        assert list(rebuilt.entries()) == list(full.entries())
+        assert rebuilt.count() > 0
 
     def test_whitespace_only_file_contributes_no_block(self, tmp_path: Path, encoder):
         root = tmp_path / "app"
         shutil.copytree(FIXTURES / "plain_app", root)
         cfg = Config(theta=60, ignore_globs=())
-        without = build_index(root, cfg, encoder)
+        memo_backed = MemoEncoder(encoder)
+        without = build_index(root, cfg, memo_backed)
         (root / "Blank.java").write_text("\n")
-        with_blank = build_index(root, cfg, encoder, cache_dir=tmp_path / "cache")
+        with_blank = build_index(root, cfg, memo_backed)
         assert [e.block.to_dict() for e in with_blank.entries()] == [
             e.block.to_dict() for e in without.entries()
         ]
@@ -301,6 +344,4 @@ class TestBuildIndex:
         (root / "A.java").write_bytes(b"")
         cfg = Config(theta=60, ignore_globs=())
         assert build_index(root, cfg, encoder).count() == 0
-        cached = build_index(root, cfg, encoder, cache_dir=tmp_path / "cache")
-        assert cached.count() == 0
-        assert VectorStore.open(next((tmp_path / "cache").glob("index-*.vrix"))).count() == 0
+        assert build_index(root, cfg, MemoEncoder(encoder)).count() == 0

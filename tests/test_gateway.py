@@ -14,7 +14,6 @@ from conftest import FIXTURES, make_block
 from vulnreach.errors import ConfigError, MalformedResponse, ProviderError
 from vulnreach.gateway import (
     ChatGateway,
-    MemoChatProvider,
     PromptLibrary,
     PromptTemplate,
     ReplayChatProvider,
@@ -23,6 +22,7 @@ from vulnreach.gateway import (
     Transcript,
     extract_json_object,
 )
+from vulnreach.memo import MemoChatProvider
 from vulnreach.model import Candidate, Judgment, MatchedBy, NodeKind, VulnSpec
 
 

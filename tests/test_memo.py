@@ -1,0 +1,227 @@
+"""The per-command memo: content-addressed embeddings and parsed files, and
+the embedding cache file that outlives a command. Chat answers are tested
+here per provider, and otherwise in test_gateway.TestMemoChatProvider."""
+
+import logging
+import os
+import sys
+import tempfile
+import threading
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import DIMS, CountingEncoder
+from vulnreach import memo as memo_module
+from vulnreach.embedding import ReferenceEncoder, reference_encode
+from vulnreach.gateway import RoleKind, ScriptedChatProvider
+from vulnreach.memo import Memo, MemoChatProvider, MemoEncoder, memoized
+
+TEXTS = ["int a = b;", "encoder.encode(raw)", "return null;"]
+
+
+def fresh_bytes(texts, dims: int = DIMS) -> list[bytes]:
+    return [reference_encode(t, dims).values.tobytes() for t in texts]
+
+
+class OtherModel(CountingEncoder):
+    """Same name and dims as the reference encoder, another model."""
+
+    model_id = "other-model"
+
+
+def saved_cache(cache_dir: Path, encoder=None) -> Path:
+    encoder = encoder or ReferenceEncoder(DIMS)
+    memo = Memo()
+    memo.embed(encoder, TEXTS)
+    memo.save_vectors(cache_dir, encoder)
+    (path,) = cache_dir.glob("embeddings-*.bin")
+    return path
+
+
+class TestEmbeddingMemo:
+    def test_each_text_is_sent_once_and_equals_a_fresh_encoding(self):
+        counting = CountingEncoder(DIMS)
+        memo = Memo()
+        got = memo.embed(counting, [*TEXTS, TEXTS[0]])
+        again = memo.embed(counting, TEXTS)
+        assert counting.texts == TEXTS
+        assert got[0] is got[3] is again[0]
+        assert [v.values.tobytes() for v in got] == fresh_bytes([*TEXTS, TEXTS[0]])
+
+    @pytest.mark.parametrize("other", [CountingEncoder(64), OtherModel(DIMS)], ids=["dims", "model"])
+    def test_another_fingerprint_gets_its_own_vectors(self, other):
+        memo = Memo()
+        counting = CountingEncoder(DIMS)
+        memo.embed(counting, TEXTS)
+        memo.embed(other, TEXTS)
+        assert counting.texts == other.texts == TEXTS
+
+    def test_concurrent_callers_all_get_the_kept_vector(self):
+        threads, texts = 8, [f"call{k}();" for k in range(60)]
+        memo = Memo()
+        encoder = ReferenceEncoder(DIMS)
+        start = threading.Barrier(threads, timeout=10)
+        got: list[list] = [[] for _ in range(threads)]
+
+        def ask(mine: list) -> None:
+            start.wait()
+            for text in texts:
+                mine.extend(memo.embed(encoder, [text]))
+
+        workers = [threading.Thread(target=ask, args=(mine,)) for mine in got]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        kept = memo.embed(encoder, texts)
+        for mine in got:
+            assert all(a is b for a, b in zip(mine, kept, strict=True))
+
+    def test_memoized_keeps_a_memo_backed_encoder(self):
+        bare = ReferenceEncoder(DIMS)
+        backed = memoized(bare)
+        assert isinstance(backed, MemoEncoder) and memoized(backed) is backed
+        assert memoized(bare).memo is not backed.memo
+        assert (backed.name, backed.dims) == (bare.name, bare.dims)
+
+
+class TestChatMemo:
+    def test_each_provider_gets_its_own_answers(self):
+        memo = Memo()
+        yes, no = (
+            MemoChatProvider(ScriptedChatProvider(defaults={RoleKind.GRADER: answer}), memo)
+            for answer in ('{"answer": "yes"}', '{"answer": "no"}')
+        )
+        assert yes.complete("p", RoleKind.GRADER) == '{"answer": "yes"}'
+        assert no.complete("p", RoleKind.GRADER) == '{"answer": "no"}'
+
+
+class TestParseMemo:
+    def test_each_content_is_parsed_once(self, monkeypatch):
+        parsed: list[str] = []
+        parse_source = memo_module.parse_source
+
+        def counting(rel_path, text):
+            parsed.append(rel_path)
+            return parse_source(rel_path, text)
+
+        monkeypatch.setattr(memo_module, "parse_source", counting)
+        memo = Memo()
+        first = memo.parse("A.java", "class A {}\n")
+        assert memo.parse("A.java", "class A {}\n") is first
+        other_path = memo.parse("B.java", "class A {}\n")
+        edited = memo.parse("A.java", "class A { int x; }\n")
+        assert parsed == ["A.java", "B.java", "A.java"]
+        assert other_path.file_path == "B.java" and edited is not first
+
+
+class TestVectorCache:
+    def test_round_trip_is_bit_exact_and_sends_nothing(self, tmp_path: Path):
+        saved_cache(tmp_path)
+        counting = CountingEncoder(DIMS)
+        memo = Memo()
+        memo.load_vectors(tmp_path, counting)
+        got = memo.embed(counting, TEXTS)
+        assert counting.texts == []
+        assert [v.values.tobytes() for v in got] == fresh_bytes(TEXTS)
+
+    def test_only_new_vectors_rewrite_the_file(self, tmp_path: Path, monkeypatch):
+        path = saved_cache(tmp_path)
+        memo = Memo()
+        encoder = ReferenceEncoder(DIMS)
+        memo.load_vectors(tmp_path, encoder)
+        memo.embed(encoder, TEXTS)
+        with monkeypatch.context() as patched:
+            patched.setattr(memo_module, "_write_atomic", pytest.fail)
+            memo.save_vectors(tmp_path, encoder)
+        memo.embed(encoder, ["x = y;"])
+        memo.save_vectors(tmp_path, encoder)
+        reread = Memo()
+        counting = CountingEncoder(DIMS)
+        reread.load_vectors(tmp_path, counting)
+        reread.embed(counting, [*TEXTS, "x = y;"])
+        assert counting.texts == [] and list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("other", [ReferenceEncoder(64), OtherModel(DIMS)], ids=["dims", "model"])
+    def test_a_file_of_another_fingerprint_is_never_read(self, tmp_path: Path, other, caplog):
+        theirs = saved_cache(tmp_path / "theirs", other)
+        counting = CountingEncoder(DIMS)
+        saved_cache(tmp_path / "ours")
+        (ours,) = (tmp_path / "ours").glob("embeddings-*.bin")
+        assert ours.name != theirs.name
+        # Even under this encoder's file name, the other file is refused.
+        ours.write_bytes(theirs.read_bytes())
+        memo = Memo()
+        with caplog.at_level(logging.WARNING, logger="vulnreach.memo"):
+            memo.load_vectors(tmp_path / "ours", counting)
+        assert "another encoder" in caplog.text
+        got = memo.embed(counting, TEXTS)
+        assert counting.texts == TEXTS
+        assert [v.values.tobytes() for v in got] == fresh_bytes(TEXTS)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_a_torn_or_flipped_file_costs_re_embedding_never_a_wrong_vector(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = saved_cache(Path(tmp))
+            good = path.read_bytes()
+            at = data.draw(st.integers(0, len(good) - 1), label="offset")
+            if data.draw(st.booleans(), label="truncate"):
+                damaged = good[:at]
+            else:
+                bit = data.draw(st.integers(0, 7), label="bit")
+                damaged = good[:at] + bytes([good[at] ^ (1 << bit)]) + good[at + 1 :]
+            path.write_bytes(damaged)
+            counting = CountingEncoder(DIMS)
+            memo = Memo()
+            memo.load_vectors(Path(tmp), counting)
+            got = memo.embed(counting, TEXTS)
+            assert counting.texts == TEXTS
+            assert [v.values.tobytes() for v in got] == fresh_bytes(TEXTS)
+
+    @pytest.mark.parametrize("crash", [KeyboardInterrupt, OSError])
+    def test_a_crash_before_the_rename_leaves_the_old_file(self, tmp_path: Path, monkeypatch, crash):
+        path = saved_cache(tmp_path)
+        old = path.read_bytes()
+        encoder = ReferenceEncoder(DIMS)
+        memo = Memo()
+        memo.load_vectors(tmp_path, encoder)
+        memo.embed(encoder, ["x = y;"])
+
+        def killed(src, dst):
+            raise crash("killed before the rename")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(os, "replace", killed)
+            if crash is OSError:
+                memo.save_vectors(tmp_path, encoder)  # logged: the cache only saves time
+            else:
+                with pytest.raises(crash):
+                    memo.save_vectors(tmp_path, encoder)
+        assert path.read_bytes() == old
+        assert list(tmp_path.iterdir()) == [path]  # the temp file is gone
+
+    def test_a_crash_mid_write_leaves_no_file(self, tmp_path: Path, monkeypatch):
+        encoder = ReferenceEncoder(DIMS)
+        memo = Memo()
+        memo.embed(encoder, TEXTS)
+
+        def torn(path: Path, data: bytes) -> None:
+            with open(path, "wb") as fh:
+                fh.write(data[: len(data) // 2])
+            raise KeyboardInterrupt("killed mid-write")
+
+        monkeypatch.setattr(Path, "write_bytes", torn)
+        with pytest.raises(KeyboardInterrupt):
+            memo.save_vectors(tmp_path, encoder)
+        monkeypatch.undo()
+        assert list(tmp_path.iterdir()) == []
