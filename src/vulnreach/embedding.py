@@ -14,7 +14,7 @@ import hashlib
 import time
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Protocol, Sequence, runtime_checkable
+from typing import Callable, Iterable, Protocol, Sequence, TypeVar, runtime_checkable
 
 import numpy as np
 
@@ -22,6 +22,8 @@ from .errors import EmptyText, ProviderError
 from .model import EmbeddingVector
 
 _NGRAM_SIZES = (3, 4, 5)
+
+_T = TypeVar("_T")
 
 
 @runtime_checkable
@@ -55,7 +57,7 @@ def embed(
     limit = max(1, provider.batch_limit)
     for offset in range(0, len(texts), limit):
         batch = list(texts[offset : offset + limit])
-        raw = _call_with_retry(provider, batch, retry)
+        raw = call_with_retry(lambda: provider.encode_batch(batch), retry)
         if len(raw) != len(batch):
             raise ProviderError(
                 f"provider {provider.name} returned {len(raw)} vectors for {len(batch)} texts"
@@ -69,22 +71,20 @@ def embed(
     return out
 
 
-def _call_with_retry(
-    provider: EncoderProvider, batch: list[str], retry: RetryPolicy
-) -> Sequence[np.ndarray | Sequence[float]]:
-    """Retry only transient failures, with exponential backoff; any other
-    failure is raised at once."""
+def call_with_retry(call: Callable[[], _T], retry: RetryPolicy = RetryPolicy()) -> _T:
+    """``call()``, retried with exponential backoff while it fails with a
+    transient ``ProviderError``; any other failure is raised at once."""
     delay = retry.base_delay
     for _ in range(retry.retries):
         try:
-            return provider.encode_batch(batch)
+            return call()
         except ProviderError as exc:
             if not exc.transient:
                 raise
         if delay > 0:
             time.sleep(delay)
         delay *= retry.multiplier
-    return provider.encode_batch(batch)
+    return call()
 
 
 def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
@@ -169,12 +169,14 @@ class ReferenceEncoder:
         self.name = "reference"
         self.dims = dims
         self.batch_limit = batch_limit
+        # Each n-gram hashes once for the life of the encoder: a command builds
+        # one encoder, so repeats across batches and theta settings are free.
+        # A code depends on the n-gram and dims alone, so a row still equals
+        # its text encoded alone.
+        self._codes = _GramCodes(dims)
 
     def encode_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
-        # One memo per call: n-grams shared across the batch hash once, and
-        # nothing is kept between calls.
-        codes = _GramCodes(self.dims)
-        return [_hashed_features(t, codes) for t in texts]
+        return [_hashed_features(t, self._codes) for t in texts]
 
 
 class RemoteEncoderProvider:

@@ -1,9 +1,10 @@
 """Uniform interface to chat-model providers for the four prompt roles.
 
 The pipeline talks to one :class:`ChatGateway`, which renders versioned
-templates, enforces structured (JSON) responses with a single automatic
-reprompt before failing hard, packs candidate context into the provider
-window, and appends one transcript entry per provider call. A scripted
+templates, retries transient provider failures, enforces structured (JSON)
+responses with a single automatic reprompt before failing hard, packs
+candidate context into the provider window, and appends one transcript
+entry per answered provider call. A scripted
 provider and a replay provider make the whole pipeline a pure function of
 its inputs for offline and regression runs.
 """
@@ -23,10 +24,11 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Mapping, Protocol, Sequence, TextIO, runtime_checkable
 
+from .embedding import call_with_retry
 from .errors import ConfigError, MalformedResponse, ProviderError
+from .memo import Memo
 from .model import Candidate, CodeBlock, Judgment, VulnSpec
 from .store import ScopeFilter
-from .tokenizer import DEFAULT_TOKENIZER
 
 _PLACEHOLDER = re.compile(r"\{\{(\w+)\}\}")
 _TRUNCATION_MARGIN = 256
@@ -500,14 +502,20 @@ class ChatGateway:
         provider: ChatProvider,
         prompts: PromptLibrary | None = None,
         transcript: Transcript | None = None,
-        token_counter: Callable[[str], int] = DEFAULT_TOKENIZER.count,
+        token_counter: Callable[[str], int] | None = None,
     ):
         self.provider = provider
         self.prompts = prompts or PromptLibrary.bundled()
         self.transcript = transcript if transcript is not None else Transcript()
         # Packing recounts the same template, vulnerability text and blocks
-        # on every call; each distinct text is counted once per gateway.
-        self.token_counter = functools.lru_cache(maxsize=None)(token_counter)
+        # on every call. Each distinct text is counted once: by the memo of a
+        # memo-backed provider, shared with every gateway of its command,
+        # else by this gateway.
+        if token_counter is not None:
+            self.token_counter = functools.lru_cache(maxsize=None)(token_counter)
+        else:
+            memo = getattr(provider, "memo", None)
+            self.token_counter = (memo if memo is not None else Memo()).count_tokens
 
     # -- context packing ---------------------------------------------------
 
@@ -553,7 +561,7 @@ class ChatGateway:
         prompt = template.render(**bindings)
         last_error: MalformedResponse | None = None
         for attempt, text in enumerate((prompt, prompt + REPROMPT_SUFFIX)):
-            raw = self.provider.complete(text, role)
+            raw = call_with_retry(lambda: self.provider.complete(text, role))
             try:
                 parsed = parser(extract_json_object(raw))
                 recorded: Any = parsed

@@ -17,7 +17,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple
+
+from .tokenizer import DEFAULT_TOKENIZER
 
 MODIFIERS = frozenset(
     {
@@ -196,6 +200,37 @@ class CompilationUnit:
 
     def text_of(self, node: JavaNode) -> str:
         return self.slice_text(node.line_start, node.line_end)
+
+    def token_count(self, line_start: int, line_end: int) -> int:
+        """``DEFAULT_TOKENIZER.count(self.slice_text(line_start, line_end))``.
+
+        No token contains whitespace, so none spans a line terminator and
+        counts add exactly across lines: each line is counted once, on first
+        use, and a span is a difference of prefix sums.
+        """
+        prefix = self._token_prefix
+        return prefix[line_end] - prefix[line_start - 1]
+
+    @cached_property
+    def _token_prefix(self) -> list[int]:
+        return [0, *accumulate(map(DEFAULT_TOKENIZER.count, self.lines))]
+
+    def class_at(self, line: int) -> str | None:
+        """Dotted name of the innermost type declaration whose span contains
+        the line; of two as narrow, the one declared first."""
+        return self._class_by_line[line]
+
+    @cached_property
+    def _class_by_line(self) -> list[str | None]:
+        names: list[str | None] = [None] * (self.line_count + 2)
+        # Wider spans first, narrower ones written over them. The sort is
+        # stable over the reversed declaration order, so of two as wide the
+        # first declared is written last and wins.
+        types = sorted(reversed(self.iter_types()), key=lambda t: t[0].line_start - t[0].line_end)
+        for node, dotted in types:
+            count = node.line_end - node.line_start + 1
+            names[node.line_start : node.line_end + 1] = [dotted] * count
+        return names
 
     def iter_types(self) -> list[tuple[JavaNode, str]]:
         """All type declarations with their dotted nesting path, outermost first."""

@@ -8,7 +8,10 @@ content:
 - a chat question, keyed by the role and the prompt as sent, per provider;
 - an embedding, keyed by the sha256 of the encoder fingerprint (name,
   remote model id, dims) and the text;
-- a parsed file, keyed by its relative path and its text.
+- a parsed file, keyed by its relative path and its text;
+- a text's token count, keyed by the sha256 of the text, so the table
+  holds no prompt text. Every chat gateway of the command packs its
+  context through this one table.
 
 Each CLI command builds one memo and drops it when it returns; nothing is
 module-global. Only the embeddings outlive a command: ``save_vectors``
@@ -23,12 +26,9 @@ not kept.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import logging
-import os
-import threading
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -37,6 +37,8 @@ import numpy as np
 from .embedding import EncoderProvider, embed
 from .javaparse import CompilationUnit, parse_source
 from .model import EmbeddingVector
+from .store import _write_atomic
+from .tokenizer import DEFAULT_TOKENIZER
 
 if TYPE_CHECKING:
     from .gateway import ChatProvider, RoleKind
@@ -64,6 +66,7 @@ class Memo:
         self._answers: dict[int, tuple[ChatProvider, dict[bytes, str]]] = {}
         self._vectors: dict[str, dict[bytes, EmbeddingVector]] = {}
         self._units: dict[tuple[str, str], CompilationUnit] = {}
+        self._token_counts: dict[bytes, int] = {}
         # Vectors each fingerprint's cache file holds, as last read or written.
         self._on_disk: dict[str, int] = {}
 
@@ -100,6 +103,14 @@ class Memo:
         if unit is None:
             unit = self._units.setdefault(key, parse_source(rel_path, text)[0])
         return unit
+
+    def count_tokens(self, text: str) -> int:
+        """``DEFAULT_TOKENIZER.count(text)``, counted once per content."""
+        key = hashlib.sha256(_utf8(text)).digest()
+        count = self._token_counts.get(key)
+        if count is None:
+            count = self._token_counts.setdefault(key, DEFAULT_TOKENIZER.count(text))
+        return count
 
     # -- the embedding cache file ------------------------------------------------
 
@@ -188,19 +199,6 @@ def _decode(data: bytes, fingerprint: str, dims: int) -> list[tuple[bytes, Embed
         (body[i * _KEY_BYTES : (i + 1) * _KEY_BYTES], EmbeddingVector(dims, row))
         for i, row in enumerate(rows)
     ]
-
-
-def _write_atomic(path: Path, data: bytes) -> None:
-    """Write to a temp file in the same directory, then rename it into place."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-    try:
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            tmp.unlink()
-        raise
 
 
 class MemoChatProvider:

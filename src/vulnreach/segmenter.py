@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from .errors import EmptyProject
 from .javaparse import CompilationUnit, JavaNode, parse_source
 from .model import CodeBlock, Config, NodeKind
-from .tokenizer import DEFAULT_TOKENIZER
 
 if TYPE_CHECKING:
     from .memo import Memo
@@ -59,12 +58,14 @@ def segment_unit(
     ``on_error_block`` gets each Other block a parse error region became.
     """
     line_count = unit.line_count
-    whole_text = unit.slice_text(1, line_count)
-    if not whole_text.strip():
-        return []  # an empty or whitespace-only file holds nothing to index
+    # Every non-whitespace character is part of a token, so a file without
+    # tokens is empty or whitespace-only: it holds nothing to index.
+    size = unit.token_count(1, line_count)
+    if size == 0:
+        return []
     primary_class = next((n.name for n in unit.nodes if n.kind == "type" and n.name), None)
 
-    if DEFAULT_TOKENIZER.count(whole_text) < config.theta:
+    if size < config.theta:
         return [
             _make_block(
                 unit,
@@ -85,13 +86,12 @@ def segment_unit(
 
 
 def _make_block(unit: CompilationUnit, span: _Span, theta: int) -> CodeBlock:
-    source = unit.slice_text(span.line_start, span.line_end)
-    size = DEFAULT_TOKENIZER.count(source)
+    size = unit.token_count(span.line_start, span.line_end)
     return CodeBlock.create(
         unit.file_path,
         span.line_start,
         span.line_end,
-        source,
+        unit.slice_text(span.line_start, span.line_end),
         span.kind,
         enclosing_class=span.enclosing_class,
         enclosing_method=span.enclosing_method,
@@ -139,7 +139,7 @@ def _collect_anchors(
             continue
         if node.kind == "type":
             path = class_path + [node.name or "<anonymous>"]
-            if DEFAULT_TOKENIZER.count(unit.text_of(node)) >= theta:
+            if unit.token_count(node.line_start, node.line_end) >= theta:
                 anchors.extend(_collect_anchors(unit, node.members, theta, path))
             else:
                 anchors.append(
@@ -213,7 +213,7 @@ def _carve(unit: CompilationUnit, anchors: list[_Span]) -> list[_Span]:
             # Attribute trailing-edge residue (type headers and preambles
             # leading into a declaration) to the type it opens.
             drafts.append(
-                _Span(NodeKind.OTHER, start, gap_end, _enclosing_class_at(unit, gap_end))
+                _Span(NodeKind.OTHER, start, gap_end, unit.class_at(gap_end))
             )
 
     for anchor in anchors:
@@ -229,22 +229,9 @@ def _carve(unit: CompilationUnit, anchors: list[_Span]) -> list[_Span]:
     if pending_prefix is not None:
         # No block ever followed: the whole tail is residue on its own.
         drafts.append(
-            _Span(NodeKind.OTHER, pending_prefix, line_count, _enclosing_class_at(unit, pending_prefix))
+            _Span(NodeKind.OTHER, pending_prefix, line_count, unit.class_at(pending_prefix))
         )
     return drafts
-
-
-def _enclosing_class_at(unit: CompilationUnit, line: int) -> str | None:
-    """Dotted name of the innermost type declaration whose span contains the line."""
-    best: str | None = None
-    best_width = None
-    for node, dotted in unit.iter_types():
-        if node.line_start <= line <= node.line_end:
-            width = node.line_end - node.line_start
-            if best_width is None or width < best_width:
-                best = dotted
-                best_width = width
-    return best
 
 
 def iter_project_files(root: Path, ignore_globs: Sequence[str]) -> list[Path]:

@@ -10,9 +10,12 @@ because every stored vector and every query is unit-norm.
 
 from __future__ import annotations
 
+import contextlib
 import fnmatch
 import json
+import os
 import struct
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
@@ -224,26 +227,24 @@ class VectorStore:
         return store
 
     def save(self) -> None:
+        """Write the index file, then the sidecar, each atomically: a crash
+        leaves every file either old or new, never torn. Nothing yet ties the
+        two files to one build."""
         if self.path is None:
             raise ValueError("in-memory store has no path to save to")
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         header = _HEADER.pack(MAGIC, FORMAT_VERSION, self.dims, len(self._meta))
-        self.path.write_bytes(header + self._vectors.astype("<f4").tobytes())
-        sidecar = _sidecar_path(self.path)
-        sidecar.write_text(
-            json.dumps(
-                {
-                    "format_version": FORMAT_VERSION,
-                    "dims": self.dims,
-                    "count": len(self._meta),
-                    "blocks": self._meta,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
-            encoding="utf-8",
+        _write_atomic(self.path, header + self._vectors.astype("<f4").tobytes())
+        sidecar = json.dumps(
+            {
+                "format_version": FORMAT_VERSION,
+                "dims": self.dims,
+                "count": len(self._meta),
+                "blocks": self._meta,
+            },
+            indent=2,
+            sort_keys=True,
         )
+        _write_atomic(_sidecar_path(self.path), (sidecar + "\n").encode("utf-8"))
 
     # -- data access -----------------------------------------------------
 
@@ -362,3 +363,16 @@ class VectorStore:
         # lexsort is stable and its last key is the primary one.
         rows = rows[np.lexsort((cols.line_start[rows], cols.path_rank[rows], -scores[rows]))]
         return [(self._entry_at(row), float(scores[row])) for row in rows[:k].tolist()]
+
+
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write to a temp file in the same directory, then rename it into place."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise

@@ -18,6 +18,7 @@ from vulnreach import (
     embed,
     segment_project,
 )
+from vulnreach.tokenizer import LexicalTokenizer
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -88,6 +89,20 @@ class CountingEncoder(ReferenceEncoder):
     def encode_batch(self, texts):
         self.texts.extend(texts)
         return super().encode_batch(texts)
+
+
+def record_token_counts(monkeypatch) -> list[str]:
+    """Patch ``LexicalTokenizer.count``, as the bench tracer does, to record
+    every text it counts."""
+    counted: list[str] = []
+    count = LexicalTokenizer.count
+
+    def recording(self, text: str) -> int:
+        counted.append(text)
+        return count(self, text)
+
+    monkeypatch.setattr(LexicalTokenizer, "count", recording)
+    return counted
 
 
 def write_toy_manifest(path: Path) -> Path:

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vulnreach import embedding
 from vulnreach.embedding import (
     ReferenceEncoder,
     RemoteEncoderProvider,
     RetryPolicy,
+    _hash64,
     _lexical_normalize,
     cosine,
     embed,
@@ -27,6 +29,7 @@ GOLDEN_STREAM_UNRELATED = -0.011303946105
 LOOP_SUM = "for (int i = 0; i < values.length; i++) { total += values[i]; }"
 STREAM_SUM = "int total = Arrays.stream(values).sum();"
 UNRELATED = 'return "unrelated banner text";'
+DIMS = 256
 
 
 
@@ -81,6 +84,25 @@ class TestEncoderKernel:
             assert bits(batch) == bits([per_occurrence_features(t, dims) for t in texts])
             for text, row in zip(texts, batch):
                 assert bits(encoder.encode_batch([text])) == bits([row])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_BATCHES, min_size=1, max_size=4))
+    def test_one_encoder_across_batches_equals_a_fresh_encoder_per_text(self, batches):
+        for dims in (8, 13, 256):
+            encoder = ReferenceEncoder(dims)
+            for batch in batches:
+                fresh = [ReferenceEncoder(dims).encode_batch([text])[0] for text in batch]
+                assert bits(encoder.encode_batch(batch)) == bits(fresh)
+
+    def test_each_ngram_is_hashed_once_per_encoder(self, monkeypatch):
+        hashed: list[str] = []
+        monkeypatch.setattr(embedding, "_hash64", lambda gram: hashed.append(gram) or _hash64(gram))
+        encoder = ReferenceEncoder(DIMS)
+        first = encoder.encode_batch([LOOP_SUM, STREAM_SUM])
+        assert hashed and len(hashed) == len(set(hashed))
+        hashed.clear()
+        again = encoder.encode_batch([STREAM_SUM, LOOP_SUM])
+        assert hashed == [] and bits(again) == bits(first[::-1])
 
     def test_short_and_cancelling_texts_match_reference(self):
         # At dims=8 the six signed n-grams of "aaagc" cancel to all zeros, so

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, make_block
+from conftest import FIXTURES, make_block, record_token_counts
 from vulnreach.errors import ConfigError, MalformedResponse, ProviderError
 from vulnreach.gateway import (
     ChatGateway,
@@ -22,7 +22,7 @@ from vulnreach.gateway import (
     Transcript,
     extract_json_object,
 )
-from vulnreach.memo import MemoChatProvider
+from vulnreach.memo import Memo, MemoChatProvider
 from vulnreach.model import Candidate, Judgment, MatchedBy, NodeKind, VulnSpec
 
 
@@ -565,6 +565,85 @@ class TestTokenCountMemo:
             gw.reflection_query([ENCODE_BLOCK, COMMENT_BLOCK], vuln)
         assert counted and len(counted) == len(set(counted))
         assert gw.token_counter("a b c") == 3
+
+
+    def test_gateways_behind_one_memo_count_each_text_once(self, vuln, monkeypatch):
+        counted = record_token_counts(monkeypatch)
+        answers = {
+            RoleKind.REFLECTION: '{"complete": true, "reason": ""}',
+            RoleKind.JUDGE: '{"judgment": "secure", "rationale": "guarded"}',
+        }
+        candidate = Candidate.initial(ENCODE_BLOCK, MatchedBy.BOTH, 0.5, 0.5).extend_context(
+            [COMMENT_BLOCK]
+        )
+
+        def run(memos: list[Memo]) -> list[str]:
+            prompts = []
+            for memo in memos:
+                gw = gateway(MemoChatProvider(scripted(defaults=answers), memo))
+                gw.reflection_query([ENCODE_BLOCK, COMMENT_BLOCK], vuln)
+                gw.judge_reachability(candidate, vuln)
+                prompts.extend(e.rendered_prompt for e in gw.transcript.entries)
+            return prompts
+
+        separate = run([Memo(), Memo()])
+        assert len(counted) > len(set(counted))  # each gateway counted the same texts
+        counted.clear()
+        shared = Memo()
+        assert run([shared, shared]) == separate
+        assert counted and len(counted) == len(set(counted))
+
+
+class TestChatRetry:
+    """A chat call is retried, like an embedding batch, only when it failed
+    in a way that may pass: no connection, 408, 429 or 5xx."""
+
+    @pytest.fixture()
+    def sleeps(self, monkeypatch) -> list[float]:
+        delays: list[float] = []
+        monkeypatch.setattr(time, "sleep", delays.append)
+        return delays
+
+    @staticmethod
+    def failing(*errors: ProviderError) -> CountingProvider:
+        class Failing(CountingProvider):
+            def complete(self, prompt, role):
+                self.asked.append((role, prompt))
+                if len(self.asked) <= len(errors):
+                    raise errors[len(self.asked) - 1]
+                return ScriptedChatProvider.complete(self, prompt, role)
+
+        return Failing(defaults={RoleKind.GRADER: '{"answer": "yes"}'})
+
+    @pytest.mark.parametrize("status", [429, 503])
+    @pytest.mark.parametrize("memo_backed", [False, True], ids=["bare", "memo"])
+    def test_a_transient_failure_then_an_answer_is_one_entry(
+        self, vuln, sleeps, status, memo_backed
+    ):
+        clean = gateway(scripted(defaults={RoleKind.GRADER: '{"answer": "yes"}'}))
+        expected = clean.grade_invocation(ENCODE_BLOCK, vuln.api_signatures[0])
+        provider = self.failing(ProviderError("busy", status=status))
+        gw = gateway(MemoChatProvider(provider) if memo_backed else provider)
+        assert gw.grade_invocation(ENCODE_BLOCK, vuln.api_signatures[0]) is expected is True
+        assert len(provider.asked) == 2 and sleeps == [0.5]
+        assert [e.rendered_prompt for e in gw.transcript.entries] == [
+            e.rendered_prompt for e in clean.transcript.entries
+        ]
+
+    def test_an_unauthorized_call_fails_at_once(self, vuln, sleeps):
+        error = ProviderError("unauthorized", status=401)
+        provider = self.failing(error)
+        gw = gateway(provider)
+        with pytest.raises(ProviderError) as raised:
+            gw.grade_invocation(ENCODE_BLOCK, vuln.api_signatures[0])
+        assert raised.value is error
+        assert len(provider.asked) == 1 and sleeps == [] and len(gw.transcript) == 0
+
+    def test_a_replay_miss_fails_at_once(self, vuln, sleeps):
+        replayed = gateway(ReplayChatProvider(Transcript()))
+        with pytest.raises(ProviderError, match="none recorded"):
+            replayed.grade_invocation(ENCODE_BLOCK, vuln.api_signatures[0])
+        assert sleeps == [] and len(replayed.transcript) == 0
 
 
 class TestScriptedProvider:

@@ -2,9 +2,11 @@ import bisect
 import itertools
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import JAVA_SOURCES
+from conftest import JAVA_SOURCES, record_token_counts
 from vulnreach.javaparse import lex, parse_source
+from vulnreach.tokenizer import DEFAULT_TOKENIZER
 
 # What lex skips between tokens; every other character starts one.
 _LEX_SPACE = " \t\f\v\r\n"
@@ -232,3 +234,69 @@ class TestFuzzNet:
         src = deep_nest(400)
         unit = parse_source("D.java", src)[0]
         assert [(n.kind, n.line_start, n.line_end) for n in unit.nodes] == [("error", 1, 800)]
+
+
+# JAVA_SOURCES joined with line terminators and with whitespace that does not
+# end a line (U+2028, the \x1c-\x1f separators, NEL).
+_SOURCES_WITH_SEPARATORS = st.lists(
+    st.one_of(
+        JAVA_SOURCES, st.sampled_from(["\r", "\n", "\r\n", "\u2028", "\x1c", "\x1d", "\x85"])
+    ),
+    max_size=4,
+).map("".join)
+
+
+def spans_to_check(line_count: int):
+    """Every span of a short unit; of a long one, about 40 prefixes and 40
+    suffixes, the whole unit among them."""
+    if line_count <= 60:
+        return itertools.combinations_with_replacement(range(1, line_count + 1), 2)
+    ends = [*range(1, line_count, line_count // 40), line_count]
+    return itertools.chain(((1, b) for b in ends), ((a, line_count) for a in ends))
+
+
+def innermost_type_by_scan(types, line: int):
+    """Reference for ``class_at``: scan every type, keep the narrowest span
+    holding the line, the first declared among equals."""
+    best, best_width = None, None
+    for node, dotted in types:
+        if node.line_start <= line <= node.line_end:
+            width = node.line_end - node.line_start
+            if best_width is None or width < best_width:
+                best, best_width = dotted, width
+    return best
+
+
+class TestLineTables:
+    @settings(max_examples=100, deadline=None)
+    @given(_SOURCES_WITH_SEPARATORS)
+    def test_span_token_counts_equal_counting_the_span_text(self, source):
+        unit = parse_source("F.java", source)[0]
+        for a, b in spans_to_check(unit.line_count):
+            assert unit.token_count(a, b) == DEFAULT_TOKENIZER.count(unit.slice_text(a, b))
+
+    def test_each_line_is_counted_once(self, monkeypatch):
+        unit = parse_source("A.java", "class A {\r\n    int x = 1;\r    void m() { x++; }\n}")[0]
+        spans = [(a, b) for a in range(1, 5) for b in range(a, 5)]
+        expected = {span: DEFAULT_TOKENIZER.count(unit.slice_text(*span)) for span in spans}
+        counted = record_token_counts(monkeypatch)
+        assert {span: unit.token_count(*span) for span in expected} == expected
+        assert counted == unit.lines
+
+    @settings(max_examples=100, deadline=None)
+    @given(_SOURCES_WITH_SEPARATORS)
+    def test_class_at_matches_a_scan_of_every_type(self, source):
+        unit = parse_source("F.java", source)[0]
+        types = unit.iter_types()
+        for line in range(1, unit.line_count + 1):
+            assert unit.class_at(line) == innermost_type_by_scan(types, line)
+
+    def test_class_at_names_the_innermost_type(self):
+        src = "class Outer {\n    class Inner { int x; }\n    int y;\n}\nclass B {}\n"
+        unit = parse_source("O.java", src)[0]
+        assert [unit.class_at(line) for line in range(1, 6)] == [
+            "Outer", "Outer.Inner", "Outer", "Outer", "B",
+        ]
+        # Of two types as narrow, the first declared is named.
+        one_line = parse_source("L.java", "class A { class B {} }\n")[0]
+        assert one_line.class_at(1) == "A"

@@ -4,13 +4,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from conftest import FIXTURES, JAVA_SOURCES
+from conftest import FIXTURES, JAVA_SOURCES, record_token_counts
 from corpus import generate_corpus
 from vulnreach import cli
 from vulnreach.errors import EmptyProject
 from vulnreach.javaparse import parse_source
 from vulnreach.model import SPLIT_KINDS, Config, NodeKind
 from vulnreach.segmenter import segment_project, segment_unit
+from vulnreach.memo import Memo
 from vulnreach.tokenizer import DEFAULT_TOKENIZER
 
 THETA_GRID = (500, 1000, 1500, 2000, 2500, 3000)
@@ -201,6 +202,15 @@ class TestSegmentProject:
             (FIXTURES / "golden_miniproj_theta80.json").read_text(encoding="utf-8")
         )
         assert [b.to_dict() for b in blocks] == golden
+
+    def test_a_sweep_through_one_memo_counts_each_source_char_once(self, corpus_root, monkeypatch):
+        fresh = {theta: segment_project(corpus_root, Config(theta=theta)) for theta in THETA_GRID}
+        counted = record_token_counts(monkeypatch)
+        memo = Memo()
+        for theta in THETA_GRID:
+            assert segment_project(corpus_root, Config(theta=theta), memo=memo) == fresh[theta]
+        sources = [p.read_bytes().decode("utf-8", "replace") for p in corpus_root.rglob("*.java")]
+        assert sum(map(len, counted)) == sum(map(len, sources))
 
 
 class TestFuzzNet:

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
 
@@ -137,6 +138,35 @@ class TestPersistence:
         path.write_bytes(bytes(data))
         with pytest.raises(IndexFormatError):
             VectorStore.open(path)
+
+    @pytest.mark.parametrize("crash", [OSError, KeyboardInterrupt])
+    @pytest.mark.parametrize("failing_call", [1, 2], ids=["index", "sidecar"])
+    def test_a_failed_rename_leaves_the_files_it_did_not_replace(
+        self, tmp_path: Path, monkeypatch, crash, failing_call
+    ):
+        path = tmp_path / "idx.vrix"
+        store = VectorStore.create(path, DIMS, [entry(i, axis(i)) for i in range(3)])
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        replace, calls = os.replace, []
+
+        def crash_on_call(src, dst):
+            calls.append(dst)
+            if len(calls) == failing_call:
+                raise crash("killed before the rename")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", crash_on_call)
+        with pytest.raises(crash):
+            store.insert([entry(3, axis(3))])
+        monkeypatch.undo()
+        after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert sorted(after) == sorted(before)  # no temp file left behind
+        if failing_call == 1:
+            assert after == before
+            assert VectorStore.open(path).count() == 3
+        else:  # the index file is new and whole; the sidecar is the old one
+            assert after[path.name] != before[path.name]
+            assert after[path.name + ".meta.json"] == before[path.name + ".meta.json"]
 
     def test_rejects_garbage_file(self, tmp_path: Path):
         path = tmp_path / "junk.vrix"
