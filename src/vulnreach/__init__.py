@@ -29,7 +29,7 @@ from .gateway import (
     Transcript,
 )
 from .javaparse import CompilationUnit, parse_source
-from .memo import Memo, MemoChatProvider, MemoEncoder
+from .memo import Memo, MemoChatProvider, MemoEncoder, encoder_fingerprint
 from .model import (
     Candidate,
     CandidateJudgment,
@@ -65,6 +65,7 @@ __all__ = [
     "DEFAULT_TOKENIZER",
     "embed",
     "EmbeddingVector",
+    "encoder_fingerprint",
     "EncoderProvider",
     "identify_candidates",
     "Judgment",

@@ -35,7 +35,7 @@ from .gateway import (
     ScriptedChatProvider,
     Transcript,
 )
-from .memo import Memo, MemoChatProvider, MemoEncoder
+from .memo import Memo, MemoChatProvider, MemoEncoder, encoder_fingerprint
 from .model import CodeBlock, Config, Judgment, VulnSpec
 from .segmenter import segment_project
 from .store import StoreEntry, VectorStore
@@ -153,7 +153,11 @@ def cmd_index(args: argparse.Namespace) -> int:
         print(f"error: embedding provider failed: {exc}", file=sys.stderr)
         return EXIT_PROVIDER_ERROR
     store = VectorStore.create(
-        Path(args.out), encoder.dims, [StoreEntry(b, v) for b, v in zip(blocks, vectors)]
+        Path(args.out),
+        encoder.dims,
+        [StoreEntry(b, v) for b, v in zip(blocks, vectors)],
+        encoder=encoder_fingerprint(encoder),
+        theta=config.theta,
     )
     print(
         f"indexed {store.count()} blocks at dims {store.dims} -> {args.out}"
@@ -172,6 +176,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     store = VectorStore.open(args.index)
     memo = Memo()
     encoder = build_encoder(config.encoder, memo)
+    configured = encoder_fingerprint(encoder)
+    if store.encoder != configured:
+        # Vectors of two encoders are not comparable: every score would be noise.
+        raise ConfigError(
+            f"index {args.index} was built by encoder {store.encoder or '(unrecorded)'},"
+            f" not by the configured {configured}; re-index with this encoder or configure that one"
+        )
     if args.transcript:
         # Every answer comes from the replay, so the report names it.
         config = replace(config, chat={"provider": "replay", "transcript_path": args.transcript})

@@ -49,7 +49,8 @@ class DuplicateIdConflict(VulnReachError):
 
 
 class IndexFormatError(VulnReachError):
-    """Index file is corrupt or written by a newer format version."""
+    """Index files that are corrupt, from two builds, or of another format
+    version."""
 
 
 class EmptyIndex(VulnReachError):

@@ -9,9 +9,10 @@ content:
 - an embedding, keyed by the sha256 of the encoder fingerprint (name,
   remote model id, dims) and the text;
 - a parsed file, keyed by its relative path and its text;
-- a text's token count, keyed by the sha256 of the text, so the table
-  holds no prompt text. Every chat gateway of the command packs its
-  context through this one table.
+- a text's token count, keyed by the text itself: the texts counted are
+  the command's own prompt parts, whose ``str`` hash is computed once per
+  string object. Every chat gateway of the command packs its context
+  through this one table.
 
 Each CLI command builds one memo and drops it when it returns; nothing is
 module-global. Only the embeddings outlive a command: ``save_vectors``
@@ -66,7 +67,7 @@ class Memo:
         self._answers: dict[int, tuple[ChatProvider, dict[bytes, str]]] = {}
         self._vectors: dict[str, dict[bytes, EmbeddingVector]] = {}
         self._units: dict[tuple[str, str], CompilationUnit] = {}
-        self._token_counts: dict[bytes, int] = {}
+        self._token_counts: dict[str, int] = {}
         # Vectors each fingerprint's cache file holds, as last read or written.
         self._on_disk: dict[str, int] = {}
 
@@ -106,10 +107,9 @@ class Memo:
 
     def count_tokens(self, text: str) -> int:
         """``DEFAULT_TOKENIZER.count(text)``, counted once per content."""
-        key = hashlib.sha256(_utf8(text)).digest()
-        count = self._token_counts.get(key)
+        count = self._token_counts.get(text)
         if count is None:
-            count = self._token_counts.setdefault(key, DEFAULT_TOKENIZER.count(text))
+            count = self._token_counts.setdefault(text, DEFAULT_TOKENIZER.count(text))
         return count
 
     # -- the embedding cache file ------------------------------------------------

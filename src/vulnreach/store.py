@@ -1,17 +1,35 @@
 """Persistent (block, vector) store with exact cosine top-k retrieval.
 
-The on-disk format is a single binary index file (magic, format version,
-dims, count, then fixed-width float32 records) plus a JSON sidecar holding
-the block metadata in record order. Retrieval is an exact linear scan: at
-this corpus scale (thousands of blocks) correctness beats recall trade-offs,
-so there is no approximate index. Scores are dot products, valid as cosine
-because every stored vector and every query is unit-norm.
+An index is two files (format 2):
+
+- ``<name>.vrix``: a header (magic, format version, dims, count, the byte
+  length of the source blob, the sha256 of the sidecar's bytes), then the
+  count x dims little-endian float32 vectors, then every block's source as
+  one UTF-8 blob (encoded with ``surrogatepass``, so any ``str`` round-trips);
+- ``<name>.vrix.meta.json``: JSON with the dims, the count, the encoder
+  fingerprint and theta of the build, the sha256 of the ``.vrix`` body
+  (vectors and blob), and the block fields other than ``source`` as one
+  list per field, plus ``source_offsets`` into the blob.
+
+The two checksums chain the files: the header vouches for the sidecar and
+the sidecar for the body. ``open`` checks the whole chain, so a torn file,
+a pair from two builds or any altered byte raises ``IndexFormatError``. An
+index of an older format is refused with a request to re-index: an index
+is a cache of its project, so no old reader is kept. A block's source is
+decoded when its ``CodeBlock`` is first built.
+
+Retrieval is an exact linear scan: at this corpus scale (thousands of
+blocks) correctness beats recall trade-offs, so there is no approximate
+index. Scores are dot products, valid as cosine because every stored vector
+and every query is unit-norm.
 """
 
 from __future__ import annotations
 
 import contextlib
 import fnmatch
+import hashlib
+import itertools
 import json
 import os
 import struct
@@ -26,8 +44,26 @@ from .errors import DimsMismatch, DuplicateIdConflict, IndexFormatError
 from .model import CodeBlock, EmbeddingVector
 
 MAGIC = b"VRIX"
-FORMAT_VERSION = 1
-_HEADER = struct.Struct("<4sBII")  # magic, version, dims, count
+FORMAT_VERSION = 2
+# magic, version, dims, count, source blob bytes, sha256 of the sidecar
+_HEADER = struct.Struct("<4sBIIQ32s")
+
+_CHUNK_ROWS = 64  # rows scored or renormalized at a time: the temporaries stay in cache
+
+_NONE = type(None)
+# Each block field but ``source``, as ``CodeBlock.to_dict`` writes it, with
+# the types its values may have: one sidecar column each.
+_FIELDS: dict[str, frozenset[type]] = {
+    "id": frozenset({str}),
+    "file_path": frozenset({str}),
+    "line_start": frozenset({int}),
+    "line_end": frozenset({int}),
+    "node_kind": frozenset({str}),
+    "enclosing_class": frozenset({str, _NONE}),
+    "enclosing_method": frozenset({str, _NONE}),
+    "size": frozenset({int}),
+    "oversize": frozenset({bool}),
+}
 
 
 @dataclass(frozen=True)
@@ -102,9 +138,9 @@ def _sidecar_path(path: Path) -> Path:
 
 def _codes(values: Sequence[Any]) -> tuple[list[Any], np.ndarray]:
     """Distinct values in first-seen order, and each value's index into them."""
-    index: dict[Any, int] = {}
-    codes = np.fromiter((index.setdefault(v, len(index)) for v in values), np.intp, len(values))
-    return list(index), codes
+    distinct = list(dict.fromkeys(values))
+    index = {value: i for i, value in enumerate(distinct)}
+    return distinct, np.fromiter(map(index.__getitem__, values), np.intp, len(values))
 
 
 class _Columns:
@@ -114,14 +150,14 @@ class _Columns:
     do. A scope is tested once per distinct path, class and method.
     """
 
-    def __init__(self, meta: Sequence[Mapping[str, Any]]):
-        paths = [m["file_path"] for m in meta]
+    def __init__(self, fields: Mapping[str, Sequence[Any]]):
+        paths = fields["file_path"]
         self.paths = sorted(set(paths))
         rank = {path: i for i, path in enumerate(self.paths)}
         self.path_rank = np.fromiter(map(rank.__getitem__, paths), np.intp, len(paths))
-        self.line_start = np.fromiter((m["line_start"] for m in meta), np.int64, len(meta))
-        self.classes, self.class_codes = _codes([m.get("enclosing_class") for m in meta])
-        self.methods, self.method_codes = _codes([m.get("enclosing_method") for m in meta])
+        self.line_start = np.array(fields["line_start"], dtype=np.int64)
+        self.classes, self.class_codes = _codes(fields["enclosing_class"])
+        self.methods, self.method_codes = _codes(fields["enclosing_method"])
 
     def scope_mask(self, scope: ScopeFilter) -> np.ndarray:
         mask = np.ones(len(self.line_start), dtype=bool)
@@ -138,8 +174,10 @@ class VectorStore:
     """Many concurrent readers, single writer; reopening after a write gives
     read-your-writes.
 
-    Block metadata is held as one sidecar dict per row, and a row's
-    ``CodeBlock`` is built from it on first access and kept.
+    Block fields are held as one list per field. The sources of the rows
+    read from disk stay in the file's UTF-8 blob; a row's ``CodeBlock`` is
+    built on first access and kept. ``encoder`` and ``theta`` record what
+    built the index, when its builder said so.
     """
 
     def __init__(self, dims: int, path: Path | None = None):
@@ -147,8 +185,13 @@ class VectorStore:
             raise ValueError("dims must be positive")
         self.dims = dims
         self.path = path
+        self.encoder: str | None = None  # memo.encoder_fingerprint of the build
+        self.theta: int | None = None
         self._vectors = np.empty((0, dims), dtype=np.float32)
-        self._meta: list[Mapping[str, Any]] = []
+        self._fields: dict[str, list[Any]] = {name: [] for name in _FIELDS}
+        # Sources of the first len(_offsets) - 1 rows, as read from disk.
+        self._blob: bytes | memoryview = b""
+        self._offsets: list[int] = [0]
         self._blocks: dict[int, CodeBlock] = {}  # row -> block, built on first access
         self._row_by_id: dict[str, int] = {}
         self._matrix64: np.ndarray | None = None  # renormalized scoring cache
@@ -162,9 +205,16 @@ class VectorStore:
 
     @classmethod
     def create(
-        cls, path: Path | str, dims: int, entries: Sequence[StoreEntry] = ()
+        cls,
+        path: Path | str,
+        dims: int,
+        entries: Sequence[StoreEntry] = (),
+        *,
+        encoder: str | None = None,
+        theta: int | None = None,
     ) -> "VectorStore":
-        """New index at ``path`` holding ``entries``, written once.
+        """New index at ``path`` holding ``entries``, written once, that
+        records the encoder fingerprint and theta it was built with.
 
         Entries are inserted before anything touches the disk, so a failed
         insert leaves no file rather than an empty index that later opens as
@@ -173,6 +223,7 @@ class VectorStore:
         store = cls(dims=dims)
         store.insert(list(entries))
         store.path = Path(path)
+        store.encoder, store.theta = encoder, theta
         store.save()
         return store
 
@@ -180,76 +231,75 @@ class VectorStore:
     def open(cls, path: Path | str) -> "VectorStore":
         path = Path(path)
         data = path.read_bytes()
-        if len(data) < _HEADER.size:
-            raise IndexFormatError(f"{path}: truncated index header")
-        magic, version, dims, count = _HEADER.unpack_from(data)
-        if magic != MAGIC:
-            raise IndexFormatError(f"{path}: not an index file (bad magic)")
-        if version > FORMAT_VERSION:
-            raise IndexFormatError(
-                f"{path}: format version {version} is newer than supported {FORMAT_VERSION}"
-            )
-        expected = _HEADER.size + 4 * dims * count
-        if len(data) < expected:
-            raise IndexFormatError(f"{path}: truncated records ({len(data)} < {expected} bytes)")
-        vectors = np.frombuffer(
-            data, dtype="<f4", count=dims * count, offset=_HEADER.size
-        ).reshape(count, dims)
+        dims, count, blob_len, sidecar_sha = _read_header(path, data)
         sidecar = _sidecar_path(path)
         try:
-            meta = json.loads(sidecar.read_text(encoding="utf-8"))
+            raw = sidecar.read_bytes()
         except FileNotFoundError as exc:
             raise IndexFormatError(f"{path}: missing metadata sidecar {sidecar}") from exc
+        if hashlib.sha256(raw).digest() != sidecar_sha:
+            raise IndexFormatError(
+                f"{path}: metadata sidecar {sidecar} is not the one this index was written with"
+            )
+        try:
+            meta = json.loads(raw)
         except ValueError as exc:
             raise IndexFormatError(f"{path}: unreadable metadata sidecar {sidecar}: {exc}") from exc
-        blocks = meta.get("blocks") if isinstance(meta, dict) else None
-        if not isinstance(blocks, list):
-            raise IndexFormatError(f"{path}: metadata sidecar {sidecar} has no block list")
-        if len(blocks) != count:
+        fields, offsets = _check_meta(path, meta, dims, count, blob_len)
+        vectors_end = _HEADER.size + 4 * dims * count
+        if len(data) != vectors_end + blob_len:
             raise IndexFormatError(
-                f"{path}: sidecar has {len(blocks)} blocks for {count} records"
+                f"{path}: {len(data)} bytes where the header promises {vectors_end + blob_len}"
             )
-        for row, raw in enumerate(blocks):
-            # The fields every search reads; the rest are checked on first use.
-            if not (
-                isinstance(raw, dict)
-                and isinstance(raw.get("id"), str)
-                and isinstance(raw.get("file_path"), str)
-                and type(raw.get("line_start")) is int
-            ):
-                raise IndexFormatError(
-                    f"{path}: block {row} lacks a string id and file_path and an integer line_start"
-                )
+        body = memoryview(data)[_HEADER.size :]
+        if hashlib.sha256(body).hexdigest() != meta["sha256"]:
+            raise IndexFormatError(f"{path}: checksum mismatch: vectors or sources were altered")
+        row_by_id = dict(zip(fields["id"], range(count)))
+        if len(row_by_id) != count:
+            raise IndexFormatError(f"{path}: block ids are not unique")
         store = cls(dims=dims, path=path)
-        store._vectors = np.array(vectors, dtype=np.float32)
-        store._meta = blocks
-        store._row_by_id = {raw["id"]: row for row, raw in enumerate(blocks)}
+        store.encoder, store.theta = meta.get("encoder"), meta.get("theta")
+        vectors = np.frombuffer(data, dtype="<f4", count=dims * count, offset=_HEADER.size)
+        store._vectors = vectors.reshape(count, dims).astype(np.float32, copy=False)
+        store._fields = fields
+        store._blob = memoryview(data)[vectors_end:]
+        store._offsets = offsets
+        store._row_by_id = row_by_id
         return store
 
     def save(self) -> None:
         """Write the index file, then the sidecar, each atomically: a crash
-        leaves every file either old or new, never torn. Nothing yet ties the
-        two files to one build."""
+        leaves every file either old or new, never torn, and a pair from two
+        builds fails the checksum chain on open."""
         if self.path is None:
             raise ValueError("in-memory store has no path to save to")
-        header = _HEADER.pack(MAGIC, FORMAT_VERSION, self.dims, len(self._meta))
-        _write_atomic(self.path, header + self._vectors.astype("<f4").tobytes())
-        sidecar = json.dumps(
-            {
-                "format_version": FORMAT_VERSION,
-                "dims": self.dims,
-                "count": len(self._meta),
-                "blocks": self._meta,
+        count = self.count()
+        sources = [self._source_bytes(row) for row in range(count)]
+        body = self._vectors.astype("<f4").tobytes() + b"".join(sources)
+        meta = {
+            "format_version": FORMAT_VERSION,
+            "dims": self.dims,
+            "count": count,
+            "encoder": self.encoder,
+            "theta": self.theta,
+            "sha256": hashlib.sha256(body).hexdigest(),
+            "columns": {
+                **self._fields,
+                "source_offsets": [0, *itertools.accumulate(map(len, sources))],
             },
-            indent=2,
-            sort_keys=True,
+        }
+        sidecar = (json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n").encode("ascii")
+        blob_len = len(body) - 4 * self.dims * count
+        header = _HEADER.pack(
+            MAGIC, FORMAT_VERSION, self.dims, count, blob_len, hashlib.sha256(sidecar).digest()
         )
-        _write_atomic(_sidecar_path(self.path), (sidecar + "\n").encode("utf-8"))
+        _write_atomic(self.path, header + body)
+        _write_atomic(_sidecar_path(self.path), sidecar)
 
     # -- data access -----------------------------------------------------
 
     def count(self) -> int:
-        return len(self._meta)
+        return len(self._fields["id"])
 
     def get(self, block_id: str) -> StoreEntry | None:
         row = self._row_by_id.get(block_id)
@@ -258,14 +308,21 @@ class VectorStore:
         return self._entry_at(row)
 
     def entries(self) -> Iterator[StoreEntry]:
-        for row in range(len(self._meta)):
+        for row in range(self.count()):
             yield self._entry_at(row)
+
+    def _source_bytes(self, row: int) -> bytes | memoryview:
+        if row < len(self._offsets) - 1:
+            return self._blob[self._offsets[row] : self._offsets[row + 1]]
+        return self._blocks[row].source.encode("utf-8", "surrogatepass")
 
     def _entry_at(self, row: int) -> StoreEntry:
         block = self._blocks.get(row)
         if block is None:
+            raw = {name: column[row] for name, column in self._fields.items()}
             try:
-                block = CodeBlock.from_dict(self._meta[row])
+                raw["source"] = str(self._source_bytes(row), "utf-8", "surrogatepass")
+                block = CodeBlock.from_dict(raw)
             except (KeyError, TypeError, ValueError) as exc:
                 raise IndexFormatError(f"{self.path}: block {row} is malformed: {exc!r}") from exc
             # Parallel readers may build a row at once; all keep the first.
@@ -277,15 +334,18 @@ class VectorStore:
         """Float64 rows renormalized to exact unit length, so scores agree
         with dot products of the vectors this store exposes via entries()."""
         if self._matrix64 is None:
-            mat = self._vectors.astype(np.float64)
-            if len(mat):
-                mat = mat / np.linalg.norm(mat, axis=1, keepdims=True)
+            mat = np.empty(self._vectors.shape, dtype=np.float64)
+            # Each row is divided by its norm, computed as np.linalg.norm does.
+            for start in range(0, len(mat), _CHUNK_ROWS):
+                rows = mat[start : start + _CHUNK_ROWS]
+                rows[...] = self._vectors[start : start + _CHUNK_ROWS]
+                rows /= np.sqrt(np.add.reduce(rows * rows, axis=1, keepdims=True))
             self._matrix64 = mat
         return self._matrix64
 
     def _columns(self) -> _Columns:
         if self._cols is None:
-            self._cols = _Columns(self._meta)
+            self._cols = _Columns(self._fields)
         return self._cols
 
     # -- operations --------------------------------------------------------
@@ -323,10 +383,12 @@ class VectorStore:
             self._matrix64 = None
             self._cols = None
             for block in new_blocks:
-                row = len(self._meta)
+                row = self.count()
                 self._row_by_id[block.id] = row
                 self._blocks[row] = block
-                self._meta.append(block.to_dict())
+                raw = block.to_dict()
+                for name, column in self._fields.items():
+                    column.append(raw[name])
             if self.path is not None:
                 self.save()
         return len(new_blocks)
@@ -349,12 +411,16 @@ class VectorStore:
             raise ValueError(f"tau must be in [0, 1], got {tau}")
         if k < 1:
             raise ValueError("k must be positive")
-        if not self._meta:
+        if not self.count():
             return []
         # Row-wise reduction instead of BLAS matmul: identical vectors must
         # produce bit-identical scores regardless of row position, or the
         # (score, file, line) tie-break becomes nondeterministic.
-        scores = (self._scoring_matrix() * query.values).sum(axis=1)
+        matrix = self._scoring_matrix()
+        scores = np.empty(len(matrix))
+        for start in range(0, len(matrix), _CHUNK_ROWS):
+            chunk = slice(start, start + _CHUNK_ROWS)
+            np.add.reduce(matrix[chunk] * query.values, axis=1, out=scores[chunk])
         keep = scores >= tau
         cols = self._columns()
         if not scope.is_empty():
@@ -363,6 +429,74 @@ class VectorStore:
         # lexsort is stable and its last key is the primary one.
         rows = rows[np.lexsort((cols.line_start[rows], cols.path_rank[rows], -scores[rows]))]
         return [(self._entry_at(row), float(scores[row])) for row in rows[:k].tolist()]
+
+
+def _read_header(path: Path, data: bytes) -> tuple[int, int, int, bytes]:
+    """The header's dims, count, source blob length and sidecar sha256."""
+    if data[:4] != MAGIC:
+        raise IndexFormatError(f"{path}: not an index file (bad magic)")
+    if len(data) < 5:
+        raise IndexFormatError(f"{path}: truncated index header")
+    version = data[4]
+    if version > FORMAT_VERSION:
+        raise IndexFormatError(
+            f"{path}: format version {version} is newer than supported {FORMAT_VERSION}"
+        )
+    if version < FORMAT_VERSION:
+        raise IndexFormatError(
+            f"{path}: index format version {version} is no longer read; re-index the project"
+        )
+    if len(data) < _HEADER.size:
+        raise IndexFormatError(f"{path}: truncated index header")
+    _, _, dims, count, blob_len, sidecar_sha = _HEADER.unpack_from(data)
+    if dims == 0:
+        raise IndexFormatError(f"{path}: dims is 0")
+    return dims, count, blob_len, sidecar_sha
+
+
+def _check_meta(
+    path: Path, meta: Any, dims: int, count: int, blob_len: int
+) -> tuple[dict[str, list[Any]], list[int]]:
+    """The sidecar's block columns and source offsets, each checked against
+    the header and for the types of its values."""
+    if not isinstance(meta, dict) or not isinstance(meta.get("columns"), dict):
+        raise IndexFormatError(f"{path}: metadata sidecar has no block columns")
+    expected = {"format_version": FORMAT_VERSION, "dims": dims, "count": count}
+    for key, value in expected.items():
+        if meta.get(key) != value:
+            raise IndexFormatError(f"{path}: sidecar {key} {meta.get(key)!r}, index has {value}")
+    if not (
+        isinstance(meta.get("sha256"), str)
+        and isinstance(meta.get("encoder"), (str, _NONE))
+        and type(meta.get("theta")) in (int, _NONE)
+    ):
+        raise IndexFormatError(f"{path}: sidecar lacks a checksum, encoder or theta")
+    columns = meta["columns"]
+    fields = {}
+    for name, types in _FIELDS.items():
+        column = _column(path, columns, name, count)
+        if not set(map(type, column)) <= types:
+            row = next(row for row, value in enumerate(column) if type(value) not in types)
+            raise IndexFormatError(f"{path}: block {row} has a malformed {name}: {column[row]!r}")
+        fields[name] = column
+    offsets = _column(path, columns, "source_offsets", count + 1)
+    if not (
+        set(map(type, offsets)) == {int}
+        and offsets[0] == 0
+        and offsets[-1] == blob_len
+        and offsets == sorted(offsets)
+    ):
+        raise IndexFormatError(f"{path}: source offsets do not partition the {blob_len}-byte blob")
+    return fields, offsets
+
+
+def _column(path: Path, columns: Mapping[str, Any], name: str, length: int) -> list[Any]:
+    column = columns.get(name)
+    if not isinstance(column, list):
+        raise IndexFormatError(f"{path}: sidecar has no {name} column")
+    if len(column) != length:
+        raise IndexFormatError(f"{path}: sidecar column {name} has {len(column)} values for {length}")
+    return column
 
 
 def _write_atomic(path: Path, data: bytes) -> None:

@@ -10,8 +10,9 @@ import pytest
 
 from conftest import DIMS, FIXTURES, FIXTURE_THETA, write_tool_config, write_toy_manifest
 from vulnreach import cli
-from vulnreach.embedding import ReferenceEncoder
+from vulnreach.embedding import ReferenceEncoder, RemoteEncoderProvider
 from vulnreach.gateway import ChatGateway, ScriptedChatProvider
+from vulnreach.memo import encoder_fingerprint
 from vulnreach.model import Config
 from vulnreach.segmenter import segment_project
 from vulnreach.store import VectorStore
@@ -35,8 +36,19 @@ def config_file(tmp_path: Path) -> Path:
 
 
 # sha256 over index bytes + metadata sidecar for guarded_app at theta=60,
-# dims=256, frozen from the first verified run.
-GOLDEN_GUARDED_INDEX_DIGEST = "7f8a7b2aa3fae3da1e7fd065aba24619db2e88d837ebcd3d3433bf0bee79e9fe"
+# dims=256, in index format 2. It changes with the file format; the content
+# digest below, taken as the benchmark takes it (block dicts, then float32
+# vector bytes), must not: it is the same for format 1 and format 2.
+GOLDEN_GUARDED_INDEX_DIGEST = "9de61d3d746ad29e031b4b7a8a6e48692ef22f8c76d8908fa005f43b1472f181"
+GOLDEN_GUARDED_CONTENT_DIGEST = "f36067bdfb1838c237cd87407e04330e9ac5c5da544b4d2dc8ad6c82cc8c3e34"
+
+
+def content_digest(path: Path) -> str:
+    store = VectorStore.open(path)
+    acc = hashlib.sha256()
+    acc.update(json.dumps([e.block.to_dict() for e in store.entries()], sort_keys=True).encode())
+    acc.update(store._vectors.astype("<f4").tobytes())
+    return acc.hexdigest()
 
 
 class TestIndexCommand:
@@ -57,6 +69,7 @@ class TestIndexCommand:
                 ).hexdigest()
             )
         assert outputs[0] == outputs[1] == GOLDEN_GUARDED_INDEX_DIGEST
+        assert content_digest(out) == GOLDEN_GUARDED_CONTENT_DIGEST
         stdout = capsys.readouterr().out
         assert f"dims {DIMS}" in stdout and "indexed" in stdout
 
@@ -329,6 +342,81 @@ def write_hasher_project(root: Path) -> Path:
             "}\n"
         )
     return root
+
+
+class TestIndexProvenance:
+    """An index records the encoder and theta that built it, and analyze
+    refuses one it cannot trust, with one error line and exit 1."""
+
+    def analyze(self, tmp_path: Path, index: Path, config: Path) -> int:
+        return run_cli(
+            "analyze",
+            "--index", str(index),
+            "--vuln", str(FIXTURES / "vuln_encoder_null.json"),
+            "--config", str(config),
+            "--report", str(tmp_path / "r.json"),
+        )
+
+    def assert_one_error_line(self, tmp_path: Path, capsys, *words: str) -> None:
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+        assert all(word in err for word in words) and "Traceback" not in err, err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_index_records_the_encoder_and_theta(self, tmp_path: Path):
+        store = VectorStore.open(build_index_for("plain_app", tmp_path))
+        assert store.encoder == encoder_fingerprint(ReferenceEncoder(dims=DIMS))
+        assert store.theta == FIXTURE_THETA
+
+    def test_an_index_of_other_encoder_dims_is_refused(self, tmp_path: Path, config_file: Path, capsys):
+        small = write_tool_config(tmp_path / "small.json", encoder={"provider": "reference", "dims": 128})
+        index = tmp_path / "i.vrix"
+        project = str(FIXTURES / "unguarded_app")
+        assert run_cli("index", "--project", project, "--out", str(index), "--config", str(small)) == 0
+        capsys.readouterr()
+        assert self.analyze(tmp_path, index, config_file) == 1
+        self.assert_one_error_line(tmp_path, capsys, "128", "256", "re-index")
+        assert self.analyze(tmp_path, index, small) == 3  # the encoder that built it is accepted
+
+    def test_an_index_of_another_encoder_name_is_refused(
+        self, tmp_path: Path, config_file: Path, monkeypatch, capsys
+    ):
+        index = build_index_for("unguarded_app", tmp_path)
+        monkeypatch.setattr(
+            RemoteEncoderProvider, "encode_batch", lambda self, texts: pytest.fail("encoder called")
+        )
+        remote = {
+            "provider": "openai-compat", "name": "other-encoder", "model": "m",
+            "endpoint": "http://localhost:9/v1/embeddings", "dims": DIMS, "api_key_env": "NO_KEY",
+        }
+        other = write_tool_config(tmp_path / "other.json", encoder=remote)
+        capsys.readouterr()
+        assert self.analyze(tmp_path, index, other) == 1
+        self.assert_one_error_line(tmp_path, capsys, "other-encoder", "re-index")
+
+    def test_a_format_1_index_is_refused(self, tmp_path: Path, config_file: Path, capsys):
+        index = tmp_path / "old.vrix"
+        index.write_bytes(b"VRIX\x01" + bytes(8))
+        index.with_name("old.vrix.meta.json").write_text('{"format_version": 1, "blocks": []}')
+        assert self.analyze(tmp_path, index, config_file) == 1
+        self.assert_one_error_line(tmp_path, capsys, "re-index")
+
+    @pytest.mark.parametrize("damage", ["truncate", "flip", "mix"])
+    def test_a_damaged_index_exits_1(self, tmp_path: Path, config_file: Path, damage, capsys):
+        index = build_index_for("unguarded_app", tmp_path)
+        data = bytearray(index.read_bytes())
+        if damage == "truncate":
+            del data[-1:]
+        elif damage == "flip":
+            data[len(data) // 2] ^= 1
+        else:  # the .vrix of another build beside this sidecar
+            other = tmp_path / "other"
+            other.mkdir()
+            data = bytearray(build_index_for("guarded_app", other).read_bytes())
+        index.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert self.analyze(tmp_path, index, config_file) == 1
+        self.assert_one_error_line(tmp_path, capsys, str(index))
 
 
 class TestReplayAcrossParallelism:

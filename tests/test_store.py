@@ -1,6 +1,11 @@
+import functools
+import gc
+import hashlib
 import json
 import math
 import os
+import struct
+import weakref
 import tempfile
 from pathlib import Path
 
@@ -12,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import make_block
 from vulnreach.errors import DimsMismatch, DuplicateIdConflict, IndexFormatError
 from vulnreach.model import EmbeddingVector, NodeKind
-from vulnreach.store import EMPTY_SCOPE, ScopeFilter, StoreEntry, VectorStore
+from vulnreach.store import _HEADER, EMPTY_SCOPE, ScopeFilter, StoreEntry, VectorStore
 
 DIMS = 16
 
@@ -167,6 +172,8 @@ class TestPersistence:
         else:  # the index file is new and whole; the sidecar is the old one
             assert after[path.name] != before[path.name]
             assert after[path.name + ".meta.json"] == before[path.name + ".meta.json"]
+            with pytest.raises(IndexFormatError, match="not the one"):
+                VectorStore.open(path)
 
     def test_rejects_garbage_file(self, tmp_path: Path):
         path = tmp_path / "junk.vrix"
@@ -175,13 +182,24 @@ class TestPersistence:
             VectorStore.open(path)
 
 
-def write_index_with_blocks(path: Path, edit) -> Path:
-    """Three-row index whose sidecar block list is passed through ``edit``."""
+def reseal(path: Path) -> None:
+    """Write the sidecar's sha256 into the index header, as ``save`` does, so
+    an edited sidecar passes the checksum chain and ``open`` reads it."""
+    data = bytearray(path.read_bytes())
+    sidecar = path.with_name(path.name + ".meta.json").read_bytes()
+    data[_HEADER.size - 32 : _HEADER.size] = hashlib.sha256(sidecar).digest()
+    path.write_bytes(bytes(data))
+
+
+def write_index_with_columns(path: Path, edit) -> Path:
+    """Three-row index whose sidecar columns are passed through ``edit``,
+    then resealed."""
     VectorStore.create(path, DIMS, [entry(i, axis(i)) for i in range(3)])
     sidecar = path.with_name(path.name + ".meta.json")
     meta = json.loads(sidecar.read_text())
-    edit(meta["blocks"])
+    edit(meta["columns"])
     sidecar.write_text(json.dumps(meta))
+    reseal(path)
     return path
 
 
@@ -208,31 +226,36 @@ class TestLazyBlocks:
         VectorStore.create(path, DIMS, [entry(0, axis(0))])
         path.with_name("idx.vrix.meta.json").write_text(text)
         with pytest.raises(IndexFormatError, match="sidecar"):
+            VectorStore.open(path)  # the checksum chain fails first
+        reseal(path)
+        with pytest.raises(IndexFormatError, match="sidecar"):
             VectorStore.open(path)
 
     def test_count_mismatch_is_a_format_error(self, tmp_path: Path):
-        path = write_index_with_blocks(tmp_path / "idx.vrix", lambda blocks: blocks.pop())
-        with pytest.raises(IndexFormatError, match="2 blocks for 3 records"):
+        path = write_index_with_columns(
+            tmp_path / "idx.vrix", lambda columns: [c.pop() for c in columns.values()]
+        )
+        with pytest.raises(IndexFormatError, match="2 values for 3"):
             VectorStore.open(path)
 
     @pytest.mark.parametrize(
         "edit",
         [
-            pytest.param(lambda b: b.pop("id"), id="no-id"),
-            pytest.param(lambda b: b.pop("file_path"), id="no-file_path"),
-            pytest.param(lambda b: b.pop("line_start"), id="no-line_start"),
-            pytest.param(lambda b: b.update(line_start="4"), id="string-line_start"),
-            pytest.param(lambda b: b.update(line_start=True), id="bool-line_start"),
+            pytest.param(lambda c: c["id"].__setitem__(1, None), id="no-id"),
+            pytest.param(lambda c: c["file_path"].__setitem__(1, None), id="no-file_path"),
+            pytest.param(lambda c: c["line_start"].__setitem__(1, None), id="no-line_start"),
+            pytest.param(lambda c: c["line_start"].__setitem__(1, "4"), id="string-line_start"),
+            pytest.param(lambda c: c["line_start"].__setitem__(1, True), id="bool-line_start"),
         ],
     )
     def test_block_without_a_search_field_fails_open(self, tmp_path: Path, edit):
-        path = write_index_with_blocks(tmp_path / "idx.vrix", lambda blocks: edit(blocks[1]))
+        path = write_index_with_columns(tmp_path / "idx.vrix", edit)
         with pytest.raises(IndexFormatError, match="block 1"):
             VectorStore.open(path)
 
     def test_malformed_block_fails_on_first_access_naming_the_row(self, tmp_path: Path):
-        path = write_index_with_blocks(
-            tmp_path / "idx.vrix", lambda blocks: blocks[2].update(node_kind="Nonsense")
+        path = write_index_with_columns(
+            tmp_path / "idx.vrix", lambda columns: columns["node_kind"].__setitem__(2, "Nonsense")
         )
         store = VectorStore.open(path)
         assert store.count() == 3
@@ -241,6 +264,215 @@ class TestLazyBlocks:
             store.get(entry(2, axis(2)).block.id)
         with pytest.raises(IndexFormatError, match="block 2"):
             store.search(axis(2), k=1, tau=0.5)
+
+
+# Sources that only a lossless encoding keeps: a lone surrogate, non-BMP
+# text, NUL, every line terminator, and the empty string.
+_ODD_SOURCES = ["a\udc80b", "\U0001f600 caf\u00e9", "x\x00y", "l1\rl2\r\nl3\u2028", "", "int x;\n"]
+
+
+def odd_entries() -> list[StoreEntry]:
+    return [
+        StoreEntry(
+            make_block(
+                file_path=f"src/{'ab'[i % 2]}/F{i}.java",
+                line_start=1 + i,
+                line_end=2 + i,
+                source=source,
+                enclosing_class=CLASSES[i % len(CLASSES)],
+                enclosing_method=METHODS[i % len(METHODS)],
+                size=i,
+            ),
+            unit(range(i + 1, i + 1 + DIMS)),
+        )
+        for i, source in enumerate(_ODD_SOURCES)
+    ]
+
+
+def view(store: VectorStore) -> tuple[list, list]:
+    """Everything a reader sees: every entry, and the hits of a search."""
+    hits = store.search(unit([1.0] * DIMS), k=10, tau=0.0)
+    return list(store.entries()), [(e.block, score) for e, score in hits]
+
+
+def crash_on_rename(monkeypatch, failing_call: int) -> None:
+    replace, calls = os.replace, []
+
+    def crash(src, dst):
+        calls.append(dst)
+        if len(calls) == failing_call:
+            raise OSError("killed before the rename")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", crash)
+
+
+class TestIndexFormat:
+    def test_an_index_is_two_files_with_sources_only_in_the_vrix(self, tmp_path: Path):
+        entries = odd_entries()
+        VectorStore.create(tmp_path / "idx.vrix", DIMS, entries, encoder='["e", null, 16]', theta=60)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["idx.vrix", "idx.vrix.meta.json"]
+        meta = json.loads((tmp_path / "idx.vrix.meta.json").read_text())
+        block_fields = set(entries[0].block.to_dict())
+        assert set(meta["columns"]) == block_fields - {"source"} | {"source_offsets"}
+        assert (meta["encoder"], meta["theta"], meta["format_version"]) == ('["e", null, 16]', 60, 2)
+        blob = "".join(_ODD_SOURCES).encode("utf-8", "surrogatepass")
+        assert (tmp_path / "idx.vrix").read_bytes().endswith(blob)
+
+    def test_every_source_and_field_round_trips(self, tmp_path: Path):
+        entries = odd_entries()
+        saved = VectorStore.create(tmp_path / "idx.vrix", DIMS, entries, encoder="enc", theta=7)
+        opened = VectorStore.open(tmp_path / "idx.vrix")
+        assert [e.block.to_dict() for e in opened.entries()] == [e.block.to_dict() for e in entries]
+        assert view(opened) == view(saved)
+        assert (opened.encoder, opened.theta) == ("enc", 7)
+        in_memory = VectorStore.in_memory(DIMS)
+        assert (in_memory.encoder, in_memory.theta) == (None, None)
+
+    def test_open_decodes_a_source_only_when_its_block_is_built(self, tmp_path: Path):
+        entries = odd_entries()
+        VectorStore.create(tmp_path / "idx.vrix", DIMS, entries)
+        store = VectorStore.open(tmp_path / "idx.vrix")
+        assert store._blocks == {}
+        assert store.get(entries[1].block.id).block == entries[1].block
+        assert list(store._blocks) == [1]
+
+    def test_insert_into_an_opened_store_keeps_the_old_sources(self, tmp_path: Path):
+        entries = odd_entries()
+        path = tmp_path / "idx.vrix"
+        VectorStore.create(path, DIMS, entries[:3])
+        VectorStore.open(path).insert(entries[3:])
+        assert [e.block for e in VectorStore.open(path).entries()] == [e.block for e in entries]
+
+    def test_an_opened_store_is_freed_without_the_cycle_collector(self, tmp_path: Path):
+        entries = odd_entries()
+        VectorStore.create(tmp_path / "idx.vrix", DIMS, entries)
+        gc.disable()
+        try:
+            store = VectorStore.open(tmp_path / "idx.vrix")
+            view(store)
+            store.search(axis(0), k=3, tau=0.0, scope=ScopeFilter(class_name="Alpha"))
+            ref = weakref.ref(store)
+            del store
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_a_format_1_index_is_refused_with_re_index(self, tmp_path: Path):
+        path = tmp_path / "idx.vrix"
+        vectors = np.eye(DIMS, dtype="<f4")[:2]
+        path.write_bytes(struct.pack("<4sBII", b"VRIX", 1, DIMS, 2) + vectors.tobytes())
+        meta = {
+            "format_version": 1,
+            "dims": DIMS,
+            "count": 2,
+            "blocks": [entry(i, axis(i)).block.to_dict() for i in range(2)],
+        }
+        path.with_name("idx.vrix.meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
+        with pytest.raises(IndexFormatError, match="re-index"):
+            VectorStore.open(path)
+
+    def test_a_truncated_index_file_names_its_size(self, tmp_path: Path):
+        path = tmp_path / "idx.vrix"
+        VectorStore.create(path, DIMS, odd_entries())
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(IndexFormatError, match="bytes where the header promises"):
+            VectorStore.open(path)
+
+    @pytest.mark.parametrize("swap", ["index", "sidecar"])
+    def test_a_pair_from_two_builds_of_the_same_size_is_refused(self, tmp_path: Path, swap):
+        for name, offset in (("one", 0), ("two", 3)):
+            VectorStore.create(
+                tmp_path / f"{name}.vrix", DIMS, [entry(i, axis(i + offset)) for i in range(3)]
+            )
+        suffix = "" if swap == "index" else ".meta.json"
+        (tmp_path / f"one.vrix{suffix}").write_bytes((tmp_path / f"two.vrix{suffix}").read_bytes())
+        with pytest.raises(IndexFormatError, match="not the one"):
+            VectorStore.open(tmp_path / "one.vrix")
+
+    def test_a_crash_between_the_renames_of_a_same_size_rebuild_fails_open(
+        self, tmp_path: Path, monkeypatch
+    ):
+        path = tmp_path / "idx.vrix"
+        VectorStore.create(path, DIMS, [entry(i, axis(i)) for i in range(3)])
+        rebuilt = [entry(i, axis(i + 3), file_path=f"src/g{i}.java") for i in range(3)]
+        crash_on_rename(monkeypatch, 2)  # the .vrix is replaced, the sidecar is not
+        with pytest.raises(OSError, match="killed"):
+            VectorStore.create(path, DIMS, rebuilt)
+        monkeypatch.undo()
+        with pytest.raises(IndexFormatError, match="not the one"):
+            VectorStore.open(path)
+        VectorStore.create(path, DIMS, rebuilt)  # re-indexing repairs it
+        assert [e.block for e in VectorStore.open(path).entries()] == [e.block for e in rebuilt]
+
+    def test_a_crash_before_the_first_rename_leaves_the_old_index(self, tmp_path: Path, monkeypatch):
+        path = tmp_path / "idx.vrix"
+        old = [entry(i, axis(i)) for i in range(3)]
+        VectorStore.create(path, DIMS, old)
+        crash_on_rename(monkeypatch, 1)
+        with pytest.raises(OSError, match="killed"):
+            VectorStore.create(path, DIMS, [entry(i, axis(i + 3)) for i in range(3)])
+        monkeypatch.undo()
+        assert [e.block for e in VectorStore.open(path).entries()] == [e.block for e in old]
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda m: m["columns"]["source_offsets"].__setitem__(2, 1), id="offsets"),
+            pytest.param(lambda m: m["columns"]["id"].__setitem__(2, m["columns"]["id"][0]), id="dup-id"),
+            pytest.param(lambda m: m.update(dims=8), id="dims"),
+            pytest.param(lambda m: m.update(theta="60"), id="theta"),
+            pytest.param(lambda m: m.update(sha256="0" * 64), id="checksum"),
+            pytest.param(lambda m: m["columns"].pop("oversize"), id="no-column"),
+        ],
+    )
+    def test_a_resealed_but_inconsistent_sidecar_fails_open(self, tmp_path: Path, edit):
+        path = tmp_path / "idx.vrix"
+        VectorStore.create(path, DIMS, odd_entries())
+        sidecar = path.with_name("idx.vrix.meta.json")
+        meta = json.loads(sidecar.read_text())
+        edit(meta)
+        sidecar.write_text(json.dumps(meta))
+        reseal(path)
+        with pytest.raises(IndexFormatError):
+            VectorStore.open(path)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.sampled_from(["idx.vrix", "idx.vrix.meta.json"]),
+        st.booleans(),
+        st.integers(0, 1 << 20),
+        st.integers(1, 255),
+    )
+    def test_a_truncated_or_flipped_file_fails_open_or_reads_the_same(
+        self, name, truncate, at, mask
+    ):
+        files, expected = pristine_index()
+        with tempfile.TemporaryDirectory() as tmp:
+            for file_name, data in files.items():
+                Path(tmp, file_name).write_bytes(data)
+            data = bytearray(files[name])
+            if truncate:
+                del data[at % (len(data) + 1) :]
+            else:
+                data[at % len(data)] ^= mask
+            Path(tmp, name).write_bytes(bytes(data))
+            try:
+                store = VectorStore.open(Path(tmp) / "idx.vrix")
+            except IndexFormatError:
+                return
+            assert view(store) == expected
+
+
+@functools.cache
+def pristine_index() -> tuple[dict[str, bytes], tuple[list, list]]:
+    """One index for every example: the bytes of its two files, and what a
+    reader sees of it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "idx.vrix"
+        VectorStore.create(path, DIMS, odd_entries(), encoder="enc", theta=60)
+        files = {name: Path(tmp, name).read_bytes() for name in ("idx.vrix", "idx.vrix.meta.json")}
+        return files, view(VectorStore.open(path))
 
 
 class TestSearch:
@@ -293,6 +525,24 @@ class TestSearch:
             store.search(axis(0), k=1, tau=-0.1)
         with pytest.raises(ValueError):
             store.search(axis(0), k=1, tau=1.5)
+
+    @pytest.mark.parametrize("rows", [1, 63, 64, 65, 200])
+    @pytest.mark.parametrize("dims", [4, 16, 300])
+    def test_scores_are_the_whole_matrix_formula_bit_for_bit(self, rows, dims):
+        # The store scores in row chunks; every score must be the one the
+        # whole-matrix expression gives.
+        rng = np.random.RandomState(rows * dims)
+        store = VectorStore.in_memory(dims)
+        store.insert([entry(i, unit(rng.randn(dims))) for i in range(rows)])
+        mat = store._vectors.astype(np.float64)
+        matrix = mat / np.linalg.norm(mat, axis=1, keepdims=True)
+        assert np.array_equal(store._scoring_matrix(), matrix)
+        query = unit(rng.randn(dims))
+        expected = (matrix * query.values).sum(axis=1)
+        hits = store.search(query, k=rows, tau=0.0)
+        assert len(hits) == int((expected >= 0.0).sum())
+        for hit, score in hits:
+            assert score == expected[store._row_by_id[hit.block.id]]
 
     def test_matches_brute_force_oracle_on_random_stores(self):
         rng = np.random.RandomState(42)
