@@ -183,6 +183,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             f"index {args.index} was built by encoder {store.encoder or '(unrecorded)'},"
             f" not by the configured {configured}; re-index with this encoder or configure that one"
         )
+    if store.theta is not None:
+        # The blocks were cut at the index's theta, so the report names it.
+        config = replace(config, theta=store.theta)
     if args.transcript:
         # Every answer comes from the replay, so the report names it.
         config = replace(config, chat={"provider": "replay", "transcript_path": args.transcript})

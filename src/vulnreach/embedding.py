@@ -14,7 +14,7 @@ import hashlib
 import time
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterable, Protocol, Sequence, TypeVar, runtime_checkable
+from typing import Callable, Iterable, Iterator, Protocol, Sequence, TypeVar, runtime_checkable
 
 import numpy as np
 
@@ -22,6 +22,13 @@ from .errors import EmptyText, ProviderError
 from .model import EmbeddingVector
 
 _NGRAM_SIZES = (3, 4, 5)
+# A batch of fewer normalized characters is counted text by text: a numpy
+# pass has a fixed cost of about 100 us and wins only from about 600-1200
+# characters on, and ``analyze`` embeds one to four short queries at a time.
+_NUMPY_MIN_CHARS = 2048
+# Characters per numpy pass, in whole texts: a pass holds up to about 130 B
+# per character, so this bounds its working set to about 2 MB.
+_PASS_CHARS = 16384
 
 _T = TypeVar("_T")
 
@@ -47,7 +54,11 @@ def embed(
     texts: Sequence[str],
     retry: RetryPolicy = RetryPolicy(),
 ) -> list[EmbeddingVector]:
-    """Encode texts in order, one unit-norm vector per input."""
+    """Encode texts in order, one unit-norm vector per input.
+
+    A provider row that cannot be normalized (all zeros, or holding a NaN or
+    an infinity) raises ``ProviderError`` naming the text's position.
+    """
     if not texts:
         raise EmptyText("embed() requires at least one text")
     for idx, text in enumerate(texts):
@@ -62,12 +73,19 @@ def embed(
             raise ProviderError(
                 f"provider {provider.name} returned {len(raw)} vectors for {len(batch)} texts"
             )
-        for values in raw:
+        for position, values in enumerate(raw, offset):
             if len(values) != provider.dims:
                 raise ProviderError(
                     f"provider {provider.name} returned {len(values)} dims, expected {provider.dims}"
                 )
-            out.append(EmbeddingVector.normalized(values))
+            try:
+                out.append(EmbeddingVector.normalized(values))
+            except ValueError as exc:
+                # Stored, a row with no direction could never be retrieved.
+                raise ProviderError(
+                    f"provider {provider.name} returned an unusable vector for text at"
+                    f" position {position}: {exc}"
+                ) from exc
     return out
 
 
@@ -98,7 +116,11 @@ def _lexical_normalize(text: str) -> str:
 
 
 def _hash64(text: str) -> int:
-    return int.from_bytes(hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest(), "little")
+    # surrogatepass: a lone surrogate hashes like any other code point, so
+    # every str encodes; other text gives the same bytes as plain UTF-8.
+    return int.from_bytes(
+        hashlib.blake2b(text.encode("utf-8", "surrogatepass"), digest_size=8).digest(), "little"
+    )
 
 
 class _GramCodes(dict):
@@ -106,7 +128,8 @@ class _GramCodes(dict):
 
     A code is the n-gram's bucket when its sign is +1 and ``dims`` plus the
     bucket when it is -1, so one ``np.bincount`` over ``2 * dims`` slots
-    counts both signs at once.
+    counts both signs at once. Entries are only ever added, and a racing add
+    stores the same code, so threads may share one table.
     """
 
     def __init__(self, dims: int):
@@ -120,15 +143,21 @@ class _GramCodes(dict):
         return code
 
 
-def _hashed_features(text: str, codes: _GramCodes) -> np.ndarray:
-    """Signed feature hashing of one text's n-grams into ``codes.dims`` buckets.
+def _signed_counts(tally: np.ndarray, dims: int) -> np.ndarray:
+    """float64 (+1 occurrences) - (-1 occurrences) per bucket from code tallies
+    whose last axis is ``2 * dims`` long."""
+    return (tally[..., :dims] - tally[..., dims:]).astype(np.float64)
+
+
+def _hashed_features(normalized: str, codes: _GramCodes) -> np.ndarray:
+    """Signed feature hashing of one normalized text's n-grams into
+    ``codes.dims`` buckets.
 
     Each bucket holds (occurrences of +1 n-grams) - (occurrences of -1
     n-grams). Every count is a small integer, exact in float64, so this equals
     adding each occurrence's sign one at a time, in any order.
     """
     dims = codes.dims
-    normalized = _lexical_normalize(text)
     if len(normalized) < _NGRAM_SIZES[0]:
         grams: Iterable[str] = (normalized,)
     else:
@@ -136,10 +165,69 @@ def _hashed_features(text: str, codes: _GramCodes) -> np.ndarray:
             map("".join, zip(*(normalized[k:] for k in range(n)))) for n in _NGRAM_SIZES
         )
     tally = np.bincount(np.fromiter(map(codes.__getitem__, grams), np.intp), minlength=2 * dims)
-    acc = (tally[:dims] - tally[dims:]).astype(np.float64)
+    acc = _signed_counts(tally, dims)
     if not acc.any():
         acc[_hash64(normalized) % dims] = 1.0
     return acc
+
+
+def _pass_features(texts: Sequence[str], codes: _GramCodes) -> np.ndarray:
+    """``_hashed_features`` of each normalized text, as rows, in one numpy pass.
+
+    The texts are joined end to end and their code points read as integers.
+    An n-gram is kept where it starts at least n characters before the end of
+    its own text: boundaries are known by position, so no n-gram spans two
+    texts whatever characters the texts hold. A 3-gram's key packs its three
+    code points (each below 2**21) into 63 bits; a longer n-gram's key is the
+    rank of its (n-1)-gram prefix among this pass's distinct prefixes and its
+    last code point. ``np.unique`` finds the distinct n-grams, each is looked
+    up in ``codes`` once (and hashed if the table lacks it), and one
+    ``np.bincount`` per size counts every text's codes at once.
+    """
+    dims = codes.dims
+    width = 2 * dims
+    lengths = np.fromiter(map(len, texts), np.int64, len(texts))
+    joined = "".join(texts)
+    points = np.frombuffer(joined.encode("utf-32-le", "surrogatepass"), "<u4").astype(np.int64)
+    owner = np.repeat(np.arange(len(texts), dtype=np.int64), lengths)
+    # Characters from each position to the end of the text it belongs to.
+    left = np.cumsum(lengths)[owner] - np.arange(len(points))
+    slot = owner * width
+    tally = np.zeros(len(texts) * width, np.int64)
+    rank = np.empty(len(points), np.int64)
+    for size in _NGRAM_SIZES:
+        starts = np.flatnonzero(left >= size)
+        if size == _NGRAM_SIZES[0]:
+            keys = points[starts] << 42 | points[starts + 1] << 21 | points[starts + 2]
+        else:
+            keys = rank[starts] << 21 | points[starts + size - 1]
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        first = np.empty(len(distinct), np.int64)
+        first[inverse] = starts
+        grams = [joined[at : at + size] for at in first.tolist()]
+        gram_codes = np.fromiter(map(codes.__getitem__, grams), np.int64, len(grams))
+        tally += np.bincount(slot[starts] + gram_codes[inverse], minlength=len(tally))
+        rank[starts] = inverse
+    rows = _signed_counts(tally.reshape(len(texts), width), dims)
+    for row in np.flatnonzero(lengths < _NGRAM_SIZES[0]).tolist():
+        # Too short for any n-gram: the whole text is its one gram.
+        rows[row] = _hashed_features(texts[row], codes)
+    for row in np.flatnonzero(~rows.any(axis=1)).tolist():
+        rows[row, _hash64(texts[row]) % dims] = 1.0
+    return rows
+
+
+def _passes(texts: Sequence[str], budget: int) -> Iterator[Sequence[str]]:
+    """Consecutive runs of whole texts, each at most ``budget`` characters
+    long unless a single text is longer."""
+    start, size = 0, 0
+    for end, text in enumerate(texts):
+        if end > start and size + len(text) > budget:
+            yield texts[start:end]
+            start, size = end, 0
+        size += len(text)
+    if start < len(texts):
+        yield texts[start:]
 
 
 def reference_encode(text: str, dims: int = 256) -> EmbeddingVector:
@@ -147,16 +235,17 @@ def reference_encode(text: str, dims: int = 256) -> EmbeddingVector:
 
     Signed feature hashing of character n-grams (n in 3..5) over the
     lexically normalized text, L2-normalized. Texts sharing many n-grams get
-    higher cosine similarity. The vector definition (the sum of the signed
-    bucket of every n-gram occurrence) is unchanged, so existing indexes stay
-    valid; it is computed from per-bucket counts of the distinct n-grams,
-    each hashed once, which gives the same float64 values bit for bit.
+    higher cosine similarity. A vector is the sum of the signed bucket of
+    every n-gram occurrence, computed from per-bucket counts of the distinct
+    n-grams, each hashed once; the counts are small integers, so the float64
+    values are the same bit for bit. This per-text function is the definition
+    ``ReferenceEncoder.encode_batch`` reproduces.
     """
     if dims < 8:
         raise ValueError("reference encoder needs dims >= 8")
     if not text.strip():
         raise EmptyText("cannot encode blank text")
-    return EmbeddingVector.normalized(_hashed_features(text, _GramCodes(dims)))
+    return EmbeddingVector.normalized(_hashed_features(_lexical_normalize(text), _GramCodes(dims)))
 
 
 class ReferenceEncoder:
@@ -176,7 +265,21 @@ class ReferenceEncoder:
         self._codes = _GramCodes(dims)
 
     def encode_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
-        return [_hashed_features(t, self._codes) for t in texts]
+        """One float64 row per text, each the same bits as ``reference_encode``
+        computes before normalizing.
+
+        A batch of fewer than ``_NUMPY_MIN_CHARS`` normalized characters is
+        counted text by text. A larger one goes through ``_pass_features``
+        in runs of whole texts of at most ``_PASS_CHARS`` characters, which
+        bounds the pass's working set.
+        """
+        normalized = [_lexical_normalize(t) for t in texts]
+        if sum(map(len, normalized)) < _NUMPY_MIN_CHARS:
+            return [_hashed_features(t, self._codes) for t in normalized]
+        rows: list[np.ndarray] = []
+        for run in _passes(normalized, _PASS_CHARS):
+            rows.extend(_pass_features(run, self._codes))
+        return rows
 
 
 class RemoteEncoderProvider:

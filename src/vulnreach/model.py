@@ -223,7 +223,7 @@ class EmbeddingVector:
         if values.shape != (self.dims,):
             raise ValueError(f"expected {self.dims} values, got shape {values.shape}")
         norm = math.sqrt(float(values @ values))
-        if abs(norm - 1.0) > _NORM_TOLERANCE:
+        if not abs(norm - 1.0) <= _NORM_TOLERANCE:  # a NaN norm fails too
             raise ValueError(f"vector norm {norm!r} is not 1.0 within {_NORM_TOLERANCE}")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -236,6 +236,8 @@ class EmbeddingVector:
         norm = math.sqrt(math.fsum((values * values).tolist()))
         if norm == 0.0:
             raise ValueError("cannot normalize a zero vector")
+        if not math.isfinite(norm):
+            raise ValueError(f"cannot normalize a vector of norm {norm!r}")
         return cls(dims=len(values), values=values / norm)
 
     def dot(self, other: "EmbeddingVector") -> float:

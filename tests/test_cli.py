@@ -109,6 +109,20 @@ class TestIndexCommand:
         assert code == 2
         assert "provider" in capsys.readouterr().err.lower()
 
+    @pytest.mark.parametrize("bad", [0.0, float("nan"), float("inf")], ids=["zero", "nan", "inf"])
+    def test_an_unusable_vector_exits_2_with_one_error_line(self, tmp_path: Path, monkeypatch, capsys, bad):
+        from vulnreach import embedding
+
+        monkeypatch.setattr(
+            embedding.ReferenceEncoder, "encode_batch", lambda self, texts: [[bad] * self.dims for _ in texts]
+        )
+        out = tmp_path / "i.vrix"
+        code = run_cli("index", "--project", str(FIXTURES / "plain_app"), "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 2 and not out.exists()
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+        assert "position 0" in err
+
     def test_whitespace_only_file_contributes_no_block(self, tmp_path: Path, capsys):
         tool = FIXTURES / "unguarded_app" / "src" / "main" / "java" / "com" / "acme" / "tool"
         counts = []
@@ -286,6 +300,23 @@ class TestAnalyzeCommand:
         first_text = strip_timestamps(json.dumps(first, indent=2, sort_keys=True))
         second_text = strip_timestamps(json.dumps(second, indent=2, sort_keys=True))
         assert first_text.replace("first.json", "X") == second_text.replace("second.json", "X")
+
+    def test_report_names_the_theta_the_index_was_built_at(self, tmp_path: Path):
+        index = build_index_for("unguarded_app", tmp_path)  # --theta 60
+        config = write_tool_config(tmp_path / "no-theta.json")
+        raw = json.loads(config.read_text(encoding="utf-8"))
+        del raw["theta"]
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        report = tmp_path / "report.json"
+        code = run_cli(
+            "analyze",
+            "--index", str(index),
+            "--vuln", str(FIXTURES / "vuln_encoder_null.json"),
+            "--config", str(config),
+            "--report", str(report),
+        )
+        assert code == 3
+        assert read_report(report)["config"]["theta"] == FIXTURE_THETA != Config().theta
 
     def test_invalid_vuln_spec_exit_1(self, tmp_path: Path, config_file: Path, capsys):
         index = build_index_for("plain_app", tmp_path)

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import math
 import time
@@ -46,12 +47,12 @@ def per_occurrence_features(text: str, dims: int) -> np.ndarray:
         grams = [normalized]
     acc = np.zeros(dims, dtype=np.float64)
     for gram in grams:
-        digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
+        digest = hashlib.blake2b(gram.encode("utf-8", "surrogatepass"), digest_size=8).digest()
         h = int.from_bytes(digest, "little")
         sign = 1.0 if (h >> 63) & 1 == 0 else -1.0
         acc[h % dims] += sign
     if not acc.any():
-        digest = hashlib.blake2b(normalized.encode("utf-8"), digest_size=8).digest()
+        digest = hashlib.blake2b(normalized.encode("utf-8", "surrogatepass"), digest_size=8).digest()
         acc[int.from_bytes(digest, "little") % dims] = 1.0
     return acc
 
@@ -115,6 +116,111 @@ class TestEncoderKernel:
             assert bits(ReferenceEncoder(dims).encode_batch(texts)) == bits(
                 [per_occurrence_features(t, dims) for t in texts]
             )
+
+
+# Characters the joined-array pass must treat like any other: NUL, lone
+# surrogates, non-BMP code points (one str index, one UTF-32 unit each),
+# upper case (U+0130 lowers to two characters), and whitespace.
+_ODD_TEXTS = st.text(
+    alphabet=st.sampled_from(
+        ["a", "b", "c", "g", "x", "A", " ", "\t", "\x00", "\ud800", "\udfff", "\U0001d518", "\U0010ffff",
+         "\u0130", "\u00df"]
+    ),
+    max_size=40,
+)
+_ODD_BATCHES = st.lists(_ODD_TEXTS, min_size=1, max_size=12)
+
+
+class TestBatchPass:
+    """The numpy pass of ``encode_batch``, reached by lowering its small-batch
+    cutoff to 0 and its per-pass budget to a few dozen characters."""
+
+    @staticmethod
+    @contextlib.contextmanager
+    def numpy_pass(budget: int):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(embedding, "_NUMPY_MIN_CHARS", 0)
+            patch.setattr(embedding, "_PASS_CHARS", budget)
+            yield patch
+
+    @settings(max_examples=200, deadline=None)
+    @given(_ODD_BATCHES, st.integers(1, 48))
+    def test_rows_match_per_occurrence_reference(self, texts, budget):
+        with self.numpy_pass(budget):
+            for dims in (8, 13, 256):
+                rows = ReferenceEncoder(dims).encode_batch(texts)
+                assert bits(rows) == bits([per_occurrence_features(t, dims) for t in texts])
+
+    def test_edge_cases_match_per_occurrence_reference(self):
+        long_text = "for (int i = 0; i < n; i++) { total += \x00values[i]; } \U0001d518" * 3
+        texts = [
+            "", "a", "ab", "abc", "abcd", " a b ", "aaagc", "\x00\x00\x00", "a\x00b\x00c",
+            "\ud800\udfff\ud800x", "\U0001d518\U0001d518\U0001d518\U0001d518", long_text, "ab", "xyz",
+        ]
+        assert per_occurrence_features("aaagc", 8).sum() == 1.0  # cancels to the fallback
+        with self.numpy_pass(24):
+            for dims in (8, 13, 256):
+                rows = ReferenceEncoder(dims).encode_batch(texts)
+                assert bits(rows) == bits([per_occurrence_features(t, dims) for t in texts])
+
+    @settings(max_examples=100, deadline=None)
+    @given(_ODD_BATCHES, st.integers(1, 48))
+    def test_passes_hold_whole_texts_within_the_budget(self, texts, budget):
+        runs: list[list[str]] = []
+        with self.numpy_pass(budget) as patch:
+            original = embedding._pass_features
+            patch.setattr(
+                embedding, "_pass_features", lambda run, codes: runs.append(list(run)) or original(run, codes)
+            )
+            ReferenceEncoder(8).encode_batch(texts)
+        assert [t for run in runs for t in run] == [_lexical_normalize(t) for t in texts]
+        for run in runs:
+            assert len(run) == 1 or sum(map(len, run)) <= budget
+
+    @settings(max_examples=100, deadline=None)
+    @given(_ODD_BATCHES, st.integers(1, 48))
+    def test_no_gram_spanning_two_texts_is_hashed(self, texts, budget):
+        hashed: list[str] = []
+        with self.numpy_pass(budget) as patch:
+            patch.setattr(embedding, "_hash64", lambda gram: hashed.append(gram) or _hash64(gram))
+            ReferenceEncoder(13).encode_batch(texts)
+        normalized = [_lexical_normalize(t) for t in texts]
+        for gram in hashed:
+            assert any(gram in text for text in normalized), gram
+
+    def test_each_ngram_is_hashed_once_across_passes(self, monkeypatch):
+        hashed: list[str] = []
+        monkeypatch.setattr(embedding, "_hash64", lambda gram: hashed.append(gram) or _hash64(gram))
+        with self.numpy_pass(40):
+            encoder = ReferenceEncoder(DIMS)
+            first = encoder.encode_batch([LOOP_SUM, STREAM_SUM, UNRELATED, LOOP_SUM])
+            assert hashed and len(hashed) == len(set(hashed))
+            hashed.clear()
+            again = encoder.encode_batch([UNRELATED, STREAM_SUM, LOOP_SUM])
+        assert hashed == [] and bits(again) == bits([first[2], first[1], first[0]])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_ODD_BATCHES, min_size=1, max_size=4), st.integers(1, 48))
+    def test_one_encoder_across_batches_equals_each_text_alone(self, batches, budget):
+        with self.numpy_pass(budget):
+            for dims in (8, 13, 256):
+                encoder = ReferenceEncoder(dims)
+                for batch in batches:
+                    alone = [per_occurrence_features(text, dims) for text in batch]
+                    assert bits(encoder.encode_batch(batch)) == bits(alone)
+
+    def test_only_a_batch_of_enough_characters_takes_the_numpy_pass(self, monkeypatch):
+        runs: list[int] = []
+        original = embedding._pass_features
+        monkeypatch.setattr(
+            embedding, "_pass_features", lambda run, codes: runs.append(len(run)) or original(run, codes)
+        )
+        encoder = ReferenceEncoder(DIMS)
+        encoder.encode_batch([LOOP_SUM, STREAM_SUM, UNRELATED])
+        assert runs == []
+        texts = [LOOP_SUM * 40, STREAM_SUM * 40]
+        assert bits(encoder.encode_batch(texts)) == bits([per_occurrence_features(t, DIMS) for t in texts])
+        assert runs == [2]
 
 
 class TestReferenceEncode:
@@ -269,6 +375,23 @@ class TestEmbed:
 
         with pytest.raises(ProviderError):
             embed(WrongDims(), ["x();"])
+
+
+    @pytest.mark.parametrize(
+        "bad", [[0.0] * 4, [math.nan, 1.0, 0.0, 0.0], [0.0, math.inf, 0.0, 0.0]], ids=["zero", "nan", "inf"]
+    )
+    def test_an_unusable_provider_row_is_a_provider_error(self, bad):
+        class Unusable:
+            name = "stub"
+            dims = 4
+            batch_limit = 2
+
+            def encode_batch(self, texts):
+                return [bad if text == "bad();" else [1.0, 0.0, 0.0, 0.0] for text in texts]
+
+        with pytest.raises(ProviderError, match=r"provider stub .* text at position 2\b") as raised:
+            embed(Unusable(), ["a();", "b();", "bad();"], retry=RetryPolicy(retries=0))
+        assert not raised.value.transient
 
 
 class TestRetry:

@@ -51,6 +51,23 @@ class TestEmbeddingVector:
         with pytest.raises(ValueError):
             EmbeddingVector.normalized([0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "values",
+        [[math.nan, 1.0, 0.0], [math.inf, 1.0, 0.0], [-math.inf, 0.0, 0.0]],
+        ids=["nan", "inf", "-inf"],
+    )
+    def test_normalized_rejects_a_vector_without_a_finite_norm(self, values):
+        with pytest.raises(ValueError, match="norm"):
+            EmbeddingVector.normalized(values)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_values(self, bad):
+        # abs(nan - 1) > tolerance is False, so a NaN norm must fail by itself.
+        with pytest.raises(ValueError, match="not 1.0"):
+            EmbeddingVector(dims=4, values=[bad] * 4)
+        with pytest.raises(ValueError, match="not 1.0"):
+            EmbeddingVector(dims=2, values=[1.0, bad])
+
     def test_roundtrip(self):
         vec = EmbeddingVector.normalized([1.0, 2.0, -3.0])
         assert EmbeddingVector.from_dict(vec.to_dict()) == vec
