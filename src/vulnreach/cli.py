@@ -22,6 +22,7 @@ from .embedding import EncoderProvider, ReferenceEncoder, RemoteEncoderProvider
 from .errors import (
     ConfigError,
     EmptyProject,
+    MalformedResponse,
     MissingPrediction,
     ProviderError,
     VulnReachError,
@@ -362,6 +363,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USER_ERROR
     except ProviderError as exc:
         print(f"error: provider failure: {exc}", file=sys.stderr)
+        return EXIT_PROVIDER_ERROR
+    except MalformedResponse as exc:
+        # The model answered, but not in the asked form: not the user's error.
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_PROVIDER_ERROR
     except VulnReachError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
+import numpy as np
+
 from .embedding import EncoderProvider
 from .errors import EmptyIndex
 from .gateway import ChatGateway
@@ -29,7 +31,7 @@ from .model import (
     Verdict,
     VulnSpec,
 )
-from .store import EMPTY_SCOPE, ScopeFilter, StoreEntry, VectorStore
+from .store import EMPTY_SCOPE, ScopeFilter, StoreHit, VectorStore
 
 
 class TerminationReason(str, Enum):
@@ -51,13 +53,14 @@ class ContextCompletion:
 
 
 class QueryVectors:
-    """Query vectors and search hits for one analysis.
+    """Query vectors, search hits and seed scores for one analysis.
 
     Each distinct seed or inferred snippet is encoded once, through the
     encoder's memo (a fresh one for a bare encoder), and each distinct
-    (query text, scope) is searched once. A vector depends on its text
-    alone, and one analysis searches one store with one config, so reuse
-    changes no score and no hit.
+    (query text, scope) is searched once, as is each hit row's similarity
+    to the seeds. A vector depends on its text alone, and one analysis
+    searches one store with one config, so reuse changes no score and no
+    hit.
 
     Entries are only ever added and ``setdefault`` keeps the first, so
     parallel candidates share one memo without a lock; a text two threads
@@ -66,14 +69,15 @@ class QueryVectors:
 
     def __init__(self, encoder: EncoderProvider):
         self.encoder = memoized(encoder)
-        self._hits: dict[tuple[str, ScopeFilter], tuple[tuple[StoreEntry, float], ...]] = {}
+        self._hits: dict[tuple[str, ScopeFilter], tuple[tuple[StoreHit, float], ...]] = {}
+        self._similarities: dict[tuple[VulnSpec, int], tuple[float, float]] = {}
 
     def __call__(self, texts: Sequence[str]) -> list[EmbeddingVector]:
         return self.encoder.embed(texts)
 
     def search(
         self, store: VectorStore, text: str, scope: ScopeFilter, config: Config
-    ) -> tuple[tuple[StoreEntry, float], ...]:
+    ) -> tuple[tuple[StoreHit, float], ...]:
         key = (text, scope)
         hits = self._hits.get(key)
         if hits is None:
@@ -81,10 +85,18 @@ class QueryVectors:
             hits = self._hits.setdefault(key, tuple(found))
         return hits
 
-
-def _seed_vectors(queries: QueryVectors, vuln: VulnSpec):
-    *api_vecs, test_vec = queries([*vuln.api_signatures, vuln.pov_test_source])
-    return api_vecs, test_vec
+    def similarities(
+        self, store: VectorStore, vuln: VulnSpec, rows: Sequence[int]
+    ) -> list[tuple[float, float]]:
+        """Each row's (similarity_api, similarity_test): its best score for an
+        API signature and its score for the test source, as search scores."""
+        missing = [row for row in rows if (vuln, row) not in self._similarities]
+        if missing:
+            *api_vecs, test_vec = self([*vuln.api_signatures, vuln.pov_test_source])
+            best_api = np.maximum.reduce([store.row_scores(v, missing) for v in api_vecs])
+            pairs = zip(best_api.tolist(), store.row_scores(test_vec, missing).tolist())
+            self._similarities.update(zip([(vuln, row) for row in missing], pairs))
+        return [self._similarities[vuln, row] for row in rows]
 
 
 def identify_candidates(
@@ -105,33 +117,29 @@ def identify_candidates(
     if store.count() == 0:
         raise EmptyIndex("cannot identify candidates in an empty index")
     queries = queries or QueryVectors(encoder)
-    api_vecs, test_vec = _seed_vectors(queries, vuln)
-
-    hits: dict[str, CodeBlock] = {}
-    vectors: dict[str, EmbeddingVector] = {}
-    for seed in [*vuln.api_signatures, vuln.pov_test_source]:
-        for entry, score in queries.search(store, seed, EMPTY_SCOPE, config):
-            if score > config.tau and entry.block.id not in hits:
-                hits[entry.block.id] = entry.block
-                vectors[entry.block.id] = entry.vector
+    seeds = [*vuln.api_signatures, vuln.pov_test_source]
+    queries(seeds)  # every seed in one embedding batch
+    hits: dict[str, StoreHit] = {}
+    for seed in seeds:
+        for hit, score in queries.search(store, seed, EMPTY_SCOPE, config):
+            if score > config.tau:
+                hits.setdefault(hit.block.id, hit)
+    ordered = sorted(
+        hits.values(), key=lambda h: (h.block.file_path, h.block.line_start, h.block.id)
+    )
+    similarities = queries.similarities(store, vuln, [hit.row for hit in ordered])
 
     grading_signature = "\n".join(vuln.api_signatures)
     candidates: list[Candidate] = []
-    for block in sorted(hits.values(), key=lambda b: (b.file_path, b.line_start, b.id)):
-        vec = vectors[block.id]
-        sim_api = max(vec.dot(av) for av in api_vecs)
-        sim_test = vec.dot(test_vec)
-        api_pass = sim_api > config.tau
-        test_pass = sim_test > config.tau
-        if api_pass and test_pass:
-            matched_by = MatchedBy.BOTH
-        elif api_pass:
-            matched_by = MatchedBy.API_SIMILARITY
+    for hit, (sim_api, sim_test) in zip(ordered, similarities):
+        # The filter above read these very scores, so one of them clears tau.
+        if sim_api > config.tau:
+            matched_by = MatchedBy.BOTH if sim_test > config.tau else MatchedBy.API_SIMILARITY
         else:
             matched_by = MatchedBy.TEST_SIMILARITY
-        if not chat.grade_invocation(block, grading_signature):
+        if not chat.grade_invocation(hit.block, grading_signature):
             continue
-        candidates.append(Candidate.initial(block, matched_by, sim_api, sim_test))
+        candidates.append(Candidate.initial(hit.block, matched_by, sim_api, sim_test))
     return candidates
 
 
@@ -188,19 +196,6 @@ def complete_context(
     )
 
 
-def _retrieval_candidate(
-    store: VectorStore,
-    api_vecs: Sequence,
-    test_vec,
-    block: CodeBlock,
-) -> Candidate:
-    entry = store.get(block.id)
-    vec = entry.vector if entry is not None else None
-    sim_api = max((vec.dot(av) for av in api_vecs), default=0.0) if vec is not None else 0.0
-    sim_test = vec.dot(test_vec) if vec is not None else 0.0
-    return Candidate.initial(block, MatchedBy.CONTEXT_RETRIEVAL, sim_api, sim_test)
-
-
 def analyze(
     store: VectorStore,
     encoder: EncoderProvider,
@@ -220,7 +215,6 @@ def analyze(
     if store.count() == 0:
         raise EmptyIndex("cannot analyze against an empty index")
     queries = QueryVectors(encoder)
-    api_vecs, test_vec = _seed_vectors(queries, vuln)
     initial = identify_candidates(store, encoder, chat, vuln, config, queries)
 
     pending: queue.SimpleQueue[Candidate] = queue.SimpleQueue()
@@ -241,10 +235,13 @@ def analyze(
                 candidate.anchor,
                 CandidateJudgment(candidate.anchor.id, judgment, rationale),
             )
-            for block in completion.new_blocks:
-                if block.id not in enqueued:
-                    enqueued.add(block.id)
-                    followups.append(_retrieval_candidate(store, api_vecs, test_vec, block))
+            fresh = [block for block in completion.new_blocks if block.id not in enqueued]
+            enqueued.update(block.id for block in fresh)
+            rows = [store.row_of(block.id) for block in fresh]
+            for block, (sim_api, sim_test) in zip(fresh, queries.similarities(store, vuln, rows)):
+                followups.append(
+                    Candidate.initial(block, MatchedBy.CONTEXT_RETRIEVAL, sim_api, sim_test)
+                )
         return followups
 
     if config.parallelism == 1:

@@ -415,7 +415,8 @@ class RemoteChatProvider:
 
 def extract_json_object(text: str) -> Any:
     """Parse the response as JSON, accepting a bare object or one embedded in
-    surrounding prose / markdown fences."""
+    surrounding prose / markdown fences: the first ``{`` whose balanced,
+    string-aware span parses."""
     stripped = text.strip()
     if stripped.startswith("```"):
         stripped = re.sub(r"^```[a-zA-Z]*\s*|\s*```$", "", stripped).strip()
@@ -425,13 +426,45 @@ def extract_json_object(text: str) -> Any:
     except (json.JSONDecodeError, RecursionError):
         pass
     decoder = json.JSONDecoder()
-    start = stripped.find("{")
-    while start != -1:
+    # Only a brace whose span closes can start an object, so no other is decoded.
+    for start in _closing_braces(stripped):
         try:
             return decoder.raw_decode(stripped, start)[0]
         except (json.JSONDecodeError, RecursionError):
-            start = stripped.find("{", start + 1)
+            pass
     raise MalformedResponse(f"no JSON object found in response: {text[:120]!r}")
+
+
+_STRUCTURAL = re.compile(r'[{}"\\]')
+
+
+def _closing_braces(text: str) -> list[int]:
+    """The position of each ``{`` whose brace-balanced span closes, scanning
+    from it as from outside a string, in text order.
+
+    Scans from two braces agree wherever both are inside or both outside a
+    string, so one right-to-left pass over the structural characters finds,
+    for each one and either state, the unmatched ``}`` a scan entering it
+    meets first (-1 for none). Linear, where decoding from every ``{`` is
+    quadratic on a long run of unclosed ones.
+    """
+    # No brace after the last "}" closes, and no scan needs what follows it.
+    marks = [m.start() for m in _STRUCTURAL.finditer(text, 0, text.rfind("}") + 1)]
+    outside = [-1] * (len(marks) + 2)
+    inside = [-1] * (len(marks) + 2)
+    for i in range(len(marks) - 1, -1, -1):
+        char = text[marks[i]]
+        if char == "}":
+            outside[i], inside[i] = i, inside[i + 1]
+        elif char == "{":
+            close = outside[i + 1]
+            outside[i], inside[i] = (outside[close + 1] if close >= 0 else -1), inside[i + 1]
+        elif char == '"':
+            outside[i], inside[i] = inside[i + 1], outside[i + 1]
+        else:  # a backslash escapes the next character inside a string only
+            escaped = i + 1 < len(marks) and marks[i + 1] == marks[i] + 1
+            outside[i], inside[i] = outside[i + 1], inside[i + 2 if escaped else i + 1]
+    return [pos for i, pos in enumerate(marks) if text[pos] == "{" and outside[i + 1] >= 0]
 
 
 _SCOPE_KEYS = {"class_name", "method_name", "file_glob"}
@@ -507,10 +540,11 @@ class ChatGateway:
         self.provider = provider
         self.prompts = prompts or PromptLibrary.bundled()
         self.transcript = transcript if transcript is not None else Transcript()
-        # Packing recounts the same template, vulnerability text and blocks
-        # on every call. Each distinct text is counted once: by the memo of a
-        # memo-backed provider, shared with every gateway of its command,
-        # else by this gateway.
+        # Packing recounts the same template, vulnerability text and block
+        # headers on every call. Each distinct text is counted once: by the
+        # memo of a memo-backed provider, shared with every gateway of its
+        # command, else by this gateway.
+        self._sized = token_counter is None
         if token_counter is not None:
             self.token_counter = functools.lru_cache(maxsize=None)(token_counter)
         else:
@@ -518,13 +552,6 @@ class ChatGateway:
             self.token_counter = (memo if memo is not None else Memo()).count_tokens
 
     # -- context packing ---------------------------------------------------
-
-    def _format_block(self, block: CodeBlock) -> str:
-        header = (
-            f"// ---- {block.file_path}:{block.line_start}-{block.line_end}"
-            f" [{block.node_kind.value}] ----\n"
-        )
-        return header + block.source
 
     def _pack_context(self, blocks: Sequence[CodeBlock], budget: int) -> str:
         """Anchor first, then remaining blocks by recency of retrieval,
@@ -536,8 +563,17 @@ class ChatGateway:
         used = 0
         omitted = 0
         for block in ordered:
-            text = self._format_block(block)
-            cost = self.token_counter(text)
+            header = (
+                f"// ---- {block.file_path}:{block.line_start}-{block.line_end}"
+                f" [{block.node_kind.value}] ----\n"
+            )
+            text = header + block.source
+            # No lexeme holds whitespace and the header ends in a newline, so
+            # the source costs its stored size (0 on a hand-built block).
+            if self._sized and block.size:
+                cost = self.token_counter(header) + block.size
+            else:
+                cost = self.token_counter(text)
             if rendered and used + cost > budget:
                 omitted += 1
                 continue
@@ -547,20 +583,21 @@ class ChatGateway:
             rendered.append(f"// [context truncated: {omitted} retrieved block(s) omitted]")
         return "\n\n".join(rendered)
 
-    def _context_budget(self, template: PromptTemplate, fixed_bindings: Mapping[str, str]) -> int:
-        reserved = self.token_counter(template.template_text) + _TRUNCATION_MARGIN
-        for value in fixed_bindings.values():
-            reserved += self.token_counter(value)
-        # The anchor block is always packed; the budget only gates the rest.
-        return max(0, self.provider.context_window - reserved)
-
     # -- core call ---------------------------------------------------------
 
-    def _ask(self, role: RoleKind, bindings: Mapping[str, str], parser: Callable[[Any], Any]) -> Any:
+    def _ask(
+        self,
+        role: RoleKind,
+        bindings: Mapping[str, str],
+        parser: Callable[[Any], Any],
+        subject: str,
+    ) -> Any:
+        """The parsed reply, asked once more with a reprompt if it does not
+        parse; ``subject`` names what the call is about in the error."""
         template = self.prompts.get(role)
         prompt = template.render(**bindings)
         last_error: MalformedResponse | None = None
-        for attempt, text in enumerate((prompt, prompt + REPROMPT_SUFFIX)):
+        for text in (prompt, prompt + REPROMPT_SUFFIX):
             raw = call_with_retry(lambda: self.provider.complete(text, role))
             try:
                 parsed = parser(extract_json_object(raw))
@@ -582,8 +619,9 @@ class ChatGateway:
                     text, raw, None,
                 )
                 last_error = exc
-        assert last_error is not None
-        raise last_error
+        raise MalformedResponse(
+            f"{role.value} reply for {subject}, reprompted once: {last_error}"
+        ) from last_error
 
     # -- the four operations -------------------------------------------------
 
@@ -600,21 +638,14 @@ class ChatGateway:
                 "api_signature": api_signature,
             },
             _parse_grader,
+            f"block {block.id}",
         )
 
     def reflection_query(
         self, context: Sequence[CodeBlock], vuln: VulnSpec
     ) -> tuple[bool, str]:
         """Ask whether the collected context suffices for a judgment."""
-        if not context:
-            raise ValueError("reflection requires a nonempty context")
-        fixed = {
-            "api_signatures": "\n".join(vuln.api_signatures),
-            "pov_test_source": vuln.pov_test_source,
-        }
-        template = self.prompts.get(RoleKind.REFLECTION)
-        packed = self._pack_context(context, self._context_budget(template, fixed))
-        return self._ask(RoleKind.REFLECTION, {**fixed, "context": packed}, _parse_reflection)
+        return self._ask_in_context(RoleKind.REFLECTION, context, vuln, _parse_reflection)
 
     def code_inference(
         self, context: Sequence[CodeBlock], vuln: VulnSpec, reason: str
@@ -622,23 +653,29 @@ class ChatGateway:
         """Infer the missing code snippet to search for, plus scope constraints."""
         if not reason.strip():
             raise ValueError("code inference requires a nonempty reason")
-        fixed = {
-            "api_signatures": "\n".join(vuln.api_signatures),
-            "pov_test_source": vuln.pov_test_source,
-            "reason": reason,
-        }
-        template = self.prompts.get(RoleKind.INFERENCE)
-        packed = self._pack_context(context, self._context_budget(template, fixed))
-        return self._ask(RoleKind.INFERENCE, {**fixed, "context": packed}, _parse_inference)
+        return self._ask_in_context(
+            RoleKind.INFERENCE, context, vuln, _parse_inference, reason=reason
+        )
 
     def judge_reachability(self, candidate: Candidate, vuln: VulnSpec) -> tuple[Judgment, str]:
         """Binary reachability judgment for one context-complete candidate."""
-        if not candidate.context:
-            raise ValueError("judgment requires a nonempty candidate context")
+        return self._ask_in_context(RoleKind.JUDGE, candidate.context, vuln, _parse_judge)
+
+    def _ask_in_context(
+        self, role: RoleKind, context: Sequence[CodeBlock], vuln: VulnSpec,
+        parser: Callable[[Any], Any], **bindings: str,
+    ) -> Any:
+        """Ask about a candidate, its context packed into the window the
+        template and the other bindings leave."""
+        if not context:
+            raise ValueError(f"{role.value} requires a nonempty context")
         fixed = {
             "api_signatures": "\n".join(vuln.api_signatures),
             "pov_test_source": vuln.pov_test_source,
+            **bindings,
         }
-        template = self.prompts.get(RoleKind.JUDGE)
-        packed = self._pack_context(candidate.context, self._context_budget(template, fixed))
-        return self._ask(RoleKind.JUDGE, {**fixed, "context": packed}, _parse_judge)
+        reserved = self.token_counter(self.prompts.get(role).template_text) + _TRUNCATION_MARGIN
+        reserved += sum(map(self.token_counter, fixed.values()))
+        # The anchor block is always packed; the budget only gates the rest.
+        packed = self._pack_context(context, max(0, self.provider.context_window - reserved))
+        return self._ask(role, {**fixed, "context": packed}, parser, f"candidate {context[0].id}")

@@ -205,6 +205,17 @@ class CodeBlock:
         )
 
 
+def _norm(values: np.ndarray) -> float:
+    """The Euclidean norm from the exactly summed squares; ``inf`` when a
+    square or their sum overflows."""
+    with np.errstate(over="ignore"):
+        squares = (values * values).tolist()
+    try:
+        return math.sqrt(math.fsum(squares))
+    except OverflowError:  # fsum's partial sums of finite squares overflowed
+        return math.inf
+
+
 @dataclass(frozen=True, eq=False)
 class EmbeddingVector:
     """Fixed-dimension unit-norm vector representing a block of code.
@@ -233,7 +244,12 @@ class EmbeddingVector:
         # fsum of the squares, then one IEEE division per element: the same
         # floats as dividing each Python float by the exactly summed norm.
         values = np.asarray(values, dtype=np.float64)
-        norm = math.sqrt(math.fsum((values * values).tolist()))
+        norm = _norm(values)
+        if norm == math.inf and np.isfinite(values).all():
+            # Finite values whose squares overflow still have a direction:
+            # scaled by the largest magnitude, every square is at most 1.
+            values = values / np.abs(values).max()
+            norm = _norm(values)
         if norm == 0.0:
             raise ValueError("cannot normalize a zero vector")
         if not math.isfinite(norm):

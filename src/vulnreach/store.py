@@ -36,7 +36,7 @@ import struct
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,6 +70,13 @@ _FIELDS: dict[str, frozenset[type]] = {
 class StoreEntry:
     block: CodeBlock
     vector: EmbeddingVector
+
+
+class StoreHit(NamedTuple):
+    """A search result's row and block; its score comes beside it."""
+
+    row: int
+    block: CodeBlock
 
 
 @dataclass(frozen=True)
@@ -317,6 +324,10 @@ class VectorStore:
         return self._blocks[row].source.encode("utf-8", "surrogatepass")
 
     def _entry_at(self, row: int) -> StoreEntry:
+        # Renormalize in float64: float32 storage rounds the norm slightly.
+        return StoreEntry(self._block_at(row), EmbeddingVector.normalized(self._vectors[row]))
+
+    def _block_at(self, row: int) -> CodeBlock:
         block = self._blocks.get(row)
         if block is None:
             raw = {name: column[row] for name, column in self._fields.items()}
@@ -327,12 +338,11 @@ class VectorStore:
                 raise IndexFormatError(f"{self.path}: block {row} is malformed: {exc!r}") from exc
             # Parallel readers may build a row at once; all keep the first.
             block = self._blocks.setdefault(row, block)
-        # Renormalize in float64: float32 storage rounds the norm slightly.
-        return StoreEntry(block, EmbeddingVector.normalized(self._vectors[row]))
+        return block
 
     def _scoring_matrix(self) -> np.ndarray:
-        """Float64 rows renormalized to exact unit length, so scores agree
-        with dot products of the vectors this store exposes via entries()."""
+        """Float64 rows renormalized to unit length: every score is read
+        from these rows."""
         if self._matrix64 is None:
             mat = np.empty(self._vectors.shape, dtype=np.float64)
             # Each row is divided by its norm, computed as np.linalg.norm does.
@@ -399,8 +409,9 @@ class VectorStore:
         k: int,
         tau: float,
         scope: ScopeFilter = EMPTY_SCOPE,
-    ) -> list[tuple[StoreEntry, float]]:
-        """Entries matching scope with cosine score >= tau, best first.
+    ) -> list[tuple[StoreHit, float]]:
+        """(hit, score) for each block matching scope with cosine score >=
+        tau, best first. A hit carries its row and block, not its vector.
 
         Ties break by (file_path, line_start) ascending, then by row; at
         most k results.
@@ -413,22 +424,34 @@ class VectorStore:
             raise ValueError("k must be positive")
         if not self.count():
             return []
-        # Row-wise reduction instead of BLAS matmul: identical vectors must
-        # produce bit-identical scores regardless of row position, or the
-        # (score, file, line) tie-break becomes nondeterministic.
-        matrix = self._scoring_matrix()
-        scores = np.empty(len(matrix))
-        for start in range(0, len(matrix), _CHUNK_ROWS):
-            chunk = slice(start, start + _CHUNK_ROWS)
-            np.add.reduce(matrix[chunk] * query.values, axis=1, out=scores[chunk])
+        scores = self.row_scores(query)
         keep = scores >= tau
         cols = self._columns()
         if not scope.is_empty():
             keep &= cols.scope_mask(scope)
         rows = np.flatnonzero(keep)
         # lexsort is stable and its last key is the primary one.
-        rows = rows[np.lexsort((cols.line_start[rows], cols.path_rank[rows], -scores[rows]))]
-        return [(self._entry_at(row), float(scores[row])) for row in rows[:k].tolist()]
+        rows = rows[np.lexsort((cols.line_start[rows], cols.path_rank[rows], -scores[rows]))][:k]
+        return [(StoreHit(row, self._block_at(row)), float(scores[row])) for row in rows.tolist()]
+
+    def row_scores(
+        self, query: EmbeddingVector, rows: list[int] | slice = slice(None)
+    ) -> np.ndarray:
+        """The score for ``query`` of each of ``rows`` (all by default): the
+        very scores ``search`` filters and ranks on."""
+        # Row-wise reduction instead of BLAS matmul: identical vectors must
+        # produce bit-identical scores regardless of row position or of the
+        # rows scored with them, or ties and read-back scores drift.
+        matrix = self._scoring_matrix()[rows]
+        scores = np.empty(len(matrix))
+        for start in range(0, len(matrix), _CHUNK_ROWS):
+            chunk = slice(start, start + _CHUNK_ROWS)
+            np.add.reduce(matrix[chunk] * query.values, axis=1, out=scores[chunk])
+        return scores
+
+    def row_of(self, block_id: str) -> int:
+        """The row a stored block is at; ``KeyError`` for an unknown id."""
+        return self._row_by_id[block_id]
 
 
 def _read_header(path: Path, data: bytes) -> tuple[int, int, int, bytes]:

@@ -349,6 +349,42 @@ class TestAnalyzeCommand:
         )
         assert code == 2
 
+    def test_a_judge_answering_prose_exits_2_naming_role_and_block(self, tmp_path: Path, capsys):
+        index = build_index_for("unguarded_app", tmp_path)
+        script = tmp_path / "prose.json"
+        script.write_text(
+            json.dumps(
+                {
+                    "rules": [{"role": "grader", "contains": ".encode(", "response": {"answer": "yes"}}],
+                    "defaults": {
+                        "grader": {"answer": "no"},
+                        "reflection": {"complete": True, "reason": ""},
+                        "judge": "I cannot tell.",
+                    },
+                }
+            )
+        )
+        config = write_tool_config(
+            tmp_path / "cfg.json", chat={"provider": "scripted", "script_path": str(script)}
+        )
+        report = tmp_path / "r.json"
+        code = run_cli(
+            "analyze",
+            "--index", str(index),
+            "--vuln", str(FIXTURES / "vuln_encoder_null.json"),
+            "--config", str(config),
+            "--report", str(report),
+        )
+        err = capsys.readouterr().err
+        assert code == 2 and not report.exists()
+        assert err.startswith("error: judge reply for candidate ") and len(err.splitlines()) == 1, err
+        assert "I cannot tell." in err
+        block_id = err.split("candidate ", 1)[1].split(",", 1)[0]
+        assert VectorStore.open(index).get(block_id) is not None
+        # The transcript keeps both judge answers: the first ask and the reprompt.
+        transcript = report.with_name(report.name + ".transcript.jsonl").read_text().splitlines()
+        assert [json.loads(line)["role_kind"] for line in transcript][-2:] == ["judge", "judge"]
+
 
 def write_hasher_project(root: Path) -> Path:
     """Three classes that each hand a password to the encoder; only the

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from conftest import FIXTURES, FIXTURE_TAU, CountingEncoder, make_block
+from vulnreach import detector as detector_module
 from vulnreach.detector import (
     QueryVectors,
     TerminationReason,
@@ -454,3 +455,81 @@ class TestSearchMemo:
         assert verdict.to_dict() == expected.to_dict()
         assert set(plain.searches) == set(memo.searches)
         assert len(plain.searches) > len(memo.searches)
+
+
+def yes_gateway() -> ChatGateway:
+    """Grades every block as invoking the API, so every prefilter hit becomes
+    a candidate."""
+    return ChatGateway(
+        ScriptedChatProvider(
+            defaults={
+                RoleKind.GRADER: '{"answer": "yes"}',
+                RoleKind.REFLECTION: '{"complete": true, "reason": ""}',
+                RoleKind.JUDGE: '{"judgment": "secure", "rationale": "guarded"}',
+            }
+        ),
+        transcript=Transcript(),
+    )
+
+
+def seed_scores(store: VectorStore, encoder, vuln: VulnSpec) -> tuple[list, list]:
+    """Every row's best API-seed score and test-seed score, as search scores rows."""
+    *api_vecs, test_vec = embed(encoder, [*vuln.api_signatures, vuln.pov_test_source])
+    api = [max(scores) for scores in zip(*(store.row_scores(v).tolist() for v in api_vecs))]
+    return api, store.row_scores(test_vec).tolist()
+
+
+class TestSeedScores:
+    @pytest.mark.parametrize("tau", [0.02, 0.1, 0.2, FIXTURE_TAU, 0.5])
+    def test_matched_by_agrees_with_the_scores_that_admitted_it(
+        self, guarded_store, encoder, vuln, tau
+    ):
+        cfg = Config(tau=tau, top_k=10, max_iterations=5)
+        candidates = identify_candidates(guarded_store, encoder, yes_gateway(), vuln, cfg)
+        api, test = seed_scores(guarded_store, encoder, vuln)
+        for candidate in candidates:
+            row = guarded_store.row_of(candidate.anchor.id)
+            # The very floats the filter compared with tau, not a recomputation.
+            assert (candidate.similarity_api, candidate.similarity_test) == (api[row], test[row])
+            api_pass, test_pass = api[row] > tau, test[row] > tau
+            assert api_pass or test_pass
+            assert candidate.matched_by is {
+                (True, True): MatchedBy.BOTH,
+                (True, False): MatchedBy.API_SIMILARITY,
+                (False, True): MatchedBy.TEST_SIMILARITY,
+            }[api_pass, test_pass]
+        if tau == 0.02:
+            assert {c.matched_by for c in candidates} >= {MatchedBy.BOTH}
+
+    def test_retrieved_candidates_carry_their_rows_seed_scores(
+        self, guarded_store, encoder, vuln, monkeypatch
+    ):
+        seen = []
+        complete = detector_module.complete_context
+
+        def recording(store, encoder, chat, candidate, *args):
+            seen.append(candidate)
+            return complete(store, encoder, chat, candidate, *args)
+
+        monkeypatch.setattr(detector_module, "complete_context", recording)
+        analyze(guarded_store, encoder, TestSearchMemo.looping_gateway(), vuln, CFG, "p")
+        retrieved = [c for c in seen if c.matched_by is MatchedBy.CONTEXT_RETRIEVAL]
+        assert retrieved
+        api, test = seed_scores(guarded_store, encoder, vuln)
+        for candidate in retrieved:
+            row = guarded_store.row_of(candidate.anchor.id)
+            assert (candidate.similarity_api, candidate.similarity_test) == (api[row], test[row])
+
+    def test_analysis_builds_no_stored_vector_and_takes_no_dot(
+        self, guarded_store, encoder, vuln, monkeypatch
+    ):
+        expected = analyze(guarded_store, encoder, TestSearchMemo.looping_gateway(), vuln, CFG, "p")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("analyze read a stored vector or took a dot product")
+
+        monkeypatch.setattr(EmbeddingVector, "dot", forbidden)
+        monkeypatch.setattr(VectorStore, "get", forbidden)
+        monkeypatch.setattr(VectorStore, "entries", forbidden)
+        got = analyze(guarded_store, encoder, TestSearchMemo.looping_gateway(), vuln, CFG, "p")
+        assert got.to_dict() == expected.to_dict()

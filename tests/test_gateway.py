@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, make_block, record_token_counts
+from conftest import FIXTURES, JAVA_SOURCES, make_block, record_token_counts
 from vulnreach.errors import ConfigError, MalformedResponse, ProviderError
 from vulnreach.gateway import (
     ChatGateway,
@@ -23,7 +23,10 @@ from vulnreach.gateway import (
     extract_json_object,
 )
 from vulnreach.memo import Memo, MemoChatProvider
-from vulnreach.model import Candidate, Judgment, MatchedBy, NodeKind, VulnSpec
+from vulnreach.javaparse import parse_source
+from vulnreach.model import Candidate, Config, Judgment, MatchedBy, NodeKind, VulnSpec
+from vulnreach.segmenter import segment_unit
+from vulnreach.tokenizer import DEFAULT_TOKENIZER
 
 
 def scripted(**kw) -> ScriptedChatProvider:
@@ -718,3 +721,91 @@ class TestContextPacking:
         positions = [packed.index(f"src/R{i}.java") for i in range(3)]
         assert packed.index("src/T.java") < min(positions)  # anchor first
         assert positions[2] < positions[1] < positions[0]  # most recent first
+
+
+# A field block whose stored size claims far more tokens than its text holds.
+OVERSTATED_BLOCK = make_block(
+    file_path="src/O.java",
+    line_start=1,
+    line_end=1,
+    source="int o;\n",
+    node_kind=NodeKind.FIELD_DECLARATION,
+    enclosing_class="O",
+    size=10_000,
+)
+
+
+class TestPackingCost:
+    def test_default_counting_costs_a_block_by_its_stored_size(self):
+        packed = gateway(scripted())._pack_context([ENCODE_BLOCK, OVERSTATED_BLOCK], budget=1_000)
+        assert "[context truncated: 1 retrieved block(s) omitted]" in packed
+
+    def test_an_explicit_counter_counts_the_whole_text(self):
+        counted: list[str] = []
+
+        def counter(text: str) -> int:
+            counted.append(text)
+            return DEFAULT_TOKENIZER.count(text)
+
+        gw = gateway(scripted(), token_counter=counter)
+        packed = gw._pack_context([ENCODE_BLOCK, OVERSTATED_BLOCK], budget=1_000)
+        assert "context truncated" not in packed and OVERSTATED_BLOCK.source in packed
+        assert "// ---- src/O.java:1-1 [FieldDeclaration] ----\nint o;\n" in counted
+
+    def test_a_block_without_a_stored_size_is_counted(self):
+        unsized = make_block(
+            file_path="src/U.java",
+            source="int u;\n" * 400,  # 1,200 tokens
+            node_kind=NodeKind.FIELD_DECLARATION,
+            size=0,
+        )
+        gw = gateway(scripted())
+        assert "1 retrieved block(s) omitted" in gw._pack_context([ENCODE_BLOCK, unsized], 1_000)
+        assert "context truncated" not in gw._pack_context([ENCODE_BLOCK, unsized], 1_300)
+
+    @settings(max_examples=80, deadline=None)
+    @given(JAVA_SOURCES, st.integers(0, 300))
+    def test_segmented_blocks_pack_as_if_every_text_were_counted(self, source, budget):
+        # A header ends in a newline and no lexeme holds whitespace, so the
+        # stored size gives the very truncation that counting the text does.
+        blocks = segment_unit(parse_source("src/F.java", source)[0], Config(theta=5))
+        by_size = gateway(scripted())._pack_context(blocks, budget)
+        counted = gateway(scripted(), token_counter=DEFAULT_TOKENIZER.count)
+        assert by_size == counted._pack_context(blocks, budget)
+
+
+class TestMalformedReplies:
+    @pytest.mark.parametrize(
+        "role, ask, subject",
+        [
+            (RoleKind.GRADER, lambda gw, v: gw.grade_invocation(ENCODE_BLOCK, "x"), "block"),
+            (RoleKind.REFLECTION, lambda gw, v: gw.reflection_query([ENCODE_BLOCK], v), "candidate"),
+            (RoleKind.INFERENCE, lambda gw, v: gw.code_inference([ENCODE_BLOCK], v, "why"), "candidate"),
+            (
+                RoleKind.JUDGE,
+                lambda gw, v: gw.judge_reachability(
+                    Candidate.initial(ENCODE_BLOCK, MatchedBy.BOTH, 0.5, 0.5), v
+                ),
+                "candidate",
+            ),
+        ],
+    )
+    def test_error_names_the_role_and_block_after_one_reprompt(self, vuln, role, ask, subject):
+        provider = CountingProvider(defaults={role: "I cannot tell."})
+        with pytest.raises(MalformedResponse) as raised:
+            ask(gateway(provider), vuln)
+        message = str(raised.value)
+        assert message.startswith(f"{role.value} reply for {subject} {ENCODE_BLOCK.id}")
+        assert "I cannot tell." in message and "\n" not in message
+        # Asked and reprompted once; a parse failure is never retried as a
+        # transient provider failure.
+        assert [asked_role for asked_role, _ in provider.asked] == [role, role]
+
+    def test_a_long_unclosed_run_of_objects_fails_fast(self):
+        text = "Sure: " + '{"a": ' * 20000
+        start = time.perf_counter()
+        with pytest.raises(MalformedResponse):
+            extract_json_object(text)
+        assert time.perf_counter() - start < 0.05  # decoding from every brace took over 1 s
+        closed_once = '{"a": ' * 20000 + '{"answer": "yes"}'
+        assert extract_json_object(closed_once) == {"answer": "yes"}

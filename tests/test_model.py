@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -119,6 +120,23 @@ class TestVectorBitIdentity:
             assert bits(EmbeddingVector.normalized(rows32).values) == bits(
                 tuple_normalized(rows32.astype(np.float64).tolist())
             )
+
+    @given(_RAW, st.sampled_from([1e150, 1e200, 1e300, 1.7e308]))
+    def test_a_row_whose_squares_overflow_keeps_its_direction(self, raw, peak):
+        values = np.array(raw, dtype=np.float64)
+        if not values.any():
+            return
+        huge = values / np.abs(values).max() * peak  # finite, largest magnitude = peak
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning escapes either
+            scaled = EmbeddingVector.normalized(huge)
+        assert np.allclose(scaled.values, EmbeddingVector.normalized(raw).values, rtol=0, atol=1e-12)
+        assert math.isclose(float(scaled.values @ scaled.values), 1.0, abs_tol=1e-12)
+
+    def test_overflow_rescaling_is_exact_where_the_scale_is(self):
+        assert EmbeddingVector.normalized([3e200, 4e200]).values.tolist() == [0.6, 0.8]
+        # fsum of finite squares can overflow as well: 4 * 1.69e308.
+        assert EmbeddingVector.normalized([1.3e154] * 4).values.tolist() == [0.5] * 4
 
     @given(_RAW_PAIRS)
     def test_dot_matches_the_tuple_definition(self, pair):

@@ -225,6 +225,16 @@ class TestFuzzNet:
             else:
                 assert_coverage_and_reassembly(source, blocks, unit.line_count)
 
+    @settings(max_examples=150, deadline=None)
+    @given(JAVA_SOURCES)
+    def test_stored_size_is_the_token_count_of_the_source(self, source):
+        # Packing costs a block by its stored size, so the size must be the
+        # count of the text, whatever the line terminators and characters.
+        unit = parse_source("F.java", source)[0]
+        for theta in (1, 5, 80, 2500):
+            for block in segment_unit(unit, Config(theta=theta)):
+                assert block.size == DEFAULT_TOKENIZER.count(block.source)
+
     def test_lone_cr_blocks_hold_their_declarations(self):
         src = "class A {\r    int x;\r    void m() {\r    }\r}\r"
         blocks = segment_unit(parse_source("C.java", src)[0], Config(theta=1))

@@ -564,6 +564,55 @@ class TestSearch:
                 assert score == pytest.approx(expected_score, abs=1e-9)
 
 
+class TestRowScores:
+    @pytest.mark.parametrize("rows", [1, 63, 64, 65, 200])
+    @pytest.mark.parametrize("dims", [4, 16, 300])
+    def test_any_rows_score_as_search_scores_them_bit_for_bit(self, rows, dims):
+        rng = np.random.RandomState(rows * dims + 1)
+        store = VectorStore.in_memory(dims)
+        raw = rng.randn(rows, dims)
+        store.insert([entry(i, unit(raw[i])) for i in range(rows)])
+        mat = store._vectors.astype(np.float64)
+        query = unit(raw[0] + rng.randn(dims))  # near row 0, so the search has hits
+        expected = (mat / np.linalg.norm(mat, axis=1, keepdims=True) * query.values).sum(axis=1)
+        searched = {hit.row: score for hit, score in store.search(query, k=rows, tau=0.0)}
+        subsets = [
+            list(range(rows)),
+            *([row] for row in range(rows)),
+            rng.permutation(rows)[: rng.randint(1, rows + 1)].tolist(),
+            rng.randint(0, rows, size=2 * rows).tolist(),  # repeats, any order
+        ]
+        assert store.row_scores(query).tobytes() == expected.tobytes()
+        for subset in subsets:
+            scores = store.row_scores(query, subset)
+            assert scores.tobytes() == expected[subset].tobytes()
+            for row, score in zip(subset, scores.tolist()):
+                assert score == searched.get(row, score)
+        assert searched  # some rows were compared against the search
+
+    def test_hits_carry_their_row_and_block_and_no_vector(self, tmp_path: Path):
+        rng = np.random.RandomState(5)
+        store, entries = random_store(rng, 90)
+        VectorStore.create(tmp_path / "idx.vrix", DIMS, entries)
+        opened = VectorStore.open(tmp_path / "idx.vrix")
+        query = unit(rng.randn(DIMS))
+        for s in (store, opened):
+            hits = s.search(query, k=20, tau=0.0)
+            assert hits
+            for hit, score in hits:
+                assert hit.block == entries[hit.row].block
+                assert s.row_of(hit.block.id) == hit.row
+                assert s.row_scores(query, [hit.row]).tolist() == [score]
+                assert not hasattr(hit, "vector")
+        assert opened.search(query, k=20, tau=0.0) == store.search(query, k=20, tau=0.0)
+
+    def test_row_of_an_unknown_block_raises(self):
+        store = VectorStore.in_memory(DIMS)
+        store.insert([entry(0, axis(0))])
+        with pytest.raises(KeyError):
+            store.row_of("no-such-block")
+
+
 class TestScopeFilter:
     def test_empty_filter_matches_everything(self):
         assert EMPTY_SCOPE.matches(make_block(enclosing_class=None))
