@@ -29,6 +29,9 @@ _NUMPY_MIN_CHARS = 2048
 # Characters per numpy pass, in whole texts: a pass holds up to about 130 B
 # per character, so this bounds its working set to about 2 MB.
 _PASS_CHARS = 16384
+# Entries of an encoder's n-gram code table, about 7 MB at most: several
+# times the distinct n-grams one benchmark command meets (about 16,000).
+_MAX_CODES = 1 << 16
 
 _T = TypeVar("_T")
 
@@ -124,12 +127,14 @@ def _hash64(text: str) -> int:
 
 
 class _GramCodes(dict):
-    """Memo of n-gram -> feature code for one ``dims``, filled on first lookup.
+    """Memo of n-gram -> feature code for one ``dims``, filled on first lookup
+    and emptied when it holds ``_MAX_CODES`` entries.
 
     A code is the n-gram's bucket when its sign is +1 and ``dims`` plus the
     bucket when it is -1, so one ``np.bincount`` over ``2 * dims`` slots
-    counts both signs at once. Entries are only ever added, and a racing add
-    stores the same code, so threads may share one table.
+    counts both signs at once. A code depends on the n-gram alone, so a
+    lookup after a racing add or an emptying gets the same code, and threads
+    may share one table.
     """
 
     def __init__(self, dims: int):
@@ -137,6 +142,8 @@ class _GramCodes(dict):
         self.dims = dims
 
     def __missing__(self, gram: str) -> int:
+        if len(self) >= _MAX_CODES:
+            self.clear()
         h = _hash64(gram)
         # The low bits pick the bucket, the top bit the sign.
         code = self[gram] = h % self.dims + (self.dims if h >> 63 else 0)
@@ -258,7 +265,7 @@ class ReferenceEncoder:
         self.name = "reference"
         self.dims = dims
         self.batch_limit = batch_limit
-        # Each n-gram hashes once for the life of the encoder: a command builds
+        # Each n-gram hashes once while the table holds it: a command builds
         # one encoder, so repeats across batches and theta settings are free.
         # A code depends on the n-gram and dims alone, so a row still equals
         # its text encoded alone.

@@ -15,6 +15,7 @@ import functools
 import hashlib
 import json
 import re
+import sys
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -427,44 +428,73 @@ def extract_json_object(text: str) -> Any:
         pass
     decoder = json.JSONDecoder()
     # Only a brace whose span closes can start an object, so no other is decoded.
-    for start in _closing_braces(stripped):
+    spans = _closing_braces(stripped)
+    closes = {start: close for start, close, _ in spans}
+    failed: set[int] = set()
+    for start, _, depth in spans:
+        # Nested deeper than the recursion limit, a span cannot decode.
+        if start in failed or depth > sys.getrecursionlimit():
+            continue
         try:
             return decoder.raw_decode(stripped, start)[0]
-        except (json.JSONDecodeError, RecursionError):
+        except RecursionError:
             pass
+        except json.JSONDecodeError as exc:
+            failed.update(_left_open(stripped, start, exc.pos, closes))
     raise MalformedResponse(f"no JSON object found in response: {text[:120]!r}")
 
 
 _STRUCTURAL = re.compile(r'[{}"\\]')
+_STRING_OR_BRACE = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?|\{', re.DOTALL)
 
 
-def _closing_braces(text: str) -> list[int]:
-    """The position of each ``{`` whose brace-balanced span closes, scanning
-    from it as from outside a string, in text order.
+def _closing_braces(text: str) -> list[tuple[int, int, int]]:
+    """Each ``{`` whose brace-balanced span closes, scanning from it as from
+    outside a string, in text order: its position, the position of its
+    closing ``}``, and the deepest brace nesting in the span (1 for none).
 
     Scans from two braces agree wherever both are inside or both outside a
     string, so one right-to-left pass over the structural characters finds,
     for each one and either state, the unmatched ``}`` a scan entering it
-    meets first (-1 for none). Linear, where decoding from every ``{`` is
-    quadratic on a long run of unclosed ones.
+    meets first (-1 for none) and the deepest nesting it passes on the way.
+    Linear, where decoding from every ``{`` is quadratic on a long run of
+    unclosed ones.
     """
     # No brace after the last "}" closes, and no scan needs what follows it.
     marks = [m.start() for m in _STRUCTURAL.finditer(text, 0, text.rfind("}") + 1)]
-    outside = [-1] * (len(marks) + 2)
-    inside = [-1] * (len(marks) + 2)
+    unclosed = (-1, 0)
+    outside = [unclosed] * (len(marks) + 2)
+    inside = [unclosed] * (len(marks) + 2)
     for i in range(len(marks) - 1, -1, -1):
         char = text[marks[i]]
         if char == "}":
-            outside[i], inside[i] = i, inside[i + 1]
+            outside[i], inside[i] = (i, 0), inside[i + 1]
         elif char == "{":
-            close = outside[i + 1]
-            outside[i], inside[i] = (outside[close + 1] if close >= 0 else -1), inside[i + 1]
+            close, depth = outside[i + 1]
+            after = outside[close + 1] if close >= 0 else unclosed
+            outside[i], inside[i] = (after[0], max(depth + 1, after[1])), inside[i + 1]
         elif char == '"':
             outside[i], inside[i] = inside[i + 1], outside[i + 1]
         else:  # a backslash escapes the next character inside a string only
             escaped = i + 1 < len(marks) and marks[i + 1] == marks[i] + 1
             outside[i], inside[i] = outside[i + 1], inside[i + 2 if escaped else i + 1]
-    return [pos for i, pos in enumerate(marks) if text[pos] == "{" and outside[i + 1] >= 0]
+    return [
+        (pos, marks[outside[i + 1][0]], outside[i + 1][1] + 1)
+        for i, pos in enumerate(marks)
+        if text[pos] == "{" and outside[i + 1][0] >= 0
+    ]
+
+
+def _left_open(text: str, start: int, pos: int, closes: dict[int, int]) -> list[int]:
+    """The braces after ``start`` that its decode, failing at ``pos``, left
+    open: outside its strings, with spans closing at or after ``pos``. A
+    decode from one of them reads the same text up to ``pos`` and fails
+    there too."""
+    return [
+        m.start()
+        for m in _STRING_OR_BRACE.finditer(text, start + 1, pos)
+        if m.group() == "{" and closes.get(m.start(), -1) >= pos
+    ]
 
 
 _SCOPE_KEYS = {"class_name", "method_name", "file_glob"}

@@ -5,7 +5,9 @@ declarations and type declarations at the top level, and field, method,
 constructor, initializer and nested-type members inside type bodies.
 Statement-level structure is never modeled; bodies are consumed by bracket
 balancing with full string/comment awareness, so arbitrary (including
-syntactically broken) content inside bodies cannot derail the scan.
+syntactically broken) content inside bodies cannot derail the scan. One
+regular-expression scan finds a file's tokens; brackets are matched on
+their texts, and a ``Token`` is built only for the few the parser reads.
 
 Anything that cannot be recognized is captured as an ``error`` node that
 still carries an exact line span. Downstream segmentation turns error nodes
@@ -16,10 +18,11 @@ real-world corpora containing unparseable files.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .tokenizer import DEFAULT_TOKENIZER
 
@@ -46,17 +49,37 @@ TYPE_KEYWORDS = frozenset({"class", "interface", "enum", "record"})
 _OPENERS = frozenset("({[")
 _CLOSERS = frozenset(")}]")
 
-_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$")
-_IDENT_PART = _IDENT_START | frozenset("0123456789")
-_DIGITS = frozenset("0123456789")
 # The line model (JLS 3.4): a line ends at LF, CRLF or a lone CR.
 _LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
-_LINE_TERMINATOR = re.compile(r"[\r\n]")
+
+# Every token of a file, in order: comments, text blocks, string and char
+# literals (ending at their quote, an unescaped line terminator or end of
+# input; a backslash escapes one character, CRLF as one), identifiers,
+# numbers, runs of line terminators (read only to count lines), and any other
+# character but a blank (space, tab, FF, VT) as punctuation. No alternative
+# can fail once its loop stops, so the scan never backtracks.
+_TOKEN = re.compile(
+    r"""
+      //[^\r\n]*
+    | /\*[^*]*(?:\*+(?!/)[^*]*)*(?:\*/)?
+    | \"\"\"[^"\\]*(?:(?:\\.|"(?!""))[^"\\]*)*(?:\"\"\"|\\?\Z)
+    | "[^"\\\r\n]*(?:\\(?:\r\n|.)?[^"\\\r\n]*)*"?
+    | '[^'\\\r\n]*(?:\\(?:\r\n|.)?[^'\\\r\n]*)*'?
+    | [A-Za-z_$][A-Za-z0-9_$]*
+    | [0-9][A-Za-z0-9_$.]*
+    | [\r\n]+
+    | [^ \t\f\v]
+    """,
+    re.DOTALL | re.VERBOSE,
+)
+# A token's kind by its first character; "/" alone is punctuation.
+_KIND = dict.fromkeys(string.ascii_letters + "_$", "ident") | dict.fromkeys(string.digits, "number")
+_KIND.update({'"': "string", "'": "char", "/": "comment"})
 
 
 class Token(NamedTuple):
-    # A NamedTuple rather than a frozen dataclass: lex() builds one per token,
-    # and tuple construction is several times cheaper.
+    # A NamedTuple rather than a frozen dataclass: the parser builds one per
+    # token it reads, and tuple construction is several times cheaper.
     kind: str  # ident | number | string | char | punct | comment
     text: str
     line_start: int
@@ -68,103 +91,42 @@ def _line_breaks(text: str) -> int:
     return text.count("\n") + text.count("\r") - text.count("\r\n")
 
 
-def _literal_end(source: str, i: int, quote: str) -> int:
-    """End of the string or char literal opened at ``i``: past its closing
-    quote, or at the first unescaped line terminator or end of input. An
-    escaped line terminator (CRLF as one) stays inside the literal."""
-    n = len(source)
-    stop = quote + "\r\n"
-    j = i + 1
-    while j < n and source[j] not in stop:
-        if source[j] == "\\":
-            j += source.startswith("\r\n", j + 1)
-            j += 1
-        j += 1
-    if j < n and source[j] == quote:
-        j += 1
-    return min(j, n)
+def _scan(source: str) -> tuple[list[str], list[int]]:
+    """Every token of ``source`` in order: its text, and the line it starts on."""
+    texts: list[str] = []
+    lines: list[int] = []
+    line = 1
+    for text in _TOKEN.findall(source):
+        if text[0] not in "\r\n":
+            texts.append(text)
+            lines.append(line)
+        if text[0] in "\r\n/\"'":  # only these span lines
+            line += _line_breaks(text)
+    return texts, lines
+
+
+class _Tokens:
+    """The tokens at positions ``order`` of one scan, each built when read."""
+
+    def __init__(self, texts: list[str], lines: list[int], order: Sequence[int]):
+        self._texts, self._lines, self._order = texts, lines, order
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def __getitem__(self, i: int) -> Token:
+        k = self._order[i]
+        text, line = self._texts[k], self._lines[k]
+        kind = "punct" if text == "/" else _KIND.get(text[0], "punct")
+        return Token(kind, text, line, line + _line_breaks(text))
 
 
 def lex(source: str) -> list[Token]:
     """Tokenize Java source, keeping comments as tokens (needed for
     attaching leading comment runs to declarations). Lines end at LF, CRLF
     or a lone CR, as in :attr:`CompilationUnit.lines`."""
-    tokens: list[Token] = []
-    i = 0
-    n = len(source)
-    line = 1
-
-    while i < n:
-        ch = source[i]
-        if ch in " \t\f\v":
-            i += 1
-            continue
-        if ch == "\n":
-            line += 1
-            i += 1
-            continue
-        if ch == "\r":
-            if not source.startswith("\n", i + 1):
-                line += 1
-            i += 1
-            continue
-        start_line = line
-        if ch == "/" and i + 1 < n:
-            nxt = source[i + 1]
-            if nxt == "/":
-                eol = _LINE_TERMINATOR.search(source, i)
-                j = eol.start() if eol else n
-                tokens.append(Token("comment", source[i:j], start_line, start_line))
-                i = j
-                continue
-            if nxt == "*":
-                j = source.find("*/", i + 2)
-                if j == -1:
-                    text = source[i:]
-                    i = n
-                else:
-                    text = source[i : j + 2]
-                    i = j + 2
-                line += _line_breaks(text)
-                tokens.append(Token("comment", text, start_line, line))
-                continue
-        if ch in "\"'":
-            if source.startswith('"""', i):
-                j = i + 3
-                while j < n:
-                    if source[j] == "\\":
-                        j += 2
-                        continue
-                    if source.startswith('"""', j):
-                        j += 3
-                        break
-                    j += 1
-                else:
-                    j = n
-            else:
-                j = _literal_end(source, i, ch)
-            text = source[i:j]
-            i = j
-            line += _line_breaks(text)
-            tokens.append(Token("string" if ch == '"' else "char", text, start_line, line))
-            continue
-        if ch in _IDENT_START:
-            j = i + 1
-            while j < n and source[j] in _IDENT_PART:
-                j += 1
-            tokens.append(Token("ident", source[i:j], start_line, start_line))
-            i = j
-            continue
-        if ch in _DIGITS:
-            j = i + 1
-            while j < n and (source[j] in _IDENT_PART or source[j] == "."):
-                j += 1
-            tokens.append(Token("number", source[i:j], start_line, start_line))
-            i = j
-            continue
-        tokens.append(Token("punct", ch, start_line, start_line))
-        i += 1
-    return tokens
+    texts, lines = _scan(source)
+    return list(_Tokens(texts, lines, range(len(texts))))
 
 
 @dataclass
@@ -205,15 +167,15 @@ class CompilationUnit:
         """``DEFAULT_TOKENIZER.count(self.slice_text(line_start, line_end))``.
 
         No token contains whitespace, so none spans a line terminator and
-        counts add exactly across lines: each line is counted once, on first
-        use, and a span is a difference of prefix sums.
+        counts add exactly across lines: the file's lines are counted in one
+        pass, on first use, and a span is a difference of prefix sums.
         """
         prefix = self._token_prefix
         return prefix[line_end] - prefix[line_start - 1]
 
     @cached_property
     def _token_prefix(self) -> list[int]:
-        return [0, *accumulate(map(DEFAULT_TOKENIZER.count, self.lines))]
+        return [0, *accumulate(DEFAULT_TOKENIZER.count_lines(self.lines))]
 
     def class_at(self, line: int) -> str | None:
         """Dotted name of the innermost type declaration whose span contains
@@ -235,42 +197,42 @@ class CompilationUnit:
     def iter_types(self) -> list[tuple[JavaNode, str]]:
         """All type declarations with their dotted nesting path, outermost first."""
         out: list[tuple[JavaNode, str]] = []
-
-        def walk(nodes: list[JavaNode], prefix: list[str]) -> None:
-            for node in nodes:
-                if node.kind == "type":
-                    path = prefix + [node.name or "<anonymous>"]
-                    out.append((node, ".".join(path)))
-                    walk(node.members, path)
-
-        walk(self.nodes, [])
+        # A loop, not a nested recursive function: that would reference
+        # itself through its closure, and the cycle would hold the whole
+        # tree until the garbage collector ran.
+        stack = [(node, "") for node in reversed(self.nodes)]
+        while stack:
+            node, prefix = stack.pop()
+            if node.kind == "type":
+                dotted = prefix + (node.name or "<anonymous>")
+                out.append((node, dotted))
+                stack.extend((member, dotted + ".") for member in reversed(node.members))
         return out
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, texts: list[str], lines: list[int]):
         # The cursor walks the significant tokens; ``_comments`` keeps the
         # comment run directly before each significant token that has one.
-        self.sig: list[Token] = []
-        self._comments: dict[int, list[Token]] = {}
-        for tok in tokens:
-            if tok.kind == "comment":
-                self._comments.setdefault(len(self.sig), []).append(tok)
-            else:
-                self.sig.append(tok)
-        self.pos = 0
         # Every bracket kind nests on one shared stack, so lambdas and
         # anonymous classes inside argument lists balance; an opener left
         # open at end of input has no entry.
+        self.tokens = _Tokens(texts, lines, range(len(texts)))
+        order: list[int] = []
+        self._comments: dict[int, list[Token]] = {}
         self._closer: dict[int, int] = {}
         stack: list[int] = []
-        for i, tok in enumerate(self.sig):
-            if tok.kind == "punct":
-                if tok.text in _OPENERS:
-                    stack.append(i)
-                elif tok.text in _CLOSERS and stack:
-                    self._closer[stack.pop()] = i
+        for k, text in enumerate(texts):
+            if text in _OPENERS:
+                stack.append(len(order))
+            elif text in _CLOSERS and stack:
+                self._closer[stack.pop()] = len(order)
+            elif text[0] == "/" and text != "/":
+                self._comments.setdefault(len(order), []).append(self.tokens[k])
+                continue
+            order.append(k)
+        self.sig = _Tokens(texts, lines, order)
+        self.pos = 0
 
     # -- token access -------------------------------------------------
 
@@ -678,8 +640,7 @@ def parse_source(file_path: str, source: str) -> list[CompilationUnit]:
     """
     lines = _LINE.findall(source)
     try:
-        tokens = lex(source)
-        nodes = _Parser(tokens).parse_unit() if tokens else []
+        nodes = _Parser(*_scan(source)).parse_unit()
     except RecursionError:
         nodes = [JavaNode("error", 1, len(lines), malformed=True)]
     unit = CompilationUnit(file_path=file_path, lines=lines, nodes=nodes)
@@ -690,12 +651,9 @@ def parse_source(file_path: str, source: str) -> list[CompilationUnit]:
 def _clamp_spans(unit: CompilationUnit) -> None:
     """Keep every node span inside the file's real line range."""
     limit = max(unit.line_count, 1)
-
-    def clamp(node: JavaNode) -> None:
+    stack = list(unit.nodes)
+    while stack:
+        node = stack.pop()
         node.line_start = min(max(node.line_start, 1), limit)
         node.line_end = min(max(node.line_end, node.line_start), limit)
-        for member in node.members:
-            clamp(member)
-
-    for node in unit.nodes:
-        clamp(node)
+        stack.extend(node.members)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Any, Iterable, Mapping, Sequence
@@ -205,6 +206,11 @@ class CodeBlock:
         )
 
 
+# Below this norm the sum of squares is subnormal or zero: too coarse to
+# normalize by.
+_SMALLEST_EXACT_NORM = math.sqrt(sys.float_info.min)
+
+
 def _norm(values: np.ndarray) -> float:
     """The Euclidean norm from the exactly summed squares; ``inf`` when a
     square or their sum overflows."""
@@ -245,9 +251,12 @@ class EmbeddingVector:
         # floats as dividing each Python float by the exactly summed norm.
         values = np.asarray(values, dtype=np.float64)
         norm = _norm(values)
-        if norm == math.inf and np.isfinite(values).all():
-            # Finite values whose squares overflow still have a direction:
-            # scaled by the largest magnitude, every square is at most 1.
+        if (norm == math.inf and np.isfinite(values).all()) or (
+            norm < _SMALLEST_EXACT_NORM and values.any()
+        ):
+            # Finite values whose squares overflow, or underflow below the
+            # smallest normal double, still have a direction: scaled by the
+            # largest magnitude, every square is at most 1 and one is 1.
             values = values / np.abs(values).max()
             norm = _norm(values)
         if norm == 0.0:

@@ -3,26 +3,66 @@
 The size threshold that drives segmentation is measured in tokens. The
 default tokenizer is a plain lexical one: identifier/number runs count as
 one token each, every other non-space character counts individually. It
-needs no vocabulary, so indexing stays offline-testable.
+needs no vocabulary, so indexing stays offline-testable. ``count_lines``
+counts all of a file's lines in one numpy pass over its characters.
 """
 
 from __future__ import annotations
 
 import re
+from typing import Sequence
+
+import numpy as np
 
 _LEXEME = re.compile(r"\w+|[^\w\s]", re.UNICODE)
+
+_OTHER, _BLANK, _WORD = 0, 1, 2
+
+
+def _char_class(ch: str) -> int:
+    """``re``'s classes: ``\\w`` is ``isalnum()`` or ``_``, ``\\s`` is ``isspace()``."""
+    return _WORD if ch.isalnum() or ch == "_" else _BLANK if ch.isspace() else _OTHER
+
+
+_LATIN1_CLASSES = bytes(_char_class(chr(c)) for c in range(256))
+
+
+def _classes(text: str) -> np.ndarray:
+    """The class of each character of ``text``, as int8."""
+    # Every character past U+00FF encodes as "?", then gets its own class.
+    latin1 = text.encode("latin-1", "replace").translate(_LATIN1_CLASSES)
+    classes = np.frombuffer(bytearray(latin1), dtype=np.int8)
+    if not text.isascii():
+        points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        high = np.flatnonzero(points > 0xFF)
+        distinct, inverse = np.unique(points[high], return_inverse=True)
+        classes[high] = np.array([_char_class(chr(p)) for p in distinct.tolist()], np.int8)[inverse]
+    return classes
 
 
 class LexicalTokenizer:
     """Whitespace-and-punctuation tokenizer: `int x = 0;` -> 5 tokens."""
-
-    name = "lexical"
 
     def tokenize(self, text: str) -> list[str]:
         return _LEXEME.findall(text)
 
     def count(self, text: str) -> int:
         return len(_LEXEME.findall(text))
+
+    def count_lines(self, lines: Sequence[str]) -> list[int]:
+        """``[self.count(line) for line in lines]`` in one pass: a line's
+        count is its characters that are neither word characters nor blanks,
+        plus its runs of word characters."""
+        lengths = np.fromiter(map(len, lines), dtype=np.intp, count=len(lines))
+        ends = np.cumsum(lengths)
+        classes = _classes("".join(lines))
+        word = classes == _WORD
+        # A word character starts a run unless the one before it, on the
+        # same line, is a word character too.
+        follows = np.concatenate(([False], word[:-1]))
+        follows[(ends - lengths)[lengths > 0]] = False
+        tokens = np.flatnonzero((classes == _OTHER) | (word & ~follows))
+        return np.diff(np.searchsorted(tokens, ends), prepend=0).tolist()
 
 
 DEFAULT_TOKENIZER = LexicalTokenizer()

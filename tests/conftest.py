@@ -92,16 +92,23 @@ class CountingEncoder(ReferenceEncoder):
 
 
 def record_token_counts(monkeypatch) -> list[str]:
-    """Patch ``LexicalTokenizer.count``, as the bench tracer does, to record
-    every text it counts."""
+    """Patch ``LexicalTokenizer.count``, as the bench tracer does, and
+    ``LexicalTokenizer.count_lines`` to record every text they count, each
+    line of a ``count_lines`` call as one text."""
     counted: list[str] = []
     count = LexicalTokenizer.count
+    count_lines = LexicalTokenizer.count_lines
 
     def recording(self, text: str) -> int:
         counted.append(text)
         return count(self, text)
 
+    def recording_lines(self, lines):
+        counted.extend(lines)
+        return count_lines(self, lines)
+
     monkeypatch.setattr(LexicalTokenizer, "count", recording)
+    monkeypatch.setattr(LexicalTokenizer, "count_lines", recording_lines)
     return counted
 
 

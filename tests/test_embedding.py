@@ -105,6 +105,22 @@ class TestEncoderKernel:
         again = encoder.encode_batch([STREAM_SUM, LOOP_SUM])
         assert hashed == [] and bits(again) == bits(first[::-1])
 
+    def test_the_code_table_stays_under_its_cap(self, monkeypatch):
+        monkeypatch.setattr(embedding, "_MAX_CODES", 100)
+        encoder = ReferenceEncoder(DIMS)
+        seen: set[str] = set()
+        for k in range(40):
+            # Distinct texts, in batches too short for the numpy pass and,
+            # every other time, long enough for it.
+            batch = [f"int v{k}_{j} = f{k * 31 + j}(x{j});" * (1 + 60 * (k % 2)) for j in range(3)]
+            rows = encoder.encode_batch(batch)
+            assert len(encoder._codes) <= 100
+            assert bits(rows) == bits([per_occurrence_features(t, DIMS) for t in batch])
+            seen.update(
+                t[i : i + n] for t in map(_lexical_normalize, batch) for n in (3, 4, 5) for i in range(len(t))
+            )
+        assert len(seen) > 10 * 100  # the table was emptied many times
+
     def test_short_and_cancelling_texts_match_reference(self):
         # At dims=8 the six signed n-grams of "aaagc" cancel to all zeros, so
         # its one +1 comes from the single-bucket fallback (six signs cannot

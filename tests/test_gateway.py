@@ -163,6 +163,23 @@ class TestExtractJson:
         text = 'Sure: ' + '{"a": ' * 1500 + '{"answer": "yes"}'
         assert extract_json_object(text) == {"answer": "yes"}
 
+    def test_a_deep_run_of_closed_invalid_objects_fails_fast(self):
+        # Every brace closes, and each decode fails at "2" or past the
+        # recursion limit: about 2 s when every brace was decoded.
+        text = '{"a": ' * 20000 + "1 2" + "}" * 20000
+        start = time.perf_counter()
+        with pytest.raises(MalformedResponse):
+            extract_json_object(text)
+        assert time.perf_counter() - start < 1.0
+
+    def test_a_failed_decode_rules_out_only_the_objects_it_left_open(self):
+        # The decode from the first brace fails at "x": the object it closed
+        # before that still decodes.
+        assert extract_json_object('{"a": {"b": 1} x}') == {"b": 1}
+        # Here it reads the string "{" and fails at the a after it; the
+        # brace inside that string opens an object that decodes.
+        assert extract_json_object('{"k": "{"a": "b"}') == {"a": "b"}
+
     @settings(max_examples=400, deadline=None)
     @given(st.lists(st.sampled_from(_JSONISH), max_size=24).map("".join))
     def test_matches_brace_matching_reference(self, text):

@@ -1,11 +1,13 @@
 import bisect
 import itertools
+import re
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import JAVA_SOURCES, record_token_counts
-from vulnreach.javaparse import lex, parse_source
+from vulnreach.javaparse import _OPENERS, _CLOSERS, Token, _Parser, _scan, lex, parse_source
 from vulnreach.tokenizer import DEFAULT_TOKENIZER
 
 # What lex skips between tokens; every other character starts one.
@@ -124,6 +126,11 @@ class TestParseSource:
         unit = parse_source("O.java", src)[0]
         paths = [dotted for _, dotted in unit.iter_types()]
         assert paths == ["Outer", "Outer.Inner"]
+
+    def test_types_are_listed_outermost_first_in_declaration_order(self):
+        src = "class Outer {\n    class A {}\n    class B { class C {} }\n}\nclass D {}\n"
+        paths = [dotted for _, dotted in parse_source("O.java", src)[0].iter_types()]
+        assert paths == ["Outer", "Outer.A", "Outer.B", "Outer.B.C", "D"]
 
     def test_javadoc_attaches_to_following_declaration(self):
         src = "class B {\n    /** doc */\n    void m() {}\n}\n"
@@ -300,3 +307,187 @@ class TestLineTables:
         # Of two types as narrow, the first declared is named.
         one_line = parse_source("L.java", "class A { class B {} }\n")[0]
         assert one_line.class_at(1) == "A"
+
+
+_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$")
+_IDENT_PART = _IDENT_START | frozenset("0123456789")
+
+
+def _line_breaks(text: str) -> int:
+    return text.count("\n") + text.count("\r") - text.count("\r\n")
+
+
+def _literal_end(source: str, i: int, quote: str) -> int:
+    n = len(source)
+    stop = quote + "\r\n"
+    j = i + 1
+    while j < n and source[j] not in stop:
+        if source[j] == "\\":
+            j += source.startswith("\r\n", j + 1)
+            j += 1
+        j += 1
+    if j < n and source[j] == quote:
+        j += 1
+    return min(j, n)
+
+
+def reference_lex(source: str) -> list[Token]:
+    """The per-character lexer ``lex`` replaced, kept as its reference."""
+    tokens: list[Token] = []
+    i = 0
+    n = len(source)
+    line = 1
+    while i < n:
+        ch = source[i]
+        if ch in " \t\f\v":
+            i += 1
+            continue
+        if ch == "\n":
+            line += 1
+            i += 1
+            continue
+        if ch == "\r":
+            if not source.startswith("\n", i + 1):
+                line += 1
+            i += 1
+            continue
+        start_line = line
+        if ch == "/" and i + 1 < n:
+            nxt = source[i + 1]
+            if nxt == "/":
+                eol = re.compile(r"[\r\n]").search(source, i)
+                j = eol.start() if eol else n
+                tokens.append(Token("comment", source[i:j], start_line, start_line))
+                i = j
+                continue
+            if nxt == "*":
+                j = source.find("*/", i + 2)
+                text = source[i:] if j == -1 else source[i : j + 2]
+                i = n if j == -1 else j + 2
+                line += _line_breaks(text)
+                tokens.append(Token("comment", text, start_line, line))
+                continue
+        if ch in "\"'":
+            if source.startswith('"""', i):
+                j = i + 3
+                while j < n:
+                    if source[j] == "\\":
+                        j += 2
+                        continue
+                    if source.startswith('"""', j):
+                        j += 3
+                        break
+                    j += 1
+                else:
+                    j = n
+            else:
+                j = _literal_end(source, i, ch)
+            text = source[i:j]
+            i = j
+            line += _line_breaks(text)
+            tokens.append(Token("string" if ch == '"' else "char", text, start_line, line))
+            continue
+        if ch in _IDENT_START:
+            j = i + 1
+            while j < n and source[j] in _IDENT_PART:
+                j += 1
+            tokens.append(Token("ident", source[i:j], start_line, start_line))
+            i = j
+            continue
+        if ch in "0123456789":
+            j = i + 1
+            while j < n and (source[j] in _IDENT_PART or source[j] == "."):
+                j += 1
+            tokens.append(Token("number", source[i:j], start_line, start_line))
+            i = j
+            continue
+        tokens.append(Token("punct", ch, start_line, start_line))
+        i += 1
+    return tokens
+
+
+def reference_parse(source: str):
+    """The parser's nodes for ``reference_lex``'s tokens, with the token
+    lists, comment runs and bracket pairs built eagerly from ``Token``s, as
+    the parser did before it built tokens only when read."""
+    tokens = reference_lex(source)
+    parser = _Parser.__new__(_Parser)
+    parser.tokens = tokens
+    parser.sig = []
+    parser._comments = {}
+    for tok in tokens:
+        if tok.kind == "comment":
+            parser._comments.setdefault(len(parser.sig), []).append(tok)
+        else:
+            parser.sig.append(tok)
+    parser._closer = {}
+    stack: list[int] = []
+    for i, tok in enumerate(parser.sig):
+        if tok.kind == "punct":
+            if tok.text in _OPENERS:
+                stack.append(i)
+            elif tok.text in _CLOSERS and stack:
+                parser._closer[stack.pop()] = i
+    parser.pos = 0
+    return parser.parse_unit() if tokens else []
+
+
+# What the scan must get right: every line terminator, the blanks (space, tab,
+# FF, VT) and characters that start no token (NUL, U+00A0, a non-ASCII letter,
+# a lone surrogate, "/" at end of input), text blocks, escapes (also at end of
+# input) and unterminated comments and literals.
+_LEXER_CHARS = st.text(
+    alphabet=st.sampled_from(
+        ["\r", "\n", "\f", "\v", " ", "\t", "\x00", " ", "é", "\ud800",
+         '"', "'", "\\", "/", "*", "{", "}", "(", ")", "a", "_", "$", "1", ".", ";"]
+    ),
+    max_size=40,
+)
+_LEXER_FRAGMENTS = st.lists(
+    st.sampled_from(
+        ['"""', '"', "'", "\\", "\\\r\n", "\\\r", "\\\n", "//", "/*", "*/", "/**/", "/*/", "**/",
+         "\r\n", "\r", "\n", "\f", "\v", "\x00", " ", "é", "\ud800", "x1", "9.5e3_f",
+         "class A { ", "void m() { ", "} ", "int f; ", "@Ann(x) ", "/** doc */\n", '"s"', "'c'",
+         '"""\ntext {\n"""', "(", ")", "{", "}", "[", "]", ";", "/"]
+    ),
+    max_size=30,
+).map("".join)
+LEXER_SOURCES = st.one_of(_LEXER_CHARS, _LEXER_FRAGMENTS)
+
+
+class TestScanAgainstReference:
+    @settings(max_examples=600, deadline=None)
+    @given(LEXER_SOURCES)
+    def test_lex_and_parse_equal_the_per_character_reference(self, source):
+        assert lex(source) == reference_lex(source)
+        texts, lines = _scan(source)
+        nodes = _Parser(texts, lines).parse_unit() if texts else []
+        assert nodes == reference_parse(source)
+
+    def test_edge_cases_equal_the_reference(self):
+        sources = [
+            "", "/", "a /", '"', "'", '"""', '"""\\', '"a\\', "'\\", '"a\\\r\nb"', '"a\\\rb"',
+            "/* open", "/*/ x */", "// c\r\nx", " xé\x00", '""""', '"""""""', "a\rb\r\nc\n",
+        ]
+        for source in sources:
+            assert lex(source) == reference_lex(source), source
+            assert parse_source("F.java", source)[0].nodes == reference_parse(source), source
+
+    def test_a_megabyte_unterminated_text_block_comment_or_string_parses_quickly(self):
+        # Each runs to end of input, inside class A: a field's value, or a
+        # comment with no member after it.
+        openers = {
+            'String s = """': ("x {\\\"\n", ["field"]),
+            "/*": ("* x {\n", []),
+            'String s = "': ("x\\\"{ ", ["field"]),  # no line terminator ends it
+        }
+        for opener, (piece, members) in openers.items():
+            source = "class A {\n    " + opener + piece * ((1 << 20) // len(piece))
+            start = time.perf_counter()
+            unit = parse_source("A.java", source)[0]
+            assert time.perf_counter() - start < 10.0, opener
+            end = unit.line_count
+            assert [(n.kind, n.line_end, n.malformed) for n in unit.nodes] == [("type", end, True)]
+            assert [(m.kind, m.line_start, m.line_end) for m in unit.nodes[0].members] == [
+                (kind, 2, end) for kind in members
+            ]

@@ -138,6 +138,16 @@ class TestVectorBitIdentity:
         # fsum of finite squares can overflow as well: 4 * 1.69e308.
         assert EmbeddingVector.normalized([1.3e154] * 4).values.tolist() == [0.5] * 4
 
+    def test_a_row_whose_squares_underflow_keeps_its_direction(self):
+        # Squares of 1e-170 underflow to 0.0; those of 3e-160 to subnormals,
+        # whose sum is too coarse for a unit norm.
+        for raw, direction in (([1e-170, 2e-170], [1.0, 2.0]), ([3e-160, 4e-160], [3.0, 4.0])):
+            vec = EmbeddingVector.normalized(raw)
+            assert np.allclose(vec.values, EmbeddingVector.normalized(direction).values, rtol=0, atol=1e-12)
+        assert EmbeddingVector.normalized([0.0, 5e-324]).values.tolist() == [0.0, 1.0]
+        with pytest.raises(ValueError, match="zero vector"):
+            EmbeddingVector.normalized([0.0, -0.0])
+
     @given(_RAW_PAIRS)
     def test_dot_matches_the_tuple_definition(self, pair):
         a_raw, b_raw = pair

@@ -1,6 +1,11 @@
+import re
+import sys
+
+import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
+from vulnreach import tokenizer
 from vulnreach.tokenizer import DEFAULT_TOKENIZER, LexicalTokenizer
 
 
@@ -32,3 +37,32 @@ def test_concatenation_over_whitespace_is_additive(a: str, b: str):
 def test_count_matches_tokenize_length(text: str):
     tok = LexicalTokenizer()
     assert tok.count(text) == len(tok.tokenize(text))
+
+
+# Any code point, lone surrogates included, and runs of word characters,
+# blanks and other characters.
+_LINE_TEXT = st.text(
+    alphabet=st.one_of(
+        st.characters(),
+        st.sampled_from(["\ud800", "\udfff", "_", "a", "é", "1", " ", "\n", "\r", "+", "\x00"]),
+    )
+)
+
+
+@given(st.lists(_LINE_TEXT))
+def test_count_lines_counts_each_line_alone(lines: list[str]):
+    tok = LexicalTokenizer()
+    assert tok.count_lines(lines) == [tok.count(line) for line in lines]
+
+
+def test_count_lines_counts_no_run_across_lines():
+    assert DEFAULT_TOKENIZER.count_lines(["ab", "cd", "", "e+f\n", "", " "]) == [1, 1, 0, 3, 0, 0]
+    assert DEFAULT_TOKENIZER.count_lines([]) == []
+
+
+def test_character_classes_are_the_regex_classes_for_every_code_point():
+    text = "".join(map(chr, range(sys.maxunicode + 1)))
+    expected = np.zeros(len(text), dtype=np.int8)
+    expected[[m.start() for m in re.finditer(r"\s", text)]] = tokenizer._BLANK
+    expected[[m.start() for m in re.finditer(r"\w", text)]] = tokenizer._WORD
+    assert np.array_equal(tokenizer._classes(text), expected)
