@@ -7,6 +7,13 @@ candidate context into the provider window, and appends one transcript
 entry per answered provider call. A scripted
 provider and a replay provider make the whole pipeline a pure function of
 its inputs for offline and regression runs.
+
+A call renders once: a template is split into literal runs and markers
+when first used, and a prompt travels as its parts (literal runs, bound
+values, each packed block's header and source), joined once for the
+provider, the memo and the entry. The transcript writes each entry as one
+``json.dumps(entry.to_dict(), sort_keys=True)`` line, escaping each
+distinct part once.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from datetime import datetime, timezone
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Mapping, Protocol, Sequence, TextIO, runtime_checkable
+from typing import Any, Callable, Mapping, NamedTuple, Protocol, Sequence, TextIO, runtime_checkable
 
 from .embedding import call_with_retry
 from .errors import ConfigError, MalformedResponse, ProviderError
@@ -33,6 +40,8 @@ from .store import ScopeFilter
 
 _PLACEHOLDER = re.compile(r"\{\{(\w+)\}\}")
 _TRUNCATION_MARGIN = 256
+_escape = json.encoder.encode_basestring_ascii
+_ENCODER = json.JSONEncoder(sort_keys=True)  # what json.dumps(..., sort_keys=True) builds
 
 REPROMPT_SUFFIX = (
     "\n\nYour previous reply could not be parsed. Respond again with ONLY the "
@@ -58,6 +67,15 @@ RESPONSE_SCHEMAS: dict[RoleKind, dict[str, Any]] = {
     RoleKind.JUDGE: {"judgment": "vulnerable|secure", "rationale": "str (nonempty)"},
 }
 
+_IN_CONTEXT = frozenset({"api_signatures", "pov_test_source", "context"})
+#: The bindings the gateway supplies per role; a template must place each.
+ROLE_BINDINGS: dict[RoleKind, frozenset[str]] = {
+    RoleKind.GRADER: frozenset({"file_path", "line_range", "block_source", "api_signature"}),
+    RoleKind.REFLECTION: _IN_CONTEXT,
+    RoleKind.INFERENCE: _IN_CONTEXT | {"reason"},
+    RoleKind.JUDGE: _IN_CONTEXT,
+}
+
 
 @dataclass(frozen=True)
 class PromptTemplate:
@@ -65,20 +83,33 @@ class PromptTemplate:
     template_text: str
     schema: Mapping[str, Any]
 
-    def placeholders(self) -> set[str]:
-        return set(_PLACEHOLDER.findall(self.template_text))
+    @functools.cached_property
+    def _split(self) -> tuple[str, list[tuple[str, str]]]:
+        head, *rest = _PLACEHOLDER.split(self.template_text)
+        return head, list(zip(rest[0::2], rest[1::2]))
 
-    def render(self, **bindings: str) -> str:
-        missing = self.placeholders() - set(bindings)
+    def placeholders(self) -> set[str]:
+        return {name for name, _ in self._split[1]}
+
+    def parts(self, bindings: Mapping[str, str | Sequence[str]]) -> list[str]:
+        """The rendered prompt as the template's literal runs (split once, so no
+        bound value is scanned for markers) and the bound values, a sequence
+        value contributing its parts."""
+        missing = self.placeholders() - bindings.keys()
         if missing:
             raise ConfigError(
                 f"{self.role_kind.value} template: unbound placeholders {sorted(missing)}"
             )
-        # Substitution happens marker-by-marker on the template, so brace
-        # characters inside bound values can never be re-interpreted.
-        return _PLACEHOLDER.sub(lambda m: str(bindings[m.group(1)]), self.template_text)
+        parts = [self._split[0]]
+        for name, literal in self._split[1]:
+            value = bindings[name]
+            parts += (value, literal) if isinstance(value, str) else (*value, literal)
+        return parts
 
-    @property
+    def render(self, **bindings: str) -> str:
+        return "".join(self.parts(bindings))
+
+    @functools.cached_property
     def sha256(self) -> str:
         return hashlib.sha256(self.template_text.encode("utf-8")).hexdigest()[:16]
 
@@ -105,8 +136,11 @@ class PromptLibrary:
 
     @classmethod
     def load(cls, prompts_dir: Path | str | None) -> "PromptLibrary":
-        """The templates in ``prompts_dir``, or the bundled ones without it."""
-        return cls.from_dir(prompts_dir) if prompts_dir else cls.bundled()
+        """The templates in ``prompts_dir``, or the bundled ones without it,
+        refused as :meth:`check_bindings` refuses them."""
+        library = cls.from_dir(prompts_dir) if prompts_dir else cls.bundled()
+        library.check_bindings()
+        return library
 
     @classmethod
     def from_dir(cls, prompts_dir: Path | str) -> "PromptLibrary":
@@ -122,9 +156,19 @@ class PromptLibrary:
     def get(self, role: RoleKind) -> PromptTemplate:
         return self.templates[role]
 
+    def check_bindings(self) -> None:
+        """Refuse a template that leaves out a binding the gateway supplies
+        for its role: the model would answer without seeing it."""
+        for role, names in ROLE_BINDINGS.items():
+            missing = names - self.templates[role].placeholders()
+            if missing:
+                raise ConfigError(
+                    f"{role.value} template leaves out placeholders {sorted(missing)}"
+                )
 
-@dataclass(frozen=True)
-class TranscriptEntry:
+
+class TranscriptEntry(NamedTuple):
+    # A NamedTuple: one is built per model call, and tuples build several times faster.
     seq: int
     role_kind: RoleKind
     provider_name: str
@@ -162,6 +206,16 @@ class TranscriptEntry:
             timestamp=str(raw["timestamp"]),
         )
 
+    def json_line(self, prompt: str) -> str:
+        """``json.dumps(self.to_dict(), sort_keys=True)`` + newline; ``prompt`` comes escaped, unquoted."""
+        e = _escape
+        return (
+            f'{{"model_id": {e(self.model_id)}, "parsed_response": {_ENCODER.encode(self.parsed_response)},'
+            f' "provider_name": {e(self.provider_name)}, "raw_response": {e(self.raw_response)},'
+            f' "rendered_prompt": "{prompt}", "role_kind": {e(self.role_kind.value)}, "seq": {self.seq},'
+            f' "template_hash": {e(self.template_hash)}, "timestamp": {e(self.timestamp)}}}\n'
+        )
+
 
 class Transcript:
     """Append-only record of every provider interaction.
@@ -181,6 +235,9 @@ class Transcript:
         if self.sink_path is not None:
             self.sink_path.parent.mkdir(parents=True, exist_ok=True)
             self._sink = self.sink_path.open("w", encoding="utf-8")
+        # Prompts share template text, vulnerability text and blocks: each part is escaped
+        # once. JSON escapes code point by code point, so escaped parts join to the whole.
+        self._escaped = functools.lru_cache(maxsize=None)(lambda part: _escape(part)[1:-1])
 
     def append(
         self,
@@ -191,22 +248,19 @@ class Transcript:
         rendered_prompt: str,
         raw_response: str,
         parsed_response: Any,
+        parts: Sequence[str] | None = None,
     ) -> TranscriptEntry:
+        """Record one answered call; ``parts``, when given, join to ``rendered_prompt``."""
         with self._lock:
             entry = TranscriptEntry(
-                seq=len(self._entries),
-                role_kind=role_kind,
-                provider_name=provider_name,
-                model_id=model_id,
-                template_hash=template_hash,
-                rendered_prompt=rendered_prompt,
-                raw_response=raw_response,
-                parsed_response=parsed_response,
-                timestamp=datetime.now(timezone.utc).isoformat(),
+                len(self._entries), role_kind, provider_name, model_id, template_hash,
+                rendered_prompt, raw_response, parsed_response,
+                datetime.now(timezone.utc).isoformat(),
             )
             if self._sink is not None:
+                prompt = "".join(map(self._escaped, parts or (rendered_prompt,)))
                 # Raises once the transcript is closed.
-                self._sink.write(json.dumps(entry.to_dict(), sort_keys=True) + "\n")
+                self._sink.write(entry.json_line(prompt))
                 self._sink.flush()
             self._entries.append(entry)
             return entry
@@ -215,6 +269,7 @@ class Transcript:
         with self._lock:
             if self._sink is not None:
                 self._sink.close()
+            self._escaped.cache_clear()
 
     def __enter__(self) -> "Transcript":
         return self
@@ -235,7 +290,7 @@ class Transcript:
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("w", encoding="utf-8") as fh:
             for entry in self.entries:
-                fh.write(json.dumps(entry.to_dict(), sort_keys=True) + "\n")
+                fh.write(entry.json_line(_escape(entry.rendered_prompt)[1:-1]))
 
     @classmethod
     def load(cls, path: Path | str) -> "Transcript":
@@ -569,6 +624,7 @@ class ChatGateway:
     ):
         self.provider = provider
         self.prompts = prompts or PromptLibrary.bundled()
+        self.prompts.check_bindings()
         self.transcript = transcript if transcript is not None else Transcript()
         # Packing recounts the same template, vulnerability text and block
         # headers on every call. Each distinct text is counted once: by the
@@ -584,50 +640,52 @@ class ChatGateway:
     # -- context packing ---------------------------------------------------
 
     def _pack_context(self, blocks: Sequence[CodeBlock], budget: int) -> str:
-        """Anchor first, then remaining blocks by recency of retrieval,
-        truncated at whole-block granularity with an explicit marker."""
+        return "".join(self._pack_parts(blocks, budget))
+
+    def _pack_parts(self, blocks: Sequence[CodeBlock], budget: int) -> list[str]:
+        """Anchor first, then remaining blocks by recency of retrieval, truncated
+        at whole-block granularity with an explicit marker; as parts."""
         if not blocks:
-            return ""
+            return []
         ordered = [blocks[0], *reversed(blocks[1:])]
-        rendered: list[str] = []
-        used = 0
-        omitted = 0
+        parts: list[str] = []
+        used = omitted = 0
         for block in ordered:
             header = (
                 f"// ---- {block.file_path}:{block.line_start}-{block.line_end}"
                 f" [{block.node_kind.value}] ----\n"
             )
-            text = header + block.source
             # No lexeme holds whitespace and the header ends in a newline, so
             # the source costs its stored size (0 on a hand-built block).
             if self._sized and block.size:
                 cost = self.token_counter(header) + block.size
             else:
-                cost = self.token_counter(text)
-            if rendered and used + cost > budget:
+                cost = self.token_counter(header + block.source)
+            if parts and used + cost > budget:
                 omitted += 1
                 continue
-            rendered.append(text)
+            parts += ("\n\n", header, block.source)
             used += cost
         if omitted:
-            rendered.append(f"// [context truncated: {omitted} retrieved block(s) omitted]")
-        return "\n\n".join(rendered)
+            parts += ("\n\n", f"// [context truncated: {omitted} retrieved block(s) omitted]")
+        return parts[1:]
 
     # -- core call ---------------------------------------------------------
 
     def _ask(
         self,
         role: RoleKind,
-        bindings: Mapping[str, str],
+        bindings: Mapping[str, str | Sequence[str]],
         parser: Callable[[Any], Any],
         subject: str,
     ) -> Any:
         """The parsed reply, asked once more with a reprompt if it does not
         parse; ``subject`` names what the call is about in the error."""
         template = self.prompts.get(role)
-        prompt = template.render(**bindings)
+        parts = template.parts(bindings)
         last_error: MalformedResponse | None = None
-        for text in (prompt, prompt + REPROMPT_SUFFIX):
+        for attempt in (parts, [*parts, REPROMPT_SUFFIX]):
+            text = "".join(attempt)
             raw = call_with_retry(lambda: self.provider.complete(text, role))
             try:
                 parsed = parser(extract_json_object(raw))
@@ -640,13 +698,13 @@ class ChatGateway:
                     recorded = {"complete": parsed[0], "reason": parsed[1]}
                 self.transcript.append(
                     role, self.provider.name, self.provider.model_id, template.sha256,
-                    text, raw, recorded,
+                    text, raw, recorded, attempt,
                 )
                 return parsed
             except MalformedResponse as exc:
                 self.transcript.append(
                     role, self.provider.name, self.provider.model_id, template.sha256,
-                    text, raw, None,
+                    text, raw, None, attempt,
                 )
                 last_error = exc
         raise MalformedResponse(
@@ -707,5 +765,5 @@ class ChatGateway:
         reserved = self.token_counter(self.prompts.get(role).template_text) + _TRUNCATION_MARGIN
         reserved += sum(map(self.token_counter, fixed.values()))
         # The anchor block is always packed; the budget only gates the rest.
-        packed = self._pack_context(context, max(0, self.provider.context_window - reserved))
+        packed = self._pack_parts(context, max(0, self.provider.context_window - reserved))
         return self._ask(role, {**fixed, "context": packed}, parser, f"candidate {context[0].id}")

@@ -56,11 +56,14 @@ _LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
 # literals (ending at their quote, an unescaped line terminator or end of
 # input; a backslash escapes one character, CRLF as one), identifiers,
 # numbers, runs of line terminators (read only to count lines), and any other
-# character but a blank (space, tab, FF, VT) as punctuation. No alternative
-# can fail once its loop stops, so the scan never backtracks.
+# character but a blank (space, tab, FF, VT) as punctuation. Each match
+# consumes the blank run before its token, so blanks are not tried one by
+# one; at the end of input the token is empty. No alternative can fail once
+# its loop stops, so the scan never backtracks.
 _TOKEN = re.compile(
     r"""
-      //[^\r\n]*
+    [ \t\f\v]*
+    ( //[^\r\n]*
     | /\*[^*]*(?:\*+(?!/)[^*]*)*(?:\*/)?
     | \"\"\"[^"\\]*(?:(?:\\.|"(?!""))[^"\\]*)*(?:\"\"\"|\\?\Z)
     | "[^"\\\r\n]*(?:\\(?:\r\n|.)?[^"\\\r\n]*)*"?
@@ -69,7 +72,8 @@ _TOKEN = re.compile(
     | [0-9][A-Za-z0-9_$.]*
     | [\r\n]+
     | [^ \t\f\v]
-    """,
+    | \Z
+    )""",
     re.DOTALL | re.VERBOSE,
 )
 # A token's kind by its first character; "/" alone is punctuation.
@@ -96,7 +100,10 @@ def _scan(source: str) -> tuple[list[str], list[int]]:
     texts: list[str] = []
     lines: list[int] = []
     line = 1
-    for text in _TOKEN.findall(source):
+    found = _TOKEN.findall(source)
+    while found and not found[-1]:  # the end of input, after any blank run, matches empty
+        found.pop()
+    for text in found:
         if text[0] not in "\r\n":
             texts.append(text)
             lines.append(line)

@@ -75,7 +75,9 @@ class Memo:
         """The provider's answer, asked once per (role, prompt); a reprompt
         is its own question, and each provider has its own answers."""
         _, answers = self._answers.setdefault(id(provider), (provider, {}))
-        key = hashlib.sha256(_utf8(f"{role.value}\0{prompt}")).digest()
+        hasher = hashlib.sha256(f"{role.value}\0".encode())
+        hasher.update(_utf8(prompt))
+        key = hasher.digest()
         answer = answers.get(key)
         if answer is None:
             answer = answers.setdefault(key, provider.complete(prompt, role))

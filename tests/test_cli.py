@@ -854,3 +854,59 @@ class TestConfig:
         echoed = config.to_dict()
         assert "api_key_env" not in echoed["chat"]
         assert echoed["chat"]["model"] == "m"
+
+
+def prompts_without(tmp_path: Path, role: str, marker: str) -> Path:
+    """The bundled templates, with ``marker`` taken out of ``role``'s."""
+    prompts = tmp_path / "prompts"
+    prompts.mkdir()
+    for template in (Path(cli.__file__).parent / "prompts").glob("*.txt"):
+        text = template.read_text(encoding="utf-8")
+        if template.stem == role:
+            text = text.replace(marker, "")
+        (prompts / template.name).write_text(text, encoding="utf-8")
+    return prompts
+
+
+class TestPromptLibraryBindings:
+    """A template that leaves out an input of its role is a user error,
+    reported before any model call."""
+
+    @pytest.fixture()
+    def asks(self, monkeypatch) -> list:
+        asked = []
+        real = ScriptedChatProvider.complete
+        monkeypatch.setattr(
+            ScriptedChatProvider, "complete", lambda self, *a: asked.append(a) or real(self, *a)
+        )
+        return asked
+
+    def test_analyze_refuses_a_judge_template_without_context(self, tmp_path: Path, capsys, asks):
+        index = build_index_for("unguarded_app", tmp_path)
+        capsys.readouterr()
+        prompts = prompts_without(tmp_path, "judge", "{{context}}")
+        config = write_tool_config(tmp_path / "cfg.json", prompts_dir=str(prompts))
+        report = tmp_path / "r.json"
+        code = run_cli(
+            "analyze",
+            "--index", str(index),
+            "--vuln", str(FIXTURES / "vuln_encoder_null.json"),
+            "--config", str(config),
+            "--report", str(report),
+        )
+        err = capsys.readouterr().err
+        assert code == 1 and not report.exists() and asks == []
+        assert err.startswith("error: judge template leaves out") and len(err.splitlines()) == 1, err
+        assert "'context'" in err
+
+    def test_evaluate_refuses_a_grader_template_without_the_block(self, tmp_path: Path, capsys, asks):
+        manifest = write_toy_manifest(tmp_path / "manifest.json")
+        prompts = prompts_without(tmp_path, "grader", "{{block_source}}")
+        config = write_tool_config(tmp_path / "cfg.json", prompts_dir=str(prompts))
+        out_dir = tmp_path / "out"
+        code = run_cli(
+            "evaluate", "--manifest", str(manifest), "--config", str(config), "--out", str(out_dir),
+        )
+        err = capsys.readouterr().err
+        assert code == 1 and asks == [] and not list(out_dir.glob("report_*"))
+        assert err.startswith("error: grader template leaves out") and len(err.splitlines()) == 1, err

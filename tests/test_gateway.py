@@ -2,17 +2,20 @@ import itertools
 import json
 import re
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES, JAVA_SOURCES, make_block, record_token_counts
 from vulnreach.errors import ConfigError, MalformedResponse, ProviderError
 from vulnreach.gateway import (
+    REPROMPT_SUFFIX,
+    ROLE_BINDINGS,
     ChatGateway,
     PromptLibrary,
     PromptTemplate,
@@ -20,6 +23,7 @@ from vulnreach.gateway import (
     RoleKind,
     ScriptedChatProvider,
     Transcript,
+    TranscriptEntry,
     extract_json_object,
 )
 from vulnreach.memo import Memo, MemoChatProvider
@@ -826,3 +830,179 @@ class TestMalformedReplies:
         assert time.perf_counter() - start < 0.05  # decoding from every brace took over 1 s
         closed_once = '{"a": ' * 20000 + '{"answer": "yes"}'
         assert extract_json_object(closed_once) == {"answer": "yes"}
+
+
+_MARKER = re.compile(r"\{\{(\w+)\}\}")
+
+
+def reference_render(text: str, bindings: dict[str, str]) -> str:
+    """The regex-substitution renderer templates were split to replace."""
+    missing = set(_MARKER.findall(text)) - set(bindings)
+    if missing:
+        raise ConfigError(f"unbound placeholders {sorted(missing)}")
+    return _MARKER.sub(lambda m: str(bindings[m.group(1)]), text)
+
+
+_TEMPLATE_BITS = [
+    "{{a}}", "{{b}}", "{{ab}}", "{{_1}}", "{{a}", "{a}}", "{{", "}}", "{", "}", "a", "b", " ",
+    "\n", "\\", "\\1", "\\g<0>", "é", "{{ a }}", "{{a-b}}",
+]
+_NAMES = ["a", "b", "ab", "_1"]
+
+
+class TestSplitTemplates:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(st.sampled_from(_TEMPLATE_BITS), max_size=12).map("".join),
+        st.dictionaries(
+            st.sampled_from(_NAMES), st.lists(st.sampled_from(_TEMPLATE_BITS), max_size=5).map("".join)
+        ),
+    )
+    def test_render_equals_the_substitution_renderer(self, text, bindings):
+        template = PromptTemplate(RoleKind.GRADER, text, {})
+        try:
+            expected = reference_render(text, bindings)
+        except ConfigError:
+            with pytest.raises(ConfigError):
+                template.render(**bindings)
+            return
+        assert template.render(**bindings) == expected
+        assert template.placeholders() == set(_MARKER.findall(text))
+
+    def test_a_sequence_value_contributes_its_parts(self):
+        template = PromptTemplate(RoleKind.JUDGE, "A {{x}} B {{y}}", {})
+        assert template.parts({"x": ["1", "{{y}}"], "y": "2"}) == ["A ", "1", "{{y}}", " B ", "2", ""]
+
+    @pytest.mark.parametrize("role", list(RoleKind))
+    def test_the_bundled_templates_place_exactly_the_supplied_bindings(self, role):
+        assert PromptLibrary.bundled().get(role).placeholders() == ROLE_BINDINGS[role]
+
+    @pytest.mark.parametrize(
+        "role, name", [(role, name) for role in RoleKind for name in sorted(ROLE_BINDINGS[role])]
+    )
+    def test_a_library_leaving_out_a_binding_is_refused(self, tmp_path: Path, role, name):
+        bundled = PromptLibrary.bundled()
+        for other in RoleKind:
+            text = bundled.get(other).template_text
+            if other is role:
+                text = text.replace("{{%s}}" % name, "")
+            (tmp_path / f"{other.value}.txt").write_text(text, encoding="utf-8")
+        library = PromptLibrary.from_dir(tmp_path)
+        for refuse in (lambda: ChatGateway(scripted(), library), lambda: PromptLibrary.load(tmp_path)):
+            with pytest.raises(ConfigError, match=f"{role.value} template leaves out .*'{name}'"):
+                refuse()
+
+
+_PART = st.text(st.characters(blacklist_categories=()), max_size=12)
+_SCOPE = st.dictionaries(st.sampled_from(["class_name", "method_name", "file_glob"]), _PART)
+_PARSED = st.one_of(
+    st.sampled_from([True, False, None]),
+    st.fixed_dictionaries({"complete": st.booleans(), "reason": _PART}),
+    st.fixed_dictionaries({"missing_snippet": _PART, "scope": _SCOPE}),
+    st.fixed_dictionaries({"judgment": st.sampled_from(["vulnerable", "secure"]), "rationale": _PART}),
+)
+# Parts repeat across a transcript's calls, as template text and blocks do.
+_SHARED_PARTS = ["\ud835", "\udd18", "𝔘", "\x00\x1f\x7f", '"\\/', "", "plain text\n"]
+_CALL = st.tuples(
+    st.sampled_from(list(RoleKind)),
+    _PART, _PART, _PART, _PART,
+    st.lists(st.one_of(st.sampled_from(_SHARED_PARTS), _PART), max_size=8),
+    _PARSED,
+    st.booleans(),  # whether the parts are given, or only the joined prompt
+)
+
+
+def as_loaded(entry: TranscriptEntry) -> TranscriptEntry:
+    """The entry as JSON reads it back: a high and a low surrogate that
+    stand next to each other load as the one character they encode."""
+
+    def paired(value):
+        if isinstance(value, str):
+            return value.encode("utf-16-le", "surrogatepass").decode("utf-16-le", "surrogatepass")
+        return {k: paired(v) for k, v in value.items()} if isinstance(value, dict) else value
+
+    return TranscriptEntry(*map(paired, entry))
+
+
+class TestTranscriptLines:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_CALL, min_size=1, max_size=4), _PART)
+    @example([(RoleKind.JUDGE, "p", "m", "h", "r", ["a\ud835", "\udd18b"], None, True)], "\ud835")
+    def test_each_line_is_json_dumps_of_its_entry_and_loads_back(self, calls, timestamp):
+        with tempfile.TemporaryDirectory() as tmp:
+            sink, saved = Path(tmp, "sink.jsonl"), Path(tmp, "saved.jsonl")
+            with Transcript(sink_path=sink) as transcript:
+                entries = [
+                    transcript.append(
+                        role, name, model, h, "".join(parts), raw, parsed, parts if given else None
+                    )
+                    for role, name, model, h, raw, parts, parsed, given in calls
+                ]
+            lines = sink.read_text(encoding="utf-8").splitlines(keepends=True)
+            assert lines == [json.dumps(e.to_dict(), sort_keys=True) + "\n" for e in entries]
+            assert Transcript.load(sink).entries == tuple(map(as_loaded, entries))
+            # Any string timestamp, through the writer save shares.
+            stamped = Transcript()
+            stamped._entries = [e._replace(timestamp=timestamp) for e in entries]
+            stamped.save(saved)
+            assert saved.read_text(encoding="utf-8").splitlines() == [
+                json.dumps(e.to_dict(), sort_keys=True) for e in stamped.entries
+            ]
+            assert Transcript.load(saved).entries == tuple(map(as_loaded, stamped.entries))
+
+    def test_save_writes_the_bytes_the_sink_wrote(self, tmp_path: Path, vuln):
+        candidate = Candidate.initial(ENCODE_BLOCK, MatchedBy.BOTH, 0.5, 0.5)
+        with Transcript(sink_path=tmp_path / "sink.jsonl") as transcript:
+            gw = ChatGateway(four_role_script(), transcript=transcript)
+            ask_every_role(gw, vuln, candidate)
+        transcript.save(tmp_path / "saved.jsonl")
+        sink = (tmp_path / "sink.jsonl").read_bytes()
+        assert sink == (tmp_path / "saved.jsonl").read_bytes() and sink.count(b"\n") == 5
+
+    def test_each_prompt_is_recorded_as_the_join_of_its_parts(self, vuln):
+        recorded: list[list[str]] = []
+
+        class PartsTranscript(Transcript):
+            def append(self, *args):
+                recorded.append(list(args[7]))
+                return super().append(*args)
+
+        context = (ENCODE_BLOCK, OVERSTATED_BLOCK, COMMENT_BLOCK)
+        candidate = Candidate(ENCODE_BLOCK, context, MatchedBy.BOTH, 0.5, 0.5)
+        provider = four_role_script(context_window=2_000)
+        gw = ChatGateway(provider, transcript=PartsTranscript())
+        ask_every_role(gw, vuln, candidate)
+        entries = gw.transcript.entries
+        assert [e.rendered_prompt for e in entries] == ["".join(parts) for parts in recorded]
+        # Every prompt is the template rendered with the joined context.
+        library = PromptLibrary.bundled()
+        judge = library.get(RoleKind.JUDGE).template_text
+        fixed = {
+            "api_signatures": "\n".join(vuln.api_signatures),
+            "pov_test_source": vuln.pov_test_source,
+        }
+        reserved = 256 + sum(map(DEFAULT_TOKENIZER.count, [judge, *fixed.values()]))
+        packed = gw._pack_context(context, 2_000 - reserved)
+        assert "context truncated: 1" in packed and ENCODE_BLOCK.source in recorded[-1]
+        assert entries[-1].rendered_prompt == reference_render(judge, {**fixed, "context": packed})
+        # The malformed first reflection answer was asked again with the suffix.
+        assert recorded[2][-1] == REPROMPT_SUFFIX and recorded[2][:-1] == recorded[1]
+
+
+def four_role_script(**kw) -> ScriptedChatProvider:
+    return scripted(
+        sequences={
+            RoleKind.GRADER: ['{"answer": "yes"}'],
+            RoleKind.REFLECTION: ["not json", '{"complete": false, "reason": "need caller"}'],
+            RoleKind.INFERENCE: ['{"missing_snippet": "caller()", "scope": {"class_name": "C"}}'],
+            RoleKind.JUDGE: ['{"judgment": "secure", "rationale": "guarded"}'],
+        },
+        **kw,
+    )
+
+
+def ask_every_role(gw: ChatGateway, vuln: VulnSpec, candidate: Candidate) -> None:
+    gw.grade_invocation(ENCODE_BLOCK, vuln.api_signatures[0])
+    gw.reflection_query(candidate.context, vuln)
+    gw.code_inference(candidate.context, vuln, "need caller")
+    gw.judge_reachability(candidate, vuln)

@@ -491,3 +491,16 @@ class TestScanAgainstReference:
             assert [(m.kind, m.line_start, m.line_end) for m in unit.nodes[0].members] == [
                 (kind, 2, end) for kind in members
             ]
+
+
+class TestBlankRuns:
+    def test_a_long_blank_run_at_end_of_input_lexes_quickly(self):
+        # Each scan match takes the blanks before its token; at the end of
+        # input no token follows, and that must not cost a retry per blank.
+        for tail in (" " * (1 << 16), " \t\f\v" * (1 << 14)):
+            start = time.perf_counter()
+            tokens = lex("class A {}" + tail)
+            assert time.perf_counter() - start < 10.0
+            assert [t.text for t in tokens] == ["class", "A", "{", "}"]
+            for source in ("x" + tail[:64], "// c" + tail[:64], '"s' + tail[:64], "/* c" + tail[:64]):
+                assert lex(source) == reference_lex(source), source

@@ -2,6 +2,7 @@
 the embedding cache file that outlives a command. Chat answers are tested
 here per provider, and otherwise in test_gateway.TestMemoChatProvider."""
 
+import hashlib
 import logging
 import os
 import sys
@@ -225,3 +226,15 @@ class TestVectorCache:
             memo.save_vectors(tmp_path, encoder)
         monkeypatch.undo()
         assert list(tmp_path.iterdir()) == []
+
+
+class TestChatKey:
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(list(RoleKind)), st.text(st.characters(blacklist_categories=())))
+    def test_a_question_is_keyed_by_the_sha256_of_role_nul_and_prompt(self, role, prompt):
+        memo = Memo()
+        provider = ScriptedChatProvider(defaults={role: "answer"})
+        assert memo.complete(provider, prompt, role) == "answer"
+        (answers,) = (answers for _, answers in memo._answers.values())
+        joined = f"{role.value}\0{prompt}".encode("utf-8", "surrogatepass")
+        assert list(answers) == [hashlib.sha256(joined).digest()]
