@@ -13,18 +13,19 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import shutil
 import traceback
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 from .detector import analyze
 from .embedding import EncoderProvider
 from .errors import MissingPrediction, VulnReachError
 from .gateway import ChatGateway, ChatProvider, PromptLibrary, Transcript
 from .memo import MemoChatProvider, MemoEncoder, memoized
-from .model import Config, Judgment, VulnSpec
+from .model import CodeBlock, Config, Judgment, VulnSpec
 from .segmenter import iter_project_files, segment_project
 from .store import StoreEntry, VectorStore
 
@@ -189,12 +190,21 @@ def _memo_backed(
     return encoder, chat_provider
 
 
+class _Analyzed(NamedTuple):
+    """A project's analyses at one theta, as a sweep's next theta reads them."""
+
+    theta: int
+    blocks: list[CodeBlock]
+    verdicts: dict[str, tuple[Judgment, Path | None]]  # vuln id -> (verdict, transcript)
+
+
 def run_benchmark(
     manifest: BenchmarkManifest,
     config: Config,
     encoder: EncoderProvider,
     chat_provider: ChatProvider,
     out_dir: Path | str | None = None,
+    _analyzed: dict[str, _Analyzed] | None = None,
 ) -> dict[str, Any]:
     """Evaluate every manifest project against its referenced vulnerabilities.
 
@@ -202,8 +212,15 @@ def run_benchmark(
     with a rendered plain-text table and per-analysis transcripts under
     ``transcripts/theta_<N>/``). Bare providers are put behind one fresh
     memo for the run.
+
+    ``_analyzed`` is ``run_theta_sweep``'s record of the previous theta's
+    analyses, by project. A project whose blocks equal the recorded ones
+    takes the recorded verdicts, and byte copies of their transcripts,
+    instead of analyzing again; a project that runs otherwise replaces its
+    record, and one that fails drops it. Called alone, nothing is reused.
     """
     encoder, chat_provider = _memo_backed(encoder, chat_provider)
+    analyzed = {} if _analyzed is None else _analyzed
     out_path = Path(out_dir) if out_dir is not None else None
     transcripts_dir = (
         out_path / "transcripts" / f"theta_{config.theta}" if out_path is not None else None
@@ -221,11 +238,15 @@ def run_benchmark(
             "ground_truth": project.ground_truth.value,
             "per_vuln": {},
         }
+        earlier = analyzed.pop(project.project_id, None)
         try:
             root = Path(project.root_path)
             store = build_index(root, config, encoder)
             block_counts[project.project_id] = store.count()
-            judgments: list[Judgment] = []
+            blocks = store.blocks()
+            if earlier is not None and earlier.blocks != blocks:
+                earlier = None
+            verdicts: dict[str, tuple[Judgment, Path | None]] = {}
             for vuln_id in project.vuln_refs:
                 vuln = manifest.vuln_by_id(vuln_id)
                 transcript_path = (
@@ -233,25 +254,38 @@ def run_benchmark(
                     if transcripts_dir is not None
                     else None
                 )
-                with Transcript(sink_path=transcript_path) as transcript:
-                    verdict = analyze(
-                        store,
-                        encoder,
-                        ChatGateway(chat_provider, prompts, transcript),
-                        vuln,
-                        config,
-                        project.project_id,
-                        transcript_path=str(transcript_path) if transcript_path else None,
-                    )
-                row["per_vuln"][vuln_id] = verdict.project_judgment.value
-                judgments.append(verdict.project_judgment)
+                if earlier is not None:
+                    # Same store, vuln and config but for theta: every
+                    # question would be a memo hit, so the analysis is too.
+                    judgment, recorded = earlier.verdicts[vuln_id]
+                    if transcript_path is not None:
+                        shutil.copyfile(recorded, transcript_path)
+                else:
+                    with Transcript(sink_path=transcript_path) as transcript:
+                        judgment = analyze(
+                            store,
+                            encoder,
+                            ChatGateway(chat_provider, prompts, transcript),
+                            vuln,
+                            config,
+                            project.project_id,
+                            transcript_path=str(transcript_path) if transcript_path else None,
+                        ).project_judgment
+                verdicts[vuln_id] = (judgment, transcript_path)
+                row["per_vuln"][vuln_id] = judgment.value
+            if earlier is not None:
+                log.info(
+                    "project %s at theta=%d: same blocks as theta=%d, %d verdicts reused",
+                    project.project_id, config.theta, earlier.theta, len(verdicts),
+                )
             prediction = (
                 Judgment.VULNERABLE
-                if any(j is Judgment.VULNERABLE for j in judgments)
+                if any(j is Judgment.VULNERABLE for j, _ in verdicts.values())
                 else Judgment.SECURE
             )
             predictions[project.project_id] = prediction
             row["prediction"] = prediction.value
+            analyzed[project.project_id] = earlier or _Analyzed(config.theta, blocks, verdicts)
         except (VulnReachError, OSError, ValueError) as exc:
             log.warning("project %s failed to run: %s", project.project_id, exc)
             row["prediction"] = "failed"
@@ -303,13 +337,20 @@ def run_theta_sweep(
     out_dir: Path | str | None = None,
 ) -> dict[int, dict[str, Any]]:
     """One full benchmark report per segment-size setting, all behind one
-    memo: each file is parsed, and each block text embedded, once."""
+    memo: each file is parsed, and each block text embedded, once.
+
+    Each distinct index is analyzed once: a project whose blocks equal its
+    blocks at the previous setting reuses that setting's verdicts, and its
+    transcripts there are byte copies (same ``seq``s and timestamps). Every
+    setting still builds every project's index.
+    """
     encoder, chat_provider = _memo_backed(encoder, chat_provider)
+    analyzed: dict[str, _Analyzed] = {}
     return {
         theta: run_benchmark(
-            manifest, replace(config, theta=theta), encoder, chat_provider, out_dir
+            manifest, replace(config, theta=theta), encoder, chat_provider, out_dir, analyzed
         )
-        for theta in thetas
+        for theta in dict.fromkeys(thetas)
     }
 
 

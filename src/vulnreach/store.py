@@ -318,6 +318,10 @@ class VectorStore:
         for row in range(self.count()):
             yield self._entry_at(row)
 
+    def blocks(self) -> list[CodeBlock]:
+        """Every row's block, in row order, without its vector."""
+        return [self._block_at(row) for row in range(self.count())]
+
     def _source_bytes(self, row: int) -> bytes | memoryview:
         if row < len(self._offsets) - 1:
             return self._blob[self._offsets[row] : self._offsets[row + 1]]

@@ -8,8 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import FIXTURES, FIXTURE_TAU, FIXTURE_THETA, CountingEncoder, write_toy_manifest
+from vulnreach import evalharness
 from vulnreach import memo as memo_module
-from vulnreach.errors import MissingPrediction
+from vulnreach.errors import MissingPrediction, ProviderError
 from vulnreach.evalharness import (
     BenchmarkManifest,
     ConfusionMatrix,
@@ -23,7 +24,7 @@ from vulnreach.evalharness import (
 )
 from vulnreach.gateway import ScriptedChatProvider
 from vulnreach.javaparse import parse_source
-from vulnreach.memo import MemoEncoder
+from vulnreach.memo import MemoChatProvider, MemoEncoder
 from vulnreach.model import Config, Judgment, VulnSpec
 from vulnreach.embedding import ReferenceEncoder
 from vulnreach.segmenter import iter_project_files
@@ -151,6 +152,9 @@ class TestMetrics:
             assert m["f1"] == pytest.approx(2 * p * r / (p + r), abs=1e-9)
 
 
+SWEEP = (30, 60, 120, 100000)
+
+
 class TestRunBenchmark:
     def test_toy_manifest_golden_outcome(self, tmp_path: Path, encoder):
         report = run_benchmark(
@@ -221,7 +225,8 @@ class TestRunBenchmark:
         assert sorted(parsed) == sorted(files)
 
     def test_sweep_reports_equal_runs_with_fresh_memos(self, tmp_path: Path, encoder):
-        thetas = (30, 60, 100000)
+        # Reused settings included: plain_app at 120 and 100000, unguarded_app at 100000.
+        thetas = SWEEP
         manifest = toy_manifest(tmp_path)
         swept = run_theta_sweep(manifest, harness_config(), encoder, scripted_chat(), thetas)
         for theta in thetas:
@@ -282,6 +287,131 @@ class TestRunBenchmark:
         for pid in ("guarded_app", "unguarded_app", "plain_app", "legacy_app"):
             assert pid in table
         assert f"theta={FIXTURE_THETA}" in table and "precision=" in table
+
+
+def count_analyses(monkeypatch) -> list[tuple[str, int]]:
+    """(project id, theta) of every analysis the harness runs from now on."""
+    calls: list[tuple[str, int]] = []
+    real = evalharness.analyze
+
+    def counting(store, encoder, gateway, vuln, config, project_id, **kwargs):
+        calls.append((project_id, config.theta))
+        return real(store, encoder, gateway, vuln, config, project_id, **kwargs)
+
+    monkeypatch.setattr(evalharness, "analyze", counting)
+    return calls
+
+
+def only(manifest: BenchmarkManifest, project_id: str) -> BenchmarkManifest:
+    projects = tuple(p for p in manifest.projects if p.project_id == project_id)
+    return BenchmarkManifest(projects=projects, vulns=manifest.vulns)
+
+
+class FailsOnce:
+    """A chat provider whose first call fails for good (no retry), then
+    answers as the wrapped one."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.failed = False
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def complete(self, prompt, role):
+        if not self.failed:
+            self.failed = True
+            raise ProviderError("unauthorized", status=401)
+        return self.inner.complete(prompt, role)
+
+
+class TestSweepReuse:
+    """A setting whose project blocks equal the previous setting's reuses
+    that setting's verdicts and transcripts; anything else analyzes."""
+
+    def test_each_run_of_equal_block_lists_is_analyzed_once(self, tmp_path, encoder, monkeypatch):
+        calls = count_analyses(monkeypatch)
+        reports = run_theta_sweep(toy_manifest(tmp_path), harness_config(), encoder, scripted_chat(), SWEEP)
+        counts = {
+            pid: [reports[t]["block_counts"][pid] for t in SWEEP]
+            for pid in ("plain_app", "unguarded_app")
+        }
+        assert counts == {"plain_app": [4, 1, 1, 1], "unguarded_app": [6, 6, 1, 1]}
+        analyzed = {pid: [t for p, t in calls if p == pid] for pid, _ in calls}
+        assert analyzed == {
+            "guarded_app": [30, 60, 120, 100000],
+            "unguarded_app": [30, 60, 120],
+            "plain_app": [30, 60],
+            "legacy_app": [30, 60, 120, 100000],
+        }
+
+    def test_repeated_theta_runs_once(self, tmp_path, encoder, monkeypatch):
+        calls = count_analyses(monkeypatch)
+        manifest = only(toy_manifest(tmp_path), "unguarded_app")
+        out = tmp_path / "out"
+        reports = run_theta_sweep(manifest, harness_config(), encoder, scripted_chat(), (60, 60), out)
+        assert list(reports) == [60] and calls == [("unguarded_app", 60)]
+        assert reports[60]["projects"][0]["prediction"] == "Vulnerable"
+
+    def test_reused_transcripts_are_byte_copies(self, tmp_path, encoder, caplog):
+        out = tmp_path / "out"
+        with caplog.at_level("INFO", logger="vulnreach.evalharness"):
+            run_theta_sweep(toy_manifest(tmp_path), harness_config(), encoder, scripted_chat(), SWEEP, out)
+        transcripts = out / "transcripts"
+        for project, reused, source in (
+            ("plain_app", 120, 60),
+            ("plain_app", 100000, 60),
+            ("unguarded_app", 100000, 120),
+        ):
+            name = f"{project}__CVE-2020-5408.jsonl"
+            copy = (transcripts / f"theta_{reused}" / name).read_bytes()
+            assert copy == (transcripts / f"theta_{source}" / name).read_bytes()
+        assert (transcripts / "theta_100000" / "unguarded_app__CVE-2020-5408.jsonl").stat().st_size
+        reuse_lines = sorted(r.getMessage() for r in caplog.records if "reused" in r.getMessage())
+        assert reuse_lines == [
+            "project plain_app at theta=100000: same blocks as theta=60, 1 verdicts reused",
+            "project plain_app at theta=120: same blocks as theta=60, 1 verdicts reused",
+            "project unguarded_app at theta=100000: same blocks as theta=120, 1 verdicts reused",
+        ]
+
+    def test_blocks_differing_in_one_field_are_analyzed_again(self, tmp_path, encoder, monkeypatch):
+        memo_backed = MemoEncoder(encoder)
+        small, large = (
+            build_index(FIXTURES / "unguarded_app", replace(harness_config(), theta=t), memo_backed)
+            for t in (30, 60)
+        )
+        differing = [
+            (a.to_dict(), b.to_dict()) for a, b in zip(small.blocks(), large.blocks()) if a != b
+        ]
+        assert small.count() == large.count() == 6 and len(differing) == 1
+        a, b = differing[0]
+        assert {k for k in a if a[k] != b[k]} == {"oversize"}
+        calls = count_analyses(monkeypatch)
+        manifest = only(toy_manifest(tmp_path), "unguarded_app")
+        run_theta_sweep(manifest, harness_config(), encoder, scripted_chat(), (30, 60))
+        assert calls == [("unguarded_app", 30), ("unguarded_app", 60)]
+
+    def test_failed_analysis_is_not_reused(self, tmp_path, encoder, monkeypatch):
+        calls = count_analyses(monkeypatch)
+        manifest = only(toy_manifest(tmp_path), "unguarded_app")
+        reports = run_theta_sweep(
+            manifest, harness_config(), encoder, FailsOnce(scripted_chat()), (120, 100000)
+        )
+        assert [r["block_counts"] for r in reports.values()] == [{"unguarded_app": 1}] * 2
+        assert calls == [("unguarded_app", 120), ("unguarded_app", 100000)]
+        failed, rerun = (reports[t]["projects"][0] for t in (120, 100000))
+        assert failed["prediction"] == "failed" and "ProviderError" in failed["error"]
+        assert rerun["prediction"] == "Vulnerable" and "error" not in rerun
+
+    def test_run_benchmark_alone_never_reuses(self, tmp_path, encoder, monkeypatch):
+        calls = count_analyses(monkeypatch)
+        manifest = toy_manifest(tmp_path)
+        twin = ProjectSpec("plain_twin", str(FIXTURES / "plain_app"), Judgment.SECURE, ("CVE-2020-5408",))
+        manifest = BenchmarkManifest(projects=manifest.projects + (twin,), vulns=manifest.vulns)
+        memo_backed, chat = MemoEncoder(encoder), MemoChatProvider(scripted_chat())
+        for _ in range(2):
+            run_benchmark(manifest, harness_config(), memo_backed, chat)
+        assert len(calls) == 2 * len(manifest.projects)
 
 
 class TestBuildIndex:
