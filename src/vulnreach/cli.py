@@ -9,6 +9,7 @@ echoed into every report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -204,7 +205,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 vuln,
                 config,
                 project_id=args.project_id,
-                transcript_path=str(transcript_path),
             )
         except ProviderError as exc:
             print(f"error: chat provider failed: {exc}", file=sys.stderr)
@@ -248,8 +248,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 manifest, config, encoder, chat_provider, out_dir=out_dir
             )
             for theta, report in sorted(reports.items()):
-                m = report["metrics"]
-                print(f"theta={theta}: {_format_metrics(m)}")
+                print(f"theta={theta}: {evalharness.format_metrics(report['metrics'])}")
         else:
             report = evalharness.run_benchmark(
                 manifest, config, encoder, chat_provider, out_dir=out_dir
@@ -287,20 +286,11 @@ def _evaluate_from_predictions(args: argparse.Namespace, out_dir: Path) -> int:
         json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     print(f"tp={cm.tp} fp={cm.fp} tn={cm.tn} fn={cm.fn}")
-    print(_format_metrics(result["metrics"]))
+    print(evalharness.format_metrics(result["metrics"]))
     return EXIT_OK
 
 
-def _format_metrics(m: Mapping[str, float | None]) -> str:
-    def fmt(value: float | None) -> str:
-        return "n/a" if value is None else f"{value:.3f}"
-
-    return (
-        f"precision={fmt(m['precision'])} recall={fmt(m['recall'])}"
-        f" accuracy={fmt(m['accuracy'])} f1={fmt(m['f1'])}"
-    )
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vulnreach",
@@ -317,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_index.add_argument("--theta", type=int, default=None, help="max block size in tokens")
     p_index.add_argument("--encoder", default=None, help="encoder provider name")
     p_index.add_argument("--config", default=None, help="JSON config file")
-    p_index.set_defaults(func=cmd_index)
 
     p_analyze = sub.add_parser("analyze", help="analyze an indexed project for one vulnerability")
     p_analyze.add_argument("--index", required=True, help="index file from `index`")
@@ -330,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_analyze.add_argument("--theta", type=int, default=None, help=argparse.SUPPRESS)
     p_analyze.add_argument("--tau", type=float, default=None, help="similarity threshold")
-    p_analyze.set_defaults(func=cmd_analyze)
 
     p_eval = sub.add_parser("evaluate", help="run the benchmark harness over a manifest")
     p_eval.add_argument("--manifest", default=None, help="benchmark manifest JSON")
@@ -346,18 +334,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_eval.add_argument("--theta", type=int, default=None, help="max block size in tokens")
     p_eval.add_argument("--tau", type=float, default=None, help="similarity threshold")
-    p_eval.set_defaults(func=cmd_evaluate)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.command == "evaluate" and not args.manifest and not args.from_predictions:
         print("error: evaluate needs --manifest or --from-predictions", file=sys.stderr)
         return EXIT_USER_ERROR
+    # Looked up per call, not bound into the parser: that is built once per process.
+    command = {"index": cmd_index, "analyze": cmd_analyze, "evaluate": cmd_evaluate}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER_ERROR

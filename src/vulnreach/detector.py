@@ -203,7 +203,6 @@ def analyze(
     vuln: VulnSpec,
     config: Config,
     project_id: str,
-    transcript_path: str | None = None,
 ) -> Verdict:
     """Full detection pass for one vulnerability against one indexed project.
 
@@ -268,5 +267,5 @@ def analyze(
         project_id=project_id,
         vuln_id=vuln.vuln_id,
         per_candidate=[judgment for _, judgment in ordered],
-        transcript_path=transcript_path,
+        transcript_path=str(sink) if (sink := chat.transcript.sink_path) is not None else None,
     )

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Protocol, Sequence, TypeVar, runtime_checkable
 
@@ -32,6 +31,8 @@ _PASS_CHARS = 16384
 # Entries of an encoder's n-gram code table, about 7 MB at most: several
 # times the distinct n-grams one benchmark command meets (about 16,000).
 _MAX_CODES = 1 << 16
+# Seconds slept before each retry of a transient provider failure.
+_RETRY_DELAYS = (0.5, 1.0, 2.0)
 
 _T = TypeVar("_T")
 
@@ -45,18 +46,7 @@ class EncoderProvider(Protocol):
     def encode_batch(self, texts: Sequence[str]) -> Sequence[np.ndarray | Sequence[float]]: ...
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    retries: int = 3
-    base_delay: float = 0.5
-    multiplier: float = 2.0
-
-
-def embed(
-    provider: EncoderProvider,
-    texts: Sequence[str],
-    retry: RetryPolicy = RetryPolicy(),
-) -> list[EmbeddingVector]:
+def embed(provider: EncoderProvider, texts: Sequence[str]) -> list[EmbeddingVector]:
     """Encode texts in order, one unit-norm vector per input.
 
     A provider row that cannot be normalized (all zeros, or holding a NaN or
@@ -71,7 +61,7 @@ def embed(
     limit = max(1, provider.batch_limit)
     for offset in range(0, len(texts), limit):
         batch = list(texts[offset : offset + limit])
-        raw = call_with_retry(lambda: provider.encode_batch(batch), retry)
+        raw = call_with_retry(lambda: provider.encode_batch(batch))
         if len(raw) != len(batch):
             raise ProviderError(
                 f"provider {provider.name} returned {len(raw)} vectors for {len(batch)} texts"
@@ -92,19 +82,17 @@ def embed(
     return out
 
 
-def call_with_retry(call: Callable[[], _T], retry: RetryPolicy = RetryPolicy()) -> _T:
-    """``call()``, retried with exponential backoff while it fails with a
-    transient ``ProviderError``; any other failure is raised at once."""
-    delay = retry.base_delay
-    for _ in range(retry.retries):
+def call_with_retry(call: Callable[[], _T]) -> _T:
+    """``call()``, retried up to three times, after 0.5, 1 and 2 s, while it
+    fails with a transient ``ProviderError``; any other failure, and the
+    last attempt's, is raised at once."""
+    for delay in _RETRY_DELAYS:
         try:
             return call()
         except ProviderError as exc:
             if not exc.transient:
                 raise
-        if delay > 0:
-            time.sleep(delay)
-        delay *= retry.multiplier
+        time.sleep(delay)
     return call()
 
 
@@ -259,12 +247,12 @@ class ReferenceEncoder:
     """Offline stand-in for remote embedding models; same text always maps
     to the same vector."""
 
-    def __init__(self, dims: int = 256, batch_limit: int = 64):
+    def __init__(self, dims: int = 256):
         if dims < 8:
             raise ValueError("reference encoder needs dims >= 8")
         self.name = "reference"
         self.dims = dims
-        self.batch_limit = batch_limit
+        self.batch_limit = 64
         # Each n-gram hashes once while the table holds it: a command builds
         # one encoder, so repeats across batches and theta settings are free.
         # A code depends on the n-gram and dims alone, so a row still equals

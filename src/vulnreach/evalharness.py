@@ -154,6 +154,14 @@ def metrics(cm: ConfusionMatrix) -> dict[str, float | None]:
     }
 
 
+def format_metrics(m: Mapping[str, float | None]) -> str:
+    """``precision=0.838 recall=0.738 accuracy=0.691 f1=0.785``; n/a for None."""
+    return " ".join(
+        f"{name}={'n/a' if m[name] is None else f'{m[name]:.3f}'}"
+        for name in ("precision", "recall", "accuracy", "f1")
+    )
+
+
 def corpus_digest(root: Path, ignore_globs: Sequence[str]) -> str:
     """Content hash of a source tree. Unused by the program; kept because
     the benchmark's tracer names it."""
@@ -269,7 +277,6 @@ def run_benchmark(
                             vuln,
                             config,
                             project.project_id,
-                            transcript_path=str(transcript_path) if transcript_path else None,
                         ).project_judgment
                 verdicts[vuln_id] = (judgment, transcript_path)
                 row["per_vuln"][vuln_id] = judgment.value
@@ -369,16 +376,7 @@ def render_table(report: Mapping[str, Any]) -> str:
         f"confusion matrix: tp={cm['tp']} fp={cm['fp']} tn={cm['tn']} fn={cm['fn']}"
         f" (evaluated {report['evaluated_projects']}, failed {report['failed_projects']})"
     )
-    m = report["metrics"]
-
-    def fmt(value: float | None) -> str:
-        return "n/a" if value is None else f"{value:.3f}"
-
-    lines.append(
-        "metrics: precision={p} recall={r} accuracy={a} f1={f}".format(
-            p=fmt(m["precision"]), r=fmt(m["recall"]), a=fmt(m["accuracy"]), f=fmt(m["f1"])
-        )
-    )
+    lines.append(f"metrics: {format_metrics(report['metrics'])}")
     lines.append("")
     cfg = report["config"]
     lines.append(

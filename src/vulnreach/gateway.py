@@ -248,9 +248,9 @@ class Transcript:
         rendered_prompt: str,
         raw_response: str,
         parsed_response: Any,
-        parts: Sequence[str] | None = None,
+        parts: Sequence[str],
     ) -> TranscriptEntry:
-        """Record one answered call; ``parts``, when given, join to ``rendered_prompt``."""
+        """Record one answered call; ``parts`` join to ``rendered_prompt``."""
         with self._lock:
             entry = TranscriptEntry(
                 len(self._entries), role_kind, provider_name, model_id, template_hash,
@@ -258,7 +258,7 @@ class Transcript:
                 datetime.now(timezone.utc).isoformat(),
             )
             if self._sink is not None:
-                prompt = "".join(map(self._escaped, parts or (rendered_prompt,)))
+                prompt = "".join(map(self._escaped, parts))
                 # Raises once the transcript is closed.
                 self._sink.write(entry.json_line(prompt))
                 self._sink.flush()
@@ -284,13 +284,6 @@ class Transcript:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def save(self, path: Path | str) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", encoding="utf-8") as fh:
-            for entry in self.entries:
-                fh.write(entry.json_line(_escape(entry.rendered_prompt)[1:-1]))
 
     @classmethod
     def load(cls, path: Path | str) -> "Transcript":
@@ -388,8 +381,8 @@ class ReplayChatProvider:
     response left is a provider error, never another question's answer.
     """
 
-    def __init__(self, transcript: Transcript, name: str = "replay"):
-        self.name = name
+    def __init__(self, transcript: Transcript):
+        self.name = "replay"
         self.model_id = "replay"
         self.temperature = 0.0
         self.max_output_tokens = 4096
@@ -613,29 +606,26 @@ def _parse_judge(obj: Any) -> tuple[Judgment, str]:
 
 
 class ChatGateway:
-    """Binds a provider, the prompt library, and one transcript."""
+    """Binds a provider, the prompt library, and one transcript.
+
+    Packing recounts the same template, vulnerability text and block headers
+    on every call, so each distinct text is counted once: by the memo of a
+    memo-backed provider, shared with every gateway of its command, else by
+    this gateway's own memo.
+    """
 
     def __init__(
         self,
         provider: ChatProvider,
         prompts: PromptLibrary | None = None,
         transcript: Transcript | None = None,
-        token_counter: Callable[[str], int] | None = None,
     ):
         self.provider = provider
         self.prompts = prompts or PromptLibrary.bundled()
         self.prompts.check_bindings()
         self.transcript = transcript if transcript is not None else Transcript()
-        # Packing recounts the same template, vulnerability text and block
-        # headers on every call. Each distinct text is counted once: by the
-        # memo of a memo-backed provider, shared with every gateway of its
-        # command, else by this gateway.
-        self._sized = token_counter is None
-        if token_counter is not None:
-            self.token_counter = functools.lru_cache(maxsize=None)(token_counter)
-        else:
-            memo = getattr(provider, "memo", None)
-            self.token_counter = (memo if memo is not None else Memo()).count_tokens
+        memo = getattr(provider, "memo", None)
+        self.token_counter = (memo if memo is not None else Memo()).count_tokens
 
     # -- context packing ---------------------------------------------------
 
@@ -656,8 +646,9 @@ class ChatGateway:
                 f" [{block.node_kind.value}] ----\n"
             )
             # No lexeme holds whitespace and the header ends in a newline, so
-            # the source costs its stored size (0 on a hand-built block).
-            if self._sized and block.size:
+            # the source costs its stored size (0 on a hand-built block, whose
+            # text is counted).
+            if block.size:
                 cost = self.token_counter(header) + block.size
             else:
                 cost = self.token_counter(header + block.source)

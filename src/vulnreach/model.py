@@ -90,18 +90,6 @@ class NodeKind(str, Enum):
     OTHER = "Other"
 
 
-#: Declaration kinds a compilation unit is split into when it exceeds the
-#: size threshold.
-SPLIT_KINDS = frozenset(
-    {
-        NodeKind.IMPORT_DECLARATION,
-        NodeKind.FIELD_DECLARATION,
-        NodeKind.METHOD_DECLARATION,
-        NodeKind.CONSTRUCTOR_DECLARATION,
-    }
-)
-
-
 class MatchedBy(str, Enum):
     API_SIMILARITY = "ApiSimilarity"
     TEST_SIMILARITY = "TestSimilarity"

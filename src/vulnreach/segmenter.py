@@ -265,18 +265,17 @@ def segment_project(
     root: Path | str,
     config: Config,
     *,
-    on_io_error: Callable[[Path, OSError], None] | None = None,
     on_error_block: Callable[[CodeBlock], None] | None = None,
     memo: Memo | None = None,
 ) -> list[CodeBlock]:
     """Segment every source file under root that ``config.ignore_globs``
     leaves in.
 
-    Unreadable files are collected via ``on_io_error`` (default: logged) and
-    skipped; an empty project raises EmptyProject. ``on_error_block`` gets
-    each Other block a parse error region became. A ``memo`` parses each
-    file's content once across calls, as a theta sweep needs. Output is
-    deterministic: ordered by (file_path, line_start).
+    An unreadable file is logged and skipped; an empty project raises
+    EmptyProject. ``on_error_block`` gets each Other block a parse error
+    region became. A ``memo`` parses each file's content once across calls,
+    as a theta sweep needs. Output is deterministic: ordered by (file_path,
+    line_start).
     """
     root = Path(root)
     files = iter_project_files(root, config.ignore_globs)
@@ -288,10 +287,7 @@ def segment_project(
         try:
             data = path.read_bytes()
         except OSError as exc:
-            if on_io_error is not None:
-                on_io_error(path, exc)
-            else:
-                log.warning("skipping unreadable file %s: %s", path, exc)
+            log.warning("skipping unreadable file %s: %s", path, exc)
             continue
         text = data.decode("utf-8", errors="replace")
         unit = memo.parse(rel, text) if memo is not None else parse_source(rel, text)[0]

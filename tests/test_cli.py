@@ -9,11 +9,11 @@ from pathlib import Path
 import pytest
 
 from conftest import DIMS, FIXTURES, FIXTURE_THETA, write_tool_config, write_toy_manifest
-from vulnreach import cli
+from vulnreach import cli, evalharness
 from vulnreach.embedding import ReferenceEncoder, RemoteEncoderProvider
 from vulnreach.gateway import ChatGateway, ScriptedChatProvider
 from vulnreach.memo import encoder_fingerprint
-from vulnreach.model import Config
+from vulnreach.model import Config, Verdict
 from vulnreach.segmenter import segment_project
 from vulnreach.store import VectorStore
 
@@ -571,11 +571,20 @@ class TestEvaluateCommand:
             "--out", str(tmp_path / "out"),
         )
         assert code == 0
-        stdout = capsys.readouterr().out
-        assert "precision=0.838" in stdout
-        assert "recall=0.738" in stdout
-        assert "accuracy=0.691" in stdout
-        assert "f1=0.785" in stdout
+        # The paper's RQ1 matrix, through the one metrics formatter.
+        line = "precision=0.838 recall=0.738 accuracy=0.691 f1=0.785"
+        assert capsys.readouterr().out.splitlines() == ["tp=31 fp=6 tn=7 fn=11", line]
+        result = read_report(tmp_path / "out" / "metrics.json")
+        table = evalharness.render_table(
+            {
+                "projects": [],
+                "evaluated_projects": 55,
+                "failed_projects": 0,
+                "config": {"theta": 1000, "tau": 0.5, "top_k": 10, "encoder": "e", "chat": "c"},
+                **result,
+            }
+        )
+        assert f"metrics: {line}" in table.splitlines()
 
     def test_failed_rows_still_exit_0(self, tmp_path: Path, config_file: Path):
         manifest_path = tmp_path / "manifest.json"
@@ -910,3 +919,76 @@ class TestPromptLibraryBindings:
         err = capsys.readouterr().err
         assert code == 1 and asks == [] and not list(out_dir.glob("report_*"))
         assert err.startswith("error: grader template leaves out") and len(err.splitlines()) == 1, err
+
+
+class TestOneProcess:
+    def test_index_analyze_and_evaluate_share_one_parser(
+        self, tmp_path: Path, config_file: Path, capsys
+    ):
+        cli.build_parser.cache_clear()
+        index = build_index_for("guarded_app", tmp_path)
+        assert run_cli(
+            "analyze",
+            "--index", str(index),
+            "--vuln", str(FIXTURES / "vuln_encoder_null.json"),
+            "--config", str(config_file),
+            "--report", str(tmp_path / "report.json"),
+        ) == 0
+        predictions = tmp_path / "cm.json"
+        predictions.write_text(json.dumps({"confusion_matrix": {"tp": 1, "fp": 0, "fn": 0, "tn": 1}}))
+        assert run_cli(
+            "evaluate", "--from-predictions", str(predictions), "--out", str(tmp_path / "out")
+        ) == 0
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        assert "precision=1.000 recall=1.000 accuracy=1.000 f1=1.000" in capsys.readouterr().out
+
+    def test_a_command_replaced_after_the_parser_is_built_is_the_one_run(self, monkeypatch):
+        cli.build_parser()
+        monkeypatch.setattr(cli, "cmd_index", lambda args: 7)
+        assert run_cli("index", "--project", "p", "--out", "o") == 7
+
+
+class TestVerdictTranscriptPath:
+    """A verdict names the file its transcript streamed to, and no file
+    without a sink."""
+
+    def test_the_verdict_names_its_sink(self, tmp_path: Path, config_file: Path, monkeypatch):
+        verdicts: list[Verdict] = []
+        analyze = cli.analyze
+
+        def recording(*args, **kwargs) -> Verdict:
+            verdicts.append(analyze(*args, **kwargs))
+            return verdicts[-1]
+
+        monkeypatch.setattr(cli, "analyze", recording)
+        monkeypatch.setattr(evalharness, "analyze", recording)
+        report = tmp_path / "report.json"
+        run_cli(
+            "analyze",
+            "--index", str(build_index_for("guarded_app", tmp_path)),
+            "--vuln", str(FIXTURES / "vuln_encoder_null.json"),
+            "--config", str(config_file),
+            "--report", str(report),
+        )
+        sink = tmp_path / "report.json.transcript.jsonl"
+        assert [v.transcript_path for v in verdicts] == [str(sink)]
+        assert read_report(report)["transcript_path"] == str(sink) and sink.stat().st_size > 0
+
+        manifest = evalharness.BenchmarkManifest.from_file(write_toy_manifest(tmp_path / "m.json"))
+        config = Config.from_dict(read_report(config_file))
+        chat = ScriptedChatProvider.from_file(FIXTURES / "chat_script.json")
+        verdicts.clear()
+        out = tmp_path / "out"
+        evalharness.run_benchmark(manifest, config, ReferenceEncoder(DIMS), chat, out_dir=out)
+        sinks = [
+            out / "transcripts" / f"theta_{FIXTURE_THETA}" / f"{p.project_id}__CVE-2020-5408.jsonl"
+            for p in manifest.projects
+        ]
+        assert [v.transcript_path for v in verdicts] == list(map(str, sinks))
+        assert all(sink.is_file() for sink in sinks)
+
+        verdicts.clear()
+        evalharness.run_benchmark(manifest, config, ReferenceEncoder(DIMS), chat)
+        assert len(verdicts) == len(manifest.projects)
+        assert all(v.transcript_path is None for v in verdicts)

@@ -12,7 +12,6 @@ from vulnreach import embedding
 from vulnreach.embedding import (
     ReferenceEncoder,
     RemoteEncoderProvider,
-    RetryPolicy,
     _hash64,
     _lexical_normalize,
     cosine,
@@ -351,7 +350,9 @@ class TestEmbed:
         vec = embed(Denormalized(), ["x"])[0]
         assert vec.values.tolist() == [1.0, 0.0, 0.0, 0.0]
 
-    def test_retry_then_success(self):
+    def test_retry_then_success(self, monkeypatch):
+        sleeps: list[float] = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
         attempts = {"n": 0}
 
         class Flaky:
@@ -365,10 +366,13 @@ class TestEmbed:
                     raise ProviderError("temporary", status=503)
                 return [reference_encode(t, 16).values for t in texts]
 
-        vectors = embed(Flaky(), ["x();"], retry=RetryPolicy(retries=3, base_delay=0.0))
-        assert attempts["n"] == 3 and len(vectors) == 1
+        vectors = embed(Flaky(), ["x();"])
+        assert attempts["n"] == 3 and len(vectors) == 1 and sleeps == [0.5, 1.0]
 
-    def test_retries_exhausted_surfaces_provider_error(self):
+    def test_retries_exhausted_surfaces_provider_error(self, monkeypatch):
+        sleeps: list[float] = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+
         class Dead:
             name = "dead"
             dims = 16
@@ -378,7 +382,8 @@ class TestEmbed:
                 raise ProviderError("down", status=500)
 
         with pytest.raises(ProviderError):
-            embed(Dead(), ["x();"], retry=RetryPolicy(retries=2, base_delay=0.0))
+            embed(Dead(), ["x();"])
+        assert sleeps == [0.5, 1.0, 2.0]
 
     def test_wrong_dims_from_provider_rejected(self):
         class WrongDims:
@@ -406,13 +411,13 @@ class TestEmbed:
                 return [bad if text == "bad();" else [1.0, 0.0, 0.0, 0.0] for text in texts]
 
         with pytest.raises(ProviderError, match=r"provider stub .* text at position 2\b") as raised:
-            embed(Unusable(), ["a();", "b();", "bad();"], retry=RetryPolicy(retries=0))
+            embed(Unusable(), ["a();", "b();", "bad();"])
         assert not raised.value.transient
 
 
 class TestRetry:
     """Only a failure that may pass is retried: no connection, 408, 429 or
-    5xx. The default policy sleeps 0.5, 1 and 2 s between four attempts."""
+    5xx. The schedule sleeps 0.5, 1 and 2 s between four attempts."""
 
     @staticmethod
     def failing(*errors: ProviderError):

@@ -1,4 +1,5 @@
 import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -9,8 +10,8 @@ from corpus import generate_corpus
 from vulnreach import cli
 from vulnreach.errors import EmptyProject
 from vulnreach.javaparse import parse_source
-from vulnreach.model import SPLIT_KINDS, Config, NodeKind
-from vulnreach.segmenter import segment_project, segment_unit
+from vulnreach.model import Config, NodeKind
+from vulnreach.segmenter import _SPLIT_NODES, segment_project, segment_unit
 from vulnreach.memo import Memo
 from vulnreach.tokenizer import DEFAULT_TOKENIZER
 
@@ -106,7 +107,7 @@ class TestSegmentUnit:
         src = "package p;\n\npublic class Broken {\n    public int half(int v {\n        return v / 2;\n}\n"
         unit = parse_source("Broken.java", src)[0]
         blocks = segment_unit(unit, Config(theta=1))
-        assert all(b.node_kind in SPLIT_KINDS | {NodeKind.OTHER} for b in blocks)
+        assert all(b.node_kind in {*_SPLIT_NODES.values(), NodeKind.OTHER} for b in blocks)
         assert_coverage_and_reassembly(src, blocks)
 
     def test_small_nested_type_stays_one_other_block(self):
@@ -176,7 +177,7 @@ class TestSegmentProject:
         with pytest.raises(EmptyProject):
             segment_project(tmp_path, Config(theta=2500))
 
-    def test_unreadable_file_is_collected_not_fatal(self, tmp_path: Path, monkeypatch):
+    def test_unreadable_file_is_collected_not_fatal(self, tmp_path: Path, monkeypatch, caplog):
         (tmp_path / "A.java").write_text("class A {}\n")
         (tmp_path / "B.java").write_text("class B {}\n")
         real_read = Path.read_bytes
@@ -187,14 +188,12 @@ class TestSegmentProject:
             return real_read(self)
 
         monkeypatch.setattr(Path, "read_bytes", flaky_read)
-        failures: list[tuple[Path, OSError]] = []
-        blocks = segment_project(
-            tmp_path,
-            Config(theta=2500),
-            on_io_error=lambda p, e: failures.append((p, e)),
-        )
+        with caplog.at_level(logging.WARNING, logger="vulnreach.segmenter"):
+            blocks = segment_project(tmp_path, Config(theta=2500))
         assert [b.file_path for b in blocks] == ["B.java"]
-        assert len(failures) == 1 and failures[0][0].name == "A.java"
+        assert [r.getMessage() for r in caplog.records] == [
+            f"skipping unreadable file {tmp_path / 'A.java'}: simulated unreadable file"
+        ]
 
     def test_miniproj_matches_frozen_golden_block_list(self):
         blocks = segment_project(FIXTURES / "miniproj", Config(theta=80))
