@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from collections import Counter
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -19,7 +20,7 @@ from typing import Any, Mapping, Sequence
 
 from . import evalharness
 from .detector import analyze
-from .embedding import EncoderProvider, ReferenceEncoder, RemoteEncoderProvider
+from .embedding import EncoderProvider, ReferenceEncoder, RemoteEncoderProvider, embed
 from .errors import (
     ConfigError,
     EmptyProject,
@@ -38,7 +39,7 @@ from .gateway import (
     Transcript,
 )
 from .memo import Memo, MemoChatProvider, MemoEncoder, encoder_fingerprint
-from .model import CodeBlock, Config, Judgment, VulnSpec
+from .model import CodeBlock, Config, EmbeddingVector, Judgment, VulnSpec
 from .segmenter import segment_project
 from .store import StoreEntry, VectorStore
 
@@ -140,7 +141,7 @@ def _chat_provider(spec: Mapping[str, Any]) -> ChatProvider:
 
 def cmd_index(args: argparse.Namespace) -> int:
     config = load_config(args)
-    encoder = build_encoder(config.encoder, Memo())
+    encoder = _encoder_provider(config.encoder)
     error_blocks: list[CodeBlock] = []
     try:
         # No parse memo: each file is parsed once anyway.
@@ -148,24 +149,51 @@ def cmd_index(args: argparse.Namespace) -> int:
     except EmptyProject:
         print("error: no source files found under the project root", file=sys.stderr)
         return EXIT_USER_ERROR
+    # Nothing touches the disk until every block is in: a failed embedding
+    # leaves no file. A project whose files hold no code gives an empty index.
+    store = VectorStore.in_memory(encoder.dims)
     try:
-        # A project whose files hold no code yields no blocks and an empty index.
-        vectors = encoder.embed([b.source for b in blocks])
+        _insert_embedded(store, encoder, blocks)
     except ProviderError as exc:
         print(f"error: embedding provider failed: {exc}", file=sys.stderr)
         return EXIT_PROVIDER_ERROR
-    store = VectorStore.create(
-        Path(args.out),
-        encoder.dims,
-        [StoreEntry(b, v) for b, v in zip(blocks, vectors)],
-        encoder=encoder_fingerprint(encoder),
-        theta=config.theta,
-    )
+    store.path = Path(args.out)
+    store.encoder, store.theta = encoder_fingerprint(encoder), config.theta
+    store.save()
     print(
         f"indexed {store.count()} blocks at dims {store.dims} -> {args.out}"
         f" ({len(error_blocks)} parse error region(s) kept as Other blocks)"
     )
     return EXIT_OK
+
+
+def _insert_embedded(store: VectorStore, encoder: EncoderProvider, blocks: list[CodeBlock]) -> None:
+    """Insert every block with the vector of its text, in block order.
+
+    The distinct texts are embedded in first-seen order, ``batch_limit`` at a
+    time, as a memo-backed encoder sends them. The blocks a batch completes
+    are inserted before the next batch is sent, and a vector is dropped once
+    the last block with its text is in: beside the store's float32 rows, only
+    one batch of vectors is alive, and those of texts that are still to recur.
+    """
+    uses = Counter(block.source for block in blocks)
+    texts = list(uses)
+    vectors: dict[str, EmbeddingVector] = {}
+    done = 0
+    limit = max(1, encoder.batch_limit)
+    for start in range(0, len(texts), limit):
+        batch = texts[start : start + limit]
+        vectors.update(zip(batch, embed(encoder, batch)))
+        end = done
+        while end < len(blocks) and blocks[end].source in vectors:
+            end += 1
+        ready = blocks[done:end]
+        store.insert([StoreEntry(block, vectors[block.source]) for block in ready])
+        for block in ready:
+            uses[block.source] -= 1
+            if not uses[block.source]:
+                del vectors[block.source]
+        done = end
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:

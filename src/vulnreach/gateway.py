@@ -56,17 +56,6 @@ class RoleKind(str, Enum):
     JUDGE = "judge"
 
 
-#: Expected structured-response shape per role, recorded on the template.
-RESPONSE_SCHEMAS: dict[RoleKind, dict[str, Any]] = {
-    RoleKind.GRADER: {"answer": "yes|no"},
-    RoleKind.REFLECTION: {"complete": "bool", "reason": "str (nonempty when complete is false)"},
-    RoleKind.INFERENCE: {
-        "missing_snippet": "str (nonempty)",
-        "scope": "object with optional class_name/method_name/file_glob",
-    },
-    RoleKind.JUDGE: {"judgment": "vulnerable|secure", "rationale": "str (nonempty)"},
-}
-
 _IN_CONTEXT = frozenset({"api_signatures", "pov_test_source", "context"})
 #: The bindings the gateway supplies per role; a template must place each.
 ROLE_BINDINGS: dict[RoleKind, frozenset[str]] = {
@@ -81,7 +70,6 @@ ROLE_BINDINGS: dict[RoleKind, frozenset[str]] = {
 class PromptTemplate:
     role_kind: RoleKind
     template_text: str
-    schema: Mapping[str, Any]
 
     @functools.cached_property
     def _split(self) -> tuple[str, list[tuple[str, str]]]:
@@ -131,7 +119,7 @@ class PromptLibrary:
             text = (
                 resources.files("vulnreach").joinpath(f"prompts/{role.value}.txt").read_text("utf-8")
             )
-            templates[role] = PromptTemplate(role, text, RESPONSE_SCHEMAS[role])
+            templates[role] = PromptTemplate(role, text)
         return cls(templates)
 
     @classmethod
@@ -150,7 +138,7 @@ class PromptLibrary:
             path = prompts_dir / f"{role.value}.txt"
             if not path.is_file():
                 raise ConfigError(f"prompt template not found: {path}")
-            templates[role] = PromptTemplate(role, path.read_text("utf-8"), RESPONSE_SCHEMAS[role])
+            templates[role] = PromptTemplate(role, path.read_text("utf-8"))
         return cls(templates)
 
     def get(self, role: RoleKind) -> PromptTemplate:

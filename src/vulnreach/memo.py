@@ -166,16 +166,21 @@ def _vector_file(cache_dir: Path | str, fingerprint: str) -> Path:
 # count rows of dims little-endian float64.
 
 
-def _encode(fingerprint: str, dims: int, vectors: dict[bytes, EmbeddingVector]) -> bytes:
-    rows = np.array([v.values for v in vectors.values()], dtype="<f8").reshape(len(vectors), dims)
-    body = b"".join(vectors) + rows.tobytes()
+def _encode(
+    fingerprint: str, dims: int, vectors: dict[bytes, EmbeddingVector]
+) -> list[bytes | np.ndarray]:
+    """The file's parts: the magic and header line, each key, each row."""
+    rows = [v.values.astype("<f8", copy=False) for v in vectors.values()]
+    body_sha = hashlib.sha256()
+    for part in (*vectors, *rows):
+        body_sha.update(part)
     header = {
         "fingerprint": fingerprint,
         "dims": dims,
         "count": len(vectors),
-        "sha256": hashlib.sha256(body).hexdigest(),
+        "sha256": body_sha.hexdigest(),
     }
-    return _MAGIC + json.dumps(header).encode("ascii") + b"\n" + body
+    return [_MAGIC + json.dumps(header).encode("ascii") + b"\n", *vectors, *rows]
 
 
 def _decode(data: bytes, fingerprint: str, dims: int) -> list[tuple[bytes, EmbeddingVector]]:
@@ -190,7 +195,7 @@ def _decode(data: bytes, fingerprint: str, dims: int) -> list[tuple[bytes, Embed
     if header.get("fingerprint") != fingerprint or header.get("dims") != dims:
         raise ValueError("written under another encoder")
     count = header.get("count")
-    body = data[head_end + 1 :]
+    body = memoryview(data)[head_end + 1 :]
     if type(count) is not int or count < 0 or len(body) != count * (_KEY_BYTES + 8 * dims):
         raise ValueError("size does not match the header")
     if hashlib.sha256(body).hexdigest() != header.get("sha256"):
@@ -198,7 +203,7 @@ def _decode(data: bytes, fingerprint: str, dims: int) -> list[tuple[bytes, Embed
     split = count * _KEY_BYTES
     rows = np.frombuffer(body, dtype="<f8", offset=split).reshape(count, dims)
     return [
-        (body[i * _KEY_BYTES : (i + 1) * _KEY_BYTES], EmbeddingVector(dims, row))
+        (body[i * _KEY_BYTES : (i + 1) * _KEY_BYTES].tobytes(), EmbeddingVector(dims, row))
         for i, row in enumerate(rows)
     ]
 

@@ -36,7 +36,7 @@ import struct
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -194,7 +194,9 @@ class VectorStore:
         self.path = path
         self.encoder: str | None = None  # memo.encoder_fingerprint of the build
         self.theta: int | None = None
-        self._vectors = np.empty((0, dims), dtype=np.float32)
+        # The float32 rows, as the runs inserts appended: an index build
+        # never joins them, so its rows exist once.
+        self._runs: list[np.ndarray] = [np.empty((0, dims), dtype=np.float32)]
         self._fields: dict[str, list[Any]] = {name: [] for name in _FIELDS}
         # Sources of the first len(_offsets) - 1 rows, as read from disk.
         self._blob: bytes | memoryview = b""
@@ -267,7 +269,7 @@ class VectorStore:
         store = cls(dims=dims, path=path)
         store.encoder, store.theta = meta.get("encoder"), meta.get("theta")
         vectors = np.frombuffer(data, dtype="<f4", count=dims * count, offset=_HEADER.size)
-        store._vectors = vectors.reshape(count, dims).astype(np.float32, copy=False)
+        store._runs = [vectors.reshape(count, dims).astype(np.float32, copy=False)]
         store._fields = fields
         store._blob = memoryview(data)[vectors_end:]
         store._offsets = offsets
@@ -277,31 +279,38 @@ class VectorStore:
     def save(self) -> None:
         """Write the index file, then the sidecar, each atomically: a crash
         leaves every file either old or new, never torn, and a pair from two
-        builds fails the checksum chain on open."""
+        builds fails the checksum chain on open.
+
+        The body is hashed, then written, from its parts: the float32 rows
+        and each source, encoded once for the hash and again for the write.
+        So neither the body nor all of the encoded sources are ever held."""
         if self.path is None:
             raise ValueError("in-memory store has no path to save to")
         count = self.count()
-        sources = [self._source_bytes(row) for row in range(count)]
-        body = self._vectors.astype("<f4").tobytes() + b"".join(sources)
+        runs = [run.astype("<f4", copy=False) for run in self._runs]
+        body_sha = hashlib.sha256()
+        for run in runs:
+            body_sha.update(run)
+        offsets = [0]
+        for source in map(self._source_bytes, range(count)):
+            body_sha.update(source)
+            offsets.append(offsets[-1] + len(source))
         meta = {
             "format_version": FORMAT_VERSION,
             "dims": self.dims,
             "count": count,
             "encoder": self.encoder,
             "theta": self.theta,
-            "sha256": hashlib.sha256(body).hexdigest(),
-            "columns": {
-                **self._fields,
-                "source_offsets": [0, *itertools.accumulate(map(len, sources))],
-            },
+            "sha256": body_sha.hexdigest(),
+            "columns": {**self._fields, "source_offsets": offsets},
         }
         sidecar = (json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n").encode("ascii")
-        blob_len = len(body) - 4 * self.dims * count
         header = _HEADER.pack(
-            MAGIC, FORMAT_VERSION, self.dims, count, blob_len, hashlib.sha256(sidecar).digest()
+            MAGIC, FORMAT_VERSION, self.dims, count, offsets[-1], hashlib.sha256(sidecar).digest()
         )
-        _write_atomic(self.path, header + body)
-        _write_atomic(_sidecar_path(self.path), sidecar)
+        sources = map(self._source_bytes, range(count))
+        _write_atomic(self.path, itertools.chain([header, *runs], sources))
+        _write_atomic(_sidecar_path(self.path), [sidecar])
 
     # -- data access -----------------------------------------------------
 
@@ -321,6 +330,13 @@ class VectorStore:
     def blocks(self) -> list[CodeBlock]:
         """Every row's block, in row order, without its vector."""
         return [self._block_at(row) for row in range(self.count())]
+
+    @property
+    def _vectors(self) -> np.ndarray:
+        """The float32 rows as one array, the runs joined on first read."""
+        if len(self._runs) > 1:
+            self._runs = [np.concatenate(self._runs)]
+        return self._runs[0]
 
     def _source_bytes(self, row: int) -> bytes | memoryview:
         if row < len(self._offsets) - 1:
@@ -364,9 +380,11 @@ class VectorStore:
 
     # -- operations --------------------------------------------------------
 
-    def insert(self, entries: list[StoreEntry]) -> int:
+    def insert(self, entries: Sequence[StoreEntry]) -> int:
         """Insert entries; idempotent on identical id+vector, conflict on a
-        duplicate id with a different vector. Returns the number of new rows."""
+        duplicate id with a different vector. Returns the number of new rows.
+
+        The new vectors become float32 in one array, appended as a run."""
         new_vectors: list[np.ndarray] = []
         new_blocks: list[CodeBlock] = []
         staged: dict[str, np.ndarray] = {}
@@ -375,16 +393,17 @@ class VectorStore:
                 raise DimsMismatch(
                     f"entry {entry.block.id} has dims {entry.vector.dims}, store has {self.dims}"
                 )
-            incoming = entry.vector.values.astype(np.float32)
+            incoming = entry.vector.values
             existing_row = self._row_by_id.get(entry.block.id)
             if existing_row is not None:
-                if np.array_equal(self._vectors[existing_row], incoming):
+                if np.array_equal(self._vectors[existing_row], incoming.astype(np.float32)):
                     continue
                 raise DuplicateIdConflict(
                     f"block id {entry.block.id} already stored with a different vector"
                 )
             if entry.block.id in staged:
-                if np.array_equal(staged[entry.block.id], incoming):
+                first = staged[entry.block.id]
+                if np.array_equal(first.astype(np.float32), incoming.astype(np.float32)):
                     continue
                 raise DuplicateIdConflict(
                     f"block id {entry.block.id} appears twice in one insert with different vectors"
@@ -393,7 +412,8 @@ class VectorStore:
             new_vectors.append(incoming)
             new_blocks.append(entry.block)
         if new_blocks:
-            self._vectors = np.vstack([self._vectors, np.array(new_vectors, dtype=np.float32)])
+            rows = np.array(new_vectors, dtype=np.float32)
+            self._runs = [*self._runs, rows] if self.count() else [rows]
             self._matrix64 = None
             self._cols = None
             for block in new_blocks:
@@ -526,12 +546,15 @@ def _column(path: Path, columns: Mapping[str, Any], name: str, length: int) -> l
     return column
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
-    """Write to a temp file in the same directory, then rename it into place."""
+def _write_atomic(path: Path, parts: Iterable[bytes | memoryview | np.ndarray]) -> None:
+    """Write the bytes-like parts, in order, to a temp file in the same
+    directory, then rename it into place."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
-        tmp.write_bytes(data)
+        with tmp.open("wb") as fh:
+            for part in parts:
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import json
 from pathlib import Path
 
@@ -47,6 +48,39 @@ def make_block(
         enclosing_method=enclosing_method,
         size=size,
     )
+
+
+class _TornFile:
+    """A file whose first write keeps half of its bytes, then is killed."""
+
+    def __init__(self, file):
+        self.file = file
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.file.close()
+
+    def write(self, data) -> int:
+        view = memoryview(data).cast("B")
+        self.file.write(view[: len(view) // 2])
+        raise KeyboardInterrupt("killed mid-write")
+
+
+@contextlib.contextmanager
+def torn_writes(monkeypatch):
+    """Within the block, a file opened for writing through ``Path.open`` is
+    torn by its first write: half of the bytes land, then the process dies."""
+    real_open = Path.open
+
+    def tearing_open(path, mode="r", *args, **kwargs):
+        file = real_open(path, mode, *args, **kwargs)
+        return _TornFile(file) if "w" in mode else file
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Path, "open", tearing_open)
+        yield
 
 
 def build_fixture_store(project: str, encoder: ReferenceEncoder) -> VectorStore:

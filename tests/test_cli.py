@@ -6,11 +6,13 @@ import shutil
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import DIMS, FIXTURES, FIXTURE_THETA, write_tool_config, write_toy_manifest
 from vulnreach import cli, evalharness
-from vulnreach.embedding import ReferenceEncoder, RemoteEncoderProvider
+from vulnreach.embedding import ReferenceEncoder, RemoteEncoderProvider, reference_encode
+from vulnreach.errors import ProviderError
 from vulnreach.gateway import ChatGateway, ScriptedChatProvider
 from vulnreach.memo import encoder_fingerprint
 from vulnreach.model import Config, Verdict
@@ -170,6 +172,61 @@ def write_empty_files_project(root: Path) -> Path:
         (root / name).parent.mkdir(parents=True, exist_ok=True)
         (root / name).write_bytes(b"")
     return root
+
+
+class TestIndexBatches:
+    """`vulnreach index` embeds each distinct block text once, in first-seen
+    order and ``batch_limit`` texts per batch, inserting as it goes."""
+
+    BODIES = ["class A { int a; }\n", "class B { int b; }\n", "class C { int c; }\n"]
+
+    @pytest.fixture()
+    def batches(self, tmp_path: Path, monkeypatch) -> list[list[str]]:
+        """Files F0..F5 holding the texts A, B, A, C, B, A; an encoder that
+        sends two texts per batch and records each batch."""
+        project = tmp_path / "app"
+        project.mkdir()
+        for i, body in enumerate([0, 1, 0, 2, 1, 0]):
+            (project / f"F{i}.java").write_text(self.BODIES[body], encoding="utf-8")
+        init, encode, sent = ReferenceEncoder.__init__, ReferenceEncoder.encode_batch, []
+
+        def two_per_batch(self, dims: int = 256):
+            init(self, dims)
+            self.batch_limit = 2
+
+        def recording(self, texts):
+            sent.append(list(texts))
+            return encode(self, texts)
+
+        monkeypatch.setattr(ReferenceEncoder, "__init__", two_per_batch)
+        monkeypatch.setattr(ReferenceEncoder, "encode_batch", recording)
+        return sent
+
+    def test_each_block_gets_the_vector_of_its_text(self, tmp_path: Path, batches, capsys):
+        out = tmp_path / "i.vrix"
+        assert run_cli("index", "--project", str(tmp_path / "app"), "--out", str(out)) == 0
+        store = VectorStore.open(out)
+        sources = [e.block.source for e in store.entries()]
+        assert [self.BODIES.index(s) for s in sources] == [0, 1, 0, 2, 1, 0]
+        assert batches == [self.BODIES[:2], self.BODIES[2:]]
+        expected = [reference_encode(s, 256).values.astype(np.float32) for s in sources]
+        assert np.array_equal(store._vectors, np.array(expected))
+
+    def test_a_failure_in_a_later_batch_leaves_no_file(
+        self, tmp_path: Path, batches, monkeypatch, capsys
+    ):
+        encode = ReferenceEncoder.encode_batch
+
+        def second_fails(self, texts):
+            if batches:
+                raise ProviderError("quota exhausted", status=429)
+            return encode(self, texts)
+
+        monkeypatch.setattr(ReferenceEncoder, "encode_batch", second_fails)
+        out = tmp_path / "out" / "i.vrix"
+        assert run_cli("index", "--project", str(tmp_path / "app"), "--out", str(out)) == 2
+        assert "provider" in capsys.readouterr().err
+        assert len(batches) == 1 and not out.parent.exists()
 
 
 class TestProjectWithoutBlocks:

@@ -66,18 +66,18 @@ COMMENT_BLOCK = make_block(
 
 class TestPromptTemplate:
     def test_render_binds_named_placeholders(self):
-        template = PromptTemplate(RoleKind.GRADER, "Block: {{code}}\nApi: {{api}}", {})
+        template = PromptTemplate(RoleKind.GRADER, "Block: {{code}}\nApi: {{api}}")
         rendered = template.render(code="int xformat() { return \"{{}}\"; }", api="a#b()")
         assert "int x" in rendered and "a#b()" in rendered
         assert "{{code}}" not in rendered
 
     def test_unbound_placeholder_rejected(self):
-        template = PromptTemplate(RoleKind.GRADER, "{{code}} {{api}}", {})
+        template = PromptTemplate(RoleKind.GRADER, "{{code}} {{api}}")
         with pytest.raises(ConfigError):
             template.render(code="x")
 
     def test_values_with_braces_do_not_confuse_rendering(self):
-        template = PromptTemplate(RoleKind.GRADER, "{{code}}", {})
+        template = PromptTemplate(RoleKind.GRADER, "{{code}}")
         assert template.render(code="{{not_a_marker}}") == "{{not_a_marker}}"
 
     def test_bundled_library_provides_all_roles(self):
@@ -92,8 +92,8 @@ class TestPromptTemplate:
         assert library.get(RoleKind.JUDGE).template_text.startswith("custom judge")
 
     def test_template_hash_is_stable(self):
-        a = PromptTemplate(RoleKind.GRADER, "abc", {})
-        b = PromptTemplate(RoleKind.GRADER, "abc", {})
+        a = PromptTemplate(RoleKind.GRADER, "abc")
+        b = PromptTemplate(RoleKind.GRADER, "abc")
         assert a.sha256 == b.sha256 and len(a.sha256) == 16
 
 
@@ -842,7 +842,7 @@ class TestSplitTemplates:
         ),
     )
     def test_render_equals_the_substitution_renderer(self, text, bindings):
-        template = PromptTemplate(RoleKind.GRADER, text, {})
+        template = PromptTemplate(RoleKind.GRADER, text)
         try:
             expected = reference_render(text, bindings)
         except ConfigError:
@@ -853,7 +853,7 @@ class TestSplitTemplates:
         assert template.placeholders() == set(_MARKER.findall(text))
 
     def test_a_sequence_value_contributes_its_parts(self):
-        template = PromptTemplate(RoleKind.JUDGE, "A {{x}} B {{y}}", {})
+        template = PromptTemplate(RoleKind.JUDGE, "A {{x}} B {{y}}")
         assert template.parts({"x": ["1", "{{y}}"], "y": "2"}) == ["A ", "1", "{{y}}", " B ", "2", ""]
 
     @pytest.mark.parametrize("role", list(RoleKind))

@@ -3,6 +3,7 @@ the embedding cache file that outlives a command. Chat answers are tested
 here per provider, and otherwise in test_gateway.TestMemoChatProvider."""
 
 import hashlib
+import json
 import logging
 import os
 import sys
@@ -10,15 +11,17 @@ import tempfile
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import DIMS, CountingEncoder
+from conftest import DIMS, CountingEncoder, torn_writes
 from vulnreach import memo as memo_module
 from vulnreach.embedding import ReferenceEncoder, reference_encode
 from vulnreach.gateway import RoleKind, ScriptedChatProvider
 from vulnreach.memo import Memo, MemoChatProvider, MemoEncoder, memoized
+from vulnreach.model import EmbeddingVector
 
 TEXTS = ["int a = b;", "encoder.encode(raw)", "return null;"]
 
@@ -215,17 +218,47 @@ class TestVectorCache:
         encoder = ReferenceEncoder(DIMS)
         memo = Memo()
         memo.embed(encoder, TEXTS)
-
-        def torn(path: Path, data: bytes) -> None:
-            with open(path, "wb") as fh:
-                fh.write(data[: len(data) // 2])
-            raise KeyboardInterrupt("killed mid-write")
-
-        monkeypatch.setattr(Path, "write_bytes", torn)
-        with pytest.raises(KeyboardInterrupt):
+        with torn_writes(monkeypatch), pytest.raises(KeyboardInterrupt):
             memo.save_vectors(tmp_path, encoder)
-        monkeypatch.undo()
         assert list(tmp_path.iterdir()) == []
+
+
+def whole_cache_file(fingerprint: str, dims: int, vectors: dict) -> bytes:
+    """The embedding cache file built whole as one bytes object: magic,
+    header line, then the keys and rows.tobytes()."""
+    rows = np.array([v.values for v in vectors.values()], dtype="<f8").reshape(len(vectors), dims)
+    body = b"".join(vectors) + rows.tobytes()
+    header = {
+        "fingerprint": fingerprint,
+        "dims": dims,
+        "count": len(vectors),
+        "sha256": hashlib.sha256(body).hexdigest(),
+    }
+    return b"vulnreach-vectors 1\n" + json.dumps(header).encode("ascii") + b"\n" + body
+
+
+@st.composite
+def _caches(draw):
+    """(dims, vectors): 0 to 6 rows of 1 to 16 dims under distinct keys."""
+    dims = draw(st.integers(1, 16))
+    component = st.floats(-4.0, 4.0, allow_nan=False).filter(lambda v: v == 0 or abs(v) > 1e-3)
+    vector = st.lists(component, min_size=dims, max_size=dims).filter(any)
+    keys = draw(st.lists(st.binary(min_size=32, max_size=32), max_size=6, unique=True))
+    return dims, {key: EmbeddingVector.normalized(draw(vector)) for key in keys}
+
+
+class TestCacheWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(_caches(), st.text(st.characters(blacklist_categories=()), max_size=8))
+    @example((1, {}), "")
+    def test_the_file_equals_the_whole_file_build_and_reads_back(self, cache, fingerprint):
+        dims, vectors = cache
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "embeddings.bin"
+            memo_module._write_atomic(path, memo_module._encode(fingerprint, dims, vectors))
+            data = path.read_bytes()
+        assert data == whole_cache_file(fingerprint, dims, vectors)
+        assert memo_module._decode(data, fingerprint, dims) == list(vectors.items())
 
 
 class TestChatKey:

@@ -1,20 +1,22 @@
 import functools
 import gc
 import hashlib
+import itertools
 import json
 import math
 import os
 import struct
-import weakref
 import tempfile
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_block
+from conftest import make_block, torn_writes
 from vulnreach.errors import DimsMismatch, DuplicateIdConflict, IndexFormatError
 from vulnreach.model import EmbeddingVector, NodeKind
 from vulnreach.store import _HEADER, EMPTY_SCOPE, ScopeFilter, StoreEntry, VectorStore
@@ -415,6 +417,16 @@ class TestIndexFormat:
         monkeypatch.undo()
         assert [e.block for e in VectorStore.open(path).entries()] == [e.block for e in old]
 
+    @pytest.mark.parametrize("old", [False, True], ids=["fresh", "rebuild"])
+    def test_a_crash_mid_write_leaves_no_torn_file(self, tmp_path: Path, monkeypatch, old):
+        path = tmp_path / "idx.vrix"
+        if old:
+            VectorStore.create(path, DIMS, [entry(i, axis(i)) for i in range(3)])
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with torn_writes(monkeypatch), pytest.raises(KeyboardInterrupt):
+            VectorStore.create(path, DIMS, odd_entries())
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     @pytest.mark.parametrize(
         "edit",
         [
@@ -710,3 +722,85 @@ class TestSearchOracleProperty:
         assert opened.search(query, k=k, tau=tau, scope=scope) == in_memory.search(
             query, k=k, tau=tau, scope=scope
         )
+
+
+def whole_index_files(dims: int, entries, encoder, theta) -> tuple[bytes, bytes]:
+    """The .vrix and sidecar bytes of ``entries``, each file built whole as
+    one bytes object: header + vectors.tobytes() + the joined sources."""
+    sources = [e.block.source.encode("utf-8", "surrogatepass") for e in entries]
+    vectors = np.array([e.vector.values for e in entries], dtype="<f4").reshape(len(entries), dims)
+    body = vectors.tobytes() + b"".join(sources)
+    columns = {
+        name: [e.block.to_dict()[name] for e in entries]
+        for name in make_block().to_dict()
+        if name != "source"
+    }
+    columns["source_offsets"] = [0, *itertools.accumulate(map(len, sources))]
+    meta = {
+        "format_version": 2,
+        "dims": dims,
+        "count": len(entries),
+        "encoder": encoder,
+        "theta": theta,
+        "sha256": hashlib.sha256(body).hexdigest(),
+        "columns": columns,
+    }
+    sidecar = (json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n").encode("ascii")
+    header = _HEADER.pack(
+        b"VRIX", 2, dims, len(entries), len(b"".join(sources)), hashlib.sha256(sidecar).digest()
+    )
+    return header + body, sidecar
+
+
+@st.composite
+def _stores(draw):
+    """(dims, entries): 0 to 6 rows of 1 to 16 dims, whose sources may hold
+    any code point, NUL and lone surrogates included."""
+    dims = draw(st.integers(1, 16))
+    component = st.floats(-4.0, 4.0, allow_nan=False).filter(lambda v: v == 0 or abs(v) > 1e-3)
+    vectors = st.lists(component, min_size=dims, max_size=dims).filter(any)
+    sources = st.text(st.characters(blacklist_categories=()), max_size=12)
+    rows = draw(st.lists(st.tuples(vectors, sources), max_size=6))
+    entries = [
+        StoreEntry(
+            make_block(line_start=1 + i, line_end=1 + i, source=source, size=i),
+            EmbeddingVector.normalized(values),
+        )
+        for i, (values, source) in enumerate(rows)
+    ]
+    return dims, entries
+
+
+class TestWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(_stores(), st.integers(0, 6), st.booleans(), st.sampled_from([None, "enc"]))
+    @example((1, []), 0, False, None)
+    def test_the_files_equal_the_whole_file_build(self, store, split, reopen, encoder):
+        """Saved from its parts, in one insert or two, into a new or an opened
+        store, an index is byte for byte the file built whole."""
+        dims, entries = store
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "idx.vrix"
+            saved = VectorStore.create(path, dims, entries[:split], encoder=encoder, theta=60)
+            (VectorStore.open(path) if reopen else saved).insert(entries[split:])
+            files = path.read_bytes(), path.with_name("idx.vrix.meta.json").read_bytes()
+        assert files == whole_index_files(dims, entries, encoder, 60)
+
+    def test_create_holds_less_than_twice_its_rows_and_sources(self, tmp_path: Path):
+        rows, dims = 4000, 256
+        rng = np.random.RandomState(3)
+        entries = [
+            StoreEntry(
+                make_block(line_start=1 + i, line_end=1 + i, source=f"{i:07d};" + "x" * 1016),
+                unit(rng.randn(dims)),
+            )
+            for i in range(rows)
+        ]
+        floor = rows * dims * 4 + sum(len(e.block.source) for e in entries)
+        tracemalloc.start()
+        try:
+            VectorStore.create(tmp_path / "idx.vrix", dims, entries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * floor, f"peak {peak / floor:.2f}x the rows and sources"
