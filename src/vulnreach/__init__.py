@@ -29,7 +29,7 @@ from .gateway import (
     Transcript,
 )
 from .javaparse import CompilationUnit, parse_source
-from .memo import Memo, MemoChatProvider, MemoEncoder, encoder_fingerprint
+from .memo import Memo, encoder_fingerprint
 from .model import (
     Candidate,
     CandidateJudgment,
@@ -72,8 +72,6 @@ __all__ = [
     "LexicalTokenizer",
     "MatchedBy",
     "Memo",
-    "MemoChatProvider",
-    "MemoEncoder",
     "metrics",
     "NodeKind",
     "parse_source",

@@ -38,7 +38,7 @@ from .gateway import (
     ScriptedChatProvider,
     Transcript,
 )
-from .memo import Memo, MemoChatProvider, MemoEncoder, encoder_fingerprint
+from .memo import Memo, encoder_fingerprint
 from .model import CodeBlock, Config, EmbeddingVector, Judgment, VulnSpec
 from .segmenter import segment_project
 from .store import StoreEntry, VectorStore
@@ -64,7 +64,7 @@ def load_config(args: argparse.Namespace) -> Config:
         if getattr(args, name, None) is not None
     }
     if getattr(args, "encoder", None) is not None:
-        flags["encoder"] = {"provider": args.encoder, "dims": config.encoder.get("dims", 256)}
+        flags["encoder"] = {**config.encoder, "provider": args.encoder}
     return replace(config, **flags)
 
 
@@ -72,12 +72,6 @@ def _encoder_dims(dims: Any, least: int) -> int:
     if type(dims) is not int or dims < least:
         raise ConfigError(f"encoder dims must be an integer >= {least}, got {dims!r}")
     return dims
-
-
-def build_encoder(spec: Mapping[str, Any], memo: Memo) -> MemoEncoder:
-    """The configured encoder, behind the command's memo: within one run
-    each distinct text is embedded once."""
-    return MemoEncoder(_encoder_provider(spec), memo)
 
 
 def _encoder_provider(spec: Mapping[str, Any]) -> EncoderProvider:
@@ -97,12 +91,6 @@ def _encoder_provider(spec: Mapping[str, Any]) -> EncoderProvider:
         except KeyError as exc:
             raise ConfigError(f"encoder config missing key {exc}") from exc
     raise ConfigError(f"unknown encoder provider {provider!r}")
-
-
-def build_chat(spec: Mapping[str, Any], memo: Memo) -> MemoChatProvider:
-    """The configured provider, behind the command's memo: within one run
-    each distinct question is asked once."""
-    return MemoChatProvider(_chat_provider(spec), memo)
 
 
 def _chat_provider(spec: Mapping[str, Any]) -> ChatProvider:
@@ -171,7 +159,7 @@ def _insert_embedded(store: VectorStore, encoder: EncoderProvider, blocks: list[
     """Insert every block with the vector of its text, in block order.
 
     The distinct texts are embedded in first-seen order, ``batch_limit`` at a
-    time, as a memo-backed encoder sends them. The blocks a batch completes
+    time, as ``Memo.embed`` sends them. The blocks a batch completes
     are inserted before the next batch is sent, and a vector is dropped once
     the last block with its text is in: beside the store's float32 rows, only
     one batch of vectors is alive, and those of texts that are still to recur.
@@ -204,8 +192,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"error: invalid vulnerability spec: {exc}", file=sys.stderr)
         return EXIT_USER_ERROR
     store = VectorStore.open(args.index)
-    memo = Memo()
-    encoder = build_encoder(config.encoder, memo)
+    encoder = _encoder_provider(config.encoder)
     configured = encoder_fingerprint(encoder)
     if store.encoder != configured:
         # Vectors of two encoders are not comparable: every score would be noise.
@@ -219,7 +206,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.transcript:
         # Every answer comes from the replay, so the report names it.
         config = replace(config, chat={"provider": "replay", "transcript_path": args.transcript})
-    chat_provider = build_chat(config.chat, memo)
+    chat_provider = _chat_provider(config.chat)
 
     report_path = Path(args.report)
     transcript_path = report_path.with_name(report_path.name + ".transcript.jsonl")
@@ -229,7 +216,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             verdict = analyze(
                 store,
                 encoder,
-                ChatGateway(chat_provider, prompts, transcript),
+                ChatGateway(chat_provider, prompts, transcript, Memo()),
                 vuln,
                 config,
                 project_id=args.project_id,
@@ -265,21 +252,21 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         print(f"error: invalid manifest {args.manifest}: {exc}", file=sys.stderr)
         return EXIT_USER_ERROR
     memo = Memo()
-    encoder = build_encoder(config.encoder, memo)
-    chat_provider = build_chat(config.chat, memo)
+    encoder = _encoder_provider(config.encoder)
+    chat_provider = _chat_provider(config.chat)
     # Embeddings outlive the command, so a re-run embeds only what changed.
     cache_dir = out_dir / "cache"
     memo.load_vectors(cache_dir, encoder)
     try:
         if args.sweep_theta:
             reports = evalharness.run_theta_sweep(
-                manifest, config, encoder, chat_provider, out_dir=out_dir
+                manifest, config, encoder, chat_provider, out_dir=out_dir, memo=memo
             )
             for theta, report in sorted(reports.items()):
                 print(f"theta={theta}: {evalharness.format_metrics(report['metrics'])}")
         else:
             report = evalharness.run_benchmark(
-                manifest, config, encoder, chat_provider, out_dir=out_dir
+                manifest, config, encoder, chat_provider, out_dir=out_dir, memo=memo
             )
             print(evalharness.render_table(report), end="")
     finally:

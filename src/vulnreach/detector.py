@@ -20,7 +20,7 @@ import numpy as np
 from .embedding import EncoderProvider
 from .errors import EmptyIndex
 from .gateway import ChatGateway
-from .memo import memoized
+from .memo import Memo
 from .model import (
     Candidate,
     CandidateJudgment,
@@ -56,24 +56,23 @@ class QueryVectors:
     """Query vectors, search hits and seed scores for one analysis.
 
     Each distinct seed or inferred snippet is encoded once, through the
-    encoder's memo (a fresh one for a bare encoder), and each distinct
-    (query text, scope) is searched once, as is each hit row's similarity
-    to the seeds. A vector depends on its text alone, and one analysis
-    searches one store with one config, so reuse changes no score and no
-    hit.
+    gateway's memo, and each distinct (query text, scope) is searched once,
+    as is each hit row's similarity to the seeds. A vector depends on its
+    text alone, and one analysis searches one store with one config, so
+    reuse changes no score and no hit.
 
     Entries are only ever added and ``setdefault`` keeps the first, so
     parallel candidates share one memo without a lock; a text two threads
     look up at once is simply encoded or searched twice.
     """
 
-    def __init__(self, encoder: EncoderProvider):
-        self.encoder = memoized(encoder)
+    def __init__(self, encoder: EncoderProvider, memo: Memo):
+        self.encoder, self.memo = encoder, memo
         self._hits: dict[tuple[str, ScopeFilter], tuple[tuple[StoreHit, float], ...]] = {}
         self._similarities: dict[tuple[VulnSpec, int], tuple[float, float]] = {}
 
     def __call__(self, texts: Sequence[str]) -> list[EmbeddingVector]:
-        return self.encoder.embed(texts)
+        return self.memo.embed(self.encoder, texts)
 
     def search(
         self, store: VectorStore, text: str, scope: ScopeFilter, config: Config
@@ -116,7 +115,7 @@ def identify_candidates(
     """
     if store.count() == 0:
         raise EmptyIndex("cannot identify candidates in an empty index")
-    queries = queries or QueryVectors(encoder)
+    queries = queries or QueryVectors(encoder, chat.memo)
     seeds = [*vuln.api_signatures, vuln.pov_test_source]
     queries(seeds)  # every seed in one embedding batch
     hits: dict[str, StoreHit] = {}
@@ -159,7 +158,7 @@ def complete_context(
     not extend the loop, so termination is guaranteed on any finite store
     even without the cap.
     """
-    queries = queries or QueryVectors(encoder)
+    queries = queries or QueryVectors(encoder, chat.memo)
     current = candidate
     new_blocks: list[CodeBlock] = []
     reflections = 0
@@ -213,7 +212,7 @@ def analyze(
     """
     if store.count() == 0:
         raise EmptyIndex("cannot analyze against an empty index")
-    queries = QueryVectors(encoder)
+    queries = QueryVectors(encoder, chat.memo)
     initial = identify_candidates(store, encoder, chat, vuln, config, queries)
 
     pending: queue.SimpleQueue[Candidate] = queue.SimpleQueue()

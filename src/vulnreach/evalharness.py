@@ -24,7 +24,7 @@ from .detector import analyze
 from .embedding import EncoderProvider
 from .errors import MissingPrediction, VulnReachError
 from .gateway import ChatGateway, ChatProvider, PromptLibrary, Transcript
-from .memo import MemoChatProvider, MemoEncoder, memoized
+from .memo import Memo
 from .model import CodeBlock, Config, Judgment, VulnSpec
 from .segmenter import iter_project_files, segment_project
 from .store import StoreEntry, VectorStore
@@ -174,28 +174,21 @@ def corpus_digest(root: Path, ignore_globs: Sequence[str]) -> str:
     return acc.hexdigest()
 
 
-def build_index(root: Path, config: Config, encoder: EncoderProvider) -> VectorStore:
+def build_index(
+    root: Path, config: Config, encoder: EncoderProvider, memo: Memo | None = None
+) -> VectorStore:
     """Segment and embed a project into an in-memory index.
 
-    Through a memo-backed encoder, files and block texts already seen by
-    its memo (at another theta, say) are not parsed or embedded again.
+    Files and block texts ``memo`` has already seen (at another theta, say)
+    are not parsed or embedded again. Without a memo, a fresh one embeds
+    each distinct text once.
     """
-    encoder = memoized(encoder)
-    blocks = segment_project(root, config, memo=encoder.memo)
-    vectors = encoder.embed([b.source for b in blocks])
+    memo = memo if memo is not None else Memo()
+    blocks = segment_project(root, config, memo=memo)
+    vectors = memo.embed(encoder, [b.source for b in blocks])
     store = VectorStore.in_memory(encoder.dims)
     store.insert([StoreEntry(b, v) for b, v in zip(blocks, vectors)])
     return store
-
-
-def _memo_backed(
-    encoder: EncoderProvider, chat_provider: ChatProvider
-) -> tuple[MemoEncoder, ChatProvider]:
-    """Both providers behind one memo: the encoder's, or a fresh one."""
-    encoder = memoized(encoder)
-    if not isinstance(chat_provider, MemoChatProvider):
-        chat_provider = MemoChatProvider(chat_provider, encoder.memo)
-    return encoder, chat_provider
 
 
 class _Analyzed(NamedTuple):
@@ -212,14 +205,15 @@ def run_benchmark(
     encoder: EncoderProvider,
     chat_provider: ChatProvider,
     out_dir: Path | str | None = None,
+    memo: Memo | None = None,
     _analyzed: dict[str, _Analyzed] | None = None,
 ) -> dict[str, Any]:
     """Evaluate every manifest project against its referenced vulnerabilities.
 
     Returns the report dict (also written to ``out_dir`` when given, along
     with a rendered plain-text table and per-analysis transcripts under
-    ``transcripts/theta_<N>/``). Bare providers are put behind one fresh
-    memo for the run.
+    ``transcripts/theta_<N>/``). Every index build and analysis of the run
+    goes through ``memo``, a fresh one when none is given.
 
     ``_analyzed`` is ``run_theta_sweep``'s record of the previous theta's
     analyses, by project. A project whose blocks equal the recorded ones
@@ -227,7 +221,7 @@ def run_benchmark(
     instead of analyzing again; a project that runs otherwise replaces its
     record, and one that fails drops it. Called alone, nothing is reused.
     """
-    encoder, chat_provider = _memo_backed(encoder, chat_provider)
+    memo = memo if memo is not None else Memo()
     analyzed = {} if _analyzed is None else _analyzed
     out_path = Path(out_dir) if out_dir is not None else None
     transcripts_dir = (
@@ -249,7 +243,7 @@ def run_benchmark(
         earlier = analyzed.pop(project.project_id, None)
         try:
             root = Path(project.root_path)
-            store = build_index(root, config, encoder)
+            store = build_index(root, config, encoder, memo)
             block_counts[project.project_id] = store.count()
             blocks = store.blocks()
             if earlier is not None and earlier.blocks != blocks:
@@ -273,7 +267,7 @@ def run_benchmark(
                         judgment = analyze(
                             store,
                             encoder,
-                            ChatGateway(chat_provider, prompts, transcript),
+                            ChatGateway(chat_provider, prompts, transcript, memo),
                             vuln,
                             config,
                             project.project_id,
@@ -342,20 +336,22 @@ def run_theta_sweep(
     chat_provider: ChatProvider,
     thetas: Sequence[int] = (500, 1000, 1500, 2000, 2500, 3000),
     out_dir: Path | str | None = None,
+    memo: Memo | None = None,
 ) -> dict[int, dict[str, Any]]:
-    """One full benchmark report per segment-size setting, all behind one
-    memo: each file is parsed, and each block text embedded, once.
+    """One full benchmark report per segment-size setting, all through one
+    memo (a fresh one when none is given): each file is parsed, each block
+    text embedded and each question asked, once.
 
     Each distinct index is analyzed once: a project whose blocks equal its
     blocks at the previous setting reuses that setting's verdicts, and its
     transcripts there are byte copies (same ``seq``s and timestamps). Every
     setting still builds every project's index.
     """
-    encoder, chat_provider = _memo_backed(encoder, chat_provider)
+    memo = memo if memo is not None else Memo()
     analyzed: dict[str, _Analyzed] = {}
     return {
         theta: run_benchmark(
-            manifest, replace(config, theta=theta), encoder, chat_provider, out_dir, analyzed
+            manifest, replace(config, theta=theta), encoder, chat_provider, out_dir, memo, analyzed
         )
         for theta in dict.fromkeys(thetas)
     }

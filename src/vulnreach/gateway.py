@@ -3,10 +3,11 @@
 The pipeline talks to one :class:`ChatGateway`, which renders versioned
 templates, retries transient provider failures, enforces structured (JSON)
 responses with a single automatic reprompt before failing hard, packs
-candidate context into the provider window, and appends one transcript
-entry per answered provider call. A scripted
-provider and a replay provider make the whole pipeline a pure function of
-its inputs for offline and regression runs.
+candidate context into the provider window, asks the provider each
+distinct question once through its memo, and appends one transcript entry
+per answered call. A scripted provider and a replay provider make the
+whole pipeline a pure function of its inputs for offline and regression
+runs.
 
 A call renders once: a template is split into literal runs and markers
 when first used, and a prompt travels as its parts (literal runs, bound
@@ -93,9 +94,6 @@ class PromptTemplate:
             value = bindings[name]
             parts += (value, literal) if isinstance(value, str) else (*value, literal)
         return parts
-
-    def render(self, **bindings: str) -> str:
-        return "".join(self.parts(bindings))
 
     @functools.cached_property
     def sha256(self) -> str:
@@ -594,12 +592,12 @@ def _parse_judge(obj: Any) -> tuple[Judgment, str]:
 
 
 class ChatGateway:
-    """Binds a provider, the prompt library, and one transcript.
+    """Binds a provider, the prompt library, one transcript and a memo.
 
-    Packing recounts the same template, vulnerability text and block headers
-    on every call, so each distinct text is counted once: by the memo of a
-    memo-backed provider, shared with every gateway of its command, else by
-    this gateway's own memo.
+    The memo asks each distinct (role, prompt) of the provider once and
+    counts each distinct text packing measures once. A command passes its
+    one memo to every gateway it builds; without one, the gateway has its
+    own.
     """
 
     def __init__(
@@ -607,18 +605,15 @@ class ChatGateway:
         provider: ChatProvider,
         prompts: PromptLibrary | None = None,
         transcript: Transcript | None = None,
+        memo: Memo | None = None,
     ):
         self.provider = provider
         self.prompts = prompts or PromptLibrary.bundled()
         self.prompts.check_bindings()
         self.transcript = transcript if transcript is not None else Transcript()
-        memo = getattr(provider, "memo", None)
-        self.token_counter = (memo if memo is not None else Memo()).count_tokens
+        self.memo = memo if memo is not None else Memo()
 
     # -- context packing ---------------------------------------------------
-
-    def _pack_context(self, blocks: Sequence[CodeBlock], budget: int) -> str:
-        return "".join(self._pack_parts(blocks, budget))
 
     def _pack_parts(self, blocks: Sequence[CodeBlock], budget: int) -> list[str]:
         """Anchor first, then remaining blocks by recency of retrieval, truncated
@@ -637,9 +632,9 @@ class ChatGateway:
             # the source costs its stored size (0 on a hand-built block, whose
             # text is counted).
             if block.size:
-                cost = self.token_counter(header) + block.size
+                cost = self.memo.count_tokens(header) + block.size
             else:
-                cost = self.token_counter(header + block.source)
+                cost = self.memo.count_tokens(header + block.source)
             if parts and used + cost > budget:
                 omitted += 1
                 continue
@@ -665,7 +660,7 @@ class ChatGateway:
         last_error: MalformedResponse | None = None
         for attempt in (parts, [*parts, REPROMPT_SUFFIX]):
             text = "".join(attempt)
-            raw = call_with_retry(lambda: self.provider.complete(text, role))
+            raw = call_with_retry(lambda: self.memo.complete(self.provider, text, role))
             try:
                 parsed = parser(extract_json_object(raw))
                 recorded: Any = parsed
@@ -741,8 +736,8 @@ class ChatGateway:
             "pov_test_source": vuln.pov_test_source,
             **bindings,
         }
-        reserved = self.token_counter(self.prompts.get(role).template_text) + _TRUNCATION_MARGIN
-        reserved += sum(map(self.token_counter, fixed.values()))
+        reserved = self.memo.count_tokens(self.prompts.get(role).template_text) + _TRUNCATION_MARGIN
+        reserved += sum(map(self.memo.count_tokens, fixed.values()))
         # The anchor block is always packed; the budget only gates the rest.
         packed = self._pack_parts(context, max(0, self.provider.context_window - reserved))
         return self._ask(role, {**fixed, "context": packed}, parser, f"candidate {context[0].id}")

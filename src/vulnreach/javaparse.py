@@ -167,9 +167,6 @@ class CompilationUnit:
     def slice_text(self, line_start: int, line_end: int) -> str:
         return "".join(self.lines[line_start - 1 : line_end])
 
-    def text_of(self, node: JavaNode) -> str:
-        return self.slice_text(node.line_start, node.line_end)
-
     def token_count(self, line_start: int, line_end: int) -> int:
         """``DEFAULT_TOKENIZER.count(self.slice_text(line_start, line_end))``.
 

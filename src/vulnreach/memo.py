@@ -14,7 +14,11 @@ content:
   string object. Every chat gateway of the command packs its context
   through this one table.
 
-Each CLI command builds one memo and drops it when it returns; nothing is
+The ``analyze`` and ``evaluate`` commands each build one memo and pass it
+as an argument to each layer: the harness runs, ``build_index``,
+``segment_project`` and every ``ChatGateway``, through whose memo the
+detector embeds. ``index`` needs none: it embeds each distinct text once
+by itself. A memo is dropped when its command returns; nothing is
 module-global. Only the embeddings outlive a command: ``save_vectors``
 writes them to one file per encoder fingerprint, and ``load_vectors`` of a
 later command reads them back, bit for bit.
@@ -206,43 +210,3 @@ def _decode(data: bytes, fingerprint: str, dims: int) -> list[tuple[bytes, Embed
         (body[i * _KEY_BYTES : (i + 1) * _KEY_BYTES].tobytes(), EmbeddingVector(dims, row))
         for i, row in enumerate(rows)
     ]
-
-
-class MemoChatProvider:
-    """A chat provider whose repeated questions a memo answers."""
-
-    def __init__(self, provider: ChatProvider, memo: Memo | None = None):
-        self.provider = provider
-        self.memo = memo if memo is not None else Memo()
-        self.name = provider.name
-        self.model_id = provider.model_id
-        self.temperature = provider.temperature
-        self.max_output_tokens = provider.max_output_tokens
-        self.context_window = provider.context_window
-
-    def complete(self, prompt: str, role: RoleKind) -> str:
-        return self.memo.complete(self.provider, prompt, role)
-
-
-class MemoEncoder:
-    """An encoder whose repeated texts a memo answers: ``embed`` is the
-    memoized entry; ``encode_batch`` passes straight through."""
-
-    def __init__(self, provider: EncoderProvider, memo: Memo | None = None):
-        self.provider = provider
-        self.memo = memo if memo is not None else Memo()
-        self.name = provider.name
-        self.model_id = getattr(provider, "model_id", None)
-        self.dims = provider.dims
-        self.batch_limit = provider.batch_limit
-
-    def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]:
-        return self.memo.embed(self.provider, texts)
-
-    def encode_batch(self, texts: Sequence[str]):
-        return self.provider.encode_batch(texts)
-
-
-def memoized(encoder: EncoderProvider) -> MemoEncoder:
-    """The encoder itself when it is memo-backed, else behind a fresh memo."""
-    return encoder if isinstance(encoder, MemoEncoder) else MemoEncoder(encoder)

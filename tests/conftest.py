@@ -13,6 +13,8 @@ from vulnreach import (
     EmbeddingVector,
     NodeKind,
     ReferenceEncoder,
+    RoleKind,
+    ScriptedChatProvider,
     StoreEntry,
     VectorStore,
     VulnSpec,
@@ -123,6 +125,18 @@ class CountingEncoder(ReferenceEncoder):
     def encode_batch(self, texts):
         self.texts.extend(texts)
         return super().encode_batch(texts)
+
+
+class CountingProvider(ScriptedChatProvider):
+    """A scripted chat provider, recording every (role, prompt) it is asked."""
+
+    def __init__(self, **kw):
+        super().__init__(**kw)
+        self.asked: list[tuple[RoleKind, str]] = []
+
+    def complete(self, prompt: str, role: RoleKind) -> str:
+        self.asked.append((role, prompt))
+        return super().complete(prompt, role)
 
 
 def record_token_counts(monkeypatch) -> list[str]:

@@ -913,6 +913,32 @@ class TestConfig:
         assert "dims" in err and "Traceback" not in err
         assert not (tmp_path / "i.vrix").exists()
 
+    def test_encoder_flag_keeps_the_config_files_other_encoder_keys(
+        self, tmp_path: Path, monkeypatch, capsys
+    ):
+        monkeypatch.delenv("VULNREACH_TEST_UNSET_KEY", raising=False)
+        monkeypatch.setattr("requests.post", lambda *a, **kw: pytest.fail("request sent"))
+        config = tmp_path / "cfg.json"
+        remote = {
+            "provider": "openai-compat",
+            "model": "m",
+            "endpoint": "http://localhost:9/embed",
+            "dims": 64,
+            "api_key_env": "VULNREACH_TEST_UNSET_KEY",
+        }
+        config.write_text(json.dumps({"encoder": remote}))
+        code = run_cli(
+            "index",
+            "--project", str(FIXTURES / "unguarded_app"),
+            "--out", str(tmp_path / "i.vrix"),
+            "--config", str(config),
+            "--encoder", "openai-compat",
+        )
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "VULNREACH_TEST_UNSET_KEY is not set" in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "i.vrix").exists()
+
     def test_config_echo_never_leaks_credentials(self, tmp_path: Path):
         config = Config(
             chat={"provider": "openai-compat", "api_key_env": "X_API_KEY", "model": "m", "endpoint": "e"}

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import FIXTURES, FIXTURE_TAU, CountingEncoder, make_block
+from conftest import FIXTURES, FIXTURE_TAU, CountingEncoder, CountingProvider, make_block
 from vulnreach import detector as detector_module
 from vulnreach.detector import (
     QueryVectors,
@@ -14,6 +14,7 @@ from vulnreach.detector import (
 from vulnreach.embedding import ReferenceEncoder, embed, reference_encode
 from vulnreach.errors import EmptyIndex, ProviderError
 from vulnreach.gateway import ChatGateway, RoleKind, ScriptedChatProvider, Transcript
+from vulnreach.memo import Memo
 from vulnreach.model import (
     Candidate,
     Config,
@@ -361,6 +362,24 @@ class TestAnalyze:
 
 
 class TestQueryVectors:
+    @pytest.mark.parametrize("shared", [True, False], ids=["one-memo", "fresh-memos"])
+    def test_a_second_analysis_through_the_same_memo_sends_nothing(
+        self, unguarded_store, encoder, vuln, shared
+    ):
+        counting = CountingEncoder(encoder.dims)
+        chat = CountingProvider.from_file(FIXTURES / "chat_script.json")
+        memos = [Memo()] * 2 if shared else [Memo(), Memo()]
+        verdicts, sent = [], []
+        for memo in memos:
+            gw = ChatGateway(chat, transcript=Transcript(), memo=memo)
+            verdicts.append(analyze(unguarded_store, counting, gw, vuln, CFG, "p").to_dict())
+            sent.append((len(counting.texts), len(chat.asked)))
+            counting.texts.clear()
+            chat.asked.clear()
+        assert verdicts[0] == verdicts[1]
+        assert sent[0][0] > 0 and sent[0][1] > 0
+        assert sent[1] == ((0, 0) if shared else sent[0])
+
     def test_each_seed_text_is_encoded_once_per_analysis(self, unguarded_store, encoder, vuln):
         counting = CountingEncoder(encoder.dims)
         seeds = [*vuln.api_signatures, vuln.pov_test_source]
@@ -390,7 +409,7 @@ class TestQueryVectors:
         assert len(counting.texts) == len(set(counting.texts))
 
     def test_vectors_match_encoding_each_text_alone(self, encoder):
-        queries = QueryVectors(encoder)
+        queries = QueryVectors(encoder, Memo())
         texts = ["int a = b;", "encoder.encode(raw)", "int a = b;"]
         got = queries(texts)
         assert got[0] is got[2]

@@ -24,7 +24,7 @@ from vulnreach.evalharness import (
 )
 from vulnreach.gateway import ScriptedChatProvider
 from vulnreach.javaparse import parse_source
-from vulnreach.memo import MemoChatProvider, MemoEncoder
+from vulnreach.memo import Memo
 from vulnreach.model import Config, Judgment, VulnSpec
 from vulnreach.embedding import ReferenceEncoder
 from vulnreach.segmenter import iter_project_files
@@ -194,12 +194,16 @@ class TestRunBenchmark:
         assert report["confusion_matrix"] == {"tp": 2, "fp": 0, "tn": 2, "fn": 0}
 
     def test_memo_reused_across_runs(self, tmp_path: Path, encoder):
-        counting = MemoEncoder(CountingEncoder(encoder.dims))
-        first = run_benchmark(toy_manifest(tmp_path), harness_config(), counting, scripted_chat())
-        assert counting.provider.texts
-        counting.provider.texts.clear()
-        second = run_benchmark(toy_manifest(tmp_path), harness_config(), counting, scripted_chat())
-        assert counting.provider.texts == []
+        counting, memo = CountingEncoder(encoder.dims), Memo()
+        first = run_benchmark(
+            toy_manifest(tmp_path), harness_config(), counting, scripted_chat(), memo=memo
+        )
+        assert counting.texts
+        counting.texts.clear()
+        second = run_benchmark(
+            toy_manifest(tmp_path), harness_config(), counting, scripted_chat(), memo=memo
+        )
+        assert counting.texts == []
         for key in ("projects", "confusion_matrix", "metrics", "block_counts"):
             assert first[key] == second[key]
 
@@ -375,9 +379,9 @@ class TestSweepReuse:
         ]
 
     def test_blocks_differing_in_one_field_are_analyzed_again(self, tmp_path, encoder, monkeypatch):
-        memo_backed = MemoEncoder(encoder)
+        memo = Memo()
         small, large = (
-            build_index(FIXTURES / "unguarded_app", replace(harness_config(), theta=t), memo_backed)
+            build_index(FIXTURES / "unguarded_app", replace(harness_config(), theta=t), encoder, memo)
             for t in (30, 60)
         )
         differing = [
@@ -408,33 +412,33 @@ class TestSweepReuse:
         manifest = toy_manifest(tmp_path)
         twin = ProjectSpec("plain_twin", str(FIXTURES / "plain_app"), Judgment.SECURE, ("CVE-2020-5408",))
         manifest = BenchmarkManifest(projects=manifest.projects + (twin,), vulns=manifest.vulns)
-        memo_backed, chat = MemoEncoder(encoder), MemoChatProvider(scripted_chat())
+        memo, chat = Memo(), scripted_chat()
         for _ in range(2):
-            run_benchmark(manifest, harness_config(), memo_backed, chat)
+            run_benchmark(manifest, harness_config(), encoder, chat, memo=memo)
         assert len(calls) == 2 * len(manifest.projects)
 
 
 class TestBuildIndex:
     def test_memo_shared_across_theta_keeps_stores_apart(self, encoder):
         root = FIXTURES / "guarded_app"
-        counting = MemoEncoder(CountingEncoder(encoder.dims))
-        small = build_index(root, Config(theta=40, ignore_globs=()), counting)
-        large = build_index(root, Config(theta=4000, ignore_globs=()), counting)
+        counting, memo = CountingEncoder(encoder.dims), Memo()
+        small = build_index(root, Config(theta=40, ignore_globs=()), counting, memo)
+        large = build_index(root, Config(theta=4000, ignore_globs=()), counting, memo)
         assert small.count() > large.count()
         for store, theta in ((small, 40), (large, 4000)):
             alone = build_index(root, Config(theta=theta, ignore_globs=()), encoder)
             assert list(store.entries()) == list(alone.entries())
-        texts = counting.provider.texts
+        texts = counting.texts
         assert len(texts) == len(set(texts))
 
     def test_cache_hit_returns_equal_store(self, encoder):
         root = FIXTURES / "plain_app"
         cfg = Config(theta=60, ignore_globs=())
-        counting = MemoEncoder(CountingEncoder(encoder.dims))
-        first = build_index(root, cfg, counting)
-        embedded = len(counting.provider.texts)
-        second = build_index(root, cfg, counting)
-        assert len(counting.provider.texts) == embedded > 0
+        counting, memo = CountingEncoder(encoder.dims), Memo()
+        first = build_index(root, cfg, counting, memo)
+        embedded = len(counting.texts)
+        second = build_index(root, cfg, counting, memo)
+        assert len(counting.texts) == embedded > 0
         assert list(first.entries()) == list(second.entries())
 
     def test_failed_build_leaves_the_memo_whole(self, encoder, monkeypatch):
@@ -442,7 +446,7 @@ class TestBuildIndex:
         # build through the same memo gets every block and vector.
         root = FIXTURES / "plain_app"
         cfg = Config(theta=60, ignore_globs=())
-        memo_backed = MemoEncoder(encoder)
+        memo = Memo()
 
         def crash(self, entries):
             raise RuntimeError("simulated crash during insert")
@@ -450,9 +454,9 @@ class TestBuildIndex:
         with monkeypatch.context() as patched:
             patched.setattr(VectorStore, "insert", crash)
             with pytest.raises(RuntimeError):
-                build_index(root, cfg, memo_backed)
+                build_index(root, cfg, encoder, memo)
         full = build_index(root, cfg, encoder)
-        rebuilt = build_index(root, cfg, memo_backed)
+        rebuilt = build_index(root, cfg, encoder, memo)
         assert list(rebuilt.entries()) == list(full.entries())
         assert rebuilt.count() > 0
 
@@ -460,10 +464,10 @@ class TestBuildIndex:
         root = tmp_path / "app"
         shutil.copytree(FIXTURES / "plain_app", root)
         cfg = Config(theta=60, ignore_globs=())
-        memo_backed = MemoEncoder(encoder)
-        without = build_index(root, cfg, memo_backed)
+        memo = Memo()
+        without = build_index(root, cfg, encoder, memo)
         (root / "Blank.java").write_text("\n")
-        with_blank = build_index(root, cfg, memo_backed)
+        with_blank = build_index(root, cfg, encoder, memo)
         assert [e.block.to_dict() for e in with_blank.entries()] == [
             e.block.to_dict() for e in without.entries()
         ]
@@ -474,4 +478,4 @@ class TestBuildIndex:
         (root / "A.java").write_bytes(b"")
         cfg = Config(theta=60, ignore_globs=())
         assert build_index(root, cfg, encoder).count() == 0
-        assert build_index(root, cfg, MemoEncoder(encoder)).count() == 0
+        assert build_index(root, cfg, encoder, Memo()).count() == 0

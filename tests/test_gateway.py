@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, JAVA_SOURCES, make_block, record_token_counts
+from conftest import FIXTURES, JAVA_SOURCES, CountingProvider, make_block, record_token_counts
 from vulnreach.errors import ConfigError, MalformedResponse, ProviderError
 from vulnreach.gateway import (
     REPROMPT_SUFFIX,
@@ -27,7 +27,7 @@ from vulnreach.gateway import (
     TranscriptEntry,
     extract_json_object,
 )
-from vulnreach.memo import Memo, MemoChatProvider
+from vulnreach.memo import Memo
 from vulnreach.javaparse import parse_source
 from vulnreach.model import Candidate, Config, Judgment, MatchedBy, NodeKind, VulnSpec
 from vulnreach.segmenter import segment_unit
@@ -40,6 +40,10 @@ def scripted(**kw) -> ScriptedChatProvider:
 
 def gateway(provider, **kw) -> ChatGateway:
     return ChatGateway(provider, transcript=Transcript(), **kw)
+
+
+def pack(gw: ChatGateway, blocks, budget: int) -> str:
+    return "".join(gw._pack_parts(blocks, budget))
 
 
 ENCODE_BLOCK = make_block(
@@ -67,18 +71,20 @@ COMMENT_BLOCK = make_block(
 class TestPromptTemplate:
     def test_render_binds_named_placeholders(self):
         template = PromptTemplate(RoleKind.GRADER, "Block: {{code}}\nApi: {{api}}")
-        rendered = template.render(code="int xformat() { return \"{{}}\"; }", api="a#b()")
+        rendered = "".join(
+            template.parts({"code": "int xformat() { return \"{{}}\"; }", "api": "a#b()"})
+        )
         assert "int x" in rendered and "a#b()" in rendered
         assert "{{code}}" not in rendered
 
     def test_unbound_placeholder_rejected(self):
         template = PromptTemplate(RoleKind.GRADER, "{{code}} {{api}}")
         with pytest.raises(ConfigError):
-            template.render(code="x")
+            template.parts({"code": "x"})
 
     def test_values_with_braces_do_not_confuse_rendering(self):
         template = PromptTemplate(RoleKind.GRADER, "{{code}}")
-        assert template.render(code="{{not_a_marker}}") == "{{not_a_marker}}"
+        assert "".join(template.parts({"code": "{{not_a_marker}}"})) == "{{not_a_marker}}"
 
     def test_bundled_library_provides_all_roles(self):
         library = PromptLibrary.bundled()
@@ -242,7 +248,8 @@ class TestReflectionQuery:
             )
         )
         assert gw.reflection_query([ENCODE_BLOCK], vuln) == (False, "need definition of raw")
-        assert gw.reflection_query([ENCODE_BLOCK], vuln) == (True, "")
+        # The grown context is a new question; the same one would be a memo hit.
+        assert gw.reflection_query([ENCODE_BLOCK, COMMENT_BLOCK], vuln) == (True, "")
 
     def test_incomplete_with_empty_reason_is_malformed(self, vuln):
         gw = gateway(
@@ -474,25 +481,19 @@ class TestTranscript:
     def test_replay_of_an_unrecorded_or_used_up_question_is_loud(self, vuln):
         recorded = gateway(scripted(defaults={RoleKind.GRADER: '{"answer": "yes"}'}))
         recorded.grade_invocation(ENCODE_BLOCK, vuln.api_signatures[0])
-        replayed = gateway(ReplayChatProvider(recorded.transcript))
+        replay = ReplayChatProvider(recorded.transcript)
+        replayed = gateway(replay)
         with pytest.raises(ProviderError, match="none recorded"):
             replayed.grade_invocation(COMMENT_BLOCK, vuln.api_signatures[0])
         replayed.grade_invocation(ENCODE_BLOCK, vuln.api_signatures[0])
+        # A gateway with its own memo asks the replay again.
         with pytest.raises(ProviderError, match="all used"):
-            replayed.grade_invocation(ENCODE_BLOCK, vuln.api_signatures[0])
-
-
-class CountingProvider(ScriptedChatProvider):
-    def __init__(self, **kw):
-        super().__init__(**kw)
-        self.asked: list[tuple[RoleKind, str]] = []
-
-    def complete(self, prompt: str, role: RoleKind) -> str:
-        self.asked.append((role, prompt))
-        return super().complete(prompt, role)
+            gateway(replay).grade_invocation(ENCODE_BLOCK, vuln.api_signatures[0])
 
 
 class TestMemoChatProvider:
+    """Chat answers through a memo: a gateway's, or the memo asked directly."""
+
     def test_repeated_prompt_reaches_provider_once_with_two_transcript_entries(self, vuln):
         inner = CountingProvider(
             sequences={
@@ -504,7 +505,7 @@ class TestMemoChatProvider:
             name="inner",
             model_id="inner-model",
         )
-        gw = gateway(MemoChatProvider(inner))
+        gw = gateway(inner, memo=Memo())
         first = gw.reflection_query([ENCODE_BLOCK], vuln)
         second = gw.reflection_query([ENCODE_BLOCK], vuln)
         assert first == second == (False, "need caller")  # one answer per question
@@ -518,14 +519,14 @@ class TestMemoChatProvider:
 
     def test_role_and_reprompt_make_distinct_questions(self):
         inner = CountingProvider(defaults={role: '{"answer": "no"}' for role in RoleKind})
-        memo = MemoChatProvider(inner)
+        memo = Memo()
         for role, prompt in [
             (RoleKind.GRADER, "p"),
             (RoleKind.JUDGE, "p"),
             (RoleKind.GRADER, "p" + "\n\nretry"),
             (RoleKind.GRADER, "p"),
         ]:
-            memo.complete(prompt, role)
+            memo.complete(inner, prompt, role)
         assert len(inner.asked) == 3
 
     def test_a_failed_call_is_not_kept(self):
@@ -537,11 +538,11 @@ class TestMemoChatProvider:
                 return response
 
         inner = FailsFirst(defaults={RoleKind.GRADER: '{"answer": "yes"}'})
-        memo = MemoChatProvider(inner)
+        memo = Memo()
         with pytest.raises(ProviderError):
-            memo.complete("p", RoleKind.GRADER)
-        assert memo.complete("p", RoleKind.GRADER) == '{"answer": "yes"}'
-        assert memo.complete("p", RoleKind.GRADER) == '{"answer": "yes"}'
+            memo.complete(inner, "p", RoleKind.GRADER)
+        assert memo.complete(inner, "p", RoleKind.GRADER) == '{"answer": "yes"}'
+        assert memo.complete(inner, "p", RoleKind.GRADER) == '{"answer": "yes"}'
         assert len(inner.asked) == 2
 
     def test_concurrent_askers_all_get_the_kept_answer(self):
@@ -553,13 +554,13 @@ class TestMemoChatProvider:
                 time.sleep(0)  # let another asker in while this one is in flight
                 return f"{prompt}: answer {next(numbers)}"
 
-        memo = MemoChatProvider(Numbering())
+        memo, numbering = Memo(), Numbering()
         start = threading.Barrier(threads, timeout=10)
         answers: list[list[str]] = [[] for _ in range(threads)]
 
         def ask(mine: list[str]) -> None:
             start.wait()
-            mine.extend(memo.complete(f"q{k}", RoleKind.GRADER) for k in range(questions))
+            mine.extend(memo.complete(numbering, f"q{k}", RoleKind.GRADER) for k in range(questions))
 
         workers = [threading.Thread(target=ask, args=(mine,)) for mine in answers]
         interval = sys.getswitchinterval()
@@ -583,7 +584,7 @@ class TestTokenCountMemo:
         for _ in range(3):
             gw.reflection_query([ENCODE_BLOCK, COMMENT_BLOCK], vuln)
         assert counted and len(counted) == len(set(counted))
-        assert gw.token_counter("a b c") == 3
+        assert gw.memo.count_tokens("a b c") == 3
 
 
     def test_gateways_behind_one_memo_count_each_text_once(self, vuln, monkeypatch):
@@ -599,7 +600,7 @@ class TestTokenCountMemo:
         def run(memos: list[Memo]) -> list[str]:
             prompts = []
             for memo in memos:
-                gw = gateway(MemoChatProvider(scripted(defaults=answers), memo))
+                gw = gateway(scripted(defaults=answers), memo=memo)
                 gw.reflection_query([ENCODE_BLOCK, COMMENT_BLOCK], vuln)
                 gw.judge_reachability(candidate, vuln)
                 prompts.extend(e.rendered_prompt for e in gw.transcript.entries)
@@ -635,14 +636,14 @@ class TestChatRetry:
         return Failing(defaults={RoleKind.GRADER: '{"answer": "yes"}'})
 
     @pytest.mark.parametrize("status", [429, 503])
-    @pytest.mark.parametrize("memo_backed", [False, True], ids=["bare", "memo"])
+    @pytest.mark.parametrize("given_memo", [False, True], ids=["bare", "memo"])
     def test_a_transient_failure_then_an_answer_is_one_entry(
-        self, vuln, sleeps, status, memo_backed
+        self, vuln, sleeps, status, given_memo
     ):
         clean = gateway(scripted(defaults={RoleKind.GRADER: '{"answer": "yes"}'}))
         expected = clean.grade_invocation(ENCODE_BLOCK, vuln.api_signatures[0])
         provider = self.failing(ProviderError("busy", status=status))
-        gw = gateway(MemoChatProvider(provider) if memo_backed else provider)
+        gw = gateway(provider, memo=Memo()) if given_memo else gateway(provider)
         assert gw.grade_invocation(ENCODE_BLOCK, vuln.api_signatures[0]) is expected is True
         assert len(provider.asked) == 2 and sleeps == [0.5]
         assert [e.rendered_prompt for e in gw.transcript.entries] == [
@@ -715,7 +716,7 @@ class TestContextPacking:
             context_window=60,
         )
         gw = gateway(provider)
-        packed = gw._pack_context(blocks, budget=50)
+        packed = pack(gw, blocks, budget=50)
         assert "context truncated" in packed
         assert ENCODE_BLOCK.source.splitlines()[0] in packed  # anchor always present
 
@@ -733,7 +734,7 @@ class TestContextPacking:
             for i in range(3)
         ]
         gw = gateway(scripted())
-        packed = gw._pack_context(blocks, budget=10_000)
+        packed = pack(gw, blocks, budget=10_000)
         positions = [packed.index(f"src/R{i}.java") for i in range(3)]
         assert packed.index("src/T.java") < min(positions)  # anchor first
         assert positions[2] < positions[1] < positions[0]  # most recent first
@@ -753,7 +754,7 @@ OVERSTATED_BLOCK = make_block(
 
 class TestPackingCost:
     def test_default_counting_costs_a_block_by_its_stored_size(self):
-        packed = gateway(scripted())._pack_context([ENCODE_BLOCK, OVERSTATED_BLOCK], budget=1_000)
+        packed = pack(gateway(scripted()), [ENCODE_BLOCK, OVERSTATED_BLOCK], budget=1_000)
         assert "[context truncated: 1 retrieved block(s) omitted]" in packed
 
     def test_a_block_without_a_stored_size_is_counted(self):
@@ -764,8 +765,8 @@ class TestPackingCost:
             size=0,
         )
         gw = gateway(scripted())
-        assert "1 retrieved block(s) omitted" in gw._pack_context([ENCODE_BLOCK, unsized], 1_000)
-        assert "context truncated" not in gw._pack_context([ENCODE_BLOCK, unsized], 1_300)
+        assert "1 retrieved block(s) omitted" in pack(gw, [ENCODE_BLOCK, unsized], 1_000)
+        assert "context truncated" not in pack(gw, [ENCODE_BLOCK, unsized], 1_300)
 
     @settings(max_examples=80, deadline=None)
     @given(JAVA_SOURCES, st.integers(0, 300))
@@ -773,9 +774,9 @@ class TestPackingCost:
         # A header ends in a newline and no lexeme holds whitespace, so the
         # stored size gives the very truncation that counting the text does.
         blocks = segment_unit(parse_source("src/F.java", source)[0], Config(theta=5))
-        by_size = gateway(scripted())._pack_context(blocks, budget)
+        by_size = pack(gateway(scripted()), blocks, budget)
         unsized = [dataclasses.replace(block, size=0) for block in blocks]
-        assert by_size == gateway(scripted())._pack_context(unsized, budget)
+        assert by_size == pack(gateway(scripted()), unsized, budget)
 
 
 class TestMalformedReplies:
@@ -847,9 +848,9 @@ class TestSplitTemplates:
             expected = reference_render(text, bindings)
         except ConfigError:
             with pytest.raises(ConfigError):
-                template.render(**bindings)
+                "".join(template.parts(bindings))
             return
-        assert template.render(**bindings) == expected
+        assert "".join(template.parts(bindings)) == expected
         assert template.placeholders() == set(_MARKER.findall(text))
 
     def test_a_sequence_value_contributes_its_parts(self):
@@ -951,7 +952,7 @@ class TestTranscriptLines:
             "pov_test_source": vuln.pov_test_source,
         }
         reserved = 256 + sum(map(DEFAULT_TOKENIZER.count, [judge, *fixed.values()]))
-        packed = gw._pack_context(context, 2_000 - reserved)
+        packed = pack(gw, context, 2_000 - reserved)
         assert "context truncated: 1" in packed and ENCODE_BLOCK.source in recorded[-1]
         assert entries[-1].rendered_prompt == reference_render(judge, {**fixed, "context": packed})
         # The malformed first reflection answer was asked again with the suffix.

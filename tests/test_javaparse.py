@@ -226,7 +226,7 @@ class TestFuzzNet:
         assert unit.line_count == 4
         method = unit.nodes[0].members[0]
         assert (method.kind, method.line_start) == ("method", 3)
-        assert unit.text_of(method) == "    void m() {}\n"
+        assert unit.slice_text(method.line_start, method.line_end) == "    void m() {}\n"
 
     def test_escaped_line_break_in_string_advances_lines(self):
         for eol in ("\n", "\r\n", "\r"):

@@ -1,6 +1,7 @@
 """The per-command memo: content-addressed embeddings and parsed files, and
 the embedding cache file that outlives a command. Chat answers are tested
-here per provider, and otherwise in test_gateway.TestMemoChatProvider."""
+here per provider, and otherwise through a gateway in
+test_gateway.TestChatGatewayMemo."""
 
 import hashlib
 import json
@@ -20,7 +21,7 @@ from conftest import DIMS, CountingEncoder, torn_writes
 from vulnreach import memo as memo_module
 from vulnreach.embedding import ReferenceEncoder, reference_encode
 from vulnreach.gateway import RoleKind, ScriptedChatProvider
-from vulnreach.memo import Memo, MemoChatProvider, MemoEncoder, memoized
+from vulnreach.memo import Memo
 from vulnreach.model import EmbeddingVector
 
 TEXTS = ["int a = b;", "encoder.encode(raw)", "return null;"]
@@ -90,23 +91,16 @@ class TestEmbeddingMemo:
         for mine in got:
             assert all(a is b for a, b in zip(mine, kept, strict=True))
 
-    def test_memoized_keeps_a_memo_backed_encoder(self):
-        bare = ReferenceEncoder(DIMS)
-        backed = memoized(bare)
-        assert isinstance(backed, MemoEncoder) and memoized(backed) is backed
-        assert memoized(bare).memo is not backed.memo
-        assert (backed.name, backed.dims) == (bare.name, bare.dims)
-
 
 class TestChatMemo:
     def test_each_provider_gets_its_own_answers(self):
         memo = Memo()
         yes, no = (
-            MemoChatProvider(ScriptedChatProvider(defaults={RoleKind.GRADER: answer}), memo)
+            ScriptedChatProvider(defaults={RoleKind.GRADER: answer})
             for answer in ('{"answer": "yes"}', '{"answer": "no"}')
         )
-        assert yes.complete("p", RoleKind.GRADER) == '{"answer": "yes"}'
-        assert no.complete("p", RoleKind.GRADER) == '{"answer": "no"}'
+        assert memo.complete(yes, "p", RoleKind.GRADER) == '{"answer": "yes"}'
+        assert memo.complete(no, "p", RoleKind.GRADER) == '{"answer": "no"}'
 
 
 class TestParseMemo:

@@ -17,3 +17,11 @@ def test_library_use_block_runs_against_the_fixtures(tmp_path: Path, monkeypatch
     exec(compile(code, str(README), "exec"), {"__name__": "readme"})
     assert capsys.readouterr().out == "Vulnerable\n"
     assert (tmp_path / "app.vrix").exists()
+
+
+def test_star_import_binds_every_exported_name():
+    import vulnreach
+
+    namespace: dict = {}
+    exec("from vulnreach import *", namespace)
+    assert [name for name in vulnreach.__all__ if name not in namespace] == []
