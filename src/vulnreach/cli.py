@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import logging
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -41,7 +42,7 @@ from .gateway import (
 from .memo import Memo, encoder_fingerprint
 from .model import CodeBlock, Config, EmbeddingVector, Judgment, VulnSpec
 from .segmenter import segment_project
-from .store import StoreEntry, VectorStore
+from .store import StoreEntry, VectorStore, _write_atomic
 
 EXIT_OK = 0
 EXIT_USER_ERROR = 1
@@ -229,8 +230,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "config": config.to_dict(),
         **verdict.to_dict(),
     }
-    report_path.parent.mkdir(parents=True, exist_ok=True)
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_atomic(report_path, [_json_bytes(report)])
     print(
         f"{verdict.project_id}: {verdict.project_judgment.value}"
         f" ({len(verdict.per_candidate)} candidate(s)) -> {args.report}"
@@ -297,12 +297,25 @@ def _evaluate_from_predictions(args: argparse.Namespace, out_dir: Path) -> int:
         print("error: predictions file needs 'confusion_matrix' or 'predictions'", file=sys.stderr)
         return EXIT_USER_ERROR
     result = {"confusion_matrix": cm.to_dict(), "metrics": evalharness.metrics(cm)}
-    (out_dir / "metrics.json").write_text(
-        json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_atomic(out_dir / "metrics.json", [_json_bytes(result)])
     print(f"tp={cm.tp} fp={cm.fp} tn={cm.tn} fn={cm.fn}")
     print(evalharness.format_metrics(result["metrics"]))
     return EXIT_OK
+
+
+def _json_bytes(report: Mapping[str, Any]) -> bytes:
+    return (json.dumps(report, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+@functools.cache
+def _log_to_stderr() -> None:
+    """Print the ``vulnreach`` loggers' INFO lines and above to stderr, with
+    one handler however often ``main`` runs in a process."""
+    logger = logging.getLogger("vulnreach")
+    handler = logging.StreamHandler()
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
 
 
 @functools.cache
@@ -313,6 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
             "Decide whether a Java source tree is actually impacted by a "
             "known-vulnerable library API."
         ),
+    )
+    parser.add_argument(
+        "-v", "--verbose", action="store_true", help="log progress (INFO and above) to stderr"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -354,6 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.verbose:
+        _log_to_stderr()
     if args.command == "evaluate" and not args.manifest and not args.from_predictions:
         print("error: evaluate needs --manifest or --from-predictions", file=sys.stderr)
         return EXIT_USER_ERROR

@@ -91,9 +91,9 @@ class QueryVectors:
         API signature and its score for the test source, as search scores."""
         missing = [row for row in rows if (vuln, row) not in self._similarities]
         if missing:
-            *api_vecs, test_vec = self([*vuln.api_signatures, vuln.pov_test_source])
-            best_api = np.maximum.reduce([store.row_scores(v, missing) for v in api_vecs])
-            pairs = zip(best_api.tolist(), store.row_scores(test_vec, missing).tolist())
+            seeds = self([*vuln.api_signatures, vuln.pov_test_source])
+            *api, test = store.row_scores(seeds, missing)  # each row renormalized once
+            pairs = zip(np.maximum.reduce(api).tolist(), test.tolist())
             self._similarities.update(zip([(vuln, row) for row in missing], pairs))
         return [self._similarities[vuln, row] for row in rows]
 

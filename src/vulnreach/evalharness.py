@@ -27,7 +27,7 @@ from .gateway import ChatGateway, ChatProvider, PromptLibrary, Transcript
 from .memo import Memo
 from .model import CodeBlock, Config, Judgment, VulnSpec
 from .segmenter import iter_project_files, segment_project
-from .store import StoreEntry, VectorStore
+from .store import StoreEntry, VectorStore, _write_atomic
 
 log = logging.getLogger(__name__)
 
@@ -319,13 +319,12 @@ def run_benchmark(
         "metrics": metrics(cm),
     }
     if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
-        (out_path / f"report_theta_{config.theta}.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        (out_path / f"report_theta_{config.theta}.txt").write_text(
-            render_table(report), encoding="utf-8"
-        )
+        # Each file is replaced whole: a crash never leaves a torn report.
+        for suffix, text in (
+            ("json", json.dumps(report, indent=2, sort_keys=True) + "\n"),
+            ("txt", render_table(report)),
+        ):
+            _write_atomic(out_path / f"report_theta_{config.theta}.{suffix}", [text.encode("utf-8")])
     return report
 
 

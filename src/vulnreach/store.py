@@ -18,10 +18,21 @@ index of an older format is refused with a request to re-index: an index
 is a cache of its project, so no old reader is kept. A block's source is
 decoded when its ``CodeBlock`` is first built.
 
-Retrieval is an exact linear scan: at this corpus scale (thousands of
-blocks) correctness beats recall trade-offs, so there is no approximate
-index. Scores are dot products, valid as cosine because every stored vector
-and every query is unit-norm.
+Retrieval is exact, as a missed block is a wrong "Secure". A score is the
+query's float64 dot product with the row renormalized in float64: a cosine,
+as every query and stored vector is unit-norm. A search estimates each score
+as (v @ q) / ||v|| in one float32 BLAS pass, and scores in float64 only the
+rows the estimate leaves a chance to be hits. The slack it allows the
+estimate, (4*d + 16) * u with u = 2**-24 and d = dims, is over twice the
+estimate's error: rounding q to float32 and summing d products in any order
+(any BLAS, FMA or thread count) errs by at most gamma(d + 1) * ||v|| * ||q||,
+with gamma(n) = n*u / (1 - n*u) and ||q|| <= 1 + 1e-6, and the float32 norm
+by at most gamma(d)/2 + u, relatively. So the estimate is within about
+(1.5*d + 3) * u of the cosine, and the float64 score within
+(1.5*d + 3) * 2**-53; the rest of the slack covers rounding the bounds it is
+compared with. This holds for a row whose float32 norm is in
+[2**-50, 2**50], where no float32 square or product overflows and underflow
+adds at most d * 2**-49; any other row is always scored in float64.
 """
 
 from __future__ import annotations
@@ -48,7 +59,7 @@ FORMAT_VERSION = 2
 # magic, version, dims, count, source blob bytes, sha256 of the sidecar
 _HEADER = struct.Struct("<4sBIIQ32s")
 
-_CHUNK_ROWS = 64  # rows scored or renormalized at a time: the temporaries stay in cache
+_CHUNK_ROWS = 64  # rows renormalized and scored at a time: the temporaries stay in cache
 
 _NONE = type(None)
 # Each block field but ``source``, as ``CodeBlock.to_dict`` writes it, with
@@ -88,9 +99,6 @@ class ScopeFilter:
     method_name: str | None = None
     file_glob: str | None = None
 
-    def is_empty(self) -> bool:
-        return self.class_name is None and self.method_name is None and self.file_glob is None
-
     def matches(self, block: CodeBlock) -> bool:
         return (
             self.accepts_class(block.enclosing_class)
@@ -127,54 +135,12 @@ class ScopeFilter:
             out["file_glob"] = self.file_glob
         return out
 
-    @classmethod
-    def from_dict(cls, raw: Mapping[str, Any]) -> "ScopeFilter":
-        return cls(
-            class_name=raw.get("class_name"),
-            method_name=raw.get("method_name"),
-            file_glob=raw.get("file_glob"),
-        )
-
 
 EMPTY_SCOPE = ScopeFilter()
 
 
 def _sidecar_path(path: Path) -> Path:
     return path.with_name(path.name + ".meta.json")
-
-
-def _codes(values: Sequence[Any]) -> tuple[list[Any], np.ndarray]:
-    """Distinct values in first-seen order, and each value's index into them."""
-    distinct = list(dict.fromkeys(values))
-    index = {value: i for i, value in enumerate(distinct)}
-    return distinct, np.fromiter(map(index.__getitem__, values), np.intp, len(values))
-
-
-class _Columns:
-    """The metadata a search reads, one entry per row, built once per store.
-
-    File paths are ranked in ``str`` order, so ranks order rows as the paths
-    do. A scope is tested once per distinct path, class and method.
-    """
-
-    def __init__(self, fields: Mapping[str, Sequence[Any]]):
-        paths = fields["file_path"]
-        self.paths = sorted(set(paths))
-        rank = {path: i for i, path in enumerate(self.paths)}
-        self.path_rank = np.fromiter(map(rank.__getitem__, paths), np.intp, len(paths))
-        self.line_start = np.array(fields["line_start"], dtype=np.int64)
-        self.classes, self.class_codes = _codes(fields["enclosing_class"])
-        self.methods, self.method_codes = _codes(fields["enclosing_method"])
-
-    def scope_mask(self, scope: ScopeFilter) -> np.ndarray:
-        mask = np.ones(len(self.line_start), dtype=bool)
-        for distinct, codes, accepts in (
-            (self.paths, self.path_rank, scope.accepts_file),
-            (self.classes, self.class_codes, scope.accepts_class),
-            (self.methods, self.method_codes, scope.accepts_method),
-        ):
-            mask &= np.fromiter(map(accepts, distinct), bool, len(distinct))[codes]
-        return mask
 
 
 class VectorStore:
@@ -203,8 +169,8 @@ class VectorStore:
         self._offsets: list[int] = [0]
         self._blocks: dict[int, CodeBlock] = {}  # row -> block, built on first access
         self._row_by_id: dict[str, int] = {}
-        self._matrix64: np.ndarray | None = None  # renormalized scoring cache
-        self._cols: _Columns | None = None
+        # Each row's float32 norm, as float64; NaN where the slack does not hold.
+        self._norms: np.ndarray | None = None
 
     # -- lifecycle ------------------------------------------------------
 
@@ -239,7 +205,7 @@ class VectorStore:
     @classmethod
     def open(cls, path: Path | str) -> "VectorStore":
         path = Path(path)
-        data = path.read_bytes()
+        data = _read_aligned(path)
         dims, count, blob_len, sidecar_sha = _read_header(path, data)
         sidecar = _sidecar_path(path)
         try:
@@ -360,24 +326,6 @@ class VectorStore:
             block = self._blocks.setdefault(row, block)
         return block
 
-    def _scoring_matrix(self) -> np.ndarray:
-        """Float64 rows renormalized to unit length: every score is read
-        from these rows."""
-        if self._matrix64 is None:
-            mat = np.empty(self._vectors.shape, dtype=np.float64)
-            # Each row is divided by its norm, computed as np.linalg.norm does.
-            for start in range(0, len(mat), _CHUNK_ROWS):
-                rows = mat[start : start + _CHUNK_ROWS]
-                rows[...] = self._vectors[start : start + _CHUNK_ROWS]
-                rows /= np.sqrt(np.add.reduce(rows * rows, axis=1, keepdims=True))
-            self._matrix64 = mat
-        return self._matrix64
-
-    def _columns(self) -> _Columns:
-        if self._cols is None:
-            self._cols = _Columns(self._fields)
-        return self._cols
-
     # -- operations --------------------------------------------------------
 
     def insert(self, entries: Sequence[StoreEntry]) -> int:
@@ -414,8 +362,7 @@ class VectorStore:
         if new_blocks:
             rows = np.array(new_vectors, dtype=np.float32)
             self._runs = [*self._runs, rows] if self.count() else [rows]
-            self._matrix64 = None
-            self._cols = None
+            self._norms = None
             for block in new_blocks:
                 row = self.count()
                 self._row_by_id[block.id] = row
@@ -439,6 +386,14 @@ class VectorStore:
 
         Ties break by (file_path, line_start) ascending, then by row; at
         most k results.
+
+        Only rows that can be hits are scored in float64. A row's float32
+        estimate, where bounded, is within the slack of its score (see the
+        module docstring): if it is below ``tau - slack``, so is the score.
+        Among the rows in scope, if more than k are left and ``a_k`` is the
+        k-th largest bounded estimate, a row whose estimate is below
+        ``a_k - 2 * slack`` scores below each of k other rows, or below tau:
+        it is no hit either.
         """
         if query.dims != self.dims:
             raise DimsMismatch(f"query has dims {query.dims}, store has {self.dims}")
@@ -448,37 +403,81 @@ class VectorStore:
             raise ValueError("k must be positive")
         if not self.count():
             return []
-        scores = self.row_scores(query)
-        keep = scores >= tau
-        cols = self._columns()
-        if not scope.is_empty():
-            keep &= cols.scope_mask(scope)
-        rows = np.flatnonzero(keep)
-        # lexsort is stable and its last key is the primary one.
-        rows = rows[np.lexsort((cols.line_start[rows], cols.path_rank[rows], -scores[rows]))][:k]
-        return [(StoreHit(row, self._block_at(row)), float(scores[row])) for row in rows.tolist()]
+        vectors, norms = self._vectors, self._norms
+        if norms is None:
+            norms = np.sqrt(np.einsum("ij,ij->i", vectors, vectors)).astype(float)
+            in_range = (2.0**-50 <= norms) & (norms <= 2.0**50)  # False if not finite
+            norms = self._norms = np.where(in_range, norms, np.nan)
+        # Each row's float32 estimate; NaN where the slack does not bound it.
+        approx = vectors @ query.values.astype(np.float32) / norms
+        slack = (2 * self.dims + 8) * 2.0**-23  # see the module docstring
+        rows = np.flatnonzero(~(approx < tau - slack))  # NaN stays
+        for name, wanted, accepts in (
+            ("enclosing_class", scope.class_name, scope.accepts_class),
+            ("enclosing_method", scope.method_name, scope.accepts_method),
+            ("file_path", scope.file_glob, scope.accepts_file),
+        ):
+            if wanted is not None:
+                values = list(map(self._fields[name].__getitem__, rows.tolist()))
+                verdicts = {value: accepts(value) for value in set(values)}  # each tested once
+                rows = rows[np.fromiter(map(verdicts.__getitem__, values), bool, len(values))]
+        if len(rows) > k:
+            estimates = approx[rows]
+            bounded = estimates[~np.isnan(estimates)]
+            if len(bounded) >= k:
+                a_k = np.partition(bounded, len(bounded) - k)[len(bounded) - k]
+                rows = rows[~(estimates < a_k - 2 * slack)]
+        paths, lines = self._fields["file_path"], self._fields["line_start"]
+        ranked = sorted(
+            (-score, paths[row], lines[row], row)
+            for row, score in zip(rows.tolist(), self.row_scores(query, rows).tolist())
+            if score >= tau
+        )
+        return [(StoreHit(row, self._block_at(row)), -neg) for neg, _, _, row in ranked[:k]]
 
     def row_scores(
-        self, query: EmbeddingVector, rows: list[int] | slice = slice(None)
+        self,
+        query: EmbeddingVector | Sequence[EmbeddingVector],
+        rows: Sequence[int] | np.ndarray | slice = slice(None),
     ) -> np.ndarray:
-        """The score for ``query`` of each of ``rows`` (all by default): the
-        very scores ``search`` filters and ranks on."""
+        """The score of each of ``rows`` (all by default) for ``query``, or,
+        given several queries, one such array per query: the very scores
+        ``search`` filters and ranks on.
+
+        Each row is renormalized once, whatever the number of queries."""
         # Row-wise reduction instead of BLAS matmul: identical vectors must
         # produce bit-identical scores regardless of row position or of the
         # rows scored with them, or ties and read-back scores drift.
-        matrix = self._scoring_matrix()[rows]
-        scores = np.empty(len(matrix))
-        for start in range(0, len(matrix), _CHUNK_ROWS):
+        queries = [query] if isinstance(query, EmbeddingVector) else list(query)
+        vectors = self._vectors[rows]
+        scores = np.empty((len(queries), len(vectors)))
+        for start in range(0, len(vectors), _CHUNK_ROWS):
             chunk = slice(start, start + _CHUNK_ROWS)
-            np.add.reduce(matrix[chunk] * query.values, axis=1, out=scores[chunk])
-        return scores
+            # Each row divided by its norm, computed as np.linalg.norm does.
+            unit = vectors[chunk].astype(np.float64)
+            unit /= np.sqrt(np.add.reduce(unit * unit, axis=1, keepdims=True))
+            for out, q in zip(scores, queries):
+                np.add.reduce(unit * q.values, axis=1, out=out[chunk])
+        return scores[0] if isinstance(query, EmbeddingVector) else scores
 
     def row_of(self, block_id: str) -> int:
         """The row a stored block is at; ``KeyError`` for an unknown id."""
         return self._row_by_id[block_id]
 
 
-def _read_header(path: Path, data: bytes) -> tuple[int, int, int, bytes]:
+def _read_aligned(path: Path) -> memoryview:
+    """The file's bytes, placed so that the float32 rows after the header
+    start on a 64-byte boundary: BLAS reads them in place, where on a
+    misaligned copy numpy falls back to a loop several times slower."""
+    with path.open("rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        buf = np.empty(size + 64, dtype=np.uint8)
+        start = -(buf.ctypes.data + _HEADER.size) % 64
+        data = memoryview(buf)[start : start + size]
+        return data[: fh.readinto(data)]
+
+
+def _read_header(path: Path, data: bytes | memoryview) -> tuple[int, int, int, bytes]:
     """The header's dims, count, source blob length and sidecar sha256."""
     if data[:4] != MAGIC:
         raise IndexFormatError(f"{path}: not an index file (bad magic)")

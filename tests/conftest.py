@@ -53,7 +53,8 @@ def make_block(
 
 
 class _TornFile:
-    """A file whose first write keeps half of its bytes, then is killed."""
+    """A file whose first write keeps half of its bytes (or characters), then is
+    killed."""
 
     def __init__(self, file):
         self.file = file
@@ -65,20 +66,21 @@ class _TornFile:
         self.file.close()
 
     def write(self, data) -> int:
-        view = memoryview(data).cast("B")
+        view = data if isinstance(data, str) else memoryview(data).cast("B")
         self.file.write(view[: len(view) // 2])
         raise KeyboardInterrupt("killed mid-write")
 
 
 @contextlib.contextmanager
-def torn_writes(monkeypatch):
-    """Within the block, a file opened for writing through ``Path.open`` is
-    torn by its first write: half of the bytes land, then the process dies."""
+def torn_writes(monkeypatch, suffix: str | tuple[str, ...] = ""):
+    """Within the block, a file whose name ends in ``suffix``, opened for
+    writing through ``Path.open``, is torn by its first write: half of the
+    bytes land, then the process dies."""
     real_open = Path.open
 
     def tearing_open(path, mode="r", *args, **kwargs):
         file = real_open(path, mode, *args, **kwargs)
-        return _TornFile(file) if "w" in mode else file
+        return _TornFile(file) if "w" in mode and path.name.endswith(suffix) else file
 
     with monkeypatch.context() as patched:
         patched.setattr(Path, "open", tearing_open)

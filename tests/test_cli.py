@@ -1,15 +1,25 @@
 import hashlib
 import json
 import logging
+import os
 import re
 import shutil
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import DIMS, FIXTURES, FIXTURE_THETA, write_tool_config, write_toy_manifest
+from conftest import (
+    DIMS,
+    FIXTURES,
+    FIXTURE_THETA,
+    torn_writes,
+    write_tool_config,
+    write_toy_manifest,
+)
 from vulnreach import cli, evalharness
 from vulnreach.embedding import ReferenceEncoder, RemoteEncoderProvider, reference_encode
 from vulnreach.errors import ProviderError
@@ -1030,6 +1040,113 @@ class TestOneProcess:
         cli.build_parser()
         monkeypatch.setattr(cli, "cmd_index", lambda args: 7)
         assert run_cli("index", "--project", "p", "--out", "o") == 7
+
+
+class TestReportsAreWrittenWhole:
+    """A report is replaced atomically: a write that dies partway leaves the
+    earlier report byte for byte, and no temp file."""
+
+    @staticmethod
+    def rerun_torn(monkeypatch, out: Path, run) -> None:
+        assert run() in (0, 3)
+        before = {path: path.read_bytes() for path in out.iterdir() if path.is_file()}
+        # A writer that wrote in place would tear the report itself.
+        torn = torn_writes(monkeypatch, suffix=(".tmp", ".json", ".txt"))
+        with torn, pytest.raises(KeyboardInterrupt):
+            run()
+        after = {path: path.read_bytes() for path in out.iterdir() if path.is_file()}
+        reports = [path for path in before if path.suffix in (".json", ".txt")]
+        assert reports and {path: after[path] for path in reports} == {
+            path: before[path] for path in reports
+        }
+        assert not [path for path in out.rglob("*") if path.name.endswith(".tmp")]
+
+    def test_analyze(self, tmp_path: Path, config_file: Path, monkeypatch):
+        index = build_index_for("unguarded_app", tmp_path)
+        out = tmp_path / "out"
+        self.rerun_torn(
+            monkeypatch,
+            out,
+            lambda: run_cli(
+                "analyze",
+                "--index", str(index),
+                "--vuln", str(FIXTURES / "vuln_encoder_null.json"),
+                "--config", str(config_file),
+                "--report", str(out / "report.json"),
+            ),
+        )
+
+    def test_evaluate(self, tmp_path: Path, config_file: Path, monkeypatch):
+        manifest = write_toy_manifest(tmp_path / "manifest.json")
+        out = tmp_path / "out"
+        self.rerun_torn(
+            monkeypatch,
+            out,
+            lambda: run_cli(
+                "evaluate",
+                "--manifest", str(manifest),
+                "--config", str(config_file),
+                "--out", str(out),
+            ),
+        )
+
+    def test_evaluate_from_predictions(self, tmp_path: Path, monkeypatch):
+        predictions = tmp_path / "cm.json"
+        matrix = {"tp": 1, "fp": 0, "fn": 0, "tn": 1}
+        predictions.write_text(json.dumps({"confusion_matrix": matrix}))
+        out = tmp_path / "out"
+        self.rerun_torn(
+            monkeypatch,
+            out,
+            lambda: run_cli("evaluate", "--from-predictions", str(predictions), "--out", str(out)),
+        )
+
+
+class TestVerbose:
+    """``-v`` shows the ``vulnreach`` loggers' INFO lines on stderr."""
+
+    @staticmethod
+    def sweep(tmp_path: Path, *flags: str) -> subprocess.CompletedProcess:
+        manifest = write_toy_manifest(tmp_path / "manifest.json")
+        config = write_tool_config(tmp_path / "cfg.json")
+        src = Path(cli.__file__).resolve().parents[1]
+        return subprocess.run(
+            [
+                sys.executable, "-m", "vulnreach.cli", *flags, "evaluate",
+                "--manifest", str(manifest), "--config", str(config),
+                "--out", str(tmp_path / f"out{len(flags)}"), "--sweep-theta",
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=300,
+        )
+
+    def test_sweep_logs_its_reuse_with_v_and_nothing_without(self, tmp_path: Path):
+        quiet, verbose = self.sweep(tmp_path), self.sweep(tmp_path, "-v")
+        assert quiet.returncode == verbose.returncode == 0
+        assert quiet.stderr == ""
+        reused = re.findall(
+            r"^INFO vulnreach.evalharness: project \S+ at theta=\d+: same blocks as theta=\d+,"
+            r" \d+ verdicts reused$",
+            verbose.stderr,
+            flags=re.MULTILINE,
+        )
+        assert reused and len(reused) == len(verbose.stderr.splitlines())
+        assert verbose.stdout == quiet.stdout
+
+    def test_one_handler_however_often_main_runs(self, tmp_path: Path, monkeypatch):
+        logger = logging.getLogger("vulnreach")
+        monkeypatch.setattr(logger, "handlers", [])
+        monkeypatch.setattr(logger, "level", logging.NOTSET)
+        cli._log_to_stderr.cache_clear()
+        predictions = tmp_path / "cm.json"
+        predictions.write_text(json.dumps({"confusion_matrix": {"tp": 1, "fp": 0, "fn": 1, "tn": 1}}))
+        args = ("evaluate", "--from-predictions", str(predictions), "--out", str(tmp_path))
+        for _ in range(2):
+            assert run_cli("-v", *args) == 0
+        assert len(logger.handlers) == 1 and logger.level == logging.INFO
+        cli._log_to_stderr.cache_clear()
 
 
 class TestVerdictTranscriptPath:

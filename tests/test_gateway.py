@@ -31,6 +31,7 @@ from vulnreach.memo import Memo
 from vulnreach.javaparse import parse_source
 from vulnreach.model import Candidate, Config, Judgment, MatchedBy, NodeKind, VulnSpec
 from vulnreach.segmenter import segment_unit
+from vulnreach.store import EMPTY_SCOPE
 from vulnreach.tokenizer import DEFAULT_TOKENIZER
 
 
@@ -284,7 +285,7 @@ class TestCodeInference:
             scripted(sequences={RoleKind.INFERENCE: ['{"missing_snippet": "foo()", "scope": {}}']})
         )
         _, scope = gw.code_inference([ENCODE_BLOCK], vuln, "why")
-        assert scope.is_empty()
+        assert scope == EMPTY_SCOPE
 
     def test_unknown_scope_keys_rejected(self, vuln):
         bad = '{"missing_snippet": "foo()", "scope": {"package": "p"}}'

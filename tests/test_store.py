@@ -541,20 +541,39 @@ class TestSearch:
     @pytest.mark.parametrize("rows", [1, 63, 64, 65, 200])
     @pytest.mark.parametrize("dims", [4, 16, 300])
     def test_scores_are_the_whole_matrix_formula_bit_for_bit(self, rows, dims):
-        # The store scores in row chunks; every score must be the one the
-        # whole-matrix expression gives.
+        # The store renormalizes and scores in row chunks, and only the rows
+        # a search needs; every score must be the one the whole-matrix
+        # expression gives.
         rng = np.random.RandomState(rows * dims)
         store = VectorStore.in_memory(dims)
         store.insert([entry(i, unit(rng.randn(dims))) for i in range(rows)])
         mat = store._vectors.astype(np.float64)
         matrix = mat / np.linalg.norm(mat, axis=1, keepdims=True)
-        assert np.array_equal(store._scoring_matrix(), matrix)
+        # Scored against each axis, a row reads back as its renormalized self.
+        basis = [axis(j, dims) for j in range(dims)]
+        assert np.array_equal(store.row_scores(basis).T, matrix)
         query = unit(rng.randn(dims))
         expected = (matrix * query.values).sum(axis=1)
+        assert store.row_scores(query).tobytes() == expected.tobytes()
         hits = store.search(query, k=rows, tau=0.0)
         assert len(hits) == int((expected >= 0.0).sum())
         for hit, score in hits:
             assert score == expected[store._row_by_id[hit.block.id]]
+
+    @pytest.mark.parametrize("path", [None, "idx.vrix"])
+    def test_a_search_after_an_insert_sees_the_new_rows(self, tmp_path: Path, path):
+        rng = np.random.RandomState(9)
+        store, _ = random_store(rng, 70)
+        if path is not None:
+            store.path = tmp_path / path
+        query = unit(rng.randn(DIMS))
+        before = store.search(query, k=5, tau=0.0)
+        assert all(score < 0.99 for _, score in before)
+        store.insert([entry(70, query), entry(71, unit(-query.values))])
+        after = store.search(query, k=5, tau=0.0)
+        assert [hit.row for hit, _ in after] == [70] + [hit.row for hit, _ in before[:4]]
+        assert after[0][1] == store.row_scores(query, [70])[0] == pytest.approx(1.0)
+        assert store.search(unit(-query.values), k=1, tau=0.0)[0][0].row == 71
 
     def test_matches_brute_force_oracle_on_random_stores(self):
         rng = np.random.RandomState(42)
@@ -618,6 +637,16 @@ class TestRowScores:
                 assert not hasattr(hit, "vector")
         assert opened.search(query, k=20, tau=0.0) == store.search(query, k=20, tau=0.0)
 
+    def test_several_queries_score_as_each_alone(self):
+        rng = np.random.RandomState(13)
+        store, _ = random_store(rng, 150)
+        queries = [unit(rng.randn(DIMS)) for _ in range(3)]
+        for rows in (slice(None), [149, 0, 64, 0], np.array([], dtype=np.intp)):
+            scores = store.row_scores(queries, rows)
+            assert scores.shape == (3, len(store.row_scores(queries[0], rows)))
+            for query, row in zip(queries, scores):
+                assert row.tobytes() == store.row_scores(query, rows).tobytes()
+
     def test_row_of_an_unknown_block_raises(self):
         store = VectorStore.in_memory(DIMS)
         store.insert([entry(0, axis(0))])
@@ -643,7 +672,7 @@ class TestScopeFilter:
 
     def test_roundtrip(self):
         scope = ScopeFilter(class_name="A", file_glob="*.java")
-        assert ScopeFilter.from_dict(scope.to_dict()) == scope
+        assert ScopeFilter(**scope.to_dict()) == scope
 
 
 # Vectors whose every component is 0, +-1 or +-0.5 have exactly unit norm in
@@ -724,11 +753,143 @@ class TestSearchOracleProperty:
         )
 
 
-def whole_index_files(dims: int, entries, encoder, theta) -> tuple[bytes, bytes]:
+def oracle_search(
+    store: VectorStore, query: EmbeddingVector, k: int, tau: float, scope: ScopeFilter
+):
+    """``search`` by its definition: every row scored by ``row_scores``, then
+    filtered and ordered by (-score, file_path, line_start, row). Each score
+    is given by its bits."""
+    scores = store.row_scores(query).tolist()
+    blocks = store.blocks()
+    rows = [row for row, score in enumerate(scores) if score >= tau and scope.matches(blocks[row])]
+    rows.sort(key=lambda row: (-scores[row], blocks[row].file_path, blocks[row].line_start))
+    return [(row, scores[row].hex()) for row in rows[:k]]
+
+
+def searched(store: VectorStore, query: EmbeddingVector, k: int, tau: float, scope: ScopeFilter):
+    return [(hit.row, score.hex()) for hit, score in store.search(query, k, tau, scope)]
+
+
+# Row variants: an exact repeat of its base direction, a nudge of about the
+# prefilter's slack or less, a larger one, or the row scaled by a power of two
+# (2**+-70 leave the float32 norm's safe range) or holding a non-finite value.
+_NUDGES = st.sampled_from([0.0, 0.0, 1e-9, 1e-7, 1e-6, 1e-5, 1e-4, 1e-2])
+_SCALE_EXPONENTS = st.sampled_from([0, 0, 0, 0, 40, -40, 70, -70])
+_BROKEN = st.sampled_from([None] * 6 + [math.nan, math.inf, -math.inf, 0.0])
+
+
+@st.composite
+def _near_tie_stores(draw):
+    """(dims, entries, rows, query, slack): rows near a few base directions
+    (see ``_NUDGES``) and the query near the first, with the prefilter's
+    slack at these dims."""
+    dims = draw(st.sampled_from([2, 16, 256]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bases = rng.standard_normal((draw(st.integers(1, 3)), dims))
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(bases) - 1),
+                _NUDGES,
+                _SCALE_EXPONENTS,
+                _BROKEN,
+                st.sampled_from(["A.java", "src/A.java", "src/b/B.java", "lib/C.java"]),
+                st.integers(1, 3),
+                st.sampled_from([None, "A", "Outer.Inner", "B"]),
+                st.sampled_from([None, "run", "parse"]),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    vectors = np.empty((len(rows), dims))
+    entries = []
+    for row, (base, nudge, exponent, broken, path, line, cls, method) in enumerate(rows):
+        vector = bases[base] + nudge * rng.standard_normal(dims)
+        vector = vector.astype(np.float32).astype(np.float64) * 2.0**exponent
+        if broken is not None:
+            vector[rng.integers(dims)] = broken
+        vectors[row] = vector
+        entries.append(
+            StoreEntry(
+                make_block(
+                    file_path=path,
+                    line_start=line,
+                    line_end=line + row,  # unique ids
+                    enclosing_class=cls,
+                    enclosing_method=method,
+                ),
+                axis(0, dims),  # not written: ``vectors`` are
+            )
+        )
+    query = unit(bases[0] + draw(st.sampled_from([0.0, 0.01, 0.5])) * rng.standard_normal(dims))
+    slack = (2 * dims + 8) * 2.0**-23
+    return dims, entries, vectors, query, slack
+
+
+class TestSearchIsExact:
+    """The float32 prefilter and top-k bound change no hit, no score bit and
+    no order: ``search`` equals ``oracle_search`` on indexes crafted so that
+    rows tie, sit in the prefilter's slack band around tau or the k-th score,
+    leave the float32 norm's safe range or hold a non-finite value."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        _near_tie_stores(),
+        st.integers(1, 8),
+        st.sampled_from([None, 0.0, -1e-12, 1e-12, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 4.0]),
+        st.integers(0, 39),
+        _SCOPES | st.just(EMPTY_SCOPE),
+    )
+    def test_search_equals_the_whole_store_oracle(self, store, k, offset, pick, scope):
+        """``offset`` places tau relative to a row's score: by 1e-12 or by
+        that many slacks (None: tau is 0)."""
+        dims, entries, vectors, query, slack = store
+        files = whole_index_files(dims, entries, "enc", 60, vectors)
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, data in zip(("idx.vrix", "idx.vrix.meta.json"), files):
+                Path(tmp, name).write_bytes(data)
+            opened = VectorStore.open(Path(tmp) / "idx.vrix")
+        tau = 0.0
+        if offset is not None:
+            score = opened.row_scores(query, [pick % len(entries)])[0]
+            if math.isfinite(score):
+                tau = score + (offset if abs(offset) < 1e-6 else offset * slack)
+                tau = min(1.0, max(0.0, tau))
+        assert searched(opened, query, k, tau, scope) == oracle_search(opened, query, k, tau, scope)
+
+    def test_rows_in_the_slack_band_are_rescored_and_fall_either_side(self):
+        """Rows whose scores lie a fraction of a slack either side of tau pass
+        the prefilter, and only those at or above tau come back."""
+        dims = 16
+        rng = np.random.RandomState(17)
+        base = rng.randn(dims)
+        store = VectorStore.in_memory(dims)
+        store.insert([entry(i, unit(base + 1e-6 * rng.randn(dims))) for i in range(40)])
+        query = unit(base)
+        scores = store.row_scores(query)
+        tau = float(np.median(scores))
+        slack = (2 * dims + 8) * 2.0**-23
+        assert np.abs(scores - tau).max() < slack / 2  # every row is inside the band
+        assert 0 < (scores >= tau).sum() < 40
+        for k in (1, 5, 40):
+            assert searched(store, query, k, tau, EMPTY_SCOPE) == oracle_search(
+                store, query, k, tau, EMPTY_SCOPE
+            )
+
+
+def whole_index_files(
+    dims: int, entries, encoder, theta, vectors: np.ndarray | None = None
+) -> tuple[bytes, bytes]:
     """The .vrix and sidecar bytes of ``entries``, each file built whole as
-    one bytes object: header + vectors.tobytes() + the joined sources."""
+    one bytes object: header + vectors.tobytes() + the joined sources.
+
+    ``vectors``, if given, are the rows written in place of the entries'
+    vectors, whatever their norms and values."""
     sources = [e.block.source.encode("utf-8", "surrogatepass") for e in entries]
-    vectors = np.array([e.vector.values for e in entries], dtype="<f4").reshape(len(entries), dims)
+    if vectors is None:
+        vectors = np.array([e.vector.values for e in entries]).reshape(len(entries), dims)
+    vectors = vectors.astype("<f4")
     body = vectors.tobytes() + b"".join(sources)
     columns = {
         name: [e.block.to_dict()[name] for e in entries]
