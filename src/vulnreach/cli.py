@@ -146,9 +146,7 @@ def cmd_index(args: argparse.Namespace) -> int:
     except ProviderError as exc:
         print(f"error: embedding provider failed: {exc}", file=sys.stderr)
         return EXIT_PROVIDER_ERROR
-    store.path = Path(args.out)
-    store.encoder, store.theta = encoder_fingerprint(encoder), config.theta
-    store.save()
+    store.save(args.out, encoder=encoder_fingerprint(encoder), theta=config.theta)
     print(
         f"indexed {store.count()} blocks at dims {store.dims} -> {args.out}"
         f" ({len(error_blocks)} parse error region(s) kept as Other blocks)"

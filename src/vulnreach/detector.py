@@ -262,9 +262,9 @@ def analyze(
     ordered = sorted(
         judgments.values(), key=lambda item: (item[0].file_path, item[0].line_start, item[0].id)
     )
-    return Verdict.aggregate(
-        project_id=project_id,
-        vuln_id=vuln.vuln_id,
-        per_candidate=[judgment for _, judgment in ordered],
-        transcript_path=str(sink) if (sink := chat.transcript.sink_path) is not None else None,
+    return Verdict(
+        project_id,
+        vuln.vuln_id,
+        tuple(judgment for _, judgment in ordered),
+        str(sink) if (sink := chat.transcript.sink_path) is not None else None,
     )

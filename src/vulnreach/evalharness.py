@@ -25,7 +25,7 @@ from .embedding import EncoderProvider
 from .errors import MissingPrediction, VulnReachError
 from .gateway import ChatGateway, ChatProvider, PromptLibrary, Transcript
 from .memo import Memo
-from .model import CodeBlock, Config, Judgment, VulnSpec
+from .model import CodeBlock, Config, Judgment, VulnSpec, aggregate_judgment
 from .segmenter import iter_project_files, segment_project
 from .store import StoreEntry, VectorStore, _write_atomic
 
@@ -38,14 +38,6 @@ class ProjectSpec:
     root_path: str
     ground_truth: Judgment
     vuln_refs: tuple[str, ...]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "project_id": self.project_id,
-            "root_path": self.root_path,
-            "ground_truth": self.ground_truth.value,
-            "vuln_refs": list(self.vuln_refs),
-        }
 
 
 @dataclass(frozen=True)
@@ -279,11 +271,7 @@ def run_benchmark(
                     "project %s at theta=%d: same blocks as theta=%d, %d verdicts reused",
                     project.project_id, config.theta, earlier.theta, len(verdicts),
                 )
-            prediction = (
-                Judgment.VULNERABLE
-                if any(j is Judgment.VULNERABLE for j, _ in verdicts.values())
-                else Judgment.SECURE
-            )
+            prediction = aggregate_judgment([j for j, _ in verdicts.values()])
             predictions[project.project_id] = prediction
             row["prediction"] = prediction.value
             analyzed[project.project_id] = earlier or _Analyzed(config.theta, blocks, verdicts)
@@ -294,12 +282,11 @@ def run_benchmark(
             row["traceback"] = traceback.format_exc(limit=3)
         rows.append(row)
 
-    scored = {pid: j for pid, j in predictions.items()}
     scored_manifest = BenchmarkManifest(
-        projects=tuple(p for p in manifest.projects if p.project_id in scored),
+        projects=tuple(p for p in manifest.projects if p.project_id in predictions),
         vulns=manifest.vulns,
     )
-    cm = score(scored, scored_manifest)
+    cm = score(predictions, scored_manifest)
     report = {
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "config": {

@@ -1,8 +1,8 @@
 """Shared domain types used by every other module.
 
 All types are immutable values after construction and safe to share across
-threads. Each one serializes to plain dicts (`to_dict` / `from_dict`) that
-match the external JSON formats consumed and produced by the CLI.
+threads. A type the CLI reads from JSON has a ``from_dict``, and one it
+writes into a report has a ``to_dict``.
 """
 
 from __future__ import annotations
@@ -266,13 +266,6 @@ class EmbeddingVector:
     def __hash__(self) -> int:
         return hash(tuple(self.values.tolist()))
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"dims": self.dims, "values": self.values.tolist()}
-
-    @classmethod
-    def from_dict(cls, raw: Mapping[str, Any]) -> "EmbeddingVector":
-        return cls(dims=int(raw["dims"]), values=raw["values"])
-
 
 @dataclass(frozen=True)
 class VulnSpec:
@@ -290,17 +283,6 @@ class VulnSpec:
             raise ValueError("api_signatures must be a nonempty list of nonempty strings")
         if not self.pov_test_source.strip():
             raise ValueError("pov_test_source must be nonempty")
-
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "vuln_id": self.vuln_id,
-            "library": self.library,
-            "api_signatures": list(self.api_signatures),
-            "pov_test_source": self.pov_test_source,
-        }
-        if self.description is not None:
-            out["description"] = self.description
-        return out
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "VulnSpec":
@@ -369,25 +351,6 @@ class Candidate:
     def context_ids(self) -> set[str]:
         return {b.id for b in self.context}
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "anchor": self.anchor.to_dict(),
-            "context": [b.to_dict() for b in self.context],
-            "matched_by": self.matched_by.value,
-            "similarity_api": self.similarity_api,
-            "similarity_test": self.similarity_test,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: Mapping[str, Any]) -> "Candidate":
-        return cls(
-            anchor=CodeBlock.from_dict(raw["anchor"]),
-            context=tuple(CodeBlock.from_dict(b) for b in raw["context"]),
-            matched_by=MatchedBy(raw["matched_by"]),
-            similarity_api=float(raw["similarity_api"]),
-            similarity_test=float(raw["similarity_test"]),
-        )
-
 
 @dataclass(frozen=True)
 class CandidateJudgment:
@@ -402,14 +365,6 @@ class CandidateJudgment:
             "rationale": self.rationale,
         }
 
-    @classmethod
-    def from_dict(cls, raw: Mapping[str, Any]) -> "CandidateJudgment":
-        return cls(
-            candidate_id=str(raw["candidate_id"]),
-            judgment=Judgment(raw["judgment"]),
-            rationale=str(raw["rationale"]),
-        )
-
 
 def aggregate_judgment(per_candidate: Sequence[Judgment]) -> Judgment:
     """Project verdict rule: vulnerable if any candidate is vulnerable,
@@ -421,37 +376,17 @@ def aggregate_judgment(per_candidate: Sequence[Judgment]) -> Judgment:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Per-candidate judgments and the project-level aggregate."""
+    """Per-candidate judgments; the project judgment is derived from them,
+    so it cannot disagree with the aggregation rule."""
 
     project_id: str
     vuln_id: str
     per_candidate: tuple[CandidateJudgment, ...]
-    project_judgment: Judgment
     transcript_path: str | None = None
 
-    def __post_init__(self) -> None:
-        expected = aggregate_judgment([c.judgment for c in self.per_candidate])
-        if self.project_judgment is not expected:
-            raise ValueError(
-                f"project_judgment {self.project_judgment.value} violates the "
-                f"aggregation rule (expected {expected.value})"
-            )
-
-    @classmethod
-    def aggregate(
-        cls,
-        project_id: str,
-        vuln_id: str,
-        per_candidate: Sequence[CandidateJudgment],
-        transcript_path: str | None = None,
-    ) -> "Verdict":
-        return cls(
-            project_id=project_id,
-            vuln_id=vuln_id,
-            per_candidate=tuple(per_candidate),
-            project_judgment=aggregate_judgment([c.judgment for c in per_candidate]),
-            transcript_path=transcript_path,
-        )
+    @property
+    def project_judgment(self) -> Judgment:
+        return aggregate_judgment([c.judgment for c in self.per_candidate])
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -461,13 +396,3 @@ class Verdict:
             "project_judgment": self.project_judgment.value,
             "transcript_path": self.transcript_path,
         }
-
-    @classmethod
-    def from_dict(cls, raw: Mapping[str, Any]) -> "Verdict":
-        return cls(
-            project_id=str(raw["project_id"]),
-            vuln_id=str(raw["vuln_id"]),
-            per_candidate=tuple(CandidateJudgment.from_dict(c) for c in raw["per_candidate"]),
-            project_judgment=Judgment(raw["project_judgment"]),
-            transcript_path=raw.get("transcript_path"),
-        )

@@ -144,20 +144,20 @@ def _sidecar_path(path: Path) -> Path:
 
 
 class VectorStore:
-    """Many concurrent readers, single writer; reopening after a write gives
-    read-your-writes.
+    """Many concurrent readers, single writer. ``insert`` changes only the
+    store in memory; ``save`` is what writes an index.
 
     Block fields are held as one list per field. The sources of the rows
     read from disk stay in the file's UTF-8 blob; a row's ``CodeBlock`` is
-    built on first access and kept. ``encoder`` and ``theta`` record what
-    built the index, when its builder said so.
+    built on first access and kept. ``path``, ``encoder`` and ``theta`` are
+    those of the index last opened or saved.
     """
 
-    def __init__(self, dims: int, path: Path | None = None):
+    def __init__(self, dims: int):
         if dims <= 0:
             raise ValueError("dims must be positive")
         self.dims = dims
-        self.path = path
+        self.path: Path | None = None
         self.encoder: str | None = None  # memo.encoder_fingerprint of the build
         self.theta: int | None = None
         # The float32 rows, as the runs inserts appended: an index build
@@ -177,30 +177,6 @@ class VectorStore:
     @classmethod
     def in_memory(cls, dims: int) -> "VectorStore":
         return cls(dims=dims)
-
-    @classmethod
-    def create(
-        cls,
-        path: Path | str,
-        dims: int,
-        entries: Sequence[StoreEntry] = (),
-        *,
-        encoder: str | None = None,
-        theta: int | None = None,
-    ) -> "VectorStore":
-        """New index at ``path`` holding ``entries``, written once, that
-        records the encoder fingerprint and theta it was built with.
-
-        Entries are inserted before anything touches the disk, so a failed
-        insert leaves no file rather than an empty index that later opens as
-        a valid one.
-        """
-        store = cls(dims=dims)
-        store.insert(list(entries))
-        store.path = Path(path)
-        store.encoder, store.theta = encoder, theta
-        store.save()
-        return store
 
     @classmethod
     def open(cls, path: Path | str) -> "VectorStore":
@@ -232,8 +208,8 @@ class VectorStore:
         row_by_id = dict(zip(fields["id"], range(count)))
         if len(row_by_id) != count:
             raise IndexFormatError(f"{path}: block ids are not unique")
-        store = cls(dims=dims, path=path)
-        store.encoder, store.theta = meta.get("encoder"), meta.get("theta")
+        store = cls(dims=dims)
+        store.path, store.encoder, store.theta = path, meta.get("encoder"), meta.get("theta")
         vectors = np.frombuffer(data, dtype="<f4", count=dims * count, offset=_HEADER.size)
         store._runs = [vectors.reshape(count, dims).astype(np.float32, copy=False)]
         store._fields = fields
@@ -242,16 +218,16 @@ class VectorStore:
         store._row_by_id = row_by_id
         return store
 
-    def save(self) -> None:
-        """Write the index file, then the sidecar, each atomically: a crash
-        leaves every file either old or new, never torn, and a pair from two
-        builds fails the checksum chain on open.
+    def save(self, path: Path | str, *, encoder: str | None, theta: int | None) -> None:
+        """Write the index at ``path``, recording the encoder fingerprint and
+        theta it was built with: the index file, then the sidecar, each
+        atomically. A crash leaves every file either old or new, never torn,
+        and a pair from two builds fails the checksum chain on open.
 
         The body is hashed, then written, from its parts: the float32 rows
         and each source, encoded once for the hash and again for the write.
         So neither the body nor all of the encoded sources are ever held."""
-        if self.path is None:
-            raise ValueError("in-memory store has no path to save to")
+        self.path, self.encoder, self.theta = Path(path), encoder, theta
         count = self.count()
         runs = [run.astype("<f4", copy=False) for run in self._runs]
         body_sha = hashlib.sha256()
@@ -370,8 +346,6 @@ class VectorStore:
                 raw = block.to_dict()
                 for name, column in self._fields.items():
                     column.append(raw[name])
-            if self.path is not None:
-                self.save()
         return len(new_blocks)
 
     def search(
@@ -454,8 +428,10 @@ class VectorStore:
         for start in range(0, len(vectors), _CHUNK_ROWS):
             chunk = slice(start, start + _CHUNK_ROWS)
             # Each row divided by its norm, computed as np.linalg.norm does.
+            # An all-zero or non-finite row scores NaN, which is never a hit.
             unit = vectors[chunk].astype(np.float64)
-            unit /= np.sqrt(np.add.reduce(unit * unit, axis=1, keepdims=True))
+            with np.errstate(invalid="ignore", divide="ignore"):
+                unit /= np.sqrt(np.add.reduce(unit * unit, axis=1, keepdims=True))
             for out, q in zip(scores, queries):
                 np.add.reduce(unit * q.values, axis=1, out=out[chunk])
         return scores[0] if isinstance(query, EmbeddingVector) else scores

@@ -95,6 +95,16 @@ def build_fixture_store(project: str, encoder: ReferenceEncoder) -> VectorStore:
     return store
 
 
+def write_index(
+    path: Path, dims: int, entries=(), *, encoder: str | None = None, theta: int | None = None
+) -> VectorStore:
+    """An in-memory store holding ``entries``, saved once at ``path``."""
+    store = VectorStore.in_memory(dims)
+    store.insert(list(entries))
+    store.save(path, encoder=encoder, theta=theta)
+    return store
+
+
 @pytest.fixture(scope="session")
 def encoder() -> ReferenceEncoder:
     return ReferenceEncoder(dims=DIMS)

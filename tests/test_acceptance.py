@@ -247,10 +247,10 @@ def test_criterion_7_verdict_logic_exhaustion():
                     Judgment.VULNERABLE if (mask >> i) & 1 else Judgment.SECURE
                     for i in range(n)
                 ]
-                verdict = Verdict.aggregate(
+                verdict = Verdict(
                     "p",
                     "v",
-                    [CandidateJudgment(f"c{i}", j, "r") for i, j in enumerate(judgments)],
+                    tuple(CandidateJudgment(f"c{i}", j, "r") for i, j in enumerate(judgments)),
                 )
                 if any(j is Judgment.VULNERABLE for j in judgments):
                     assert verdict.project_judgment is Judgment.VULNERABLE

@@ -69,10 +69,6 @@ class TestEmbeddingVector:
         with pytest.raises(ValueError, match="not 1.0"):
             EmbeddingVector(dims=2, values=[1.0, bad])
 
-    def test_roundtrip(self):
-        vec = EmbeddingVector.normalized([1.0, 2.0, -3.0])
-        assert EmbeddingVector.from_dict(vec.to_dict()) == vec
-
     def test_dims_must_match_values(self):
         with pytest.raises(ValueError):
             EmbeddingVector(dims=3, values=(1.0, 0.0))
@@ -166,13 +162,10 @@ class TestVectorBitIdentity:
         assert vec == EmbeddingVector(dims=2, values=(0.6, 0.8))
         assert vec != EmbeddingVector(dims=2, values=(0.8, 0.6))
         assert hash(vec) == hash(EmbeddingVector.normalized([6.0, 8.0]))
-        assert vec.to_dict() == {"dims": 2, "values": [0.6, 0.8]}
+        assert vec.values.tolist() == [0.6, 0.8]
 
 
 class TestVulnSpec:
-    def test_roundtrip(self, vuln: VulnSpec):
-        assert VulnSpec.from_dict(vuln.to_dict()) == vuln
-
     def test_rejects_empty_signatures(self):
         with pytest.raises(ValueError):
             VulnSpec("V-1", "lib", (), "test body")
@@ -214,16 +207,9 @@ class TestCandidate:
         with pytest.raises(ValueError):
             Candidate.initial(anchor, MatchedBy.BOTH, 1.5, 0.0)
 
-    def test_roundtrip(self):
-        anchor = make_block()
-        other = make_block(file_path="src/B.java")
-        cand = Candidate.initial(anchor, MatchedBy.TEST_SIMILARITY, 0.2, 0.6)
-        cand = cand.extend_context([other])
-        assert Candidate.from_dict(cand.to_dict()) == cand
 
-
-def _judgments(values: list[Judgment]) -> list[CandidateJudgment]:
-    return [CandidateJudgment(f"c{i}", j, "because") for i, j in enumerate(values)]
+def _judgments(values: list[Judgment]) -> tuple[CandidateJudgment, ...]:
+    return tuple(CandidateJudgment(f"c{i}", j, "because") for i, j in enumerate(values))
 
 
 class TestVerdict:
@@ -235,7 +221,7 @@ class TestVerdict:
                     Judgment.VULNERABLE if (mask >> i) & 1 else Judgment.SECURE
                     for i in range(n)
                 ]
-                verdict = Verdict.aggregate("p", "v", _judgments(js))
+                verdict = Verdict("p", "v", _judgments(js))
                 expected = (
                     Judgment.VULNERABLE
                     if any(j is Judgment.VULNERABLE for j in js)
@@ -248,20 +234,16 @@ class TestVerdict:
     def test_empty_candidate_set_is_secure(self):
         assert aggregate_judgment([]) is Judgment.SECURE
 
-    def test_invariant_checkable_independent_of_model(self):
-        with pytest.raises(ValueError):
+    def test_project_judgment_is_derived_not_given(self):
+        with pytest.raises(TypeError, match="project_judgment"):
             Verdict(
                 project_id="p",
                 vuln_id="v",
-                per_candidate=tuple(_judgments([Judgment.VULNERABLE])),
+                per_candidate=_judgments([Judgment.VULNERABLE]),
                 project_judgment=Judgment.SECURE,
             )
-
-    def test_roundtrip(self):
-        verdict = Verdict.aggregate(
-            "proj", "CVE-1", _judgments([Judgment.SECURE, Judgment.VULNERABLE]), "t.jsonl"
-        )
-        assert Verdict.from_dict(verdict.to_dict()) == verdict
+        verdict = Verdict("p", "v", _judgments([Judgment.SECURE, Judgment.VULNERABLE]))
+        assert verdict.to_dict()["project_judgment"] == "Vulnerable"
 
     @given(st.lists(st.sampled_from([Judgment.VULNERABLE, Judgment.SECURE]), max_size=8))
     def test_aggregate_matches_exists_rule(self, js):

@@ -8,6 +8,7 @@ import os
 import struct
 import tempfile
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_block, torn_writes
+from conftest import make_block, torn_writes, write_index
 from vulnreach.errors import DimsMismatch, DuplicateIdConflict, IndexFormatError
 from vulnreach.model import EmbeddingVector, NodeKind
 from vulnreach.store import _HEADER, EMPTY_SCOPE, ScopeFilter, StoreEntry, VectorStore
@@ -90,37 +91,27 @@ def brute_force_search(entries, query: EmbeddingVector, k: int, tau: float, scop
 
 
 class TestPersistence:
-    def test_insert_persists_across_reopen(self, tmp_path: Path):
+    def test_insert_into_an_opened_store_leaves_its_files_untouched(self, tmp_path: Path):
         path = tmp_path / "idx.vrix"
-        store = VectorStore.create(path, DIMS)
-        inserted = store.insert([entry(i, axis(i)) for i in range(3)])
-        assert inserted == 3
-        reopened = VectorStore.open(path)
-        assert reopened.count() == 3
-        assert {e.block.id for e in reopened.entries()} == {
-            e.block.id for e in store.entries()
-        }
+        write_index(path, DIMS, [entry(i, axis(i)) for i in range(3)])
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        store = VectorStore.open(path)
+        assert store.insert([entry(i, axis(i)) for i in range(3, 6)]) == 3
+        assert store.count() == 6
+        # Not a byte written, not even a temporary file.
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert VectorStore.open(path).count() == 3
 
-    def test_reinsert_is_idempotent(self, tmp_path: Path):
-        path = tmp_path / "idx.vrix"
-        store = VectorStore.create(path, DIMS)
+    def test_reinsert_is_idempotent(self):
+        store = VectorStore.in_memory(DIMS)
         entries = [entry(i, axis(i)) for i in range(3)]
         assert store.insert(entries) == 3
         assert store.insert(entries) == 0
-        assert VectorStore.open(path).count() == 3
-
-    def test_create_with_entries_writes_once(self, tmp_path: Path, monkeypatch):
-        saves = []
-        save = VectorStore.save
-        monkeypatch.setattr(VectorStore, "save", lambda self: (saves.append(self.count()), save(self)))
-        path = tmp_path / "idx.vrix"
-        VectorStore.create(path, DIMS, [entry(i, axis(i)) for i in range(3)])
-        assert saves == [3]
-        assert VectorStore.open(path).count() == 3
+        assert store.count() == 3
 
     def test_create_without_entries_is_an_openable_empty_index(self, tmp_path: Path):
         path = tmp_path / "idx.vrix"
-        VectorStore.create(path, DIMS, [])
+        write_index(path, DIMS, [])
         reopened = VectorStore.open(path)
         assert reopened.count() == 0 and reopened.dims == DIMS
 
@@ -138,8 +129,7 @@ class TestPersistence:
 
     def test_refuses_newer_format_version(self, tmp_path: Path):
         path = tmp_path / "idx.vrix"
-        store = VectorStore.create(path, DIMS)
-        store.insert([entry(0, axis(0))])
+        write_index(path, DIMS, [entry(0, axis(0))])
         data = bytearray(path.read_bytes())
         data[4] = 99  # format version byte
         path.write_bytes(bytes(data))
@@ -152,7 +142,7 @@ class TestPersistence:
         self, tmp_path: Path, monkeypatch, crash, failing_call
     ):
         path = tmp_path / "idx.vrix"
-        store = VectorStore.create(path, DIMS, [entry(i, axis(i)) for i in range(3)])
+        store = write_index(path, DIMS, [entry(i, axis(i)) for i in range(3)])
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         replace, calls = os.replace, []
 
@@ -162,9 +152,10 @@ class TestPersistence:
                 raise crash("killed before the rename")
             replace(src, dst)
 
+        store.insert([entry(3, axis(3))])
         monkeypatch.setattr(os, "replace", crash_on_call)
         with pytest.raises(crash):
-            store.insert([entry(3, axis(3))])
+            store.save(path, encoder=None, theta=None)
         monkeypatch.undo()
         after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         assert sorted(after) == sorted(before)  # no temp file left behind
@@ -196,7 +187,7 @@ def reseal(path: Path) -> None:
 def write_index_with_columns(path: Path, edit) -> Path:
     """Three-row index whose sidecar columns are passed through ``edit``,
     then resealed."""
-    VectorStore.create(path, DIMS, [entry(i, axis(i)) for i in range(3)])
+    write_index(path, DIMS, [entry(i, axis(i)) for i in range(3)])
     sidecar = path.with_name(path.name + ".meta.json")
     meta = json.loads(sidecar.read_text())
     edit(meta["columns"])
@@ -208,16 +199,17 @@ def write_index_with_columns(path: Path, edit) -> Path:
 class TestLazyBlocks:
     def test_opened_store_equals_the_store_it_saved(self, tmp_path: Path):
         entries = [entry(i, unit(range(i, i + DIMS))) for i in range(5)]
-        saved = VectorStore.create(tmp_path / "idx.vrix", DIMS, entries)
+        saved = write_index(tmp_path / "idx.vrix", DIMS, entries)
         opened = VectorStore.open(tmp_path / "idx.vrix")
         assert list(opened.entries()) == list(saved.entries())
         assert opened.get(entries[3].block.id) == saved.get(entries[3].block.id)
 
     def test_resave_of_an_opened_store_writes_the_same_files(self, tmp_path: Path):
         path = tmp_path / "idx.vrix"
-        VectorStore.create(path, DIMS, [entry(i, axis(i)) for i in range(3)])
+        write_index(path, DIMS, [entry(i, axis(i)) for i in range(3)])
         before = path.read_bytes(), path.with_name("idx.vrix.meta.json").read_bytes()
-        VectorStore.open(path).save()
+        opened = VectorStore.open(path)
+        opened.save(path, encoder=opened.encoder, theta=opened.theta)
         assert (path.read_bytes(), path.with_name("idx.vrix.meta.json").read_bytes()) == before
 
     @pytest.mark.parametrize(
@@ -225,7 +217,7 @@ class TestLazyBlocks:
     )
     def test_garbled_sidecar_is_a_format_error(self, tmp_path: Path, text):
         path = tmp_path / "idx.vrix"
-        VectorStore.create(path, DIMS, [entry(0, axis(0))])
+        write_index(path, DIMS, [entry(0, axis(0))])
         path.with_name("idx.vrix.meta.json").write_text(text)
         with pytest.raises(IndexFormatError, match="sidecar"):
             VectorStore.open(path)  # the checksum chain fails first
@@ -312,7 +304,7 @@ def crash_on_rename(monkeypatch, failing_call: int) -> None:
 class TestIndexFormat:
     def test_an_index_is_two_files_with_sources_only_in_the_vrix(self, tmp_path: Path):
         entries = odd_entries()
-        VectorStore.create(tmp_path / "idx.vrix", DIMS, entries, encoder='["e", null, 16]', theta=60)
+        write_index(tmp_path / "idx.vrix", DIMS, entries, encoder='["e", null, 16]', theta=60)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["idx.vrix", "idx.vrix.meta.json"]
         meta = json.loads((tmp_path / "idx.vrix.meta.json").read_text())
         block_fields = set(entries[0].block.to_dict())
@@ -323,7 +315,7 @@ class TestIndexFormat:
 
     def test_every_source_and_field_round_trips(self, tmp_path: Path):
         entries = odd_entries()
-        saved = VectorStore.create(tmp_path / "idx.vrix", DIMS, entries, encoder="enc", theta=7)
+        saved = write_index(tmp_path / "idx.vrix", DIMS, entries, encoder="enc", theta=7)
         opened = VectorStore.open(tmp_path / "idx.vrix")
         assert [e.block.to_dict() for e in opened.entries()] == [e.block.to_dict() for e in entries]
         assert view(opened) == view(saved)
@@ -331,9 +323,17 @@ class TestIndexFormat:
         in_memory = VectorStore.in_memory(DIMS)
         assert (in_memory.encoder, in_memory.theta) == (None, None)
 
+    def test_save_records_where_and_how_the_index_was_built(self, tmp_path: Path):
+        store = VectorStore.in_memory(DIMS)
+        store.insert(odd_entries())
+        store.save(str(tmp_path / "idx.vrix"), encoder="enc", theta=7)
+        assert (store.path, store.encoder, store.theta) == (tmp_path / "idx.vrix", "enc", 7)
+        opened = VectorStore.open(store.path)
+        assert (opened.path, opened.encoder, opened.theta) == (store.path, "enc", 7)
+
     def test_open_decodes_a_source_only_when_its_block_is_built(self, tmp_path: Path):
         entries = odd_entries()
-        VectorStore.create(tmp_path / "idx.vrix", DIMS, entries)
+        write_index(tmp_path / "idx.vrix", DIMS, entries)
         store = VectorStore.open(tmp_path / "idx.vrix")
         assert store._blocks == {}
         assert store.get(entries[1].block.id).block == entries[1].block
@@ -342,13 +342,15 @@ class TestIndexFormat:
     def test_insert_into_an_opened_store_keeps_the_old_sources(self, tmp_path: Path):
         entries = odd_entries()
         path = tmp_path / "idx.vrix"
-        VectorStore.create(path, DIMS, entries[:3])
-        VectorStore.open(path).insert(entries[3:])
+        write_index(path, DIMS, entries[:3])
+        store = VectorStore.open(path)
+        store.insert(entries[3:])
+        store.save(path, encoder=None, theta=None)
         assert [e.block for e in VectorStore.open(path).entries()] == [e.block for e in entries]
 
     def test_an_opened_store_is_freed_without_the_cycle_collector(self, tmp_path: Path):
         entries = odd_entries()
-        VectorStore.create(tmp_path / "idx.vrix", DIMS, entries)
+        write_index(tmp_path / "idx.vrix", DIMS, entries)
         gc.disable()
         try:
             store = VectorStore.open(tmp_path / "idx.vrix")
@@ -376,7 +378,7 @@ class TestIndexFormat:
 
     def test_a_truncated_index_file_names_its_size(self, tmp_path: Path):
         path = tmp_path / "idx.vrix"
-        VectorStore.create(path, DIMS, odd_entries())
+        write_index(path, DIMS, odd_entries())
         path.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(IndexFormatError, match="bytes where the header promises"):
             VectorStore.open(path)
@@ -384,7 +386,7 @@ class TestIndexFormat:
     @pytest.mark.parametrize("swap", ["index", "sidecar"])
     def test_a_pair_from_two_builds_of_the_same_size_is_refused(self, tmp_path: Path, swap):
         for name, offset in (("one", 0), ("two", 3)):
-            VectorStore.create(
+            write_index(
                 tmp_path / f"{name}.vrix", DIMS, [entry(i, axis(i + offset)) for i in range(3)]
             )
         suffix = "" if swap == "index" else ".meta.json"
@@ -396,24 +398,24 @@ class TestIndexFormat:
         self, tmp_path: Path, monkeypatch
     ):
         path = tmp_path / "idx.vrix"
-        VectorStore.create(path, DIMS, [entry(i, axis(i)) for i in range(3)])
+        write_index(path, DIMS, [entry(i, axis(i)) for i in range(3)])
         rebuilt = [entry(i, axis(i + 3), file_path=f"src/g{i}.java") for i in range(3)]
         crash_on_rename(monkeypatch, 2)  # the .vrix is replaced, the sidecar is not
         with pytest.raises(OSError, match="killed"):
-            VectorStore.create(path, DIMS, rebuilt)
+            write_index(path, DIMS, rebuilt)
         monkeypatch.undo()
         with pytest.raises(IndexFormatError, match="not the one"):
             VectorStore.open(path)
-        VectorStore.create(path, DIMS, rebuilt)  # re-indexing repairs it
+        write_index(path, DIMS, rebuilt)  # re-indexing repairs it
         assert [e.block for e in VectorStore.open(path).entries()] == [e.block for e in rebuilt]
 
     def test_a_crash_before_the_first_rename_leaves_the_old_index(self, tmp_path: Path, monkeypatch):
         path = tmp_path / "idx.vrix"
         old = [entry(i, axis(i)) for i in range(3)]
-        VectorStore.create(path, DIMS, old)
+        write_index(path, DIMS, old)
         crash_on_rename(monkeypatch, 1)
         with pytest.raises(OSError, match="killed"):
-            VectorStore.create(path, DIMS, [entry(i, axis(i + 3)) for i in range(3)])
+            write_index(path, DIMS, [entry(i, axis(i + 3)) for i in range(3)])
         monkeypatch.undo()
         assert [e.block for e in VectorStore.open(path).entries()] == [e.block for e in old]
 
@@ -421,10 +423,10 @@ class TestIndexFormat:
     def test_a_crash_mid_write_leaves_no_torn_file(self, tmp_path: Path, monkeypatch, old):
         path = tmp_path / "idx.vrix"
         if old:
-            VectorStore.create(path, DIMS, [entry(i, axis(i)) for i in range(3)])
+            write_index(path, DIMS, [entry(i, axis(i)) for i in range(3)])
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         with torn_writes(monkeypatch), pytest.raises(KeyboardInterrupt):
-            VectorStore.create(path, DIMS, odd_entries())
+            write_index(path, DIMS, odd_entries())
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     @pytest.mark.parametrize(
@@ -440,7 +442,7 @@ class TestIndexFormat:
     )
     def test_a_resealed_but_inconsistent_sidecar_fails_open(self, tmp_path: Path, edit):
         path = tmp_path / "idx.vrix"
-        VectorStore.create(path, DIMS, odd_entries())
+        write_index(path, DIMS, odd_entries())
         sidecar = path.with_name("idx.vrix.meta.json")
         meta = json.loads(sidecar.read_text())
         edit(meta)
@@ -482,7 +484,7 @@ def pristine_index() -> tuple[dict[str, bytes], tuple[list, list]]:
     reader sees of it."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "idx.vrix"
-        VectorStore.create(path, DIMS, odd_entries(), encoder="enc", theta=60)
+        write_index(path, DIMS, odd_entries(), encoder="enc", theta=60)
         files = {name: Path(tmp, name).read_bytes() for name in ("idx.vrix", "idx.vrix.meta.json")}
         return files, view(VectorStore.open(path))
 
@@ -565,7 +567,8 @@ class TestSearch:
         rng = np.random.RandomState(9)
         store, _ = random_store(rng, 70)
         if path is not None:
-            store.path = tmp_path / path
+            store.save(tmp_path / path, encoder=None, theta=None)
+            store = VectorStore.open(tmp_path / path)
         query = unit(rng.randn(DIMS))
         before = store.search(query, k=5, tau=0.0)
         assert all(score < 0.99 for _, score in before)
@@ -624,7 +627,7 @@ class TestRowScores:
     def test_hits_carry_their_row_and_block_and_no_vector(self, tmp_path: Path):
         rng = np.random.RandomState(5)
         store, entries = random_store(rng, 90)
-        VectorStore.create(tmp_path / "idx.vrix", DIMS, entries)
+        write_index(tmp_path / "idx.vrix", DIMS, entries)
         opened = VectorStore.open(tmp_path / "idx.vrix")
         query = unit(rng.randn(DIMS))
         for s in (store, opened):
@@ -738,7 +741,7 @@ class TestSearchOracleProperty:
         in_memory = VectorStore.in_memory(4)
         in_memory.insert(entries)
         with tempfile.TemporaryDirectory() as tmp:
-            VectorStore.create(Path(tmp) / "idx.vrix", 4, entries)
+            write_index(Path(tmp) / "idx.vrix", 4, entries)
             opened = VectorStore.open(Path(tmp) / "idx.vrix")
         for store in (in_memory, opened):
             actual = store.search(query, k=k, tau=tau, scope=scope)
@@ -878,6 +881,26 @@ class TestSearchIsExact:
             )
 
 
+    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf], ids=["zero", "nan", "inf"])
+    def test_a_row_without_a_direction_warns_nothing_and_is_never_a_hit(
+        self, tmp_path: Path, bad
+    ):
+        entries = [entry(i, axis(i)) for i in range(3)]
+        vectors = np.eye(3, DIMS)
+        vectors[1] = bad
+        for name, data in zip(
+            ("idx.vrix", "idx.vrix.meta.json"), whole_index_files(DIMS, entries, "enc", 60, vectors)
+        ):
+            (tmp_path / name).write_bytes(data)
+        store = VectorStore.open(tmp_path / "idx.vrix")
+        query = unit([1.0] * DIMS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hits = store.search(query, k=3, tau=0.0)
+            assert math.isnan(store.row_scores(query, [1])[0])
+        assert [hit.row for hit, _ in hits] == [0, 2]
+
+
 def whole_index_files(
     dims: int, entries, encoder, theta, vectors: np.ndarray | None = None
 ) -> tuple[bytes, bytes]:
@@ -942,8 +965,10 @@ class TestWriter:
         dims, entries = store
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "idx.vrix"
-            saved = VectorStore.create(path, dims, entries[:split], encoder=encoder, theta=60)
-            (VectorStore.open(path) if reopen else saved).insert(entries[split:])
+            saved = write_index(path, dims, entries[:split], encoder=encoder, theta=60)
+            target = VectorStore.open(path) if reopen else saved
+            target.insert(entries[split:])
+            target.save(path, encoder=encoder, theta=60)
             files = path.read_bytes(), path.with_name("idx.vrix.meta.json").read_bytes()
         assert files == whole_index_files(dims, entries, encoder, 60)
 
@@ -960,7 +985,7 @@ class TestWriter:
         floor = rows * dims * 4 + sum(len(e.block.source) for e in entries)
         tracemalloc.start()
         try:
-            VectorStore.create(tmp_path / "idx.vrix", dims, entries)
+            write_index(tmp_path / "idx.vrix", dims, entries)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
