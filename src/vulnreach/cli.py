@@ -105,9 +105,10 @@ def _chat_provider(spec: Mapping[str, Any]) -> ChatProvider:
             raise ConfigError(f"cannot load chat script: {exc}") from exc
     if provider == "replay":
         try:
-            return ReplayChatProvider(Transcript.load(spec["transcript_path"]))
+            path = spec["transcript_path"]
         except KeyError as exc:
             raise ConfigError("replay chat config needs transcript_path") from exc
+        return ReplayChatProvider(Transcript.load(path))
     if provider in ("openai-compat", "remote"):
         try:
             return RemoteChatProvider(
@@ -141,11 +142,7 @@ def cmd_index(args: argparse.Namespace) -> int:
     # Nothing touches the disk until every block is in: a failed embedding
     # leaves no file. A project whose files hold no code gives an empty index.
     store = VectorStore.in_memory(encoder.dims)
-    try:
-        _insert_embedded(store, encoder, blocks)
-    except ProviderError as exc:
-        print(f"error: embedding provider failed: {exc}", file=sys.stderr)
-        return EXIT_PROVIDER_ERROR
+    _insert_embedded(store, encoder, blocks)
     store.save(args.out, encoder=encoder_fingerprint(encoder), theta=config.theta)
     print(
         f"indexed {store.count()} blocks at dims {store.dims} -> {args.out}"
@@ -211,18 +208,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     transcript_path = report_path.with_name(report_path.name + ".transcript.jsonl")
     prompts = PromptLibrary.load(config.prompts_dir)
     with Transcript(sink_path=transcript_path) as transcript:
-        try:
-            verdict = analyze(
-                store,
-                encoder,
-                ChatGateway(chat_provider, prompts, transcript, Memo()),
-                vuln,
-                config,
-                project_id=args.project_id,
-            )
-        except ProviderError as exc:
-            print(f"error: chat provider failed: {exc}", file=sys.stderr)
-            return EXIT_PROVIDER_ERROR
+        verdict = analyze(
+            store,
+            encoder,
+            ChatGateway(chat_provider, prompts, transcript, Memo()),
+            vuln,
+            config,
+            project_id=args.project_id,
+        )
     report = {
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "config": config.to_dict(),
@@ -346,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument(
         "--transcript", default=None, help="replay a recorded transcript instead of calling a provider"
     )
-    p_analyze.add_argument("--theta", type=int, default=None, help=argparse.SUPPRESS)
     p_analyze.add_argument("--tau", type=float, default=None, help="similarity threshold")
 
     p_eval = sub.add_parser("evaluate", help="run the benchmark harness over a manifest")

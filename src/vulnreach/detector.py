@@ -176,13 +176,12 @@ def complete_context(
         inferences += 1
         results = queries.search(store, snippet, scope, config)
         searches += 1
-        known = current.context_ids()
-        retrieved = [entry.block for entry, _ in results if entry.block.id not in known]
-        if not retrieved:
+        extended = current.extend_context(entry.block for entry, _ in results)
+        if extended is current:
             termination = TerminationReason.NO_NEW_BLOCKS
             break
-        current = current.extend_context(retrieved)
-        new_blocks.extend(retrieved)
+        new_blocks.extend(extended.context[len(current.context) :])
+        current = extended
         complete, reason = chat.reflection_query(current.context, vuln)
         reflections += 1
     return ContextCompletion(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import time
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Protocol, Sequence, TypeVar, runtime_checkable
+from typing import Callable, Iterable, Iterator, Protocol, Sequence, TypeVar
 
 import numpy as np
 
@@ -37,7 +37,6 @@ _RETRY_DELAYS = (0.5, 1.0, 2.0)
 _T = TypeVar("_T")
 
 
-@runtime_checkable
 class EncoderProvider(Protocol):
     name: str
     dims: int

@@ -31,7 +31,7 @@ from datetime import datetime, timezone
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Mapping, NamedTuple, Protocol, Sequence, TextIO, runtime_checkable
+from typing import Any, Callable, Mapping, NamedTuple, Protocol, Sequence, TextIO
 
 from .embedding import call_with_retry
 from .errors import ConfigError, MalformedResponse, ProviderError
@@ -101,39 +101,33 @@ class PromptTemplate:
 
 
 class PromptLibrary:
-    """The four role templates, loaded from package assets or an override
-    directory (``<role>.txt`` per role)."""
+    """The four role templates, each placing exactly the bindings the
+    gateway supplies for its role: a binding left out is input the model
+    never sees, and any other placeholder could never be bound."""
 
     def __init__(self, templates: Mapping[RoleKind, PromptTemplate]):
-        for role in RoleKind:
+        for role, names in ROLE_BINDINGS.items():
             if role not in templates:
                 raise ConfigError(f"missing prompt template for role {role.value}")
+            placed = templates[role].placeholders()
+            if names - placed:
+                raise ConfigError(
+                    f"{role.value} template leaves out placeholders {sorted(names - placed)}"
+                )
+            if placed - names:
+                raise ConfigError(
+                    f"{role.value} template places unknown placeholders {sorted(placed - names)}"
+                )
         self.templates = dict(templates)
 
     @classmethod
-    def bundled(cls) -> "PromptLibrary":
+    def load(cls, prompts_dir: Path | str | None = None) -> "PromptLibrary":
+        """The ``<role>.txt`` templates in ``prompts_dir``, or the bundled
+        ones without it."""
+        root = Path(prompts_dir) if prompts_dir else resources.files("vulnreach") / "prompts"
         templates = {}
         for role in RoleKind:
-            text = (
-                resources.files("vulnreach").joinpath(f"prompts/{role.value}.txt").read_text("utf-8")
-            )
-            templates[role] = PromptTemplate(role, text)
-        return cls(templates)
-
-    @classmethod
-    def load(cls, prompts_dir: Path | str | None) -> "PromptLibrary":
-        """The templates in ``prompts_dir``, or the bundled ones without it,
-        refused as :meth:`check_bindings` refuses them."""
-        library = cls.from_dir(prompts_dir) if prompts_dir else cls.bundled()
-        library.check_bindings()
-        return library
-
-    @classmethod
-    def from_dir(cls, prompts_dir: Path | str) -> "PromptLibrary":
-        prompts_dir = Path(prompts_dir)
-        templates = {}
-        for role in RoleKind:
-            path = prompts_dir / f"{role.value}.txt"
+            path = root / f"{role.value}.txt"
             if not path.is_file():
                 raise ConfigError(f"prompt template not found: {path}")
             templates[role] = PromptTemplate(role, path.read_text("utf-8"))
@@ -141,16 +135,6 @@ class PromptLibrary:
 
     def get(self, role: RoleKind) -> PromptTemplate:
         return self.templates[role]
-
-    def check_bindings(self) -> None:
-        """Refuse a template that leaves out a binding the gateway supplies
-        for its role: the model would answer without seeing it."""
-        for role, names in ROLE_BINDINGS.items():
-            missing = names - self.templates[role].placeholders()
-            if missing:
-                raise ConfigError(
-                    f"{role.value} template leaves out placeholders {sorted(missing)}"
-                )
 
 
 class TranscriptEntry(NamedTuple):
@@ -273,21 +257,30 @@ class Transcript:
 
     @classmethod
     def load(cls, path: Path | str) -> "Transcript":
+        """The entries recorded at ``path``, refusing a line that is not one,
+        such as the torn last line of an aborted run."""
         transcript = cls()
-        with Path(path).open(encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    transcript._entries.append(TranscriptEntry.from_dict(json.loads(line)))
+        # Bytes, so a line that is not UTF-8 is refused as its own line.
+        with Path(path).open("rb") as fh:
+            for number, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    entry = TranscriptEntry.from_dict(json.loads(line.decode("utf-8")))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ConfigError(
+                        f"transcript {path} line {number} is not a recorded entry:"
+                        f" {type(exc).__name__}: {exc}"
+                    ) from exc
+                transcript._entries.append(entry)
         return transcript
 
 
-@runtime_checkable
 class ChatProvider(Protocol):
+    """What the gateway reads of a provider."""
+
     name: str
     model_id: str
-    temperature: float  # fixed 0 for all pipeline calls (reproducibility)
-    max_output_tokens: int
     context_window: int
 
     def complete(self, prompt: str, role: RoleKind) -> str: ...
@@ -309,12 +302,9 @@ class ScriptedChatProvider:
         name: str = "scripted",
         model_id: str = "scripted",
         context_window: int = 1_000_000,
-        max_output_tokens: int = 4096,
     ):
         self.name = name
         self.model_id = model_id
-        self.temperature = 0.0
-        self.max_output_tokens = max_output_tokens
         self.context_window = context_window
         self._sequences = {role: deque(items) for role, items in (sequences or {}).items()}
         self._rules = list(rules or [])
@@ -370,8 +360,6 @@ class ReplayChatProvider:
     def __init__(self, transcript: Transcript):
         self.name = "replay"
         self.model_id = "replay"
-        self.temperature = 0.0
-        self.max_output_tokens = 4096
         self.context_window = 1_000_000
         self._recorded: dict[tuple[RoleKind, str], deque[str]] = {}
         for entry in transcript.entries:
@@ -410,7 +398,6 @@ class RemoteChatProvider:
         self.model_id = model_id
         self.endpoint = endpoint
         self.api_key_env = api_key_env
-        self.temperature = 0.0
         self.max_output_tokens = max_output_tokens
         self.context_window = context_window
         self.timeout = timeout
@@ -533,17 +520,20 @@ def _left_open(text: str, start: int, pos: int, closes: dict[int, int]) -> list[
 
 _SCOPE_KEYS = {"class_name", "method_name", "file_glob"}
 
+# Each parser returns the reply's value and what the transcript records of it.
 
-def _parse_grader(obj: Any) -> bool:
+
+def _parse_grader(obj: Any) -> tuple[bool, bool]:
     if not isinstance(obj, dict) or not isinstance(obj.get("answer"), str):
         raise MalformedResponse(f"grader response must be {{'answer': 'yes'|'no'}}, got {obj!r}")
     answer = obj["answer"].strip().lower()
     if answer not in ("yes", "no"):
         raise MalformedResponse(f"grader answer must be yes or no, got {obj['answer']!r}")
-    return answer == "yes"
+    yes = answer == "yes"
+    return yes, yes
 
 
-def _parse_reflection(obj: Any) -> tuple[bool, str]:
+def _parse_reflection(obj: Any) -> tuple[tuple[bool, str], dict[str, Any]]:
     if not isinstance(obj, dict) or not isinstance(obj.get("complete"), bool):
         raise MalformedResponse(f"reflection response needs a boolean 'complete', got {obj!r}")
     reason = obj.get("reason", "")
@@ -551,10 +541,10 @@ def _parse_reflection(obj: Any) -> tuple[bool, str]:
         raise MalformedResponse("reflection 'reason' must be a string")
     if not obj["complete"] and not reason.strip():
         raise MalformedResponse("incomplete reflection must carry a nonempty reason")
-    return obj["complete"], reason
+    return (obj["complete"], reason), {"complete": obj["complete"], "reason": reason}
 
 
-def _parse_inference(obj: Any) -> tuple[str, ScopeFilter]:
+def _parse_inference(obj: Any) -> tuple[tuple[str, ScopeFilter], dict[str, Any]]:
     if not isinstance(obj, dict) or not isinstance(obj.get("missing_snippet"), str):
         raise MalformedResponse(f"inference response needs a 'missing_snippet' string, got {obj!r}")
     snippet = obj["missing_snippet"]
@@ -576,10 +566,11 @@ def _parse_inference(obj: Any) -> tuple[str, ScopeFilter]:
         if not isinstance(value, str):
             raise MalformedResponse(f"inference scope field {key} must be a string")
         cleaned[key] = value
-    return snippet, ScopeFilter(**cleaned)
+    scope = ScopeFilter(**cleaned)
+    return (snippet, scope), {"missing_snippet": snippet, "scope": scope.to_dict()}
 
 
-def _parse_judge(obj: Any) -> tuple[Judgment, str]:
+def _parse_judge(obj: Any) -> tuple[tuple[Judgment, str], dict[str, Any]]:
     if not isinstance(obj, dict) or not isinstance(obj.get("judgment"), str):
         raise MalformedResponse(f"judge response needs a 'judgment' string, got {obj!r}")
     verdict = obj["judgment"].strip().lower()
@@ -588,7 +579,8 @@ def _parse_judge(obj: Any) -> tuple[Judgment, str]:
     rationale = obj.get("rationale", "")
     if not isinstance(rationale, str) or not rationale.strip():
         raise MalformedResponse("judge rationale must be a nonempty string")
-    return (Judgment.VULNERABLE if verdict == "vulnerable" else Judgment.SECURE), rationale
+    judgment = Judgment.VULNERABLE if verdict == "vulnerable" else Judgment.SECURE
+    return (judgment, rationale), {"judgment": judgment.value, "rationale": rationale}
 
 
 class ChatGateway:
@@ -608,8 +600,7 @@ class ChatGateway:
         memo: Memo | None = None,
     ):
         self.provider = provider
-        self.prompts = prompts or PromptLibrary.bundled()
-        self.prompts.check_bindings()
+        self.prompts = prompts or PromptLibrary.load()
         self.transcript = transcript if transcript is not None else Transcript()
         self.memo = memo if memo is not None else Memo()
 
@@ -650,37 +641,27 @@ class ChatGateway:
         self,
         role: RoleKind,
         bindings: Mapping[str, str | Sequence[str]],
-        parser: Callable[[Any], Any],
+        parser: Callable[[Any], tuple[Any, Any]],
         subject: str,
     ) -> Any:
         """The parsed reply, asked once more with a reprompt if it does not
         parse; ``subject`` names what the call is about in the error."""
         template = self.prompts.get(role)
         parts = template.parts(bindings)
-        last_error: MalformedResponse | None = None
         for attempt in (parts, [*parts, REPROMPT_SUFFIX]):
             text = "".join(attempt)
             raw = call_with_retry(lambda: self.memo.complete(self.provider, text, role))
+            last_error: MalformedResponse | None = None
             try:
-                parsed = parser(extract_json_object(raw))
-                recorded: Any = parsed
-                if role is RoleKind.INFERENCE:
-                    recorded = {"missing_snippet": parsed[0], "scope": parsed[1].to_dict()}
-                elif role is RoleKind.JUDGE:
-                    recorded = {"judgment": parsed[0].value, "rationale": parsed[1]}
-                elif role is RoleKind.REFLECTION:
-                    recorded = {"complete": parsed[0], "reason": parsed[1]}
-                self.transcript.append(
-                    role, self.provider.name, self.provider.model_id, template.sha256,
-                    text, raw, recorded, attempt,
-                )
-                return parsed
+                value, recorded = parser(extract_json_object(raw))
             except MalformedResponse as exc:
-                self.transcript.append(
-                    role, self.provider.name, self.provider.model_id, template.sha256,
-                    text, raw, None, attempt,
-                )
-                last_error = exc
+                recorded, last_error = None, exc
+            self.transcript.append(
+                role, self.provider.name, self.provider.model_id, template.sha256,
+                text, raw, recorded, attempt,
+            )
+            if last_error is None:
+                return value
         raise MalformedResponse(
             f"{role.value} reply for {subject}, reprompted once: {last_error}"
         ) from last_error
@@ -725,7 +706,7 @@ class ChatGateway:
 
     def _ask_in_context(
         self, role: RoleKind, context: Sequence[CodeBlock], vuln: VulnSpec,
-        parser: Callable[[Any], Any], **bindings: str,
+        parser: Callable[[Any], tuple[Any, Any]], **bindings: str,
     ) -> Any:
         """Ask about a candidate, its context packed into the window the
         template and the other bindings leave."""

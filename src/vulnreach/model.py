@@ -348,9 +348,6 @@ class Candidate:
             return self
         return replace(self, context=self.context + tuple(added))
 
-    def context_ids(self) -> set[str]:
-        return {b.id for b in self.context}
-
 
 @dataclass(frozen=True)
 class CandidateJudgment:

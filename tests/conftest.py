@@ -21,6 +21,7 @@ from vulnreach import (
     embed,
     segment_project,
 )
+from vulnreach.gateway import PromptLibrary
 from vulnreach.tokenizer import LexicalTokenizer
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -206,6 +207,20 @@ def write_toy_manifest(path: Path) -> Path:
     }
     path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     return path
+
+
+def edited_prompts(prompts_dir: Path, role: str, old: str, new: str = "") -> Path:
+    """The bundled templates, written to ``prompts_dir`` with ``old``
+    replaced by ``new`` in ``role``'s."""
+    prompts_dir.mkdir(exist_ok=True)
+    bundled = PromptLibrary.load()
+    for other in RoleKind:
+        text = bundled.get(other).template_text
+        if other is RoleKind(role):
+            assert old in text
+            text = text.replace(old, new)
+        (prompts_dir / f"{other.value}.txt").write_text(text, encoding="utf-8")
+    return prompts_dir
 
 
 def write_tool_config(path: Path, **overrides) -> Path:

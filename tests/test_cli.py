@@ -16,6 +16,7 @@ from conftest import (
     DIMS,
     FIXTURES,
     FIXTURE_THETA,
+    edited_prompts,
     torn_writes,
     write_tool_config,
     write_toy_manifest,
@@ -368,6 +369,39 @@ class TestAnalyzeCommand:
         second_text = strip_timestamps(json.dumps(second, indent=2, sort_keys=True))
         assert first_text.replace("first.json", "X") == second_text.replace("second.json", "X")
 
+    @pytest.mark.parametrize(
+        "appended",
+        [None, b"[1, 2]", b'{"seq": 0}', b"\xff\xfe"],
+        ids=["torn-last-line", "list", "no-role", "not-utf-8"],
+    )
+    def test_a_transcript_line_that_is_no_entry_is_refused(
+        self, tmp_path: Path, config_file: Path, capsys, appended
+    ):
+        index = build_index_for("guarded_app", tmp_path)
+        args = (
+            "analyze",
+            "--index", str(index),
+            "--vuln", str(FIXTURES / "vuln_encoder_null.json"),
+            "--config", str(config_file),
+        )
+        assert run_cli(*args, "--report", str(tmp_path / "first.json")) == 0
+        recorded = (tmp_path / "first.json.transcript.jsonl").read_bytes()
+        lines = recorded.count(b"\n")
+        bad = tmp_path / "bad.jsonl"
+        if appended is None:
+            # An aborted run's torn last line, as `head -c -40` leaves it.
+            bad.write_bytes(recorded[:-40])
+        else:
+            bad.write_bytes(recorded + appended + b"\n")
+            lines += 1
+        capsys.readouterr()
+        report = tmp_path / "replay.json"
+        code = run_cli(*args, "--report", str(report), "--transcript", str(bad))
+        err = capsys.readouterr().err
+        assert code == 1 and not report.exists(), err
+        assert err.startswith(f"error: transcript {bad} line {lines} is not a recorded entry"), err
+        assert len(err.splitlines()) == 1, err
+
     def test_report_names_the_theta_the_index_was_built_at(self, tmp_path: Path):
         index = build_index_for("unguarded_app", tmp_path)  # --theta 60
         config = write_tool_config(tmp_path / "no-theta.json")
@@ -407,6 +441,7 @@ class TestAnalyzeCommand:
             tmp_path / "cfg.json",
             chat={"provider": "scripted", "script_path": str(dead_script)},
         )
+        capsys.readouterr()
         code = run_cli(
             "analyze",
             "--index", str(index),
@@ -414,7 +449,9 @@ class TestAnalyzeCommand:
             "--config", str(config),
             "--report", str(tmp_path / "r.json"),
         )
-        assert code == 2
+        err = capsys.readouterr().err
+        assert code == 2 and not (tmp_path / "r.json").exists()
+        assert err.startswith("error: provider failure: ") and len(err.splitlines()) == 1, err
 
     def test_a_judge_answering_prose_exits_2_naming_role_and_block(self, tmp_path: Path, capsys):
         index = build_index_for("unguarded_app", tmp_path)
@@ -958,21 +995,10 @@ class TestConfig:
         assert echoed["chat"]["model"] == "m"
 
 
-def prompts_without(tmp_path: Path, role: str, marker: str) -> Path:
-    """The bundled templates, with ``marker`` taken out of ``role``'s."""
-    prompts = tmp_path / "prompts"
-    prompts.mkdir()
-    for template in (Path(cli.__file__).parent / "prompts").glob("*.txt"):
-        text = template.read_text(encoding="utf-8")
-        if template.stem == role:
-            text = text.replace(marker, "")
-        (prompts / template.name).write_text(text, encoding="utf-8")
-    return prompts
-
-
 class TestPromptLibraryBindings:
-    """A template that leaves out an input of its role is a user error,
-    reported before any model call."""
+    """A template that leaves out an input of its role, or places a
+    placeholder no role binds, is a user error, reported before any model
+    call."""
 
     @pytest.fixture()
     def asks(self, monkeypatch) -> list:
@@ -986,7 +1012,7 @@ class TestPromptLibraryBindings:
     def test_analyze_refuses_a_judge_template_without_context(self, tmp_path: Path, capsys, asks):
         index = build_index_for("unguarded_app", tmp_path)
         capsys.readouterr()
-        prompts = prompts_without(tmp_path, "judge", "{{context}}")
+        prompts = edited_prompts(tmp_path / "prompts", "judge", "{{context}}")
         config = write_tool_config(tmp_path / "cfg.json", prompts_dir=str(prompts))
         report = tmp_path / "r.json"
         code = run_cli(
@@ -1003,7 +1029,7 @@ class TestPromptLibraryBindings:
 
     def test_evaluate_refuses_a_grader_template_without_the_block(self, tmp_path: Path, capsys, asks):
         manifest = write_toy_manifest(tmp_path / "manifest.json")
-        prompts = prompts_without(tmp_path, "grader", "{{block_source}}")
+        prompts = edited_prompts(tmp_path / "prompts", "grader", "{{block_source}}")
         config = write_tool_config(tmp_path / "cfg.json", prompts_dir=str(prompts))
         out_dir = tmp_path / "out"
         code = run_cli(
@@ -1012,6 +1038,27 @@ class TestPromptLibraryBindings:
         err = capsys.readouterr().err
         assert code == 1 and asks == [] and not list(out_dir.glob("report_*"))
         assert err.startswith("error: grader template leaves out") and len(err.splitlines()) == 1, err
+
+    def test_analyze_refuses_a_judge_template_with_an_unknown_placeholder(
+        self, tmp_path: Path, capsys, asks
+    ):
+        index = build_index_for("unguarded_app", tmp_path)
+        capsys.readouterr()
+        prompts = edited_prompts(
+            tmp_path / "prompts", "judge", "{{context}}", "{{context}}\n{{extra}}"
+        )
+        config = write_tool_config(tmp_path / "cfg.json", prompts_dir=str(prompts))
+        report = tmp_path / "r.json"
+        code = run_cli(
+            "analyze",
+            "--index", str(index),
+            "--vuln", str(FIXTURES / "vuln_encoder_null.json"),
+            "--config", str(config),
+            "--report", str(report),
+        )
+        err = capsys.readouterr().err
+        assert code == 1 and not report.exists() and asks == []
+        assert err == "error: judge template places unknown placeholders ['extra']\n", err
 
 
 class TestOneProcess:

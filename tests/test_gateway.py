@@ -12,7 +12,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, JAVA_SOURCES, CountingProvider, make_block, record_token_counts
+from conftest import (
+    FIXTURES,
+    JAVA_SOURCES,
+    CountingProvider,
+    edited_prompts,
+    make_block,
+    record_token_counts,
+)
 from vulnreach.errors import ConfigError, MalformedResponse, ProviderError
 from vulnreach.gateway import (
     REPROMPT_SUFFIX,
@@ -88,14 +95,15 @@ class TestPromptTemplate:
         assert "".join(template.parts({"code": "{{not_a_marker}}"})) == "{{not_a_marker}}"
 
     def test_bundled_library_provides_all_roles(self):
-        library = PromptLibrary.bundled()
+        library = PromptLibrary.load()
         for role in RoleKind:
             assert library.get(role).placeholders()
 
     def test_from_dir_override(self, tmp_path: Path):
         for role in RoleKind:
-            (tmp_path / f"{role.value}.txt").write_text(f"custom {role.value} {{{{x}}}}")
-        library = PromptLibrary.from_dir(tmp_path)
+            markers = " ".join("{{%s}}" % name for name in sorted(ROLE_BINDINGS[role]))
+            (tmp_path / f"{role.value}.txt").write_text(f"custom {role.value} {markers}")
+        library = PromptLibrary.load(tmp_path)
         assert library.get(RoleKind.JUDGE).template_text.startswith("custom judge")
 
     def test_template_hash_is_stable(self):
@@ -860,22 +868,22 @@ class TestSplitTemplates:
 
     @pytest.mark.parametrize("role", list(RoleKind))
     def test_the_bundled_templates_place_exactly_the_supplied_bindings(self, role):
-        assert PromptLibrary.bundled().get(role).placeholders() == ROLE_BINDINGS[role]
+        assert PromptLibrary.load().get(role).placeholders() == ROLE_BINDINGS[role]
 
     @pytest.mark.parametrize(
         "role, name", [(role, name) for role in RoleKind for name in sorted(ROLE_BINDINGS[role])]
     )
     def test_a_library_leaving_out_a_binding_is_refused(self, tmp_path: Path, role, name):
-        bundled = PromptLibrary.bundled()
-        for other in RoleKind:
-            text = bundled.get(other).template_text
-            if other is role:
-                text = text.replace("{{%s}}" % name, "")
-            (tmp_path / f"{other.value}.txt").write_text(text, encoding="utf-8")
-        library = PromptLibrary.from_dir(tmp_path)
-        for refuse in (lambda: ChatGateway(scripted(), library), lambda: PromptLibrary.load(tmp_path)):
-            with pytest.raises(ConfigError, match=f"{role.value} template leaves out .*'{name}'"):
-                refuse()
+        edited_prompts(tmp_path, role, "{{%s}}" % name)
+        with pytest.raises(ConfigError, match=f"{role.value} template leaves out .*'{name}'"):
+            PromptLibrary.load(tmp_path)
+
+    @pytest.mark.parametrize("role", list(RoleKind))
+    def test_a_library_placing_an_unknown_placeholder_is_refused(self, tmp_path: Path, role):
+        marker = "{{%s}}" % min(ROLE_BINDINGS[role])
+        edited_prompts(tmp_path, role, marker, marker + "{{extra}}")
+        with pytest.raises(ConfigError, match=rf"{role.value} template places unknown .*\['extra'\]"):
+            PromptLibrary.load(tmp_path)
 
 
 _PART = st.text(st.characters(blacklist_categories=()), max_size=12)
@@ -946,7 +954,7 @@ class TestTranscriptLines:
         entries = gw.transcript.entries
         assert [e.rendered_prompt for e in entries] == ["".join(parts) for parts in recorded]
         # Every prompt is the template rendered with the joined context.
-        library = PromptLibrary.bundled()
+        library = PromptLibrary.load()
         judge = library.get(RoleKind.JUDGE).template_text
         fixed = {
             "api_signatures": "\n".join(vuln.api_signatures),
