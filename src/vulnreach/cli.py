@@ -98,9 +98,11 @@ def _chat_provider(spec: Mapping[str, Any]) -> ChatProvider:
     provider = spec.get("provider")
     if provider == "scripted":
         try:
-            return ScriptedChatProvider.from_file(spec["script_path"])
+            path = spec["script_path"]
         except KeyError as exc:
             raise ConfigError("scripted chat config needs script_path") from exc
+        try:
+            return ScriptedChatProvider.from_file(path)
         except (OSError, json.JSONDecodeError, ValueError) as exc:
             raise ConfigError(f"cannot load chat script: {exc}") from exc
     if provider == "replay":

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import time
-from itertools import chain
+from collections import Counter
+from functools import partial
+from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, Protocol, Sequence, TypeVar
 
 import numpy as np
@@ -105,36 +107,49 @@ def _lexical_normalize(text: str) -> str:
     return " ".join(text.lower().split())
 
 
-def _hash64(text: str) -> int:
-    # surrogatepass: a lone surrogate hashes like any other code point, so
-    # every str encodes; other text gives the same bytes as plain UTF-8.
-    return int.from_bytes(
-        hashlib.blake2b(text.encode("utf-8", "surrogatepass"), digest_size=8).digest(), "little"
-    )
+def _gram_codes(grams: Sequence[str], dims: int) -> np.ndarray:
+    """The feature code of each gram, as int64: its 8-byte blake2b digest read
+    as a little-endian integer ``h`` picks the bucket ``h % dims`` and, by its
+    top bit, the sign. C-level maps hash every gram, and the joined digests
+    are read as one ``uint64`` array. surrogatepass encodes a lone surrogate
+    like any other code point; other text gives the same bytes as UTF-8."""
+    encoded = map(str.encode, grams, repeat("utf-8"), repeat("surrogatepass"))
+    hashers = map(partial(hashlib.blake2b, digest_size=8), encoded)
+    h = np.frombuffer(b"".join(map(hashlib.blake2b.digest, hashers)), "<u8")
+    return (h % dims + (h >> 63) * dims).astype(np.int64)
 
 
 class _GramCodes(dict):
-    """Memo of n-gram -> feature code for one ``dims``, filled on first lookup
-    and emptied when it holds ``_MAX_CODES`` entries.
+    """Memo of n-gram -> feature code for one ``dims``, filled one batch of
+    missing n-grams at a time and emptied before a batch would take it past
+    ``_MAX_CODES`` entries (a batch alone that large is not kept).
 
     A code is the n-gram's bucket when its sign is +1 and ``dims`` plus the
     bucket when it is -1, so one ``np.bincount`` over ``2 * dims`` slots
-    counts both signs at once. A code depends on the n-gram alone, so a
-    lookup after a racing add or an emptying gets the same code, and threads
-    may share one table.
+    counts both signs at once. A code depends on the n-gram alone, and
+    ``lookup`` returns the codes it hashed, never reading them back from the
+    table, so a racing add or emptying by another thread changes only which
+    n-grams are hashed again (or lets the table overshoot its cap by a batch
+    per thread), never a code: threads may share one table.
     """
 
     def __init__(self, dims: int):
         super().__init__()
         self.dims = dims
 
-    def __missing__(self, gram: str) -> int:
-        if len(self) >= _MAX_CODES:
-            self.clear()
-        h = _hash64(gram)
-        # The low bits pick the bucket, the top bit the sign.
-        code = self[gram] = h % self.dims + (self.dims if h >> 63 else 0)
-        return code
+    def lookup(self, grams: Sequence[str]) -> np.ndarray:
+        """The code of each of the distinct ``grams``, in order; those the
+        table lacks are hashed in one ``_gram_codes`` batch and added."""
+        codes = np.fromiter(map(self.get, grams, repeat(-1)), np.int64, len(grams))
+        missed = np.flatnonzero(codes < 0).tolist()
+        if missed:
+            missing = [grams[k] for k in missed]
+            codes[missed] = hashed = _gram_codes(missing, self.dims)
+            if len(self) + len(missing) > _MAX_CODES:
+                self.clear()
+            if len(missing) <= _MAX_CODES:
+                self.update(zip(missing, hashed.tolist()))
+        return codes
 
 
 def _signed_counts(tally: np.ndarray, dims: int) -> np.ndarray:
@@ -148,8 +163,9 @@ def _hashed_features(normalized: str, codes: _GramCodes) -> np.ndarray:
     ``codes.dims`` buckets.
 
     Each bucket holds (occurrences of +1 n-grams) - (occurrences of -1
-    n-grams). Every count is a small integer, exact in float64, so this equals
-    adding each occurrence's sign one at a time, in any order.
+    n-grams), summed from the occurrence count of each distinct n-gram. Every
+    count is a small integer, exact in float64, so this equals adding each
+    occurrence's sign one at a time, in any order.
     """
     dims = codes.dims
     if len(normalized) < _NGRAM_SIZES[0]:
@@ -158,10 +174,11 @@ def _hashed_features(normalized: str, codes: _GramCodes) -> np.ndarray:
         grams = chain.from_iterable(
             map("".join, zip(*(normalized[k:] for k in range(n)))) for n in _NGRAM_SIZES
         )
-    tally = np.bincount(np.fromiter(map(codes.__getitem__, grams), np.intp), minlength=2 * dims)
+    counts = Counter(grams)
+    tally = np.bincount(codes.lookup(list(counts)), weights=list(counts.values()), minlength=2 * dims)
     acc = _signed_counts(tally, dims)
     if not acc.any():
-        acc[_hash64(normalized) % dims] = 1.0
+        acc[_gram_codes([normalized], dims)[0] % dims] = 1.0
     return acc
 
 
@@ -199,15 +216,14 @@ def _pass_features(texts: Sequence[str], codes: _GramCodes) -> np.ndarray:
         first = np.empty(len(distinct), np.int64)
         first[inverse] = starts
         grams = [joined[at : at + size] for at in first.tolist()]
-        gram_codes = np.fromiter(map(codes.__getitem__, grams), np.int64, len(grams))
-        tally += np.bincount(slot[starts] + gram_codes[inverse], minlength=len(tally))
+        tally += np.bincount(slot[starts] + codes.lookup(grams)[inverse], minlength=len(tally))
         rank[starts] = inverse
     rows = _signed_counts(tally.reshape(len(texts), width), dims)
     for row in np.flatnonzero(lengths < _NGRAM_SIZES[0]).tolist():
         # Too short for any n-gram: the whole text is its one gram.
         rows[row] = _hashed_features(texts[row], codes)
     for row in np.flatnonzero(~rows.any(axis=1)).tolist():
-        rows[row, _hash64(texts[row]) % dims] = 1.0
+        rows[row, _gram_codes([texts[row]], dims)[0] % dims] = 1.0
     return rows
 
 

@@ -317,7 +317,23 @@ class ScriptedChatProvider:
 
     @classmethod
     def from_file(cls, path: Path | str) -> "ScriptedChatProvider":
+        """Read a chat script: a JSON object whose optional ``sequences`` maps
+        roles to arrays of responses, ``rules`` is an array of objects with
+        ``contains``, ``response`` and an optional ``role``, and ``defaults``
+        maps roles to responses. Any other shape raises ``ValueError``
+        saying what is wrong with it."""
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(raw, dict):
+            raise ValueError(f"the top level is a {type(raw).__name__}, not a dict")
+        for key, kind in (("sequences", dict), ("rules", list), ("defaults", dict)):
+            if not isinstance(raw.get(key, kind()), kind):
+                raise ValueError(f"{key!r} is a {type(raw[key]).__name__}, not a {kind.__name__}")
+        for role, items in raw.get("sequences", {}).items():
+            if not isinstance(items, list):
+                raise ValueError(f"sequence {role!r} is a {type(items).__name__}, not a list")
+        for number, rule in enumerate(raw.get("rules", [])):
+            if not isinstance(rule, dict) or not {"contains", "response"} <= rule.keys():
+                raise ValueError(f"rule {number} is not a dict with 'contains' and 'response'")
         sequences = {
             RoleKind(role): [cls._coerce(v) for v in items]
             for role, items in raw.get("sequences", {}).items()

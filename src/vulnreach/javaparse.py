@@ -6,8 +6,11 @@ constructor, initializer and nested-type members inside type bodies.
 Statement-level structure is never modeled; bodies are consumed by bracket
 balancing with full string/comment awareness, so arbitrary (including
 syntactically broken) content inside bodies cannot derail the scan. One
-regular-expression scan finds a file's tokens; brackets are matched on
-their texts, and a ``Token`` is built only for the few the parser reads.
+regular-expression scan finds a file's tokens, and one loop over its
+matches records each token's text and start line, matches brackets on
+their texts and gathers comment runs; line breaks are counted only in the
+tokens that can hold them, and a ``Token`` is built only for the few the
+parser reads.
 
 Anything that cannot be recognized is captured as an ``error`` node that
 still carries an exact line span. Downstream segmentation turns error nodes
@@ -76,9 +79,20 @@ _TOKEN = re.compile(
     )""",
     re.DOTALL | re.VERBOSE,
 )
-# A token's kind by its first character; "/" alone is punctuation.
+# A token's kind by its first character, else punctuation. Comments and
+# literals are the only tokens that can span lines; "/" alone is punctuation.
 _KIND = dict.fromkeys(string.ascii_letters + "_$", "ident") | dict.fromkeys(string.digits, "number")
-_KIND.update({'"': "string", "'": "char", "/": "comment"})
+_SPANNING_KIND = {'"': "string", "'": "char", "/": "comment"}
+# What the parser's set-up does with a token, by its first character: count
+# the lines of a line-terminator run (or of the empty match at end of input),
+# count those a comment or literal spans, or pair a bracket (punctuation is
+# one character). Any other token only takes the next position.
+_ROLE = (
+    dict.fromkeys(["", "\r", "\n"], "break")
+    | dict.fromkeys(_SPANNING_KIND, "span")
+    | dict.fromkeys(_OPENERS, "open")
+    | dict.fromkeys(_CLOSERS, "close")
+)
 
 
 class Token(NamedTuple):
@@ -95,23 +109,6 @@ def _line_breaks(text: str) -> int:
     return text.count("\n") + text.count("\r") - text.count("\r\n")
 
 
-def _scan(source: str) -> tuple[list[str], list[int]]:
-    """Every token of ``source`` in order: its text, and the line it starts on."""
-    texts: list[str] = []
-    lines: list[int] = []
-    line = 1
-    found = _TOKEN.findall(source)
-    while found and not found[-1]:  # the end of input, after any blank run, matches empty
-        found.pop()
-    for text in found:
-        if text[0] not in "\r\n":
-            texts.append(text)
-            lines.append(line)
-        if text[0] in "\r\n/\"'":  # only these span lines
-            line += _line_breaks(text)
-    return texts, lines
-
-
 class _Tokens:
     """The tokens at positions ``order`` of one scan, each built when read."""
 
@@ -124,16 +121,17 @@ class _Tokens:
     def __getitem__(self, i: int) -> Token:
         k = self._order[i]
         text, line = self._texts[k], self._lines[k]
-        kind = "punct" if text == "/" else _KIND.get(text[0], "punct")
-        return Token(kind, text, line, line + _line_breaks(text))
+        lead = text[0]
+        if lead in _SPANNING_KIND and text != "/":
+            return Token(_SPANNING_KIND[lead], text, line, line + _line_breaks(text))
+        return Token(_KIND.get(lead, "punct"), text, line, line)
 
 
 def lex(source: str) -> list[Token]:
     """Tokenize Java source, keeping comments as tokens (needed for
     attaching leading comment runs to declarations). Lines end at LF, CRLF
     or a lone CR, as in :attr:`CompilationUnit.lines`."""
-    texts, lines = _scan(source)
-    return list(_Tokens(texts, lines, range(len(texts))))
+    return list(_Parser(source).tokens)
 
 
 @dataclass
@@ -215,27 +213,50 @@ class CompilationUnit:
 
 
 class _Parser:
-    def __init__(self, texts: list[str], lines: list[int]):
-        # The cursor walks the significant tokens; ``_comments`` keeps the
-        # comment run directly before each significant token that has one.
-        # Every bracket kind nests on one shared stack, so lambdas and
-        # anonymous classes inside argument lists balance; an opener left
-        # open at end of input has no entry.
-        self.tokens = _Tokens(texts, lines, range(len(texts)))
+    def __init__(self, source: str):
+        # One loop over the scan records each token's text and start line,
+        # the significant tokens the cursor walks (``sig``), each opener's
+        # partner (``_closer``) and the comment run directly before each
+        # significant token that has one (``_comments``). All brackets nest on
+        # one stack, so lambdas and anonymous classes inside argument lists
+        # balance; an opener left open at end of input has no entry.
+        texts: list[str] = []
+        lines: list[int] = []
         order: list[int] = []
-        self._comments: dict[int, list[Token]] = {}
-        self._closer: dict[int, int] = {}
+        comments: dict[int, list[Token]] = {}
+        closer: dict[int, int] = {}
         stack: list[int] = []
-        for k, text in enumerate(texts):
-            if text in _OPENERS:
-                stack.append(len(order))
-            elif text in _CLOSERS and stack:
-                self._closer[stack.pop()] = len(order)
-            elif text[0] == "/" and text != "/":
-                self._comments.setdefault(len(order), []).append(self.tokens[k])
-                continue
-            order.append(k)
+        add_text, add_line, add_sig = texts.append, lines.append, order.append
+        line = 1
+        for text in _TOKEN.findall(source):
+            role = _ROLE.get(text[:1])
+            if role is None:
+                add_sig(len(texts))
+                add_text(text)
+                add_line(line)
+            elif role == "break":
+                line += _line_breaks(text) if "\r" in text else len(text)
+            elif role == "span" and text != "/":
+                end = line + _line_breaks(text)
+                if text[0] == "/":
+                    comments.setdefault(len(order), []).append(Token("comment", text, line, end))
+                else:
+                    add_sig(len(texts))
+                add_text(text)
+                add_line(line)
+                line = end
+            else:
+                if role == "open":
+                    stack.append(len(order))
+                elif role == "close" and stack:
+                    closer[stack.pop()] = len(order)
+                add_sig(len(texts))
+                add_text(text)
+                add_line(line)
+        self.tokens = _Tokens(texts, lines, range(len(texts)))
         self.sig = _Tokens(texts, lines, order)
+        self._comments = comments
+        self._closer = closer
         self.pos = 0
 
     # -- token access -------------------------------------------------
@@ -644,7 +665,7 @@ def parse_source(file_path: str, source: str) -> list[CompilationUnit]:
     """
     lines = _LINE.findall(source)
     try:
-        nodes = _Parser(*_scan(source)).parse_unit()
+        nodes = _Parser(source).parse_unit()
     except RecursionError:
         nodes = [JavaNode("error", 1, len(lines), malformed=True)]
     unit = CompilationUnit(file_path=file_path, lines=lines, nodes=nodes)

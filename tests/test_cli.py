@@ -402,6 +402,44 @@ class TestAnalyzeCommand:
         assert err.startswith(f"error: transcript {bad} line {lines} is not a recorded entry"), err
         assert len(err.splitlines()) == 1, err
 
+    @pytest.mark.parametrize(
+        "script, message",
+        [
+            (
+                {"rules": [{"role": "grader", "response": "x"}]},
+                "rule 0 is not a dict with 'contains' and 'response'",
+            ),
+            ([1], "the top level is a list, not a dict"),
+            ({"rules": {"contains": "x", "response": "y"}}, "'rules' is a dict, not a list"),
+            ({"sequences": [["yes"]]}, "'sequences' is a list, not a dict"),
+            ({"defaults": "yes"}, "'defaults' is a str, not a dict"),
+            ({"sequences": {"grader": "yes"}}, "sequence 'grader' is a str, not a list"),
+            ({"rules": ["x"]}, "rule 0 is not a dict"),
+        ],
+        ids=["rule-without-contains", "top-level-list", "rules-object", "sequences-list", "defaults-string",
+             "sequence-string", "rule-string"],
+    )
+    def test_a_chat_script_of_the_wrong_shape_is_refused(self, tmp_path: Path, capsys, script, message):
+        index = build_index_for("guarded_app", tmp_path)
+        script_path = tmp_path / "script.json"
+        script_path.write_text(json.dumps(script), encoding="utf-8")
+        config = write_tool_config(
+            tmp_path / "config.json", chat={"provider": "scripted", "script_path": str(script_path)}
+        )
+        capsys.readouterr()
+        report = tmp_path / "report.json"
+        code = run_cli(
+            "analyze",
+            "--index", str(index),
+            "--vuln", str(FIXTURES / "vuln_encoder_null.json"),
+            "--config", str(config),
+            "--report", str(report),
+        )
+        err = capsys.readouterr().err
+        assert code == 1 and not report.exists(), err
+        assert err.startswith(f"error: cannot load chat script: {message}"), err
+        assert len(err.splitlines()) == 1, err
+
     def test_report_names_the_theta_the_index_was_built_at(self, tmp_path: Path):
         index = build_index_for("unguarded_app", tmp_path)  # --theta 60
         config = write_tool_config(tmp_path / "no-theta.json")

@@ -12,7 +12,7 @@ from vulnreach import embedding
 from vulnreach.embedding import (
     ReferenceEncoder,
     RemoteEncoderProvider,
-    _hash64,
+    _gram_codes,
     _lexical_normalize,
     cosine,
     embed,
@@ -56,6 +56,11 @@ def per_occurrence_features(text: str, dims: int) -> np.ndarray:
     return acc
 
 
+def recording(hashed: list[str]):
+    """``_gram_codes`` that first appends each gram it is given to ``hashed``."""
+    return lambda grams, dims: hashed.extend(grams) or _gram_codes(grams, dims)
+
+
 def bits(rows) -> bytes:
     # Compare float64 bit patterns, so -0.0 vs 0.0 would count as a difference.
     return np.asarray(rows, dtype=np.float64).tobytes()
@@ -96,7 +101,7 @@ class TestEncoderKernel:
 
     def test_each_ngram_is_hashed_once_per_encoder(self, monkeypatch):
         hashed: list[str] = []
-        monkeypatch.setattr(embedding, "_hash64", lambda gram: hashed.append(gram) or _hash64(gram))
+        monkeypatch.setattr(embedding, "_gram_codes", recording(hashed))
         encoder = ReferenceEncoder(DIMS)
         first = encoder.encode_batch([LOOP_SUM, STREAM_SUM])
         assert hashed and len(hashed) == len(set(hashed))
@@ -119,6 +124,15 @@ class TestEncoderKernel:
                 t[i : i + n] for t in map(_lexical_normalize, batch) for n in (3, 4, 5) for i in range(len(t))
             )
         assert len(seen) > 10 * 100  # the table was emptied many times
+        # A batch too short for the numpy pass and one long enough for it,
+        # each of more distinct grams than the table holds.
+        for batch in (["x" + "".join(map(chr, range(200, 330)))], [f"w{k} " * 9 for k in range(400)]):
+            normalized = [_lexical_normalize(t) for t in batch]
+            grams = {t[i : i + n] for t in normalized for n in (3, 4, 5) for i in range(len(t) - n + 1)}
+            assert len(grams) > 100
+            rows = encoder.encode_batch(batch)
+            assert len(encoder._codes) <= 100
+            assert bits(rows) == bits([per_occurrence_features(t, DIMS) for t in batch])
 
     def test_short_and_cancelling_texts_match_reference(self):
         # At dims=8 the six signed n-grams of "aaagc" cancel to all zeros, so
@@ -197,7 +211,7 @@ class TestBatchPass:
     def test_no_gram_spanning_two_texts_is_hashed(self, texts, budget):
         hashed: list[str] = []
         with self.numpy_pass(budget) as patch:
-            patch.setattr(embedding, "_hash64", lambda gram: hashed.append(gram) or _hash64(gram))
+            patch.setattr(embedding, "_gram_codes", recording(hashed))
             ReferenceEncoder(13).encode_batch(texts)
         normalized = [_lexical_normalize(t) for t in texts]
         for gram in hashed:
@@ -205,7 +219,7 @@ class TestBatchPass:
 
     def test_each_ngram_is_hashed_once_across_passes(self, monkeypatch):
         hashed: list[str] = []
-        monkeypatch.setattr(embedding, "_hash64", lambda gram: hashed.append(gram) or _hash64(gram))
+        monkeypatch.setattr(embedding, "_gram_codes", recording(hashed))
         with self.numpy_pass(40):
             encoder = ReferenceEncoder(DIMS)
             first = encoder.encode_batch([LOOP_SUM, STREAM_SUM, UNRELATED, LOOP_SUM])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import JAVA_SOURCES, record_token_counts
-from vulnreach.javaparse import _OPENERS, _CLOSERS, Token, _Parser, _scan, lex, parse_source
+from vulnreach.javaparse import _OPENERS, _CLOSERS, Token, _Parser, lex, parse_source
 from vulnreach.tokenizer import DEFAULT_TOKENIZER
 
 # What lex skips between tokens; every other character starts one.
@@ -406,10 +406,10 @@ def reference_lex(source: str) -> list[Token]:
     return tokens
 
 
-def reference_parse(source: str):
-    """The parser's nodes for ``reference_lex``'s tokens, with the token
-    lists, comment runs and bracket pairs built eagerly from ``Token``s, as
-    the parser did before it built tokens only when read."""
+def reference_parser(source: str) -> _Parser:
+    """A parser over ``reference_lex``'s tokens, with the token lists,
+    comment runs and bracket pairs built eagerly from ``Token``s, as the
+    parser did before it built tokens only when read."""
     tokens = reference_lex(source)
     parser = _Parser.__new__(_Parser)
     parser.tokens = tokens
@@ -429,7 +429,12 @@ def reference_parse(source: str):
             elif tok.text in _CLOSERS and stack:
                 parser._closer[stack.pop()] = i
     parser.pos = 0
-    return parser.parse_unit() if tokens else []
+    return parser
+
+
+def reference_parse(source: str):
+    """``reference_parser``'s nodes."""
+    return reference_parser(source).parse_unit()
 
 
 # What the scan must get right: every line terminator, the blanks (space, tab,
@@ -460,9 +465,11 @@ class TestScanAgainstReference:
     @given(LEXER_SOURCES)
     def test_lex_and_parse_equal_the_per_character_reference(self, source):
         assert lex(source) == reference_lex(source)
-        texts, lines = _scan(source)
-        nodes = _Parser(texts, lines).parse_unit() if texts else []
-        assert nodes == reference_parse(source)
+        parser, reference = _Parser(source), reference_parser(source)
+        assert list(parser.sig) == reference.sig
+        assert parser._closer == reference._closer
+        assert parser._comments == reference._comments
+        assert parser.parse_unit() == reference.parse_unit()
 
     def test_edge_cases_equal_the_reference(self):
         sources = [
