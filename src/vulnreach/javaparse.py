@@ -236,7 +236,7 @@ class _Parser:
                 add_line(line)
             elif role == "break":
                 line += _line_breaks(text) if "\r" in text else len(text)
-            elif role == "span" and text != "/":
+            elif role == "span" and text != "/":  # a comment or a literal
                 end = line + _line_breaks(text)
                 if text[0] == "/":
                     comments.setdefault(len(order), []).append(Token("comment", text, line, end))
@@ -245,7 +245,7 @@ class _Parser:
                 add_text(text)
                 add_line(line)
                 line = end
-            else:
+            else:  # a bracket, or "/" alone
                 if role == "open":
                     stack.append(len(order))
                 elif role == "close" and stack:
