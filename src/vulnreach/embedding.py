@@ -15,7 +15,7 @@ import time
 from collections import Counter
 from functools import partial
 from itertools import chain, repeat
-from typing import Callable, Iterable, Iterator, Protocol, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence, TypeVar
 
 import numpy as np
 
@@ -30,8 +30,10 @@ _NUMPY_MIN_CHARS = 2048
 # Characters per numpy pass, in whole texts: a pass holds up to about 130 B
 # per character, so this bounds its working set to about 2 MB.
 _PASS_CHARS = 16384
-# Entries of an encoder's n-gram code table, about 7 MB at most: several
-# times the distinct n-grams one benchmark command meets (about 16,000).
+# Entries of each of an encoder's two n-gram code tables: several times the
+# distinct n-grams one benchmark command meets (about 16,000). The
+# string-keyed table is about 7 MB at most, the integer-keyed one (24 B an
+# id) about 1.5 MB.
 _MAX_CODES = 1 << 16
 # Seconds slept before each retry of a transient provider failure.
 _RETRY_DELAYS = (0.5, 1.0, 2.0)
@@ -119,23 +121,51 @@ def _gram_codes(grams: Sequence[str], dims: int) -> np.ndarray:
     return (h % dims + (h >> 63) * dims).astype(np.int64)
 
 
+class _PackedCodes(NamedTuple):
+    """The numpy pass's n-gram code table, keyed by integers.
+
+    For each n-gram size, ``keys`` holds the sorted keys and ``ids`` their
+    ids; ``codes`` holds the code of each id. Ids are dense, in first-seen
+    order. A 3-gram's key packs its three code points (each below 2**21) into
+    63 bits; a longer n-gram's key is the id of its (n-1)-gram prefix,
+    shifted left 21 bits and or-ed with its last code point.
+    """
+
+    keys: tuple[np.ndarray, ...]
+    ids: tuple[np.ndarray, ...]
+    codes: np.ndarray
+
+
+_NO_INTS = np.empty(0, np.int64)
+_NO_PACKED_CODES = _PackedCodes((_NO_INTS,) * len(_NGRAM_SIZES), (_NO_INTS,) * len(_NGRAM_SIZES), _NO_INTS)
+
+
 class _GramCodes(dict):
-    """Memo of n-gram -> feature code for one ``dims``, filled one batch of
-    missing n-grams at a time and emptied before a batch would take it past
-    ``_MAX_CODES`` entries (a batch alone that large is not kept).
+    """An encoder's two memos of n-gram -> feature code for one ``dims``:
+    this dict, keyed by the n-gram, for texts counted one by one, and
+    ``packed``, a ``_PackedCodes`` for the numpy pass, which builds no string
+    for an n-gram it holds. Each table hashes an n-gram once while it holds
+    it and keeps at most ``_MAX_CODES`` entries.
+
+    The dict is filled one batch of missing n-grams at a time and emptied
+    before a batch would take it past ``_MAX_CODES`` entries (a batch alone
+    that large is not kept). ``packed`` is replaced whole, by one assignment
+    per pass, and left empty by a pass that would take it past the cap.
 
     A code is the n-gram's bucket when its sign is +1 and ``dims`` plus the
     bucket when it is -1, so one ``np.bincount`` over ``2 * dims`` slots
-    counts both signs at once. A code depends on the n-gram alone, and
-    ``lookup`` returns the codes it hashed, never reading them back from the
-    table, so a racing add or emptying by another thread changes only which
-    n-grams are hashed again (or lets the table overshoot its cap by a batch
-    per thread), never a code: threads may share one table.
+    counts both signs at once. A code depends on the n-gram alone. ``lookup``
+    returns the codes it hashed, never reading them back from the dict, and a
+    pass reads ``packed`` once, so a racing add or emptying by another thread
+    changes only which n-grams are hashed again (or lets the dict overshoot
+    its cap by a batch per thread, or drops another pass's additions to
+    ``packed``), never a code: threads may share the tables.
     """
 
     def __init__(self, dims: int):
         super().__init__()
         self.dims = dims
+        self.packed = _NO_PACKED_CODES
 
     def lookup(self, grams: Sequence[str]) -> np.ndarray:
         """The code of each of the distinct ``grams``, in order; those the
@@ -188,12 +218,15 @@ def _pass_features(texts: Sequence[str], codes: _GramCodes) -> np.ndarray:
     The texts are joined end to end and their code points read as integers.
     An n-gram is kept where it starts at least n characters before the end of
     its own text: boundaries are known by position, so no n-gram spans two
-    texts whatever characters the texts hold. A 3-gram's key packs its three
-    code points (each below 2**21) into 63 bits; a longer n-gram's key is the
-    rank of its (n-1)-gram prefix among this pass's distinct prefixes and its
-    last code point. ``np.unique`` finds the distinct n-grams, each is looked
-    up in ``codes`` once (and hashed if the table lacks it), and one
-    ``np.bincount`` per size counts every text's codes at once.
+    texts whatever characters the texts hold. Each n-gram is keyed as in
+    ``codes.packed``, the size-3 keys first, so every prefix has an id when
+    its longer n-grams are keyed. ``np.unique`` finds the distinct keys of a
+    size and one ``np.searchsorted`` resolves them against the table; only
+    the misses are sliced out of the text and hashed, and take the next ids.
+    One ``np.bincount`` per size counts every text's codes at once. The pass
+    reads ``codes.packed`` once and replaces it by one assignment holding its
+    misses too, or by an empty table if that would hold more than
+    ``_MAX_CODES`` ids.
     """
     dims = codes.dims
     width = 2 * dims
@@ -205,19 +238,46 @@ def _pass_features(texts: Sequence[str], codes: _GramCodes) -> np.ndarray:
     left = np.cumsum(lengths)[owner] - np.arange(len(points))
     slot = owner * width
     tally = np.zeros(len(texts) * width, np.int64)
-    rank = np.empty(len(points), np.int64)
-    for size in _NGRAM_SIZES:
+    table = codes.packed
+    next_id = len(table.codes)
+    # The id of the n-gram one size down starting at each position.
+    prefix = np.empty(len(points), np.int64)
+    added: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    hashed: list[np.ndarray] = []
+    for size, known, known_ids in zip(_NGRAM_SIZES, table.keys, table.ids):
         starts = np.flatnonzero(left >= size)
         if size == _NGRAM_SIZES[0]:
             keys = points[starts] << 42 | points[starts + 1] << 21 | points[starts + 2]
         else:
-            keys = rank[starts] << 21 | points[starts + size - 1]
+            keys = prefix[starts] << 21 | points[starts + size - 1]
         distinct, inverse = np.unique(keys, return_inverse=True)
-        first = np.empty(len(distinct), np.int64)
-        first[inverse] = starts
-        grams = [joined[at : at + size] for at in first.tolist()]
-        tally += np.bincount(slot[starts] + codes.lookup(grams)[inverse], minlength=len(tally))
-        rank[starts] = inverse
+        at = np.searchsorted(known, distinct)
+        held = at < len(known)
+        held[held] = known[at[held]] == distinct[held]
+        ids = np.empty(len(distinct), np.int64)
+        gram_codes = np.empty(len(distinct), np.int64)
+        ids[held] = held_ids = known_ids[at[held]]
+        gram_codes[held] = table.codes[held_ids]
+        missed = np.flatnonzero(~held)
+        if len(missed):
+            first = np.empty(len(distinct), np.int64)
+            first[inverse] = starts
+            grams = [joined[k : k + size] for k in first[missed].tolist()]
+            gram_codes[missed] = new_codes = _gram_codes(grams, dims)
+            ids[missed] = np.arange(next_id, next_id + len(missed))
+            next_id += len(missed)
+            hashed.append(new_codes)
+        added.append((at[missed], distinct[missed], ids[missed]))
+        tally += np.bincount(slot[starts] + gram_codes[inverse], minlength=len(tally))
+        prefix[starts] = ids[inverse]
+    if next_id > _MAX_CODES:
+        codes.packed = _NO_PACKED_CODES
+    elif hashed:
+        codes.packed = _PackedCodes(
+            tuple(np.insert(old, where, new) for old, (where, new, _) in zip(table.keys, added)),
+            tuple(np.insert(old, where, new) for old, (where, _, new) in zip(table.ids, added)),
+            np.concatenate([table.codes, *hashed]),
+        )
     rows = _signed_counts(tally.reshape(len(texts), width), dims)
     for row in np.flatnonzero(lengths < _NGRAM_SIZES[0]).tolist():
         # Too short for any n-gram: the whole text is its one gram.

@@ -318,10 +318,10 @@ class ScriptedChatProvider:
     @classmethod
     def from_file(cls, path: Path | str) -> "ScriptedChatProvider":
         """Read a chat script: a JSON object whose optional ``sequences`` maps
-        roles to arrays of responses, ``rules`` is an array of objects with
-        ``contains``, ``response`` and an optional ``role``, and ``defaults``
-        maps roles to responses. Any other shape raises ``ValueError``
-        saying what is wrong with it."""
+        roles to arrays of responses, ``rules`` is an array of objects with a
+        string ``contains``, ``response`` and an optional ``role``, and
+        ``defaults`` maps roles to responses. Any other shape raises
+        ``ValueError`` saying what is wrong with it."""
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(raw, dict):
             raise ValueError(f"the top level is a {type(raw).__name__}, not a dict")
@@ -334,6 +334,8 @@ class ScriptedChatProvider:
         for number, rule in enumerate(raw.get("rules", [])):
             if not isinstance(rule, dict) or not {"contains", "response"} <= rule.keys():
                 raise ValueError(f"rule {number} is not a dict with 'contains' and 'response'")
+            if not isinstance(rule["contains"], str):
+                raise ValueError(f"rule {number} 'contains' is a {type(rule['contains']).__name__}, not a str")
         sequences = {
             RoleKind(role): [cls._coerce(v) for v in items]
             for role, items in raw.get("sequences", {}).items()
@@ -341,7 +343,7 @@ class ScriptedChatProvider:
         rules = [
             (
                 RoleKind(rule["role"]) if rule.get("role") else None,
-                str(rule["contains"]),
+                rule["contains"],
                 cls._coerce(rule["response"]),
             )
             for rule in raw.get("rules", [])

@@ -635,12 +635,23 @@ class _Parser:
         return JavaNode("field", start, last.line_end, name=name)
 
     def _recover_error(self) -> JavaNode:
+        """An error node over the tokens from the cursor up to a ``;``, the
+        end of the file, or the head of a type declaration, which is left for
+        ``parse_unit``; a bracketed run is taken whole. A head scan that finds
+        no type keyword is not repeated inside the tokens it passed over, so
+        recovery stays linear in the tokens."""
         start = self._decl_start()
         last: Token | None = None
+        next_scan = self.pos + 1  # parse_unit found no head at the cursor
         while True:
             tok = self._peek()
             if tok is None:
                 break
+            if self.pos >= next_scan:
+                keyword, offset = self._scan_decl_head()
+                if keyword is not None:
+                    break
+                next_scan = self.pos + max(offset, 1)
             if tok.kind == "punct" and tok.text in _OPENERS:
                 closed = self._consume_balanced()
                 if closed is None:

@@ -415,9 +415,12 @@ class TestAnalyzeCommand:
             ({"defaults": "yes"}, "'defaults' is a str, not a dict"),
             ({"sequences": {"grader": "yes"}}, "sequence 'grader' is a str, not a list"),
             ({"rules": ["x"]}, "rule 0 is not a dict"),
+            ({"rules": [{"contains": None, "response": "yes"}]}, "rule 0 'contains' is a NoneType, not a str"),
+            ({"rules": [{"contains": "x", "response": "y"}, {"contains": 5, "response": "yes"}]},
+             "rule 1 'contains' is a int, not a str"),
         ],
         ids=["rule-without-contains", "top-level-list", "rules-object", "sequences-list", "defaults-string",
-             "sequence-string", "rule-string"],
+             "sequence-string", "rule-string", "contains-null", "contains-number"],
     )
     def test_a_chat_script_of_the_wrong_shape_is_refused(self, tmp_path: Path, capsys, script, message):
         index = build_index_for("guarded_app", tmp_path)

@@ -1,7 +1,10 @@
 import contextlib
 import hashlib
 import math
+import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -119,6 +122,7 @@ class TestEncoderKernel:
             batch = [f"int v{k}_{j} = f{k * 31 + j}(x{j});" * (1 + 60 * (k % 2)) for j in range(3)]
             rows = encoder.encode_batch(batch)
             assert len(encoder._codes) <= 100
+            assert len(encoder._codes.packed.codes) <= 100
             assert bits(rows) == bits([per_occurrence_features(t, DIMS) for t in batch])
             seen.update(
                 t[i : i + n] for t in map(_lexical_normalize, batch) for n in (3, 4, 5) for i in range(len(t))
@@ -132,7 +136,32 @@ class TestEncoderKernel:
             assert len(grams) > 100
             rows = encoder.encode_batch(batch)
             assert len(encoder._codes) <= 100
+            assert len(encoder._codes.packed.codes) <= 100
             assert bits(rows) == bits([per_occurrence_features(t, DIMS) for t in batch])
+
+    def test_threads_sharing_an_encoder_get_each_text_alone(self):
+        # Overlapping batches long enough for the numpy pass, pushed by four
+        # threads at once: a pass may drop another's additions to the
+        # shared table, never change a row.
+        encoder = ReferenceEncoder(DIMS)
+        texts = [f"int v{k} = f{k % 7}(x{k % 5}) + {LOOP_SUM}" * 20 for k in range(12)] + [STREAM_SUM * 40]
+        batches = [[texts[(start + j) % len(texts)] for j in range(5)] for start in range(0, 40, 3)]
+        barrier = threading.Barrier(4, timeout=60)
+
+        def push(worker: int) -> list[bytes]:
+            barrier.wait()
+            return [bits(encoder.encode_batch(batch)) for batch in batches[worker::4] * 3]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(4) as executor:
+                pushed = list(executor.map(push, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for worker, results in enumerate(pushed):
+            for batch, got in zip(batches[worker::4] * 3, results):
+                assert got == bits([per_occurrence_features(t, DIMS) for t in batch])
 
     def test_short_and_cancelling_texts_match_reference(self):
         # At dims=8 the six signed n-grams of "aaagc" cancel to all zeros, so

@@ -149,8 +149,20 @@ class TestParseSource:
         assert node.line_end == 3
 
     def test_stray_top_level_garbage_becomes_error(self):
-        unit = parse_source("G.java", ") ;\nclass A {}\n")[0]
-        assert kinds(unit) == ["error", "type"]
+        for source, members in ((") ;\nclass A {}\n", []), ("}\nclass After {\n    void m() {}\n}\n", ["m"])):
+            unit = parse_source("G.java", source)[0]
+            assert kinds(unit) == ["error", "type"], source
+            assert [member.name for member in unit.nodes[1].members] == members, source
+
+    def test_recovery_scans_each_head_once(self):
+        # Each "public" after the stray closer starts a head scan that runs
+        # past every unbalanced "<" to the end of the input.
+        for piece in (" public <", " <", " public"):
+            source = "}\n" + piece * 20000 + " x"
+            start = time.perf_counter()
+            unit = parse_source("G.java", source)[0]
+            assert time.perf_counter() - start < 10.0, piece
+            assert kinds(unit) == ["error"], piece
 
 
 def walk(nodes):
