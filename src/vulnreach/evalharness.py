@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import shutil
 import traceback
 from dataclasses import dataclass, replace
@@ -23,7 +24,7 @@ from typing import Any, Mapping, NamedTuple, Sequence
 from .detector import analyze
 from .embedding import EncoderProvider
 from .errors import MissingPrediction, VulnReachError
-from .gateway import ChatGateway, ChatProvider, PromptLibrary, Transcript
+from .gateway import ChatGateway, ChatProvider, Transcript
 from .memo import Memo
 from .model import CodeBlock, Config, Judgment, VulnSpec, aggregate_judgment
 from .segmenter import iter_project_files, segment_project
@@ -171,9 +172,11 @@ def build_index(
 ) -> VectorStore:
     """Segment and embed a project into an in-memory index.
 
-    Files and block texts ``memo`` has already seen (at another theta, say)
-    are not parsed or embedded again. Without a memo, a fresh one embeds
-    each distinct text once.
+    Through ``memo``, the project's tree is read once and every later build
+    segments that snapshot; files and block texts it has already seen (at
+    another theta, say) are not parsed, segmented or embedded again (see
+    ``segment_project``). Without a memo, a fresh one embeds each distinct
+    text once.
     """
     memo = memo if memo is not None else Memo()
     blocks = segment_project(root, config, memo=memo)
@@ -205,13 +208,15 @@ def run_benchmark(
     Returns the report dict (also written to ``out_dir`` when given, along
     with a rendered plain-text table and per-analysis transcripts under
     ``transcripts/theta_<N>/``). Every index build and analysis of the run
-    goes through ``memo``, a fresh one when none is given.
+    goes through ``memo``, a fresh one when none is given, and so does the
+    prompt library's load.
 
     ``_analyzed`` is ``run_theta_sweep``'s record of the previous theta's
     analyses, by project. A project whose blocks equal the recorded ones
-    takes the recorded verdicts, and byte copies of their transcripts,
-    instead of analyzing again; a project that runs otherwise replaces its
-    record, and one that fails drops it. Called alone, nothing is reused.
+    takes the recorded verdicts instead of analyzing again, and its
+    transcripts are hard links to the recorded ones (copies on a filesystem
+    without hard links); a project that runs otherwise replaces its record,
+    and one that fails drops it. Called alone, nothing is reused.
     """
     memo = memo if memo is not None else Memo()
     analyzed = {} if _analyzed is None else _analyzed
@@ -221,7 +226,7 @@ def run_benchmark(
     )
     if transcripts_dir is not None:
         transcripts_dir.mkdir(parents=True, exist_ok=True)
-    prompts = PromptLibrary.load(config.prompts_dir)
+    prompts = memo.prompts(config.prompts_dir)
 
     rows: list[dict[str, Any]] = []
     predictions: dict[str, Judgment] = {}
@@ -253,7 +258,13 @@ def run_benchmark(
                     # question would be a memo hit, so the analysis is too.
                     judgment, recorded = earlier.verdicts[vuln_id]
                     if transcript_path is not None:
-                        shutil.copyfile(recorded, transcript_path)
+                        # Safe to share: a transcript sink replaces its
+                        # path, never rewrites a file in place.
+                        transcript_path.unlink(missing_ok=True)
+                        try:
+                            os.link(recorded, transcript_path)
+                        except OSError:
+                            shutil.copyfile(recorded, transcript_path)
                 else:
                     with Transcript(sink_path=transcript_path) as transcript:
                         judgment = analyze(
@@ -325,12 +336,16 @@ def run_theta_sweep(
     memo: Memo | None = None,
 ) -> dict[int, dict[str, Any]]:
     """One full benchmark report per segment-size setting, all through one
-    memo (a fresh one when none is given): each file is parsed, each block
-    text embedded and each question asked, once.
+    memo (a fresh one when none is given): each project's tree is listed
+    and its files read once, so every setting sees the same snapshot of it;
+    each file is parsed once, and segmented again only where the setting
+    crosses one of its sizes; each block text is embedded, each question
+    asked and the prompt library loaded, once.
 
     Each distinct index is analyzed once: a project whose blocks equal its
     blocks at the previous setting reuses that setting's verdicts, and its
-    transcripts there are byte copies (same ``seq``s and timestamps). Every
+    transcripts there are hard links to that setting's (copies where the
+    filesystem has none), with the same ``seq``s and timestamps. Every
     setting still builds every project's index.
     """
     memo = memo if memo is not None else Memo()

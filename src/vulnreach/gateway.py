@@ -192,9 +192,10 @@ class Transcript:
 
     When bound to a sink path, the sink is created at once and each entry
     is written and flushed as one JSON line the moment it lands, so an
-    aborted run still leaves a usable partial transcript. The sink stays
-    open until :meth:`close` (or the end of a ``with`` block). Appends are
-    synchronized; sequence numbers are monotone.
+    aborted run still leaves a usable partial transcript. A file already at
+    the path is unlinked, not truncated: another name linked to it keeps
+    its bytes. The sink stays open until :meth:`close` (or the end of a
+    ``with`` block). Appends are synchronized; sequence numbers are monotone.
     """
 
     def __init__(self, sink_path: Path | str | None = None):
@@ -204,6 +205,7 @@ class Transcript:
         self._sink: TextIO | None = None
         if self.sink_path is not None:
             self.sink_path.parent.mkdir(parents=True, exist_ok=True)
+            self.sink_path.unlink(missing_ok=True)
             self._sink = self.sink_path.open("w", encoding="utf-8")
         # Prompts share template text, vulnerability text and blocks: each part is escaped
         # once. JSON escapes code point by code point, so escaped parts join to the whole.

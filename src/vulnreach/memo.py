@@ -8,7 +8,14 @@ content:
 - a chat question, keyed by the role and the prompt as sent, per provider;
 - an embedding, keyed by the sha256 of the encoder fingerprint (name,
   remote model id, dims) and the text;
+- a project's source files, keyed by its root and ignore globs: the tree
+  is listed and each file read once, so every later setting segments the
+  same snapshot of it;
 - a parsed file, keyed by its relative path and its text;
+- a file's segmentation, keyed like its parse: each file keeps its latest
+  blocks with the interval of thetas they hold for, so a file is segmented
+  again only where theta crosses one of its sizes;
+- the prompt library, keyed by its directory;
 - a text's token count, keyed by the text itself: the texts counted are
   the command's own prompt parts, whose ``str`` hash is computed once per
   string object. Every chat gateway of the command packs its context
@@ -17,16 +24,17 @@ content:
 The ``analyze`` and ``evaluate`` commands each build one memo and pass it
 as an argument to each layer: the harness runs, ``build_index``,
 ``segment_project`` and every ``ChatGateway``, through whose memo the
-detector embeds. ``index`` needs none: it embeds each distinct text once
-by itself. A memo is dropped when its command returns; nothing is
+detector embeds. ``index`` needs none: it reads, parses and segments
+each file once, one at a time, and embeds each distinct text once by
+itself. A memo is dropped when its command returns; nothing is
 module-global. Only the embeddings outlive a command: ``save_vectors``
 writes them to one file per encoder fingerprint, and ``load_vectors`` of a
 later command reads them back, bit for bit.
 
-Entries are only ever added and each dict operation is atomic, so
-concurrent callers need no lock: two first asks of one question may both
-reach the provider, and both get the answer that was kept. Failures are
-not kept.
+Entries are only ever added, or for a segmentation replaced whole, and
+each dict operation is atomic, so concurrent callers need no lock: two
+first asks of one question may both reach the provider, and both get the
+answer that was kept. Failures are not kept.
 """
 
 from __future__ import annotations
@@ -35,18 +43,19 @@ import hashlib
 import json
 import logging
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .embedding import EncoderProvider, embed
 from .javaparse import CompilationUnit, parse_source
-from .model import EmbeddingVector
+from .model import CodeBlock, Config, EmbeddingVector
+from .segmenter import read_project, segment_unit, theta_class
 from .store import _write_atomic
 from .tokenizer import DEFAULT_TOKENIZER
 
 if TYPE_CHECKING:
-    from .gateway import ChatProvider, RoleKind
+    from .gateway import ChatProvider, PromptLibrary, RoleKind
 
 log = logging.getLogger(__name__)
 
@@ -63,14 +72,27 @@ def _utf8(text: str) -> bytes:
     return text.encode("utf-8", "surrogatepass")
 
 
+class _Segmented(NamedTuple):
+    """A file's blocks, and the thetas in (low, high] that cut it into them."""
+
+    low: float
+    high: float
+    blocks: list[CodeBlock]
+    error_blocks: list[CodeBlock]  # the Other blocks parse error regions became
+
+
 class Memo:
-    """Content-addressed chat answers, embeddings and parsed files."""
+    """Content-addressed chat answers, embeddings, source trees, parsed and
+    segmented files, and prompt libraries."""
 
     def __init__(self) -> None:
         # Keyed by provider identity; the provider is kept so its id stays its own.
         self._answers: dict[int, tuple[ChatProvider, dict[bytes, str]]] = {}
         self._vectors: dict[str, dict[bytes, EmbeddingVector]] = {}
+        self._sources: dict[tuple[Path, tuple[str, ...]], list[tuple[str, str]]] = {}
         self._units: dict[tuple[str, str], CompilationUnit] = {}
+        self._segments: dict[tuple[str, str], _Segmented] = {}
+        self._prompts: dict[str | None, PromptLibrary] = {}
         self._token_counts: dict[str, int] = {}
         # Vectors each fingerprint's cache file holds, as last read or written.
         self._on_disk: dict[str, int] = {}
@@ -110,6 +132,51 @@ class Memo:
         if unit is None:
             unit = self._units.setdefault(key, parse_source(rel_path, text)[0])
         return unit
+
+    def sources(self, root: Path, ignore_globs: Sequence[str]) -> list[tuple[str, str]]:
+        """``read_project(root, ignore_globs)``'s (relative path, text)
+        pairs, read once: later calls get the same snapshot of the tree."""
+        key = (root, tuple(ignore_globs))
+        sources = self._sources.get(key)
+        if sources is None:
+            sources = self._sources.setdefault(key, list(read_project(root, ignore_globs)))
+        return sources
+
+    def segment(
+        self,
+        rel_path: str,
+        text: str,
+        config: Config,
+        on_error_block: Callable[[CodeBlock], None] | None = None,
+    ) -> list[CodeBlock]:
+        """``segment_unit(self.parse(rel_path, text), config, on_error_block)``.
+
+        The file's latest blocks are reused at every theta of their
+        ``theta_class``, and their error blocks passed to ``on_error_block``
+        again, so a callback sees the same blocks at every theta.
+        """
+        key = (rel_path, text)
+        theta = config.theta
+        done = self._segments.get(key)
+        if done is None or not done.low < theta <= done.high:
+            unit = self.parse(rel_path, text)
+            error_blocks: list[CodeBlock] = []
+            blocks = segment_unit(unit, config, error_blocks.append)
+            done = _Segmented(*theta_class(unit, blocks, theta), blocks, error_blocks)
+            self._segments[key] = done
+        if on_error_block is not None:
+            for block in done.error_blocks:
+                on_error_block(block)
+        return list(done.blocks)
+
+    def prompts(self, prompts_dir: str | None) -> PromptLibrary:
+        """``PromptLibrary.load(prompts_dir)``, loaded once."""
+        from .gateway import PromptLibrary  # here: the gateway module imports this one
+
+        library = self._prompts.get(prompts_dir)
+        if library is None:
+            library = self._prompts.setdefault(prompts_dir, PromptLibrary.load(prompts_dir))
+        return library
 
     def count_tokens(self, text: str) -> int:
         """``DEFAULT_TOKENIZER.count(text)``, counted once per content."""

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import fnmatch
 import logging
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .errors import EmptyProject
 from .javaparse import CompilationUnit, JavaNode, parse_source
@@ -83,6 +84,26 @@ def segment_unit(
             if span.error:
                 on_error_block(block)
     return blocks
+
+
+def theta_class(
+    unit: CompilationUnit, blocks: Sequence[CodeBlock], theta: int
+) -> tuple[float, float]:
+    """The interval (low, high] of the thetas at which ``segment_unit``
+    cuts ``unit`` into the ``blocks`` it cut at ``theta``.
+
+    ``segment_unit`` compares theta with three kinds of size, each as
+    ``size < theta`` or ``size >= theta``: the unit's token count, the
+    token count of each type declaration, at any depth, and each block's
+    ``size`` (for ``oversize``). Its blocks change only where theta crosses
+    one of them: none lies between the nearest size below theta and the
+    nearest one at or above it.
+    """
+    sizes = [unit.token_count(1, unit.line_count), *(b.size for b in blocks)]
+    sizes.extend(unit.token_count(node.line_start, node.line_end) for node, _ in unit.iter_types())
+    low = max((s for s in sizes if s < theta), default=-math.inf)
+    high = min((s for s in sizes if s >= theta), default=math.inf)
+    return low, high
 
 
 def _make_block(unit: CompilationUnit, span: _Span, theta: int) -> CodeBlock:
@@ -261,6 +282,26 @@ def _ignored(rel_path: str, ignore_globs: Sequence[str]) -> bool:
     return False
 
 
+def read_project(root: Path, ignore_globs: Sequence[str]) -> Iterator[tuple[str, str]]:
+    """Each source file's posix path relative to root and its text, decoded
+    as UTF-8 with replacement, in ``iter_project_files`` order, read one
+    at a time as the caller iterates.
+
+    An unreadable file is logged and skipped. The first step raises
+    EmptyProject when the tree holds no source file.
+    """
+    files = iter_project_files(root, ignore_globs)
+    if not files:
+        raise EmptyProject(f"no source files under {root}")
+    for path in files:
+        try:
+            data = path.read_bytes()
+        except OSError as exc:
+            log.warning("skipping unreadable file %s: %s", path, exc)
+            continue
+        yield path.relative_to(root).as_posix(), data.decode("utf-8", errors="replace")
+
+
 def segment_project(
     root: Path | str,
     config: Config,
@@ -273,24 +314,23 @@ def segment_project(
 
     An unreadable file is logged and skipped; an empty project raises
     EmptyProject. ``on_error_block`` gets each Other block a parse error
-    region became. A ``memo`` parses each file's content once across calls,
-    as a theta sweep needs. Output is deterministic: ordered by (file_path,
+    region became. Output is deterministic: ordered by (file_path,
     line_start).
+
+    Without a ``memo``, files are read, parsed and segmented one at a time.
+    A ``memo``, as a theta sweep passes, reads the tree once per (root,
+    ignore globs) and keeps what it read: every later call segments that
+    same snapshot, and an unreadable file is logged once. It parses each
+    file's content once, and segments it again only at a theta on the other
+    side of one of the sizes segmentation compares theta with.
     """
     root = Path(root)
-    files = iter_project_files(root, config.ignore_globs)
-    if not files:
-        raise EmptyProject(f"no source files under {root}")
     blocks: list[CodeBlock] = []
-    for path in files:
-        rel = path.relative_to(root).as_posix()
-        try:
-            data = path.read_bytes()
-        except OSError as exc:
-            log.warning("skipping unreadable file %s: %s", path, exc)
-            continue
-        text = data.decode("utf-8", errors="replace")
-        unit = memo.parse(rel, text) if memo is not None else parse_source(rel, text)[0]
-        blocks.extend(segment_unit(unit, config, on_error_block))
+    if memo is None:
+        for rel, text in read_project(root, config.ignore_globs):
+            blocks.extend(segment_unit(parse_source(rel, text)[0], config, on_error_block))
+    else:
+        for rel, text in memo.sources(root, config.ignore_globs):
+            blocks.extend(memo.segment(rel, text, config, on_error_block))
     blocks.sort(key=lambda b: (b.file_path, b.line_start))
     return blocks

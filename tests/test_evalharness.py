@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import FIXTURES, FIXTURE_TAU, FIXTURE_THETA, CountingEncoder, write_toy_manifest
 from vulnreach import evalharness
 from vulnreach import memo as memo_module
+from vulnreach import segmenter as segmenter_module
 from vulnreach.errors import MissingPrediction, ProviderError
 from vulnreach.evalharness import (
     BenchmarkManifest,
@@ -22,7 +23,7 @@ from vulnreach.evalharness import (
     run_theta_sweep,
     score,
 )
-from vulnreach.gateway import ScriptedChatProvider
+from vulnreach.gateway import PromptLibrary, ScriptedChatProvider
 from vulnreach.javaparse import parse_source
 from vulnreach.memo import Memo
 from vulnreach.model import Config, Judgment, VulnSpec
@@ -228,6 +229,56 @@ class TestRunBenchmark:
         }
         assert sorted(parsed) == sorted(files)
 
+    def test_sweep_reads_each_project_and_file_and_loads_the_prompts_once(
+        self, tmp_path: Path, encoder, monkeypatch
+    ):
+        listed: list[Path] = []
+        read: list[Path] = []
+        loaded: list[str | None] = []
+        segmented: list[str] = []
+        real_list, real_read = segmenter_module.iter_project_files, Path.read_bytes
+        real_load, real_segment = PromptLibrary.load.__func__, memo_module.segment_unit
+
+        def counting_list(root, ignore_globs):
+            listed.append(root)
+            return real_list(root, ignore_globs)
+
+        def counting_read(path: Path) -> bytes:
+            if path.suffix == ".java":
+                read.append(path)
+            return real_read(path)
+
+        def counting_load(cls, prompts_dir=None):
+            loaded.append(prompts_dir)
+            return real_load(cls, prompts_dir)
+
+        def counting_segment(unit, config, on_error_block=None):
+            segmented.append(unit.file_path)
+            return real_segment(unit, config, on_error_block)
+
+        monkeypatch.setattr(segmenter_module, "iter_project_files", counting_list)
+        monkeypatch.setattr(Path, "read_bytes", counting_read)
+        monkeypatch.setattr(PromptLibrary, "load", classmethod(counting_load))
+        monkeypatch.setattr(memo_module, "segment_unit", counting_segment)
+        manifest = toy_manifest(tmp_path)
+        thetas = (30, 45, 60, 90, 120, 100000)
+        swept = run_theta_sweep(manifest, harness_config(), encoder, scripted_chat(), thetas)
+        roots = [Path(p.root_path) for p in manifest.projects]
+        assert sorted(listed) == sorted(roots)
+        files = [f for root in roots for f in real_list(root, harness_config().ignore_globs)]
+        assert sorted(read) == sorted(files)
+        assert loaded == [None]
+        # Some files keep their blocks from one setting to the next.
+        assert len(segmented) < len(files) * len(thetas)
+        monkeypatch.undo()
+        for theta in thetas:
+            alone = run_benchmark(
+                manifest, replace(harness_config(), theta=theta), encoder, scripted_chat(), memo=Memo()
+            )
+            for report in (alone, swept[theta]):
+                report.pop("generated_at")
+            assert swept[theta] == alone
+
     def test_sweep_reports_equal_runs_with_fresh_memos(self, tmp_path: Path, encoder):
         # Reused settings included: plain_app at 120 and 100000, unguarded_app at 100000.
         thetas = SWEEP
@@ -370,6 +421,7 @@ class TestSweepReuse:
             name = f"{project}__CVE-2020-5408.jsonl"
             copy = (transcripts / f"theta_{reused}" / name).read_bytes()
             assert copy == (transcripts / f"theta_{source}" / name).read_bytes()
+            assert (transcripts / f"theta_{reused}" / name).samefile(transcripts / f"theta_{source}" / name)
         assert (transcripts / "theta_100000" / "unguarded_app__CVE-2020-5408.jsonl").stat().st_size
         reuse_lines = sorted(r.getMessage() for r in caplog.records if "reused" in r.getMessage())
         assert reuse_lines == [
@@ -377,6 +429,19 @@ class TestSweepReuse:
             "project plain_app at theta=120: same blocks as theta=60, 1 verdicts reused",
             "project unguarded_app at theta=100000: same blocks as theta=120, 1 verdicts reused",
         ]
+
+    def test_reused_transcripts_are_copied_where_links_fail(self, tmp_path, encoder, monkeypatch):
+        def no_links(src, dst):
+            raise OSError("hard links not supported")
+
+        monkeypatch.setattr(evalharness.os, "link", no_links)
+        out = tmp_path / "out"
+        manifest = only(toy_manifest(tmp_path), "unguarded_app")
+        run_theta_sweep(manifest, harness_config(), encoder, scripted_chat(), (120, 100000), out)
+        source, reused = (
+            out / "transcripts" / f"theta_{t}" / "unguarded_app__CVE-2020-5408.jsonl" for t in (120, 100000)
+        )
+        assert reused.read_bytes() == source.read_bytes() and not reused.samefile(source)
 
     def test_blocks_differing_in_one_field_are_analyzed_again(self, tmp_path, encoder, monkeypatch):
         memo = Memo()
@@ -467,7 +532,8 @@ class TestBuildIndex:
         memo = Memo()
         without = build_index(root, cfg, encoder, memo)
         (root / "Blank.java").write_text("\n")
-        with_blank = build_index(root, cfg, encoder, memo)
+        # A fresh memo: the first one keeps its snapshot of the tree.
+        with_blank = build_index(root, cfg, encoder, Memo())
         assert [e.block.to_dict() for e in with_blank.entries()] == [
             e.block.to_dict() for e in without.entries()
         ]

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import os
 import re
 import sys
 import tempfile
@@ -413,6 +414,22 @@ class TestTranscript:
             gw.grade_invocation(ENCODE_BLOCK, vuln.api_signatures[0])
             lines = path.read_text().strip().splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["role_kind"] == "grader"
+
+    def test_a_new_sink_replaces_a_linked_path_without_rewriting_it(self, tmp_path: Path, vuln):
+        first, linked = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        answers = scripted(defaults={RoleKind.GRADER: '{"answer": "no"}'})
+        with Transcript(sink_path=first) as transcript:
+            ChatGateway(answers, transcript=transcript).grade_invocation(
+                ENCODE_BLOCK, vuln.api_signatures[0]
+            )
+        recorded = first.read_bytes()
+        os.link(first, linked)
+        with Transcript(sink_path=linked) as transcript:
+            gw = ChatGateway(answers, transcript=transcript)
+            gw.grade_invocation(COMMENT_BLOCK, vuln.api_signatures[0])
+            gw.grade_invocation(ENCODE_BLOCK, vuln.api_signatures[0])
+        assert first.read_bytes() == recorded
+        assert len(Transcript.load(linked)) == 2
 
     def test_replay_reproduces_identical_parsed_sequence(self, vuln):
         script = scripted(

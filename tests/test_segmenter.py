@@ -1,9 +1,11 @@
 import json
 import logging
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES, JAVA_SOURCES, record_token_counts
 from corpus import generate_corpus
@@ -11,7 +13,7 @@ from vulnreach import cli
 from vulnreach.errors import EmptyProject
 from vulnreach.javaparse import parse_source
 from vulnreach.model import Config, NodeKind
-from vulnreach.segmenter import _SPLIT_NODES, segment_project, segment_unit
+from vulnreach.segmenter import _SPLIT_NODES, read_project, segment_project, segment_unit
 from vulnreach.memo import Memo
 from vulnreach.tokenizer import DEFAULT_TOKENIZER
 
@@ -202,6 +204,37 @@ class TestSegmentProject:
         )
         assert [b.to_dict() for b in blocks] == golden
 
+    def test_an_unreadable_file_is_logged_once_through_a_memo(self, tmp_path, monkeypatch, caplog):
+        (tmp_path / "A.java").write_text("class A {}\n")
+        (tmp_path / "B.java").write_text("class B {}\n")
+        real_read = Path.read_bytes
+        reads: list[str] = []
+
+        def flaky_read(self: Path):
+            reads.append(self.name)
+            if self.name == "A.java":
+                raise OSError("simulated unreadable file")
+            return real_read(self)
+
+        monkeypatch.setattr(Path, "read_bytes", flaky_read)
+        memo = Memo()
+        with caplog.at_level(logging.WARNING, logger="vulnreach.segmenter"):
+            for theta in (1, 2500, 1):
+                blocks = segment_project(tmp_path, Config(theta=theta), memo=memo)
+                assert [b.file_path for b in blocks] == ["B.java"]
+        assert reads == ["A.java", "B.java"]
+        assert len(caplog.records) == 1
+
+    def test_a_memo_segments_one_snapshot_of_the_tree(self, tmp_path: Path):
+        (tmp_path / "A.java").write_text("class A {\n    void a() {}\n}\n")
+        before = segment_project(tmp_path, Config(theta=1))
+        memo = Memo()
+        segment_project(tmp_path, Config(theta=2500), memo=memo)
+        (tmp_path / "A.java").write_text("class A {\n    void b() {}\n}\n")
+        (tmp_path / "B.java").write_text("class B {}\n")
+        assert segment_project(tmp_path, Config(theta=1), memo=memo) == before
+        assert segment_project(tmp_path, Config(theta=1)) != before
+
     def test_a_sweep_through_one_memo_counts_each_source_char_once(self, corpus_root, monkeypatch):
         fresh = {theta: segment_project(corpus_root, Config(theta=theta)) for theta in THETA_GRID}
         counted = record_token_counts(monkeypatch)
@@ -210,6 +243,103 @@ class TestSegmentProject:
             assert segment_project(corpus_root, Config(theta=theta), memo=memo) == fresh[theta]
         sources = [p.read_bytes().decode("utf-8", "replace") for p in corpus_root.rglob("*.java")]
         assert sum(map(len, counted)) == sum(map(len, sources))
+
+
+def _straddling_thetas(roots) -> list[int]:
+    """Each size segmentation compares theta with in these trees (unit,
+    type declaration and block sizes, the last at theta 1 and at each unit
+    and type size), and its neighbors on either side."""
+    sizes: set[int] = set()
+    for root in roots:
+        for rel, text in read_project(root, ()):
+            unit = parse_source(rel, text)[0]
+            cuts = {unit.token_count(1, unit.line_count)}
+            cuts.update(unit.token_count(n.line_start, n.line_end) for n, _ in unit.iter_types())
+            sizes |= cuts
+            for theta in {1, *cuts} - {0}:
+                sizes.update(b.size for b in segment_unit(unit, Config(theta=theta)))
+    return sorted({t for s in sizes for t in (s - 1, s, s + 1) if t >= 1})
+
+
+FIXTURE_ROOTS = [
+    FIXTURES / name for name in ("guarded_app", "unguarded_app", "plain_app", "legacy_app", "miniproj")
+]
+FIXTURE_THETAS = _straddling_thetas(FIXTURE_ROOTS)
+
+
+def assert_memo_sweep_equals_fresh_runs(roots, thetas) -> None:
+    """Every theta, in the order given, through one memo, gives the blocks
+    and the error blocks of a memo-less run, field by field."""
+    memo = Memo()
+    for theta in thetas:
+        for root in roots:
+            runs = []
+            for given_memo in (memo, None):
+                errors: list = []
+                blocks = segment_project(
+                    root, Config(theta=theta, ignore_globs=()), on_error_block=errors.append,
+                    memo=given_memo,
+                )
+                runs.append(([b.to_dict() for b in blocks], [b.to_dict() for b in errors]))
+            assert runs[0] == runs[1], (root, theta)
+
+
+@st.composite
+def _nested_type(draw, depth: int = 0) -> tuple:
+    """(field count, statement count of each method, nested types)."""
+    fields = draw(st.integers(0, 2))
+    methods = draw(st.lists(st.integers(0, 8), max_size=3))
+    inner = draw(st.lists(_nested_type(depth + 1), max_size=2)) if depth < 2 else []
+    return fields, methods, inner
+
+
+def _render_type(spec: tuple, name: str, depth: int) -> list[str]:
+    fields, methods, inner = spec
+    pad = "    " * depth
+    lines = [f"{pad}class {name} {{"]
+    lines += [f"{pad}    int f{i} = {i};" for i in range(fields)]
+    for i, statements in enumerate(methods):
+        lines.append(f"{pad}    int m{i}(int x) {{")
+        lines += [f"{pad}        x = x * 31 + {j};" for j in range(statements)]
+        lines += [f"{pad}        return x;", f"{pad}    }}"]
+    for k, child in enumerate(inner):
+        lines += _render_type(child, f"{name}N{k}", depth + 1)
+    return lines + [f"{pad}}}"]
+
+
+class TestThetaClassReuse:
+    """Through one memo, a file is segmented again only when theta crosses
+    one of its sizes; every theta, in any order, gives a fresh run's blocks."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.sampled_from(FIXTURE_THETAS) | st.integers(1, 400), min_size=1, max_size=8))
+    # miniproj's error region is a block of its own only at theta <= 20.
+    @example([80, 20, 21, 5, 80, 5])
+    def test_fixture_sweeps_equal_fresh_runs(self, thetas):
+        assert_memo_sweep_equals_fresh_runs(FIXTURE_ROOTS, thetas)
+
+    def test_error_blocks_reach_the_callback_at_every_theta(self):
+        memo = Memo()
+        seen = {}
+        for theta in (5, 80, 5, 20, 5):
+            errors: list = []
+            segment_project(FIXTURES / "miniproj", Config(theta=theta), on_error_block=errors.append, memo=memo)
+            seen.setdefault(theta, errors)
+            assert errors == seen[theta]
+        assert [b.file_path for b in seen[5]] == ["src/util/Broken.java"] and seen[80] == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(_nested_type(), st.data())
+    def test_nested_type_sweeps_equal_fresh_runs(self, spec, data):
+        source = "package p;\n\n" + "\n".join(_render_type(spec, "Outer", 0)) + "\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "Outer.java").write_text(source, encoding="utf-8")
+            candidates = _straddling_thetas([root])
+            thetas = data.draw(
+                st.lists(st.sampled_from(candidates) | st.integers(1, 300), min_size=1, max_size=8)
+            )
+            assert_memo_sweep_equals_fresh_runs([root], thetas)
 
 
 class TestFuzzNet:
