@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence, TypeVar
 
 from . import evalharness
 from .detector import analyze
@@ -42,23 +42,30 @@ from .gateway import (
 from .memo import Memo, encoder_fingerprint
 from .model import CodeBlock, Config, EmbeddingVector, Judgment, VulnSpec
 from .segmenter import segment_project
-from .store import StoreEntry, VectorStore, _write_atomic
+from .store import StoreEntry, VectorStore, write_json
 
 EXIT_OK = 0
 EXIT_USER_ERROR = 1
 EXIT_PROVIDER_ERROR = 2
 EXIT_VULNERABLE = 3
 
+_T = TypeVar("_T")
+
+
+def _load_json(path: str, what: str, parse: Callable[[Any], _T]) -> _T:
+    """``parse`` of the JSON in the file at ``path``. Any failure to read or
+    parse it is a ``ConfigError`` starting with ``what``, or ``parse``'s own."""
+    try:
+        return parse(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (OSError, json.JSONDecodeError, AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+
 
 def load_config(args: argparse.Namespace) -> Config:
     """Defaults, overridden by the ``--config`` file, overridden by flags."""
     config = Config()
     if args.config is not None:
-        try:
-            raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        config = Config.from_dict(raw)
+        config = _load_json(args.config, f"cannot read config {args.config}", Config.from_dict)
     flags = {
         name: getattr(args, name)
         for name in ("theta", "tau")
@@ -184,11 +191,7 @@ def _insert_embedded(store: VectorStore, encoder: EncoderProvider, blocks: list[
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     config = load_config(args)
-    try:
-        vuln = VulnSpec.from_dict(json.loads(Path(args.vuln).read_text(encoding="utf-8")))
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"error: invalid vulnerability spec: {exc}", file=sys.stderr)
-        return EXIT_USER_ERROR
+    vuln = _load_json(args.vuln, "invalid vulnerability spec", VulnSpec.from_dict)
     store = VectorStore.open(args.index)
     encoder = _encoder_provider(config.encoder)
     configured = encoder_fingerprint(encoder)
@@ -207,6 +210,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     chat_provider = _chat_provider(config.chat)
 
     report_path = Path(args.report)
+    report_path.parent.mkdir(parents=True, exist_ok=True)
     transcript_path = report_path.with_name(report_path.name + ".transcript.jsonl")
     prompts = PromptLibrary.load(config.prompts_dir)
     with Transcript(sink_path=transcript_path) as transcript:
@@ -223,7 +227,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "config": config.to_dict(),
         **verdict.to_dict(),
     }
-    _write_atomic(report_path, [_json_bytes(report)])
+    write_json(report_path, report)
     print(
         f"{verdict.project_id}: {verdict.project_judgment.value}"
         f" ({len(verdict.per_candidate)} candidate(s)) -> {args.report}"
@@ -233,17 +237,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = load_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(args.out)  # made by the first file written under it
 
     if args.from_predictions:
         return _evaluate_from_predictions(args, out_dir)
 
-    try:
-        manifest = evalharness.BenchmarkManifest.from_file(args.manifest)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"error: invalid manifest {args.manifest}: {exc}", file=sys.stderr)
-        return EXIT_USER_ERROR
+    manifest = _load_manifest(args.manifest)
     memo = Memo()
     encoder = _encoder_provider(config.encoder)
     chat_provider = _chat_provider(config.chat)
@@ -267,37 +266,36 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _evaluate_from_predictions(args: argparse.Namespace, out_dir: Path) -> int:
-    try:
-        raw = json.loads(Path(args.from_predictions).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: invalid predictions file: {exc}", file=sys.stderr)
-        return EXIT_USER_ERROR
+def _load_manifest(path: str) -> evalharness.BenchmarkManifest:
+    return _load_json(path, f"invalid manifest {path}", evalharness.BenchmarkManifest.from_dict)
+
+
+def _predictions(raw: Any) -> evalharness.ConfusionMatrix | dict[str, Judgment]:
+    """A predictions file's confusion matrix, or its judgment per project."""
     if "confusion_matrix" in raw:
-        cm = evalharness.ConfusionMatrix.from_dict(raw["confusion_matrix"])
-    elif "predictions" in raw:
-        if not args.manifest:
-            print("error: --manifest is required to score raw predictions", file=sys.stderr)
-            return EXIT_USER_ERROR
-        try:
-            manifest = evalharness.BenchmarkManifest.from_file(args.manifest)
-            predictions = {pid: Judgment(v) for pid, v in raw["predictions"].items()}
-            cm = evalharness.score(predictions, manifest)
-        except (OSError, json.JSONDecodeError, KeyError, ValueError, MissingPrediction) as exc:
-            print(f"error: cannot score predictions: {exc}", file=sys.stderr)
-            return EXIT_USER_ERROR
+        return evalharness.ConfusionMatrix.from_dict(raw["confusion_matrix"])
+    if "predictions" in raw:
+        return {pid: Judgment(v) for pid, v in raw["predictions"].items()}
+    raise ConfigError("predictions file needs 'confusion_matrix' or 'predictions'")
+
+
+def _evaluate_from_predictions(args: argparse.Namespace, out_dir: Path) -> int:
+    predicted = _load_json(args.from_predictions, "invalid predictions file", _predictions)
+    if isinstance(predicted, evalharness.ConfusionMatrix):
+        cm = predicted
+    elif not args.manifest:
+        raise ConfigError("--manifest is required to score raw predictions")
     else:
-        print("error: predictions file needs 'confusion_matrix' or 'predictions'", file=sys.stderr)
-        return EXIT_USER_ERROR
+        manifest = _load_manifest(args.manifest)
+        try:
+            cm = evalharness.score(predicted, manifest)
+        except MissingPrediction as exc:
+            raise ConfigError(f"cannot score predictions: {exc}") from exc
     result = {"confusion_matrix": cm.to_dict(), "metrics": evalharness.metrics(cm)}
-    _write_atomic(out_dir / "metrics.json", [_json_bytes(result)])
+    write_json(out_dir / "metrics.json", result)
     print(f"tp={cm.tp} fp={cm.fp} tn={cm.tn} fn={cm.fn}")
     print(evalharness.format_metrics(result["metrics"]))
     return EXIT_OK
-
-
-def _json_bytes(report: Mapping[str, Any]) -> bytes:
-    return (json.dumps(report, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
 @functools.cache

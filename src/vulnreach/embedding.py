@@ -11,11 +11,13 @@ the dot-product/cosine equivalence of unit vectors.
 from __future__ import annotations
 
 import hashlib
+import os
 import time
 from collections import Counter
+from dataclasses import dataclass
 from functools import partial
 from itertools import chain, repeat
-from typing import Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence, TypeVar
 
 import numpy as np
 
@@ -97,6 +99,43 @@ def call_with_retry(call: Callable[[], _T]) -> _T:
                 raise
         time.sleep(delay)
     return call()
+
+
+def post_json(
+    endpoint: str,
+    api_key_env: str,
+    payload: Any,
+    timeout: float,
+    what: str,
+    read: Callable[[Any], _T],
+) -> _T:
+    """``read`` of the JSON reply to ``payload``, POSTed to ``endpoint`` with
+    the bearer token in the environment variable ``api_key_env``. Each
+    failure is a ``ProviderError`` naming ``what``; a lost connection and the
+    statuses ``ProviderError.transient`` names are worth a retry."""
+    import requests  # on first use: importing it slows every command's start-up
+
+    api_key = os.environ.get(api_key_env, "")
+    if not api_key:
+        raise ProviderError(f"environment variable {api_key_env} is not set")
+    try:
+        response = requests.post(
+            endpoint,
+            json=payload,
+            headers={"Authorization": f"Bearer {api_key}"},
+            timeout=timeout,
+        )
+    except requests.RequestException as exc:
+        raise ProviderError(f"{what} request failed: {exc}", connection=True) from exc
+    if response.status_code != 200:
+        raise ProviderError(
+            f"{what} endpoint returned {response.status_code}: {response.text[:200]}",
+            status=response.status_code,
+        )
+    try:
+        return read(response.json())
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ProviderError(f"malformed {what} response: {exc}") from exc
 
 
 def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
@@ -352,57 +391,31 @@ class ReferenceEncoder:
         return rows
 
 
+@dataclass(eq=False)
 class RemoteEncoderProvider:
     """Adapter for HTTP embedding endpoints speaking the common
     ``{"model": ..., "input": [...]}`` request shape.
 
     Credentials come from the environment variable named in the config,
-    never from files. Not exercised by the test suite.
+    never from files. The tests drive it through a stubbed ``requests.post``.
     """
 
-    def __init__(
-        self,
-        name: str,
-        model_id: str,
-        endpoint: str,
-        dims: int,
-        api_key_env: str,
-        batch_limit: int = 64,
-        timeout: float = 60.0,
-    ):
-        self.name = name
-        self.model_id = model_id
-        self.endpoint = endpoint
-        self.dims = dims
-        self.api_key_env = api_key_env
-        self.batch_limit = batch_limit
-        self.timeout = timeout
+    TIMEOUT = 60.0  # seconds
+
+    name: str
+    model_id: str
+    endpoint: str
+    dims: int
+    api_key_env: str
+    batch_limit: int = 64
 
     def encode_batch(self, texts: Sequence[str]) -> list[list[float]]:
-        import os
+        payload = {"model": self.model_id, "input": list(texts)}
+        return post_json(
+            self.endpoint, self.api_key_env, payload, self.TIMEOUT, "embedding", _embedding_rows
+        )
 
-        import requests
 
-        api_key = os.environ.get(self.api_key_env, "")
-        if not api_key:
-            raise ProviderError(f"environment variable {self.api_key_env} is not set")
-        try:
-            response = requests.post(
-                self.endpoint,
-                json={"model": self.model_id, "input": list(texts)},
-                headers={"Authorization": f"Bearer {api_key}"},
-                timeout=self.timeout,
-            )
-        except requests.RequestException as exc:
-            raise ProviderError(f"embedding request failed: {exc}", connection=True) from exc
-        if response.status_code != 200:
-            raise ProviderError(
-                f"embedding endpoint returned {response.status_code}: {response.text[:200]}",
-                status=response.status_code,
-            )
-        try:
-            payload = response.json()
-            rows = sorted(payload["data"], key=lambda item: item.get("index", 0))
-            return [list(map(float, row["embedding"])) for row in rows]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProviderError(f"malformed embedding response: {exc}") from exc
+def _embedding_rows(reply: Any) -> list[list[float]]:
+    rows = sorted(reply["data"], key=lambda item: item.get("index", 0))
+    return [list(map(float, row["embedding"])) for row in rows]

@@ -28,7 +28,7 @@ from .gateway import ChatGateway, ChatProvider, Transcript
 from .memo import Memo
 from .model import CodeBlock, Config, Judgment, VulnSpec, aggregate_judgment
 from .segmenter import iter_project_files, segment_project
-from .store import StoreEntry, VectorStore, _write_atomic
+from .store import StoreEntry, VectorStore, _write_atomic, write_json
 
 log = logging.getLogger(__name__)
 
@@ -78,10 +78,6 @@ class BenchmarkManifest:
         vulns = tuple(VulnSpec.from_dict(v) for v in raw["vulns"])
         return cls(projects=projects, vulns=vulns)
 
-    @classmethod
-    def from_file(cls, path: Path | str) -> "BenchmarkManifest":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
@@ -100,7 +96,7 @@ class ConfusionMatrix:
         return self.tp + self.fp + self.tn + self.fn
 
     def to_dict(self) -> dict[str, int]:
-        return {"tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn}
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "ConfusionMatrix":
@@ -207,8 +203,10 @@ def run_benchmark(
 
     Returns the report dict (also written to ``out_dir`` when given, along
     with a rendered plain-text table and per-analysis transcripts under
-    ``transcripts/theta_<N>/``). Every index build and analysis of the run
-    goes through ``memo``, a fresh one when none is given, and so does the
+    ``transcripts/theta_<N>/``). Its ``config`` is ``config.to_dict()``, as
+    ``analyze`` echoes it: the CLI builds ``encoder`` and ``chat_provider``
+    from that config. Every index build and analysis of the run goes
+    through ``memo``, a fresh one when none is given, and so does the
     prompt library's load.
 
     ``_analyzed`` is ``run_theta_sweep``'s record of the previous theta's
@@ -300,15 +298,7 @@ def run_benchmark(
     cm = score(predictions, scored_manifest)
     report = {
         "generated_at": datetime.now(timezone.utc).isoformat(),
-        "config": {
-            "theta": config.theta,
-            "tau": float(config.tau),
-            "top_k": config.top_k,
-            "max_iterations": config.max_iterations,
-            "parallelism": config.parallelism,
-            "encoder": f"{encoder.name}:{encoder.dims}",
-            "chat": f"{chat_provider.name}:{chat_provider.model_id}",
-        },
+        "config": config.to_dict(),
         "projects": rows,
         "block_counts": block_counts,
         "evaluated_projects": cm.total,
@@ -318,11 +308,9 @@ def run_benchmark(
     }
     if out_path is not None:
         # Each file is replaced whole: a crash never leaves a torn report.
-        for suffix, text in (
-            ("json", json.dumps(report, indent=2, sort_keys=True) + "\n"),
-            ("txt", render_table(report)),
-        ):
-            _write_atomic(out_path / f"report_theta_{config.theta}.{suffix}", [text.encode("utf-8")])
+        report_path = out_path / f"report_theta_{config.theta}.json"
+        write_json(report_path, report)
+        _write_atomic(report_path.with_suffix(".txt"), [render_table(report).encode("utf-8")])
     return report
 
 
@@ -378,6 +366,7 @@ def render_table(report: Mapping[str, Any]) -> str:
     cfg = report["config"]
     lines.append(
         f"config: theta={cfg['theta']} tau={cfg['tau']} top_k={cfg['top_k']}"
-        f" encoder={cfg['encoder']} chat={cfg['chat']}"
+        f" encoder={json.dumps(cfg['encoder'], sort_keys=True)}"
+        f" chat={json.dumps(cfg['chat'], sort_keys=True)}"
     )
     return "\n".join(lines) + "\n"

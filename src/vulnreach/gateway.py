@@ -33,7 +33,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple, Protocol, Sequence, TextIO
 
-from .embedding import call_with_retry
+from .embedding import call_with_retry, post_json
 from .errors import ConfigError, MalformedResponse, ProviderError
 from .memo import Memo
 from .model import Candidate, CodeBlock, Judgment, VulnSpec
@@ -150,17 +150,7 @@ class TranscriptEntry(NamedTuple):
     timestamp: str
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "seq": self.seq,
-            "role_kind": self.role_kind.value,
-            "provider_name": self.provider_name,
-            "model_id": self.model_id,
-            "template_hash": self.template_hash,
-            "rendered_prompt": self.rendered_prompt,
-            "raw_response": self.raw_response,
-            "parsed_response": self.parsed_response,
-            "timestamp": self.timestamp,
-        }
+        return {**self._asdict(), "role_kind": self.role_kind.value}
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "TranscriptEntry":
@@ -190,12 +180,13 @@ class TranscriptEntry(NamedTuple):
 class Transcript:
     """Append-only record of every provider interaction.
 
-    When bound to a sink path, the sink is created at once and each entry
-    is written and flushed as one JSON line the moment it lands, so an
-    aborted run still leaves a usable partial transcript. A file already at
-    the path is unlinked, not truncated: another name linked to it keeps
-    its bytes. The sink stays open until :meth:`close` (or the end of a
-    ``with`` block). Appends are synchronized; sequence numbers are monotone.
+    When bound to a sink path, whose directory must exist, the sink is
+    created at once and each entry is written and flushed as one JSON line
+    the moment it lands, so an aborted run still leaves a usable partial
+    transcript. A file already at the path is unlinked, not truncated:
+    another name linked to it keeps its bytes. The sink stays open until
+    :meth:`close` (or the end of a ``with`` block). Appends are
+    synchronized; sequence numbers are monotone.
     """
 
     def __init__(self, sink_path: Path | str | None = None):
@@ -204,7 +195,6 @@ class Transcript:
         self.sink_path = Path(sink_path) if sink_path is not None else None
         self._sink: TextIO | None = None
         if self.sink_path is not None:
-            self.sink_path.parent.mkdir(parents=True, exist_ok=True)
             self.sink_path.unlink(missing_ok=True)
             self._sink = self.sink_path.open("w", encoding="utf-8")
         # Prompts share template text, vulnerability text and blocks: each part is escaped
@@ -399,60 +389,32 @@ class ReplayChatProvider:
             return responses.popleft()
 
 
+@dataclass(eq=False)
 class RemoteChatProvider:
     """Adapter for HTTP chat endpoints speaking the common
     ``{"model": ..., "messages": [...]}`` request shape. Temperature is
-    pinned to 0. Not exercised by the test suite."""
+    pinned to 0. The tests drive it through a stubbed ``requests.post``."""
 
-    def __init__(
-        self,
-        name: str,
-        model_id: str,
-        endpoint: str,
-        api_key_env: str,
-        max_output_tokens: int = 2048,
-        context_window: int = 100_000,
-        timeout: float = 120.0,
-    ):
-        self.name = name
-        self.model_id = model_id
-        self.endpoint = endpoint
-        self.api_key_env = api_key_env
-        self.max_output_tokens = max_output_tokens
-        self.context_window = context_window
-        self.timeout = timeout
+    TIMEOUT = 120.0  # seconds
+
+    name: str
+    model_id: str
+    endpoint: str
+    api_key_env: str
+    max_output_tokens: int = 2048
+    context_window: int = 100_000
 
     def complete(self, prompt: str, role: RoleKind) -> str:
-        import os
-
-        import requests
-
-        api_key = os.environ.get(self.api_key_env, "")
-        if not api_key:
-            raise ProviderError(f"environment variable {self.api_key_env} is not set")
-        try:
-            response = requests.post(
-                self.endpoint,
-                json={
-                    "model": self.model_id,
-                    "messages": [{"role": "user", "content": prompt}],
-                    "temperature": 0.0,
-                    "max_tokens": self.max_output_tokens,
-                },
-                headers={"Authorization": f"Bearer {api_key}"},
-                timeout=self.timeout,
-            )
-        except requests.RequestException as exc:
-            raise ProviderError(f"chat request failed: {exc}", connection=True) from exc
-        if response.status_code != 200:
-            raise ProviderError(
-                f"chat endpoint returned {response.status_code}: {response.text[:200]}",
-                status=response.status_code,
-            )
-        try:
-            return response.json()["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise ProviderError(f"malformed chat response: {exc}") from exc
+        payload = {
+            "model": self.model_id,
+            "messages": [{"role": "user", "content": prompt}],
+            "temperature": 0.0,
+            "max_tokens": self.max_output_tokens,
+        }
+        return post_json(
+            self.endpoint, self.api_key_env, payload, self.TIMEOUT, "chat",
+            lambda reply: reply["choices"][0]["message"]["content"],
+        )
 
 
 def extract_json_object(text: str) -> Any:

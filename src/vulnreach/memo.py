@@ -11,10 +11,9 @@ content:
 - a project's source files, keyed by its root and ignore globs: the tree
   is listed and each file read once, so every later setting segments the
   same snapshot of it;
-- a parsed file, keyed by its relative path and its text;
-- a file's segmentation, keyed like its parse: each file keeps its latest
-  blocks with the interval of thetas they hold for, so a file is segmented
-  again only where theta crosses one of its sizes;
+- a file's parse and its latest blocks, keyed by its relative path and its
+  text, with the interval of thetas those blocks hold for: each content is
+  parsed once, and segmented again only where theta crosses one of its sizes;
 - the prompt library, keyed by its directory;
 - a text's token count, keyed by the text itself: the texts counted are
   the command's own prompt parts, whose ``str`` hash is computed once per
@@ -73,8 +72,9 @@ def _utf8(text: str) -> bytes:
 
 
 class _Segmented(NamedTuple):
-    """A file's blocks, and the thetas in (low, high] that cut it into them."""
+    """A file's parse, its blocks, and the thetas in (low, high] that cut it into them."""
 
+    unit: CompilationUnit
     low: float
     high: float
     blocks: list[CodeBlock]
@@ -90,7 +90,6 @@ class Memo:
         self._answers: dict[int, tuple[ChatProvider, dict[bytes, str]]] = {}
         self._vectors: dict[str, dict[bytes, EmbeddingVector]] = {}
         self._sources: dict[tuple[Path, tuple[str, ...]], list[tuple[str, str]]] = {}
-        self._units: dict[tuple[str, str], CompilationUnit] = {}
         self._segments: dict[tuple[str, str], _Segmented] = {}
         self._prompts: dict[str | None, PromptLibrary] = {}
         self._token_counts: dict[str, int] = {}
@@ -125,14 +124,6 @@ class Memo:
                 vectors.setdefault(key, vector)
         return [vectors[k] for k in keys]
 
-    def parse(self, rel_path: str, text: str) -> CompilationUnit:
-        """``parse_source(rel_path, text)``'s unit, parsed once per content."""
-        key = (rel_path, text)
-        unit = self._units.get(key)
-        if unit is None:
-            unit = self._units.setdefault(key, parse_source(rel_path, text)[0])
-        return unit
-
     def sources(self, root: Path, ignore_globs: Sequence[str]) -> list[tuple[str, str]]:
         """``read_project(root, ignore_globs)``'s (relative path, text)
         pairs, read once: later calls get the same snapshot of the tree."""
@@ -149,20 +140,21 @@ class Memo:
         config: Config,
         on_error_block: Callable[[CodeBlock], None] | None = None,
     ) -> list[CodeBlock]:
-        """``segment_unit(self.parse(rel_path, text), config, on_error_block)``.
+        """``segment_unit(parse_source(rel_path, text)[0], config, on_error_block)``.
 
-        The file's latest blocks are reused at every theta of their
-        ``theta_class``, and their error blocks passed to ``on_error_block``
-        again, so a callback sees the same blocks at every theta.
+        Each content is parsed once. The file's latest blocks are reused at
+        every theta of their ``theta_class``, and their error blocks passed
+        to ``on_error_block`` again, so a callback sees the same blocks at
+        every theta.
         """
         key = (rel_path, text)
         theta = config.theta
         done = self._segments.get(key)
         if done is None or not done.low < theta <= done.high:
-            unit = self.parse(rel_path, text)
+            unit = parse_source(rel_path, text)[0] if done is None else done.unit
             error_blocks: list[CodeBlock] = []
             blocks = segment_unit(unit, config, error_blocks.append)
-            done = _Segmented(*theta_class(unit, blocks, theta), blocks, error_blocks)
+            done = _Segmented(unit, *theta_class(unit, blocks, theta), blocks, error_blocks)
             self._segments[key] = done
         if on_error_block is not None:
             for block in done.error_blocks:

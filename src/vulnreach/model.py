@@ -165,18 +165,7 @@ class CodeBlock:
         )
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "id": self.id,
-            "file_path": self.file_path,
-            "line_start": self.line_start,
-            "line_end": self.line_end,
-            "source": self.source,
-            "node_kind": self.node_kind.value,
-            "enclosing_class": self.enclosing_class,
-            "enclosing_method": self.enclosing_method,
-            "size": self.size,
-            "oversize": self.oversize,
-        }
+        return {**vars(self), "node_kind": self.node_kind.value}
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "CodeBlock":
@@ -356,11 +345,7 @@ class CandidateJudgment:
     rationale: str
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "candidate_id": self.candidate_id,
-            "judgment": self.judgment.value,
-            "rationale": self.rationale,
-        }
+        return {**vars(self), "judgment": self.judgment.value}
 
 
 def aggregate_judgment(per_candidate: Sequence[Judgment]) -> Judgment:
@@ -387,9 +372,7 @@ class Verdict:
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "project_id": self.project_id,
-            "vuln_id": self.vuln_id,
+            **vars(self),
             "per_candidate": [c.to_dict() for c in self.per_candidate],
             "project_judgment": self.project_judgment.value,
-            "transcript_path": self.transcript_path,
         }

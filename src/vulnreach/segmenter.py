@@ -256,9 +256,12 @@ def _carve(unit: CompilationUnit, anchors: list[_Span]) -> list[_Span]:
 
 
 def iter_project_files(root: Path, ignore_globs: Sequence[str]) -> list[Path]:
-    """Discover ``*.java`` files under root, deterministic order, honoring
-    ignore globs (matched against the posix relative path; a glob without a
-    slash also matches any single path segment)."""
+    """Discover ``*.java`` files under root, in deterministic order, that no
+    ignore glob matches. A glob is matched against the posix path relative
+    to root; one with no slash other than a trailing ``/**`` (``build/**``)
+    also matches a directory name above the first ``src`` directory, not
+    below it, where a directory is a package: ``module/build/Y.java`` is
+    ignored, ``src/main/java/com/acme/build/Builder.java`` is not."""
     files = []
     for path in sorted(root.rglob("*.java")):
         if not path.is_file():
@@ -271,12 +274,14 @@ def iter_project_files(root: Path, ignore_globs: Sequence[str]) -> list[Path]:
 
 
 def _ignored(rel_path: str, ignore_globs: Sequence[str]) -> bool:
-    parts = rel_path.split("/")
+    dirs = rel_path.split("/")[:-1]
+    if "src" in dirs:
+        dirs = dirs[: dirs.index("src")]
     for glob in ignore_globs:
         if fnmatch.fnmatchcase(rel_path, glob):
             return True
         if "/" not in glob.rstrip("/*") and any(
-            fnmatch.fnmatchcase(part, glob.rstrip("/*")) for part in parts[:-1]
+            fnmatch.fnmatchcase(part, glob.rstrip("/*")) for part in dirs
         ):
             return True
     return False

@@ -126,14 +126,7 @@ class ScopeFilter:
         )
 
     def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {}
-        if self.class_name is not None:
-            out["class_name"] = self.class_name
-        if self.method_name is not None:
-            out["method_name"] = self.method_name
-        if self.file_glob is not None:
-            out["file_glob"] = self.file_glob
-        return out
+        return {name: value for name, value in vars(self).items() if value is not None}
 
 
 EMPTY_SCOPE = ScopeFilter()
@@ -519,6 +512,11 @@ def _column(path: Path, columns: Mapping[str, Any], name: str, length: int) -> l
     if len(column) != length:
         raise IndexFormatError(f"{path}: sidecar column {name} has {len(column)} values for {length}")
     return column
+
+
+def write_json(path: Path, obj: Any) -> None:
+    """Write ``obj`` atomically as indented, key-sorted JSON and a newline: every report's form."""
+    _write_atomic(path, [(json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")])
 
 
 def _write_atomic(path: Path, parts: Iterable[bytes | memoryview | np.ndarray]) -> None:

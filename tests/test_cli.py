@@ -321,7 +321,7 @@ class TestAnalyzeCommand:
 
     def test_unguarded_fixture_exit_3(self, tmp_path: Path, config_file: Path):
         index = build_index_for("unguarded_app", tmp_path)
-        report = tmp_path / "report.json"
+        report = tmp_path / "new" / "dir" / "report.json"  # made by analyze
         code = run_cli(
             "analyze",
             "--index", str(index),
@@ -332,6 +332,7 @@ class TestAnalyzeCommand:
         )
         assert code == 3
         assert read_report(report)["project_judgment"] == "Vulnerable"
+        assert Path(read_report(report)["transcript_path"]).stat().st_size > 0
 
     def test_replay_transcript_reproduces_identical_report(self, tmp_path: Path, config_file: Path):
         index = build_index_for("guarded_app", tmp_path)
@@ -818,6 +819,36 @@ class TestEvaluateCommand:
         assert run_cli("evaluate", "--out", str(tmp_path / "o")) == 1
 
 
+class TestJsonInputs:
+    """Every JSON file a command reads is refused, when malformed, with one
+    `error:` line and exit 1."""
+
+    @pytest.mark.parametrize(
+        "flag, text, message",
+        [
+            ("--vuln", "[1]", "invalid vulnerability spec: "),
+            ("--manifest", '{"projects": 1, "vulns": []}', "invalid manifest "),
+            ("--from-predictions", '{"confusion_matrix": {"tp": 1}}', "invalid predictions file: "),
+            ("--from-predictions", "5", "invalid predictions file: "),
+            ("--from-predictions", '{"predictions": [1]}', "invalid predictions file: "),
+            ("--from-predictions", '{"counts": {}}', "predictions file needs "),
+        ],
+    )
+    def test_a_json_input_of_the_wrong_shape_exits_1_with_one_error_line(
+        self, tmp_path: Path, config_file: Path, capsys, flag, text, message
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        if flag == "--vuln":
+            index = build_index_for("plain_app", tmp_path)
+            args = ["analyze", "--index", str(index), "--report", str(tmp_path / "r.json")]
+        else:
+            args = ["evaluate", "--out", str(tmp_path / "o")]
+        assert run_cli(*args, "--config", str(config_file), flag, str(bad)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 class TestEmbeddingCache:
     """`evaluate` keeps its embeddings under --out/cache across runs."""
 
@@ -1263,7 +1294,9 @@ class TestVerdictTranscriptPath:
         assert [v.transcript_path for v in verdicts] == [str(sink)]
         assert read_report(report)["transcript_path"] == str(sink) and sink.stat().st_size > 0
 
-        manifest = evalharness.BenchmarkManifest.from_file(write_toy_manifest(tmp_path / "m.json"))
+        manifest = evalharness.BenchmarkManifest.from_dict(
+            read_report(write_toy_manifest(tmp_path / "m.json"))
+        )
         config = Config.from_dict(read_report(config_file))
         chat = ScriptedChatProvider.from_file(FIXTURES / "chat_script.json")
         verdicts.clear()

@@ -1,10 +1,12 @@
 import contextlib
 import hashlib
+import json
 import math
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from vulnreach.embedding import (
     reference_encode,
 )
 from vulnreach.errors import EmptyText, ProviderError
+from vulnreach.gateway import RemoteChatProvider, RoleKind
 
 # Pairwise cosines of the three fixture snippets below under the reference
 # encoder at dims=64, frozen from the first verified run.
@@ -533,3 +536,94 @@ class TestRetry:
         with pytest.raises(ProviderError) as raised:
             embed(self.failing(*errors), ["x();"])
         assert raised.value is errors[-1] and sleeps == [0.5, 1.0, 2.0]
+
+
+class _Reply:
+    """What ``post_json`` reads of a ``requests`` response."""
+
+    def __init__(self, status: int, body):
+        self.status_code = status
+        self.text = body if isinstance(body, str) else json.dumps(body)
+
+    def json(self):
+        return json.loads(self.text)
+
+
+_KEY_ENV = "VULNREACH_TEST_POST_KEY"
+# Each remote provider: its call, a reply it parses with what it returns, and its error word.
+_REMOTES = {
+    "embedding": (
+        lambda: RemoteEncoderProvider(
+            name="remote", model_id="m", endpoint="http://localhost:9/embed", dims=2,
+            api_key_env=_KEY_ENV,
+        ).encode_batch(["a", "b"]),
+        {"data": [{"index": 1, "embedding": [0, 1]}, {"index": 0, "embedding": [1, 0]}]},
+        [[1.0, 0.0], [0.0, 1.0]],
+    ),
+    "chat": (
+        lambda: RemoteChatProvider(
+            name="remote", model_id="m", endpoint="http://localhost:9/chat", api_key_env=_KEY_ENV,
+        ).complete("a", RoleKind.JUDGE),
+        {"choices": [{"message": {"content": "yes"}}]},
+        "yes",
+    ),
+}
+
+
+@pytest.mark.parametrize("what", sorted(_REMOTES))
+class TestPostJson:
+    """Both remote providers through ``post_json``, against a stubbed
+    ``requests.post``: no request leaves the process."""
+
+    @pytest.fixture()
+    def stub(self, monkeypatch) -> SimpleNamespace:
+        """``requests.post`` replaced: it gives (or raises) ``stub.reply``,
+        and each request it got lands in ``stub.sent``."""
+        monkeypatch.setenv(_KEY_ENV, "secret")
+        stub = SimpleNamespace(reply=None, sent=[])
+
+        def post(endpoint, *, json, headers, timeout):
+            stub.sent.append((endpoint, json, headers, timeout))
+            if isinstance(stub.reply, Exception):
+                raise stub.reply
+            return stub.reply
+
+        monkeypatch.setattr("requests.post", post)
+        return stub
+
+    def test_a_200_reply_is_read(self, what, stub):
+        call, body, expected = _REMOTES[what]
+        stub.reply = _Reply(200, body)
+        assert call() == expected
+        (endpoint, payload, headers, timeout), = stub.sent
+        assert payload["model"] == "m" and headers == {"Authorization": "Bearer secret"}
+        provider = RemoteEncoderProvider if what == "embedding" else RemoteChatProvider
+        assert timeout == provider.TIMEOUT and endpoint.startswith("http://localhost:9/")
+
+    @pytest.mark.parametrize("status, transient", [(401, False), (429, True), (503, True)])
+    def test_a_status_other_than_200_fails_by_its_kind(self, what, stub, status, transient):
+        stub.reply = _Reply(status, "no")
+        with pytest.raises(ProviderError, match=f"^{what} endpoint returned {status}: no$") as raised:
+            _REMOTES[what][0]()
+        assert raised.value.status == status and raised.value.transient is transient
+
+    def test_a_connection_failure_is_transient(self, what, stub):
+        import requests
+
+        stub.reply = requests.ConnectionError("refused")
+        with pytest.raises(ProviderError, match=f"^{what} request failed: refused$") as raised:
+            _REMOTES[what][0]()
+        assert raised.value.connection and raised.value.transient
+
+    @pytest.mark.parametrize("body", [{"unexpected": []}, "not json"])
+    def test_a_malformed_reply_is_a_provider_error(self, what, stub, body):
+        stub.reply = _Reply(200, body)
+        with pytest.raises(ProviderError, match=f"^malformed {what} response: ") as raised:
+            _REMOTES[what][0]()
+        assert not raised.value.transient
+
+    def test_an_unset_key_sends_nothing(self, what, stub, monkeypatch):
+        monkeypatch.delenv(_KEY_ENV)
+        with pytest.raises(ProviderError, match=f"^environment variable {_KEY_ENV} is not set$") as raised:
+            _REMOTES[what][0]()
+        assert not raised.value.transient and stub.sent == []

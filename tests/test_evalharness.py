@@ -33,7 +33,8 @@ from vulnreach.store import VectorStore
 
 
 def toy_manifest(tmp_path: Path) -> BenchmarkManifest:
-    return BenchmarkManifest.from_file(write_toy_manifest(tmp_path / "manifest.json"))
+    path = write_toy_manifest(tmp_path / "manifest.json")
+    return BenchmarkManifest.from_dict(json.loads(path.read_text(encoding="utf-8")))
 
 
 def harness_config() -> Config:
@@ -337,11 +338,18 @@ class TestRunBenchmark:
         assert strict["confusion_matrix"] == {"tp": 0, "fp": 0, "tn": 2, "fn": 2}
 
     def test_render_table_mentions_every_project_and_config(self, tmp_path: Path, encoder):
-        report = run_benchmark(toy_manifest(tmp_path), harness_config(), encoder, scripted_chat())
+        config = replace(harness_config(), chat={"provider": "scripted", "script_path": "s.json"})
+        report = run_benchmark(toy_manifest(tmp_path), config, encoder, scripted_chat())
+        assert report["config"] == config.to_dict()  # the echo `analyze` writes too
         table = render_table(report)
         for pid in ("guarded_app", "unguarded_app", "plain_app", "legacy_app"):
             assert pid in table
-        assert f"theta={FIXTURE_THETA}" in table and "precision=" in table
+        assert "precision=" in table
+        assert table.splitlines()[-1] == (
+            f"config: theta={FIXTURE_THETA} tau={FIXTURE_TAU} top_k=10"
+            ' encoder={"dims": 256, "provider": "reference"}'
+            ' chat={"provider": "scripted", "script_path": "s.json"}'
+        )
 
 
 def count_analyses(monkeypatch) -> list[tuple[str, int]]:

@@ -22,7 +22,8 @@ from vulnreach import memo as memo_module
 from vulnreach.embedding import ReferenceEncoder, reference_encode
 from vulnreach.gateway import RoleKind, ScriptedChatProvider
 from vulnreach.memo import Memo
-from vulnreach.model import EmbeddingVector
+from vulnreach.model import Config, EmbeddingVector
+from vulnreach.segmenter import segment_unit
 
 TEXTS = ["int a = b;", "encoder.encode(raw)", "return null;"]
 
@@ -114,12 +115,17 @@ class TestParseMemo:
 
         monkeypatch.setattr(memo_module, "parse_source", counting)
         memo = Memo()
-        first = memo.parse("A.java", "class A {}\n")
-        assert memo.parse("A.java", "class A {}\n") is first
-        other_path = memo.parse("B.java", "class A {}\n")
-        edited = memo.parse("A.java", "class A { int x; }\n")
+        text = "class A {\n    int x;\n    void m() { x = 1; }\n}\n"
+        # Split at theta 5, one block at 10,000: each theta re-segments the one parse.
+        cut = {theta: memo.segment("A.java", text, Config(theta=theta)) for theta in (5, 10_000, 5)}
+        assert parsed == ["A.java"]
+        for theta, blocks in cut.items():
+            assert blocks == segment_unit(parse_source("A.java", text)[0], Config(theta=theta))
+        assert len(cut[5]) > len(cut[10_000]) == 1
+        other_path = memo.segment("B.java", text, Config(theta=5))
+        edited = memo.segment("A.java", text.replace("1", "2"), Config(theta=5))
         assert parsed == ["A.java", "B.java", "A.java"]
-        assert other_path.file_path == "B.java" and edited is not first
+        assert {b.file_path for b in other_path} == {"B.java"} and edited != cut[5]
 
 
 class TestVectorCache:

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,10 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_block
+from vulnreach.evalharness import ConfusionMatrix
+from vulnreach.gateway import RoleKind, TranscriptEntry
 from vulnreach.model import (
     Candidate,
     CandidateJudgment,
     CodeBlock,
+    Config,
     EmbeddingVector,
     Judgment,
     MatchedBy,
@@ -20,6 +24,71 @@ from vulnreach.model import (
     aggregate_judgment,
     block_id,
 )
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+_COUNTS = st.integers(0, 10**6)
+
+
+@st.composite
+def _code_blocks(draw) -> CodeBlock:
+    start = draw(st.integers(1, 10**6))
+    return CodeBlock(
+        id=draw(st.text()),
+        file_path=draw(st.text()),
+        line_start=start,
+        line_end=start + draw(_COUNTS),
+        source=draw(st.text()),
+        node_kind=draw(st.sampled_from(NodeKind)),
+        enclosing_class=draw(st.none() | st.text()),
+        enclosing_method=draw(st.none() | st.text()),
+        size=draw(_COUNTS),
+        oversize=draw(st.booleans()),
+    )
+
+
+_ENTRIES = st.builds(
+    TranscriptEntry,
+    seq=_COUNTS,
+    role_kind=st.sampled_from(RoleKind),
+    provider_name=st.text(),
+    model_id=st.text(),
+    template_hash=st.text(),
+    rendered_prompt=st.text(),
+    raw_response=st.text(),
+    parsed_response=_JSON,
+    timestamp=st.text(),
+)
+_MATRICES = st.builds(ConfusionMatrix, tp=_COUNTS, fp=_COUNTS, tn=_COUNTS, fn=_COUNTS)
+_CONFIGS = st.builds(
+    Config,
+    theta=st.integers(1, 10**5),
+    tau=st.floats(0.0, 1.0, exclude_min=True),
+    top_k=st.integers(1, 100),
+    max_iterations=st.integers(1, 100),
+    parallelism=st.integers(1, 64),
+    ignore_globs=st.lists(st.text(), max_size=4).map(tuple),
+    encoder=st.dictionaries(st.text(), _JSON, max_size=3),
+    # The echo leaves out chat keys naming a credential.
+    chat=st.dictionaries(st.text().filter(lambda k: "key" not in k.lower()), _JSON, max_size=3),
+    prompts_dir=st.none() | st.text(),
+)
+
+
+class TestToDict:
+    """``to_dict`` is derived from an instance's fields, so a field added
+    later is written, and ``from_dict`` must read it back."""
+
+    @given(st.one_of(_code_blocks(), _ENTRIES, _MATRICES, _CONFIGS))
+    def test_from_dict_inverts_it_and_its_keys_are_the_fields(self, value):
+        names = value._fields if isinstance(value, tuple) else [f.name for f in fields(value)]
+        raw = value.to_dict()
+        assert set(raw) == set(names)
+        assert type(value).from_dict(raw) == value
 
 
 class TestCodeBlock:

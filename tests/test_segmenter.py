@@ -175,6 +175,16 @@ class TestSegmentProject:
         blocks = segment_project(tmp_path, Config(theta=2500))
         assert [b.file_path for b in blocks] == ["src/A.java"]
 
+    def test_a_package_named_like_a_build_output_is_indexed(self, tmp_path: Path):
+        # A slash-less default glob (build/**, target/**) names a directory
+        # only above the first src/: below it a directory is a package.
+        kept = ["src/main/java/com/acme/app/App.java", "src/main/java/com/acme/build/Builder.java"]
+        for rel in [*kept, "module/target/Gen.java", "build/X.java", "module/build/Y.java"]:
+            (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / rel).write_text(f"class {Path(rel).stem} {{}}\n")
+        blocks = segment_project(tmp_path, Config(theta=2500))
+        assert [b.file_path for b in blocks] == kept
+
     def test_empty_project_raises(self, tmp_path: Path):
         with pytest.raises(EmptyProject):
             segment_project(tmp_path, Config(theta=2500))
