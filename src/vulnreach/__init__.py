@@ -9,7 +9,7 @@ from .detector import (
     complete_context,
     identify_candidates,
 )
-from .embedding import EncoderProvider, ReferenceEncoder, cosine, embed, reference_encode
+from .embedding import EncoderProvider, ReferenceEncoder, embed
 from .evalharness import (
     BenchmarkManifest,
     ConfusionMatrix,
@@ -61,7 +61,6 @@ __all__ = [
     "complete_context",
     "ConfusionMatrix",
     "ContextCompletion",
-    "cosine",
     "DEFAULT_TOKENIZER",
     "embed",
     "EmbeddingVector",
@@ -77,7 +76,6 @@ __all__ = [
     "parse_source",
     "PromptLibrary",
     "PromptTemplate",
-    "reference_encode",
     "ReferenceEncoder",
     "ReplayChatProvider",
     "RoleKind",

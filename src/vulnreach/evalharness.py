@@ -26,7 +26,7 @@ from .embedding import EncoderProvider
 from .errors import MissingPrediction, VulnReachError
 from .gateway import ChatGateway, ChatProvider, Transcript
 from .memo import Memo
-from .model import CodeBlock, Config, Judgment, VulnSpec, aggregate_judgment
+from .model import CodeBlock, Config, Judgment, VulnSpec, aggregate_judgment, checked_str, checked_strs
 from .segmenter import iter_project_files, segment_project
 from .store import StoreEntry, VectorStore, _write_atomic, write_json
 
@@ -52,6 +52,9 @@ class BenchmarkManifest:
             raise ValueError("manifest project_ids must be unique")
         known = {v.vuln_id for v in self.vulns}
         for project in self.projects:
+            if not project.vuln_refs:
+                # It would be predicted "Secure" from no analysis at all.
+                raise ValueError(f"project {project.project_id} has no vuln_refs")
             unresolved = set(project.vuln_refs) - known
             if unresolved:
                 raise ValueError(
@@ -68,10 +71,10 @@ class BenchmarkManifest:
     def from_dict(cls, raw: Mapping[str, Any]) -> "BenchmarkManifest":
         projects = tuple(
             ProjectSpec(
-                project_id=str(p["project_id"]),
-                root_path=str(p["root_path"]),
+                project_id=checked_str(p["project_id"], "project_id"),
+                root_path=checked_str(p["root_path"], "root_path"),
                 ground_truth=Judgment(p["ground_truth"]),
-                vuln_refs=tuple(str(v) for v in p["vuln_refs"]),
+                vuln_refs=checked_strs(p["vuln_refs"], "vuln_refs"),
             )
             for p in raw["projects"]
         )

@@ -27,6 +27,21 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def checked_str(value: Any, key: str) -> str:
+    """``value`` if it is a string; else a ``ConfigError`` naming ``key``."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def checked_strs(value: Any, key: str) -> tuple[str, ...]:
+    """``value`` as a tuple if it is a list of strings; else a
+    ``ConfigError`` naming ``key``."""
+    if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
+        raise ConfigError(f"{key} must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class Config:
     """Every setting of a run, checked on construction.
@@ -54,10 +69,7 @@ class Config:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
         if not (_is_int(self.tau) or isinstance(self.tau, float)) or not 0.0 < self.tau <= 1.0:
             raise ConfigError(f"tau must be a number in (0, 1], got {self.tau!r}")
-        globs = self.ignore_globs
-        if not isinstance(globs, (list, tuple)) or not all(isinstance(g, str) for g in globs):
-            raise ConfigError(f"ignore_globs must be a list of strings, got {globs!r}")
-        object.__setattr__(self, "ignore_globs", tuple(globs))
+        object.__setattr__(self, "ignore_globs", checked_strs(self.ignore_globs, "ignore_globs"))
         for name in ("encoder", "chat"):
             if not isinstance(getattr(self, name), Mapping):
                 raise ConfigError(f"{name} must be a JSON object, got {getattr(self, name)!r}")
@@ -275,11 +287,13 @@ class VulnSpec:
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "VulnSpec":
+        """A value of the wrong JSON type is a ``ConfigError`` naming its key:
+        a string ``api_signatures`` would search one-character seeds."""
         return cls(
-            vuln_id=str(raw["vuln_id"]),
-            library=str(raw["library"]),
-            api_signatures=tuple(str(s) for s in raw["api_signatures"]),
-            pov_test_source=str(raw["pov_test_source"]),
+            vuln_id=checked_str(raw["vuln_id"], "vuln_id"),
+            library=checked_str(raw["library"], "library"),
+            api_signatures=checked_strs(raw["api_signatures"], "api_signatures"),
+            pov_test_source=checked_str(raw["pov_test_source"], "pov_test_source"),
             description=raw.get("description"),
         )
 

@@ -99,13 +99,6 @@ class ScopeFilter:
     method_name: str | None = None
     file_glob: str | None = None
 
-    def matches(self, block: CodeBlock) -> bool:
-        return (
-            self.accepts_class(block.enclosing_class)
-            and self.accepts_method(block.enclosing_method)
-            and self.accepts_file(block.file_path)
-        )
-
     def accepts_class(self, enclosing: str | None) -> bool:
         if self.class_name is None:
             return True

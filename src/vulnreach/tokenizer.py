@@ -43,9 +43,6 @@ def _classes(text: str) -> np.ndarray:
 class LexicalTokenizer:
     """Whitespace-and-punctuation tokenizer: `int x = 0;` -> 5 tokens."""
 
-    def tokenize(self, text: str) -> list[str]:
-        return _LEXEME.findall(text)
-
     def count(self, text: str) -> int:
         return len(_LEXEME.findall(text))
 

@@ -235,6 +235,11 @@ def write_tool_config(path: Path, **overrides) -> Path:
     return path
 
 
+def encode_alone(text: str, dims: int = DIMS) -> EmbeddingVector:
+    """``text`` encoded alone by a fresh reference encoder, normalized."""
+    return EmbeddingVector.normalized(ReferenceEncoder(dims).encode_batch([text])[0])
+
+
 def unit_vector(values, dims: int | None = None) -> EmbeddingVector:
     return EmbeddingVector.normalized(list(values))
 

@@ -17,12 +17,13 @@ from conftest import (
     FIXTURES,
     FIXTURE_THETA,
     edited_prompts,
+    encode_alone,
     torn_writes,
     write_tool_config,
     write_toy_manifest,
 )
 from vulnreach import cli, evalharness
-from vulnreach.embedding import ReferenceEncoder, RemoteEncoderProvider, reference_encode
+from vulnreach.embedding import ReferenceEncoder, RemoteEncoderProvider
 from vulnreach.errors import ProviderError
 from vulnreach.gateway import ChatGateway, ScriptedChatProvider
 from vulnreach.memo import encoder_fingerprint
@@ -220,7 +221,7 @@ class TestIndexBatches:
         sources = [e.block.source for e in store.entries()]
         assert [self.BODIES.index(s) for s in sources] == [0, 1, 0, 2, 1, 0]
         assert batches == [self.BODIES[:2], self.BODIES[2:]]
-        expected = [reference_encode(s, 256).values.astype(np.float32) for s in sources]
+        expected = [encode_alone(s, 256).values.astype(np.float32) for s in sources]
         assert np.array_equal(store._vectors, np.array(expected))
 
     def test_a_failure_in_a_later_batch_leaves_no_file(
@@ -847,6 +848,57 @@ class TestJsonInputs:
         assert run_cli(*args, "--config", str(config_file), flag, str(bad)) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            # Once read as the one-character seeds "a", "b" and "c": on the
+            # plain_app index that answered "Secure (0 candidate(s))", exit 0.
+            ("api_signatures", "abc"),
+            ("api_signatures", ["abc", 3]),
+            ("vuln_id", 7),
+            ("library", None),
+            ("pov_test_source", ["t"]),
+        ],
+    )
+    def test_a_spec_value_of_the_wrong_type_exits_1_naming_the_key(
+        self, tmp_path: Path, config_file: Path, capsys, key, value
+    ):
+        spec = {"vuln_id": "x", "library": "l", "api_signatures": ["abc"], "pov_test_source": "t"}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**spec, key: value}))
+        index = build_index_for("plain_app", tmp_path)
+        capsys.readouterr()
+        report = tmp_path / "r.json"
+        args = ["analyze", "--index", str(index), "--config", str(config_file), "--report", str(report)]
+        assert run_cli(*args, "--vuln", str(bad)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and key in err, err
+        assert not report.exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            # Once predicted "Secure" from no analysis and scored as a true negative.
+            ("vuln_refs", []),
+            ("vuln_refs", "CVE-2020-5408"),
+            ("project_id", 1),
+            ("root_path", ["plain_app"]),
+        ],
+    )
+    def test_a_manifest_project_of_the_wrong_shape_exits_1_naming_the_key(
+        self, tmp_path: Path, config_file: Path, capsys, key, value
+    ):
+        path = write_toy_manifest(tmp_path / "manifest.json")
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest["projects"][2][key] = value
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        out = tmp_path / "o"
+        args = ["evaluate", "--config", str(config_file), "--out", str(out)]
+        assert run_cli(*args, "--manifest", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and key in err, err
+        assert not list(out.glob("report*"))
 
 
 class TestEmbeddingCache:

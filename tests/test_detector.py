@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import FIXTURES, FIXTURE_TAU, CountingEncoder, CountingProvider, make_block
+from conftest import FIXTURES, FIXTURE_TAU, CountingEncoder, CountingProvider, encode_alone, make_block
 from vulnreach import detector as detector_module
 from vulnreach.detector import (
     QueryVectors,
@@ -11,7 +11,7 @@ from vulnreach.detector import (
     complete_context,
     identify_candidates,
 )
-from vulnreach.embedding import ReferenceEncoder, embed, reference_encode
+from vulnreach.embedding import embed
 from vulnreach.errors import EmptyIndex, ProviderError
 from vulnreach.gateway import ChatGateway, RoleKind, ScriptedChatProvider, Transcript
 from vulnreach.memo import Memo
@@ -85,8 +85,8 @@ class TestIdentifyCandidates:
 
         # Oracle: recompute Eq.-style dual-seed filtering directly from the
         # store contents with independently computed similarities.
-        api_vecs = [reference_encode(s, encoder.dims) for s in vuln.api_signatures]
-        test_vec = reference_encode(vuln.pov_test_source, encoder.dims)
+        api_vecs = [encode_alone(s, encoder.dims) for s in vuln.api_signatures]
+        test_vec = encode_alone(vuln.pov_test_source, encoder.dims)
         per_seed_hits: set[str] = set()
         entries = list(guarded_store.entries())
         for seed in [*api_vecs, test_vec]:
@@ -414,7 +414,7 @@ class TestQueryVectors:
         got = queries(texts)
         assert got[0] is got[2]
         assert [v.values.tolist() for v in got] == [
-            reference_encode(t, encoder.dims).values.tolist() for t in texts
+            encode_alone(t, encoder.dims).values.tolist() for t in texts
         ]
 
 

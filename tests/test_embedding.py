@@ -13,18 +13,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import encode_alone
 from vulnreach import embedding
 from vulnreach.embedding import (
     ReferenceEncoder,
     RemoteEncoderProvider,
     _gram_codes,
     _lexical_normalize,
-    cosine,
     embed,
-    reference_encode,
 )
 from vulnreach.errors import EmptyText, ProviderError
 from vulnreach.gateway import RemoteChatProvider, RoleKind
+from vulnreach.model import EmbeddingVector
 
 # Pairwise cosines of the three fixture snippets below under the reference
 # encoder at dims=64, frozen from the first verified run.
@@ -120,26 +120,24 @@ class TestEncoderKernel:
         encoder = ReferenceEncoder(DIMS)
         seen: set[str] = set()
         for k in range(40):
-            # Distinct texts, in batches too short for the numpy pass and,
-            # every other time, long enough for it.
+            # Distinct texts, in short batches and, every other time, in
+            # batches longer than one pass.
             batch = [f"int v{k}_{j} = f{k * 31 + j}(x{j});" * (1 + 60 * (k % 2)) for j in range(3)]
             rows = encoder.encode_batch(batch)
-            assert len(encoder._codes) <= 100
-            assert len(encoder._codes.packed.codes) <= 100
+            assert len(encoder._packed.codes) <= 100
             assert bits(rows) == bits([per_occurrence_features(t, DIMS) for t in batch])
             seen.update(
                 t[i : i + n] for t in map(_lexical_normalize, batch) for n in (3, 4, 5) for i in range(len(t))
             )
         assert len(seen) > 10 * 100  # the table was emptied many times
-        # A batch too short for the numpy pass and one long enough for it,
-        # each of more distinct grams than the table holds.
+        # A short batch and a long one, each of more distinct grams than the
+        # table holds.
         for batch in (["x" + "".join(map(chr, range(200, 330)))], [f"w{k} " * 9 for k in range(400)]):
             normalized = [_lexical_normalize(t) for t in batch]
             grams = {t[i : i + n] for t in normalized for n in (3, 4, 5) for i in range(len(t) - n + 1)}
             assert len(grams) > 100
             rows = encoder.encode_batch(batch)
-            assert len(encoder._codes) <= 100
-            assert len(encoder._codes.packed.codes) <= 100
+            assert len(encoder._packed.codes) <= 100
             assert bits(rows) == bits([per_occurrence_features(t, DIMS) for t in batch])
 
     def test_threads_sharing_an_encoder_get_each_text_alone(self):
@@ -193,14 +191,13 @@ _ODD_BATCHES = st.lists(_ODD_TEXTS, min_size=1, max_size=12)
 
 
 class TestBatchPass:
-    """The numpy pass of ``encode_batch``, reached by lowering its small-batch
-    cutoff to 0 and its per-pass budget to a few dozen characters."""
+    """The numpy pass of ``encode_batch``, with its per-pass budget lowered
+    to a few dozen characters so that a batch spans several passes."""
 
     @staticmethod
     @contextlib.contextmanager
     def numpy_pass(budget: int):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(embedding, "_NUMPY_MIN_CHARS", 0)
             patch.setattr(embedding, "_PASS_CHARS", budget)
             yield patch
 
@@ -231,7 +228,7 @@ class TestBatchPass:
         with self.numpy_pass(budget) as patch:
             original = embedding._pass_features
             patch.setattr(
-                embedding, "_pass_features", lambda run, codes: runs.append(list(run)) or original(run, codes)
+                embedding, "_pass_features", lambda run, encoder: runs.append(list(run)) or original(run, encoder)
             )
             ReferenceEncoder(8).encode_batch(texts)
         assert [t for run in runs for t in run] == [_lexical_normalize(t) for t in texts]
@@ -270,73 +267,74 @@ class TestBatchPass:
                     alone = [per_occurrence_features(text, dims) for text in batch]
                     assert bits(encoder.encode_batch(batch)) == bits(alone)
 
-    def test_only_a_batch_of_enough_characters_takes_the_numpy_pass(self, monkeypatch):
-        runs: list[int] = []
-        original = embedding._pass_features
-        monkeypatch.setattr(
-            embedding, "_pass_features", lambda run, codes: runs.append(len(run)) or original(run, codes)
-        )
-        encoder = ReferenceEncoder(DIMS)
-        encoder.encode_batch([LOOP_SUM, STREAM_SUM, UNRELATED])
-        assert runs == []
-        texts = [LOOP_SUM * 40, STREAM_SUM * 40]
-        assert bits(encoder.encode_batch(texts)) == bits([per_occurrence_features(t, DIMS) for t in texts])
-        assert runs == [2]
+    def test_a_short_batch_gives_its_rows_inside_a_long_batch(self):
+        short = [LOOP_SUM, "ab", STREAM_SUM, UNRELATED, "x"]
+        long = [LOOP_SUM * 40, *short, STREAM_SUM * 40]
+        alone = bits([per_occurrence_features(t, DIMS) for t in short])
+        warm = ReferenceEncoder(DIMS)
+        assert bits(warm.encode_batch(long)[1:-1]) == alone
+        assert bits(warm.encode_batch(short)) == alone
+        assert bits(ReferenceEncoder(DIMS).encode_batch(short)) == alone
+
+
+def encode(text: str, dims: int) -> EmbeddingVector:
+    """One text through ``embed``, the path the program calls."""
+    return embed(ReferenceEncoder(dims), [text])[0]
 
 
 class TestReferenceEncode:
     def test_unit_norm(self):
-        vec = reference_encode("int x = 0;", 64)
+        vec = encode("int x = 0;", 64)
         assert math.isclose(math.sqrt(sum(v * v for v in vec.values)), 1.0, abs_tol=1e-9)
 
     def test_deterministic(self):
-        assert reference_encode("int x = 0;", 64) == reference_encode("int x = 0;", 64)
+        assert encode("int x = 0;", 64) == encode("int x = 0;", 64)
 
     def test_whitespace_collapsed(self):
-        assert reference_encode("int  x =\t0;   ", 64) == reference_encode("int x = 0;", 64)
+        assert encode("int  x =\t0;   ", 64) == encode("int x = 0;", 64)
 
     def test_case_folded(self):
-        assert reference_encode("Foo.BAR", 64) == reference_encode("foo.bar", 64)
+        assert encode("Foo.BAR", 64) == encode("foo.bar", 64)
 
     def test_short_text_still_encodes(self):
-        vec = reference_encode("ab", 64)
+        vec = encode("ab", 64)
         assert math.isclose(math.sqrt(sum(v * v for v in vec.values)), 1.0, abs_tol=1e-9)
 
     def test_blank_text_rejected(self):
         with pytest.raises(EmptyText):
-            reference_encode("   ", 64)
+            encode("   ", 64)
 
     def test_dims_floor(self):
         with pytest.raises(ValueError):
-            reference_encode("x", 4)
+            encode("x", 4)
 
     def test_semantically_overlapping_snippets_score_higher(self):
         # Brute-force oracle: all three pairwise encodings computed directly.
-        a = reference_encode("a.encode(pwd)", 256)
-        b = reference_encode("a.encode(password)", 256)
-        c = reference_encode("return 42;", 256)
-        assert cosine(a, b) == pytest.approx(0.599886610601, abs=1e-9)
-        assert cosine(a, c) == pytest.approx(0.039840953644, abs=1e-9)
-        assert cosine(a, b) > cosine(a, c)
+        a = encode("a.encode(pwd)", 256)
+        b = encode("a.encode(password)", 256)
+        c = encode("return 42;", 256)
+        assert a.dot(b) == pytest.approx(0.599886610601, abs=1e-9)
+        assert a.dot(c) == pytest.approx(0.039840953644, abs=1e-9)
+        assert a.dot(b) > a.dot(c)
 
     def test_golden_pairwise_values_for_summation_snippets(self):
-        loop = reference_encode(LOOP_SUM, 64)
-        stream = reference_encode(STREAM_SUM, 64)
-        unrelated = reference_encode(UNRELATED, 64)
-        assert cosine(loop, stream) == pytest.approx(GOLDEN_LOOP_STREAM, abs=1e-9)
-        assert cosine(loop, unrelated) == pytest.approx(GOLDEN_LOOP_UNRELATED, abs=1e-9)
-        assert cosine(stream, unrelated) == pytest.approx(GOLDEN_STREAM_UNRELATED, abs=1e-9)
-        assert cosine(loop, stream) > cosine(loop, unrelated)
-        assert cosine(loop, stream) > cosine(stream, unrelated)
+        loop = encode(LOOP_SUM, 64)
+        stream = encode(STREAM_SUM, 64)
+        unrelated = encode(UNRELATED, 64)
+        assert loop.dot(stream) == pytest.approx(GOLDEN_LOOP_STREAM, abs=1e-9)
+        assert loop.dot(unrelated) == pytest.approx(GOLDEN_LOOP_UNRELATED, abs=1e-9)
+        assert stream.dot(unrelated) == pytest.approx(GOLDEN_STREAM_UNRELATED, abs=1e-9)
+        assert loop.dot(stream) > loop.dot(unrelated)
+        assert loop.dot(stream) > stream.dot(unrelated)
 
     def test_self_cosine_is_one(self):
-        vec = reference_encode(LOOP_SUM, 64)
-        assert cosine(vec, vec) == pytest.approx(1.0, abs=1e-9)
+        vec = encode(LOOP_SUM, 64)
+        assert vec.dot(vec) == pytest.approx(1.0, abs=1e-9)
 
     def test_cosine_symmetry(self):
-        a = reference_encode(LOOP_SUM, 64)
-        b = reference_encode(STREAM_SUM, 64)
-        assert cosine(a, b) == pytest.approx(cosine(b, a), abs=1e-12)
+        a = encode(LOOP_SUM, 64)
+        b = encode(STREAM_SUM, 64)
+        assert a.dot(b) == pytest.approx(b.dot(a), abs=1e-12)
 
 
 class TestEmbed:
@@ -378,7 +376,7 @@ class TestEmbed:
 
             def encode_batch(self, texts):
                 calls.append(len(texts))
-                return [reference_encode(t, 64).values for t in texts]
+                return [encode_alone(t, 64).values for t in texts]
 
         vectors = embed(CountingEncoder(), ["a();", "b();", "c();", "d();", "e();"])
         assert len(vectors) == 5
@@ -410,7 +408,7 @@ class TestEmbed:
                 attempts["n"] += 1
                 if attempts["n"] < 3:
                     raise ProviderError("temporary", status=503)
-                return [reference_encode(t, 16).values for t in texts]
+                return [encode_alone(t, 16).values for t in texts]
 
         vectors = embed(Flaky(), ["x();"])
         assert attempts["n"] == 3 and len(vectors) == 1 and sleeps == [0.5, 1.0]
@@ -477,7 +475,7 @@ class TestRetry:
                 self.calls += 1
                 if self.calls <= len(errors):
                     raise errors[self.calls - 1]
-                return [reference_encode(t, 16).values for t in texts]
+                return [encode_alone(t, 16).values for t in texts]
 
         return Scripted()
 

@@ -17,9 +17,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import DIMS, CountingEncoder, torn_writes
+from conftest import DIMS, CountingEncoder, encode_alone, torn_writes
 from vulnreach import memo as memo_module
-from vulnreach.embedding import ReferenceEncoder, reference_encode
+from vulnreach.embedding import ReferenceEncoder
 from vulnreach.gateway import RoleKind, ScriptedChatProvider
 from vulnreach.memo import Memo
 from vulnreach.model import Config, EmbeddingVector
@@ -29,7 +29,7 @@ TEXTS = ["int a = b;", "encoder.encode(raw)", "return null;"]
 
 
 def fresh_bytes(texts, dims: int = DIMS) -> list[bytes]:
-    return [reference_encode(t, dims).values.tobytes() for t in texts]
+    return [encode_alone(t, dims).values.tobytes() for t in texts]
 
 
 class OtherModel(CountingEncoder):

@@ -75,6 +75,16 @@ def random_store(rng: np.random.RandomState, n: int, dims: int = DIMS):
     return store, entries
 
 
+def scope_matches(scope: ScopeFilter, block) -> bool:
+    """Whether ``block`` lies in ``scope``: its class, method and file each
+    pass the scope's test for them."""
+    return (
+        scope.accepts_class(block.enclosing_class)
+        and scope.accepts_method(block.enclosing_method)
+        and scope.accepts_file(block.file_path)
+    )
+
+
 def brute_force_search(entries, query: EmbeddingVector, k: int, tau: float, scope: ScopeFilter):
     """Independent oracle: plain-Python dot products and an explicit sort by
     the specified comparator."""
@@ -84,7 +94,7 @@ def brute_force_search(entries, query: EmbeddingVector, k: int, tau: float, scop
         norm = math.sqrt(sum(v * v for v in stored))
         stored = [v / norm for v in stored]
         score = sum(a * b for a, b in zip(stored, query.values))
-        if score >= tau and scope.matches(e.block):
+        if score >= tau and scope_matches(scope, e.block):
             hits.append((e.block.id, score, e.block.file_path, e.block.line_start))
     hits.sort(key=lambda h: (-h[1], h[2], h[3]))
     return hits[:k]
@@ -515,7 +525,7 @@ class TestSearch:
             ScopeFilter(class_name="Beta", method_name="close"),
         ):
             for hit, _ in store.search(query, k=50, tau=0.0, scope=scope):
-                assert scope.matches(hit.block)
+                assert scope_matches(scope, hit.block)
 
     def test_tau_monotonicity_results_are_prefix(self):
         rng = np.random.RandomState(11)
@@ -659,19 +669,19 @@ class TestRowScores:
 
 class TestScopeFilter:
     def test_empty_filter_matches_everything(self):
-        assert EMPTY_SCOPE.matches(make_block(enclosing_class=None))
+        assert scope_matches(EMPTY_SCOPE, make_block(enclosing_class=None))
 
     def test_class_matches_dotted_suffix_component(self):
         block = make_block(enclosing_class="Outer.Inner")
-        assert ScopeFilter(class_name="Inner").matches(block)
-        assert ScopeFilter(class_name="Outer.Inner").matches(block)
-        assert not ScopeFilter(class_name="Outer").matches(block)
+        assert scope_matches(ScopeFilter(class_name="Inner"), block)
+        assert scope_matches(ScopeFilter(class_name="Outer.Inner"), block)
+        assert not scope_matches(ScopeFilter(class_name="Outer"), block)
 
     def test_file_glob_basename_match(self):
         block = make_block(file_path="src/main/java/A.java")
-        assert ScopeFilter(file_glob="A.java").matches(block)
-        assert ScopeFilter(file_glob="src/main/**/*.java").matches(block)
-        assert not ScopeFilter(file_glob="B.java").matches(block)
+        assert scope_matches(ScopeFilter(file_glob="A.java"), block)
+        assert scope_matches(ScopeFilter(file_glob="src/main/**/*.java"), block)
+        assert not scope_matches(ScopeFilter(file_glob="B.java"), block)
 
     def test_roundtrip(self):
         scope = ScopeFilter(class_name="A", file_glob="*.java")
@@ -764,7 +774,7 @@ def oracle_search(
     is given by its bits."""
     scores = store.row_scores(query).tolist()
     blocks = store.blocks()
-    rows = [row for row, score in enumerate(scores) if score >= tau and scope.matches(blocks[row])]
+    rows = [row for row, score in enumerate(scores) if score >= tau and scope_matches(scope, blocks[row])]
     rows.sort(key=lambda row: (-scores[row], blocks[row].file_path, blocks[row].line_start))
     return [(row, scores[row].hex()) for row in rows[:k]]
 

@@ -9,8 +9,14 @@ from vulnreach import tokenizer
 from vulnreach.tokenizer import DEFAULT_TOKENIZER, LexicalTokenizer
 
 
+def tokenize(text: str) -> list[str]:
+    """The lexemes ``LexicalTokenizer.count`` counts: runs of word
+    characters, and each other non-blank character alone."""
+    return re.findall(r"\w+|[^\w\s]", text)
+
+
 def test_statement_token_count():
-    assert DEFAULT_TOKENIZER.tokenize("int x = 0;") == ["int", "x", "=", "0", ";"]
+    assert tokenize("int x = 0;") == ["int", "x", "=", "0", ";"]
     assert DEFAULT_TOKENIZER.count("int x = 0;") == 5
 
 
@@ -24,7 +30,7 @@ def test_punctuation_counts_per_char():
 
 
 def test_identifiers_keep_underscores_and_digits():
-    assert DEFAULT_TOKENIZER.tokenize("foo_bar2 += 1_000") == ["foo_bar2", "+", "=", "1_000"]
+    assert tokenize("foo_bar2 += 1_000") == ["foo_bar2", "+", "=", "1_000"]
 
 
 @given(st.text(), st.text())
@@ -36,7 +42,7 @@ def test_concatenation_over_whitespace_is_additive(a: str, b: str):
 @given(st.text())
 def test_count_matches_tokenize_length(text: str):
     tok = LexicalTokenizer()
-    assert tok.count(text) == len(tok.tokenize(text))
+    assert tok.count(text) == len(tokenize(text))
 
 
 # Any code point, lone surrogates included, and runs of word characters,
