@@ -54,23 +54,34 @@ _T = TypeVar("_T")
 
 def _load_json(path: str, what: str, parse: Callable[[Any], _T]) -> _T:
     """``parse`` of the JSON in the file at ``path``. Any failure to read or
-    parse it is a ``ConfigError`` starting with ``what``, or ``parse``'s own."""
+    parse it, ``parse``'s own ``ConfigError`` too, is a ``ConfigError``
+    starting with ``what``."""
     try:
         return parse(json.loads(Path(path).read_text(encoding="utf-8")))
-    except (OSError, json.JSONDecodeError, AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, ValueError, AttributeError, KeyError, TypeError, ConfigError) as exc:
         raise ConfigError(f"{what}: {exc}") from exc
 
 
 def load_config(args: argparse.Namespace) -> Config:
-    """Defaults, overridden by the ``--config`` file, overridden by flags."""
+    """Defaults, overridden by the ``--config`` file, overridden by flags.
+    A theta sweep sets theta itself, so it refuses one from either."""
+    sweep = getattr(args, "sweep_theta", False)
+
+    def parse(raw: Any) -> Config:
+        if sweep and isinstance(raw, Mapping) and "theta" in raw:
+            raise ConfigError("--sweep-theta sets theta itself; remove theta from the config")
+        return Config.from_dict(raw)
+
     config = Config()
     if args.config is not None:
-        config = _load_json(args.config, f"cannot read config {args.config}", Config.from_dict)
+        config = _load_json(args.config, f"cannot read config {args.config}", parse)
     flags = {
         name: getattr(args, name)
         for name in ("theta", "tau")
         if getattr(args, name, None) is not None
     }
+    if sweep and "theta" in flags:
+        raise ConfigError("--sweep-theta sets theta itself; drop --theta")
     if getattr(args, "encoder", None) is not None:
         flags["encoder"] = {**config.encoder, "provider": args.encoder}
     return replace(config, **flags)
@@ -191,7 +202,7 @@ def _insert_embedded(store: VectorStore, encoder: EncoderProvider, blocks: list[
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     config = load_config(args)
-    vuln = _load_json(args.vuln, "invalid vulnerability spec", VulnSpec.from_dict)
+    vuln = _load_json(args.vuln, f"invalid vulnerability spec {args.vuln}", VulnSpec.from_dict)
     store = VectorStore.open(args.index)
     encoder = _encoder_provider(config.encoder)
     configured = encoder_fingerprint(encoder)
@@ -280,7 +291,8 @@ def _predictions(raw: Any) -> evalharness.ConfusionMatrix | dict[str, Judgment]:
 
 
 def _evaluate_from_predictions(args: argparse.Namespace, out_dir: Path) -> int:
-    predicted = _load_json(args.from_predictions, "invalid predictions file", _predictions)
+    path = args.from_predictions
+    predicted = _load_json(path, f"invalid predictions file {path}", _predictions)
     if isinstance(predicted, evalharness.ConfusionMatrix):
         cm = predicted
     elif not args.manifest:

@@ -4,13 +4,15 @@ Three steps: dual-seed candidate identification (similarity prefilter plus
 model-graded invocation check), context-complete retrieval (the reflection
 loop), and verdict aggregation. A project is vulnerable as soon as any
 candidate is judged vulnerable; it is secure only when the candidate set is
-empty or every candidate is judged secure.
+empty or every candidate is judged secure. Candidates run on the calling
+thread or on ``Config.parallelism`` workers; the calling thread alone owns
+the candidate pool, and a worker returns its candidate's completion and
+judgment.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -27,6 +29,7 @@ from .model import (
     CodeBlock,
     Config,
     EmbeddingVector,
+    Judgment,
     MatchedBy,
     Verdict,
     VulnSpec,
@@ -61,9 +64,10 @@ class QueryVectors:
     text alone, and one analysis searches one store with one config, so
     reuse changes no score and no hit.
 
-    Entries are only ever added and ``setdefault`` keeps the first, so
-    parallel candidates share one memo without a lock; a text two threads
-    look up at once is simply encoded or searched twice.
+    Entries are only ever added and ``setdefault`` keeps the first, so the
+    workers of one analysis share the hits and the memo's vectors without a
+    lock; a text two threads look up at once is simply encoded or searched
+    twice. Only the calling thread reads or adds seed scores.
     """
 
     def __init__(self, encoder: EncoderProvider, memo: Memo):
@@ -205,65 +209,53 @@ def analyze(
     """Full detection pass for one vulnerability against one indexed project.
 
     Candidates discovered mid-run by context retrieval join the work pool;
-    each block is judged at most once. A provider failure on any candidate
-    aborts the whole analysis (the transcript written so far survives): a
+    each block is judged at most once. The calling thread alone owns the
+    pool: a worker returns ``(candidate, completion, (judgment, rationale))``
+    and the caller records it. A provider failure on any candidate aborts
+    the whole analysis (the transcript written so far survives): a
     best-effort partial verdict could silently flip vulnerable to secure.
     """
     if store.count() == 0:
         raise EmptyIndex("cannot analyze against an empty index")
     queries = QueryVectors(encoder, chat.memo)
-    initial = identify_candidates(store, encoder, chat, vuln, config, queries)
+    pending = deque(identify_candidates(store, encoder, chat, vuln, config, queries))
+    enqueued = {candidate.anchor.id for candidate in pending}
+    judgments: dict[tuple[str, int, str], CandidateJudgment] = {}  # by anchor position
 
-    pending: queue.SimpleQueue[Candidate] = queue.SimpleQueue()
-    enqueued: set[str] = set()
-    state_lock = threading.Lock()
-    judgments: dict[str, tuple[CodeBlock, CandidateJudgment]] = {}
-
-    for candidate in initial:
-        pending.put(candidate)
-        enqueued.add(candidate.anchor.id)
-
-    def process(candidate: Candidate) -> list[Candidate]:
+    def process(candidate: Candidate) -> tuple[Candidate, ContextCompletion, tuple[Judgment, str]]:
         completion = complete_context(store, encoder, chat, candidate, vuln, config, queries)
-        judgment, rationale = chat.judge_reachability(completion.candidate, vuln)
-        followups = []
-        with state_lock:
-            judgments[candidate.anchor.id] = (
-                candidate.anchor,
-                CandidateJudgment(candidate.anchor.id, judgment, rationale),
-            )
-            fresh = [block for block in completion.new_blocks if block.id not in enqueued]
-            enqueued.update(block.id for block in fresh)
-            rows = [store.row_of(block.id) for block in fresh]
-            for block, (sim_api, sim_test) in zip(fresh, queries.similarities(store, vuln, rows)):
-                followups.append(
-                    Candidate.initial(block, MatchedBy.CONTEXT_RETRIEVAL, sim_api, sim_test)
-                )
-        return followups
+        return candidate, completion, chat.judge_reachability(completion.candidate, vuln)
+
+    def record(
+        candidate: Candidate, completion: ContextCompletion, judged: tuple[Judgment, str]
+    ) -> None:
+        anchor = candidate.anchor
+        position = (anchor.file_path, anchor.line_start, anchor.id)
+        judgments[position] = CandidateJudgment(anchor.id, *judged)
+        fresh = [block for block in completion.new_blocks if block.id not in enqueued]
+        enqueued.update(block.id for block in fresh)
+        rows = [store.row_of(block.id) for block in fresh]
+        for block, (sim_api, sim_test) in zip(fresh, queries.similarities(store, vuln, rows)):
+            pending.append(Candidate.initial(block, MatchedBy.CONTEXT_RETRIEVAL, sim_api, sim_test))
 
     if config.parallelism == 1:
-        while not pending.empty():
-            for followup in process(pending.get()):
-                pending.put(followup)
+        while pending:
+            record(*process(pending.popleft()))
     else:
         from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
         with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
             in_flight = set()
-            while not pending.empty() or in_flight:
-                while not pending.empty() and len(in_flight) < config.parallelism:
-                    in_flight.add(pool.submit(process, pending.get()))
+            while pending or in_flight:
+                while pending and len(in_flight) < config.parallelism:
+                    in_flight.add(pool.submit(process, pending.popleft()))
                 done, in_flight = wait(in_flight, return_when=FIRST_COMPLETED)
                 for future in done:
-                    for followup in future.result():
-                        pending.put(followup)
+                    record(*future.result())
 
-    ordered = sorted(
-        judgments.values(), key=lambda item: (item[0].file_path, item[0].line_start, item[0].id)
-    )
     return Verdict(
         project_id,
         vuln.vuln_id,
-        tuple(judgment for _, judgment in ordered),
+        tuple(judgments[position] for position in sorted(judgments)),
         str(sink) if (sink := chat.transcript.sink_path) is not None else None,
     )

@@ -45,7 +45,7 @@ class DimsMismatch(VulnReachError):
 
 
 class DuplicateIdConflict(VulnReachError):
-    """Same block id inserted twice with different vectors."""
+    """A block id inserted when it is already stored, or twice in one insert."""
 
 
 class IndexFormatError(VulnReachError):

@@ -90,9 +90,9 @@ class ConfusionMatrix:
     fn: int
 
     def __post_init__(self) -> None:
-        for name, value in (("tp", self.tp), ("fp", self.fp), ("tn", self.tn), ("fn", self.fn)):
-            if value < 0:
-                raise ValueError(f"{name} must be non-negative")
+        for name, value in vars(self).items():
+            if type(value) is not int or value < 0:
+                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
     @property
     def total(self) -> int:
@@ -103,7 +103,7 @@ class ConfusionMatrix:
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "ConfusionMatrix":
-        return cls(tp=int(raw["tp"]), fp=int(raw["fp"]), tn=int(raw["tn"]), fn=int(raw["fn"]))
+        return cls(tp=raw["tp"], fp=raw["fp"], tn=raw["tn"], fn=raw["fn"])
 
 
 def score(predictions: Mapping[str, Judgment], manifest: BenchmarkManifest) -> ConfusionMatrix:

@@ -291,48 +291,34 @@ class VectorStore:
     # -- operations --------------------------------------------------------
 
     def insert(self, entries: Sequence[StoreEntry]) -> int:
-        """Insert entries; idempotent on identical id+vector, conflict on a
-        duplicate id with a different vector. Returns the number of new rows.
+        """Append the entries as new rows; returns their number. An id that
+        is already stored, or given twice, is a ``DuplicateIdConflict``, and
+        a vector of other dims a ``DimsMismatch``: either leaves the store
+        unchanged.
 
         The new vectors become float32 in one array, appended as a run."""
-        new_vectors: list[np.ndarray] = []
-        new_blocks: list[CodeBlock] = []
-        staged: dict[str, np.ndarray] = {}
+        given: set[str] = set()
         for entry in entries:
+            block_id = entry.block.id
+            if block_id in given or block_id in self._row_by_id:
+                raise DuplicateIdConflict(f"block id {block_id} is already stored or given twice")
+            given.add(block_id)
             if entry.vector.dims != self.dims:
                 raise DimsMismatch(
-                    f"entry {entry.block.id} has dims {entry.vector.dims}, store has {self.dims}"
+                    f"entry {block_id} has dims {entry.vector.dims}, store has {self.dims}"
                 )
-            incoming = entry.vector.values
-            existing_row = self._row_by_id.get(entry.block.id)
-            if existing_row is not None:
-                if np.array_equal(self._vectors[existing_row], incoming.astype(np.float32)):
-                    continue
-                raise DuplicateIdConflict(
-                    f"block id {entry.block.id} already stored with a different vector"
-                )
-            if entry.block.id in staged:
-                first = staged[entry.block.id]
-                if np.array_equal(first.astype(np.float32), incoming.astype(np.float32)):
-                    continue
-                raise DuplicateIdConflict(
-                    f"block id {entry.block.id} appears twice in one insert with different vectors"
-                )
-            staged[entry.block.id] = incoming
-            new_vectors.append(incoming)
-            new_blocks.append(entry.block)
-        if new_blocks:
-            rows = np.array(new_vectors, dtype=np.float32)
+        if entries:
+            rows = np.array([entry.vector.values for entry in entries], dtype=np.float32)
             self._runs = [*self._runs, rows] if self.count() else [rows]
             self._norms = None
-            for block in new_blocks:
+            for entry in entries:
                 row = self.count()
-                self._row_by_id[block.id] = row
-                self._blocks[row] = block
-                raw = block.to_dict()
+                self._row_by_id[entry.block.id] = row
+                self._blocks[row] = entry.block
+                raw = entry.block.to_dict()
                 for name, column in self._fields.items():
                     column.append(raw[name])
-        return len(new_blocks)
+        return len(entries)
 
     def search(
         self,

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -21,7 +23,7 @@ from vulnreach import (
     embed,
     segment_project,
 )
-from vulnreach.gateway import PromptLibrary
+from vulnreach.gateway import REPROMPT_SUFFIX, PromptLibrary
 from vulnreach.tokenizer import LexicalTokenizer
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -152,6 +154,38 @@ class CountingProvider(ScriptedChatProvider):
         return super().complete(prompt, role)
 
 
+class HashChatProvider:
+    """A provider whose every answer is a pure function of a hash of (salt,
+    role, prompt): grades, reflections, snippets of the prompt's words,
+    scopes and judgments. The order questions arrive in, or how often one
+    is asked, changes no answer. One first ask in 16 gets prose, so the
+    reprompt path runs too; a reprompt always gets JSON."""
+
+    name = model_id = "hashed"
+    context_window = 1_000_000
+
+    def __init__(self, salt: int):
+        self.salt = salt
+
+    def complete(self, prompt: str, role: RoleKind) -> str:
+        key = f"{self.salt}\x00{role.value}\x00{prompt}".encode("utf-8", "surrogatepass")
+        h = hashlib.sha256(key).digest()
+        if h[0] % 16 == 0 and not prompt.endswith(REPROMPT_SUFFIX):
+            return "Let me think about that."
+        if role is RoleKind.GRADER:
+            return json.dumps({"answer": "no" if h[1] % 4 == 0 else "yes"})
+        if role is RoleKind.REFLECTION:
+            return json.dumps({"complete": h[1] % 3 == 0, "reason": f"need more {h[2]}"})
+        if role is RoleKind.JUDGE:
+            judgment = "vulnerable" if h[1] % 3 == 0 else "secure"
+            return json.dumps({"judgment": judgment, "rationale": f"hash {h[2]:02x}"})
+        words = re.findall(r"[A-Za-z_]\w*", prompt)
+        snippet = " ".join(words[(h[3 + i] << 8 | h[4 + i]) % len(words)] for i in range(1 + h[1] % 4))
+        word = words[(h[9] << 8 | h[10]) % len(words)]
+        scope = [{}, {}, {"class_name": word}, {"method_name": word}, {"file_glob": "*.java"}]
+        return json.dumps({"missing_snippet": snippet, "scope": scope[h[2] % len(scope)]})
+
+
 def record_token_counts(monkeypatch) -> list[str]:
     """Patch ``LexicalTokenizer.count``, as the bench tracer does, and
     ``LexicalTokenizer.count_lines`` to record every text they count, each
@@ -224,13 +258,15 @@ def edited_prompts(prompts_dir: Path, role: str, old: str, new: str = "") -> Pat
 
 
 def write_tool_config(path: Path, **overrides) -> Path:
+    """The fixture tool config with ``overrides``; a key overridden with
+    None is left out, as a sweep's config leaves out theta."""
     config = {
         "theta": FIXTURE_THETA,
         "tau": FIXTURE_TAU,
         "encoder": {"provider": "reference", "dims": DIMS},
         "chat": {"provider": "scripted", "script_path": str(FIXTURES / "chat_script.json")},
     }
-    config.update(overrides)
+    config = {key: value for key, value in {**config, **overrides}.items() if value is not None}
     path.write_text(json.dumps(config, indent=2) + "\n", encoding="utf-8")
     return path
 

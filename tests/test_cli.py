@@ -759,9 +759,8 @@ class TestEvaluateCommand:
 
     def test_sweep_theta_writes_one_report_per_setting(self, tmp_path: Path, capsys):
         manifest = write_toy_manifest(tmp_path / "manifest.json")
-        # tiny sweep grid via config theta is fixed; the CLI sweep uses the
-        # standard grid, so run it over the small fixture corpus
-        config = write_tool_config(tmp_path / "cfg.json")
+        # The sweep runs its own grid of thetas, so its config sets none.
+        config = write_tool_config(tmp_path / "cfg.json", theta=None)
         out_dir = tmp_path / "out"
         code = run_cli(
             "evaluate",
@@ -789,7 +788,7 @@ class TestEvaluateCommand:
 
         monkeypatch.setattr(ScriptedChatProvider, "complete", counting)
         manifest = write_toy_manifest(tmp_path / "manifest.json")
-        config = write_tool_config(tmp_path / "cfg.json")
+        config = write_tool_config(tmp_path / "cfg.json", theta=None)
         args = ("evaluate", "--manifest", str(manifest), "--config", str(config))
         assert run_cli(*args, "--out", str(tmp_path / "sweep"), "--sweep-theta") == 0
         sweep_calls = len(calls)
@@ -806,6 +805,22 @@ class TestEvaluateCommand:
             assert swept == single
         assert 0 < sweep_calls < single_calls
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_sweep_refuses_a_theta_it_would_drop(self, tmp_path: Path, capsys, where):
+        # `--sweep-theta --theta 77` once exited 0 with reports for theta 500
+        # to 3000 and none for 77.
+        manifest = write_toy_manifest(tmp_path / "manifest.json")
+        theta = 77 if where == "config" else None
+        config = write_tool_config(tmp_path / "cfg.json", theta=theta)
+        flags = ["--theta", "77"] if where == "flag" else []
+        out = tmp_path / "out"
+        args = ["evaluate", "--manifest", str(manifest), "--config", str(config), "--out", str(out)]
+        assert run_cli(*args, "--sweep-theta", *flags) == 1
+        err = capsys.readouterr().err
+        prefix = f"error: {WHAT['--config']} {config}: " if where == "config" else "error: "
+        assert err.startswith(prefix) and err.count("\n") == 1 and "theta" in err, err
+        assert not list(out.glob("report*"))
+
     def test_malformed_manifest_exit_1_with_diagnostics(self, tmp_path: Path, config_file: Path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"projects": [,]}')
@@ -820,19 +835,34 @@ class TestEvaluateCommand:
         assert run_cli("evaluate", "--out", str(tmp_path / "o")) == 1
 
 
+# How the one error line names each JSON input, before the input's path.
+WHAT = {
+    "--vuln": "invalid vulnerability spec",
+    "--manifest": "invalid manifest",
+    "--from-predictions": "invalid predictions file",
+    "--config": "cannot read config",
+}
+
+
 class TestJsonInputs:
     """Every JSON file a command reads is refused, when malformed, with one
-    `error:` line and exit 1."""
+    `error:` line that names the file, and exit 1."""
 
     @pytest.mark.parametrize(
         "flag, text, message",
         [
-            ("--vuln", "[1]", "invalid vulnerability spec: "),
-            ("--manifest", '{"projects": 1, "vulns": []}', "invalid manifest "),
-            ("--from-predictions", '{"confusion_matrix": {"tp": 1}}', "invalid predictions file: "),
-            ("--from-predictions", "5", "invalid predictions file: "),
-            ("--from-predictions", '{"predictions": [1]}', "invalid predictions file: "),
+            ("--vuln", "[1]", ""),
+            ("--manifest", '{"projects": 1, "vulns": []}', ""),
+            ("--from-predictions", '{"confusion_matrix": {"tp": 1}}', ""),
+            ("--from-predictions", "5", ""),
+            ("--from-predictions", '{"predictions": [1]}', ""),
             ("--from-predictions", '{"counts": {}}', "predictions file needs "),
+            ("--from-predictions", "[]", "predictions file needs "),
+            ("--from-predictions", '{"confusion_matrix": {"tp": 1.5, "fp": 0, "tn": 0, "fn": 0}}', ""),
+            ("--from-predictions", '{"confusion_matrix": {"tp": true, "fp": 0, "tn": 0, "fn": 0}}', ""),
+            ("--from-predictions", '{"confusion_matrix": {"tp": "3", "fp": 0, "tn": 0, "fn": 0}}', ""),
+            ("--from-predictions", '{"predictions": {"p": 5}}', ""),
+            ("--from-predictions", '{"predictions": "Secure"}', ""),
         ],
     )
     def test_a_json_input_of_the_wrong_shape_exits_1_with_one_error_line(
@@ -847,7 +877,7 @@ class TestJsonInputs:
             args = ["evaluate", "--out", str(tmp_path / "o")]
         assert run_cli(*args, "--config", str(config_file), flag, str(bad)) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert err.startswith(f"error: {WHAT[flag]} {bad}: {message}") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "key, value",
@@ -873,8 +903,8 @@ class TestJsonInputs:
         args = ["analyze", "--index", str(index), "--config", str(config_file), "--report", str(report)]
         assert run_cli(*args, "--vuln", str(bad)) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1 and key in err, err
-        assert not report.exists()
+        assert err.startswith(f"error: {WHAT['--vuln']} {bad}: ") and err.count("\n") == 1, err
+        assert key in err and not report.exists(), err
 
     @pytest.mark.parametrize(
         "key, value",
@@ -897,8 +927,8 @@ class TestJsonInputs:
         args = ["evaluate", "--config", str(config_file), "--out", str(out)]
         assert run_cli(*args, "--manifest", str(path)) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1 and key in err, err
-        assert not list(out.glob("report*"))
+        assert err.startswith(f"error: {WHAT['--manifest']} {path}: ") and err.count("\n") == 1, err
+        assert key in err and not list(out.glob("report*")), err
 
 
 class TestEmbeddingCache:
@@ -919,7 +949,9 @@ class TestEmbeddingCache:
     @staticmethod
     def evaluate(tmp_path: Path, manifest: Path, out: Path, *extra: str, dims: int = DIMS) -> dict:
         config = write_tool_config(
-            tmp_path / "cfg.json", encoder={"provider": "reference", "dims": dims}
+            tmp_path / "cfg.json",
+            theta=None if "--sweep-theta" in extra else FIXTURE_THETA,
+            encoder={"provider": "reference", "dims": dims},
         )
         code = run_cli(
             "evaluate", "--manifest", str(manifest), "--config", str(config), "--out", str(out), *extra
@@ -1064,7 +1096,8 @@ class TestConfig:
         )
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+        assert err.startswith(f"error: {WHAT['--config']} {config_file}: "), err
+        assert len(err.splitlines()) == 1, err
         assert next(iter(bad)) in err and "Traceback" not in err
         assert not (tmp_path / "r.json").exists()
 
@@ -1279,7 +1312,7 @@ class TestVerbose:
     @staticmethod
     def sweep(tmp_path: Path, *flags: str) -> subprocess.CompletedProcess:
         manifest = write_toy_manifest(tmp_path / "manifest.json")
-        config = write_tool_config(tmp_path / "cfg.json")
+        config = write_tool_config(tmp_path / "cfg.json", theta=None)
         src = Path(cli.__file__).resolve().parents[1]
         return subprocess.run(
             [

@@ -352,6 +352,35 @@ class TestThetaClassReuse:
             assert_memo_sweep_equals_fresh_runs([root], thetas)
 
 
+class TestSweepReuseIsComplete:
+    """For thetas t1 < t2 < t3, equal blocks at t1 and t3 mean the same
+    blocks at t2: each block depends on theta only through ``size < theta``
+    comparisons (``theta_class``). So each distinct block list of a project
+    holds over one run of sorted thetas, and a sweep that compares each
+    theta with the previous one finds every repeat there is."""
+
+    @pytest.fixture(scope="class")
+    def units(self, corpus_root: Path) -> dict[str, list]:
+        return {
+            str(root): [parse_source(rel, text)[0] for rel, text in read_project(root, ())]
+            for root in [*FIXTURE_ROOTS, corpus_root]
+        }
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_a_block_list_holds_over_one_run_of_thetas(self, units, data):
+        root = data.draw(st.sampled_from(sorted(units)))
+        grid = st.sampled_from(FIXTURE_THETAS) | st.integers(1, 100_000)
+        thetas = sorted(data.draw(st.lists(grid, min_size=3, max_size=8, unique=True)))
+        lists = []
+        for theta in thetas:
+            blocks = [b for unit in units[root] for b in segment_unit(unit, Config(theta=theta))]
+            lists.append(sorted(blocks, key=lambda b: (b.file_path, b.line_start)))
+        for i, first in enumerate(lists):
+            last = max(j for j, blocks in enumerate(lists) if blocks == first)
+            assert all(blocks == first for blocks in lists[i : last + 1]), (root, thetas)
+
+
 class TestFuzzNet:
     @settings(max_examples=100, deadline=None)
     @given(JAVA_SOURCES)

@@ -112,12 +112,25 @@ class TestPersistence:
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
         assert VectorStore.open(path).count() == 3
 
-    def test_reinsert_is_idempotent(self):
+    def test_reinsert_conflicts_and_changes_nothing(self):
         store = VectorStore.in_memory(DIMS)
         entries = [entry(i, axis(i)) for i in range(3)]
         assert store.insert(entries) == 3
-        assert store.insert(entries) == 0
-        assert store.count() == 3
+        with pytest.raises(DuplicateIdConflict):
+            store.insert([entry(3, axis(3)), *entries])
+        assert store.count() == 3 and store.get(entries[0].block.id) is not None
+        assert store.get(entry(3, axis(3)).block.id) is None
+
+    @pytest.mark.parametrize("same_vector", [True, False])
+    def test_an_id_given_twice_in_one_insert_conflicts_and_changes_nothing(self, same_vector):
+        store = VectorStore.in_memory(DIMS)
+        store.insert([entry(0, axis(0))])
+        first = entry(1, axis(1))
+        twice = StoreEntry(first.block, axis(1) if same_vector else axis(2))
+        with pytest.raises(DuplicateIdConflict):
+            store.insert([first, twice])
+        assert store.count() == 1 and store.get(first.block.id) is None
+        assert [hit.block.id for hit, _ in store.search(axis(0), 5, 0.0)] == [entry(0, axis(0)).block.id]
 
     def test_create_without_entries_is_an_openable_empty_index(self, tmp_path: Path):
         path = tmp_path / "idx.vrix"
