@@ -40,7 +40,7 @@ from .gateway import (
     Transcript,
 )
 from .memo import Memo, encoder_fingerprint
-from .model import CodeBlock, Config, EmbeddingVector, Judgment, VulnSpec
+from .model import CodeBlock, Config, EmbeddingVector, Judgment, VulnSpec, checked_str
 from .segmenter import segment_project
 from .store import StoreEntry, VectorStore, write_json
 
@@ -75,37 +75,32 @@ def load_config(args: argparse.Namespace) -> Config:
     config = Config()
     if args.config is not None:
         config = _load_json(args.config, f"cannot read config {args.config}", parse)
-    flags = {
-        name: getattr(args, name)
-        for name in ("theta", "tau")
-        if getattr(args, name, None) is not None
-    }
-    if sweep and "theta" in flags:
+    if getattr(args, "theta", None) is None:
+        return config
+    if sweep:
         raise ConfigError("--sweep-theta sets theta itself; drop --theta")
-    if getattr(args, "encoder", None) is not None:
-        flags["encoder"] = {**config.encoder, "provider": args.encoder}
-    return replace(config, **flags)
+    return replace(config, theta=args.theta)
 
 
-def _encoder_dims(dims: Any, least: int) -> int:
-    if type(dims) is not int or dims < least:
-        raise ConfigError(f"encoder dims must be an integer >= {least}, got {dims!r}")
-    return dims
+def _checked_int(value: Any, key: str, least: int = 1) -> int:
+    if type(value) is not int or value < least:
+        raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
+    return value
 
 
 def _encoder_provider(spec: Mapping[str, Any]) -> EncoderProvider:
     provider = spec.get("provider", "reference")
     if provider == "reference":
-        return ReferenceEncoder(dims=_encoder_dims(spec.get("dims", 256), 8))
-    if provider in ("openai-compat", "remote"):
+        return ReferenceEncoder(dims=_checked_int(spec.get("dims", 256), "encoder dims", 8))
+    if provider == "openai-compat":
         try:
             return RemoteEncoderProvider(
-                name=spec.get("name", provider),
-                model_id=str(spec["model"]),
-                endpoint=str(spec["endpoint"]),
-                dims=_encoder_dims(spec["dims"], 1),
-                api_key_env=str(spec["api_key_env"]),
-                batch_limit=int(spec.get("batch_limit", 64)),
+                name=checked_str(spec.get("name", provider), "encoder name"),
+                model_id=checked_str(spec["model"], "encoder model"),
+                endpoint=checked_str(spec["endpoint"], "encoder endpoint"),
+                dims=_checked_int(spec["dims"], "encoder dims"),
+                api_key_env=checked_str(spec["api_key_env"], "encoder api_key_env"),
+                batch_limit=_checked_int(spec.get("batch_limit", 64), "encoder batch_limit"),
             )
         except KeyError as exc:
             raise ConfigError(f"encoder config missing key {exc}") from exc
@@ -116,28 +111,32 @@ def _chat_provider(spec: Mapping[str, Any]) -> ChatProvider:
     provider = spec.get("provider")
     if provider == "scripted":
         try:
-            path = spec["script_path"]
+            path = checked_str(spec["script_path"], "chat script_path")
         except KeyError as exc:
             raise ConfigError("scripted chat config needs script_path") from exc
         try:
             return ScriptedChatProvider.from_file(path)
-        except (OSError, json.JSONDecodeError, ValueError) as exc:
-            raise ConfigError(f"cannot load chat script: {exc}") from exc
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot load chat script {path}: {exc}") from exc
     if provider == "replay":
         try:
-            path = spec["transcript_path"]
+            path = checked_str(spec["transcript_path"], "chat transcript_path")
         except KeyError as exc:
             raise ConfigError("replay chat config needs transcript_path") from exc
         return ReplayChatProvider(Transcript.load(path))
-    if provider in ("openai-compat", "remote"):
+    if provider == "openai-compat":
         try:
             return RemoteChatProvider(
-                name=spec.get("name", provider),
-                model_id=str(spec["model"]),
-                endpoint=str(spec["endpoint"]),
-                api_key_env=str(spec["api_key_env"]),
-                max_output_tokens=int(spec.get("max_output_tokens", 2048)),
-                context_window=int(spec.get("context_window", 100_000)),
+                name=checked_str(spec.get("name", provider), "chat name"),
+                model_id=checked_str(spec["model"], "chat model"),
+                endpoint=checked_str(spec["endpoint"], "chat endpoint"),
+                api_key_env=checked_str(spec["api_key_env"], "chat api_key_env"),
+                max_output_tokens=_checked_int(
+                    spec.get("max_output_tokens", 2048), "chat max_output_tokens"
+                ),
+                context_window=_checked_int(
+                    spec.get("context_window", 100_000), "chat context_window"
+                ),
             )
         except KeyError as exc:
             raise ConfigError(f"chat config missing key {exc}") from exc
@@ -299,6 +298,9 @@ def _evaluate_from_predictions(args: argparse.Namespace, out_dir: Path) -> int:
         raise ConfigError("--manifest is required to score raw predictions")
     else:
         manifest = _load_manifest(args.manifest)
+        unknown = sorted(set(predicted) - {p.project_id for p in manifest.projects})
+        if unknown:
+            raise ConfigError(f"predictions for projects the manifest does not name: {unknown}")
         try:
             cm = evalharness.score(predicted, manifest)
         except MissingPrediction as exc:
@@ -339,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_index.add_argument("--project", required=True, help="project root directory")
     p_index.add_argument("--out", required=True, help="index file to write")
     p_index.add_argument("--theta", type=int, default=None, help="max block size in tokens")
-    p_index.add_argument("--encoder", default=None, help="encoder provider name")
     p_index.add_argument("--config", default=None, help="JSON config file")
 
     p_analyze = sub.add_parser("analyze", help="analyze an indexed project for one vulnerability")
@@ -351,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument(
         "--transcript", default=None, help="replay a recorded transcript instead of calling a provider"
     )
-    p_analyze.add_argument("--tau", type=float, default=None, help="similarity threshold")
 
     p_eval = sub.add_parser("evaluate", help="run the benchmark harness over a manifest")
     p_eval.add_argument("--manifest", default=None, help="benchmark manifest JSON")
@@ -366,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="score a predictions/confusion-matrix JSON file instead of running the pipeline",
     )
     p_eval.add_argument("--theta", type=int, default=None, help="max block size in tokens")
-    p_eval.add_argument("--tau", type=float, default=None, help="similarity threshold")
     return parser
 
 

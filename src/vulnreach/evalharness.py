@@ -23,7 +23,7 @@ from typing import Any, Mapping, NamedTuple, Sequence
 
 from .detector import analyze
 from .embedding import EncoderProvider
-from .errors import MissingPrediction, VulnReachError
+from .errors import ConfigError, MissingPrediction, VulnReachError
 from .gateway import ChatGateway, ChatProvider, Transcript
 from .memo import Memo
 from .model import CodeBlock, Config, Judgment, VulnSpec, aggregate_judgment, checked_str, checked_strs
@@ -69,6 +69,9 @@ class BenchmarkManifest:
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "BenchmarkManifest":
+        for key in ("projects", "vulns"):
+            if not isinstance(raw[key], list):
+                raise ConfigError(f"{key} must be a list, got {raw[key]!r}")
         projects = tuple(
             ProjectSpec(
                 project_id=checked_str(p["project_id"], "project_id"),

@@ -334,7 +334,7 @@ class ScriptedChatProvider:
         }
         rules = [
             (
-                RoleKind(rule["role"]) if rule.get("role") else None,
+                RoleKind(rule["role"]) if rule.get("role") is not None else None,
                 rule["contains"],
                 cls._coerce(rule["response"]),
             )

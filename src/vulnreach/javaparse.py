@@ -10,7 +10,8 @@ regular-expression scan finds a file's tokens, and one loop over its
 matches records each token's text and start line, matches brackets on
 their texts and gathers comment runs; line breaks are counted only in the
 tokens that can hold them, and a ``Token`` is built only for the few the
-parser reads.
+parser reads. Open type bodies wait on an explicit stack, so a file of any
+nesting depth takes the one parse path.
 
 Anything that cannot be recognized is captured as an ``error`` node that
 still carries an exact line span. Downstream segmentation turns error nodes
@@ -398,25 +399,38 @@ class _Parser:
     # -- grammar ----------------------------------------------------------
 
     def parse_unit(self) -> list[JavaNode]:
+        """The file's top-level nodes. Every type body is parsed in this one
+        loop, over a stack of the types whose bodies are open (innermost
+        last), so a file of any nesting depth takes the same path."""
         nodes: list[JavaNode] = []
-        while True:
-            tok = self._peek()
-            if tok is None:
-                break
-            if tok.kind == "ident" and tok.text == "package":
-                nodes.append(self._parse_simple("package"))
-                continue
-            if tok.kind == "ident" and tok.text == "import":
-                nodes.append(self._parse_simple("import"))
-                continue
-            keyword, offset = self._scan_decl_head()
-            if keyword is not None:
-                nodes.append(self._parse_type_decl(self._decl_start(), keyword, offset))
-                continue
+        open_types: list[JavaNode] = []
+        while (tok := self._peek()) is not None:
             if tok.kind == "punct" and tok.text == ";":
-                self._next()  # stray top-level semicolon: residue
+                self.pos += 1  # stray semicolon: residue
                 continue
-            nodes.append(self._recover_error())
+            if open_types:
+                if tok.kind == "punct" and tok.text == "}":
+                    self.pos += 1
+                    open_types.pop().line_end = tok.line_end
+                    continue
+                top = open_types[-1]
+                node = self._parse_member(top.name)
+                top.members.append(node)
+            elif tok.kind == "ident" and tok.text in ("package", "import"):
+                node = self._parse_simple(tok.text)
+                nodes.append(node)
+            else:
+                keyword, offset = self._scan_decl_head()
+                if keyword is None:
+                    node = self._recover_error()
+                else:
+                    node = self._parse_type_decl(self._decl_start(), keyword, offset)
+                nodes.append(node)
+            if node.line_end == 0:  # a type whose body is open
+                open_types.append(node)
+        for node in open_types:  # input ended inside these bodies
+            node.line_end = self.tokens[-1].line_end
+            node.malformed = True
         return nodes
 
     def _parse_simple(self, kind: str) -> JavaNode:
@@ -443,8 +457,11 @@ class _Parser:
         )
 
     def _parse_type_decl(self, start: int, keyword: str, offset: int) -> JavaNode:
-        """Parse a type declaration whose keyword ``_scan_decl_head`` found
-        ``offset`` significant tokens past the cursor."""
+        """Parse the head of a type declaration whose keyword
+        ``_scan_decl_head`` found ``offset`` significant tokens past the
+        cursor, up to its body's ``{`` and an enum's constants. A type whose
+        body opens is returned with ``line_end`` 0, for ``parse_unit`` to
+        parse its members and closing brace."""
         self.pos += offset + (2 if keyword == "@interface" else 1)
         name_tok = self._peek()
         name = name_tok.text if name_tok is not None and name_tok.kind == "ident" else None
@@ -479,12 +496,6 @@ class _Parser:
             constants = self._parse_enum_constants()
             if constants is not None:
                 node.members.append(constants)
-        closing = self._parse_members(node)
-        if closing is None:
-            node.line_end = self.tokens[-1].line_end
-            node.malformed = True
-        else:
-            node.line_end = closing.line_end
         return node
 
     def _parse_enum_constants(self) -> JavaNode | None:
@@ -512,20 +523,6 @@ class _Parser:
                 continue
             self.pos += 1
             last = tok
-
-    def _parse_members(self, type_node: JavaNode) -> Token | None:
-        """Parse members until the type body's closing brace. Returns that
-        closing token, or None at premature end of input."""
-        while True:
-            tok = self._peek()
-            if tok is None:
-                return None
-            if tok.kind == "punct" and tok.text == "}":
-                return self._next()
-            if tok.kind == "punct" and tok.text == ";":
-                self._next()  # stray semicolon: residue
-                continue
-            type_node.members.append(self._parse_member(type_node.name))
 
     def _parse_member(self, enclosing_name: str | None) -> JavaNode:
         first = self._peek()
@@ -670,16 +667,11 @@ class _Parser:
 def parse_source(file_path: str, source: str) -> list[CompilationUnit]:
     """Parse one file into its compilation unit (always a 1-element list).
 
-    Never raises: recoverable trouble surfaces as error nodes, and a file
-    nested too deeply for the recursive descent becomes one error node
-    spanning the whole file.
+    Never raises: recoverable trouble surfaces as error nodes. Nesting
+    depth is bounded by memory alone, as no step recurses.
     """
-    lines = _LINE.findall(source)
-    try:
-        nodes = _Parser(source).parse_unit()
-    except RecursionError:
-        nodes = [JavaNode("error", 1, len(lines), malformed=True)]
-    unit = CompilationUnit(file_path=file_path, lines=lines, nodes=nodes)
+    nodes = _Parser(source).parse_unit()
+    unit = CompilationUnit(file_path=file_path, lines=_LINE.findall(source), nodes=nodes)
     _clamp_spans(unit)
     return [unit]
 

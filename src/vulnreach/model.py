@@ -289,12 +289,13 @@ class VulnSpec:
     def from_dict(cls, raw: Mapping[str, Any]) -> "VulnSpec":
         """A value of the wrong JSON type is a ``ConfigError`` naming its key:
         a string ``api_signatures`` would search one-character seeds."""
+        description = raw.get("description")
         return cls(
             vuln_id=checked_str(raw["vuln_id"], "vuln_id"),
             library=checked_str(raw["library"], "library"),
             api_signatures=checked_strs(raw["api_signatures"], "api_signatures"),
             pov_test_source=checked_str(raw["pov_test_source"], "pov_test_source"),
-            description=raw.get("description"),
+            description=None if description is None else checked_str(description, "description"),
         )
 
 

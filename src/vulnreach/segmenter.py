@@ -75,7 +75,7 @@ def segment_unit(
             )
         ]
 
-    anchors = _collect_anchors(unit, unit.nodes, config.theta, [])
+    anchors = _collect_anchors(unit, config.theta)
     anchors = _normalize_anchors(anchors)
     spans = _carve(unit, anchors)
     blocks = [_make_block(unit, span, config.theta) for span in spans]
@@ -129,57 +129,52 @@ _SPLIT_NODES = {
 }
 
 
-def _collect_anchors(
-    unit: CompilationUnit,
-    nodes: Sequence[JavaNode],
-    theta: int,
-    class_path: list[str],
-) -> list[_Span]:
-    """Anchors of a unit's top-level nodes or of one type's members.
+def _collect_anchors(unit: CompilationUnit, theta: int) -> list[_Span]:
+    """Anchors of a unit's nodes in depth-first declaration order: a type at
+    or above theta gives its members' anchors in its place.
 
     The parser yields imports and packages only at the top level and
-    members only inside types, so one walk serves both levels.
+    members only inside types, so one walk serves every level. It loops
+    over a stack of (nodes, next index, dotted class path) frames, one per
+    type being walked, so nesting depth costs no recursion.
     """
     anchors: list[_Span] = []
-    enclosing = ".".join(class_path) or None
-    i = 0
-    while i < len(nodes):
-        node = nodes[i]
-        if node.kind == "import":
-            j = i
-            while (
-                j + 1 < len(nodes)
-                and nodes[j + 1].kind == "import"
-                and _only_blank_between(unit, nodes[j].line_end, nodes[j + 1].line_start)
-            ):
-                j += 1
-            anchors.append(
-                _Span(NodeKind.IMPORT_DECLARATION, nodes[i].line_start, nodes[j].line_end)
-            )
-            i = j + 1
-            continue
-        if node.kind == "type":
-            path = class_path + [node.name or "<anonymous>"]
-            if unit.token_count(node.line_start, node.line_end) >= theta:
-                anchors.extend(_collect_anchors(unit, node.members, theta, path))
-            else:
+    stack: list[tuple[Sequence[JavaNode], int, str | None]] = [(unit.nodes, 0, None)]
+    while stack:
+        nodes, i, enclosing = stack.pop()
+        while i < len(nodes):
+            node = nodes[i]
+            i += 1
+            if node.kind == "import":
+                last = node
+                while (
+                    i < len(nodes)
+                    and nodes[i].kind == "import"
+                    and _only_blank_between(unit, last.line_end, nodes[i].line_start)
+                ):
+                    last = nodes[i]
+                    i += 1
+                anchors.append(_Span(NodeKind.IMPORT_DECLARATION, node.line_start, last.line_end))
+            elif node.kind == "type":
+                name = node.name or "<anonymous>"
+                path = f"{enclosing}.{name}" if enclosing else name
+                if unit.token_count(node.line_start, node.line_end) >= theta:
+                    stack.append((nodes, i, enclosing))
+                    stack.append((node.members, 0, path))
+                    break
+                anchors.append(_Span(NodeKind.OTHER, node.line_start, node.line_end, path))
+            elif node.kind in _SPLIT_NODES:
+                method = None if node.kind == "field" else node.name
+                kind = _SPLIT_NODES[node.kind]
+                anchors.append(_Span(kind, node.line_start, node.line_end, enclosing, method))
+            elif node.kind in ("initializer", "enum_constants", "error"):
                 anchors.append(
-                    _Span(NodeKind.OTHER, node.line_start, node.line_end, ".".join(path))
+                    _Span(
+                        NodeKind.OTHER, node.line_start, node.line_end, enclosing,
+                        error=node.kind == "error",
+                    )
                 )
-        elif node.kind in _SPLIT_NODES:
-            method = None if node.kind == "field" else node.name
-            anchors.append(
-                _Span(_SPLIT_NODES[node.kind], node.line_start, node.line_end, enclosing, method)
-            )
-        elif node.kind in ("initializer", "enum_constants", "error"):
-            anchors.append(
-                _Span(
-                    NodeKind.OTHER, node.line_start, node.line_end, enclosing,
-                    error=node.kind == "error",
-                )
-            )
-        # package declarations stay residue
-        i += 1
+            # package declarations stay residue
     return anchors
 
 

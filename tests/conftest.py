@@ -295,7 +295,8 @@ _JAVA_FRAGMENTS = [
 _FRAGMENT_TEXT = st.lists(st.sampled_from(_JAVA_FRAGMENTS), max_size=40).map("".join)
 
 # Java source text for property tests: fragment soup, optionally wrapped in
-# classes nested up to well past the parser's recursion limit.
+# classes nested up to 450 deep, where a recursive descent spending three
+# frames a level would pass the default recursion limit of 1000.
 JAVA_SOURCES = st.one_of(
     _FRAGMENT_TEXT,
     st.builds(

@@ -1,16 +1,22 @@
+import functools
 import hashlib
+import io
 import json
 import logging
+import operator
 import os
 import re
 import shutil
 import subprocess
 import sys
 import threading
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     DIMS,
@@ -442,7 +448,7 @@ class TestAnalyzeCommand:
         )
         err = capsys.readouterr().err
         assert code == 1 and not report.exists(), err
-        assert err.startswith(f"error: cannot load chat script: {message}"), err
+        assert err.startswith(f"error: cannot load chat script {script_path}: {message}"), err
         assert len(err.splitlines()) == 1, err
 
     def test_report_names_the_theta_the_index_was_built_at(self, tmp_path: Path):
@@ -733,6 +739,27 @@ class TestEvaluateCommand:
         )
         assert f"metrics: {line}" in table.splitlines()
 
+    def test_a_prediction_for_a_project_the_manifest_does_not_name_is_refused(
+        self, tmp_path: Path, capsys
+    ):
+        # Once scored tp=0 fp=0 tn=1 fn=0 with exit 0, "ghost" unread.
+        manifest = write_toy_manifest(tmp_path / "manifest.json")
+        raw = json.loads(manifest.read_text(encoding="utf-8"))
+        raw["projects"] = [p for p in raw["projects"] if p["project_id"] == "plain_app"]
+        manifest.write_text(json.dumps(raw), encoding="utf-8")
+        predictions = tmp_path / "p.json"
+        predictions.write_text(json.dumps({"predictions": {"plain_app": "Secure", "ghost": "Vulnerable"}}))
+        out = tmp_path / "out"
+        code = run_cli(
+            "evaluate",
+            "--from-predictions", str(predictions),
+            "--manifest", str(manifest),
+            "--out", str(out),
+        )
+        captured = capsys.readouterr()
+        assert code == 1 and not captured.out and not out.exists()
+        assert captured.err == "error: predictions for projects the manifest does not name: ['ghost']\n"
+
     def test_failed_rows_still_exit_0(self, tmp_path: Path, config_file: Path):
         manifest_path = tmp_path / "manifest.json"
         manifest = json.loads(write_toy_manifest(manifest_path).read_text())
@@ -889,6 +916,8 @@ class TestJsonInputs:
             ("vuln_id", 7),
             ("library", None),
             ("pov_test_source", ["t"]),
+            # Once a TypeError in analyze: a list made the spec unhashable.
+            ("description", ["a", 1]),
         ],
     )
     def test_a_spec_value_of_the_wrong_type_exits_1_naming_the_key(
@@ -929,6 +958,213 @@ class TestJsonInputs:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {WHAT['--manifest']} {path}: ") and err.count("\n") == 1, err
         assert key in err and not list(out.glob("report*")), err
+
+
+# -- one value of a valid JSON input changed ------------------------------------
+
+_DROP = object()  # the change that removes a key
+
+# JSON values by JSON type; integers and floats are one type, "number".
+_JSON_SCALARS = {
+    "null": st.none(),
+    "boolean": st.booleans(),
+    "number": st.integers(-2, 70_000) | st.floats(-2.0, 2.0),
+    "string": st.text(max_size=4) | st.sampled_from(["64", "Secure", "judge", "openai-compat"]),
+}
+_JSON_VALUE = st.recursive(
+    st.one_of(*_JSON_SCALARS.values()),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=3,
+)
+_JSON_OF_TYPE = {
+    **_JSON_SCALARS,
+    "array": st.lists(_JSON_VALUE, max_size=2),
+    "object": st.dictionaries(st.text(max_size=3), _JSON_VALUE, max_size=2),
+}
+
+
+def _json_type(value) -> str:
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    return {str: "string", list: "array", dict: "object"}[type(value)]
+
+
+def _paths(value, path=()):
+    """The path of ``value`` itself, (), and of every item inside it."""
+    yield path
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, item in items:
+        yield from _paths(item, (*path, key))
+
+
+def _changed(value, path, new):
+    """A copy of ``value`` with the item at ``path`` set to ``new``, or
+    removed when ``new`` is ``_DROP``."""
+    if not path:
+        return new
+    copy = json.loads(json.dumps(value))
+    parent = functools.reduce(operator.getitem, path[:-1], copy)
+    if new is _DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    return copy
+
+
+def _is_response(name: str, path: tuple) -> bool:
+    """Whether ``path`` is in a chat script's response, which may be any JSON value."""
+    head = path[:1]
+    return name == "script" and (
+        (head == ("sequences",) and len(path) >= 3)
+        or (head == ("defaults",) and len(path) >= 2)
+        or (head == ("rules",) and path[2:3] == ("response",))
+    )
+
+
+class _Parsed(Exception):
+    """Raised in place of the work a command does once its inputs are read."""
+
+
+def _provider_state(provider) -> tuple:
+    """A provider's type and what it was built from (not its lock or n-gram table)."""
+    state = {k: v for k, v in vars(provider).items() if k not in ("_lock", "_packed")}
+    return type(provider).__name__, state
+
+
+class TestOneChangedJsonValue:
+    """Every JSON input a command reads, valid but for one value replaced by
+    one of another JSON type or one key dropped, is refused with exit 1 and
+    one `error:` line, or read as the valid input is. A dropped key, an
+    explicit null where null means absent and a scripted response may read
+    differently, but never crash the command."""
+
+    SPEC = {
+        "vuln_id": "CVE-1",
+        "library": "lib",
+        "api_signatures": ["PasswordEncoder.encode(CharSequence)"],
+        "pov_test_source": "class PovTest { void t() { encoder.encode(null); } }",
+        "description": "A null password reaches encode().",
+    }
+    SCRIPT = {
+        "sequences": {"grader": ["yes", {"answer": "no"}]},
+        "rules": [{"role": "judge", "contains": "x", "response": "Vulnerable"}],
+        "defaults": {"reflection": {"complete": True, "reason": ""}},
+    }
+    REMOTE = {"model": "m", "api_key_env": "VULNREACH_TEST_UNSET_KEY"}
+
+    @pytest.fixture(scope="class")
+    def work(self, tmp_path_factory) -> Path:
+        work = tmp_path_factory.mktemp("inputs")
+        (work / "transcript.jsonl").write_text("")
+        assert build_index_for("plain_app", work).exists()
+        return work
+
+    def configs(self, work: Path) -> dict:
+        scripted = {
+            "theta": FIXTURE_THETA,
+            "tau": 0.25,
+            "top_k": 3,
+            "max_iterations": 2,
+            "parallelism": 2,
+            "ignore_globs": ["target/**"],
+            "prompts_dir": str(Path(cli.__file__).parent / "prompts"),
+            "encoder": {"provider": "reference", "dims": DIMS},
+            "chat": {"provider": "scripted", "script_path": str(work / "script.json")},
+        }
+        remote = {
+            "encoder": {
+                **self.REMOTE, "provider": "openai-compat", "name": "enc",
+                "endpoint": "http://localhost:9/embed", "dims": 64, "batch_limit": 16,
+            },
+            "chat": {
+                **self.REMOTE, "provider": "openai-compat", "name": "chat",
+                "endpoint": "http://localhost:9/chat", "max_output_tokens": 512,
+                "context_window": 8000,
+            },
+        }
+        replay = {"chat": {"provider": "replay", "transcript_path": str(work / "transcript.jsonl")}}
+        return {"config": scripted, "remote-config": remote, "replay-config": replay}
+
+    def originals(self, work: Path) -> dict:
+        project = {
+            "project_id": "plain_app",
+            "root_path": str(FIXTURES / "plain_app"),
+            "ground_truth": "Secure",
+            "vuln_refs": ["CVE-1"],
+        }
+        return {
+            **self.configs(work),
+            "spec": self.SPEC,
+            "manifest": {"projects": [project], "vulns": [self.SPEC]},
+            "script": self.SCRIPT,
+            "predictions": {"predictions": {"plain_app": "Secure"}},
+            "matrix": {"confusion_matrix": {"tp": 1, "fp": 2, "tn": 3, "fn": 4}},
+        }
+
+    def read(self, work: Path, name: str, value) -> tuple[int, str, object]:
+        """Run the command that reads input ``name``, as ``value``, beside the
+        other inputs as they are: its exit code, stderr, and what it read."""
+        files = {**self.originals(work), "config": self.configs(work)["config"]}
+        files["config" if name.endswith("config") else name] = value
+        for key, content in files.items():
+            (work / f"{key}.json").write_text(json.dumps(content), encoding="utf-8")
+        out = str(work / "out")
+        if name == "spec":
+            argv = ["analyze", "--index", str(work / "plain_app.vrix"), "--vuln", str(work / "spec.json")]
+            argv += ["--config", str(work / "config.json"), "--report", str(work / "r.json")]
+        elif name in ("predictions", "matrix"):
+            argv = ["evaluate", "--from-predictions", str(work / f"{name}.json"), "--out", out]
+            argv += ["--manifest", str(work / "manifest.json")] if name == "predictions" else []
+        else:
+            argv = ["evaluate", "--manifest", str(work / "manifest.json"),
+                    "--config", str(work / "config.json"), "--out", out]
+
+        def parsed(*args, **kwargs):
+            raise _Parsed(*args)
+
+        err, stdout = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, redirect_stderr(err), redirect_stdout(stdout):
+            mp.setattr(evalharness, "run_benchmark", parsed)
+            mp.setattr(cli, "analyze", parsed)
+            try:
+                code = cli.main(argv)
+            except _Parsed as exc:
+                if name == "spec":
+                    return 0, err.getvalue(), exc.args[3]
+                manifest, config, encoder, chat = exc.args
+                state = (manifest, config.to_dict(), _provider_state(encoder), _provider_state(chat))
+                return 0, err.getvalue(), state
+        return code, err.getvalue(), stdout.getvalue()
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_is_refused_or_read_as_before(self, work: Path, data):
+        name, original = data.draw(st.sampled_from(sorted(self.originals(work).items())))
+        path = data.draw(st.sampled_from(list(_paths(original))))
+        current = functools.reduce(operator.getitem, path, original)
+        others = [t for t in _JSON_OF_TYPE if t != _json_type(current)]
+        changes = st.sampled_from(others).flatmap(_JSON_OF_TYPE.__getitem__)
+        if path and isinstance(path[-1], str):  # a key of an object
+            changes = st.just(_DROP) | changes
+        new = data.draw(changes)
+        code, err, value = self.read(work, name, _changed(original, path, new))
+        if code == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            return
+        assert code == 0 and not err, err
+        if new is _DROP or _is_response(name, path):
+            return
+        expected = [self.read(work, name, original)[2]]
+        if new is None:
+            expected.append(self.read(work, name, _changed(original, path, _DROP))[2])
+        assert value in expected, (name, path, new)
 
 
 class TestEmbeddingCache:
@@ -1117,9 +1353,7 @@ class TestConfig:
         assert "dims" in err and "Traceback" not in err
         assert not (tmp_path / "i.vrix").exists()
 
-    def test_encoder_flag_keeps_the_config_files_other_encoder_keys(
-        self, tmp_path: Path, monkeypatch, capsys
-    ):
+    def test_index_uses_the_config_files_remote_encoder(self, tmp_path: Path, monkeypatch, capsys):
         monkeypatch.delenv("VULNREACH_TEST_UNSET_KEY", raising=False)
         monkeypatch.setattr("requests.post", lambda *a, **kw: pytest.fail("request sent"))
         config = tmp_path / "cfg.json"
@@ -1136,12 +1370,37 @@ class TestConfig:
             "--project", str(FIXTURES / "unguarded_app"),
             "--out", str(tmp_path / "i.vrix"),
             "--config", str(config),
-            "--encoder", "openai-compat",
         )
         err = capsys.readouterr().err
         assert code == 2, err
         assert "VULNREACH_TEST_UNSET_KEY is not set" in err and len(err.splitlines()) == 1
         assert not (tmp_path / "i.vrix").exists()
+
+    @pytest.mark.parametrize(
+        "key, name, bad",
+        [
+            # Each once read through str() or int() as "5", 64 and 1.
+            ("encoder", "model", {"model": 5}),
+            ("encoder", "batch_limit", {"batch_limit": "64"}),
+            ("chat", "max_output_tokens", {"max_output_tokens": True}),
+            # Once a TypeError in Path().
+            ("chat", "script_path", {"provider": "scripted", "script_path": 5}),
+        ],
+    )
+    def test_a_provider_value_of_the_wrong_type_exits_1_naming_it(
+        self, tmp_path: Path, capsys, key, name, bad
+    ):
+        remote = {"provider": "openai-compat", "model": "m", "endpoint": "http://localhost:9/x",
+                  "dims": 64, "api_key_env": "VULNREACH_TEST_UNSET_KEY"}
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"encoder": remote, "chat": remote, key: {**remote, **bad}}))
+        manifest = write_toy_manifest(tmp_path / "manifest.json")
+        out = tmp_path / "o"
+        args = ["evaluate", "--manifest", str(manifest), "--config", str(config), "--out", str(out)]
+        assert run_cli(*args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} {name} must be ") and err.count("\n") == 1, err
+        assert not list(out.glob("report*"))
 
     def test_config_echo_never_leaks_credentials(self, tmp_path: Path):
         config = Config(

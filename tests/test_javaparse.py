@@ -3,6 +3,7 @@ import itertools
 import re
 import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -171,10 +172,6 @@ def walk(nodes):
         yield from walk(node.members)
 
 
-def deep_nest(depth: int) -> str:
-    return "class A {\n" * depth + "}\n" * depth
-
-
 class TestFuzzNet:
     @settings(max_examples=300, deadline=None)
     @given(JAVA_SOURCES)
@@ -249,10 +246,21 @@ class TestFuzzNet:
                 ("method", 4, 4),
             ]
 
-    def test_too_deep_nesting_becomes_one_error_node(self):
-        src = deep_nest(400)
+    @pytest.mark.parametrize("depth", [400, 2000])
+    def test_deep_nesting_parses_every_type(self, depth):
+        # Far past the interpreter's recursion limit: no step of the parser
+        # recurses, so every level is its own type node.
+        src = "class A {\n" * depth + "void m() {}\n" + "}\n" * depth
         unit = parse_source("D.java", src)[0]
-        assert [(n.kind, n.line_start, n.line_end) for n in unit.nodes] == [("error", 1, 800)]
+        node, level = unit.nodes[0], 1
+        assert len(unit.nodes) == 1
+        while node.members[0].kind == "type":
+            assert (node.kind, node.name, node.malformed) == ("type", "A", False)
+            assert (node.line_start, node.line_end) == (level, 2 * depth + 2 - level)
+            assert len(node.members) == 1
+            node, level = node.members[0], level + 1
+        assert level == depth
+        assert [(m.kind, m.name, m.line_start) for m in node.members] == [("method", "m", depth + 1)]
 
 
 # JAVA_SOURCES joined with line terminators and with whitespace that does not

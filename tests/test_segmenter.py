@@ -426,18 +426,26 @@ class TestFuzzNet:
             NodeKind.METHOD_DECLARATION,
         ]
 
-    def test_too_deep_file_indexes_next_to_a_normal_one(self, tmp_path: Path):
+    @pytest.mark.parametrize("depth", [400, 2000])
+    def test_deep_file_indexes_next_to_a_normal_one(self, tmp_path: Path, capsys, depth):
+        # Nested far past the interpreter's recursion limit, the innermost
+        # method is still a block of its own in its full class path.
         project = tmp_path / "proj"
         project.mkdir()
         (project / "A.java").write_text("class A {\n    void a() {}\n}\n")
-        deep = "class D {\n" * 400 + "}\n" * 400
+        method = "    int m() { return " + " + ".join(["1"] * 50) + "; }\n"  # over 80 tokens
+        deep = "class D {\n" * depth + method + "}\n" * depth
         (project / "Deep.java").write_text(deep)
         out = tmp_path / "app.vrix"
         code = cli.main(["index", "--project", str(project), "--out", str(out), "--theta", "80"])
         assert code == 0
-        blocks = segment_project(project, Config(theta=80))
-        assert [(b.file_path, b.node_kind) for b in blocks] == [
-            ("A.java", NodeKind.COMPILATION_UNIT),
-            ("Deep.java", NodeKind.OTHER),
-        ]
-        assert blocks[1].source == deep
+        assert "(0 parse error region(s) kept as Other blocks)" in capsys.readouterr().out
+        unit = parse_source("Deep.java", deep)[0]
+        for theta in (5, 80):
+            blocks = segment_unit(unit, Config(theta=theta))
+            methods = [b for b in blocks if b.node_kind is NodeKind.METHOD_DECLARATION]
+            assert [(m.enclosing_class, m.enclosing_method) for m in methods] == [
+                (".".join(["D"] * depth), "m")
+            ]
+            assert methods[0].source.startswith(method)
+            assert_coverage_and_reassembly(deep, blocks)
