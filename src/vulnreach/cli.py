@@ -13,6 +13,7 @@ import functools
 import json
 import logging
 import sys
+import time
 from collections import Counter
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -36,6 +37,7 @@ from .gateway import (
     PromptLibrary,
     RemoteChatProvider,
     ReplayChatProvider,
+    RoleKind,
     ScriptedChatProvider,
     Transcript,
 )
@@ -50,6 +52,7 @@ EXIT_PROVIDER_ERROR = 2
 EXIT_VULNERABLE = 3
 
 _T = TypeVar("_T")
+log = logging.getLogger(__name__)
 
 
 def _load_json(path: str, what: str, parse: Callable[[Any], _T]) -> _T:
@@ -200,6 +203,7 @@ def _insert_embedded(store: VectorStore, encoder: EncoderProvider, blocks: list[
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    started = time.perf_counter()
     config = load_config(args)
     vuln = _load_json(args.vuln, f"invalid vulnerability spec {args.vuln}", VulnSpec.from_dict)
     store = VectorStore.open(args.index)
@@ -223,6 +227,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     report_path.parent.mkdir(parents=True, exist_ok=True)
     transcript_path = report_path.with_name(report_path.name + ".transcript.jsonl")
     prompts = PromptLibrary.load(config.prompts_dir)
+    opened = time.perf_counter()
     with Transcript(sink_path=transcript_path) as transcript:
         verdict = analyze(
             store,
@@ -232,12 +237,20 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             config,
             project_id=args.project_id,
         )
+    analyzed = time.perf_counter()
     report = {
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "config": config.to_dict(),
         **verdict.to_dict(),
     }
     write_json(report_path, report)
+    if log.isEnabledFor(logging.INFO):
+        calls = Counter(entry.role_kind for entry in transcript.entries)
+        log.info(
+            "open %.3f s, analysis %.3f s, report write %.3f s; model calls: %s",
+            opened - started, analyzed - opened, time.perf_counter() - analyzed,
+            ", ".join(f"{role.value} {calls[role]}" for role in RoleKind),
+        )
     print(
         f"{verdict.project_id}: {verdict.project_judgment.value}"
         f" ({len(verdict.per_candidate)} candidate(s)) -> {args.report}"

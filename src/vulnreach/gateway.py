@@ -13,8 +13,13 @@ A call renders once: a template is split into literal runs and markers
 when first used, and a prompt travels as its parts (literal runs, bound
 values, each packed block's header and source), joined once for the
 provider, the memo and the entry. The transcript writes each entry as one
-``json.dumps(entry.to_dict(), sort_keys=True)`` line, escaping each
-distinct part once.
+``json.dumps(entry.to_dict(), sort_keys=True)`` line.
+
+A call does only per-call work. A command splits and hashes each template
+once; a role keeps its JSON string and memo key prefix; a gateway keeps each
+block's header and cost, and each (role, vulnerability, reason)'s bindings
+and the tokens they reserve; a transcript escapes each distinct part and
+formats each second of its timestamps once.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import json
 import re
 import sys
 import threading
+import time
 from collections import deque
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -42,7 +48,11 @@ from .store import ScopeFilter
 _PLACEHOLDER = re.compile(r"\{\{(\w+)\}\}")
 _TRUNCATION_MARGIN = 256
 _escape = json.encoder.encode_basestring_ascii
-_ENCODER = json.JSONEncoder(sort_keys=True)  # what json.dumps(..., sort_keys=True) builds
+# The C encoder json.dumps(value, sort_keys=True) builds per call, built once; no cycle check.
+_encode_sorted = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, _escape, None, ": ", ", ", True, False, True
+)
+_DECODER = json.JSONDecoder()
 
 REPROMPT_SUFFIX = (
     "\n\nYour previous reply could not be parsed. Respond again with ONLY the "
@@ -55,6 +65,10 @@ class RoleKind(str, Enum):
     REFLECTION = "reflection"
     INFERENCE = "inference"
     JUDGE = "judge"
+
+    # The role as a JSON string, and what a memo key of a question in the role starts with.
+    escaped = functools.cached_property(lambda self: _escape(self.value))
+    key_prefix = functools.cached_property(lambda self: f"{self.value}\0".encode())
 
 
 _IN_CONTEXT = frozenset({"api_signatures", "pov_test_source", "context"})
@@ -84,15 +98,15 @@ class PromptTemplate:
         """The rendered prompt as the template's literal runs (split once, so no
         bound value is scanned for markers) and the bound values, a sequence
         value contributing its parts."""
-        missing = self.placeholders() - bindings.keys()
-        if missing:
-            raise ConfigError(
-                f"{self.role_kind.value} template: unbound placeholders {sorted(missing)}"
-            )
-        parts = [self._split[0]]
-        for name, literal in self._split[1]:
-            value = bindings[name]
-            parts += (value, literal) if isinstance(value, str) else (*value, literal)
+        head, marks = self._split
+        parts = [head]
+        try:
+            for name, literal in marks:
+                value = bindings[name]
+                parts += (value, literal) if isinstance(value, str) else (*value, literal)
+        except KeyError:
+            missing = sorted(self.placeholders() - bindings.keys())
+            raise ConfigError(f"{self.role_kind.value} template: unbound placeholders {missing}") from None
         return parts
 
     @functools.cached_property
@@ -110,14 +124,9 @@ class PromptLibrary:
             if role not in templates:
                 raise ConfigError(f"missing prompt template for role {role.value}")
             placed = templates[role].placeholders()
-            if names - placed:
-                raise ConfigError(
-                    f"{role.value} template leaves out placeholders {sorted(names - placed)}"
-                )
-            if placed - names:
-                raise ConfigError(
-                    f"{role.value} template places unknown placeholders {sorted(placed - names)}"
-                )
+            for wrong, what in ((names - placed, "leaves out"), (placed - names, "places unknown")):
+                if wrong:
+                    raise ConfigError(f"{role.value} template {what} placeholders {sorted(wrong)}")
         self.templates = dict(templates)
 
     @classmethod
@@ -170,9 +179,9 @@ class TranscriptEntry(NamedTuple):
         """``json.dumps(self.to_dict(), sort_keys=True)`` + newline; ``prompt`` comes escaped, unquoted."""
         e = _escape
         return (
-            f'{{"model_id": {e(self.model_id)}, "parsed_response": {_ENCODER.encode(self.parsed_response)},'
+            f'{{"model_id": {e(self.model_id)}, "parsed_response": {"".join(_encode_sorted(self.parsed_response, 0))},'
             f' "provider_name": {e(self.provider_name)}, "raw_response": {e(self.raw_response)},'
-            f' "rendered_prompt": "{prompt}", "role_kind": {e(self.role_kind.value)}, "seq": {self.seq},'
+            f' "rendered_prompt": "{prompt}", "role_kind": {self.role_kind.escaped}, "seq": {self.seq},'
             f' "template_hash": {e(self.template_hash)}, "timestamp": {e(self.timestamp)}}}\n'
         )
 
@@ -186,7 +195,8 @@ class Transcript:
     transcript. A file already at the path is unlinked, not truncated:
     another name linked to it keeps its bytes. The sink stays open until
     :meth:`close` (or the end of a ``with`` block). Appends are
-    synchronized; sequence numbers are monotone.
+    synchronized; sequence numbers are monotone. A transcript escapes each
+    distinct prompt part once, and formats each second of its timestamps once.
     """
 
     def __init__(self, sink_path: Path | str | None = None):
@@ -200,6 +210,16 @@ class Transcript:
         # Prompts share template text, vulnerability text and blocks: each part is escaped
         # once. JSON escapes code point by code point, so escaped parts join to the whole.
         self._escaped = functools.lru_cache(maxsize=None)(lambda part: _escape(part)[1:-1])
+        # The last stamped UTC second, and its isoformat() up to the "+00:00".
+        self._second: tuple[int, str] = (-1, "")
+
+    def _timestamp(self) -> str:
+        """``datetime.now(timezone.utc).isoformat()``, which has no fraction at 0 µs."""
+        second, nanos = divmod(time.time_ns(), 1_000_000_000)
+        if second != self._second[0]:
+            self._second = (second, datetime.fromtimestamp(second, timezone.utc).isoformat()[:-6])
+        micros = nanos // 1000
+        return f"{self._second[1]}.{micros:06d}+00:00" if micros else f"{self._second[1]}+00:00"
 
     def append(
         self,
@@ -216,8 +236,7 @@ class Transcript:
         with self._lock:
             entry = TranscriptEntry(
                 len(self._entries), role_kind, provider_name, model_id, template_hash,
-                rendered_prompt, raw_response, parsed_response,
-                datetime.now(timezone.utc).isoformat(),
+                rendered_prompt, raw_response, parsed_response, self._timestamp(),
             )
             if self._sink is not None:
                 prompt = "".join(map(self._escaped, parts))
@@ -411,10 +430,13 @@ class RemoteChatProvider:
             "temperature": 0.0,
             "max_tokens": self.max_output_tokens,
         }
-        return post_json(
+        content = post_json(
             self.endpoint, self.api_key_env, payload, self.TIMEOUT, "chat",
             lambda reply: reply["choices"][0]["message"]["content"],
         )
+        if not isinstance(content, str):
+            raise ProviderError(f"malformed chat response: content is {content!r}, not a string")
+        return content
 
 
 def extract_json_object(text: str) -> Any:
@@ -424,12 +446,14 @@ def extract_json_object(text: str) -> Any:
     stripped = text.strip()
     if stripped.startswith("```"):
         stripped = re.sub(r"^```[a-zA-Z]*\s*|\s*```$", "", stripped).strip()
-    # A reply nested past the recursion limit is no object either.
+    # json.loads(stripped) without its checks for surrounding whitespace. A
+    # reply nested past the recursion limit is no object either.
     try:
-        return json.loads(stripped)
-    except (json.JSONDecodeError, RecursionError):
+        value, end = _DECODER.scan_once(stripped, 0)
+        if end == len(stripped):
+            return value
+    except (StopIteration, json.JSONDecodeError, RecursionError):
         pass
-    decoder = json.JSONDecoder()
     # Only a brace whose span closes can start an object, so no other is decoded.
     spans = _closing_braces(stripped)
     closes = {start: close for start, close, _ in spans}
@@ -439,7 +463,7 @@ def extract_json_object(text: str) -> Any:
         if start in failed or depth > sys.getrecursionlimit():
             continue
         try:
-            return decoder.raw_decode(stripped, start)[0]
+            return _DECODER.raw_decode(stripped, start)[0]
         except RecursionError:
             pass
         except json.JSONDecodeError as exc:
@@ -585,6 +609,9 @@ class ChatGateway:
         self.prompts = prompts or PromptLibrary.load()
         self.transcript = transcript if transcript is not None else Transcript()
         self.memo = memo if memo is not None else Memo()
+        # Keyed by object identity; each value keeps its key object, so the id stays its own.
+        self._headers: dict[int, tuple[CodeBlock, str, int]] = {}
+        self._fixed: dict[tuple[RoleKind, int, str | None], tuple[VulnSpec, dict[str, str], int]] = {}
 
     # -- context packing ---------------------------------------------------
 
@@ -597,17 +624,7 @@ class ChatGateway:
         parts: list[str] = []
         used = omitted = 0
         for block in ordered:
-            header = (
-                f"// ---- {block.file_path}:{block.line_start}-{block.line_end}"
-                f" [{block.node_kind.value}] ----\n"
-            )
-            # No lexeme holds whitespace and the header ends in a newline, so
-            # the source costs its stored size (0 on a hand-built block, whose
-            # text is counted).
-            if block.size:
-                cost = self.memo.count_tokens(header) + block.size
-            else:
-                cost = self.memo.count_tokens(header + block.source)
+            _, header, cost = self._headers.get(id(block)) or self._header(block)
             if parts and used + cost > budget:
                 omitted += 1
                 continue
@@ -616,6 +633,17 @@ class ChatGateway:
         if omitted:
             parts += ("\n\n", f"// [context truncated: {omitted} retrieved block(s) omitted]")
         return parts[1:]
+
+    def _header(self, block: CodeBlock) -> tuple[CodeBlock, str, int]:
+        """The block, its header, and the tokens both cost; kept per gateway."""
+        header = (
+            f"// ---- {block.file_path}:{block.line_start}-{block.line_end}"
+            f" [{block.node_kind.value}] ----\n"
+        )
+        # No lexeme holds whitespace and the header ends in a newline, so the source costs
+        # its own count: its stored size, or its counted text on a hand-built block (size 0).
+        cost = self.memo.count_tokens(header) + (block.size or self.memo.count_tokens(block.source))
+        return self._headers.setdefault(id(block), (block, header, cost))
 
     # -- core call ---------------------------------------------------------
 
@@ -630,8 +658,8 @@ class ChatGateway:
         parse; ``subject`` names what the call is about in the error."""
         template = self.prompts.get(role)
         parts = template.parts(bindings)
-        for attempt in (parts, [*parts, REPROMPT_SUFFIX]):
-            text = "".join(attempt)
+        for _ in range(2):
+            text = "".join(parts)
             raw = call_with_retry(lambda: self.memo.complete(self.provider, text, role))
             last_error: MalformedResponse | None = None
             try:
@@ -640,10 +668,11 @@ class ChatGateway:
                 recorded, last_error = None, exc
             self.transcript.append(
                 role, self.provider.name, self.provider.model_id, template.sha256,
-                text, raw, recorded, attempt,
+                text, raw, recorded, parts,
             )
             if last_error is None:
                 return value
+            parts.append(REPROMPT_SUFFIX)
         raise MalformedResponse(
             f"{role.value} reply for {subject}, reprompted once: {last_error}"
         ) from last_error
@@ -678,9 +707,7 @@ class ChatGateway:
         """Infer the missing code snippet to search for, plus scope constraints."""
         if not reason.strip():
             raise ValueError("code inference requires a nonempty reason")
-        return self._ask_in_context(
-            RoleKind.INFERENCE, context, vuln, _parse_inference, reason=reason
-        )
+        return self._ask_in_context(RoleKind.INFERENCE, context, vuln, _parse_inference, reason)
 
     def judge_reachability(self, candidate: Candidate, vuln: VulnSpec) -> tuple[Judgment, str]:
         """Binary reachability judgment for one context-complete candidate."""
@@ -688,19 +715,22 @@ class ChatGateway:
 
     def _ask_in_context(
         self, role: RoleKind, context: Sequence[CodeBlock], vuln: VulnSpec,
-        parser: Callable[[Any], tuple[Any, Any]], **bindings: str,
+        parser: Callable[[Any], tuple[Any, Any]], reason: str | None = None,
     ) -> Any:
         """Ask about a candidate, its context packed into the window the
         template and the other bindings leave."""
         if not context:
             raise ValueError(f"{role.value} requires a nonempty context")
-        fixed = {
-            "api_signatures": "\n".join(vuln.api_signatures),
-            "pov_test_source": vuln.pov_test_source,
-            **bindings,
-        }
-        reserved = self.memo.count_tokens(self.prompts.get(role).template_text) + _TRUNCATION_MARGIN
-        reserved += sum(map(self.memo.count_tokens, fixed.values()))
+        _, fixed, reserved = self._fixed.get((role, id(vuln), reason)) or self._bind(role, vuln, reason)
         # The anchor block is always packed; the budget only gates the rest.
         packed = self._pack_parts(context, max(0, self.provider.context_window - reserved))
         return self._ask(role, {**fixed, "context": packed}, parser, f"candidate {context[0].id}")
+
+    def _bind(self, role: RoleKind, vuln: VulnSpec, reason: str | None) -> tuple[VulnSpec, dict[str, str], int]:
+        """The vulnerability, the bindings besides the context, and the tokens
+        they and the template reserve; kept per gateway."""
+        fixed = {"api_signatures": "\n".join(vuln.api_signatures), "pov_test_source": vuln.pov_test_source}
+        if reason is not None:
+            fixed["reason"] = reason
+        reserved = sum(map(self.memo.count_tokens, [self.prompts.get(role).template_text, *fixed.values()]))
+        return self._fixed.setdefault((role, id(vuln), reason), (vuln, fixed, reserved + _TRUNCATION_MARGIN))

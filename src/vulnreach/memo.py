@@ -32,8 +32,10 @@ later command reads them back, bit for bit.
 
 Entries are only ever added, or for a segmentation replaced whole, and
 each dict operation is atomic, so concurrent callers need no lock: two
-first asks of one question may both reach the provider, and both get the
-answer that was kept. Failures are not kept.
+first computations of one content may both run, and both get the result
+that was kept. A chat question's first asker keeps a held lock as its
+pending answer, which a concurrent asker waits on. Failures are not kept:
+when the first ask fails, a waiter asks again.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import threading
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
@@ -60,6 +63,7 @@ log = logging.getLogger(__name__)
 
 _MAGIC = b"vulnreach-vectors 1\n"
 _KEY_BYTES = 32
+_Pending = type(threading.Lock())
 
 
 def encoder_fingerprint(encoder: EncoderProvider) -> str:
@@ -87,7 +91,8 @@ class Memo:
 
     def __init__(self) -> None:
         # Keyed by provider identity; the provider is kept so its id stays its own.
-        self._answers: dict[int, tuple[ChatProvider, dict[bytes, str]]] = {}
+        # A question's answer, or while it is first asked a held lock.
+        self._answers: dict[int, tuple[ChatProvider, dict[bytes, str | threading.Lock]]] = {}
         self._vectors: dict[str, dict[bytes, EmbeddingVector]] = {}
         self._sources: dict[tuple[Path, tuple[str, ...]], list[tuple[str, str]]] = {}
         self._segments: dict[tuple[str, str], _Segmented] = {}
@@ -99,13 +104,24 @@ class Memo:
     def complete(self, provider: ChatProvider, prompt: str, role: RoleKind) -> str:
         """The provider's answer, asked once per (role, prompt); a reprompt
         is its own question, and each provider has its own answers."""
-        _, answers = self._answers.setdefault(id(provider), (provider, {}))
-        hasher = hashlib.sha256(f"{role.value}\0".encode())
-        hasher.update(_utf8(prompt))
-        key = hasher.digest()
+        _, answers = self._answers.get(id(provider)) or self._answers.setdefault(id(provider), (provider, {}))
+        key = hashlib.sha256(role.key_prefix + _utf8(prompt)).digest()
         answer = answers.get(key)
         if answer is None:
-            answer = answers.setdefault(key, provider.complete(prompt, role))
+            pending = threading.Lock()
+            pending.acquire()
+            answer = answers.setdefault(key, pending)
+            if answer is pending:
+                try:
+                    answer = answers[key] = provider.complete(prompt, role)
+                finally:
+                    if answer is pending:  # failed: not kept
+                        del answers[key]
+                    pending.release()
+        if type(answer) is _Pending:
+            with answer:  # another asker's: wait for its answer or its failure
+                pass
+            return self.complete(provider, prompt, role)
         return answer
 
     def embed(self, encoder: EncoderProvider, texts: Sequence[str]) -> list[EmbeddingVector]:

@@ -12,6 +12,7 @@ import sys
 import threading
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from conftest import (
 from vulnreach import cli, evalharness
 from vulnreach.embedding import ReferenceEncoder, RemoteEncoderProvider
 from vulnreach.errors import ProviderError
-from vulnreach.gateway import ChatGateway, ScriptedChatProvider
+from vulnreach.gateway import ChatGateway, RoleKind, ScriptedChatProvider, Transcript
 from vulnreach.memo import encoder_fingerprint
 from vulnreach.model import Config, Verdict
 from vulnreach.segmenter import segment_project
@@ -340,6 +341,29 @@ class TestAnalyzeCommand:
         assert code == 3
         assert read_report(report)["project_judgment"] == "Vulnerable"
         assert Path(read_report(report)["transcript_path"]).stat().st_size > 0
+
+    @pytest.mark.parametrize("content", [None, 5])
+    def test_a_chat_reply_without_text_exits_2_with_one_error_line(
+        self, tmp_path: Path, monkeypatch, capsys, content
+    ):
+        index = build_index_for("guarded_app", tmp_path)
+        monkeypatch.setenv("VULNREACH_TEST_CHAT_KEY", "secret")
+        reply = SimpleNamespace(
+            status_code=200, json=lambda: {"choices": [{"message": {"content": content}}]}
+        )
+        monkeypatch.setattr("requests.post", lambda *a, **kw: reply)
+        config = tmp_path / "cfg.json"
+        remote = {"provider": "openai-compat", "model": "m", "endpoint": "http://localhost:9/chat",
+                  "api_key_env": "VULNREACH_TEST_CHAT_KEY"}
+        config.write_text(json.dumps({"chat": remote}))
+        code = run_cli(
+            "analyze", "--index", str(index), "--vuln", str(FIXTURES / "vuln_encoder_null.json"),
+            "--config", str(config), "--report", str(tmp_path / "report.json"),
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: provider failure: malformed chat response: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "report.json").exists()
 
     def test_replay_transcript_reproduces_identical_report(self, tmp_path: Path, config_file: Path):
         index = build_index_for("guarded_app", tmp_path)
@@ -1597,6 +1621,37 @@ class TestVerbose:
         )
         assert reused and len(reused) == len(verbose.stderr.splitlines())
         assert verbose.stdout == quiet.stdout
+
+    def test_analyze_logs_its_stage_times_and_model_calls_per_role(
+        self, tmp_path: Path, config_file: Path, caplog
+    ):
+        index = build_index_for("unguarded_app", tmp_path)
+
+        def analyze(report: Path) -> int:
+            return run_cli(
+                "analyze", "--index", str(index), "--vuln", str(FIXTURES / "vuln_encoder_null.json"),
+                "--config", str(config_file), "--report", str(report),
+            )
+
+        quiet, verbose = tmp_path / "quiet.json", tmp_path / "verbose.json"
+        assert analyze(quiet) == 3
+        assert not [r for r in caplog.records if r.name == "vulnreach.cli"]
+        with caplog.at_level(logging.INFO, logger="vulnreach"):
+            assert analyze(verbose) == 3
+        (record,) = [r for r in caplog.records if r.name == "vulnreach.cli"]
+        logged = re.fullmatch(
+            r"open \d+\.\d{3} s, analysis \d+\.\d{3} s, report write \d+\.\d{3} s;"
+            r" model calls: (.*)",
+            record.getMessage(),
+        )
+        assert logged, record.getMessage()
+        calls = {role: int(n) for role, n in (pair.split(" ") for pair in logged[1].split(", "))}
+        entries = Transcript.load(str(verbose) + ".transcript.jsonl").entries
+        assert calls == {role.value: sum(e.role_kind is role for e in entries) for role in RoleKind}
+        assert sum(calls.values()) == len(entries) > 0
+        # The report is the one a quiet run writes, but for its time and transcript name.
+        unnamed = [{**read_report(path), "generated_at": 0, "transcript_path": 0} for path in (quiet, verbose)]
+        assert unnamed[0] == unnamed[1]
 
     def test_one_handler_however_often_main_runs(self, tmp_path: Path, monkeypatch):
         logger = logging.getLogger("vulnreach")

@@ -566,6 +566,11 @@ _REMOTES = {
         "yes",
     ),
 }
+# Each remote reply, the value it carries (a vector, a chat reply's text) replaced.
+_CARRYING = {
+    "embedding": lambda value: {"data": [{"index": 0, "embedding": value}, {"index": 1, "embedding": value}]},
+    "chat": lambda value: {"choices": [{"message": {"content": value}}]},
+}
 
 
 @pytest.mark.parametrize("what", sorted(_REMOTES))
@@ -616,6 +621,13 @@ class TestPostJson:
     @pytest.mark.parametrize("body", [{"unexpected": []}, "not json"])
     def test_a_malformed_reply_is_a_provider_error(self, what, stub, body):
         stub.reply = _Reply(200, body)
+        with pytest.raises(ProviderError, match=f"^malformed {what} response: ") as raised:
+            _REMOTES[what][0]()
+        assert not raised.value.transient
+
+    @pytest.mark.parametrize("value", [None, 5])
+    def test_a_carried_value_of_the_wrong_type_is_a_provider_error(self, what, stub, value):
+        stub.reply = _Reply(200, _CARRYING[what](value))
         with pytest.raises(ProviderError, match=f"^malformed {what} response: ") as raised:
             _REMOTES[what][0]()
         assert not raised.value.transient

@@ -7,6 +7,7 @@ import sys
 import tempfile
 import threading
 import time
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -601,6 +602,61 @@ class TestMemoChatProvider:
         assert not any(worker.is_alive() for worker in workers)
         assert len(answers[0]) == questions
         assert all(mine == answers[0] for mine in answers)  # one answer per question
+        assert next(numbers) == questions  # each asked of the provider once
+
+    @staticmethod
+    def ask_twice_at_once(provider, asked: threading.Event, release: threading.Event) -> list:
+        """Two threads asking one question, the second once the first is in
+        the provider; each thread's answer or error, in start order."""
+        memo, outcomes = Memo(), [None, None]
+
+        def ask(slot: int) -> None:
+            try:
+                outcomes[slot] = memo.complete(provider, "p", RoleKind.GRADER)
+            except ProviderError as exc:
+                outcomes[slot] = exc
+
+        first, second = (threading.Thread(target=ask, args=(slot,)) for slot in (0, 1))
+        first.start()
+        assert asked.wait(10)
+        second.start()
+        second.join(0.2)
+        assert second.is_alive()  # waiting for the first ask's answer
+        release.set()
+        for worker in (first, second):
+            worker.join(10)
+            assert not worker.is_alive()
+        return outcomes
+
+    def test_concurrent_identical_questions_make_one_provider_call(self):
+        asked, release = threading.Event(), threading.Event()
+
+        class Blocking(CountingProvider):
+            def complete(self, prompt, role):
+                asked.set()
+                assert release.wait(10)
+                return super().complete(prompt, role)
+
+        inner = Blocking(sequences={RoleKind.GRADER: ['{"answer": "yes"}', '{"answer": "no"}']})
+        assert self.ask_twice_at_once(inner, asked, release) == ['{"answer": "yes"}'] * 2
+        assert inner.asked == [(RoleKind.GRADER, "p")]
+
+    def test_a_waiter_asks_again_when_the_first_ask_fails(self):
+        asked, release = threading.Event(), threading.Event()
+
+        class FailsFirst(CountingProvider):
+            def complete(self, prompt, role):
+                response = super().complete(prompt, role)
+                if len(self.asked) == 1:
+                    asked.set()
+                    assert release.wait(10)
+                    raise ProviderError("rate limited", status=429)
+                return response
+
+        inner = FailsFirst(defaults={RoleKind.GRADER: '{"answer": "yes"}'})
+        failed, answer = self.ask_twice_at_once(inner, asked, release)
+        assert isinstance(failed, ProviderError) and answer == '{"answer": "yes"}'
+        assert len(inner.asked) == 2
 
 
 class TestTokenCountMemo:
@@ -779,6 +835,25 @@ OVERSTATED_BLOCK = make_block(
 
 
 class TestPackingCost:
+    @pytest.mark.parametrize("size", [ENCODE_BLOCK.size, 0])
+    def test_a_block_packed_into_two_contexts_packs_as_on_a_fresh_gateway(self, vuln, size):
+        shared = dataclasses.replace(ENCODE_BLOCK, size=size)
+        other = make_block(file_path="src/Q.java", source="int q;\n" * 30, size=90)
+        contexts = [[shared, COMMENT_BLOCK, other], [other, shared], [COMMENT_BLOCK, shared]]
+        provider = scripted(
+            defaults={RoleKind.REFLECTION: '{"complete": true, "reason": ""}'}, context_window=565
+        )
+
+        def prompts(gw: ChatGateway, context) -> list[str]:
+            gw.reflection_query(context, vuln)
+            return [gw.transcript.entries[-1].rendered_prompt]
+
+        one = gateway(provider)
+        reused = [prompt for context in contexts for prompt in prompts(one, context)]
+        fresh = [prompt for context in contexts for prompt in prompts(gateway(provider), context)]
+        assert reused == fresh
+        assert ["context truncated" in prompt for prompt in fresh] == [True, True, False]
+
     def test_default_counting_costs_a_block_by_its_stored_size(self):
         packed = pack(gateway(scripted()), [ENCODE_BLOCK, OVERSTATED_BLOCK], budget=1_000)
         assert "[context truncated: 1 retrieved block(s) omitted]" in packed
@@ -937,6 +1012,21 @@ class TestTranscriptLines:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_CALL, min_size=1, max_size=4), _PART)
     @example([(RoleKind.JUDGE, "p", "m", "h", "r", ["a\ud835", "\udd18b"], None)], "\ud835")
+    # What each parser records: a grade, the three roles' dicts with text
+    # past ASCII, and a malformed reply's None.
+    @example(
+        [
+            (RoleKind.GRADER, "p", "m", "h", "r", ["x"], True),
+            (RoleKind.REFLECTION, "p", "m", "h", "r", ["x"], {"complete": False, "reason": "é\u2028𝔘"}),
+            (
+                RoleKind.INFERENCE, "p", "m", "h", "r", ["x"],
+                {"missing_snippet": "f(\"ü\")", "scope": {"class_name": "Ä", "file_glob": "*.java"}},
+            ),
+            (RoleKind.JUDGE, "p", "m", "h", "r", ["x"], {"judgment": "secure", "rationale": "\ud835 ok"}),
+            (RoleKind.JUDGE, "p", "m", "h", "not json", ["x"], None),
+        ],
+        "2026-01-01T00:00:00+00:00",
+    )
     def test_each_line_is_json_dumps_of_its_entry_and_loads_back(self, calls, timestamp):
         with tempfile.TemporaryDirectory() as tmp:
             sink = Path(tmp, "sink.jsonl")
@@ -954,6 +1044,23 @@ class TestTranscriptLines:
             line = stamped.json_line(json.encoder.encode_basestring_ascii(stamped.rendered_prompt)[1:-1])
             assert line == json.dumps(stamped.to_dict(), sort_keys=True) + "\n"
             assert TranscriptEntry.from_dict(json.loads(line)) == as_loaded(stamped)
+
+    def test_timestamps_are_isoformat_of_the_clock(self, monkeypatch):
+        second = 1_760_000_000
+        # (seconds after ``second``, microseconds); a nanosecond past each.
+        instants = [(0, 0), (0, 1), (0, 123_456), (1, 0), (1, 999_999), (0, 500_000), (3_600, 0)]
+        clock = iter((second + s) * 10**9 + micros * 1000 + 1 for s, micros in instants)
+        monkeypatch.setattr(time, "time_ns", lambda: next(clock))
+        transcript = Transcript()
+        stamps = [
+            transcript.append(RoleKind.GRADER, "p", "m", "h", "q", "r", None, ["q"]).timestamp
+            for _ in instants
+        ]
+        assert stamps == [
+            datetime.fromtimestamp(second + s, timezone.utc).replace(microsecond=micros).isoformat()
+            for s, micros in instants
+        ]
+        assert stamps[0].endswith(":20+00:00")  # isoformat() leaves out a zero fraction
 
     def test_each_prompt_is_recorded_as_the_join_of_its_parts(self, vuln):
         recorded: list[list[str]] = []
