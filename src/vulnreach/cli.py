@@ -1,7 +1,8 @@
 """Command-line entry point: indexing, analysis, and benchmark evaluation.
 
 Exit codes are the machine contract: 0 success/secure, 3 vulnerable,
-1 user error, 2 provider or infrastructure error. Configuration precedence
+1 user error, 2 a provider failure or a model reply not in the asked form.
+Each failure prints one ``error:`` line to stderr. Configuration precedence
 is flags > config file > defaults, and the effective configuration is
 echoed into every report.
 """
@@ -23,14 +24,7 @@ from typing import Any, Callable, Mapping, Sequence, TypeVar
 from . import evalharness
 from .detector import analyze
 from .embedding import EncoderProvider, ReferenceEncoder, RemoteEncoderProvider, embed
-from .errors import (
-    ConfigError,
-    EmptyProject,
-    MalformedResponse,
-    MissingPrediction,
-    ProviderError,
-    VulnReachError,
-)
+from .errors import ConfigError, MalformedResponse, ProviderError, VulnReachError
 from .gateway import (
     ChatGateway,
     ChatProvider,
@@ -155,15 +149,11 @@ def cmd_index(args: argparse.Namespace) -> int:
     config = load_config(args)
     encoder = _encoder_provider(config.encoder)
     error_blocks: list[CodeBlock] = []
-    try:
-        # No parse memo: each file is parsed once anyway.
-        blocks = segment_project(Path(args.project), config, on_error_block=error_blocks.append)
-    except EmptyProject:
-        print("error: no source files found under the project root", file=sys.stderr)
-        return EXIT_USER_ERROR
+    # No parse memo: each file is parsed once anyway.
+    blocks = segment_project(Path(args.project), config, on_error_block=error_blocks.append)
     # Nothing touches the disk until every block is in: a failed embedding
     # leaves no file. A project whose files hold no code gives an empty index.
-    store = VectorStore.in_memory(encoder.dims)
+    store = VectorStore(encoder.dims)
     _insert_embedded(store, encoder, blocks)
     store.save(args.out, encoder=encoder_fingerprint(encoder), theta=config.theta)
     print(
@@ -259,6 +249,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    if not args.manifest and not args.from_predictions:
+        raise ConfigError("evaluate needs --manifest or --from-predictions")
     config = load_config(args)
     out_dir = Path(args.out)  # made by the first file written under it
 
@@ -314,10 +306,7 @@ def _evaluate_from_predictions(args: argparse.Namespace, out_dir: Path) -> int:
         unknown = sorted(set(predicted) - {p.project_id for p in manifest.projects})
         if unknown:
             raise ConfigError(f"predictions for projects the manifest does not name: {unknown}")
-        try:
-            cm = evalharness.score(predicted, manifest)
-        except MissingPrediction as exc:
-            raise ConfigError(f"cannot score predictions: {exc}") from exc
+        cm = evalharness.score(predicted, manifest)
     result = {"confusion_matrix": cm.to_dict(), "metrics": evalharness.metrics(cm)}
     write_json(out_dir / "metrics.json", result)
     print(f"tp={cm.tp} fp={cm.fp} tn={cm.tn} fn={cm.fn}")
@@ -386,29 +375,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.verbose:
         _log_to_stderr()
-    if args.command == "evaluate" and not args.manifest and not args.from_predictions:
-        print("error: evaluate needs --manifest or --from-predictions", file=sys.stderr)
-        return EXIT_USER_ERROR
     # Looked up per call, not bound into the parser: that is built once per process.
     command = {"index": cmd_index, "analyze": cmd_analyze, "evaluate": cmd_evaluate}[args.command]
     try:
         return command(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USER_ERROR
-    except ProviderError as exc:
-        print(f"error: provider failure: {exc}", file=sys.stderr)
-        return EXIT_PROVIDER_ERROR
-    except MalformedResponse as exc:
-        # The model answered, but not in the asked form: not the user's error.
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PROVIDER_ERROR
-    except VulnReachError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USER_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USER_ERROR
+    except (VulnReachError, OSError) as exc:
+        prefix = "provider failure: " if isinstance(exc, ProviderError) else ""
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        # A model that answered, but not in the asked form, is not the user's error either.
+        return EXIT_PROVIDER_ERROR if isinstance(exc, (ProviderError, MalformedResponse)) else EXIT_USER_ERROR
 
 
 def entrypoint() -> None:

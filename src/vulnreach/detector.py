@@ -118,7 +118,7 @@ def identify_candidates(
     invoke the API survive. Deduplicated by block id, deterministic order.
     """
     if store.count() == 0:
-        raise EmptyIndex("cannot identify candidates in an empty index")
+        raise EmptyIndex("cannot analyze against an empty index")
     queries = queries or QueryVectors(encoder, chat.memo)
     seeds = [*vuln.api_signatures, vuln.pov_test_source]
     queries(seeds)  # every seed in one embedding batch
@@ -142,7 +142,7 @@ def identify_candidates(
             matched_by = MatchedBy.TEST_SIMILARITY
         if not chat.grade_invocation(hit.block, grading_signature):
             continue
-        candidates.append(Candidate.initial(hit.block, matched_by, sim_api, sim_test))
+        candidates.append(Candidate(hit.block, (hit.block,), matched_by, sim_api, sim_test))
     return candidates
 
 
@@ -215,8 +215,6 @@ def analyze(
     the whole analysis (the transcript written so far survives): a
     best-effort partial verdict could silently flip vulnerable to secure.
     """
-    if store.count() == 0:
-        raise EmptyIndex("cannot analyze against an empty index")
     queries = QueryVectors(encoder, chat.memo)
     pending = deque(identify_candidates(store, encoder, chat, vuln, config, queries))
     enqueued = {candidate.anchor.id for candidate in pending}
@@ -236,7 +234,7 @@ def analyze(
         enqueued.update(block.id for block in fresh)
         rows = [store.row_of(block.id) for block in fresh]
         for block, (sim_api, sim_test) in zip(fresh, queries.similarities(store, vuln, rows)):
-            pending.append(Candidate.initial(block, MatchedBy.CONTEXT_RETRIEVAL, sim_api, sim_test))
+            pending.append(Candidate(block, (block,), MatchedBy.CONTEXT_RETRIEVAL, sim_api, sim_test))
 
     if config.parallelism == 1:
         while pending:

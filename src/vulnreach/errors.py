@@ -57,5 +57,5 @@ class EmptyIndex(VulnReachError):
     """Analysis requested against a store with zero entries."""
 
 
-class MissingPrediction(VulnReachError):
+class MissingPrediction(ConfigError):
     """A manifest project has no prediction to score."""

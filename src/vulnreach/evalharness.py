@@ -183,7 +183,7 @@ def build_index(
     memo = memo if memo is not None else Memo()
     blocks = segment_project(root, config, memo=memo)
     vectors = memo.embed(encoder, [b.source for b in blocks])
-    store = VectorStore.in_memory(encoder.dims)
+    store = VectorStore(encoder.dims)
     store.insert([StoreEntry(b, v) for b, v in zip(blocks, vectors)])
     return store
 

@@ -13,7 +13,8 @@ A call renders once: a template is split into literal runs and markers
 when first used, and a prompt travels as its parts (literal runs, bound
 values, each packed block's header and source), joined once for the
 provider, the memo and the entry. The transcript writes each entry as one
-``json.dumps(entry.to_dict(), sort_keys=True)`` line.
+JSON line: its fields by name, with sorted keys and ``role_kind`` as its
+value, which ``TranscriptEntry.from_dict`` reads back.
 
 A call does only per-call work. A command splits and hashes each template
 once; a role keeps its JSON string and memo key prefix; a gateway keeps each
@@ -42,7 +43,7 @@ from typing import Any, Callable, Mapping, NamedTuple, Protocol, Sequence, TextI
 from .embedding import call_with_retry, post_json
 from .errors import ConfigError, MalformedResponse, ProviderError
 from .memo import Memo
-from .model import Candidate, CodeBlock, Judgment, VulnSpec
+from .model import Candidate, CodeBlock, Judgment, VulnSpec, checked_str
 from .store import ScopeFilter
 
 _PLACEHOLDER = re.compile(r"\{\{(\w+)\}\}")
@@ -142,8 +143,8 @@ class PromptLibrary:
             templates[role] = PromptTemplate(role, path.read_text("utf-8"))
         return cls(templates)
 
-    def get(self, role: RoleKind) -> PromptTemplate:
-        return self.templates[role]
+
+_ENTRY_STRINGS = ("provider_name", "model_id", "template_hash", "rendered_prompt", "raw_response", "timestamp")
 
 
 class TranscriptEntry(NamedTuple):
@@ -158,25 +159,24 @@ class TranscriptEntry(NamedTuple):
     parsed_response: Any
     timestamp: str
 
-    def to_dict(self) -> dict[str, Any]:
-        return {**self._asdict(), "role_kind": self.role_kind.value}
-
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "TranscriptEntry":
+        """The entry a ``json_line`` holds. A value of another JSON type is a
+        ``ConfigError`` naming its key, not cast: ``str()`` of an object
+        response would replay its Python repr."""
+        seq = raw["seq"]
+        if type(seq) is not int:
+            raise ConfigError(f"seq must be an integer, got {seq!r}")
         return cls(
-            seq=int(raw["seq"]),
+            seq=seq,
             role_kind=RoleKind(raw["role_kind"]),
-            provider_name=str(raw["provider_name"]),
-            model_id=str(raw["model_id"]),
-            template_hash=str(raw["template_hash"]),
-            rendered_prompt=str(raw["rendered_prompt"]),
-            raw_response=str(raw["raw_response"]),
             parsed_response=raw.get("parsed_response"),
-            timestamp=str(raw["timestamp"]),
+            **{key: checked_str(raw[key], key) for key in _ENTRY_STRINGS},
         )
 
     def json_line(self, prompt: str) -> str:
-        """``json.dumps(self.to_dict(), sort_keys=True)`` + newline; ``prompt`` comes escaped, unquoted."""
+        """The entry as one JSON object with sorted keys and ``role_kind`` as
+        its value, + newline; ``prompt`` comes escaped, unquoted."""
         e = _escape
         return (
             f'{{"model_id": {e(self.model_id)}, "parsed_response": {"".join(_encode_sorted(self.parsed_response, 0))},'
@@ -263,9 +263,6 @@ class Transcript:
         with self._lock:
             return tuple(self._entries)
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     @classmethod
     def load(cls, path: Path | str) -> "Transcript":
         """The entries recorded at ``path``, refusing a line that is not one,
@@ -278,7 +275,7 @@ class Transcript:
                     continue
                 try:
                     entry = TranscriptEntry.from_dict(json.loads(line.decode("utf-8")))
-                except (KeyError, TypeError, ValueError) as exc:
+                except (KeyError, TypeError, ValueError, ConfigError) as exc:
                     raise ConfigError(
                         f"transcript {path} line {number} is not a recorded entry:"
                         f" {type(exc).__name__}: {exc}"
@@ -656,7 +653,7 @@ class ChatGateway:
     ) -> Any:
         """The parsed reply, asked once more with a reprompt if it does not
         parse; ``subject`` names what the call is about in the error."""
-        template = self.prompts.get(role)
+        template = self.prompts.templates[role]
         parts = template.parts(bindings)
         for _ in range(2):
             text = "".join(parts)
@@ -732,5 +729,5 @@ class ChatGateway:
         fixed = {"api_signatures": "\n".join(vuln.api_signatures), "pov_test_source": vuln.pov_test_source}
         if reason is not None:
             fixed["reason"] = reason
-        reserved = sum(map(self.memo.count_tokens, [self.prompts.get(role).template_text, *fixed.values()]))
+        reserved = sum(map(self.memo.count_tokens, [self.prompts.templates[role].template_text, *fixed.values()]))
         return self._fixed.setdefault((role, id(vuln), reason), (vuln, fixed, reserved + _TRUNCATION_MARGIN))

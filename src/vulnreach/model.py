@@ -149,33 +149,6 @@ class CodeBlock:
         if self.size < 0:
             raise ValueError("size must be non-negative")
 
-    @classmethod
-    def create(
-        cls,
-        file_path: str,
-        line_start: int,
-        line_end: int,
-        source: str,
-        node_kind: NodeKind,
-        *,
-        enclosing_class: str | None = None,
-        enclosing_method: str | None = None,
-        size: int,
-        oversize: bool = False,
-    ) -> "CodeBlock":
-        return cls(
-            id=block_id(file_path, line_start, line_end, node_kind),
-            file_path=file_path,
-            line_start=line_start,
-            line_end=line_end,
-            source=source,
-            node_kind=node_kind,
-            enclosing_class=enclosing_class,
-            enclosing_method=enclosing_method,
-            size=size,
-            oversize=oversize,
-        )
-
     def to_dict(self) -> dict[str, Any]:
         return {**vars(self), "node_kind": self.node_kind.value}
 
@@ -323,22 +296,6 @@ class Candidate:
         for name, value in (("similarity_api", self.similarity_api), ("similarity_test", self.similarity_test)):
             if not -1.0 - 1e-9 <= value <= 1.0 + 1e-9:
                 raise ValueError(f"{name} out of [-1, 1]: {value}")
-
-    @classmethod
-    def initial(
-        cls,
-        anchor: CodeBlock,
-        matched_by: MatchedBy,
-        similarity_api: float,
-        similarity_test: float,
-    ) -> "Candidate":
-        return cls(
-            anchor=anchor,
-            context=(anchor,),
-            matched_by=matched_by,
-            similarity_api=similarity_api,
-            similarity_test=similarity_test,
-        )
 
     def extend_context(self, blocks: Iterable[CodeBlock]) -> "Candidate":
         """Append new blocks, skipping ids already present (append-only)."""

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .errors import EmptyProject
 from .javaparse import CompilationUnit, JavaNode, parse_source
-from .model import CodeBlock, Config, NodeKind
+from .model import CodeBlock, Config, NodeKind, block_id
 
 if TYPE_CHECKING:
     from .memo import Memo
@@ -107,13 +107,11 @@ def theta_class(
 
 
 def _make_block(unit: CompilationUnit, span: _Span, theta: int) -> CodeBlock:
-    size = unit.token_count(span.line_start, span.line_end)
-    return CodeBlock.create(
-        unit.file_path,
-        span.line_start,
-        span.line_end,
-        unit.slice_text(span.line_start, span.line_end),
-        span.kind,
+    start, end = span.line_start, span.line_end
+    size = unit.token_count(start, end)
+    return CodeBlock(
+        block_id(unit.file_path, start, end, span.kind),
+        unit.file_path, start, end, unit.slice_text(start, end), span.kind,
         enclosing_class=span.enclosing_class,
         enclosing_method=span.enclosing_method,
         size=size,

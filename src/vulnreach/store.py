@@ -161,10 +161,6 @@ class VectorStore:
     # -- lifecycle ------------------------------------------------------
 
     @classmethod
-    def in_memory(cls, dims: int) -> "VectorStore":
-        return cls(dims=dims)
-
-    @classmethod
     def open(cls, path: Path | str) -> "VectorStore":
         path = Path(path)
         data = _read_aligned(path)

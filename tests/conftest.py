@@ -23,7 +23,8 @@ from vulnreach import (
     embed,
     segment_project,
 )
-from vulnreach.gateway import REPROMPT_SUFFIX, PromptLibrary
+from vulnreach.gateway import REPROMPT_SUFFIX, PromptLibrary, TranscriptEntry
+from vulnreach.model import block_id
 from vulnreach.tokenizer import LexicalTokenizer
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -43,7 +44,8 @@ def make_block(
     enclosing_method: str | None = None,
     size: int = 7,
 ) -> CodeBlock:
-    return CodeBlock.create(
+    return CodeBlock(
+        block_id(file_path, line_start, line_end, node_kind),
         file_path,
         line_start,
         line_end,
@@ -53,6 +55,12 @@ def make_block(
         enclosing_method=enclosing_method,
         size=size,
     )
+
+
+def entry_dict(entry: TranscriptEntry) -> dict:
+    """The reference a transcript line is checked against: the entry's
+    fields by name, with ``role_kind`` as its value."""
+    return {**entry._asdict(), "role_kind": entry.role_kind.value}
 
 
 class _TornFile:
@@ -92,7 +100,7 @@ def torn_writes(monkeypatch, suffix: str | tuple[str, ...] = ""):
 
 def build_fixture_store(project: str, encoder: ReferenceEncoder) -> VectorStore:
     blocks = segment_project(FIXTURES / project, Config(theta=FIXTURE_THETA))
-    store = VectorStore.in_memory(encoder.dims)
+    store = VectorStore(encoder.dims)
     vectors = embed(encoder, [b.source for b in blocks])
     store.insert([StoreEntry(b, v) for b, v in zip(blocks, vectors)])
     return store
@@ -102,7 +110,7 @@ def write_index(
     path: Path, dims: int, entries=(), *, encoder: str | None = None, theta: int | None = None
 ) -> VectorStore:
     """An in-memory store holding ``entries``, saved once at ``path``."""
-    store = VectorStore.in_memory(dims)
+    store = VectorStore(dims)
     store.insert(list(entries))
     store.save(path, encoder=encoder, theta=theta)
     return store
@@ -249,7 +257,7 @@ def edited_prompts(prompts_dir: Path, role: str, old: str, new: str = "") -> Pat
     prompts_dir.mkdir(exist_ok=True)
     bundled = PromptLibrary.load()
     for other in RoleKind:
-        text = bundled.get(other).template_text
+        text = bundled.templates[other].template_text
         if other is RoleKind(role):
             assert old in text
             text = text.replace(old, new)

@@ -136,7 +136,7 @@ def test_criterion_4_search_oracle_equivalence():
 
 def _anchor_candidate(store: VectorStore) -> Candidate:
     entry = next(iter(store.entries()))
-    return Candidate.initial(entry.block, MatchedBy.BOTH, 0.5, 0.5)
+    return Candidate(entry.block, (entry.block,), MatchedBy.BOTH, 0.5, 0.5)
 
 
 def test_criterion_5_reflection_loop_termination(guarded_store, encoder, vuln):
@@ -168,7 +168,7 @@ def test_criterion_5_reflection_loop_termination(guarded_store, encoder, vuln):
         anchor_block = next(
             e.block for e in guarded_store.entries() if e.block.enclosing_method == "hashPassword"
         )
-        anchor = Candidate.initial(anchor_block, MatchedBy.BOTH, 0.5, 0.5)
+        anchor = Candidate(anchor_block, (anchor_block,), MatchedBy.BOTH, 0.5, 0.5)
         completion = complete_context(guarded_store, encoder, gw, anchor, vuln, cfg)
         assert completion.termination_reason is TerminationReason.CONTEXT_COMPLETE
         assert completion.reflection_calls == 2

@@ -31,7 +31,7 @@ from conftest import (
 )
 from vulnreach import cli, evalharness
 from vulnreach.embedding import ReferenceEncoder, RemoteEncoderProvider
-from vulnreach.errors import ProviderError
+from vulnreach.errors import ConfigError, EmptyProject, IndexFormatError, MalformedResponse, ProviderError
 from vulnreach.gateway import ChatGateway, RoleKind, ScriptedChatProvider, Transcript
 from vulnreach.memo import encoder_fingerprint
 from vulnreach.model import Config, Verdict
@@ -432,6 +432,41 @@ class TestAnalyzeCommand:
         err = capsys.readouterr().err
         assert code == 1 and not report.exists(), err
         assert err.startswith(f"error: transcript {bad} line {lines} is not a recorded entry"), err
+        assert len(err.splitlines()) == 1, err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            # Once replayed as its Python repr: "replay has no grader
+            # response for this prompt (none recorded)", exit 2.
+            ("raw_response", {"answer": "yes"}),
+            # Each once cast, and the replay wrote a normal report (exit 3).
+            ("seq", True),
+            ("seq", "1"),
+            ("model_id", 5),
+            ("timestamp", None),
+        ],
+    )
+    def test_a_transcript_value_of_another_json_type_is_refused(
+        self, tmp_path: Path, config_file: Path, capsys, key, value
+    ):
+        index = build_index_for("unguarded_app", tmp_path)
+        args = (
+            "analyze",
+            "--index", str(index),
+            "--vuln", str(FIXTURES / "vuln_encoder_null.json"),
+            "--config", str(config_file),
+        )
+        assert run_cli(*args, "--report", str(tmp_path / "first.json")) == 3
+        first, *rest = (tmp_path / "first.json.transcript.jsonl").read_text(encoding="utf-8").splitlines(True)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps({**json.loads(first), key: value}) + "\n" + "".join(rest), encoding="utf-8")
+        capsys.readouterr()
+        report = tmp_path / "replay.json"
+        code = run_cli(*args, "--report", str(report), "--transcript", str(bad))
+        err = capsys.readouterr().err
+        assert code == 1 and not report.exists(), err
+        assert err.startswith(f"error: transcript {bad} line 1 is not a recorded entry: ConfigError: {key} "), err
         assert len(err.splitlines()) == 1, err
 
     @pytest.mark.parametrize(
@@ -884,6 +919,22 @@ class TestEvaluateCommand:
 
     def test_evaluate_requires_some_input(self, tmp_path: Path, capsys):
         assert run_cli("evaluate", "--out", str(tmp_path / "o")) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: evaluate needs --manifest or --from-predictions\n"
+        assert not captured.out and not (tmp_path / "o").exists()
+
+    def test_a_manifest_project_without_a_prediction_is_refused(self, tmp_path: Path, capsys):
+        manifest = write_toy_manifest(tmp_path / "manifest.json")
+        predictions = tmp_path / "p.json"
+        predicted = {"guarded_app": "Secure", "unguarded_app": "Vulnerable", "legacy_app": "Vulnerable"}
+        predictions.write_text(json.dumps({"predictions": predicted}))
+        out = tmp_path / "out"
+        code = run_cli(
+            "evaluate", "--manifest", str(manifest), "--from-predictions", str(predictions), "--out", str(out)
+        )
+        captured = capsys.readouterr()
+        assert code == 1 and not captured.out and not out.exists()
+        assert captured.err == "error: no prediction for project plain_app\n"
 
 
 # How the one error line names each JSON input, before the input's path.
@@ -1189,6 +1240,56 @@ class TestOneChangedJsonValue:
         if new is None:
             expected.append(self.read(work, name, _changed(original, path, _DROP))[2])
         assert value in expected, (name, path, new)
+
+    @pytest.fixture(scope="class")
+    def recorded(self, tmp_path_factory):
+        """The entries of a scripted analysis's transcript, a replay of
+        entries as one (its exit code, stderr and report without its
+        timestamp), and that replay of the entries as recorded."""
+        work = tmp_path_factory.mktemp("transcript")
+        args = [
+            "analyze",
+            "--index", str(build_index_for("unguarded_app", work)),
+            "--vuln", str(FIXTURES / "vuln_encoder_null.json"),
+            "--config", str(write_tool_config(work / "config.json")),
+        ]
+        assert run_cli(*args, "--report", str(work / "first.json")) == 3
+        lines = (work / "first.json.transcript.jsonl").read_text(encoding="utf-8").splitlines()
+        report = work / "replay.json"
+
+        def replay(entries: list) -> tuple[int, str, object]:
+            report.unlink(missing_ok=True)
+            transcript = work / "replay.jsonl"
+            transcript.write_text("".join(json.dumps(e) + "\n" for e in entries), encoding="utf-8")
+            err = io.StringIO()
+            with redirect_stderr(err), redirect_stdout(io.StringIO()):
+                code = run_cli(*args, "--report", str(report), "--transcript", str(transcript))
+            written = report.exists() and strip_timestamps(report.read_text(encoding="utf-8"))
+            return code, err.getvalue(), written
+
+        entries = [json.loads(line) for line in lines]
+        return entries, replay, replay(entries)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_a_transcript_line_is_refused_or_replays_the_report(self, recorded, data):
+        entries, replay, unchanged = recorded
+        number = data.draw(st.integers(0, len(entries) - 1))
+        original = entries[number]
+        path = data.draw(st.sampled_from(list(_paths(original))))
+        current = functools.reduce(operator.getitem, path, original)
+        others = [t for t in _JSON_OF_TYPE if t != _json_type(current)]
+        changes = st.sampled_from(others).flatmap(_JSON_OF_TYPE.__getitem__)
+        if path and isinstance(path[-1], str):  # a key of an object
+            changes = st.just(_DROP) | changes
+        changed = [*entries]
+        changed[number] = _changed(original, path, data.draw(changes))
+        code, err, report = replay(changed)
+        if code == 1:
+            assert err.startswith("error: transcript ") and err.count("\n") == 1, err
+            assert report is False
+            return
+        assert (code, err, report) == unchanged
 
 
 class TestEmbeddingCache:
@@ -1527,6 +1628,34 @@ class TestOneProcess:
         cli.build_parser()
         monkeypatch.setattr(cli, "cmd_index", lambda args: 7)
         assert run_cli("index", "--project", "p", "--out", "o") == 7
+
+
+class TestFailureTable:
+    """``main`` turns each error a command raises into its exit status and
+    one `error:` line on stderr."""
+
+    @pytest.mark.parametrize(
+        "error, code, line",
+        [
+            (ConfigError("bad config"), 1, "error: bad config"),
+            (EmptyProject("no source files under p"), 1, "error: no source files under p"),
+            (IndexFormatError("i.vrix: checksum mismatch"), 1, "error: i.vrix: checksum mismatch"),
+            (FileNotFoundError(2, "No such file or directory", "x"), 1,
+             "error: [Errno 2] No such file or directory: 'x'"),
+            (ProviderError("HTTP 401", 401), 2, "error: provider failure: HTTP 401"),
+            (MalformedResponse("judge reply for candidate c, reprompted once: no JSON object"), 2,
+             "error: judge reply for candidate c, reprompted once: no JSON object"),
+        ],
+        ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None,
+    )
+    def test_each_error_kind_exits_with_its_status_and_one_line(self, monkeypatch, capsys, error, code, line):
+        def fail(args):
+            raise error
+
+        monkeypatch.setattr(cli, "cmd_index", fail)
+        assert run_cli("index", "--project", "p", "--out", "o") == code
+        captured = capsys.readouterr()
+        assert captured.err == line + "\n" and not captured.out
 
 
 class TestReportsAreWrittenWhole:

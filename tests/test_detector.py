@@ -56,7 +56,7 @@ class FakeEncoder:
 
 
 def synthetic_store(vectors: list[EmbeddingVector], sources: list[str] | None = None):
-    store = VectorStore.in_memory(vectors[0].dims)
+    store = VectorStore(vectors[0].dims)
     entries = []
     for i, vec in enumerate(vectors):
         src = (sources[i] if sources else f"void block{i}() {{ work({i}); }}\n")
@@ -139,7 +139,7 @@ class TestIdentifyCandidates:
 
     def test_empty_index_raises(self, encoder, vuln):
         with pytest.raises(EmptyIndex):
-            identify_candidates(VectorStore.in_memory(encoder.dims), encoder, fixture_gateway(), vuln, CFG)
+            identify_candidates(VectorStore(encoder.dims), encoder, fixture_gateway(), vuln, CFG)
 
     def test_candidates_deduplicated_and_ordered(self, guarded_store, encoder, vuln):
         candidates = identify_candidates(guarded_store, encoder, fixture_gateway(), vuln, CFG)
@@ -150,7 +150,7 @@ class TestIdentifyCandidates:
 
 class TestCompleteContext:
     def _candidate(self, block) -> Candidate:
-        return Candidate.initial(block, MatchedBy.BOTH, 0.5, 0.5)
+        return Candidate(block, (block,), MatchedBy.BOTH, 0.5, 0.5)
 
     def test_two_step_reflection_grows_context_and_completes(self, guarded_store, encoder, vuln):
         anchor = identify_candidates(guarded_store, encoder, fixture_gateway(), vuln, CFG)[0]
@@ -354,11 +354,11 @@ class TestAnalyze:
         gw = ChatGateway(provider, transcript=Transcript())
         with pytest.raises(ProviderError):
             analyze(unguarded_store, encoder, gw, vuln, CFG, "p")
-        assert len(gw.transcript) >= 1
+        assert len(gw.transcript.entries) >= 1
 
     def test_empty_index_raises(self, encoder, vuln):
         with pytest.raises(EmptyIndex):
-            analyze(VectorStore.in_memory(encoder.dims), encoder, fixture_gateway(), vuln, CFG, "p")
+            analyze(VectorStore(encoder.dims), encoder, fixture_gateway(), vuln, CFG, "p")
 
 
 class TestQueryVectors:

@@ -19,6 +19,7 @@ from conftest import (
     JAVA_SOURCES,
     CountingProvider,
     edited_prompts,
+    entry_dict,
     make_block,
     record_token_counts,
 )
@@ -99,14 +100,14 @@ class TestPromptTemplate:
     def test_bundled_library_provides_all_roles(self):
         library = PromptLibrary.load()
         for role in RoleKind:
-            assert library.get(role).placeholders()
+            assert library.templates[role].placeholders()
 
     def test_from_dir_override(self, tmp_path: Path):
         for role in RoleKind:
             markers = " ".join("{{%s}}" % name for name in sorted(ROLE_BINDINGS[role]))
             (tmp_path / f"{role.value}.txt").write_text(f"custom {role.value} {markers}")
         library = PromptLibrary.load(tmp_path)
-        assert library.get(RoleKind.JUDGE).template_text.startswith("custom judge")
+        assert library.templates[RoleKind.JUDGE].template_text.startswith("custom judge")
 
     def test_template_hash_is_stable(self):
         a = PromptTemplate(RoleKind.GRADER, "abc")
@@ -235,7 +236,7 @@ class TestGradeInvocation:
         )
         with pytest.raises(MalformedResponse):
             gw.grade_invocation(ENCODE_BLOCK, vuln.api_signatures[0])
-        assert len(gw.transcript) == 2  # one entry per provider call
+        assert len(gw.transcript.entries) == 2  # one entry per provider call
         assert "could not be parsed" in gw.transcript.entries[1].rendered_prompt
 
     def test_invalid_answer_value_rejected(self, vuln):
@@ -317,7 +318,7 @@ class TestCodeInference:
 
 class TestJudgeReachability:
     def _candidate(self) -> Candidate:
-        return Candidate.initial(ENCODE_BLOCK, MatchedBy.BOTH, 0.5, 0.5)
+        return Candidate(ENCODE_BLOCK, (ENCODE_BLOCK,), MatchedBy.BOTH, 0.5, 0.5)
 
     def test_guarded_pattern_scripted_secure(self, vuln):
         gw = gateway(
@@ -349,7 +350,7 @@ class TestJudgeReachability:
             size=25,
         )
         judgment, rationale = gw.judge_reachability(
-            Candidate.initial(guarded, MatchedBy.BOTH, 0.5, 0.5), vuln
+            Candidate(guarded, (guarded,), MatchedBy.BOTH, 0.5, 0.5), vuln
         )
         assert judgment is Judgment.SECURE
         assert "null guard" in rationale
@@ -385,7 +386,7 @@ class TestTranscript:
         gw.grade_invocation(ENCODE_BLOCK, vuln.api_signatures[0])
         gw.reflection_query([ENCODE_BLOCK], vuln)
         gw.grade_invocation(COMMENT_BLOCK, vuln.api_signatures[0])
-        assert len(gw.transcript) == 3
+        assert len(gw.transcript.entries) == 3
         assert [e.seq for e in gw.transcript.entries] == [0, 1, 2]
         assert [e.role_kind for e in gw.transcript.entries] == [
             RoleKind.GRADER,
@@ -401,8 +402,8 @@ class TestTranscript:
             )
             gw.grade_invocation(ENCODE_BLOCK, vuln.api_signatures[0])
         loaded = Transcript.load(path)
-        assert [e.to_dict() for e in loaded.entries] == [
-            e.to_dict() for e in gw.transcript.entries
+        assert [entry_dict(e) for e in loaded.entries] == [
+            entry_dict(e) for e in gw.transcript.entries
         ]
 
     def test_sink_streams_entries_as_they_land(self, tmp_path: Path, vuln):
@@ -430,7 +431,26 @@ class TestTranscript:
             gw.grade_invocation(COMMENT_BLOCK, vuln.api_signatures[0])
             gw.grade_invocation(ENCODE_BLOCK, vuln.api_signatures[0])
         assert first.read_bytes() == recorded
-        assert len(Transcript.load(linked)) == 2
+        assert len(Transcript.load(linked).entries) == 2
+
+    RECORDED = {
+        "seq": 0, "role_kind": "grader", "provider_name": "scripted", "model_id": "scripted",
+        "template_hash": "h", "rendered_prompt": "p", "raw_response": '{"answer": "yes"}',
+        "parsed_response": True, "timestamp": "2026-01-01T00:00:00+00:00",
+    }
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            # Each once cast and accepted; tests/test_cli.py replays more.
+            ("seq", 1.0),
+            ("rendered_prompt", ["p"]),
+            ("template_hash", None),
+        ],
+    )
+    def test_an_entry_value_of_another_json_type_is_refused(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            TranscriptEntry.from_dict({**self.RECORDED, key: value})
 
     def test_replay_reproduces_identical_parsed_sequence(self, vuln):
         script = scripted(
@@ -459,7 +479,7 @@ class TestTranscript:
         ]
 
     def test_replay_covers_all_four_operations(self, vuln):
-        candidate = Candidate.initial(ENCODE_BLOCK, MatchedBy.BOTH, 0.5, 0.5)
+        candidate = Candidate(ENCODE_BLOCK, (ENCODE_BLOCK,), MatchedBy.BOTH, 0.5, 0.5)
         script = scripted(
             sequences={
                 RoleKind.GRADER: ['{"answer": "yes"}'],
@@ -537,7 +557,7 @@ class TestMemoChatProvider:
         second = gw.reflection_query([ENCODE_BLOCK], vuln)
         assert first == second == (False, "need caller")  # one answer per question
         assert len(inner.asked) == 1
-        entries = [e.to_dict() for e in gw.transcript.entries]
+        entries = [entry_dict(e) for e in gw.transcript.entries]
         assert [e["seq"] for e in entries] == [0, 1]
         for entry in entries:
             del entry["seq"], entry["timestamp"]
@@ -675,7 +695,7 @@ class TestTokenCountMemo:
             RoleKind.REFLECTION: '{"complete": true, "reason": ""}',
             RoleKind.JUDGE: '{"judgment": "secure", "rationale": "guarded"}',
         }
-        candidate = Candidate.initial(ENCODE_BLOCK, MatchedBy.BOTH, 0.5, 0.5).extend_context(
+        candidate = Candidate(ENCODE_BLOCK, (ENCODE_BLOCK,), MatchedBy.BOTH, 0.5, 0.5).extend_context(
             [COMMENT_BLOCK]
         )
 
@@ -739,13 +759,13 @@ class TestChatRetry:
         with pytest.raises(ProviderError) as raised:
             gw.grade_invocation(ENCODE_BLOCK, vuln.api_signatures[0])
         assert raised.value is error
-        assert len(provider.asked) == 1 and sleeps == [] and len(gw.transcript) == 0
+        assert len(provider.asked) == 1 and sleeps == [] and len(gw.transcript.entries) == 0
 
     def test_a_replay_miss_fails_at_once(self, vuln, sleeps):
         replayed = gateway(ReplayChatProvider(Transcript()))
         with pytest.raises(ProviderError, match="none recorded"):
             replayed.grade_invocation(ENCODE_BLOCK, vuln.api_signatures[0])
-        assert sleeps == [] and len(replayed.transcript) == 0
+        assert sleeps == [] and len(replayed.transcript.entries) == 0
 
 
 class TestScriptedProvider:
@@ -890,7 +910,7 @@ class TestMalformedReplies:
             (
                 RoleKind.JUDGE,
                 lambda gw, v: gw.judge_reachability(
-                    Candidate.initial(ENCODE_BLOCK, MatchedBy.BOTH, 0.5, 0.5), v
+                    Candidate(ENCODE_BLOCK, (ENCODE_BLOCK,), MatchedBy.BOTH, 0.5, 0.5), v
                 ),
                 "candidate",
             ),
@@ -960,7 +980,7 @@ class TestSplitTemplates:
 
     @pytest.mark.parametrize("role", list(RoleKind))
     def test_the_bundled_templates_place_exactly_the_supplied_bindings(self, role):
-        assert PromptLibrary.load().get(role).placeholders() == ROLE_BINDINGS[role]
+        assert PromptLibrary.load().templates[role].placeholders() == ROLE_BINDINGS[role]
 
     @pytest.mark.parametrize(
         "role, name", [(role, name) for role in RoleKind for name in sorted(ROLE_BINDINGS[role])]
@@ -1036,13 +1056,13 @@ class TestTranscriptLines:
                     for role, name, model, h, raw, parts, parsed in calls
                 ]
             lines = sink.read_text(encoding="utf-8").splitlines(keepends=True)
-            assert lines == [json.dumps(e.to_dict(), sort_keys=True) + "\n" for e in entries]
+            assert lines == [json.dumps(entry_dict(e), sort_keys=True) + "\n" for e in entries]
             assert Transcript.load(sink).entries == tuple(map(as_loaded, entries))
         # Any string timestamp, through the line writer the sink uses.
         for entry in entries:
             stamped = entry._replace(timestamp=timestamp)
             line = stamped.json_line(json.encoder.encode_basestring_ascii(stamped.rendered_prompt)[1:-1])
-            assert line == json.dumps(stamped.to_dict(), sort_keys=True) + "\n"
+            assert line == json.dumps(entry_dict(stamped), sort_keys=True) + "\n"
             assert TranscriptEntry.from_dict(json.loads(line)) == as_loaded(stamped)
 
     def test_timestamps_are_isoformat_of_the_clock(self, monkeypatch):
@@ -1079,7 +1099,7 @@ class TestTranscriptLines:
         assert [e.rendered_prompt for e in entries] == ["".join(parts) for parts in recorded]
         # Every prompt is the template rendered with the joined context.
         library = PromptLibrary.load()
-        judge = library.get(RoleKind.JUDGE).template_text
+        judge = library.templates[RoleKind.JUDGE].template_text
         fixed = {
             "api_signatures": "\n".join(vuln.api_signatures),
             "pov_test_source": vuln.pov_test_source,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_block
+from conftest import entry_dict, make_block
 from vulnreach.evalharness import ConfusionMatrix
 from vulnreach.gateway import RoleKind, TranscriptEntry
 from vulnreach.model import (
@@ -81,12 +81,13 @@ _CONFIGS = st.builds(
 
 class TestToDict:
     """``to_dict`` is derived from an instance's fields, so a field added
-    later is written, and ``from_dict`` must read it back."""
+    later is written, and ``from_dict`` must read it back. A transcript
+    entry's is ``entry_dict``, the reference its JSON line is checked against."""
 
     @given(st.one_of(_code_blocks(), _ENTRIES, _MATRICES, _CONFIGS))
     def test_from_dict_inverts_it_and_its_keys_are_the_fields(self, value):
         names = value._fields if isinstance(value, tuple) else [f.name for f in fields(value)]
-        raw = value.to_dict()
+        raw = entry_dict(value) if isinstance(value, TranscriptEntry) else value.to_dict()
         assert set(raw) == set(names)
         assert type(value).from_dict(raw) == value
 
@@ -247,13 +248,13 @@ class TestVulnSpec:
 class TestCandidate:
     def test_initial_contains_anchor(self):
         anchor = make_block()
-        cand = Candidate.initial(anchor, MatchedBy.API_SIMILARITY, 0.5, 0.1)
+        cand = Candidate(anchor, (anchor,), MatchedBy.API_SIMILARITY, 0.5, 0.1)
         assert cand.context == (anchor,)
 
     def test_context_is_append_only_and_dedups(self):
         anchor = make_block()
         other = make_block(file_path="src/B.java", node_kind=NodeKind.METHOD_DECLARATION)
-        cand = Candidate.initial(anchor, MatchedBy.BOTH, 0.5, 0.5)
+        cand = Candidate(anchor, (anchor,), MatchedBy.BOTH, 0.5, 0.5)
         grown = cand.extend_context([other, other, anchor])
         assert [b.id for b in grown.context] == [anchor.id, other.id]
         assert cand.context == (anchor,)  # original untouched
@@ -274,7 +275,7 @@ class TestCandidate:
     def test_rejects_out_of_range_similarity(self):
         anchor = make_block()
         with pytest.raises(ValueError):
-            Candidate.initial(anchor, MatchedBy.BOTH, 1.5, 0.0)
+            Candidate(anchor, (anchor,), MatchedBy.BOTH, 1.5, 0.0)
 
 
 def _judgments(values: list[Judgment]) -> tuple[CandidateJudgment, ...]:

@@ -70,7 +70,7 @@ def random_store(rng: np.random.RandomState, n: int, dims: int = DIMS):
                 enclosing_method=METHODS[i % len(METHODS)],
             )
         )
-    store = VectorStore.in_memory(dims)
+    store = VectorStore(dims)
     store.insert(entries)
     return store, entries
 
@@ -113,7 +113,7 @@ class TestPersistence:
         assert VectorStore.open(path).count() == 3
 
     def test_reinsert_conflicts_and_changes_nothing(self):
-        store = VectorStore.in_memory(DIMS)
+        store = VectorStore(DIMS)
         entries = [entry(i, axis(i)) for i in range(3)]
         assert store.insert(entries) == 3
         with pytest.raises(DuplicateIdConflict):
@@ -123,7 +123,7 @@ class TestPersistence:
 
     @pytest.mark.parametrize("same_vector", [True, False])
     def test_an_id_given_twice_in_one_insert_conflicts_and_changes_nothing(self, same_vector):
-        store = VectorStore.in_memory(DIMS)
+        store = VectorStore(DIMS)
         store.insert([entry(0, axis(0))])
         first = entry(1, axis(1))
         twice = StoreEntry(first.block, axis(1) if same_vector else axis(2))
@@ -139,14 +139,14 @@ class TestPersistence:
         assert reopened.count() == 0 and reopened.dims == DIMS
 
     def test_duplicate_id_with_different_vector_conflicts(self):
-        store = VectorStore.in_memory(DIMS)
+        store = VectorStore(DIMS)
         first = entry(0, axis(0))
         store.insert([first])
         with pytest.raises(DuplicateIdConflict):
             store.insert([StoreEntry(first.block, axis(1))])
 
     def test_dims_mismatch_on_insert(self):
-        store = VectorStore.in_memory(64)
+        store = VectorStore(64)
         with pytest.raises(DimsMismatch):
             store.insert([entry(0, axis(0, dims=32))])
 
@@ -343,11 +343,11 @@ class TestIndexFormat:
         assert [e.block.to_dict() for e in opened.entries()] == [e.block.to_dict() for e in entries]
         assert view(opened) == view(saved)
         assert (opened.encoder, opened.theta) == ("enc", 7)
-        in_memory = VectorStore.in_memory(DIMS)
+        in_memory = VectorStore(DIMS)
         assert (in_memory.encoder, in_memory.theta) == (None, None)
 
     def test_save_records_where_and_how_the_index_was_built(self, tmp_path: Path):
-        store = VectorStore.in_memory(DIMS)
+        store = VectorStore(DIMS)
         store.insert(odd_entries())
         store.save(str(tmp_path / "idx.vrix"), encoder="enc", theta=7)
         assert (store.path, store.encoder, store.theta) == (tmp_path / "idx.vrix", "enc", 7)
@@ -514,7 +514,7 @@ def pristine_index() -> tuple[dict[str, bytes], tuple[list, list]]:
 
 class TestSearch:
     def test_self_similarity_first_with_score_one(self):
-        store = VectorStore.in_memory(DIMS)
+        store = VectorStore(DIMS)
         target = unit(range(1, DIMS + 1))
         store.insert([entry(0, target), entry(1, axis(0)), entry(2, axis(1))])
         results = store.search(target, k=5, tau=0.0)
@@ -522,7 +522,7 @@ class TestSearch:
         assert results[0][1] == pytest.approx(1.0, abs=1e-6)
 
     def test_high_tau_filters_everything(self):
-        store = VectorStore.in_memory(DIMS)
+        store = VectorStore(DIMS)
         store.insert([entry(0, axis(0)), entry(1, axis(1))])
         query = unit([1.0] * DIMS)
         assert store.search(query, k=5, tau=0.99) == []
@@ -551,13 +551,13 @@ class TestSearch:
         assert high_ids == low_ids[: len(high_ids)]
 
     def test_query_dims_checked(self):
-        store = VectorStore.in_memory(DIMS)
+        store = VectorStore(DIMS)
         store.insert([entry(0, axis(0))])
         with pytest.raises(DimsMismatch):
             store.search(axis(0, dims=32), k=1, tau=0.0)
 
     def test_tau_bounds_checked(self):
-        store = VectorStore.in_memory(DIMS)
+        store = VectorStore(DIMS)
         with pytest.raises(ValueError):
             store.search(axis(0), k=1, tau=-0.1)
         with pytest.raises(ValueError):
@@ -570,7 +570,7 @@ class TestSearch:
         # a search needs; every score must be the one the whole-matrix
         # expression gives.
         rng = np.random.RandomState(rows * dims)
-        store = VectorStore.in_memory(dims)
+        store = VectorStore(dims)
         store.insert([entry(i, unit(rng.randn(dims))) for i in range(rows)])
         mat = store._vectors.astype(np.float64)
         matrix = mat / np.linalg.norm(mat, axis=1, keepdims=True)
@@ -626,7 +626,7 @@ class TestRowScores:
     @pytest.mark.parametrize("dims", [4, 16, 300])
     def test_any_rows_score_as_search_scores_them_bit_for_bit(self, rows, dims):
         rng = np.random.RandomState(rows * dims + 1)
-        store = VectorStore.in_memory(dims)
+        store = VectorStore(dims)
         raw = rng.randn(rows, dims)
         store.insert([entry(i, unit(raw[i])) for i in range(rows)])
         mat = store._vectors.astype(np.float64)
@@ -674,7 +674,7 @@ class TestRowScores:
                 assert row.tobytes() == store.row_scores(query, rows).tobytes()
 
     def test_row_of_an_unknown_block_raises(self):
-        store = VectorStore.in_memory(DIMS)
+        store = VectorStore(DIMS)
         store.insert([entry(0, axis(0))])
         with pytest.raises(KeyError):
             store.row_of("no-such-block")
@@ -761,7 +761,7 @@ class TestSearchOracleProperty:
             for row, (vector, path, line, cls, method) in enumerate(rows)
         ]
         expected = brute_force_search(entries, query, k, tau, scope)
-        in_memory = VectorStore.in_memory(4)
+        in_memory = VectorStore(4)
         in_memory.insert(entries)
         with tempfile.TemporaryDirectory() as tmp:
             write_index(Path(tmp) / "idx.vrix", 4, entries)
@@ -890,7 +890,7 @@ class TestSearchIsExact:
         dims = 16
         rng = np.random.RandomState(17)
         base = rng.randn(dims)
-        store = VectorStore.in_memory(dims)
+        store = VectorStore(dims)
         store.insert([entry(i, unit(base + 1e-6 * rng.randn(dims))) for i in range(40)])
         query = unit(base)
         scores = store.row_scores(query)
