@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence, TypeVar
+from typing import Any, Callable, Mapping, NoReturn, Sequence, TypeVar
 
 from . import evalharness
 from .detector import analyze
@@ -325,9 +325,18 @@ def _log_to_stderr() -> None:
     logger.setLevel(logging.INFO)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A usage error is a ``ConfigError``, so ``main`` prints it as one
+    ``error:`` line and exits 1, as for any other user error. The
+    subcommands' parsers are of this class too."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="vulnreach",
         description=(
             "Decide whether a Java source tree is actually impacted by a "
@@ -372,12 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.verbose:
-        _log_to_stderr()
-    # Looked up per call, not bound into the parser: that is built once per process.
-    command = {"index": cmd_index, "analyze": cmd_analyze, "evaluate": cmd_evaluate}[args.command]
     try:
+        args = build_parser().parse_args(argv)
+        if args.verbose:
+            _log_to_stderr()
+        # Looked up per call, not bound into the parser: that is built once per process.
+        command = {"index": cmd_index, "analyze": cmd_analyze, "evaluate": cmd_evaluate}[args.command]
         return command(args)
     except (VulnReachError, OSError) as exc:
         prefix = "provider failure: " if isinstance(exc, ProviderError) else ""

@@ -15,8 +15,6 @@ import hashlib
 import os
 import time
 from dataclasses import dataclass
-from functools import partial
-from itertools import repeat
 from typing import Any, Callable, Iterator, NamedTuple, Protocol, Sequence, TypeVar
 
 import numpy as np
@@ -32,6 +30,7 @@ _PASS_CHARS = 16384
 # one benchmark command meets (about 16,000). At 24 B an id the table is
 # about 1.5 MB at most.
 _MAX_CODES = 1 << 16
+_EMPTY_HASHER = hashlib.blake2b(digest_size=8)  # copied by ``_gram_codes`` per gram
 # Seconds slept before each retry of a transient provider failure.
 _RETRY_DELAYS = (0.5, 1.0, 2.0)
 
@@ -141,17 +140,35 @@ def _lexical_normalize(text: str) -> str:
 def _gram_codes(grams: Sequence[str], dims: int) -> np.ndarray:
     """The feature code of each gram, as int64: its 8-byte blake2b digest read
     as a little-endian integer ``h`` picks the bucket ``h % dims`` and, by its
-    top bit, the sign. C-level maps hash every gram, and the joined digests
-    are read as one ``uint64`` array. surrogatepass encodes a lone surrogate
-    like any other code point; other text gives the same bytes as UTF-8.
+    top bit, the sign. A copy of one empty hasher hashes each gram, and the
+    digests are read as one ``uint64`` array. surrogatepass encodes a lone
+    surrogate like any other code point; other text gives the same bytes as UTF-8.
 
     A code is the gram's bucket when its sign is +1 and ``dims`` plus the
     bucket when it is -1, so one ``np.bincount`` over ``2 * dims`` slots
     counts both signs at once."""
-    encoded = map(str.encode, grams, repeat("utf-8"), repeat("surrogatepass"))
-    hashers = map(partial(hashlib.blake2b, digest_size=8), encoded)
-    h = np.frombuffer(b"".join(map(hashlib.blake2b.digest, hashers)), "<u8")
+    digests = []
+    for gram in grams:
+        hasher = _EMPTY_HASHER.copy()
+        hasher.update(gram.encode("utf-8", "surrogatepass"))
+        digests.append(hasher.digest())
+    h = np.frombuffer(b"".join(digests), "<u8")
     return (h % dims + (h >> 63) * dims).astype(np.int64)
+
+
+def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_index=True, return_inverse=True)`` of non-negative
+    int64 keys, by one value ``np.sort`` (a third of the cost of its argsort) of
+    each key with its position in its low bits, unless the two need over 63 bits."""
+    shift = (len(keys) - 1).bit_length()
+    if len(keys) == 0 or int(keys.max()).bit_length() + shift > 63:
+        return np.unique(keys, return_index=True, return_inverse=True)
+    packed = np.sort(keys << shift | np.arange(len(keys)))
+    order, packed = packed & ((1 << shift) - 1), packed >> shift
+    heads = np.concatenate(([0], np.flatnonzero(packed[1:] != packed[:-1]) + 1))
+    inverse = np.empty(len(keys), np.int64)
+    inverse[order] = np.repeat(np.arange(len(heads)), np.diff(heads, append=len(keys)))
+    return packed[heads], order[heads], inverse
 
 
 class _PackedCodes(NamedTuple):
@@ -184,16 +201,13 @@ def _pass_features(texts: Sequence[str], encoder: ReferenceEncoder) -> np.ndarra
 
     The texts are joined end to end and their code points read as integers.
     An n-gram is kept where it starts at least n characters before the end of
-    its own text: boundaries are known by position, so no n-gram spans two
-    texts whatever characters the texts hold. Each n-gram is keyed as in
-    ``encoder._packed``, the size-3 keys first, so every prefix has an id when
-    its longer n-grams are keyed. ``np.unique`` finds the distinct keys of a
-    size and one ``np.searchsorted`` resolves them against the table; only
-    the misses are sliced out of the text and hashed, and take the next ids.
-    One ``np.bincount`` per size counts every text's codes at once. The pass reads
-    ``encoder._packed`` once and replaces it by one assignment holding its
-    misses too, or by an empty table if that would hold more than
-    ``_MAX_CODES`` ids.
+    its own text, so none spans two texts whatever characters they hold. Each
+    is keyed as in ``encoder._packed``, size 3 first, so every prefix has an
+    id when its longer n-grams are keyed. ``_group`` finds a size's distinct
+    keys and where each first occurs, and one ``np.searchsorted`` resolves
+    them against the table; only the misses are sliced out of the text there
+    and hashed, and take the next ids. One ``np.bincount`` per size counts
+    every text's codes at once.
     """
     dims = encoder.dims
     width = 2 * dims
@@ -204,48 +218,36 @@ def _pass_features(texts: Sequence[str], encoder: ReferenceEncoder) -> np.ndarra
     # Characters from each position to the end of the text it belongs to.
     left = np.cumsum(lengths)[owner] - np.arange(len(points))
     slot = owner * width
-    tally = np.zeros(len(texts) * width, np.int64)
+    tally = np.zeros((len(texts), width), np.int64)
     table = encoder._packed
     next_id = len(table.codes)
-    # The id of the n-gram one size down starting at each position.
-    prefix = np.empty(len(points), np.int64)
-    added: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    hashed: list[np.ndarray] = []
-    for size, known, known_ids in zip(_NGRAM_SIZES, table.keys, table.ids):
+    prefix = points << 21  # at each position: its 2-gram's key, then its (n-1)-gram's id
+    prefix[:-1] |= points[1:]
+    table_keys, table_ids, table_codes = list(table.keys), list(table.ids), [table.codes]
+    for n, (size, known, known_ids) in enumerate(zip(_NGRAM_SIZES, table.keys, table.ids)):
         starts = np.flatnonzero(left >= size)
-        if size == _NGRAM_SIZES[0]:
-            keys = points[starts] << 42 | points[starts + 1] << 21 | points[starts + 2]
-        else:
-            keys = prefix[starts] << 21 | points[starts + size - 1]
-        distinct, inverse = np.unique(keys, return_inverse=True)
+        distinct, first, inverse = _group(prefix[starts] << 21 | points[starts + size - 1])
         at = np.searchsorted(known, distinct)
         held = at < len(known)
         held[held] = known[at[held]] == distinct[held]
-        ids = np.empty(len(distinct), np.int64)
-        gram_codes = np.empty(len(distinct), np.int64)
+        ids, gram_codes = np.empty((2, len(distinct)), np.int64)
         ids[held] = held_ids = known_ids[at[held]]
         gram_codes[held] = table.codes[held_ids]
         missed = np.flatnonzero(~held)
         if len(missed):
-            first = np.empty(len(distinct), np.int64)
-            first[inverse] = starts
-            grams = [joined[k : k + size] for k in first[missed].tolist()]
+            grams = [joined[k : k + size] for k in starts[first[missed]].tolist()]
             gram_codes[missed] = new_codes = _gram_codes(grams, dims)
             ids[missed] = np.arange(next_id, next_id + len(missed))
             next_id += len(missed)
-            hashed.append(new_codes)
-        added.append((at[missed], distinct[missed], ids[missed]))
-        tally += np.bincount(slot[starts] + gram_codes[inverse], minlength=len(tally))
+            table_keys[n] = np.insert(known, at[missed], distinct[missed])
+            table_ids[n] = np.insert(known_ids, at[missed], ids[missed])
+            table_codes.append(new_codes)
+        tally += np.bincount(slot[starts] + gram_codes[inverse], minlength=tally.size).reshape(tally.shape)
         prefix[starts] = ids[inverse]
     if next_id > _MAX_CODES:
         encoder._packed = _NO_PACKED_CODES
-    elif hashed:
-        encoder._packed = _PackedCodes(
-            tuple(np.insert(old, where, new) for old, (where, new, _) in zip(table.keys, added)),
-            tuple(np.insert(old, where, new) for old, (where, _, new) in zip(table.ids, added)),
-            np.concatenate([table.codes, *hashed]),
-        )
-    tally = tally.reshape(len(texts), width)
+    elif next_id > len(table.codes):
+        encoder._packed = _PackedCodes(tuple(table_keys), tuple(table_ids), np.concatenate(table_codes))
     rows = (tally[:, :dims] - tally[:, dims:]).astype(np.float64)
     empty = np.flatnonzero(~rows.any(axis=1))
     if len(empty):
@@ -279,9 +281,9 @@ class ReferenceEncoder:
     ``_packed`` memoizes n-gram codes: each n-gram hashes once while the table
     holds it, so repeats across batches and theta settings are free. A code
     depends on the n-gram and ``dims`` alone, so a row equals its text
-    encoded alone. A pass reads ``_packed`` once and replaces it whole, so a
-    racing pass in another thread can drop its additions, never change a
-    code: threads may share an encoder.
+    encoded alone. A pass reads ``_packed`` once and replaces it whole, empty
+    past ``_MAX_CODES`` ids, so a racing pass in another thread can drop its
+    additions, never change a code: threads may share an encoder.
     """
 
     def __init__(self, dims: int = 256):
@@ -296,10 +298,8 @@ class ReferenceEncoder:
         """One float64 feature row per text, through ``_pass_features`` in
         runs of whole texts of at most ``_PASS_CHARS`` normalized characters,
         which bounds a pass's working set."""
-        rows: list[np.ndarray] = []
-        for run in _passes([_lexical_normalize(t) for t in texts], _PASS_CHARS):
-            rows.extend(_pass_features(run, self))
-        return rows
+        runs = _passes([_lexical_normalize(t) for t in texts], _PASS_CHARS)
+        return [row for run in runs for row in _pass_features(run, self)]
 
 
 @dataclass(eq=False)

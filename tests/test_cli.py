@@ -1657,6 +1657,31 @@ class TestFailureTable:
         captured = capsys.readouterr()
         assert captured.err == line + "\n" and not captured.out
 
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["index", "--project", "x"], "error: vulnreach index: the following arguments are required: --out"),
+            # A flag of the main parser placed after the subcommand.
+            (["analyze", "--index", "i", "--vuln", "v", "--report", "r", "-v"],
+             "error: vulnreach: unrecognized arguments: -v"),
+            (["index", "--project", "p", "--out", "o", "--theta", "ten"],
+             "error: vulnreach index: argument --theta: invalid int value: 'ten'"),
+            ([], "error: vulnreach: the following arguments are required: command"),
+        ],
+    )
+    def test_a_usage_error_exits_1_with_one_line(self, monkeypatch, capsys, argv, line):
+        monkeypatch.setattr(cli, "cmd_index", lambda args: pytest.fail("a usage error ran the command"))
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == line + "\n" and not captured.out
+
+    @pytest.mark.parametrize("argv", [["--help"], ["index", "--help"]])
+    def test_help_still_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exited:
+            run_cli(*argv)
+        captured = capsys.readouterr()
+        assert exited.value.code == 0 and captured.out.startswith("usage: vulnreach") and not captured.err
+
 
 class TestReportsAreWrittenWhole:
     """A report is replaced atomically: a write that dies partway leaves the

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import encode_alone
@@ -19,6 +19,7 @@ from vulnreach.embedding import (
     ReferenceEncoder,
     RemoteEncoderProvider,
     _gram_codes,
+    _group,
     _lexical_normalize,
     embed,
 )
@@ -267,6 +268,19 @@ class TestBatchPass:
                     alone = [per_occurrence_features(text, dims) for text in batch]
                     assert bits(encoder.encode_batch(batch)) == bits(alone)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_ODD_BATCHES, min_size=1, max_size=4), st.integers(1, 48))
+    def test_keys_grouped_by_np_unique_give_the_same_rows(self, batches, budget):
+        # Every key of every size, 4- and 5-gram keys included, grouped as
+        # ``_group`` groups keys too wide for its value sort.
+        with self.numpy_pass(budget) as patch:
+            patch.setattr(embedding, "_group", lambda keys: np.unique(keys, return_index=True, return_inverse=True))
+            for dims in (8, 13, 256):
+                encoder = ReferenceEncoder(dims)
+                for batch in batches:
+                    alone = [per_occurrence_features(text, dims) for text in batch]
+                    assert bits(encoder.encode_batch(batch)) == bits(alone)
+
     def test_a_short_batch_gives_its_rows_inside_a_long_batch(self):
         short = [LOOP_SUM, "ab", STREAM_SUM, UNRELATED, "x"]
         long = [LOOP_SUM * 40, *short, STREAM_SUM * 40]
@@ -275,6 +289,31 @@ class TestBatchPass:
         assert bits(warm.encode_batch(long)[1:-1]) == alone
         assert bits(warm.encode_batch(short)) == alone
         assert bits(ReferenceEncoder(DIMS).encode_batch(short)) == alone
+
+
+class TestGroup:
+    """``_group`` is ``np.unique(keys, return_inverse=True)`` plus the
+    position of each distinct key's first occurrence."""
+
+    # Keys of up to ``bits`` bits: narrow keys share 63 bits with their
+    # positions and take the value sort, keys of 55 bits and more take
+    # ``np.unique`` (300 positions need 9 bits). The last two examples sit
+    # on either side of that line: 62 + 1 bits sort, 63 + 1 do not.
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 63).flatmap(lambda bits: st.lists(st.integers(0, (1 << bits) - 1), max_size=300)))
+    @example([])
+    @example([5])
+    @example([3, 1, 3, 0, 1, 3])
+    @example([(1 << 63) - 1, 0, (1 << 63) - 1, 1 << 62])
+    @example([(1 << 62) - 1, 0])
+    @example([1 << 62, 0])
+    def test_equals_np_unique_and_first_positions(self, keys):
+        keys = np.array(keys, np.int64)
+        distinct, first, inverse = _group(keys)
+        expected_distinct, expected_inverse = np.unique(keys, return_inverse=True)
+        assert distinct.tolist() == expected_distinct.tolist()
+        assert inverse.tolist() == expected_inverse.tolist()
+        assert first.tolist() == [keys.tolist().index(key) for key in expected_distinct.tolist()]
 
 
 def encode(text: str, dims: int) -> EmbeddingVector:
