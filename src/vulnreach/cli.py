@@ -22,13 +22,10 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, NoReturn, Sequence, TypeVar
 
 from . import evalharness
-from .detector import analyze
 from .embedding import EncoderProvider, ReferenceEncoder, RemoteEncoderProvider, embed
 from .errors import ConfigError, MalformedResponse, ProviderError, VulnReachError
 from .gateway import (
-    ChatGateway,
     ChatProvider,
-    PromptLibrary,
     RemoteChatProvider,
     ReplayChatProvider,
     RoleKind,
@@ -216,17 +213,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     report_path = Path(args.report)
     report_path.parent.mkdir(parents=True, exist_ok=True)
     transcript_path = report_path.with_name(report_path.name + ".transcript.jsonl")
-    prompts = PromptLibrary.load(config.prompts_dir)
+    memo = Memo()
+    prompts = memo.prompts(config.prompts_dir)
     opened = time.perf_counter()
-    with Transcript(sink_path=transcript_path) as transcript:
-        verdict = analyze(
-            store,
-            encoder,
-            ChatGateway(chat_provider, prompts, transcript, Memo()),
-            vuln,
-            config,
-            project_id=args.project_id,
-        )
+    verdict, transcript = evalharness.run_analysis(
+        store, encoder, chat_provider, vuln, config, args.project_id, prompts, memo, transcript_path
+    )
     analyzed = time.perf_counter()
     report = {
         "generated_at": datetime.now(timezone.utc).isoformat(),
@@ -266,18 +258,25 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     memo.load_vectors(cache_dir, encoder)
     try:
         if args.sweep_theta:
-            reports = evalharness.run_theta_sweep(
-                manifest, config, encoder, chat_provider, out_dir=out_dir, memo=memo
-            )
-            for theta, report in sorted(reports.items()):
-                print(f"theta={theta}: {evalharness.format_metrics(report['metrics'])}")
+            reports = evalharness.run_theta_sweep(manifest, config, encoder, chat_provider, out_dir, memo)
         else:
-            report = evalharness.run_benchmark(
-                manifest, config, encoder, chat_provider, out_dir=out_dir, memo=memo
-            )
+            report = evalharness.run_benchmark(manifest, config, encoder, chat_provider, out_dir, memo)
             print(evalharness.render_table(report), end="")
+            reports = {config.theta: report}
     finally:
         memo.save_vectors(cache_dir, encoder)
+    for theta, report in sorted(reports.items()):
+        # A failed project is not in the confusion matrix: the metrics are over the others.
+        print(f"theta={theta}: {evalharness.format_metrics(report['metrics'])} over"
+              f" {report['evaluated_projects']} evaluated project(s), {report['failed_projects']} failed")
+    failed = [row["error"] for report in reports.values() for row in report["projects"] if "error" in row]
+    if failed:
+        # The row names its error's class; main maps it to an exit status as if raised here.
+        kind = {cls.__name__: cls for cls in (ProviderError, MalformedResponse)}
+        raise kind.get(failed[0].partition(":")[0], VulnReachError)(
+            f"{len(failed)} of {sum(len(r['projects']) for r in reports.values())} project runs failed,"
+            f" the first with {failed[0]}; the reports are in {out_dir}"
+        )
     return EXIT_OK
 
 

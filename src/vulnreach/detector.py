@@ -58,11 +58,11 @@ class ContextCompletion:
 class QueryVectors:
     """Query vectors, search hits and seed scores for one analysis.
 
-    Each distinct seed or inferred snippet is encoded once, through the
-    gateway's memo, and each distinct (query text, scope) is searched once,
-    as is each hit row's similarity to the seeds. A vector depends on its
-    text alone, and one analysis searches one store with one config, so
-    reuse changes no score and no hit.
+    Each distinct seed or inferred snippet is encoded once, through
+    ``memo`` (``analyze`` passes the gateway's), and each distinct (query
+    text, scope) is searched once, as is each hit row's similarity to the
+    seeds. A vector depends on its text alone, and one analysis searches one
+    store with one config, so reuse changes no score and no hit.
 
     Entries are only ever added and ``setdefault`` keeps the first, so the
     workers of one analysis share the hits and the memo's vectors without a
@@ -103,12 +103,7 @@ class QueryVectors:
 
 
 def identify_candidates(
-    store: VectorStore,
-    encoder: EncoderProvider,
-    chat: ChatGateway,
-    vuln: VulnSpec,
-    config: Config,
-    queries: QueryVectors | None = None,
+    store: VectorStore, queries: QueryVectors, chat: ChatGateway, vuln: VulnSpec, config: Config
 ) -> list[Candidate]:
     """Dual-seed candidate identification.
 
@@ -119,7 +114,6 @@ def identify_candidates(
     """
     if store.count() == 0:
         raise EmptyIndex("cannot analyze against an empty index")
-    queries = queries or QueryVectors(encoder, chat.memo)
     seeds = [*vuln.api_signatures, vuln.pov_test_source]
     queries(seeds)  # every seed in one embedding batch
     hits: dict[str, StoreHit] = {}
@@ -148,12 +142,11 @@ def identify_candidates(
 
 def complete_context(
     store: VectorStore,
-    encoder: EncoderProvider,
+    queries: QueryVectors,
     chat: ChatGateway,
     candidate: Candidate,
     vuln: VulnSpec,
     config: Config,
-    queries: QueryVectors | None = None,
 ) -> ContextCompletion:
     """Iteratively expand one candidate's context until the model confirms
     adequacy, retrieval stops yielding new blocks, or the iteration cap hits.
@@ -162,7 +155,6 @@ def complete_context(
     not extend the loop, so termination is guaranteed on any finite store
     even without the cap.
     """
-    queries = queries or QueryVectors(encoder, chat.memo)
     current = candidate
     new_blocks: list[CodeBlock] = []
     reflections = 0
@@ -216,12 +208,12 @@ def analyze(
     best-effort partial verdict could silently flip vulnerable to secure.
     """
     queries = QueryVectors(encoder, chat.memo)
-    pending = deque(identify_candidates(store, encoder, chat, vuln, config, queries))
+    pending = deque(identify_candidates(store, queries, chat, vuln, config))
     enqueued = {candidate.anchor.id for candidate in pending}
     judgments: dict[tuple[str, int, str], CandidateJudgment] = {}  # by anchor position
 
     def process(candidate: Candidate) -> tuple[Candidate, ContextCompletion, tuple[Judgment, str]]:
-        completion = complete_context(store, encoder, chat, candidate, vuln, config, queries)
+        completion = complete_context(store, queries, chat, candidate, vuln, config)
         return candidate, completion, chat.judge_reachability(completion.candidate, vuln)
 
     def record(

@@ -4,8 +4,10 @@ Scoring is at project granularity: a project counts as predicted vulnerable
 when any of its referenced vulnerabilities yields a vulnerable verdict.
 Projects that fail to run are recorded as such and excluded from the
 confusion matrix, mirroring how comparative tables treat tools that cannot
-process a subject. Metrics with zero denominators are reported as null,
-never 0, to avoid fabricating perfect or zero scores.
+process a subject: the metrics are over the projects that ran, and
+``vulnreach evaluate`` exits non-zero when any failed. Metrics with zero
+denominators are reported as null, never 0, to avoid fabricating perfect or
+zero scores.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from typing import Any, Mapping, NamedTuple, Sequence
 from .detector import analyze
 from .embedding import EncoderProvider
 from .errors import ConfigError, MissingPrediction, VulnReachError
-from .gateway import ChatGateway, ChatProvider, Transcript
+from .gateway import ChatGateway, ChatProvider, PromptLibrary, Transcript
 from .memo import Memo
-from .model import CodeBlock, Config, Judgment, VulnSpec, aggregate_judgment, checked_str, checked_strs
+from .model import CodeBlock, Config, Judgment, Verdict, VulnSpec, aggregate_judgment, checked_str, checked_strs
 from .segmenter import iter_project_files, segment_project
 from .store import StoreEntry, VectorStore, _write_atomic, write_json
 
@@ -169,18 +171,14 @@ def corpus_digest(root: Path, ignore_globs: Sequence[str]) -> str:
     return acc.hexdigest()
 
 
-def build_index(
-    root: Path, config: Config, encoder: EncoderProvider, memo: Memo | None = None
-) -> VectorStore:
+def build_index(root: Path, config: Config, encoder: EncoderProvider, memo: Memo) -> VectorStore:
     """Segment and embed a project into an in-memory index.
 
     Through ``memo``, the project's tree is read once and every later build
     segments that snapshot; files and block texts it has already seen (at
     another theta, say) are not parsed, segmented or embedded again (see
-    ``segment_project``). Without a memo, a fresh one embeds each distinct
-    text once.
+    ``segment_project``).
     """
-    memo = memo if memo is not None else Memo()
     blocks = segment_project(root, config, memo=memo)
     vectors = memo.embed(encoder, [b.source for b in blocks])
     store = VectorStore(encoder.dims)
@@ -188,12 +186,33 @@ def build_index(
     return store
 
 
+def run_analysis(
+    store: VectorStore,
+    encoder: EncoderProvider,
+    chat_provider: ChatProvider,
+    vuln: VulnSpec,
+    config: Config,
+    project_id: str,
+    prompts: PromptLibrary,
+    memo: Memo,
+    transcript_path: Path,
+) -> tuple[Verdict, Transcript]:
+    """Analyze one vulnerability against one index: the one path by which
+    ``vulnreach analyze`` and the harness reach a verdict. Every model call
+    goes through one gateway on ``memo`` and streams to ``transcript_path``;
+    returns the verdict and its closed transcript."""
+    with Transcript(sink_path=transcript_path) as transcript:
+        chat = ChatGateway(chat_provider, prompts, transcript, memo)
+        verdict = analyze(store, encoder, chat, vuln, config, project_id)
+    return verdict, transcript
+
+
 class _Analyzed(NamedTuple):
     """A project's analyses at one theta, as a sweep's next theta reads them."""
 
     theta: int
     blocks: list[CodeBlock]
-    verdicts: dict[str, tuple[Judgment, Path | None]]  # vuln id -> (verdict, transcript)
+    verdicts: dict[str, tuple[Judgment, Path]]  # vuln id -> (verdict, transcript)
 
 
 def run_benchmark(
@@ -201,19 +220,19 @@ def run_benchmark(
     config: Config,
     encoder: EncoderProvider,
     chat_provider: ChatProvider,
-    out_dir: Path | str | None = None,
-    memo: Memo | None = None,
+    out_dir: Path | str,
+    memo: Memo,
     _analyzed: dict[str, _Analyzed] | None = None,
 ) -> dict[str, Any]:
     """Evaluate every manifest project against its referenced vulnerabilities.
 
-    Returns the report dict (also written to ``out_dir`` when given, along
-    with a rendered plain-text table and per-analysis transcripts under
-    ``transcripts/theta_<N>/``). Its ``config`` is ``config.to_dict()``, as
+    Returns the report dict, also written to ``out_dir`` with a rendered
+    plain-text table and per-analysis transcripts under
+    ``transcripts/theta_<N>/``. Its ``config`` is ``config.to_dict()``, as
     ``analyze`` echoes it: the CLI builds ``encoder`` and ``chat_provider``
     from that config. Every index build and analysis of the run goes
-    through ``memo``, a fresh one when none is given, and so does the
-    prompt library's load.
+    through ``memo``, and so does the prompt library's load, once before
+    any project runs: a broken template fails the run, not each project.
 
     ``_analyzed`` is ``run_theta_sweep``'s record of the previous theta's
     analyses, by project. A project whose blocks equal the recorded ones
@@ -222,14 +241,10 @@ def run_benchmark(
     without hard links); a project that runs otherwise replaces its record,
     and one that fails drops it. Called alone, nothing is reused.
     """
-    memo = memo if memo is not None else Memo()
     analyzed = {} if _analyzed is None else _analyzed
-    out_path = Path(out_dir) if out_dir is not None else None
-    transcripts_dir = (
-        out_path / "transcripts" / f"theta_{config.theta}" if out_path is not None else None
-    )
-    if transcripts_dir is not None:
-        transcripts_dir.mkdir(parents=True, exist_ok=True)
+    out_path = Path(out_dir)
+    transcripts_dir = out_path / "transcripts" / f"theta_{config.theta}"
+    transcripts_dir.mkdir(parents=True, exist_ok=True)
     prompts = memo.prompts(config.prompts_dir)
 
     rows: list[dict[str, Any]] = []
@@ -249,36 +264,27 @@ def run_benchmark(
             blocks = store.blocks()
             if earlier is not None and earlier.blocks != blocks:
                 earlier = None
-            verdicts: dict[str, tuple[Judgment, Path | None]] = {}
+            verdicts: dict[str, tuple[Judgment, Path]] = {}
             for vuln_id in project.vuln_refs:
                 vuln = manifest.vuln_by_id(vuln_id)
-                transcript_path = (
-                    transcripts_dir / f"{project.project_id}__{vuln_id}.jsonl"
-                    if transcripts_dir is not None
-                    else None
-                )
+                transcript_path = transcripts_dir / f"{project.project_id}__{vuln_id}.jsonl"
                 if earlier is not None:
                     # Same store, vuln and config but for theta: every
                     # question would be a memo hit, so the analysis is too.
                     judgment, recorded = earlier.verdicts[vuln_id]
-                    if transcript_path is not None:
-                        # Safe to share: a transcript sink replaces its
-                        # path, never rewrites a file in place.
-                        transcript_path.unlink(missing_ok=True)
-                        try:
-                            os.link(recorded, transcript_path)
-                        except OSError:
-                            shutil.copyfile(recorded, transcript_path)
+                    # Safe to share: a transcript sink replaces its path,
+                    # never rewrites a file in place.
+                    transcript_path.unlink(missing_ok=True)
+                    try:
+                        os.link(recorded, transcript_path)
+                    except OSError:
+                        shutil.copyfile(recorded, transcript_path)
                 else:
-                    with Transcript(sink_path=transcript_path) as transcript:
-                        judgment = analyze(
-                            store,
-                            encoder,
-                            ChatGateway(chat_provider, prompts, transcript, memo),
-                            vuln,
-                            config,
-                            project.project_id,
-                        ).project_judgment
+                    verdict, _ = run_analysis(
+                        store, encoder, chat_provider, vuln, config, project.project_id,
+                        prompts, memo, transcript_path,
+                    )
+                    judgment = verdict.project_judgment
                 verdicts[vuln_id] = (judgment, transcript_path)
                 row["per_vuln"][vuln_id] = judgment.value
             if earlier is not None:
@@ -312,11 +318,10 @@ def run_benchmark(
         "confusion_matrix": cm.to_dict(),
         "metrics": metrics(cm),
     }
-    if out_path is not None:
-        # Each file is replaced whole: a crash never leaves a torn report.
-        report_path = out_path / f"report_theta_{config.theta}.json"
-        write_json(report_path, report)
-        _write_atomic(report_path.with_suffix(".txt"), [render_table(report).encode("utf-8")])
+    # Each file is replaced whole: a crash never leaves a torn report.
+    report_path = out_path / f"report_theta_{config.theta}.json"
+    write_json(report_path, report)
+    _write_atomic(report_path.with_suffix(".txt"), [render_table(report).encode("utf-8")])
     return report
 
 
@@ -325,16 +330,16 @@ def run_theta_sweep(
     config: Config,
     encoder: EncoderProvider,
     chat_provider: ChatProvider,
+    out_dir: Path | str,
+    memo: Memo,
     thetas: Sequence[int] = (500, 1000, 1500, 2000, 2500, 3000),
-    out_dir: Path | str | None = None,
-    memo: Memo | None = None,
 ) -> dict[int, dict[str, Any]]:
     """One full benchmark report per segment-size setting, all through one
-    memo (a fresh one when none is given): each project's tree is listed
-    and its files read once, so every setting sees the same snapshot of it;
-    each file is parsed once, and segmented again only where the setting
-    crosses one of its sizes; each block text is embedded, each question
-    asked and the prompt library loaded, once.
+    memo: each project's tree is listed and its files read once, so every
+    setting sees the same snapshot of it; each file is parsed once, and
+    segmented again only where the setting crosses one of its sizes; each
+    block text is embedded, each question asked and the prompt library
+    loaded, once.
 
     Each distinct index is analyzed once: a project whose blocks equal its
     blocks at the previous setting reuses that setting's verdicts, and its
@@ -342,7 +347,6 @@ def run_theta_sweep(
     filesystem has none), with the same ``seq``s and timestamps. Every
     setting still builds every project's index.
     """
-    memo = memo if memo is not None else Memo()
     analyzed: dict[str, _Analyzed] = {}
     return {
         theta: run_benchmark(

@@ -14,10 +14,11 @@ from conftest import FIXTURES, FIXTURE_TAU, FIXTURE_THETA, write_tool_config, wr
 from corpus import generate_corpus
 from test_store import brute_force_search, random_store
 from vulnreach import cli
-from vulnreach.detector import TerminationReason, complete_context
+from vulnreach.detector import QueryVectors, TerminationReason, complete_context
 from vulnreach.evalharness import ConfusionMatrix, harmonic_f1, metrics
 from vulnreach.gateway import ChatGateway, RoleKind, ScriptedChatProvider, Transcript
 from vulnreach.javaparse import parse_source
+from vulnreach.memo import Memo
 from vulnreach.model import (
     Candidate,
     CandidateJudgment,
@@ -169,7 +170,9 @@ def test_criterion_5_reflection_loop_termination(guarded_store, encoder, vuln):
             e.block for e in guarded_store.entries() if e.block.enclosing_method == "hashPassword"
         )
         anchor = Candidate(anchor_block, (anchor_block,), MatchedBy.BOTH, 0.5, 0.5)
-        completion = complete_context(guarded_store, encoder, gw, anchor, vuln, cfg)
+        completion = complete_context(
+            guarded_store, QueryVectors(encoder, Memo()), gw, anchor, vuln, cfg
+        )
         assert completion.termination_reason is TerminationReason.CONTEXT_COMPLETE
         assert completion.reflection_calls == 2
         assert completion.inference_calls == 1
@@ -186,7 +189,9 @@ def test_criterion_5_reflection_loop_termination(guarded_store, encoder, vuln):
             ),
             transcript=Transcript(),
         )
-        completion_b = complete_context(guarded_store, encoder, gw_b, anchor, vuln, cfg)
+        completion_b = complete_context(
+            guarded_store, QueryVectors(encoder, Memo()), gw_b, anchor, vuln, cfg
+        )
         assert completion_b.termination_reason is TerminationReason.NO_NEW_BLOCKS
         assert completion_b.reflection_calls == 1
 
@@ -207,7 +212,9 @@ def test_criterion_5_reflection_loop_termination(guarded_store, encoder, vuln):
         )
         gw_c = ChatGateway(provider_c, transcript=Transcript())
         cfg_c = Config(tau=0.2, top_k=1, max_iterations=3)
-        completion_c = complete_context(guarded_store, encoder, gw_c, anchor, vuln, cfg_c)
+        completion_c = complete_context(
+            guarded_store, QueryVectors(encoder, Memo()), gw_c, anchor, vuln, cfg_c
+        )
         assert completion_c.termination_reason is TerminationReason.ITERATION_CAP
         assert completion_c.reflection_calls == cfg_c.max_iterations
         assert len(completion_c.candidate.context) == 3  # one new block per search

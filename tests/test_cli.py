@@ -33,7 +33,7 @@ from vulnreach import cli, evalharness
 from vulnreach.embedding import ReferenceEncoder, RemoteEncoderProvider
 from vulnreach.errors import ConfigError, EmptyProject, IndexFormatError, MalformedResponse, ProviderError
 from vulnreach.gateway import ChatGateway, RoleKind, ScriptedChatProvider, Transcript
-from vulnreach.memo import encoder_fingerprint
+from vulnreach.memo import Memo, encoder_fingerprint
 from vulnreach.model import Config, Verdict
 from vulnreach.segmenter import segment_project
 from vulnreach.store import VectorStore
@@ -270,7 +270,7 @@ class TestProjectWithoutBlocks:
         assert code == 1
         assert "empty index" in capsys.readouterr().err
 
-    def test_evaluate_marks_the_project_failed(self, tmp_path: Path, config_file: Path):
+    def test_evaluate_marks_the_project_failed(self, tmp_path: Path, config_file: Path, capsys):
         manifest_path = write_toy_manifest(tmp_path / "manifest.json")
         manifest = json.loads(manifest_path.read_text())
         manifest["projects"].append(
@@ -287,7 +287,9 @@ class TestProjectWithoutBlocks:
             "evaluate", "--manifest", str(manifest_path), "--config", str(config_file),
             "--out", str(out_dir),
         )
-        assert code == 0
+        # An empty index is a user error, so the run that skipped it is one too.
+        assert code == 1
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: 1 of 5 project runs failed")
         report = read_report(out_dir / f"report_theta_{FIXTURE_THETA}.json")
         row = next(r for r in report["projects"] if r["project_id"] == "hollow")
         assert row["prediction"] == "failed" and "EmptyIndex" in row["error"]
@@ -819,7 +821,7 @@ class TestEvaluateCommand:
         assert code == 1 and not captured.out and not out.exists()
         assert captured.err == "error: predictions for projects the manifest does not name: ['ghost']\n"
 
-    def test_failed_rows_still_exit_0(self, tmp_path: Path, config_file: Path):
+    def test_failed_rows_exit_1_after_writing_the_reports(self, tmp_path: Path, config_file: Path, capsys):
         manifest_path = tmp_path / "manifest.json"
         manifest = json.loads(write_toy_manifest(manifest_path).read_text())
         manifest["projects"].append(
@@ -838,10 +840,52 @@ class TestEvaluateCommand:
             "--config", str(config_file),
             "--out", str(out_dir),
         )
-        assert code == 0
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[-1] == (
+            f"error: 1 of 5 project runs failed, the first with EmptyProject: no source files under"
+            f" {tmp_path / 'does-not-exist'}; the reports are in {out_dir}"
+        )
+        assert "Traceback" not in captured.err
+        # The metrics name the projects they are over; the failed one is not among them.
+        assert captured.out.splitlines()[-1] == (
+            f"theta={FIXTURE_THETA}: precision=1.000 recall=1.000 accuracy=1.000 f1=1.000"
+            " over 4 evaluated project(s), 1 failed"
+        )
         report = read_report(out_dir / f"report_theta_{FIXTURE_THETA}.json")
         assert report["failed_projects"] == 1
         assert report["confusion_matrix"] == {"tp": 2, "fp": 0, "tn": 2, "fn": 0}
+        assert (out_dir / f"report_theta_{FIXTURE_THETA}.txt").is_file()
+
+    @pytest.mark.parametrize("chat", ["prose", "replay"])
+    def test_a_model_failure_in_any_project_exits_2(self, tmp_path: Path, chat: str, capsys):
+        # MalformedResponse from a judge that answers prose, and ProviderError
+        # from a replay with no recorded answer: each exits 2, as analyze does.
+        script = tmp_path / "prose.json"
+        answers = {"grader": {"answer": "yes"}, "reflection": {"complete": True, "reason": ""}}
+        script.write_text(json.dumps({"defaults": {**answers, "judge": "No idea."}}))
+        (tmp_path / "empty.jsonl").write_text("")
+        provider = (
+            {"provider": "scripted", "script_path": str(script)}
+            if chat == "prose"
+            else {"provider": "replay", "transcript_path": str(tmp_path / "empty.jsonl")}
+        )
+        out_dir = tmp_path / "out"
+        code = run_cli(
+            "evaluate",
+            "--manifest", str(write_toy_manifest(tmp_path / "manifest.json")),
+            "--config", str(write_tool_config(tmp_path / "cfg.json", chat=provider)),
+            "--out", str(out_dir),
+        )
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert code == 2
+        assert err.startswith(
+            "error: 3 of 4 project runs failed, the first with MalformedResponse: judge reply"
+            if chat == "prose"
+            else "error: provider failure: 3 of 4 project runs failed, the first with ProviderError: "
+        ), err
+        # plain_app never calls the API: no block reaches the model, so it is scored.
+        assert read_report(out_dir / f"report_theta_{FIXTURE_THETA}.json")["failed_projects"] == 3
 
     def test_sweep_theta_writes_one_report_per_setting(self, tmp_path: Path, capsys):
         manifest = write_toy_manifest(tmp_path / "manifest.json")
@@ -1207,13 +1251,13 @@ class TestOneChangedJsonValue:
         err, stdout = io.StringIO(), io.StringIO()
         with pytest.MonkeyPatch.context() as mp, redirect_stderr(err), redirect_stdout(stdout):
             mp.setattr(evalharness, "run_benchmark", parsed)
-            mp.setattr(cli, "analyze", parsed)
+            mp.setattr(evalharness, "run_analysis", parsed)
             try:
                 code = cli.main(argv)
             except _Parsed as exc:
                 if name == "spec":
                     return 0, err.getvalue(), exc.args[3]
-                manifest, config, encoder, chat = exc.args
+                manifest, config, encoder, chat = exc.args[:4]
                 state = (manifest, config.to_dict(), _provider_state(encoder), _provider_state(chat))
                 return 0, err.getvalue(), state
         return code, err.getvalue(), stdout.getvalue()
@@ -1827,13 +1871,12 @@ class TestVerdictTranscriptPath:
 
     def test_the_verdict_names_its_sink(self, tmp_path: Path, config_file: Path, monkeypatch):
         verdicts: list[Verdict] = []
-        analyze = cli.analyze
+        analyze = evalharness.analyze
 
         def recording(*args, **kwargs) -> Verdict:
             verdicts.append(analyze(*args, **kwargs))
             return verdicts[-1]
 
-        monkeypatch.setattr(cli, "analyze", recording)
         monkeypatch.setattr(evalharness, "analyze", recording)
         report = tmp_path / "report.json"
         run_cli(
@@ -1854,7 +1897,7 @@ class TestVerdictTranscriptPath:
         chat = ScriptedChatProvider.from_file(FIXTURES / "chat_script.json")
         verdicts.clear()
         out = tmp_path / "out"
-        evalharness.run_benchmark(manifest, config, ReferenceEncoder(DIMS), chat, out_dir=out)
+        evalharness.run_benchmark(manifest, config, ReferenceEncoder(DIMS), chat, out, Memo())
         sinks = [
             out / "transcripts" / f"theta_{FIXTURE_THETA}" / f"{p.project_id}__CVE-2020-5408.jsonl"
             for p in manifest.projects
@@ -1863,6 +1906,10 @@ class TestVerdictTranscriptPath:
         assert all(sink.is_file() for sink in sinks)
 
         verdicts.clear()
-        evalharness.run_benchmark(manifest, config, ReferenceEncoder(DIMS), chat)
+        for project in manifest.projects:
+            store = evalharness.build_index(Path(project.root_path), config, ReferenceEncoder(DIMS), Memo())
+            evalharness.analyze(
+                store, ReferenceEncoder(DIMS), ChatGateway(chat), manifest.vulns[0], config, project.project_id
+            )
         assert len(verdicts) == len(manifest.projects)
         assert all(v.transcript_path is None for v in verdicts)

@@ -81,7 +81,9 @@ def synthetic_store(vectors: list[EmbeddingVector], sources: list[str] | None = 
 
 class TestIdentifyCandidates:
     def test_matches_brute_force_filter_oracle(self, guarded_store, encoder, vuln):
-        candidates = identify_candidates(guarded_store, encoder, fixture_gateway(), vuln, CFG)
+        candidates = identify_candidates(
+            guarded_store, QueryVectors(encoder, Memo()), fixture_gateway(), vuln, CFG
+        )
 
         # Oracle: recompute Eq.-style dual-seed filtering directly from the
         # store contents with independently computed similarities.
@@ -123,26 +125,36 @@ class TestIdentifyCandidates:
 
     def test_tau_one_yields_no_candidates(self, guarded_store, encoder, vuln):
         cfg = Config(tau=1.0, top_k=10, max_iterations=5)
-        assert identify_candidates(guarded_store, encoder, fixture_gateway(), vuln, cfg) == []
+        assert identify_candidates(
+            guarded_store, QueryVectors(encoder, Memo()), fixture_gateway(), vuln, cfg
+        ) == []
 
     def test_grader_always_no_dominates_similarity(self, guarded_store, encoder, vuln):
         gw = ChatGateway(
             ScriptedChatProvider(defaults={RoleKind.GRADER: '{"answer": "no"}'}),
             transcript=Transcript(),
         )
-        assert identify_candidates(guarded_store, encoder, gw, vuln, CFG) == []
+        assert identify_candidates(
+            guarded_store, QueryVectors(encoder, Memo()), gw, vuln, CFG
+        ) == []
 
     def test_f2_soundness_no_denied_block_survives(self, unguarded_store, encoder, vuln):
-        candidates = identify_candidates(unguarded_store, encoder, fixture_gateway(), vuln, CFG)
+        candidates = identify_candidates(
+            unguarded_store, QueryVectors(encoder, Memo()), fixture_gateway(), vuln, CFG
+        )
         assert candidates, "fixture must produce at least one candidate"
         assert all(".encode(" in c.anchor.source for c in candidates)
 
     def test_empty_index_raises(self, encoder, vuln):
         with pytest.raises(EmptyIndex):
-            identify_candidates(VectorStore(encoder.dims), encoder, fixture_gateway(), vuln, CFG)
+            identify_candidates(
+                VectorStore(encoder.dims), QueryVectors(encoder, Memo()), fixture_gateway(), vuln, CFG
+            )
 
     def test_candidates_deduplicated_and_ordered(self, guarded_store, encoder, vuln):
-        candidates = identify_candidates(guarded_store, encoder, fixture_gateway(), vuln, CFG)
+        candidates = identify_candidates(
+            guarded_store, QueryVectors(encoder, Memo()), fixture_gateway(), vuln, CFG
+        )
         keys = [(c.anchor.file_path, c.anchor.line_start, c.anchor.id) for c in candidates]
         assert keys == sorted(keys)
         assert len({c.anchor.id for c in candidates}) == len(candidates)
@@ -153,7 +165,9 @@ class TestCompleteContext:
         return Candidate(block, (block,), MatchedBy.BOTH, 0.5, 0.5)
 
     def test_two_step_reflection_grows_context_and_completes(self, guarded_store, encoder, vuln):
-        anchor = identify_candidates(guarded_store, encoder, fixture_gateway(), vuln, CFG)[0]
+        anchor = identify_candidates(
+            guarded_store, QueryVectors(encoder, Memo()), fixture_gateway(), vuln, CFG
+        )[0]
         provider = ScriptedChatProvider(
             sequences={
                 RoleKind.REFLECTION: [
@@ -174,7 +188,9 @@ class TestCompleteContext:
             }
         )
         gw = ChatGateway(provider, transcript=Transcript())
-        completion = complete_context(guarded_store, encoder, gw, anchor, vuln, CFG)
+        completion = complete_context(
+            guarded_store, QueryVectors(encoder, Memo()), gw, anchor, vuln, CFG
+        )
         assert completion.termination_reason is TerminationReason.CONTEXT_COMPLETE
         assert completion.reflection_calls == 2
         assert completion.inference_calls == 1
@@ -185,18 +201,24 @@ class TestCompleteContext:
         assert completion.candidate.context[1].enclosing_class == "ChangeRequest"
 
     def test_immediately_complete_context_stays_anchor_only(self, guarded_store, encoder, vuln):
-        anchor = identify_candidates(guarded_store, encoder, fixture_gateway(), vuln, CFG)[0]
+        anchor = identify_candidates(
+            guarded_store, QueryVectors(encoder, Memo()), fixture_gateway(), vuln, CFG
+        )[0]
         gw = ChatGateway(
             ScriptedChatProvider(defaults={RoleKind.REFLECTION: '{"complete": true, "reason": ""}'}),
             transcript=Transcript(),
         )
-        completion = complete_context(guarded_store, encoder, gw, anchor, vuln, CFG)
+        completion = complete_context(
+            guarded_store, QueryVectors(encoder, Memo()), gw, anchor, vuln, CFG
+        )
         assert completion.termination_reason is TerminationReason.CONTEXT_COMPLETE
         assert (completion.reflection_calls, completion.inference_calls, completion.search_calls) == (1, 0, 0)
         assert completion.candidate.context == anchor.context
 
     def test_unretrievable_snippet_terminates_no_new_blocks(self, guarded_store, encoder, vuln):
-        anchor = identify_candidates(guarded_store, encoder, fixture_gateway(), vuln, CFG)[0]
+        anchor = identify_candidates(
+            guarded_store, QueryVectors(encoder, Memo()), fixture_gateway(), vuln, CFG
+        )[0]
         gw = ChatGateway(
             ScriptedChatProvider(
                 defaults={
@@ -206,7 +228,9 @@ class TestCompleteContext:
             ),
             transcript=Transcript(),
         )
-        completion = complete_context(guarded_store, encoder, gw, anchor, vuln, CFG)
+        completion = complete_context(
+            guarded_store, QueryVectors(encoder, Memo()), gw, anchor, vuln, CFG
+        )
         assert completion.termination_reason is TerminationReason.NO_NEW_BLOCKS
         assert (completion.reflection_calls, completion.inference_calls, completion.search_calls) == (1, 1, 1)
         assert completion.new_blocks == ()
@@ -226,7 +250,9 @@ class TestCompleteContext:
         )
         gw = ChatGateway(provider, transcript=Transcript())
         cfg = Config(tau=0.5, top_k=10, max_iterations=5)
-        completion = complete_context(store, encoder, gw, self._candidate(entries[0].block), vuln, cfg)
+        completion = complete_context(
+            store, QueryVectors(encoder, Memo()), gw, self._candidate(entries[0].block), vuln, cfg
+        )
         assert completion.termination_reason is TerminationReason.ITERATION_CAP
         assert completion.reflection_calls == cfg.max_iterations
         assert (completion.inference_calls, completion.search_calls) == (4, 4)
@@ -242,7 +268,9 @@ class TestCompleteContext:
             transcript=Transcript(),
         )
         cfg = Config(tau=0.5, top_k=10, max_iterations=1)
-        completion = complete_context(store, encoder, gw, self._candidate(entries[0].block), vuln, cfg)
+        completion = complete_context(
+            store, QueryVectors(encoder, Memo()), gw, self._candidate(entries[0].block), vuln, cfg
+        )
         assert completion.termination_reason is TerminationReason.ITERATION_CAP
         assert completion.reflection_calls == 1
         assert completion.inference_calls == 0
@@ -321,7 +349,9 @@ class TestAnalyze:
         verdict = analyze(guarded_store, encoder, gw, vuln, CFG, "guarded_app")
         # the retrieved getNewPassword block became a candidate of its own
         assert len(verdict.per_candidate) == 2
-        initial = identify_candidates(guarded_store, encoder, fixture_gateway(), vuln, CFG)
+        initial = identify_candidates(
+            guarded_store, QueryVectors(encoder, Memo()), fixture_gateway(), vuln, CFG
+        )
         initial_ids = {c.anchor.id for c in initial}
         extra = [c for c in verdict.per_candidate if c.candidate_id not in initial_ids]
         assert len(extra) == 1
@@ -504,7 +534,9 @@ class TestSeedScores:
         self, guarded_store, encoder, vuln, tau
     ):
         cfg = Config(tau=tau, top_k=10, max_iterations=5)
-        candidates = identify_candidates(guarded_store, encoder, yes_gateway(), vuln, cfg)
+        candidates = identify_candidates(
+            guarded_store, QueryVectors(encoder, Memo()), yes_gateway(), vuln, cfg
+        )
         api, test = seed_scores(guarded_store, encoder, vuln)
         for candidate in candidates:
             row = guarded_store.row_of(candidate.anchor.id)
@@ -526,9 +558,9 @@ class TestSeedScores:
         seen = []
         complete = detector_module.complete_context
 
-        def recording(store, encoder, chat, candidate, *args):
+        def recording(store, queries, chat, candidate, *args):
             seen.append(candidate)
-            return complete(store, encoder, chat, candidate, *args)
+            return complete(store, queries, chat, candidate, *args)
 
         monkeypatch.setattr(detector_module, "complete_context", recording)
         analyze(guarded_store, encoder, TestSearchMemo.looping_gateway(), vuln, CFG, "p")

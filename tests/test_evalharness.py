@@ -160,7 +160,7 @@ SWEEP = (30, 60, 120, 100000)
 class TestRunBenchmark:
     def test_toy_manifest_golden_outcome(self, tmp_path: Path, encoder):
         report = run_benchmark(
-            toy_manifest(tmp_path), harness_config(), encoder, scripted_chat(), out_dir=tmp_path / "out"
+            toy_manifest(tmp_path), harness_config(), encoder, scripted_chat(), tmp_path / "out", Memo()
         )
         by_project = {row["project_id"]: row for row in report["projects"]}
         assert by_project["guarded_app"]["prediction"] == "Secure"
@@ -188,7 +188,7 @@ class TestRunBenchmark:
             + (ProjectSpec("ghost", str(tmp_path / "missing"), Judgment.VULNERABLE, (vuln.vuln_id,)),),
             vulns=manifest.vulns,
         )
-        report = run_benchmark(broken, harness_config(), encoder, scripted_chat())
+        report = run_benchmark(broken, harness_config(), encoder, scripted_chat(), tmp_path / "out", Memo())
         ghost = next(r for r in report["projects"] if r["project_id"] == "ghost")
         assert ghost["prediction"] == "failed" and "error" in ghost
         assert report["evaluated_projects"] == 4
@@ -198,12 +198,12 @@ class TestRunBenchmark:
     def test_memo_reused_across_runs(self, tmp_path: Path, encoder):
         counting, memo = CountingEncoder(encoder.dims), Memo()
         first = run_benchmark(
-            toy_manifest(tmp_path), harness_config(), counting, scripted_chat(), memo=memo
+            toy_manifest(tmp_path), harness_config(), counting, scripted_chat(), tmp_path / "out", memo
         )
         assert counting.texts
         counting.texts.clear()
         second = run_benchmark(
-            toy_manifest(tmp_path), harness_config(), counting, scripted_chat(), memo=memo
+            toy_manifest(tmp_path), harness_config(), counting, scripted_chat(), tmp_path / "out", memo
         )
         assert counting.texts == []
         for key in ("projects", "confusion_matrix", "metrics", "block_counts"):
@@ -221,7 +221,9 @@ class TestRunBenchmark:
         monkeypatch.setattr(memo_module, "parse_source", counting_parse)
         counting = CountingEncoder(encoder.dims)
         manifest = toy_manifest(tmp_path)
-        run_theta_sweep(manifest, harness_config(), counting, scripted_chat(), (30, 60, 120))
+        run_theta_sweep(
+            manifest, harness_config(), counting, scripted_chat(), tmp_path / "out", Memo(), (30, 60, 120)
+        )
         assert counting.texts and len(counting.texts) == len(set(counting.texts))
         files = {
             (path.relative_to(p.root_path).as_posix(), path.read_text(encoding="utf-8"))
@@ -263,7 +265,9 @@ class TestRunBenchmark:
         monkeypatch.setattr(memo_module, "segment_unit", counting_segment)
         manifest = toy_manifest(tmp_path)
         thetas = (30, 45, 60, 90, 120, 100000)
-        swept = run_theta_sweep(manifest, harness_config(), encoder, scripted_chat(), thetas)
+        swept = run_theta_sweep(
+            manifest, harness_config(), encoder, scripted_chat(), tmp_path / "out", Memo(), thetas
+        )
         roots = [Path(p.root_path) for p in manifest.projects]
         assert sorted(listed) == sorted(roots)
         files = [f for root in roots for f in real_list(root, harness_config().ignore_globs)]
@@ -274,7 +278,8 @@ class TestRunBenchmark:
         monkeypatch.undo()
         for theta in thetas:
             alone = run_benchmark(
-                manifest, replace(harness_config(), theta=theta), encoder, scripted_chat(), memo=Memo()
+                manifest, replace(harness_config(), theta=theta), encoder, scripted_chat(),
+                tmp_path / "alone", Memo(),
             )
             for report in (alone, swept[theta]):
                 report.pop("generated_at")
@@ -284,11 +289,13 @@ class TestRunBenchmark:
         # Reused settings included: plain_app at 120 and 100000, unguarded_app at 100000.
         thetas = SWEEP
         manifest = toy_manifest(tmp_path)
-        swept = run_theta_sweep(manifest, harness_config(), encoder, scripted_chat(), thetas)
+        swept = run_theta_sweep(
+            manifest, harness_config(), encoder, scripted_chat(), tmp_path / "out", Memo(), thetas
+        )
         for theta in thetas:
             alone = run_benchmark(
                 manifest, replace(harness_config(), theta=theta), ReferenceEncoder(encoder.dims),
-                scripted_chat(),
+                scripted_chat(), tmp_path / "alone", Memo(),
             )
             for report in (alone, swept[theta]):
                 report.pop("generated_at")
@@ -300,6 +307,8 @@ class TestRunBenchmark:
             harness_config(),
             encoder,
             scripted_chat(),
+            tmp_path / "out",
+            Memo(),
             thetas=(30, 60, 120, 100000),
         )
         for project_id in ("guarded_app", "unguarded_app", "plain_app", "legacy_app"):
@@ -309,7 +318,7 @@ class TestRunBenchmark:
     def test_theta_sweep_keeps_every_settings_transcripts(self, tmp_path: Path, encoder):
         out = tmp_path / "out"
         run_theta_sweep(
-            toy_manifest(tmp_path), harness_config(), encoder, scripted_chat(), (30, 60), out
+            toy_manifest(tmp_path), harness_config(), encoder, scripted_chat(), out, Memo(), (30, 60)
         )
         transcripts = sorted((out / "transcripts").rglob("*.jsonl"))
         assert len(transcripts) == 8  # 4 projects x 1 vuln x 2 thetas
@@ -330,6 +339,7 @@ class TestRunBenchmark:
                 encoder,
                 scripted_chat(),
                 out_dir=tmp_path / f"out_{tau}",
+                memo=Memo(),
             )
             for tau in (FIXTURE_TAU, 0.999)
         )
@@ -339,7 +349,9 @@ class TestRunBenchmark:
 
     def test_render_table_mentions_every_project_and_config(self, tmp_path: Path, encoder):
         config = replace(harness_config(), chat={"provider": "scripted", "script_path": "s.json"})
-        report = run_benchmark(toy_manifest(tmp_path), config, encoder, scripted_chat())
+        report = run_benchmark(
+            toy_manifest(tmp_path), config, encoder, scripted_chat(), tmp_path / "out", Memo()
+        )
         assert report["config"] == config.to_dict()  # the echo `analyze` writes too
         table = render_table(report)
         for pid in ("guarded_app", "unguarded_app", "plain_app", "legacy_app"):
@@ -394,7 +406,9 @@ class TestSweepReuse:
 
     def test_each_run_of_equal_block_lists_is_analyzed_once(self, tmp_path, encoder, monkeypatch):
         calls = count_analyses(monkeypatch)
-        reports = run_theta_sweep(toy_manifest(tmp_path), harness_config(), encoder, scripted_chat(), SWEEP)
+        reports = run_theta_sweep(
+            toy_manifest(tmp_path), harness_config(), encoder, scripted_chat(), tmp_path / "out", Memo(), SWEEP
+        )
         counts = {
             pid: [reports[t]["block_counts"][pid] for t in SWEEP]
             for pid in ("plain_app", "unguarded_app")
@@ -412,14 +426,16 @@ class TestSweepReuse:
         calls = count_analyses(monkeypatch)
         manifest = only(toy_manifest(tmp_path), "unguarded_app")
         out = tmp_path / "out"
-        reports = run_theta_sweep(manifest, harness_config(), encoder, scripted_chat(), (60, 60), out)
+        reports = run_theta_sweep(manifest, harness_config(), encoder, scripted_chat(), out, Memo(), (60, 60))
         assert list(reports) == [60] and calls == [("unguarded_app", 60)]
         assert reports[60]["projects"][0]["prediction"] == "Vulnerable"
 
     def test_reused_transcripts_are_byte_copies(self, tmp_path, encoder, caplog):
         out = tmp_path / "out"
         with caplog.at_level("INFO", logger="vulnreach.evalharness"):
-            run_theta_sweep(toy_manifest(tmp_path), harness_config(), encoder, scripted_chat(), SWEEP, out)
+            run_theta_sweep(
+                toy_manifest(tmp_path), harness_config(), encoder, scripted_chat(), out, Memo(), SWEEP
+            )
         transcripts = out / "transcripts"
         for project, reused, source in (
             ("plain_app", 120, 60),
@@ -445,7 +461,7 @@ class TestSweepReuse:
         monkeypatch.setattr(evalharness.os, "link", no_links)
         out = tmp_path / "out"
         manifest = only(toy_manifest(tmp_path), "unguarded_app")
-        run_theta_sweep(manifest, harness_config(), encoder, scripted_chat(), (120, 100000), out)
+        run_theta_sweep(manifest, harness_config(), encoder, scripted_chat(), out, Memo(), (120, 100000))
         source, reused = (
             out / "transcripts" / f"theta_{t}" / "unguarded_app__CVE-2020-5408.jsonl" for t in (120, 100000)
         )
@@ -465,14 +481,17 @@ class TestSweepReuse:
         assert {k for k in a if a[k] != b[k]} == {"oversize"}
         calls = count_analyses(monkeypatch)
         manifest = only(toy_manifest(tmp_path), "unguarded_app")
-        run_theta_sweep(manifest, harness_config(), encoder, scripted_chat(), (30, 60))
+        run_theta_sweep(
+            manifest, harness_config(), encoder, scripted_chat(), tmp_path / "out", Memo(), (30, 60)
+        )
         assert calls == [("unguarded_app", 30), ("unguarded_app", 60)]
 
     def test_failed_analysis_is_not_reused(self, tmp_path, encoder, monkeypatch):
         calls = count_analyses(monkeypatch)
         manifest = only(toy_manifest(tmp_path), "unguarded_app")
         reports = run_theta_sweep(
-            manifest, harness_config(), encoder, FailsOnce(scripted_chat()), (120, 100000)
+            manifest, harness_config(), encoder, FailsOnce(scripted_chat()), tmp_path / "out", Memo(),
+            (120, 100000),
         )
         assert [r["block_counts"] for r in reports.values()] == [{"unguarded_app": 1}] * 2
         assert calls == [("unguarded_app", 120), ("unguarded_app", 100000)]
@@ -487,7 +506,7 @@ class TestSweepReuse:
         manifest = BenchmarkManifest(projects=manifest.projects + (twin,), vulns=manifest.vulns)
         memo, chat = Memo(), scripted_chat()
         for _ in range(2):
-            run_benchmark(manifest, harness_config(), encoder, chat, memo=memo)
+            run_benchmark(manifest, harness_config(), encoder, chat, tmp_path / "out", memo)
         assert len(calls) == 2 * len(manifest.projects)
 
 
@@ -499,7 +518,7 @@ class TestBuildIndex:
         large = build_index(root, Config(theta=4000, ignore_globs=()), counting, memo)
         assert small.count() > large.count()
         for store, theta in ((small, 40), (large, 4000)):
-            alone = build_index(root, Config(theta=theta, ignore_globs=()), encoder)
+            alone = build_index(root, Config(theta=theta, ignore_globs=()), encoder, Memo())
             assert list(store.entries()) == list(alone.entries())
         texts = counting.texts
         assert len(texts) == len(set(texts))
@@ -528,7 +547,7 @@ class TestBuildIndex:
             patched.setattr(VectorStore, "insert", crash)
             with pytest.raises(RuntimeError):
                 build_index(root, cfg, encoder, memo)
-        full = build_index(root, cfg, encoder)
+        full = build_index(root, cfg, encoder, Memo())
         rebuilt = build_index(root, cfg, encoder, memo)
         assert list(rebuilt.entries()) == list(full.entries())
         assert rebuilt.count() > 0
@@ -551,5 +570,4 @@ class TestBuildIndex:
         root.mkdir()
         (root / "A.java").write_bytes(b"")
         cfg = Config(theta=60, ignore_globs=())
-        assert build_index(root, cfg, encoder).count() == 0
         assert build_index(root, cfg, encoder, Memo()).count() == 0

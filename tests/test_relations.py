@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES, HashChatProvider
 from vulnreach.detector import analyze
-from vulnreach.evalharness import BenchmarkManifest, ProjectSpec, build_index, run_benchmark
-from vulnreach.gateway import ChatGateway, ReplayChatProvider, Transcript
+from vulnreach.evalharness import BenchmarkManifest, ProjectSpec, build_index, run_analysis, run_benchmark
+from vulnreach.gateway import ChatGateway, PromptLibrary, ReplayChatProvider, Transcript
+from vulnreach.memo import Memo
 from vulnreach.model import Config, Judgment, VulnSpec
 from vulnreach.store import VectorStore
 
@@ -63,7 +64,7 @@ def stores(encoder, tmp_path_factory) -> dict[str, tuple[VectorStore, VectorStor
     out = tmp_path_factory.mktemp("relations")
     built = {}
     for project in PROJECTS:
-        store = build_index(FIXTURES / project, Config(theta=THETA), encoder)
+        store = build_index(FIXTURES / project, Config(theta=THETA), encoder, Memo())
         store.save(out / f"{project}.vrix", encoder=None, theta=THETA)
         built[project] = (store, VectorStore.open(out / f"{project}.vrix"))
     return built
@@ -76,6 +77,10 @@ def run(store, encoder, provider, vuln, config, transcript=None):
 
 def asked(transcript: Transcript) -> Counter:
     return Counter((entry.role_kind, entry.rendered_prompt) for entry in transcript.entries)
+
+
+def exchanges(transcript: Transcript) -> list[tuple]:
+    return [(e.role_kind, e.rendered_prompt, e.raw_response) for e in transcript.entries]
 
 
 @settings(max_examples=100, deadline=None)
@@ -107,13 +112,16 @@ def test_a_reopened_index_judges_as_the_one_in_memory(stores, encoder, salt, pro
     vulns=st.lists(SPECS, min_size=1, max_size=2, unique_by=lambda v: v.vuln_id),
     config=CONFIGS,
 )
-def test_the_harness_judges_each_vuln_as_analyze_does(stores, encoder, salt, vulns, config):
+def test_the_harness_judges_each_vuln_as_analyze_does(
+    stores, encoder, tmp_path_factory, salt, vulns, config
+):
     refs = tuple(v.vuln_id for v in vulns)
     manifest = BenchmarkManifest(
         tuple(ProjectSpec(p, str(FIXTURES / p), Judgment.SECURE, refs) for p in PROJECTS),
         tuple(vulns),
     )
-    report = run_benchmark(manifest, config, encoder, HashChatProvider(salt))
+    out = tmp_path_factory.mktemp("harness")
+    report = run_benchmark(manifest, config, encoder, HashChatProvider(salt), out, Memo())
     assert report["failed_projects"] == 0
     for row in report["projects"]:
         store, _ = stores[row["project_id"]]
@@ -121,6 +129,16 @@ def test_the_harness_judges_each_vuln_as_analyze_does(stores, encoder, salt, vul
             v.vuln_id: run(store, encoder, HashChatProvider(salt), v, config).project_judgment.value
             for v in vulns
         }
+        # The harness asked what `vulnreach analyze` asks through the same
+        # runner, in the same order, and was answered the same.
+        for vuln in vulns:
+            name = f"{row['project_id']}__{vuln.vuln_id}.jsonl"
+            _, alone = run_analysis(
+                store, encoder, HashChatProvider(salt), vuln, config, row["project_id"],
+                PromptLibrary.load(), Memo(), out / name,
+            )
+            harness = Transcript.load(out / "transcripts" / f"theta_{THETA}" / name)
+            assert exchanges(harness) == exchanges(alone)
 
 
 @settings(max_examples=40, deadline=None)
