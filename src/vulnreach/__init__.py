@@ -35,7 +35,6 @@ from .model import (
     CandidateJudgment,
     CodeBlock,
     Config,
-    EmbeddingVector,
     Judgment,
     MatchedBy,
     NodeKind,
@@ -63,7 +62,6 @@ __all__ = [
     "ContextCompletion",
     "DEFAULT_TOKENIZER",
     "embed",
-    "EmbeddingVector",
     "encoder_fingerprint",
     "EncoderProvider",
     "identify_candidates",

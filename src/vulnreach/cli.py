@@ -21,6 +21,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, Mapping, NoReturn, Sequence, TypeVar
 
+import numpy as np
+
 from . import evalharness
 from .embedding import EncoderProvider, ReferenceEncoder, RemoteEncoderProvider, embed
 from .errors import ConfigError, MalformedResponse, ProviderError, VulnReachError
@@ -33,9 +35,9 @@ from .gateway import (
     Transcript,
 )
 from .memo import Memo, encoder_fingerprint
-from .model import CodeBlock, Config, EmbeddingVector, Judgment, VulnSpec, checked_str
+from .model import CodeBlock, Config, Judgment, VulnSpec, checked_str
 from .segmenter import segment_project
-from .store import StoreEntry, VectorStore, write_json
+from .store import VectorStore, write_json
 
 EXIT_OK = 0
 EXIT_USER_ERROR = 1
@@ -161,17 +163,18 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 
 def _insert_embedded(store: VectorStore, encoder: EncoderProvider, blocks: list[CodeBlock]) -> None:
-    """Insert every block with the vector of its text, in block order.
+    """Insert every block with the row of its text, in block order.
 
     The distinct texts are embedded in first-seen order, ``batch_limit`` at a
-    time, as ``Memo.embed`` sends them. The blocks a batch completes
-    are inserted before the next batch is sent, and a vector is dropped once
-    the last block with its text is in: beside the store's float32 rows, only
-    one batch of vectors is alive, and those of texts that are still to recur.
+    time, as ``Memo.embed`` sends them. The blocks a batch completes are
+    inserted before the next batch is sent, and a row is dropped once the
+    last block with its text is in. A row keeps its whole batch array alive,
+    so the rows of texts still to recur are copied out of it: beside the
+    store's float32 rows, only one batch array is alive, plus those copies.
     """
     uses = Counter(block.source for block in blocks)
     texts = list(uses)
-    vectors: dict[str, EmbeddingVector] = {}
+    vectors: dict[str, np.ndarray] = {}
     done = 0
     limit = max(1, encoder.batch_limit)
     for start in range(0, len(texts), limit):
@@ -181,11 +184,14 @@ def _insert_embedded(store: VectorStore, encoder: EncoderProvider, blocks: list[
         while end < len(blocks) and blocks[end].source in vectors:
             end += 1
         ready = blocks[done:end]
-        store.insert([StoreEntry(block, vectors[block.source]) for block in ready])
+        store.insert(ready, [vectors[block.source] for block in ready])
         for block in ready:
             uses[block.source] -= 1
             if not uses[block.source]:
                 del vectors[block.source]
+        for text in batch:
+            if text in vectors:
+                vectors[text] = vectors[text].copy()
         done = end
 
 

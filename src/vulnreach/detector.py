@@ -28,7 +28,6 @@ from .model import (
     CandidateJudgment,
     CodeBlock,
     Config,
-    EmbeddingVector,
     Judgment,
     MatchedBy,
     Verdict,
@@ -75,7 +74,7 @@ class QueryVectors:
         self._hits: dict[tuple[str, ScopeFilter], tuple[tuple[StoreHit, float], ...]] = {}
         self._similarities: dict[tuple[VulnSpec, int], tuple[float, float]] = {}
 
-    def __call__(self, texts: Sequence[str]) -> list[EmbeddingVector]:
+    def __call__(self, texts: Sequence[str]) -> np.ndarray:
         return self.memo.embed(self.encoder, texts)
 
     def search(

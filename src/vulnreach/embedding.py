@@ -6,13 +6,16 @@ whole batch in one numpy pass against one memo of n-gram codes), so the
 whole pipeline stays testable without network access. Remote encoders are thin
 configuration-only adapters. Normalization is always applied here rather
 than trusted from providers, because downstream similarity scoring relies on
-the dot-product/cosine equivalence of unit vectors.
+the dot-product/cosine equivalence of unit vectors. A vector is a read-only
+float64 numpy row, and every layer takes rows.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
+import sys
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, NamedTuple, Protocol, Sequence, TypeVar
@@ -20,7 +23,6 @@ from typing import Any, Callable, Iterator, NamedTuple, Protocol, Sequence, Type
 import numpy as np
 
 from .errors import EmptyText, ProviderError
-from .model import EmbeddingVector
 
 _NGRAM_SIZES = (3, 4, 5)
 # Characters per numpy pass, in whole texts: a pass holds up to about 130 B
@@ -30,6 +32,10 @@ _PASS_CHARS = 16384
 # one benchmark command meets (about 16,000). At 24 B an id the table is
 # about 1.5 MB at most.
 _MAX_CODES = 1 << 16
+_NORM_TOLERANCE = 1e-6
+# Below this norm the sum of squares is subnormal or zero: too coarse to
+# normalize by.
+_SMALLEST_EXACT_NORM = math.sqrt(sys.float_info.min)
 _EMPTY_HASHER = hashlib.blake2b(digest_size=8)  # copied by ``_gram_codes`` per gram
 # Seconds slept before each retry of a transient provider failure.
 _RETRY_DELAYS = (0.5, 1.0, 2.0)
@@ -45,8 +51,9 @@ class EncoderProvider(Protocol):
     def encode_batch(self, texts: Sequence[str]) -> Sequence[np.ndarray | Sequence[float]]: ...
 
 
-def embed(provider: EncoderProvider, texts: Sequence[str]) -> list[EmbeddingVector]:
-    """Encode texts in order, one unit-norm vector per input.
+def embed(provider: EncoderProvider, texts: Sequence[str]) -> np.ndarray:
+    """Encode texts in order: one read-only ``(len(texts), dims)`` float64
+    array, a unit row per text.
 
     A provider row that cannot be normalized (all zeros, or holding a NaN or
     an infinity) raises ``ProviderError`` naming the text's position.
@@ -56,7 +63,7 @@ def embed(provider: EncoderProvider, texts: Sequence[str]) -> list[EmbeddingVect
     for idx, text in enumerate(texts):
         if not text.strip():
             raise EmptyText(f"text at position {idx} is blank")
-    out: list[EmbeddingVector] = []
+    rows = np.empty((len(texts), provider.dims))
     limit = max(1, provider.batch_limit)
     for offset in range(0, len(texts), limit):
         batch = list(texts[offset : offset + limit])
@@ -65,20 +72,69 @@ def embed(provider: EncoderProvider, texts: Sequence[str]) -> list[EmbeddingVect
             raise ProviderError(
                 f"provider {provider.name} returned {len(raw)} vectors for {len(batch)} texts"
             )
-        for position, values in enumerate(raw, offset):
+        for values in raw:
             if len(values) != provider.dims:
                 raise ProviderError(
                     f"provider {provider.name} returned {len(values)} dims, expected {provider.dims}"
                 )
-            try:
-                out.append(EmbeddingVector.normalized(values))
-            except ValueError as exc:
-                # Stored, a row with no direction could never be retrieved.
-                raise ProviderError(
-                    f"provider {provider.name} returned an unusable vector for text at"
-                    f" position {position}: {exc}"
-                ) from exc
-    return out
+        rows[offset : offset + len(batch)] = raw
+    try:
+        return unit_rows(rows)
+    except ValueError as exc:
+        # Stored, a row with no direction could never be retrieved.
+        raise ProviderError(
+            f"provider {provider.name} returned an unusable vector for text at {exc}"
+        ) from exc
+
+
+def _norm(row: np.ndarray) -> float:
+    """The Euclidean norm from the exactly summed squares; ``inf`` when a
+    square or their sum overflows."""
+    try:
+        return math.sqrt(math.fsum((row * row).tolist()))
+    except OverflowError:  # fsum's partial sums of finite squares overflowed
+        return math.inf
+
+
+def unit_rows(rows: np.ndarray | Sequence[Sequence[float]]) -> np.ndarray:
+    """The rows of a 2-D array, each divided by its norm, as a new read-only
+    float64 array: the one normalizer of every vector.
+
+    ``math.fsum`` of a row's squares gives its norm, and each element is
+    divided by it once: the same floats as dividing each Python float by the
+    exactly summed norm. A row that cannot be normalized (all zeros, or
+    holding a NaN or an infinity) is a ``ValueError`` that starts with its
+    position.
+    """
+    rows = np.array(rows, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        norms = np.array([_norm(row) for row in rows])
+    rescale = ((norms == math.inf) & np.isfinite(rows).all(axis=1)) | (
+        (norms < _SMALLEST_EXACT_NORM) & rows.any(axis=1)
+    )
+    if rescale.any():
+        # Finite rows whose squares overflow, or underflow below the smallest
+        # normal double, still have a direction: scaled by the largest
+        # magnitude, every square is at most 1 and one is 1.
+        rows[rescale] /= np.abs(rows[rescale]).max(axis=1, keepdims=True)
+        norms[rescale] = [_norm(row) for row in rows[rescale]]
+    for row, norm in enumerate(norms.tolist()):
+        if not 0.0 < norm < math.inf:  # NaN too
+            why = "a zero vector" if norm == 0.0 else f"a vector of norm {norm!r}"
+            raise ValueError(f"position {row}: cannot normalize {why}")
+    rows /= norms[:, None]
+    return checked_unit(rows)
+
+
+def checked_unit(rows: np.ndarray) -> np.ndarray:
+    """``rows``, made read-only, if the norm of each is 1.0 within
+    ``_NORM_TOLERANCE`` (a NaN norm never is); else a ``ValueError``."""
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    for row, norm in enumerate(norms.tolist()):
+        if not abs(norm - 1.0) <= _NORM_TOLERANCE:
+            raise ValueError(f"row {row} has norm {norm!r}, not 1.0 within {_NORM_TOLERANCE}")
+    rows.flags.writeable = False
+    return rows
 
 
 def call_with_retry(call: Callable[[], _T]) -> _T:

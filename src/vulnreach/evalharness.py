@@ -30,7 +30,7 @@ from .gateway import ChatGateway, ChatProvider, PromptLibrary, Transcript
 from .memo import Memo
 from .model import CodeBlock, Config, Judgment, Verdict, VulnSpec, aggregate_judgment, checked_str, checked_strs
 from .segmenter import iter_project_files, segment_project
-from .store import StoreEntry, VectorStore, _write_atomic, write_json
+from .store import VectorStore, _write_atomic, write_json
 
 log = logging.getLogger(__name__)
 
@@ -180,9 +180,8 @@ def build_index(root: Path, config: Config, encoder: EncoderProvider, memo: Memo
     ``segment_project``).
     """
     blocks = segment_project(root, config, memo=memo)
-    vectors = memo.embed(encoder, [b.source for b in blocks])
     store = VectorStore(encoder.dims)
-    store.insert([StoreEntry(b, v) for b, v in zip(blocks, vectors)])
+    store.insert(blocks, memo.embed(encoder, [b.source for b in blocks]))
     return store
 
 
@@ -297,7 +296,7 @@ def run_benchmark(
             row["prediction"] = prediction.value
             analyzed[project.project_id] = earlier or _Analyzed(config.theta, blocks, verdicts)
         except (VulnReachError, OSError, ValueError) as exc:
-            log.warning("project %s failed to run: %s", project.project_id, exc)
+            log.info("project %s failed to run: %s", project.project_id, exc)
             row["prediction"] = "failed"
             row["error"] = f"{type(exc).__name__}: {exc}"
             row["traceback"] = traceback.format_exc(limit=3)

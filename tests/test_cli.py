@@ -228,7 +228,7 @@ class TestIndexBatches:
         sources = [e.block.source for e in store.entries()]
         assert [self.BODIES.index(s) for s in sources] == [0, 1, 0, 2, 1, 0]
         assert batches == [self.BODIES[:2], self.BODIES[2:]]
-        expected = [encode_alone(s, 256).values.astype(np.float32) for s in sources]
+        expected = [encode_alone(s, 256).astype(np.float32) for s in sources]
         assert np.array_equal(store._vectors, np.array(expected))
 
     def test_a_failure_in_a_later_batch_leaves_no_file(
@@ -1791,21 +1791,45 @@ class TestVerbose:
     """``-v`` shows the ``vulnreach`` loggers' INFO lines on stderr."""
 
     @staticmethod
-    def sweep(tmp_path: Path, *flags: str) -> subprocess.CompletedProcess:
-        manifest = write_toy_manifest(tmp_path / "manifest.json")
-        config = write_tool_config(tmp_path / "cfg.json", theta=None)
+    def vulnreach(*argv: str) -> subprocess.CompletedProcess:
+        """The command in a fresh interpreter: stderr as a user sees it,
+        with no logging handler installed by the tests."""
         src = Path(cli.__file__).resolve().parents[1]
         return subprocess.run(
-            [
-                sys.executable, "-m", "vulnreach.cli", *flags, "evaluate",
-                "--manifest", str(manifest), "--config", str(config),
-                "--out", str(tmp_path / f"out{len(flags)}"), "--sweep-theta",
-            ],
+            [sys.executable, "-m", "vulnreach.cli", *argv],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": str(src)},
             timeout=300,
         )
+
+    def sweep(self, tmp_path: Path, *flags: str) -> subprocess.CompletedProcess:
+        manifest = write_toy_manifest(tmp_path / "manifest.json")
+        config = write_tool_config(tmp_path / "cfg.json", theta=None)
+        return self.vulnreach(
+            *flags, "evaluate",
+            "--manifest", str(manifest), "--config", str(config),
+            "--out", str(tmp_path / f"out{len(flags)}"), "--sweep-theta",
+        )
+
+    def test_a_failed_project_prints_one_stderr_line_without_v(self, tmp_path: Path):
+        manifest_path = write_toy_manifest(tmp_path / "manifest.json")
+        manifest = json.loads(manifest_path.read_text())
+        missing = dict(manifest["projects"][0], project_id="ghost", root_path=str(tmp_path / "no-tree"))
+        manifest_path.write_text(json.dumps(dict(manifest, projects=[*manifest["projects"], missing])))
+        config = write_tool_config(tmp_path / "cfg.json")
+        quiet, verbose = (
+            self.vulnreach(
+                *flags, "evaluate", "--manifest", str(manifest_path), "--config", str(config),
+                "--out", str(tmp_path / f"out{len(flags)}"),
+            )
+            for flags in ((), ("-v",))
+        )
+        assert quiet.returncode == verbose.returncode == 1
+        error = "error: 1 of 5 project runs failed, the first with EmptyProject: no source files under"
+        assert len(quiet.stderr.splitlines()) == 1 and quiet.stderr.startswith(error), quiet.stderr
+        assert verbose.stderr.splitlines()[-1].startswith(error)
+        assert "INFO vulnreach.evalharness: project ghost failed to run: no source files under" in verbose.stderr
 
     def test_sweep_logs_its_reuse_with_v_and_nothing_without(self, tmp_path: Path):
         quiet, verbose = self.sweep(tmp_path), self.sweep(tmp_path, "-v")

@@ -1,9 +1,19 @@
 import json
 
+import numpy as np
 import pytest
 
-from conftest import FIXTURES, FIXTURE_TAU, CountingEncoder, CountingProvider, encode_alone, make_block
+from conftest import (
+    FIXTURES,
+    FIXTURE_TAU,
+    CountingEncoder,
+    CountingProvider,
+    encode_alone,
+    insert_entries,
+    make_block,
+)
 from vulnreach import detector as detector_module
+from vulnreach import store as store_module
 from vulnreach.detector import (
     QueryVectors,
     TerminationReason,
@@ -18,7 +28,6 @@ from vulnreach.memo import Memo
 from vulnreach.model import (
     Candidate,
     Config,
-    EmbeddingVector,
     Judgment,
     MatchedBy,
     NodeKind,
@@ -35,28 +44,26 @@ def fixture_gateway() -> ChatGateway:
     )
 
 
-def axis(i: int, dims: int = 8) -> EmbeddingVector:
-    values = [0.0] * dims
-    values[i] = 1.0
-    return EmbeddingVector(dims=dims, values=tuple(values))
+def axis(i: int, dims: int = 8) -> np.ndarray:
+    return np.eye(dims)[i]
 
 
 class FakeEncoder:
     """Maps exact texts to fixed vectors; everything else goes to a far-away
     default axis. Gives tests exact control over retrieval geometry."""
 
-    def __init__(self, mapping: dict[str, EmbeddingVector], dims: int = 8):
+    def __init__(self, mapping: dict[str, np.ndarray], dims: int = 8):
         self.name = "fake"
         self.dims = dims
         self.batch_limit = 64
         self.mapping = mapping
 
     def encode_batch(self, texts):
-        return [list(self.mapping.get(t, axis(self.dims - 1, self.dims)).values) for t in texts]
+        return [self.mapping.get(t, axis(self.dims - 1, self.dims)) for t in texts]
 
 
-def synthetic_store(vectors: list[EmbeddingVector], sources: list[str] | None = None):
-    store = VectorStore(vectors[0].dims)
+def synthetic_store(vectors: list[np.ndarray], sources: list[str] | None = None):
+    store = VectorStore(len(vectors[0]))
     entries = []
     for i, vec in enumerate(vectors):
         src = (sources[i] if sources else f"void block{i}() {{ work({i}); }}\n")
@@ -75,7 +82,7 @@ def synthetic_store(vectors: list[EmbeddingVector], sources: list[str] | None = 
                 vec,
             )
         )
-    store.insert(entries)
+    insert_entries(store, entries)
     return store, entries
 
 
@@ -442,10 +449,8 @@ class TestQueryVectors:
         queries = QueryVectors(encoder, Memo())
         texts = ["int a = b;", "encoder.encode(raw)", "int a = b;"]
         got = queries(texts)
-        assert got[0] is got[2]
-        assert [v.values.tolist() for v in got] == [
-            encode_alone(t, encoder.dims).values.tolist() for t in texts
-        ]
+        assert got.shape == (3, encoder.dims)
+        assert [v.tobytes() for v in got] == [encode_alone(t, encoder.dims).tobytes() for t in texts]
 
 
 class CountingStore:
@@ -460,7 +465,7 @@ class CountingStore:
         return getattr(self.store, name)
 
     def search(self, query, k, tau, scope):
-        self.searches.append((query.values.tobytes(), scope))
+        self.searches.append((query.tobytes(), scope))
         return self.store.search(query, k, tau, scope)
 
 
@@ -579,7 +584,7 @@ class TestSeedScores:
         def forbidden(*args, **kwargs):
             raise AssertionError("analyze read a stored vector or took a dot product")
 
-        monkeypatch.setattr(EmbeddingVector, "dot", forbidden)
+        monkeypatch.setattr(store_module, "unit_rows", forbidden)  # a stored row's renormalization
         monkeypatch.setattr(VectorStore, "get", forbidden)
         monkeypatch.setattr(VectorStore, "entries", forbidden)
         got = analyze(guarded_store, encoder, TestSearchMemo.looping_gateway(), vuln, CFG, "p")

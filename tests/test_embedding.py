@@ -25,7 +25,6 @@ from vulnreach.embedding import (
 )
 from vulnreach.errors import EmptyText, ProviderError
 from vulnreach.gateway import RemoteChatProvider, RoleKind
-from vulnreach.model import EmbeddingVector
 
 # Pairwise cosines of the three fixture snippets below under the reference
 # encoder at dims=64, frozen from the first verified run.
@@ -316,7 +315,7 @@ class TestGroup:
         assert first.tolist() == [keys.tolist().index(key) for key in expected_distinct.tolist()]
 
 
-def encode(text: str, dims: int) -> EmbeddingVector:
+def encode(text: str, dims: int) -> np.ndarray:
     """One text through ``embed``, the path the program calls."""
     return embed(ReferenceEncoder(dims), [text])[0]
 
@@ -324,20 +323,20 @@ def encode(text: str, dims: int) -> EmbeddingVector:
 class TestReferenceEncode:
     def test_unit_norm(self):
         vec = encode("int x = 0;", 64)
-        assert math.isclose(math.sqrt(sum(v * v for v in vec.values)), 1.0, abs_tol=1e-9)
+        assert math.isclose(math.sqrt(sum(v * v for v in vec)), 1.0, abs_tol=1e-9)
 
     def test_deterministic(self):
-        assert encode("int x = 0;", 64) == encode("int x = 0;", 64)
+        assert encode("int x = 0;", 64).tobytes() == encode("int x = 0;", 64).tobytes()
 
     def test_whitespace_collapsed(self):
-        assert encode("int  x =\t0;   ", 64) == encode("int x = 0;", 64)
+        assert encode("int  x =\t0;   ", 64).tobytes() == encode("int x = 0;", 64).tobytes()
 
     def test_case_folded(self):
-        assert encode("Foo.BAR", 64) == encode("foo.bar", 64)
+        assert encode("Foo.BAR", 64).tobytes() == encode("foo.bar", 64).tobytes()
 
     def test_short_text_still_encodes(self):
         vec = encode("ab", 64)
-        assert math.isclose(math.sqrt(sum(v * v for v in vec.values)), 1.0, abs_tol=1e-9)
+        assert math.isclose(math.sqrt(sum(v * v for v in vec)), 1.0, abs_tol=1e-9)
 
     def test_blank_text_rejected(self):
         with pytest.raises(EmptyText):
@@ -380,14 +379,14 @@ class TestEmbed:
     def test_identical_calls_identical_vectors(self, encoder):
         first = embed(encoder, ["int x = 0;"])
         second = embed(encoder, ["int x = 0;"])
-        assert first == second
+        assert first.tobytes() == second.tobytes()
 
     def test_order_preserving_and_one_vector_per_text(self, encoder):
         texts = ["alpha();", "beta();", "gamma();"]
         vectors = embed(encoder, texts)
-        assert len(vectors) == 3
-        assert vectors[0] == embed(encoder, ["alpha();"])[0]
-        assert vectors[2] == embed(encoder, ["gamma();"])[0]
+        assert vectors.shape == (3, encoder.dims) and not vectors.flags.writeable
+        assert vectors[0].tobytes() == embed(encoder, ["alpha();"])[0].tobytes()
+        assert vectors[2].tobytes() == embed(encoder, ["gamma();"])[0].tobytes()
 
     def test_empty_list_rejected(self, encoder):
         with pytest.raises(EmptyText):
@@ -403,7 +402,7 @@ class TestEmbed:
         encoder = ReferenceEncoder(dims=64)
         base = {t: v for t, v in zip(perm, embed(encoder, list(perm)))}
         for text, vec in base.items():
-            assert embed(encoder, [text])[0] == vec
+            assert embed(encoder, [text])[0].tobytes() == vec.tobytes()
 
     def test_batching_respects_batch_limit(self):
         calls: list[int] = []
@@ -415,7 +414,7 @@ class TestEmbed:
 
             def encode_batch(self, texts):
                 calls.append(len(texts))
-                return [encode_alone(t, 64).values for t in texts]
+                return [encode_alone(t, 64) for t in texts]
 
         vectors = embed(CountingEncoder(), ["a();", "b();", "c();", "d();", "e();"])
         assert len(vectors) == 5
@@ -431,7 +430,7 @@ class TestEmbed:
                 return [[2.0, 0.0, 0.0, 0.0] for _ in texts]
 
         vec = embed(Denormalized(), ["x"])[0]
-        assert vec.values.tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert vec.tolist() == [1.0, 0.0, 0.0, 0.0]
 
     def test_retry_then_success(self, monkeypatch):
         sleeps: list[float] = []
@@ -447,7 +446,7 @@ class TestEmbed:
                 attempts["n"] += 1
                 if attempts["n"] < 3:
                     raise ProviderError("temporary", status=503)
-                return [encode_alone(t, 16).values for t in texts]
+                return [encode_alone(t, 16) for t in texts]
 
         vectors = embed(Flaky(), ["x();"])
         assert attempts["n"] == 3 and len(vectors) == 1 and sleeps == [0.5, 1.0]
@@ -514,7 +513,7 @@ class TestRetry:
                 self.calls += 1
                 if self.calls <= len(errors):
                     raise errors[self.calls - 1]
-                return [encode_alone(t, 16).values for t in texts]
+                return [encode_alone(t, 16) for t in texts]
 
         return Scripted()
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, FIXTURE_TAU, FIXTURE_THETA, CountingEncoder, write_toy_manifest
+from conftest import FIXTURES, FIXTURE_TAU, FIXTURE_THETA, CountingEncoder, entry_value, write_toy_manifest
 from vulnreach import evalharness
 from vulnreach import memo as memo_module
 from vulnreach import segmenter as segmenter_module
@@ -519,7 +519,7 @@ class TestBuildIndex:
         assert small.count() > large.count()
         for store, theta in ((small, 40), (large, 4000)):
             alone = build_index(root, Config(theta=theta, ignore_globs=()), encoder, Memo())
-            assert list(store.entries()) == list(alone.entries())
+            assert list(map(entry_value, store.entries())) == list(map(entry_value, alone.entries()))
         texts = counting.texts
         assert len(texts) == len(set(texts))
 
@@ -531,7 +531,7 @@ class TestBuildIndex:
         embedded = len(counting.texts)
         second = build_index(root, cfg, counting, memo)
         assert len(counting.texts) == embedded > 0
-        assert list(first.entries()) == list(second.entries())
+        assert list(map(entry_value, first.entries())) == list(map(entry_value, second.entries()))
 
     def test_failed_build_leaves_the_memo_whole(self, encoder, monkeypatch):
         # A build that dies part-way keeps only finished answers: the next
@@ -540,7 +540,7 @@ class TestBuildIndex:
         cfg = Config(theta=60, ignore_globs=())
         memo = Memo()
 
-        def crash(self, entries):
+        def crash(self, blocks, vectors):
             raise RuntimeError("simulated crash during insert")
 
         with monkeypatch.context() as patched:
@@ -549,7 +549,7 @@ class TestBuildIndex:
                 build_index(root, cfg, encoder, memo)
         full = build_index(root, cfg, encoder, Memo())
         rebuilt = build_index(root, cfg, encoder, memo)
-        assert list(rebuilt.entries()) == list(full.entries())
+        assert list(map(entry_value, rebuilt.entries())) == list(map(entry_value, full.entries()))
         assert rebuilt.count() > 0
 
     def test_whitespace_only_file_contributes_no_block(self, tmp_path: Path, encoder):

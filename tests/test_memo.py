@@ -4,6 +4,7 @@ here per provider, and otherwise through a gateway in
 test_gateway.TestChatGatewayMemo."""
 
 import hashlib
+import itertools
 import json
 import logging
 import os
@@ -19,17 +20,29 @@ from hypothesis import strategies as st
 
 from conftest import DIMS, CountingEncoder, encode_alone, torn_writes
 from vulnreach import memo as memo_module
-from vulnreach.embedding import ReferenceEncoder
+from vulnreach.embedding import ReferenceEncoder, unit_rows
 from vulnreach.gateway import RoleKind, ScriptedChatProvider
 from vulnreach.memo import Memo
-from vulnreach.model import Config, EmbeddingVector
+from vulnreach.model import Config
 from vulnreach.segmenter import segment_unit
 
 TEXTS = ["int a = b;", "encoder.encode(raw)", "return null;"]
 
 
 def fresh_bytes(texts, dims: int = DIMS) -> list[bytes]:
-    return [encode_alone(t, dims).values.tobytes() for t in texts]
+    return [encode_alone(t, dims).tobytes() for t in texts]
+
+
+class Drifting(ReferenceEncoder):
+    """The reference encoder with every computed row shifted by the number
+    of rows computed before it: no two computations of a text agree."""
+
+    def __init__(self, dims: int):
+        super().__init__(dims)
+        self.computed = itertools.count()
+
+    def encode_batch(self, texts):
+        return [row + next(self.computed) for row in super().encode_batch(texts)]
 
 
 class OtherModel(CountingEncoder):
@@ -54,8 +67,9 @@ class TestEmbeddingMemo:
         got = memo.embed(counting, [*TEXTS, TEXTS[0]])
         again = memo.embed(counting, TEXTS)
         assert counting.texts == TEXTS
-        assert got[0] is got[3] is again[0]
-        assert [v.values.tobytes() for v in got] == fresh_bytes([*TEXTS, TEXTS[0]])
+        assert got.shape == (4, DIMS) and not got.flags.writeable
+        assert got[0].tobytes() == got[3].tobytes() == again[0].tobytes()
+        assert [v.tobytes() for v in got] == fresh_bytes([*TEXTS, TEXTS[0]])
 
     @pytest.mark.parametrize("other", [CountingEncoder(64), OtherModel(DIMS)], ids=["dims", "model"])
     def test_another_fingerprint_gets_its_own_vectors(self, other):
@@ -68,7 +82,7 @@ class TestEmbeddingMemo:
     def test_concurrent_callers_all_get_the_kept_vector(self):
         threads, texts = 8, [f"call{k}();" for k in range(60)]
         memo = Memo()
-        encoder = ReferenceEncoder(DIMS)
+        encoder = Drifting(DIMS)  # each computation differs: only the kept one is returned
         start = threading.Barrier(threads, timeout=10)
         got: list[list] = [[] for _ in range(threads)]
 
@@ -90,7 +104,7 @@ class TestEmbeddingMemo:
         assert not any(worker.is_alive() for worker in workers)
         kept = memo.embed(encoder, texts)
         for mine in got:
-            assert all(a is b for a, b in zip(mine, kept, strict=True))
+            assert [a.tobytes() for a in mine] == [b.tobytes() for b in kept]
 
 
 class TestChatMemo:
@@ -136,7 +150,7 @@ class TestVectorCache:
         memo.load_vectors(tmp_path, counting)
         got = memo.embed(counting, TEXTS)
         assert counting.texts == []
-        assert [v.values.tobytes() for v in got] == fresh_bytes(TEXTS)
+        assert [v.tobytes() for v in got] == fresh_bytes(TEXTS)
 
     def test_only_new_vectors_rewrite_the_file(self, tmp_path: Path, monkeypatch):
         path = saved_cache(tmp_path)
@@ -170,7 +184,7 @@ class TestVectorCache:
         assert "another encoder" in caplog.text
         got = memo.embed(counting, TEXTS)
         assert counting.texts == TEXTS
-        assert [v.values.tobytes() for v in got] == fresh_bytes(TEXTS)
+        assert [v.tobytes() for v in got] == fresh_bytes(TEXTS)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -190,7 +204,28 @@ class TestVectorCache:
             memo.load_vectors(Path(tmp), counting)
             got = memo.embed(counting, TEXTS)
             assert counting.texts == TEXTS
-            assert [v.values.tobytes() for v in got] == fresh_bytes(TEXTS)
+            assert [v.tobytes() for v in got] == fresh_bytes(TEXTS)
+
+    @pytest.mark.parametrize(
+        "bad", [lambda row: 2.0 * row, lambda row: np.full_like(row, np.nan)], ids=["non-unit", "nan"]
+    )
+    def test_a_checksummed_file_with_a_bad_row_costs_re_embedding(self, tmp_path: Path, bad, caplog):
+        # The checksum vouches for the bytes, not the rows: the reader's own
+        # norm check must refuse a file written with one row gone wrong.
+        path = saved_cache(tmp_path)
+        fingerprint = memo_module.encoder_fingerprint(ReferenceEncoder(DIMS))
+        rows = dict(memo_module._decode(path.read_bytes(), fingerprint, DIMS))
+        first = next(iter(rows))
+        rows[first] = bad(rows[first])
+        path.write_bytes(whole_cache_file(fingerprint, DIMS, rows))
+        counting = CountingEncoder(DIMS)
+        memo = Memo()
+        with caplog.at_level(logging.WARNING, logger="vulnreach.memo"):
+            memo.load_vectors(tmp_path, counting)
+        assert "ignoring embedding cache" in caplog.text and "not 1.0" in caplog.text
+        got = memo.embed(counting, TEXTS)
+        assert counting.texts == TEXTS
+        assert [v.tobytes() for v in got] == fresh_bytes(TEXTS)
 
     @pytest.mark.parametrize("crash", [KeyboardInterrupt, OSError])
     def test_a_crash_before_the_rename_leaves_the_old_file(self, tmp_path: Path, monkeypatch, crash):
@@ -226,7 +261,7 @@ class TestVectorCache:
 def whole_cache_file(fingerprint: str, dims: int, vectors: dict) -> bytes:
     """The embedding cache file built whole as one bytes object: magic,
     header line, then the keys and rows.tobytes()."""
-    rows = np.array([v.values for v in vectors.values()], dtype="<f8").reshape(len(vectors), dims)
+    rows = np.array(list(vectors.values()), dtype="<f8").reshape(len(vectors), dims)
     body = b"".join(vectors) + rows.tobytes()
     header = {
         "fingerprint": fingerprint,
@@ -244,7 +279,7 @@ def _caches(draw):
     component = st.floats(-4.0, 4.0, allow_nan=False).filter(lambda v: v == 0 or abs(v) > 1e-3)
     vector = st.lists(component, min_size=dims, max_size=dims).filter(any)
     keys = draw(st.lists(st.binary(min_size=32, max_size=32), max_size=6, unique=True))
-    return dims, {key: EmbeddingVector.normalized(draw(vector)) for key in keys}
+    return dims, {key: unit_rows([draw(vector)])[0] for key in keys}
 
 
 class TestCacheWriter:
@@ -258,7 +293,10 @@ class TestCacheWriter:
             memo_module._write_atomic(path, memo_module._encode(fingerprint, dims, vectors))
             data = path.read_bytes()
         assert data == whole_cache_file(fingerprint, dims, vectors)
-        assert memo_module._decode(data, fingerprint, dims) == list(vectors.items())
+        decoded = memo_module._decode(data, fingerprint, dims)
+        assert [(key, row.tobytes()) for key, row in decoded] == [
+            (key, row.tobytes()) for key, row in vectors.items()
+        ]
 
 
 class TestChatKey:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import entry_dict, make_block
+from conftest import entry_dict, fsum_unit_row, make_block
+from vulnreach.embedding import checked_unit, unit_rows
 from vulnreach.evalharness import ConfusionMatrix
 from vulnreach.gateway import RoleKind, TranscriptEntry
 from vulnreach.model import (
@@ -15,7 +16,6 @@ from vulnreach.model import (
     CandidateJudgment,
     CodeBlock,
     Config,
-    EmbeddingVector,
     Judgment,
     MatchedBy,
     NodeKind,
@@ -109,18 +109,18 @@ class TestCodeBlock:
             make_block(line_start=5, line_end=4)
 
 
-class TestEmbeddingVector:
+class TestUnitRows:
     def test_normalized_has_unit_norm(self):
-        vec = EmbeddingVector.normalized([3.0, 4.0])
-        assert math.isclose(math.sqrt(sum(v * v for v in vec.values)), 1.0, abs_tol=1e-12)
+        (row,) = unit_rows([[3.0, 4.0]])
+        assert math.isclose(math.sqrt(sum(v * v for v in row)), 1.0, abs_tol=1e-12)
 
     def test_rejects_non_unit_values(self):
         with pytest.raises(ValueError):
-            EmbeddingVector(dims=2, values=(3.0, 4.0))
+            checked_unit(np.array([[3.0, 4.0]]))
 
     def test_rejects_zero_vector(self):
         with pytest.raises(ValueError):
-            EmbeddingVector.normalized([0.0, 0.0, 0.0])
+            unit_rows([[0.0, 0.0, 0.0]])
 
     @pytest.mark.parametrize(
         "values",
@@ -129,19 +129,23 @@ class TestEmbeddingVector:
     )
     def test_normalized_rejects_a_vector_without_a_finite_norm(self, values):
         with pytest.raises(ValueError, match="norm"):
-            EmbeddingVector.normalized(values)
+            unit_rows([values])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
     def test_rejects_non_finite_values(self, bad):
         # abs(nan - 1) > tolerance is False, so a NaN norm must fail by itself.
         with pytest.raises(ValueError, match="not 1.0"):
-            EmbeddingVector(dims=4, values=[bad] * 4)
+            checked_unit(np.array([[bad] * 4]))
         with pytest.raises(ValueError, match="not 1.0"):
-            EmbeddingVector(dims=2, values=[1.0, bad])
+            checked_unit(np.array([[0.6, 0.8], [1.0, bad]]))
 
     def test_dims_must_match_values(self):
         with pytest.raises(ValueError):
-            EmbeddingVector(dims=3, values=(1.0, 0.0))
+            unit_rows([[1.0, 0.0], [1.0]])
+
+    def test_an_unusable_row_is_named_by_its_position(self):
+        with pytest.raises(ValueError, match=r"^position 1: cannot normalize a zero vector$"):
+            unit_rows([[3.0, 4.0], [0.0, -0.0], [math.nan, 1.0]])
 
 
 def tuple_normalized(values) -> tuple[float, ...]:
@@ -152,10 +156,6 @@ def tuple_normalized(values) -> tuple[float, ...]:
     return tuple(float(v) / norm for v in values)
 
 
-def tuple_dot(a, b) -> float:
-    return math.fsum(x * y for x, y in zip(a, b))
-
-
 def bits(values) -> bytes:
     return np.asarray(values, dtype=np.float64).tobytes()
 
@@ -164,8 +164,19 @@ _COMPONENTS = st.one_of(
     st.just(0.0), st.floats(1e-6, 1e6), st.floats(-1e6, -1e-6), st.integers(-1000, 1000)
 )
 _RAW = st.lists(_COMPONENTS, min_size=1, max_size=40)
-_RAW_PAIRS = st.integers(1, 40).flatmap(
-    lambda n: st.tuples(*[st.lists(_COMPONENTS, min_size=n, max_size=n)] * 2)
+# Components from 1e-300 to 1e300 in magnitude, and zeros: one batch mixes
+# rows whose squares overflow, underflow or neither.
+_MIXED_COMPONENTS = st.one_of(
+    st.just(0.0),
+    st.builds(
+        lambda mantissa, exponent, sign: sign * mantissa * 10.0**exponent,
+        st.floats(1.0, 9.999),
+        st.integers(-300, 299),
+        st.sampled_from([1.0, -1.0]),
+    ),
+)
+_MIXED_BATCHES = st.integers(1, 12).flatmap(
+    lambda n: st.lists(st.lists(_MIXED_COMPONENTS, min_size=n, max_size=n), min_size=1, max_size=8)
 )
 
 
@@ -176,15 +187,15 @@ class TestVectorBitIdentity:
             expected = tuple_normalized(raw)
         except ValueError:
             with pytest.raises(ValueError):
-                EmbeddingVector.normalized(raw)
+                unit_rows([raw])
             return
-        for given_as in (raw, np.array(raw, dtype=np.float64)):
-            assert bits(EmbeddingVector.normalized(given_as).values) == bits(expected)
+        for given_as in ([raw], np.array([raw], dtype=np.float64)):
+            assert bits(unit_rows(given_as)[0]) == bits(expected)
         # Float32 rows, as an index stores them, widened the way the store does.
-        rows32 = np.array(raw, dtype=np.float32)
+        rows32 = np.array([raw], dtype=np.float32)
         if rows32.any():
-            assert bits(EmbeddingVector.normalized(rows32).values) == bits(
-                tuple_normalized(rows32.astype(np.float64).tolist())
+            assert bits(unit_rows(rows32)[0]) == bits(
+                tuple_normalized(rows32[0].astype(np.float64).tolist())
             )
 
     @given(_RAW, st.sampled_from([1e150, 1e200, 1e300, 1.7e308]))
@@ -195,44 +206,48 @@ class TestVectorBitIdentity:
         huge = values / np.abs(values).max() * peak  # finite, largest magnitude = peak
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no overflow warning escapes either
-            scaled = EmbeddingVector.normalized(huge)
-        assert np.allclose(scaled.values, EmbeddingVector.normalized(raw).values, rtol=0, atol=1e-12)
-        assert math.isclose(float(scaled.values @ scaled.values), 1.0, abs_tol=1e-12)
+            (scaled,) = unit_rows([huge])
+        assert np.allclose(scaled, unit_rows([raw])[0], rtol=0, atol=1e-12)
+        assert math.isclose(float(scaled @ scaled), 1.0, abs_tol=1e-12)
 
     def test_overflow_rescaling_is_exact_where_the_scale_is(self):
-        assert EmbeddingVector.normalized([3e200, 4e200]).values.tolist() == [0.6, 0.8]
+        assert unit_rows([[3e200, 4e200]]).tolist() == [[0.6, 0.8]]
         # fsum of finite squares can overflow as well: 4 * 1.69e308.
-        assert EmbeddingVector.normalized([1.3e154] * 4).values.tolist() == [0.5] * 4
+        assert unit_rows([[1.3e154] * 4]).tolist() == [[0.5] * 4]
 
     def test_a_row_whose_squares_underflow_keeps_its_direction(self):
         # Squares of 1e-170 underflow to 0.0; those of 3e-160 to subnormals,
         # whose sum is too coarse for a unit norm.
         for raw, direction in (([1e-170, 2e-170], [1.0, 2.0]), ([3e-160, 4e-160], [3.0, 4.0])):
-            vec = EmbeddingVector.normalized(raw)
-            assert np.allclose(vec.values, EmbeddingVector.normalized(direction).values, rtol=0, atol=1e-12)
-        assert EmbeddingVector.normalized([0.0, 5e-324]).values.tolist() == [0.0, 1.0]
+            (row,) = unit_rows([raw])
+            assert np.allclose(row, unit_rows([direction])[0], rtol=0, atol=1e-12)
+        assert unit_rows([[0.0, 5e-324]]).tolist() == [[0.0, 1.0]]
         with pytest.raises(ValueError, match="zero vector"):
-            EmbeddingVector.normalized([0.0, -0.0])
+            unit_rows([[0.0, -0.0]])
 
-    @given(_RAW_PAIRS)
-    def test_dot_matches_the_tuple_definition(self, pair):
-        a_raw, b_raw = pair
-        try:
-            a, b = tuple_normalized(a_raw), tuple_normalized(b_raw)
-        except ValueError:
-            return
-        va, vb = EmbeddingVector.normalized(a_raw), EmbeddingVector.normalized(b_raw)
-        assert bits([va.dot(vb)]) == bits([tuple_dot(a, b)])
-        assert bits([vb.dot(va)]) == bits([tuple_dot(b, a)])
+    @given(_MIXED_BATCHES)
+    def test_a_batch_equals_each_row_normalized_alone(self, batch):
+        expected = []
+        for position, row in enumerate(batch):
+            try:
+                expected.append(fsum_unit_row(row))
+            except ValueError:
+                with pytest.raises(ValueError, match=f"^position {position}: "):
+                    unit_rows(batch)
+                return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = unit_rows(batch)
+        assert bits(got) == bits(expected)
 
-    def test_values_are_read_only_and_equality_is_by_value(self):
-        vec = EmbeddingVector.normalized([3.0, 4.0])
+    def test_rows_are_read_only(self):
+        rows = unit_rows([[3.0, 4.0]])
         with pytest.raises(ValueError):
-            vec.values[0] = 1.0
-        assert vec == EmbeddingVector(dims=2, values=(0.6, 0.8))
-        assert vec != EmbeddingVector(dims=2, values=(0.8, 0.6))
-        assert hash(vec) == hash(EmbeddingVector.normalized([6.0, 8.0]))
-        assert vec.values.tolist() == [0.6, 0.8]
+            rows[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            rows[0][0] = 1.0
+        assert rows.tolist() == [[0.6, 0.8]]
+        assert bits(unit_rows([[6.0, 8.0]])) == bits(rows)
 
 
 class TestVulnSpec:

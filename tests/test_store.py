@@ -17,9 +17,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_block, torn_writes, write_index
+from conftest import entry_value, insert_entries, make_block, torn_writes, write_index
 from vulnreach.errors import DimsMismatch, DuplicateIdConflict, IndexFormatError
-from vulnreach.model import EmbeddingVector, NodeKind
+from vulnreach.embedding import unit_rows
+from vulnreach.model import NodeKind
 from vulnreach.store import _HEADER, EMPTY_SCOPE, ScopeFilter, StoreEntry, VectorStore
 
 DIMS = 16
@@ -28,17 +29,15 @@ CLASSES = ["Alpha", "Beta", "Gamma", None]
 METHODS = ["run", "parse", "close", None]
 
 
-def unit(values) -> EmbeddingVector:
-    return EmbeddingVector.normalized(list(values))
+def unit(values) -> np.ndarray:
+    return unit_rows([list(values)])[0]
 
 
-def axis(i: int, dims: int = DIMS) -> EmbeddingVector:
-    vals = [0.0] * dims
-    vals[i] = 1.0
-    return EmbeddingVector(dims=dims, values=tuple(vals))
+def axis(i: int, dims: int = DIMS) -> np.ndarray:
+    return np.eye(dims)[i]
 
 
-def entry(i: int, vector: EmbeddingVector, **kw) -> StoreEntry:
+def entry(i: int, vector: np.ndarray, **kw) -> StoreEntry:
     block = make_block(
         file_path=kw.get("file_path", f"src/f{i:03d}.java"),
         line_start=kw.get("line_start", 1 + i),
@@ -71,7 +70,7 @@ def random_store(rng: np.random.RandomState, n: int, dims: int = DIMS):
             )
         )
     store = VectorStore(dims)
-    store.insert(entries)
+    insert_entries(store, entries)
     return store, entries
 
 
@@ -85,15 +84,15 @@ def scope_matches(scope: ScopeFilter, block) -> bool:
     )
 
 
-def brute_force_search(entries, query: EmbeddingVector, k: int, tau: float, scope: ScopeFilter):
+def brute_force_search(entries, query: np.ndarray, k: int, tau: float, scope: ScopeFilter):
     """Independent oracle: plain-Python dot products and an explicit sort by
     the specified comparator."""
     hits = []
     for e in entries:
-        stored = [float(np.float32(v)) for v in e.vector.values]
+        stored = [float(np.float32(v)) for v in e.vector]
         norm = math.sqrt(sum(v * v for v in stored))
         stored = [v / norm for v in stored]
-        score = sum(a * b for a, b in zip(stored, query.values))
+        score = sum(a * b for a, b in zip(stored, query))
         if score >= tau and scope_matches(scope, e.block):
             hits.append((e.block.id, score, e.block.file_path, e.block.line_start))
     hits.sort(key=lambda h: (-h[1], h[2], h[3]))
@@ -106,7 +105,7 @@ class TestPersistence:
         write_index(path, DIMS, [entry(i, axis(i)) for i in range(3)])
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         store = VectorStore.open(path)
-        assert store.insert([entry(i, axis(i)) for i in range(3, 6)]) == 3
+        assert insert_entries(store, [entry(i, axis(i)) for i in range(3, 6)]) == 3
         assert store.count() == 6
         # Not a byte written, not even a temporary file.
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
@@ -115,20 +114,20 @@ class TestPersistence:
     def test_reinsert_conflicts_and_changes_nothing(self):
         store = VectorStore(DIMS)
         entries = [entry(i, axis(i)) for i in range(3)]
-        assert store.insert(entries) == 3
+        assert insert_entries(store, entries) == 3
         with pytest.raises(DuplicateIdConflict):
-            store.insert([entry(3, axis(3)), *entries])
+            insert_entries(store, [entry(3, axis(3)), *entries])
         assert store.count() == 3 and store.get(entries[0].block.id) is not None
         assert store.get(entry(3, axis(3)).block.id) is None
 
     @pytest.mark.parametrize("same_vector", [True, False])
     def test_an_id_given_twice_in_one_insert_conflicts_and_changes_nothing(self, same_vector):
         store = VectorStore(DIMS)
-        store.insert([entry(0, axis(0))])
+        insert_entries(store, [entry(0, axis(0))])
         first = entry(1, axis(1))
         twice = StoreEntry(first.block, axis(1) if same_vector else axis(2))
         with pytest.raises(DuplicateIdConflict):
-            store.insert([first, twice])
+            insert_entries(store, [first, twice])
         assert store.count() == 1 and store.get(first.block.id) is None
         assert [hit.block.id for hit, _ in store.search(axis(0), 5, 0.0)] == [entry(0, axis(0)).block.id]
 
@@ -141,14 +140,18 @@ class TestPersistence:
     def test_duplicate_id_with_different_vector_conflicts(self):
         store = VectorStore(DIMS)
         first = entry(0, axis(0))
-        store.insert([first])
+        insert_entries(store, [first])
         with pytest.raises(DuplicateIdConflict):
-            store.insert([StoreEntry(first.block, axis(1))])
+            insert_entries(store, [StoreEntry(first.block, axis(1))])
 
     def test_dims_mismatch_on_insert(self):
         store = VectorStore(64)
         with pytest.raises(DimsMismatch):
-            store.insert([entry(0, axis(0, dims=32))])
+            insert_entries(store, [entry(0, axis(0, dims=32))])
+        blocks = [entry(i, axis(i, dims=64)).block for i in range(2)]
+        with pytest.raises(DimsMismatch):
+            store.insert(blocks, [axis(0, dims=64)])  # one vector short
+        assert store.count() == 0
 
     def test_refuses_newer_format_version(self, tmp_path: Path):
         path = tmp_path / "idx.vrix"
@@ -175,7 +178,7 @@ class TestPersistence:
                 raise crash("killed before the rename")
             replace(src, dst)
 
-        store.insert([entry(3, axis(3))])
+        insert_entries(store, [entry(3, axis(3))])
         monkeypatch.setattr(os, "replace", crash_on_call)
         with pytest.raises(crash):
             store.save(path, encoder=None, theta=None)
@@ -224,8 +227,8 @@ class TestLazyBlocks:
         entries = [entry(i, unit(range(i, i + DIMS))) for i in range(5)]
         saved = write_index(tmp_path / "idx.vrix", DIMS, entries)
         opened = VectorStore.open(tmp_path / "idx.vrix")
-        assert list(opened.entries()) == list(saved.entries())
-        assert opened.get(entries[3].block.id) == saved.get(entries[3].block.id)
+        assert list(map(entry_value, opened.entries())) == list(map(entry_value, saved.entries()))
+        assert entry_value(opened.get(entries[3].block.id)) == entry_value(saved.get(entries[3].block.id))
 
     def test_resave_of_an_opened_store_writes_the_same_files(self, tmp_path: Path):
         path = tmp_path / "idx.vrix"
@@ -309,7 +312,7 @@ def odd_entries() -> list[StoreEntry]:
 def view(store: VectorStore) -> tuple[list, list]:
     """Everything a reader sees: every entry, and the hits of a search."""
     hits = store.search(unit([1.0] * DIMS), k=10, tau=0.0)
-    return list(store.entries()), [(e.block, score) for e, score in hits]
+    return list(map(entry_value, store.entries())), [(e.block, score) for e, score in hits]
 
 
 def crash_on_rename(monkeypatch, failing_call: int) -> None:
@@ -348,7 +351,7 @@ class TestIndexFormat:
 
     def test_save_records_where_and_how_the_index_was_built(self, tmp_path: Path):
         store = VectorStore(DIMS)
-        store.insert(odd_entries())
+        insert_entries(store, odd_entries())
         store.save(str(tmp_path / "idx.vrix"), encoder="enc", theta=7)
         assert (store.path, store.encoder, store.theta) == (tmp_path / "idx.vrix", "enc", 7)
         opened = VectorStore.open(store.path)
@@ -367,7 +370,7 @@ class TestIndexFormat:
         path = tmp_path / "idx.vrix"
         write_index(path, DIMS, entries[:3])
         store = VectorStore.open(path)
-        store.insert(entries[3:])
+        insert_entries(store, entries[3:])
         store.save(path, encoder=None, theta=None)
         assert [e.block for e in VectorStore.open(path).entries()] == [e.block for e in entries]
 
@@ -516,14 +519,14 @@ class TestSearch:
     def test_self_similarity_first_with_score_one(self):
         store = VectorStore(DIMS)
         target = unit(range(1, DIMS + 1))
-        store.insert([entry(0, target), entry(1, axis(0)), entry(2, axis(1))])
+        insert_entries(store, [entry(0, target), entry(1, axis(0)), entry(2, axis(1))])
         results = store.search(target, k=5, tau=0.0)
         assert results[0][0].block.id == entry(0, target).block.id
         assert results[0][1] == pytest.approx(1.0, abs=1e-6)
 
     def test_high_tau_filters_everything(self):
         store = VectorStore(DIMS)
-        store.insert([entry(0, axis(0)), entry(1, axis(1))])
+        insert_entries(store, [entry(0, axis(0)), entry(1, axis(1))])
         query = unit([1.0] * DIMS)
         assert store.search(query, k=5, tau=0.99) == []
 
@@ -552,7 +555,7 @@ class TestSearch:
 
     def test_query_dims_checked(self):
         store = VectorStore(DIMS)
-        store.insert([entry(0, axis(0))])
+        insert_entries(store, [entry(0, axis(0))])
         with pytest.raises(DimsMismatch):
             store.search(axis(0, dims=32), k=1, tau=0.0)
 
@@ -571,14 +574,14 @@ class TestSearch:
         # expression gives.
         rng = np.random.RandomState(rows * dims)
         store = VectorStore(dims)
-        store.insert([entry(i, unit(rng.randn(dims))) for i in range(rows)])
+        insert_entries(store, [entry(i, unit(rng.randn(dims))) for i in range(rows)])
         mat = store._vectors.astype(np.float64)
         matrix = mat / np.linalg.norm(mat, axis=1, keepdims=True)
         # Scored against each axis, a row reads back as its renormalized self.
-        basis = [axis(j, dims) for j in range(dims)]
+        basis = np.eye(dims)
         assert np.array_equal(store.row_scores(basis).T, matrix)
         query = unit(rng.randn(dims))
-        expected = (matrix * query.values).sum(axis=1)
+        expected = (matrix * query).sum(axis=1)
         assert store.row_scores(query).tobytes() == expected.tobytes()
         hits = store.search(query, k=rows, tau=0.0)
         assert len(hits) == int((expected >= 0.0).sum())
@@ -595,11 +598,11 @@ class TestSearch:
         query = unit(rng.randn(DIMS))
         before = store.search(query, k=5, tau=0.0)
         assert all(score < 0.99 for _, score in before)
-        store.insert([entry(70, query), entry(71, unit(-query.values))])
+        insert_entries(store, [entry(70, query), entry(71, unit(-query))])
         after = store.search(query, k=5, tau=0.0)
         assert [hit.row for hit, _ in after] == [70] + [hit.row for hit, _ in before[:4]]
         assert after[0][1] == store.row_scores(query, [70])[0] == pytest.approx(1.0)
-        assert store.search(unit(-query.values), k=1, tau=0.0)[0][0].row == 71
+        assert store.search(unit(-query), k=1, tau=0.0)[0][0].row == 71
 
     def test_matches_brute_force_oracle_on_random_stores(self):
         rng = np.random.RandomState(42)
@@ -628,10 +631,10 @@ class TestRowScores:
         rng = np.random.RandomState(rows * dims + 1)
         store = VectorStore(dims)
         raw = rng.randn(rows, dims)
-        store.insert([entry(i, unit(raw[i])) for i in range(rows)])
+        insert_entries(store, [entry(i, unit(raw[i])) for i in range(rows)])
         mat = store._vectors.astype(np.float64)
         query = unit(raw[0] + rng.randn(dims))  # near row 0, so the search has hits
-        expected = (mat / np.linalg.norm(mat, axis=1, keepdims=True) * query.values).sum(axis=1)
+        expected = (mat / np.linalg.norm(mat, axis=1, keepdims=True) * query).sum(axis=1)
         searched = {hit.row: score for hit, score in store.search(query, k=rows, tau=0.0)}
         subsets = [
             list(range(rows)),
@@ -666,7 +669,7 @@ class TestRowScores:
     def test_several_queries_score_as_each_alone(self):
         rng = np.random.RandomState(13)
         store, _ = random_store(rng, 150)
-        queries = [unit(rng.randn(DIMS)) for _ in range(3)]
+        queries = np.array([unit(rng.randn(DIMS)) for _ in range(3)])
         for rows in (slice(None), [149, 0, 64, 0], np.array([], dtype=np.intp)):
             scores = store.row_scores(queries, rows)
             assert scores.shape == (3, len(store.row_scores(queries[0], rows)))
@@ -675,7 +678,7 @@ class TestRowScores:
 
     def test_row_of_an_unknown_block_raises(self):
         store = VectorStore(DIMS)
-        store.insert([entry(0, axis(0))])
+        insert_entries(store, [entry(0, axis(0))])
         with pytest.raises(KeyError):
             store.row_of("no-such-block")
 
@@ -710,7 +713,7 @@ _HALVES = st.lists(st.sampled_from([0.5, -0.5]), min_size=4, max_size=4)
 _AXES = st.tuples(st.integers(0, 3), st.sampled_from([1.0, -1.0])).map(
     lambda a: [a[1] if i == a[0] else 0.0 for i in range(4)]
 )
-_EXACT_VECTORS = st.one_of(_HALVES, _AXES).map(lambda v: EmbeddingVector(4, tuple(v)))
+_EXACT_VECTORS = st.one_of(_HALVES, _AXES).map(np.array)
 _ROWS = st.lists(
     st.tuples(
         _EXACT_VECTORS,
@@ -762,7 +765,7 @@ class TestSearchOracleProperty:
         ]
         expected = brute_force_search(entries, query, k, tau, scope)
         in_memory = VectorStore(4)
-        in_memory.insert(entries)
+        insert_entries(in_memory, entries)
         with tempfile.TemporaryDirectory() as tmp:
             write_index(Path(tmp) / "idx.vrix", 4, entries)
             opened = VectorStore.open(Path(tmp) / "idx.vrix")
@@ -780,7 +783,7 @@ class TestSearchOracleProperty:
 
 
 def oracle_search(
-    store: VectorStore, query: EmbeddingVector, k: int, tau: float, scope: ScopeFilter
+    store: VectorStore, query: np.ndarray, k: int, tau: float, scope: ScopeFilter
 ):
     """``search`` by its definition: every row scored by ``row_scores``, then
     filtered and ordered by (-score, file_path, line_start, row). Each score
@@ -792,7 +795,7 @@ def oracle_search(
     return [(row, scores[row].hex()) for row in rows[:k]]
 
 
-def searched(store: VectorStore, query: EmbeddingVector, k: int, tau: float, scope: ScopeFilter):
+def searched(store: VectorStore, query: np.ndarray, k: int, tau: float, scope: ScopeFilter):
     return [(hit.row, score.hex()) for hit, score in store.search(query, k, tau, scope)]
 
 
@@ -891,7 +894,7 @@ class TestSearchIsExact:
         rng = np.random.RandomState(17)
         base = rng.randn(dims)
         store = VectorStore(dims)
-        store.insert([entry(i, unit(base + 1e-6 * rng.randn(dims))) for i in range(40)])
+        insert_entries(store, [entry(i, unit(base + 1e-6 * rng.randn(dims))) for i in range(40)])
         query = unit(base)
         scores = store.row_scores(query)
         tau = float(np.median(scores))
@@ -934,7 +937,7 @@ def whole_index_files(
     vectors, whatever their norms and values."""
     sources = [e.block.source.encode("utf-8", "surrogatepass") for e in entries]
     if vectors is None:
-        vectors = np.array([e.vector.values for e in entries]).reshape(len(entries), dims)
+        vectors = np.array([e.vector for e in entries]).reshape(len(entries), dims)
     vectors = vectors.astype("<f4")
     body = vectors.tobytes() + b"".join(sources)
     columns = {
@@ -971,7 +974,7 @@ def _stores(draw):
     entries = [
         StoreEntry(
             make_block(line_start=1 + i, line_end=1 + i, source=source, size=i),
-            EmbeddingVector.normalized(values),
+            unit(values),
         )
         for i, (values, source) in enumerate(rows)
     ]
@@ -990,7 +993,7 @@ class TestWriter:
             path = Path(tmp) / "idx.vrix"
             saved = write_index(path, dims, entries[:split], encoder=encoder, theta=60)
             target = VectorStore.open(path) if reopen else saved
-            target.insert(entries[split:])
+            insert_entries(target, entries[split:])
             target.save(path, encoder=encoder, theta=60)
             files = path.read_bytes(), path.with_name("idx.vrix.meta.json").read_bytes()
         assert files == whole_index_files(dims, entries, encoder, 60)
