@@ -6,27 +6,27 @@ constructor, initializer and nested-type members inside type bodies.
 Statement-level structure is never modeled; bodies are consumed by bracket
 balancing with full string/comment awareness, so arbitrary (including
 syntactically broken) content inside bodies cannot derail the scan. One
-regular-expression scan finds a file's tokens, and one loop over its
-matches records each token's text and start line, matches brackets on
-their texts and gathers comment runs; line breaks are counted only in the
-tokens that can hold them, and a ``Token`` is built only for the few the
-parser reads. Open type bodies wait on an explicit stack, so a file of any
-nesting depth takes the one parse path.
+regular-expression search per file finds only its comments, literals and
+brackets, and pairs the brackets on one stack. The parser's cursor is a
+source offset: a token, and the comment run before it, is scanned only when
+the parser reads it, and from an opener the cursor jumps past its closer, so
+a consumed body is never tokenized. Open type bodies wait on an explicit
+stack, so a file of any nesting depth takes the one parse path.
 
 Anything that cannot be recognized is captured as an ``error`` node that
 still carries an exact line span. Downstream segmentation turns error nodes
 into ordinary blocks, which keeps the line-coverage invariant intact on
 real-world corpora containing unparseable files.
 """
-
 from __future__ import annotations
 
 import re
 import string
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .tokenizer import DEFAULT_TOKENIZER
 
@@ -51,27 +51,28 @@ MODIFIERS = frozenset(
 TYPE_KEYWORDS = frozenset({"class", "interface", "enum", "record"})
 
 _OPENERS = frozenset("({[")
-_CLOSERS = frozenset(")}]")
 
 # The line model (JLS 3.4): a line ends at LF, CRLF or a lone CR.
 _LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
 
-# Every token of a file, in order: comments, text blocks, string and char
+# The tokens that can span lines: comments, text blocks, and string and char
 # literals (ending at their quote, an unescaped line terminator or end of
-# input; a backslash escapes one character, CRLF as one), identifiers,
-# numbers, runs of line terminators (read only to count lines), and any other
-# character but a blank (space, tab, FF, VT) as punctuation. Each match
-# consumes the blank run before its token, so blanks are not tried one by
-# one; at the end of input the token is empty. No alternative can fail once
-# its loop stops, so the scan never backtracks.
-_TOKEN = re.compile(
-    r"""
-    [ \t\f\v]*
-    ( //[^\r\n]*
+# input; a backslash escapes one character, CRLF as one). No alternative can
+# fail once its loop stops, so no scan backtracks.
+_SPANNING = r"""
+      //[^\r\n]*
     | /\*[^*]*(?:\*+(?!/)[^*]*)*(?:\*/)?
     | \"\"\"[^"\\]*(?:(?:\\.|"(?!""))[^"\\]*)*(?:\"\"\"|\\?\Z)
     | "[^"\\\r\n]*(?:\\(?:\r\n|.)?[^"\\\r\n]*)*"?
     | '[^'\\\r\n]*(?:\\(?:\r\n|.)?[^'\\\r\n]*)*'?
+"""
+# One token: a spanning one, an identifier, a number, a run of line
+# terminators (read only to be skipped), or any other character but a blank
+# (space, tab, FF, VT) as punctuation. Each match consumes the blank run
+# before its token, so blanks are not tried one by one; at the end of input
+# the token is empty.
+_TOKEN = re.compile(
+    r"[ \t\f\v]* (" + _SPANNING + r"""
     | [A-Za-z_$][A-Za-z0-9_$]*
     | [0-9][A-Za-z0-9_$.]*
     | [\r\n]+
@@ -80,20 +81,16 @@ _TOKEN = re.compile(
     )""",
     re.DOTALL | re.VERBOSE,
 )
+# A file's structure: its spanning tokens and its brackets. No other token
+# holds a quote, a slash or a bracket, so each one this search meets starts a
+# token, exactly as in a scan from the start of the file. Every alternative
+# starts with a literal character, so the search skips ahead to the next such
+# character without trying each alternative at every position.
+_STRUCTURE = re.compile(r"\( | \{ | \[ | \) | \} | \] |" + _SPANNING, re.DOTALL | re.VERBOSE)
 # A token's kind by its first character, else punctuation. Comments and
 # literals are the only tokens that can span lines; "/" alone is punctuation.
 _KIND = dict.fromkeys(string.ascii_letters + "_$", "ident") | dict.fromkeys(string.digits, "number")
 _SPANNING_KIND = {'"': "string", "'": "char", "/": "comment"}
-# What the parser's set-up does with a token, by its first character: count
-# the lines of a line-terminator run (or of the empty match at end of input),
-# count those a comment or literal spans, or pair a bracket (punctuation is
-# one character). Any other token only takes the next position.
-_ROLE = (
-    dict.fromkeys(["", "\r", "\n"], "break")
-    | dict.fromkeys(_SPANNING_KIND, "span")
-    | dict.fromkeys(_OPENERS, "open")
-    | dict.fromkeys(_CLOSERS, "close")
-)
 
 
 class Token(NamedTuple):
@@ -105,34 +102,28 @@ class Token(NamedTuple):
     line_end: int
 
 
-def _line_breaks(text: str) -> int:
-    """Line terminators in ``text``: LF, CRLF or a lone CR (JLS 3.4)."""
-    return text.count("\n") + text.count("\r") - text.count("\r\n")
-
-
-class _Tokens:
-    """The tokens at positions ``order`` of one scan, each built when read."""
-
-    def __init__(self, texts: list[str], lines: list[int], order: Sequence[int]):
-        self._texts, self._lines, self._order = texts, lines, order
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def __getitem__(self, i: int) -> Token:
-        k = self._order[i]
-        text, line = self._texts[k], self._lines[k]
-        lead = text[0]
-        if lead in _SPANNING_KIND and text != "/":
-            return Token(_SPANNING_KIND[lead], text, line, line + _line_breaks(text))
-        return Token(_KIND.get(lead, "punct"), text, line, line)
+def _token(text: str, line: int) -> Token:
+    """The token of ``text``, starting on ``line``; lines end at LF, CRLF or a
+    lone CR (JLS 3.4)."""
+    lead = text[0]
+    if lead in _SPANNING_KIND and text != "/":
+        breaks = text.count("\n") + text.count("\r") - text.count("\r\n")
+        return Token(_SPANNING_KIND[lead], text, line, line + breaks)
+    return Token(_KIND.get(lead, "punct"), text, line, line)
 
 
 def lex(source: str) -> list[Token]:
     """Tokenize Java source, keeping comments as tokens (needed for
     attaching leading comment runs to declarations). Lines end at LF, CRLF
     or a lone CR, as in :attr:`CompilationUnit.lines`."""
-    return list(_Parser(source).tokens)
+    parser = _Parser(source)
+    tokens: list[Token] = []
+    while True:
+        tok, parser.pos, comments = parser._scan(parser.pos)
+        tokens += comments
+        if tok is None:
+            return tokens
+        tokens.append(tok)
 
 
 @dataclass
@@ -214,65 +205,79 @@ class CompilationUnit:
 
 
 class _Parser:
+    """The grammar, over a cursor whose positions are source offsets.
+
+    The cursor sits where the last consumed token ends. A significant token,
+    and the comment run before it, is scanned from there with
+    ``_TOKEN.match`` only when the parser peeks at it, and kept. From an
+    opener the cursor jumps to the end of the closer the file's
+    ``_STRUCTURE`` search paired with it, so a consumed body is never
+    tokenized. Every scan starts at the end of a token of a scan from the
+    start of the file, or at one of its brackets, so each token read is that
+    scan's.
+    """
+
     def __init__(self, source: str):
-        # One loop over the scan records each token's text and start line,
-        # the significant tokens the cursor walks (``sig``), each opener's
-        # partner (``_closer``) and the comment run directly before each
-        # significant token that has one (``_comments``). All brackets nest on
-        # one stack, so lambdas and anonymous classes inside argument lists
-        # balance; an opener left open at end of input has no entry.
-        texts: list[str] = []
-        lines: list[int] = []
-        order: list[int] = []
-        comments: dict[int, list[Token]] = {}
-        closer: dict[int, int] = {}
+        self.source = source
+        self.lines: list[str] = _LINE.findall(source)
+        self._line_starts = list(accumulate(map(len, self.lines), initial=0))
+        # All brackets nest on one stack, so lambdas and anonymous classes
+        # inside argument lists balance; an opener left open at end of input
+        # has no partner.
+        self._closer: dict[int, int] = {}
         stack: list[int] = []
-        add_text, add_line, add_sig = texts.append, lines.append, order.append
-        line = 1
-        for text in _TOKEN.findall(source):
-            role = _ROLE.get(text[:1])
-            if role is None:
-                add_sig(len(texts))
-                add_text(text)
-                add_line(line)
-            elif role == "break":
-                line += _line_breaks(text) if "\r" in text else len(text)
-            elif role == "span" and text != "/":  # a comment or a literal
-                end = line + _line_breaks(text)
-                if text[0] == "/":
-                    comments.setdefault(len(order), []).append(Token("comment", text, line, end))
-                else:
-                    add_sig(len(texts))
-                add_text(text)
-                add_line(line)
-                line = end
-            else:  # a bracket, or "/" alone
-                if role == "open":
-                    stack.append(len(order))
-                elif role == "close" and stack:
-                    closer[stack.pop()] = len(order)
-                add_sig(len(texts))
-                add_text(text)
-                add_line(line)
-        self.tokens = _Tokens(texts, lines, range(len(texts)))
-        self.sig = _Tokens(texts, lines, order)
-        self._comments = comments
-        self._closer = closer
+        self._last_span: re.Match[str] | None = None
+        for match in _STRUCTURE.finditer(source):
+            at = match.start()
+            if source[at] in "({[":
+                stack.append(at)
+            elif source[at] not in ")}]":
+                self._last_span = match
+            elif stack:
+                self._closer[stack.pop()] = at
+        self._scanned: dict[int, tuple[Token | None, int, list[Token]]] = {}
         self.pos = 0
 
     # -- token access -------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> Token | None:
+    def _scan(self, pos: int) -> tuple[Token | None, int, list[Token]]:
+        """The first significant token from offset ``pos`` (None at end of
+        input), the offset where it ends, and the comments before it."""
+        scanned = self._scanned.get(pos)
+        if scanned is None:
+            comments: list[Token] = []
+            end = pos
+            while text := (match := _TOKEN.match(self.source, end))[1]:
+                end = match.end()
+                if text[0] in "\r\n":
+                    continue
+                tok = _token(text, bisect_right(self._line_starts, match.start(1)))
+                if tok.kind != "comment":
+                    break
+                comments.append(tok)
+            else:
+                tok = None
+            scanned = self._scanned[pos] = (tok, end, comments)
+        return scanned
+
+    def _peek(self) -> Token | None:
         """Next significant token (skipping comments), without consuming."""
-        idx = self.pos + offset
-        return self.sig[idx] if idx < len(self.sig) else None
+        return self._scan(self.pos)[0]
 
     def _next(self) -> Token | None:
         """Consume and return the next significant token."""
-        if self.pos >= len(self.sig):
-            return None
-        self.pos += 1
-        return self.sig[self.pos - 1]
+        tok, self.pos, _ = self._scan(self.pos)
+        return tok
+
+    @cached_property
+    def _end_line(self) -> int:
+        """The line the file's last token ends on: that of its last
+        character that is no blank or line terminator, or a later one where
+        the last comment or literal ends in a line terminator."""
+        end = bisect_right(self._line_starts, len(self.source.rstrip(" \t\f\v\r\n")) - 1)
+        if (span := self._last_span) is not None:
+            end = max(end, _token(span[0], bisect_right(self._line_starts, span.start())).line_end)
+        return end
 
     def _decl_start(self) -> int:
         """First line of the declaration at the cursor: the line where the
@@ -281,11 +286,12 @@ class _Parser:
         A run attaches when each comment ends on the line directly above the
         next element (javadoc style); a blank line breaks it.
         """
-        anchor = self.sig[self.pos].line_start
-        for tok in reversed(self._comments.get(self.pos, ())):
-            if anchor - tok.line_end > 1:
+        tok, _, comments = self._scan(self.pos)
+        anchor = tok.line_start
+        for comment in reversed(comments):
+            if anchor - comment.line_end > 1:
                 break
-            anchor = tok.line_start
+            anchor = comment.line_start
         return anchor
 
     # -- balanced consumption ------------------------------------------
@@ -300,10 +306,10 @@ class _Parser:
             return opener
         closer = self._closer.get(self.pos - 1)
         if closer is None:
-            self.pos = len(self.sig)
+            self.pos = len(self.source)
             return None
-        self.pos = closer + 1
-        return self.sig[closer]
+        self.pos = closer
+        return self._next()
 
     def _consume_to_semicolon(self) -> Token | None:
         """Consume until a ';' at bracket depth zero. Returns that token or
@@ -318,7 +324,7 @@ class _Parser:
                 if last is None:
                     return None
                 continue
-            self.pos += 1
+            self._next()
             last = tok
             if tok.kind == "punct" and tok.text == ";":
                 return tok
@@ -328,73 +334,67 @@ class _Parser:
     def _scan_decl_head(self) -> tuple[str | None, int]:
         """Look ahead past annotations/modifiers/type parameters.
 
-        Returns (type_keyword or None, significant-token offset of that
-        keyword, or of the first token that is none of these). Does not
-        consume anything.
+        Returns (type_keyword or None, the cursor offset before that
+        keyword, or before the first token that is none of these). Does not
+        consume anything: the walk keeps its own offset.
         """
-        offset = 0
+        at = self.pos
         while True:
-            tok = self._peek(offset)
+            tok, end, _ = self._scan(at)
             if tok is None:
-                return None, offset
+                return None, at
             if tok.kind == "punct" and tok.text == "@":
-                nxt = self._peek(offset + 1)
+                nxt = self._scan(end)[0]
                 if nxt is not None and nxt.kind == "ident" and nxt.text == "interface":
-                    return "@interface", offset
+                    return "@interface", at
                 # Annotation: @ Qualified.Name ( ... )?
-                offset += 1
+                at = end
                 while True:
-                    name_tok = self._peek(offset)
+                    name_tok, end, _ = self._scan(at)
                     if name_tok is None or name_tok.kind != "ident":
                         break
-                    offset += 1
-                    dot = self._peek(offset)
+                    at = end
+                    dot, end, _ = self._scan(at)
                     if dot is not None and dot.kind == "punct" and dot.text == ".":
-                        offset += 1
+                        at = end
                         continue
                     break
-                paren = self._peek(offset)
+                paren, end, _ = self._scan(at)
                 if paren is not None and paren.kind == "punct" and paren.text == "(":
-                    closer = self._closer.get(self.pos + offset)
+                    closer = self._closer.get(end - 1)
                     if closer is None:
-                        return None, len(self.sig) - self.pos
-                    offset = closer - self.pos + 1
+                        return None, len(self.source)
+                    at = closer + 1
                 continue
             if tok.kind == "ident":
                 if tok.text in MODIFIERS:
-                    offset += 1
+                    at = end
                     continue
                 if tok.text == "non":
-                    dash = self._peek(offset + 1)
-                    sealed = self._peek(offset + 2)
-                    if (
-                        dash is not None
-                        and dash.kind == "punct"
-                        and dash.text == "-"
-                        and sealed is not None
-                        and sealed.text == "sealed"
-                    ):
-                        offset += 3
+                    dash, after, _ = self._scan(end)
+                    sealed, after, _ = self._scan(after)
+                    if dash is not None and dash.text == "-" and sealed is not None and sealed.text == "sealed":
+                        at = after
                         continue
                 if tok.text in TYPE_KEYWORDS:
-                    return tok.text, offset
-                return None, offset
+                    return tok.text, at
+                return None, at
             if tok.kind == "punct" and tok.text == "<":
                 depth = 0
                 while True:
-                    tok2 = self._peek(offset)
+                    tok2, end, _ = self._scan(at)
                     if tok2 is None:
-                        return None, offset
+                        return None, at
                     if tok2.kind == "punct":
                         if tok2.text == "<":
                             depth += 1
                         elif tok2.text == ">":
                             depth -= 1
-                    offset += 1
+                    at = end
                     if depth == 0:
                         break
                 continue
-            return None, offset
+            return None, at
 
     # -- grammar ----------------------------------------------------------
 
@@ -406,11 +406,11 @@ class _Parser:
         open_types: list[JavaNode] = []
         while (tok := self._peek()) is not None:
             if tok.kind == "punct" and tok.text == ";":
-                self.pos += 1  # stray semicolon: residue
+                self._next()  # stray semicolon: residue
                 continue
             if open_types:
                 if tok.kind == "punct" and tok.text == "}":
-                    self.pos += 1
+                    self._next()
                     open_types.pop().line_end = tok.line_end
                     continue
                 top = open_types[-1]
@@ -420,49 +420,49 @@ class _Parser:
                 node = self._parse_simple(tok.text)
                 nodes.append(node)
             else:
-                keyword, offset = self._scan_decl_head()
+                keyword, at = self._scan_decl_head()
                 if keyword is None:
                     node = self._recover_error()
                 else:
-                    node = self._parse_type_decl(self._decl_start(), keyword, offset)
+                    node = self._parse_type_decl(self._decl_start(), keyword, at)
                 nodes.append(node)
             if node.line_end == 0:  # a type whose body is open
                 open_types.append(node)
         for node in open_types:  # input ended inside these bodies
-            node.line_end = self.tokens[-1].line_end
+            node.line_end = self._end_line
             node.malformed = True
         return nodes
 
     def _parse_simple(self, kind: str) -> JavaNode:
         start = self._decl_start()
-        self.pos += 1  # keyword
+        self._next()  # keyword
         name_parts: list[str] = []
         tok = self._peek()
         while tok is not None and not (tok.kind == "punct" and tok.text == ";"):
             if tok.kind in ("ident", "punct"):
                 name_parts.append(tok.text)
-            self.pos += 1
+            self._next()
             tok = self._peek()
         if tok is not None:
-            self.pos += 1  # the ';'
-            last = tok
-        else:
-            last = self.tokens[-1]
+            self._next()  # the ';'
         return JavaNode(
             kind=kind,
             line_start=start,
-            line_end=last.line_end,
+            line_end=self._end_line if tok is None else tok.line_end,
             name="".join(name_parts) or None,
             malformed=tok is None,
         )
 
-    def _parse_type_decl(self, start: int, keyword: str, offset: int) -> JavaNode:
+    def _parse_type_decl(self, start: int, keyword: str, at: int) -> JavaNode:
         """Parse the head of a type declaration whose keyword
-        ``_scan_decl_head`` found ``offset`` significant tokens past the
-        cursor, up to its body's ``{`` and an enum's constants. A type whose
-        body opens is returned with ``line_end`` 0, for ``parse_unit`` to
-        parse its members and closing brace."""
-        self.pos += offset + (2 if keyword == "@interface" else 1)
+        ``_scan_decl_head`` found at cursor offset ``at``, up to its body's
+        ``{`` and an enum's constants. A type whose body opens is returned
+        with ``line_end`` 0, for ``parse_unit`` to parse its members and
+        closing brace."""
+        self.pos = at
+        self._next()
+        if keyword == "@interface":
+            self._next()
         name_tok = self._peek()
         name = name_tok.text if name_tok is not None and name_tok.kind == "ident" else None
         # Header: everything before the body brace (extends/implements/record
@@ -483,7 +483,7 @@ class _Parser:
             if tok.kind == "punct" and tok.text == "(":
                 last = self._consume_balanced()
                 if last is None:
-                    return JavaNode("error", start, self.tokens[-1].line_end, name=name, malformed=True)
+                    return JavaNode("error", start, self._end_line, name=name, malformed=True)
                 continue
             if tok.kind == "punct" and tok.text == ";":
                 # Degenerate declaration without a body.
@@ -513,7 +513,7 @@ class _Parser:
             if tok.kind == "punct" and tok.text == "}":
                 return JavaNode("enum_constants", start, last.line_end)
             if tok.kind == "punct" and tok.text == ";":
-                self.pos += 1
+                self._next()
                 return JavaNode("enum_constants", start, tok.line_end)
             if tok.kind == "punct" and tok.text in _OPENERS:
                 closed = self._consume_balanced()
@@ -521,7 +521,7 @@ class _Parser:
                     return JavaNode("enum_constants", start, last.line_end, malformed=True)
                 last = closed
                 continue
-            self.pos += 1
+            self._next()
             last = tok
 
     def _parse_member(self, enclosing_name: str | None) -> JavaNode:
@@ -530,19 +530,19 @@ class _Parser:
         start = self._decl_start()
 
         if first.kind == "ident" and first.text == "static":
-            nxt = self._peek(1)
+            nxt = self._scan(self._scan(self.pos)[1])[0]
             if nxt is not None and nxt.kind == "punct" and nxt.text == "{":
                 self._next()  # 'static'
                 first = nxt
         if first.kind == "punct" and first.text == "{":
             closing = self._consume_balanced()
-            end = closing.line_end if closing is not None else self.tokens[-1].line_end
+            end = closing.line_end if closing is not None else self._end_line
             return JavaNode("initializer", start, end, malformed=closing is None)
 
-        keyword, offset = self._scan_decl_head()
+        keyword, at = self._scan_decl_head()
         if keyword is not None:
-            return self._parse_type_decl(start, keyword, offset)
-        self.pos += offset
+            return self._parse_type_decl(start, keyword, at)
+        self.pos = at
         return self._parse_field_or_callable(start, enclosing_name)
 
     def _parse_field_or_callable(self, start: int, enclosing_name: str | None) -> JavaNode:
@@ -552,7 +552,7 @@ class _Parser:
         while True:
             tok = self._peek()
             if tok is None:
-                last_line = sig[-1].line_end if sig else self.tokens[-1].line_end
+                last_line = sig[-1].line_end if sig else self._end_line
                 return JavaNode("error", start, max(last_line, start), malformed=True)
             if tok.kind == "punct" and tok.text == "(":
                 return self._finish_callable(start, sig, enclosing_name)
@@ -561,7 +561,7 @@ class _Parser:
             if tok.kind == "punct" and tok.text == "{":
                 name = sig[-1].text if sig and sig[-1].kind == "ident" else None
                 closing = self._consume_balanced()
-                end = closing.line_end if closing is not None else self.tokens[-1].line_end
+                end = closing.line_end if closing is not None else self._end_line
                 if name is not None and name == enclosing_name:
                     return JavaNode("constructor", start, end, name=name, malformed=closing is None)
                 return JavaNode("error", start, end, malformed=True)
@@ -570,7 +570,7 @@ class _Parser:
                 # without consuming the brace (it closes the enclosing type).
                 last_line = sig[-1].line_end if sig else start
                 return JavaNode("error", start, max(last_line, start), malformed=True)
-            self.pos += 1
+            self._next()
             sig.append(tok)
     def _finish_callable(self, start: int, sig: list[Token], enclosing_name: str | None) -> JavaNode:
         name = sig[-1].text if sig and sig[-1].kind == "ident" else None
@@ -578,7 +578,7 @@ class _Parser:
         is_constructor = len(idents) == 1 and name is not None and name == enclosing_name
         params_close = self._consume_balanced()
         if params_close is None:
-            return JavaNode("error", start, self.tokens[-1].line_end, name=name, malformed=True)
+            return JavaNode("error", start, self._end_line, name=name, malformed=True)
         last = params_close
         while True:
             tok = self._peek()
@@ -590,14 +590,14 @@ class _Parser:
                     return JavaNode(
                         "constructor" if is_constructor else "method",
                         start,
-                        self.tokens[-1].line_end,
+                        self._end_line,
                         name=name,
                         malformed=True,
                     )
                 last = closing
                 break
             if tok.kind == "punct" and tok.text == ";":
-                self.pos += 1
+                self._next()
                 last = tok
                 break
             if tok.kind == "punct" and tok.text == "}":
@@ -608,10 +608,10 @@ class _Parser:
                 # Annotation-member default values and throws generics.
                 closed = self._consume_balanced()
                 if closed is None:
-                    return JavaNode("error", start, self.tokens[-1].line_end, name=name, malformed=True)
+                    return JavaNode("error", start, self._end_line, name=name, malformed=True)
                 last = closed
                 continue
-            self.pos += 1
+            self._next()
             last = tok
         return JavaNode(
             "constructor" if is_constructor else "method",
@@ -628,7 +628,7 @@ class _Parser:
                 break
         last = self._consume_to_semicolon()
         if last is None:
-            return JavaNode("error", start, self.tokens[-1].line_end, name=name, malformed=True)
+            return JavaNode("error", start, self._end_line, name=name, malformed=True)
         return JavaNode("field", start, last.line_end, name=name)
 
     def _recover_error(self) -> JavaNode:
@@ -637,30 +637,28 @@ class _Parser:
         ``parse_unit``; a bracketed run is taken whole. A head scan that finds
         no type keyword is not repeated inside the tokens it passed over, so
         recovery stays linear in the tokens."""
-        start = self._decl_start()
-        last: Token | None = None
-        next_scan = self.pos + 1  # parse_unit found no head at the cursor
+        start = end = self._decl_start()
+        next_scan = self._scan(self.pos)[1]  # parse_unit found no head at the cursor
         while True:
-            tok = self._peek()
+            tok, after, _ = self._scan(self.pos)
             if tok is None:
                 break
             if self.pos >= next_scan:
-                keyword, offset = self._scan_decl_head()
+                keyword, at = self._scan_decl_head()
                 if keyword is not None:
                     break
-                next_scan = self.pos + max(offset, 1)
+                next_scan = max(at, after)
             if tok.kind == "punct" and tok.text in _OPENERS:
                 closed = self._consume_balanced()
                 if closed is None:
-                    last = self.tokens[-1]
+                    end = self._end_line
                     break
-                last = closed
+                end = closed.line_end
                 continue
-            self.pos += 1
-            last = tok
+            self.pos = after
+            end = tok.line_end
             if tok.kind == "punct" and tok.text == ";":
                 break
-        end = last.line_end if last is not None else start
         return JavaNode("error", start, max(end, start), malformed=True)
 
 
@@ -670,8 +668,8 @@ def parse_source(file_path: str, source: str) -> list[CompilationUnit]:
     Never raises: recoverable trouble surfaces as error nodes. Nesting
     depth is bounded by memory alone, as no step recurses.
     """
-    nodes = _Parser(source).parse_unit()
-    unit = CompilationUnit(file_path=file_path, lines=_LINE.findall(source), nodes=nodes)
+    parser = _Parser(source)
+    unit = CompilationUnit(file_path=file_path, lines=parser.lines, nodes=parser.parse_unit())
     _clamp_spans(unit)
     return [unit]
 

@@ -72,6 +72,73 @@ def content_digest(path: Path) -> str:
     return acc.hexdigest()
 
 
+# sha256 of the index file and of its sidecar that ``vulnreach index`` writes
+# for each fixture project at theta 5, 60 and 2500. A change that claims to
+# keep index output must keep these.
+INDEX_BYTES = {
+    ("guarded_app", 5): (
+        "f5ee9a121a8dbd47483ad6514dcf0736488d559f565e3785c2ad1a8decd974b0",
+        "ae5bb323b51575538dc84b0eb091237e763de2523bc4f4ff541fe366ac3fa82e",
+    ),
+    ("guarded_app", 60): (
+        "5cada0d6b0921f0cda7edcc575f3432a4860e5b630f1e44721c1740e59e2d5c0",
+        "5bc48a1550c7224527305e7834dcc72befa806183da3bc682229bab4f3f67c98",
+    ),
+    ("guarded_app", 2500): (
+        "098fdd3714f2e98939b948dd37fe323d59915dae31de62a76b0fcf15cd2807f8",
+        "33382251d5aa3b97e96d3483769ab275c61dc5119007bef752ecdc1f370d2a08",
+    ),
+    ("legacy_app", 5): (
+        "2d86a30a3de6c35fbb0f86845975df64d2e67dcfc165572e44cf089beb8b060d",
+        "495cb7824bf3e16a4a0adb7ec505e522597e5f27d30d520dd2101df37e2fef76",
+    ),
+    ("legacy_app", 60): (
+        "502c08b5037105f340d7b33eedb098916a8c29d2717ee5eefc4786ecc6351b05",
+        "a67e7dc068758f038e4183e5e48852d04299c7f1e3f8ec6d3af9f521c154abd5",
+    ),
+    ("legacy_app", 2500): (
+        "9e7fda91c823ba5ee6e49906e3c7a2c295d6a2284780f73069e64c65e46e59aa",
+        "ace7fa8b85509021c8ee3ad22aa73ff2b9efaf494b4d4660691691e000138267",
+    ),
+    ("miniproj", 5): (
+        "91d6752ace9c8947b812a4372b8eae7a166fb3eee47667619f470b6af6264f39",
+        "48dd8f931ceb593c99080a1d5d22a9c7cacc4bf4998a50ff3ec67f01d990d6e9",
+    ),
+    ("miniproj", 60): (
+        "e30c9b76ef1956262e46a8a7061cfbe72598c22da0673acfb8ffd05bc1c526ee",
+        "dc431b68bdee57274ccfa2c938a1dd9fd746f18b1eea079c8f9627df53d7ef4e",
+    ),
+    ("miniproj", 2500): (
+        "1130183b09a873ae9d9987e240bb22be6c50d6659fe1bdcca434442b29c74c1d",
+        "1ad64e53030db4d851abb3a348e80e40f5e7b211b6d2fdeed76122b3cf9c2323",
+    ),
+    ("plain_app", 5): (
+        "7efec66d162989c4320fd64c1aab42c296ebd9b401efe961afb1897ec8fdcc9d",
+        "df4b2c32e7c81155986b4b985bb9137e0bd15c458a1b7b20005f917234790796",
+    ),
+    ("plain_app", 60): (
+        "883ca2b831a4800a9a488854ff3f7b1806970ed4d3fb58dd57a65a6dbef05d05",
+        "6296909bb9cfc01dd5e1346b5a8306af421822ac3d765ba717340dbfda6f2f7d",
+    ),
+    ("plain_app", 2500): (
+        "a8cb63944a002b3b818fbbde17f8ce1be498dde7927ddf15e04a7da1393f65dc",
+        "80bad6831f72afbe83c1990c281136333424a4a17d4b31308d5e371d5b22179d",
+    ),
+    ("unguarded_app", 5): (
+        "e514e61c04fcacebaf41f72e4efc6a36a838696597dec2e57854951175ac459c",
+        "a766343b7ffc5f047a10154fa7343746ff0dc031ffb1cb6153a4b9153f6d580a",
+    ),
+    ("unguarded_app", 60): (
+        "8bc3a4da90bd36694e7e684d3f828598687c15c0286cf174b8c26019538a49f4",
+        "6b9291fb1939d774d6248b43d55beb035a5badfff3a7740e704f277bdfa7d95b",
+    ),
+    ("unguarded_app", 2500): (
+        "43b7f17acc72a60be0bca9195b70edcba52e19e3508f9befc9d38e57af030fb1",
+        "f1eac3f3e6ea79e4d661a5567cd3763d6b63c4d82a8d4ea38d2469ee67340358",
+    ),
+}
+
+
 class TestIndexCommand:
     def test_index_fixture_is_deterministic(self, tmp_path: Path, capsys):
         outputs = []
@@ -93,6 +160,17 @@ class TestIndexCommand:
         assert content_digest(out) == GOLDEN_GUARDED_CONTENT_DIGEST
         stdout = capsys.readouterr().out
         assert f"dims {DIMS}" in stdout and "indexed" in stdout
+
+    @pytest.mark.parametrize(("project", "theta"), sorted(INDEX_BYTES))
+    def test_index_writes_the_recorded_bytes(self, tmp_path: Path, project: str, theta: int, capsys):
+        out = tmp_path / "i.vrix"
+        assert run_cli("index", "--project", str(FIXTURES / project), "--out", str(out), "--theta", str(theta)) == 0
+        written = (out, out.with_name(out.name + ".meta.json"))
+        assert tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in written) == INDEX_BYTES[project, theta]
+
+    def test_every_fixture_project_has_recorded_index_bytes(self):
+        projects = {path.name for path in FIXTURES.iterdir() if path.is_dir()}
+        assert {project for project, _ in INDEX_BYTES} == projects
 
     def test_index_empty_dir_exits_1_with_message(self, tmp_path: Path, capsys):
         empty = tmp_path / "empty"

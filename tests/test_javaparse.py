@@ -1,5 +1,6 @@
 import bisect
 import itertools
+import random
 import re
 import time
 
@@ -7,8 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import JAVA_SOURCES, record_token_counts
-from vulnreach.javaparse import _OPENERS, _CLOSERS, Token, _Parser, lex, parse_source
+from conftest import FIXTURES, JAVA_SOURCES, record_token_counts
+from corpus import generate_corpus
+from reference_javaparse import reference_lex, reference_lines, reference_parse
+from vulnreach import javaparse
+from vulnreach.javaparse import lex, parse_source
 from vulnreach.tokenizer import DEFAULT_TOKENIZER
 
 # What lex skips between tokens; every other character starts one.
@@ -329,134 +333,6 @@ class TestLineTables:
         assert one_line.class_at(1) == "A"
 
 
-_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$")
-_IDENT_PART = _IDENT_START | frozenset("0123456789")
-
-
-def _line_breaks(text: str) -> int:
-    return text.count("\n") + text.count("\r") - text.count("\r\n")
-
-
-def _literal_end(source: str, i: int, quote: str) -> int:
-    n = len(source)
-    stop = quote + "\r\n"
-    j = i + 1
-    while j < n and source[j] not in stop:
-        if source[j] == "\\":
-            j += source.startswith("\r\n", j + 1)
-            j += 1
-        j += 1
-    if j < n and source[j] == quote:
-        j += 1
-    return min(j, n)
-
-
-def reference_lex(source: str) -> list[Token]:
-    """The per-character lexer ``lex`` replaced, kept as its reference."""
-    tokens: list[Token] = []
-    i = 0
-    n = len(source)
-    line = 1
-    while i < n:
-        ch = source[i]
-        if ch in " \t\f\v":
-            i += 1
-            continue
-        if ch == "\n":
-            line += 1
-            i += 1
-            continue
-        if ch == "\r":
-            if not source.startswith("\n", i + 1):
-                line += 1
-            i += 1
-            continue
-        start_line = line
-        if ch == "/" and i + 1 < n:
-            nxt = source[i + 1]
-            if nxt == "/":
-                eol = re.compile(r"[\r\n]").search(source, i)
-                j = eol.start() if eol else n
-                tokens.append(Token("comment", source[i:j], start_line, start_line))
-                i = j
-                continue
-            if nxt == "*":
-                j = source.find("*/", i + 2)
-                text = source[i:] if j == -1 else source[i : j + 2]
-                i = n if j == -1 else j + 2
-                line += _line_breaks(text)
-                tokens.append(Token("comment", text, start_line, line))
-                continue
-        if ch in "\"'":
-            if source.startswith('"""', i):
-                j = i + 3
-                while j < n:
-                    if source[j] == "\\":
-                        j += 2
-                        continue
-                    if source.startswith('"""', j):
-                        j += 3
-                        break
-                    j += 1
-                else:
-                    j = n
-            else:
-                j = _literal_end(source, i, ch)
-            text = source[i:j]
-            i = j
-            line += _line_breaks(text)
-            tokens.append(Token("string" if ch == '"' else "char", text, start_line, line))
-            continue
-        if ch in _IDENT_START:
-            j = i + 1
-            while j < n and source[j] in _IDENT_PART:
-                j += 1
-            tokens.append(Token("ident", source[i:j], start_line, start_line))
-            i = j
-            continue
-        if ch in "0123456789":
-            j = i + 1
-            while j < n and (source[j] in _IDENT_PART or source[j] == "."):
-                j += 1
-            tokens.append(Token("number", source[i:j], start_line, start_line))
-            i = j
-            continue
-        tokens.append(Token("punct", ch, start_line, start_line))
-        i += 1
-    return tokens
-
-
-def reference_parser(source: str) -> _Parser:
-    """A parser over ``reference_lex``'s tokens, with the token lists,
-    comment runs and bracket pairs built eagerly from ``Token``s, as the
-    parser did before it built tokens only when read."""
-    tokens = reference_lex(source)
-    parser = _Parser.__new__(_Parser)
-    parser.tokens = tokens
-    parser.sig = []
-    parser._comments = {}
-    for tok in tokens:
-        if tok.kind == "comment":
-            parser._comments.setdefault(len(parser.sig), []).append(tok)
-        else:
-            parser.sig.append(tok)
-    parser._closer = {}
-    stack: list[int] = []
-    for i, tok in enumerate(parser.sig):
-        if tok.kind == "punct":
-            if tok.text in _OPENERS:
-                stack.append(i)
-            elif tok.text in _CLOSERS and stack:
-                parser._closer[stack.pop()] = i
-    parser.pos = 0
-    return parser
-
-
-def reference_parse(source: str):
-    """``reference_parser``'s nodes."""
-    return reference_parser(source).parse_unit()
-
-
 # What the scan must get right: every line terminator, the blanks (space, tab,
 # FF, VT) and characters that start no token (NUL, U+00A0, a non-ASCII letter,
 # a lone surrogate, "/" at end of input), text blocks, escapes (also at end of
@@ -480,25 +356,114 @@ _LEXER_FRAGMENTS = st.lists(
 LEXER_SOURCES = st.one_of(_LEXER_CHARS, _LEXER_FRAGMENTS)
 
 
+def assert_equals_the_reference(source: str) -> None:
+    unit = parse_source("F.java", source)[0]
+    assert lex(source) == reference_lex(source), source
+    assert unit.lines == reference_lines(source), source
+    assert unit.nodes == reference_parse(source), source
+
+
+# What may be inserted into or deleted from a generated file: what opens or
+# closes a bracket, a literal, a comment or an escape.
+_EDITS = ["(", ")", "{", "}", "[", "]", '"', "'", "//", "/*", '"""', "\\"]
+
+
+def edited(rng: random.Random, source: str) -> str:
+    """``source`` after one to three random insertions or deletions of an
+    ``_EDITS`` piece."""
+    for _ in range(rng.randint(1, 3)):
+        piece = rng.choice(_EDITS)
+        found = [m.start() for m in re.finditer(re.escape(piece), source)]
+        if found and rng.random() < 0.5:
+            at = rng.choice(found)
+            source = source[:at] + source[at + len(piece) :]
+        else:
+            at = rng.randint(0, len(source))
+            source = source[:at] + piece + source[at:]
+    return source
+
+
+@pytest.fixture(scope="module")
+def corpus_sources(tmp_path_factory) -> dict[int, list[str]]:
+    """The files of ``generate_corpus`` at five seeds, by seed."""
+    root = tmp_path_factory.mktemp("corpus")
+    return {
+        seed: [path.read_text(encoding="utf-8") for path in generate_corpus(root / str(seed), seed, 12)]
+        for seed in (0, 7, 11, 23, 37)
+    }
+
+
 class TestScanAgainstReference:
-    @settings(max_examples=600, deadline=None)
+    """Trees, lines and tokens equal those of the parser over a list of every
+    token (``reference_javaparse``), which the on-demand scan replaced."""
+
+    @settings(max_examples=2000, deadline=None)
     @given(LEXER_SOURCES)
     def test_lex_and_parse_equal_the_per_character_reference(self, source):
-        assert lex(source) == reference_lex(source)
-        parser, reference = _Parser(source), reference_parser(source)
-        assert list(parser.sig) == reference.sig
-        assert parser._closer == reference._closer
-        assert parser._comments == reference._comments
-        assert parser.parse_unit() == reference.parse_unit()
+        assert_equals_the_reference(source)
+
+    def test_every_fixture_file_equals_the_reference(self):
+        paths = sorted(FIXTURES.rglob("*.java"))
+        assert paths
+        for path in paths:
+            assert_equals_the_reference(path.read_text(encoding="utf-8"))
+
+    def test_generated_corpus_trees_equal_the_reference(self, corpus_sources):
+        for sources in corpus_sources.values():
+            for source in sources:
+                assert_equals_the_reference(source)
+
+    def test_random_bracket_quote_and_comment_edits_equal_the_reference(self, corpus_sources):
+        rng = random.Random(20251021)
+        # The eight smallest files of each seed, each under about 10 KB, keep
+        # a thousand edits quick.
+        sources = [source for group in corpus_sources.values() for source in sorted(group, key=len)[:8]]
+        for _ in range(1000):
+            assert_equals_the_reference(edited(rng, rng.choice(sources)))
 
     def test_edge_cases_equal_the_reference(self):
         sources = [
             "", "/", "a /", '"', "'", '"""', '"""\\', '"a\\', "'\\", '"a\\\r\nb"', '"a\\\rb"',
-            "/* open", "/*/ x */", "// c\r\nx", " xé\x00", '""""', '"""""""', "a\rb\r\nc\n",
+            "/* open", "/*/ x */", "// c\r\nx", " xé\x00", '""""', '"""""""', "a\rb\r\nc\n",
+            # A bracket as the last token; a comment after the last member.
+            "class A { void m() {} }", "class A { int x; } // end", "class A { int x; /* end */ }",
+            "class A { int x; }\n/** after */\n",
         ]
+        # A type body still open at end of input, ending in an unterminated
+        # string, char, text block or block comment, each followed by blanks,
+        # CR, LF or CRLF, one or two of them, or by an escaped line end.
+        for tail in ('"abc', "'a", '"""\n  text', "/* open", "int x;", "void m() {"):
+            for end in ("", "  \t", "\r", "\n", "\r\n", "\r\r", "\n \n", "\r\n\t\r\n", "\\\n", "\\\r\n\r\n"):
+                sources.append("class A {\n    int x;\n    " + tail + end)
         for source in sources:
-            assert lex(source) == reference_lex(source), source
-            assert parse_source("F.java", source)[0].nodes == reference_parse(source), source
+            assert_equals_the_reference(source)
+
+    def test_a_body_is_never_tokenized(self, monkeypatch):
+        # Tokens the parser scans, counted for one method whose body holds
+        # 10 statements and for one whose body holds 10,000.
+        scanned = []
+
+        class CountingToken:
+            def match(self, source, pos):
+                scanned.append(pos)
+                return token.match(source, pos)
+
+            def findall(self, source):
+                found = token.findall(source)
+                scanned.extend(found)
+                return found
+
+        token = javaparse._TOKEN
+        monkeypatch.setattr(javaparse, "_TOKEN", CountingToken())
+        counts = []
+        for statements in (10, 10_000):
+            body = "".join(f"        total += f({i}, \"{{\") /* ) */;\n" for i in range(statements))
+            source = "class A {\n    int run(int total) {\n" + body + "        return total;\n    }\n}\n"
+            scanned.clear()
+            members = parse_source("A.java", source)[0].nodes[0].members
+            assert [(m.kind, m.line_end) for m in members] == [("method", statements + 4)]
+            counts.append(len(scanned))
+        assert counts[0] == counts[1]
 
     def test_a_megabyte_unterminated_text_block_comment_or_string_parses_quickly(self):
         # Each runs to end of input, inside class A: a field's value, or a
