@@ -25,8 +25,9 @@ import string
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
 from typing import NamedTuple
+
+import numpy as np
 
 from .tokenizer import DEFAULT_TOKENIZER
 
@@ -51,9 +52,6 @@ MODIFIERS = frozenset(
 TYPE_KEYWORDS = frozenset({"class", "interface", "enum", "record"})
 
 _OPENERS = frozenset("({[")
-
-# The line model (JLS 3.4): a line ends at LF, CRLF or a lone CR.
-_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
 
 # The tokens that can span lines: comments, text blocks, and string and char
 # literals (ending at their quote, an unescaped line terminator or end of
@@ -115,7 +113,7 @@ def _token(text: str, line: int) -> Token:
 def lex(source: str) -> list[Token]:
     """Tokenize Java source, keeping comments as tokens (needed for
     attaching leading comment runs to declarations). Lines end at LF, CRLF
-    or a lone CR, as in :attr:`CompilationUnit.lines`."""
+    or a lone CR, as in :attr:`CompilationUnit.line_starts`."""
     parser = _Parser(source)
     tokens: list[Token] = []
     while True:
@@ -145,31 +143,33 @@ class CompilationUnit:
     """Root handle for one parsed source file."""
 
     file_path: str
-    # Lines end at LF, CRLF or a lone CR (JLS 3.4), terminator kept; exact
-    # reassembly is ``"".join(lines)``.
-    lines: list[str]
+    source: str
+    # The offset where each line starts, then ``len(source)``. A line ends at
+    # LF, CRLF or a lone CR (JLS 3.4), and keeps its terminator.
+    line_starts: np.ndarray
     nodes: list[JavaNode]
 
     @property
     def line_count(self) -> int:
-        return len(self.lines)
+        return len(self.line_starts) - 1
 
     def slice_text(self, line_start: int, line_end: int) -> str:
-        return "".join(self.lines[line_start - 1 : line_end])
+        return self.source[self.line_starts[line_start - 1] : self.line_starts[line_end]]
 
     def token_count(self, line_start: int, line_end: int) -> int:
         """``DEFAULT_TOKENIZER.count(self.slice_text(line_start, line_end))``.
 
-        No token contains whitespace, so none spans a line terminator and
-        counts add exactly across lines: the file's lines are counted in one
-        pass, on first use, and a span is a difference of prefix sums.
+        No token contains whitespace, and every line but the first starts
+        after a line terminator, so no token spans a line start: the counts
+        of the source up to each line start are taken in one pass, on first
+        use, and a span's count is a difference of two of them.
         """
         prefix = self._token_prefix
-        return prefix[line_end] - prefix[line_start - 1]
+        return int(prefix[line_end] - prefix[line_start - 1])
 
     @cached_property
-    def _token_prefix(self) -> list[int]:
-        return [0, *accumulate(DEFAULT_TOKENIZER.count_lines(self.lines))]
+    def _token_prefix(self) -> np.ndarray:
+        return DEFAULT_TOKENIZER.count_prefixes(self.source, self.line_starts)
 
     def class_at(self, line: int) -> str | None:
         """Dotted name of the innermost type declaration whose span contains
@@ -219,8 +219,13 @@ class _Parser:
 
     def __init__(self, source: str):
         self.source = source
-        self.lines: list[str] = _LINE.findall(source)
-        self._line_starts = list(accumulate(map(len, self.lines), initial=0))
+        # One byte per character: "replace" makes each one past U+00FF a "?".
+        chars = np.frombuffer(source.encode("latin-1", "replace"), np.uint8)
+        ends = chars == 10  # LF
+        ends[:-1] |= (chars[:-1] == 13) & ~ends[1:]  # CR, unless CRLF
+        ends[-1:] = True  # the last line ends with the file
+        self.line_starts = np.flatnonzero(np.concatenate(([True], ends)))
+        self._starts = self.line_starts.tolist()  # bisect reads a list fastest
         # All brackets nest on one stack, so lambdas and anonymous classes
         # inside argument lists balance; an opener left open at end of input
         # has no partner.
@@ -251,7 +256,7 @@ class _Parser:
                 end = match.end()
                 if text[0] in "\r\n":
                     continue
-                tok = _token(text, bisect_right(self._line_starts, match.start(1)))
+                tok = _token(text, bisect_right(self._starts, match.start(1)))
                 if tok.kind != "comment":
                     break
                 comments.append(tok)
@@ -274,9 +279,9 @@ class _Parser:
         """The line the file's last token ends on: that of its last
         character that is no blank or line terminator, or a later one where
         the last comment or literal ends in a line terminator."""
-        end = bisect_right(self._line_starts, len(self.source.rstrip(" \t\f\v\r\n")) - 1)
+        end = bisect_right(self._starts, len(self.source.rstrip(" \t\f\v\r\n")) - 1)
         if (span := self._last_span) is not None:
-            end = max(end, _token(span[0], bisect_right(self._line_starts, span.start())).line_end)
+            end = max(end, _token(span[0], bisect_right(self._starts, span.start())).line_end)
         return end
 
     def _decl_start(self) -> int:
@@ -552,8 +557,7 @@ class _Parser:
         while True:
             tok = self._peek()
             if tok is None:
-                last_line = sig[-1].line_end if sig else self._end_line
-                return JavaNode("error", start, max(last_line, start), malformed=True)
+                return JavaNode("error", start, sig[-1].line_end if sig else self._end_line, malformed=True)
             if tok.kind == "punct" and tok.text == "(":
                 return self._finish_callable(start, sig, enclosing_name)
             if tok.kind == "punct" and tok.text in ("=", ";"):
@@ -568,8 +572,7 @@ class _Parser:
             if tok.kind == "punct" and tok.text == "}":
                 # Unexpected body close: emit what we have as an error node
                 # without consuming the brace (it closes the enclosing type).
-                last_line = sig[-1].line_end if sig else start
-                return JavaNode("error", start, max(last_line, start), malformed=True)
+                return JavaNode("error", start, sig[-1].line_end if sig else start, malformed=True)
             self._next()
             sig.append(tok)
     def _finish_callable(self, start: int, sig: list[Token], enclosing_name: str | None) -> JavaNode:
@@ -659,7 +662,7 @@ class _Parser:
             end = tok.line_end
             if tok.kind == "punct" and tok.text == ";":
                 break
-        return JavaNode("error", start, max(end, start), malformed=True)
+        return JavaNode("error", start, end, malformed=True)
 
 
 def parse_source(file_path: str, source: str) -> list[CompilationUnit]:
@@ -669,7 +672,7 @@ def parse_source(file_path: str, source: str) -> list[CompilationUnit]:
     depth is bounded by memory alone, as no step recurses.
     """
     parser = _Parser(source)
-    unit = CompilationUnit(file_path=file_path, lines=parser.lines, nodes=parser.parse_unit())
+    unit = CompilationUnit(file_path, source, parser.line_starts, parser.parse_unit())
     _clamp_spans(unit)
     return [unit]
 

@@ -282,11 +282,12 @@ def _ignored(rel_path: str, ignore_globs: Sequence[str]) -> bool:
 
 def read_project(root: Path, ignore_globs: Sequence[str]) -> Iterator[tuple[str, str]]:
     """Each source file's posix path relative to root and its text, decoded
-    as UTF-8 with replacement, in ``iter_project_files`` order, read one
-    at a time as the caller iterates.
+    as UTF-8, in ``iter_project_files`` order, read one at a time as the
+    caller iterates.
 
-    An unreadable file is logged and skipped. The first step raises
-    EmptyProject when the tree holds no source file.
+    A file that is not valid UTF-8 is logged, and its undecodable bytes
+    read as U+FFFD. An unreadable file is logged and skipped. The first
+    step raises EmptyProject when the tree holds no source file.
     """
     files = iter_project_files(root, ignore_globs)
     if not files:
@@ -297,7 +298,12 @@ def read_project(root: Path, ignore_globs: Sequence[str]) -> Iterator[tuple[str,
         except OSError as exc:
             log.warning("skipping unreadable file %s: %s", path, exc)
             continue
-        yield path.relative_to(root).as_posix(), data.decode("utf-8", errors="replace")
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            log.warning("reading invalid UTF-8 in %s as U+FFFD: %s", path, exc)
+            text = data.decode("utf-8", errors="replace")
+        yield path.relative_to(root).as_posix(), text
 
 
 def segment_project(

@@ -3,8 +3,8 @@
 The size threshold that drives segmentation is measured in tokens. The
 default tokenizer is a plain lexical one: identifier/number runs count as
 one token each, every other non-space character counts individually. It
-needs no vocabulary, so indexing stays offline-testable. ``count_lines``
-counts all of a file's lines in one numpy pass over its characters.
+needs no vocabulary, so indexing stays offline-testable. ``count_prefixes``
+counts a file's tokens before each of its line starts in one numpy pass.
 """
 
 from __future__ import annotations
@@ -46,20 +46,15 @@ class LexicalTokenizer:
     def count(self, text: str) -> int:
         return len(_LEXEME.findall(text))
 
-    def count_lines(self, lines: Sequence[str]) -> list[int]:
-        """``[self.count(line) for line in lines]`` in one pass: a line's
-        count is its characters that are neither word characters nor blanks,
-        plus its runs of word characters."""
-        lengths = np.fromiter(map(len, lines), dtype=np.intp, count=len(lines))
-        ends = np.cumsum(lengths)
-        classes = _classes("".join(lines))
-        word = classes == _WORD
-        # A word character starts a run unless the one before it, on the
-        # same line, is a word character too.
-        follows = np.concatenate(([False], word[:-1]))
-        follows[(ends - lengths)[lengths > 0]] = False
-        tokens = np.flatnonzero((classes == _OTHER) | (word & ~follows))
-        return np.diff(np.searchsorted(tokens, ends), prepend=0).tolist()
+    def count_prefixes(self, text: str, ends: Sequence[int]) -> np.ndarray:
+        """``[self.count(text[:end]) for end in ends]`` in one pass: a
+        prefix's count is the tokens that start in it, and whether a
+        character starts one depends on it and the one before it alone."""
+        classes = _classes(text)
+        starts = classes == _WORD
+        starts[1:] &= ~starts[:-1]  # a run of word characters is one token
+        starts |= classes == _OTHER
+        return np.searchsorted(np.flatnonzero(starts), ends)
 
 
 DEFAULT_TOKENIZER = LexicalTokenizer()

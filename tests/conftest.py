@@ -207,22 +207,23 @@ class HashChatProvider:
 
 def record_token_counts(monkeypatch) -> list[str]:
     """Patch ``LexicalTokenizer.count``, as the bench tracer does, and
-    ``LexicalTokenizer.count_lines`` to record every text they count, each
-    line of a ``count_lines`` call as one text."""
+    ``LexicalTokenizer.count_prefixes`` to record every text they count; a
+    ``count_prefixes`` call counts its whole text once, however many
+    prefixes it is asked for."""
     counted: list[str] = []
     count = LexicalTokenizer.count
-    count_lines = LexicalTokenizer.count_lines
+    count_prefixes = LexicalTokenizer.count_prefixes
 
     def recording(self, text: str) -> int:
         counted.append(text)
         return count(self, text)
 
-    def recording_lines(self, lines):
-        counted.extend(lines)
-        return count_lines(self, lines)
+    def recording_prefixes(self, text: str, ends):
+        counted.append(text)
+        return count_prefixes(self, text, ends)
 
     monkeypatch.setattr(LexicalTokenizer, "count", recording)
-    monkeypatch.setattr(LexicalTokenizer, "count_lines", recording_lines)
+    monkeypatch.setattr(LexicalTokenizer, "count_prefixes", recording_prefixes)
     return counted
 
 

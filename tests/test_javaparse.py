@@ -170,6 +170,15 @@ class TestParseSource:
             assert kinds(unit) == ["error"], piece
 
 
+def assert_lines_equal_the_reference(unit, source: str) -> None:
+    """The unit's line starts and line texts are those of the JLS 3.4 line
+    model, and its lines reassemble the source."""
+    lines = reference_lines(source)
+    assert unit.line_starts.tolist() == [0, *itertools.accumulate(map(len, lines))], source
+    assert [unit.slice_text(k, k) for k in range(1, unit.line_count + 1)] == lines, source
+    assert unit.slice_text(1, unit.line_count) == source
+
+
 def walk(nodes):
     for node in nodes:
         yield node
@@ -181,14 +190,9 @@ class TestFuzzNet:
     @given(JAVA_SOURCES)
     def test_parse_never_raises_and_lines_agree(self, source):
         unit = parse_source("F.java", source)[0]
-        assert "".join(unit.lines) == source
-        for k, line in enumerate(unit.lines):
-            # One terminator per line, at its end; only the last may lack it.
-            body = line.removesuffix("\n").removesuffix("\r")
-            assert "\r" not in body and "\n" not in body
-            assert body != line or k == unit.line_count - 1
-        # Each token's line_start is the unit line holding its first char.
-        line_ends = list(itertools.accumulate(len(line) for line in unit.lines))
+        assert_lines_equal_the_reference(unit, source)
+        # Each token's line_start is the line holding its first char.
+        line_ends = list(itertools.accumulate(map(len, reference_lines(source))))
         pos = 0
         for tok in lex(source):
             while source[pos] in _LEX_SPACE:
@@ -267,12 +271,11 @@ class TestFuzzNet:
         assert [(m.kind, m.name, m.line_start) for m in node.members] == [("method", "m", depth + 1)]
 
 
-# JAVA_SOURCES joined with line terminators and with whitespace that does not
-# end a line (U+2028, the \x1c-\x1f separators, NEL).
+# Each character that ``str.splitlines`` breaks at but Java does not.
+_NOT_JAVA_LINE_ENDS = ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+# JAVA_SOURCES joined with line terminators and with those characters.
 _SOURCES_WITH_SEPARATORS = st.lists(
-    st.one_of(
-        JAVA_SOURCES, st.sampled_from(["\r", "\n", "\r\n", "\u2028", "\x1c", "\x1d", "\x85"])
-    ),
+    st.one_of(JAVA_SOURCES, st.sampled_from(["\r", "\n", "\r\n", *_NOT_JAVA_LINE_ENDS])),
     max_size=4,
 ).map("".join)
 
@@ -312,7 +315,7 @@ class TestLineTables:
         expected = {span: DEFAULT_TOKENIZER.count(unit.slice_text(*span)) for span in spans}
         counted = record_token_counts(monkeypatch)
         assert {span: unit.token_count(*span) for span in expected} == expected
-        assert counted == unit.lines
+        assert counted == [unit.source]
 
     @settings(max_examples=100, deadline=None)
     @given(_SOURCES_WITH_SEPARATORS)
@@ -335,11 +338,12 @@ class TestLineTables:
 
 # What the scan must get right: every line terminator, the blanks (space, tab,
 # FF, VT) and characters that start no token (NUL, U+00A0, a non-ASCII letter,
-# a lone surrogate, "/" at end of input), text blocks, escapes (also at end of
-# input) and unterminated comments and literals.
+# a lone surrogate, an astral character, "/" at end of input), text blocks,
+# escapes (also at end of input) and unterminated comments and literals, and
+# the characters that do not end a line in Java but do in ``str.splitlines``.
 _LEXER_CHARS = st.text(
     alphabet=st.sampled_from(
-        ["\r", "\n", "\f", "\v", " ", "\t", "\x00", " ", "é", "\ud800",
+        ["\r", "\n", " ", "\t", "\x00", " ", "é", "\ud800", "\U0001d518", *_NOT_JAVA_LINE_ENDS,
          '"', "'", "\\", "/", "*", "{", "}", "(", ")", "a", "_", "$", "1", ".", ";"]
     ),
     max_size=40,
@@ -347,7 +351,8 @@ _LEXER_CHARS = st.text(
 _LEXER_FRAGMENTS = st.lists(
     st.sampled_from(
         ['"""', '"', "'", "\\", "\\\r\n", "\\\r", "\\\n", "//", "/*", "*/", "/**/", "/*/", "**/",
-         "\r\n", "\r", "\n", "\f", "\v", "\x00", " ", "é", "\ud800", "x1", "9.5e3_f",
+         "\r\n", "\r", "\n", *_NOT_JAVA_LINE_ENDS, "\x00", " ", "é", "\ud800", "\U0001d518",
+         "x1", "9.5e3_f",
          "class A { ", "void m() { ", "} ", "int f; ", "@Ann(x) ", "/** doc */\n", '"s"', "'c'",
          '"""\ntext {\n"""', "(", ")", "{", "}", "[", "]", ";", "/"]
     ),
@@ -359,7 +364,7 @@ LEXER_SOURCES = st.one_of(_LEXER_CHARS, _LEXER_FRAGMENTS)
 def assert_equals_the_reference(source: str) -> None:
     unit = parse_source("F.java", source)[0]
     assert lex(source) == reference_lex(source), source
-    assert unit.lines == reference_lines(source), source
+    assert_lines_equal_the_reference(unit, source)
     assert unit.nodes == reference_parse(source), source
 
 

@@ -235,6 +235,22 @@ class TestSegmentProject:
         assert reads == ["A.java", "B.java"]
         assert len(caplog.records) == 1
 
+    def test_a_file_not_in_utf8_is_logged_once_and_read_with_replacement(self, tmp_path, caplog):
+        bad = b'class A {\n    String s = "\xff\xfe";\n}\n'
+        (tmp_path / "A.java").write_bytes(bad)
+        (tmp_path / "B.java").write_text("class B { String s = \"\u00e9\U0001d518\"; }\n", encoding="utf-8")
+        memo = Memo()
+        with caplog.at_level(logging.WARNING, logger="vulnreach.segmenter"):
+            for theta in (1, 2500, 1):
+                blocks = segment_project(tmp_path, Config(theta=theta), memo=memo)
+                assert "".join(b.source for b in blocks if b.file_path == "A.java") == bad.decode(
+                    "utf-8", "replace"
+                )
+        assert [r.getMessage() for r in caplog.records] == [
+            f"reading invalid UTF-8 in {tmp_path / 'A.java'} as U+FFFD: "
+            "'utf-8' codec can't decode byte 0xff in position 26: invalid start byte"
+        ]
+
     def test_a_memo_segments_one_snapshot_of_the_tree(self, tmp_path: Path):
         (tmp_path / "A.java").write_text("class A {\n    void a() {}\n}\n")
         before = segment_project(tmp_path, Config(theta=1))

@@ -55,15 +55,17 @@ _LINE_TEXT = st.text(
 )
 
 
-@given(st.lists(_LINE_TEXT))
-def test_count_lines_counts_each_line_alone(lines: list[str]):
+@given(_LINE_TEXT, st.lists(st.integers(min_value=0, max_value=50)))
+def test_count_prefixes_counts_each_prefix_alone(text: str, ends: list[int]):
     tok = LexicalTokenizer()
-    assert tok.count_lines(lines) == [tok.count(line) for line in lines]
+    ends = sorted(min(end, len(text)) for end in ends)
+    assert tok.count_prefixes(text, ends).tolist() == [tok.count(text[:end]) for end in ends]
 
 
-def test_count_lines_counts_no_run_across_lines():
-    assert DEFAULT_TOKENIZER.count_lines(["ab", "cd", "", "e+f\n", "", " "]) == [1, 1, 0, 3, 0, 0]
-    assert DEFAULT_TOKENIZER.count_lines([]) == []
+def test_count_prefixes_counts_a_cut_run_once():
+    ends = [0, 1, 2, 3, 4, 5, 6, 7, 8]
+    assert DEFAULT_TOKENIZER.count_prefixes("ab cd+e\n", ends).tolist() == [0, 1, 1, 1, 2, 2, 3, 4, 4]
+    assert DEFAULT_TOKENIZER.count_prefixes("", [0]).tolist() == [0]
 
 
 def test_character_classes_are_the_regex_classes_for_every_code_point():
