@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import logging
+import re
 import sys
 import time
 from collections import Counter
@@ -20,6 +21,7 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, Mapping, NoReturn, Sequence, TypeVar
+from urllib.parse import urlsplit
 
 import numpy as np
 
@@ -37,7 +39,7 @@ from .gateway import (
 from .memo import Memo, encoder_fingerprint
 from .model import CodeBlock, Config, Judgment, VulnSpec, checked_str
 from .segmenter import segment_project
-from .store import VectorStore, write_json
+from .store import VectorStore, sidecar_path, write_json
 
 EXIT_OK = 0
 EXIT_USER_ERROR = 1
@@ -84,6 +86,20 @@ def _checked_int(value: Any, key: str, least: int = 1) -> int:
     return value
 
 
+def _checked_endpoint(value: Any, key: str) -> str:
+    """``value`` if it is an absolute http:// or https:// URL of printable
+    ASCII; else a ``ConfigError`` naming ``key``, before any request."""
+    endpoint = checked_str(value, key)
+    try:
+        parts = urlsplit(endpoint)
+        # A port that is not a number below 65536, or an unclosed IPv6 host, is a ValueError.
+        if re.fullmatch(r"https?://[!-~]+", endpoint) and parts.hostname and parts.port != 0:
+            return endpoint
+    except ValueError:
+        pass
+    raise ConfigError(f"{key} must be an absolute http:// or https:// URL, got {endpoint!r}")
+
+
 def _encoder_provider(spec: Mapping[str, Any]) -> EncoderProvider:
     provider = spec.get("provider", "reference")
     if provider == "reference":
@@ -93,7 +109,7 @@ def _encoder_provider(spec: Mapping[str, Any]) -> EncoderProvider:
             return RemoteEncoderProvider(
                 name=checked_str(spec.get("name", provider), "encoder name"),
                 model_id=checked_str(spec["model"], "encoder model"),
-                endpoint=checked_str(spec["endpoint"], "encoder endpoint"),
+                endpoint=_checked_endpoint(spec["endpoint"], "encoder endpoint"),
                 dims=_checked_int(spec["dims"], "encoder dims"),
                 api_key_env=checked_str(spec["api_key_env"], "encoder api_key_env"),
                 batch_limit=_checked_int(spec.get("batch_limit", 64), "encoder batch_limit"),
@@ -125,7 +141,7 @@ def _chat_provider(spec: Mapping[str, Any]) -> ChatProvider:
             return RemoteChatProvider(
                 name=checked_str(spec.get("name", provider), "chat name"),
                 model_id=checked_str(spec["model"], "chat model"),
-                endpoint=checked_str(spec["endpoint"], "chat endpoint"),
+                endpoint=_checked_endpoint(spec["endpoint"], "chat endpoint"),
                 api_key_env=checked_str(spec["api_key_env"], "chat api_key_env"),
                 max_output_tokens=_checked_int(
                     spec.get("max_output_tokens", 2048), "chat max_output_tokens"
@@ -217,8 +233,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     chat_provider = _chat_provider(config.chat)
 
     report_path = Path(args.report)
-    report_path.parent.mkdir(parents=True, exist_ok=True)
     transcript_path = report_path.with_name(report_path.name + ".transcript.jsonl")
+    # Every input has been read and nothing written: no output may replace an input.
+    chat_files = [config.chat.get("script_path"), config.chat.get("transcript_path")]
+    given = [args.index, sidecar_path(Path(args.index)), args.vuln, args.config, *chat_files]
+    for written in (report_path, transcript_path):
+        for read in [Path(path) for path in given if isinstance(path, (str, Path))]:
+            if written.exists() and read.exists() and written.samefile(read):
+                raise ConfigError(f"{written} would overwrite input file {read}; choose another --report")
+    report_path.parent.mkdir(parents=True, exist_ok=True)
     memo = Memo()
     prompts = memo.prompts(config.prompts_dir)
     opened = time.perf_counter()
@@ -249,6 +272,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     if not args.manifest and not args.from_predictions:
         raise ConfigError("evaluate needs --manifest or --from-predictions")
+    if args.from_predictions and (args.sweep_theta or args.theta is not None):
+        flag = "--sweep-theta" if args.sweep_theta else "--theta"
+        raise ConfigError(f"--from-predictions scores given predictions and runs no theta; drop {flag}")
     config = load_config(args)
     out_dir = Path(args.out)  # made by the first file written under it
 

@@ -13,6 +13,7 @@ float64 numpy row, and every layer takes rows.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import os
 import sys
@@ -161,29 +162,32 @@ def post_json(
 ) -> _T:
     """``read`` of the JSON reply to ``payload``, POSTed to ``endpoint`` with
     the bearer token in the environment variable ``api_key_env``. Each
-    failure is a ``ProviderError`` naming ``what``; a lost connection and the
-    statuses ``ProviderError.transient`` names are worth a retry."""
-    import requests  # on first use: importing it slows every command's start-up
+    failure is a ``ProviderError`` naming ``what``; an exchange that breaks
+    off and the statuses ``ProviderError.transient`` names are worth a retry."""
+    # On first use: importing these slows every command's start-up.
+    from http.client import HTTPException
+    from urllib.error import HTTPError
+    from urllib.request import Request, urlopen
 
     api_key = os.environ.get(api_key_env, "")
     if not api_key:
         raise ProviderError(f"environment variable {api_key_env} is not set")
+    headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
     try:
-        response = requests.post(
-            endpoint,
-            json=payload,
-            headers={"Authorization": f"Bearer {api_key}"},
-            timeout=timeout,
-        )
-    except requests.RequestException as exc:
-        raise ProviderError(f"{what} request failed: {exc}", connection=True) from exc
-    if response.status_code != 200:
-        raise ProviderError(
-            f"{what} endpoint returned {response.status_code}: {response.text[:200]}",
-            status=response.status_code,
-        )
+        try:
+            with urlopen(Request(endpoint, json.dumps(payload).encode(), headers), timeout=timeout) as response:
+                status, body = response.status, response.read()
+        except HTTPError as exc:  # a status outside 2xx: its body is read, then closed
+            with exc:
+                status, body = exc.code, exc.read()
+    except (OSError, HTTPException) as exc:  # refused, reset, cut short, TLS, timed out
+        # A URLError wraps what broke off the exchange.
+        raise ProviderError(f"{what} request failed: {getattr(exc, 'reason', exc)}", connection=True) from exc
+    if status != 200:
+        text = body.decode("utf-8", "replace")[:200]
+        raise ProviderError(f"{what} endpoint returned {status}: {text}", status=status)
     try:
-        return read(response.json())
+        return read(json.loads(body))
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ProviderError(f"malformed {what} response: {exc}") from exc
 
@@ -364,7 +368,7 @@ class RemoteEncoderProvider:
     ``{"model": ..., "input": [...]}`` request shape.
 
     Credentials come from the environment variable named in the config,
-    never from files. The tests drive it through a stubbed ``requests.post``.
+    never from files. The tests drive it over a loopback socket.
     """
 
     TIMEOUT = 60.0  # seconds
@@ -384,5 +388,13 @@ class RemoteEncoderProvider:
 
 
 def _embedding_rows(reply: Any) -> list[list[float]]:
-    rows = sorted(reply["data"], key=lambda item: item.get("index", 0))
-    return [list(map(float, row["embedding"])) for row in rows]
+    """The reply's vectors in the order of their ``index`` keys, or in reply
+    order when no item has one. Indices that are not 0 to n - 1, one per
+    item, are a ``ValueError`` naming them: no row may go to another text."""
+    items = reply["data"]
+    indices = [item["index"] for item in items if "index" in item]
+    if indices:
+        if sorted(indices) != list(range(len(items))):
+            raise ValueError(f"indices {indices} are not 0 to {len(items) - 1}, one per item")
+        items = sorted(items, key=lambda item: item["index"])
+    return [list(map(float, item["embedding"])) for item in items]

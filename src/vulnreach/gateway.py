@@ -409,7 +409,7 @@ class ReplayChatProvider:
 class RemoteChatProvider:
     """Adapter for HTTP chat endpoints speaking the common
     ``{"model": ..., "messages": [...]}`` request shape. Temperature is
-    pinned to 0. The tests drive it through a stubbed ``requests.post``."""
+    pinned to 0. The tests drive it over a loopback socket."""
 
     TIMEOUT = 120.0  # seconds
 

@@ -129,7 +129,7 @@ class ScopeFilter:
 EMPTY_SCOPE = ScopeFilter()
 
 
-def _sidecar_path(path: Path) -> Path:
+def sidecar_path(path: Path) -> Path:
     return path.with_name(path.name + ".meta.json")
 
 
@@ -169,7 +169,7 @@ class VectorStore:
         path = Path(path)
         data = _read_aligned(path)
         dims, count, blob_len, sidecar_sha = _read_header(path, data)
-        sidecar = _sidecar_path(path)
+        sidecar = sidecar_path(path)
         try:
             raw = sidecar.read_bytes()
         except FileNotFoundError as exc:
@@ -238,7 +238,7 @@ class VectorStore:
         )
         sources = map(self._source_bytes, range(count))
         _write_atomic(self.path, itertools.chain([header, *runs], sources))
-        _write_atomic(_sidecar_path(self.path), [sidecar])
+        _write_atomic(sidecar_path(self.path), [sidecar])
 
     # -- data access -----------------------------------------------------
 

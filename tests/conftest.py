@@ -5,8 +5,14 @@ import hashlib
 import json
 import math
 import re
+import socket
 import sys
+import threading
+import time
+from email.message import Message
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
 import pytest
@@ -289,6 +295,134 @@ def write_tool_config(path: Path, **overrides) -> Path:
     config = {key: value for key, value in {**config, **overrides}.items() if value is not None}
     path.write_text(json.dumps(config, indent=2) + "\n", encoding="utf-8")
     return path
+
+
+# The variable holding the API key the remote providers send to the loopback server.
+LOOPBACK_KEY_ENV = "VULNREACH_TEST_POST_KEY"
+
+
+class Reply(NamedTuple):
+    """The loopback server's answer to a request: a status and a body (a str
+    sent as UTF-8, any other value as JSON), after waiting up to ``delay``
+    seconds. A ``cut`` reply announces its whole body but sends half."""
+
+    status: int = 200
+    body: Any = ""
+    delay: float = 0.0
+    cut: bool = False
+
+
+class Received(NamedTuple):
+    """A request the loopback server got; ``headers`` are read case-insensitively."""
+
+    path: str
+    headers: Message
+    body: bytes
+
+
+class _LoopbackHandler(BaseHTTPRequestHandler):
+    server: LoopbackServer
+
+    def do_POST(self) -> None:
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.received.append(Received(self.path, self.headers, body))
+        route = self.server.routes[self.path]
+        reply = route(json.loads(body)) if callable(route) else route
+        self.server.released.wait(reply.delay)
+        data = (reply.body if isinstance(reply.body, str) else json.dumps(reply.body)).encode()
+        try:
+            self.send_response(reply.status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data[: len(data) // 2] if reply.cut else data)
+        except ConnectionError:  # the client stopped waiting
+            pass
+
+    def log_message(self, format: str, *args: Any) -> None:
+        """No line per request on stderr."""
+
+
+class LoopbackServer(ThreadingHTTPServer):
+    """An HTTP server on 127.0.0.1, port 0, in this process. Each POST is
+    recorded in ``received`` and answered from ``routes``: by path, a
+    ``Reply`` or a function from the request's JSON to one."""
+
+    daemon_threads = False  # server_close joins every handler thread
+
+    def __init__(self, closed_port: int):
+        super().__init__(("127.0.0.1", 0), _LoopbackHandler)
+        self.routes: dict[str, Reply | Callable[[Any], Reply]] = {}
+        self.received: list[Received] = []
+        self.released = threading.Event()  # set at teardown: no reply waits longer
+        self.closed_port = closed_port
+
+    def url(self, path: str) -> str:
+        return f"http://127.0.0.1:{self.server_port}{path}"
+
+    def closed_url(self, path: str) -> str:
+        """A URL at a port that was closed before the server started."""
+        return f"http://127.0.0.1:{self.closed_port}{path}"
+
+
+@pytest.fixture()
+def sleeps(monkeypatch) -> list[float]:
+    """The seconds each ``time.sleep`` call asked for; none is slept."""
+    delays: list[float] = []
+    monkeypatch.setattr(time, "sleep", delays.append)
+    return delays
+
+
+@pytest.fixture()
+def loopback(monkeypatch) -> Iterator[LoopbackServer]:
+    """A ``LoopbackServer`` serving from a thread, with ``LOOPBACK_KEY_ENV``
+    set. At teardown, every waiting reply is released, the server stops and
+    its socket is closed."""
+    monkeypatch.setenv(LOOPBACK_KEY_ENV, "secret")
+    monkeypatch.setenv("no_proxy", "*")  # a configured proxy is bypassed for loopback
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        closed_port = probe.getsockname()[1]
+    server = LoopbackServer(closed_port)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,))
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.released.set()
+        server.shutdown()
+        thread.join(timeout=10)
+        server.server_close()
+        assert not thread.is_alive()
+
+
+def embedding_route(dims: int) -> Callable[[Any], Reply]:
+    """Answers an embedding request with the reference encoder's rows for
+    its texts, listed last text first, each with its ``index``."""
+    encoder = ReferenceEncoder(dims)
+
+    def reply(payload: Any) -> Reply:
+        rows = encoder.encode_batch(payload["input"])
+        data = [{"index": i, "embedding": row.tolist()} for i, row in enumerate(rows)]
+        return Reply(200, {"data": data[::-1]})
+
+    return reply
+
+
+def scripted_chat_route(script: Path) -> Callable[[Any], Reply]:
+    """Answers a chat request as ``ScriptedChatProvider`` answers with
+    ``script``. The role is the one whose bundled template's first line
+    starts the prompt."""
+    provider = ScriptedChatProvider.from_file(script)
+    templates = PromptLibrary.load().templates
+    first_lines = {role: template.template_text.partition("\n")[0] for role, template in templates.items()}
+
+    def reply(payload: Any) -> Reply:
+        prompt = payload["messages"][0]["content"]
+        (role,) = [role for role, line in first_lines.items() if prompt.startswith(line)]
+        return Reply(200, {"choices": [{"message": {"content": provider.complete(prompt, role)}}]})
+
+    return reply
 
 
 def encode_alone(text: str, dims: int = DIMS) -> np.ndarray:

@@ -12,7 +12,6 @@ import sys
 import threading
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,8 +22,12 @@ from conftest import (
     DIMS,
     FIXTURES,
     FIXTURE_THETA,
+    LOOPBACK_KEY_ENV,
+    Reply,
     edited_prompts,
+    embedding_route,
     encode_alone,
+    scripted_chat_route,
     torn_writes,
     write_tool_config,
     write_toy_manifest,
@@ -424,17 +427,13 @@ class TestAnalyzeCommand:
 
     @pytest.mark.parametrize("content", [None, 5])
     def test_a_chat_reply_without_text_exits_2_with_one_error_line(
-        self, tmp_path: Path, monkeypatch, capsys, content
+        self, tmp_path: Path, loopback, capsys, content
     ):
         index = build_index_for("guarded_app", tmp_path)
-        monkeypatch.setenv("VULNREACH_TEST_CHAT_KEY", "secret")
-        reply = SimpleNamespace(
-            status_code=200, json=lambda: {"choices": [{"message": {"content": content}}]}
-        )
-        monkeypatch.setattr("requests.post", lambda *a, **kw: reply)
+        loopback.routes["/chat"] = Reply(200, {"choices": [{"message": {"content": content}}]})
         config = tmp_path / "cfg.json"
-        remote = {"provider": "openai-compat", "model": "m", "endpoint": "http://localhost:9/chat",
-                  "api_key_env": "VULNREACH_TEST_CHAT_KEY"}
+        remote = {"provider": "openai-compat", "model": "m", "endpoint": loopback.url("/chat"),
+                  "api_key_env": LOOPBACK_KEY_ENV}
         config.write_text(json.dumps({"chat": remote}))
         code = run_cli(
             "analyze", "--index", str(index), "--vuln", str(FIXTURES / "vuln_encoder_null.json"),
@@ -444,6 +443,44 @@ class TestAnalyzeCommand:
         assert code == 2
         assert err.startswith("error: provider failure: malformed chat response: ") and err.count("\n") == 1, err
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "clash", ["index", "sidecar", "transcript", "dotted", "vuln", "config", "replayed", "script"]
+    )
+    def test_a_report_that_would_overwrite_an_input_exits_1(
+        self, tmp_path: Path, config_file: Path, capsys, clash
+    ):
+        # `--index X --report X` once exited 0 and replaced the index with the report.
+        index = tmp_path / ("r.json.transcript.jsonl" if clash == "transcript" else "i.vrix")
+        args = ["index", "--project", str(FIXTURES / "unguarded_app"), "--out", str(index)]
+        assert run_cli(*args, "--config", str(config_file)) == 0
+        vuln = shutil.copy(FIXTURES / "vuln_encoder_null.json", tmp_path / "vuln.json")
+        script = shutil.copy(FIXTURES / "chat_script.json", tmp_path / "script.json")
+        config_file = write_tool_config(config_file, chat={"provider": "scripted", "script_path": str(script)})
+        inputs = ["--index", str(index), "--vuln", str(vuln), "--config", str(config_file)]
+        if clash == "replayed":
+            assert run_cli("analyze", *inputs, "--report", str(tmp_path / "first.json")) == 3
+            inputs += ["--transcript", str(tmp_path / "first.json.transcript.jsonl")]
+        (tmp_path / "sub").mkdir()
+        report = {
+            "index": index,
+            "sidecar": tmp_path / "i.vrix.meta.json",
+            "transcript": tmp_path / "r.json",
+            "dotted": tmp_path / "sub" / ".." / "i.vrix",
+            "vuln": vuln,
+            "config": config_file,
+            "replayed": tmp_path / "first.json.transcript.jsonl",
+            "script": script,
+        }[clash]
+        files = sorted(tmp_path.iterdir())
+        before = {path: path.read_bytes() for path in files if path.is_file()}
+        capsys.readouterr()
+        code = run_cli("analyze", *inputs, "--report", str(report))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "would overwrite input file" in err and err.count("\n") == 1, err
+        assert sorted(tmp_path.iterdir()) == files
+        assert {path: path.read_bytes() for path in before} == before
 
     def test_replay_transcript_reproduces_identical_report(self, tmp_path: Path, config_file: Path):
         index = build_index_for("guarded_app", tmp_path)
@@ -778,6 +815,47 @@ class TestIndexProvenance:
         self.assert_one_error_line(tmp_path, capsys, str(index))
 
 
+class TestRemoteProviders:
+    """``index`` and ``analyze`` with both remote providers, end to end over
+    a socket to the loopback server, which answers with the reference
+    encoder's rows and the fixture chat script's replies."""
+
+    def test_index_then_analyze_match_the_offline_run(self, tmp_path: Path, loopback, config_file: Path):
+        loopback.routes["/v1/embeddings"] = embedding_route(DIMS)
+        loopback.routes["/v1/chat"] = scripted_chat_route(FIXTURES / "chat_script.json")
+        remote = {"provider": "openai-compat", "api_key_env": LOOPBACK_KEY_ENV}
+        encoder = {**remote, "model": "embed-m", "endpoint": loopback.url("/v1/embeddings"), "dims": DIMS,
+                   "batch_limit": 2}
+        chat = {**remote, "model": "chat-m", "endpoint": loopback.url("/v1/chat")}
+        config = write_tool_config(tmp_path / "remote.json", encoder=encoder, chat=chat)
+        index = tmp_path / "remote.vrix"
+        project = str(FIXTURES / "unguarded_app")
+        assert run_cli("index", "--project", project, "--out", str(index), "--config", str(config)) == 0
+        offline = build_index_for("unguarded_app", tmp_path)
+        # JSON carries each float64 exactly, so the stored rows are the offline ones.
+        assert content_digest(index) == content_digest(offline)
+
+        def asked(built: Path, configured: Path) -> list[tuple[RoleKind, str, str]]:
+            """Each (role, prompt, reply) of an ``analyze`` run that exits 3."""
+            report = tmp_path / f"{built.stem}-report.json"
+            args = ["--index", str(built), "--vuln", str(FIXTURES / "vuln_encoder_null.json")]
+            assert run_cli("analyze", *args, "--config", str(configured), "--report", str(report)) == 3
+            transcript = Transcript.load(read_report(report)["transcript_path"])
+            return [(e.role_kind, e.rendered_prompt, e.raw_response) for e in transcript.entries]
+
+        remote_run = asked(index, config)
+        assert remote_run and remote_run == asked(offline, config_file)
+
+        sent = [(r.path, json.loads(r.body)) for r in loopback.received]
+        assert {r.headers["Authorization"] for r in loopback.received} == {"Bearer secret"}
+        assert {r.headers["Content-Type"] for r in loopback.received} == {"application/json"}
+        texts = [payload["input"] for path, payload in sent if path == "/v1/embeddings"]
+        assert max(map(len, texts)) == 2 and {p["model"] for _, p in sent} == {"embed-m", "chat-m"}
+        chats = [payload for path, payload in sent if path == "/v1/chat"]
+        assert [c["messages"][0]["content"] for c in chats] == [prompt for _, prompt, _ in remote_run]
+        assert {(c["temperature"], c["max_tokens"]) for c in chats} == {(0.0, 2048)}
+
+
 class TestReplayAcrossParallelism:
     CANDIDATES = 3
 
@@ -1038,6 +1116,19 @@ class TestEvaluateCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "invalid manifest" in err and ("line" in err or "column" in err)
+
+    @pytest.mark.parametrize(
+        "flags", [["--sweep-theta"], ["--theta", "60"], ["--theta", "60", "--sweep-theta"]], ids=["sweep", "theta", "both"]
+    )
+    def test_from_predictions_refuses_the_theta_flags_it_ignores(self, tmp_path: Path, capsys, flags):
+        # Each once exited 0 and printed the one matrix.
+        predictions = tmp_path / "cm.json"
+        predictions.write_text(json.dumps({"confusion_matrix": {"tp": 31, "fp": 6, "fn": 11, "tn": 7}}))
+        out = tmp_path / "out"
+        assert run_cli("evaluate", "--from-predictions", str(predictions), "--out", str(out), *flags) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --from-predictions ") and captured.err.count("\n") == 1
+        assert "drop --" in captured.err and not captured.out and not out.exists()
 
     def test_evaluate_requires_some_input(self, tmp_path: Path, capsys):
         assert run_cli("evaluate", "--out", str(tmp_path / "o")) == 1
@@ -1600,14 +1691,13 @@ class TestConfig:
         assert "dims" in err and "Traceback" not in err
         assert not (tmp_path / "i.vrix").exists()
 
-    def test_index_uses_the_config_files_remote_encoder(self, tmp_path: Path, monkeypatch, capsys):
+    def test_index_uses_the_config_files_remote_encoder(self, tmp_path: Path, loopback, monkeypatch, capsys):
         monkeypatch.delenv("VULNREACH_TEST_UNSET_KEY", raising=False)
-        monkeypatch.setattr("requests.post", lambda *a, **kw: pytest.fail("request sent"))
         config = tmp_path / "cfg.json"
         remote = {
             "provider": "openai-compat",
             "model": "m",
-            "endpoint": "http://localhost:9/embed",
+            "endpoint": loopback.url("/embed"),
             "dims": 64,
             "api_key_env": "VULNREACH_TEST_UNSET_KEY",
         }
@@ -1621,7 +1711,45 @@ class TestConfig:
         err = capsys.readouterr().err
         assert code == 2, err
         assert "VULNREACH_TEST_UNSET_KEY is not set" in err and len(err.splitlines()) == 1
-        assert not (tmp_path / "i.vrix").exists()
+        assert not (tmp_path / "i.vrix").exists() and loopback.received == []
+
+    @pytest.mark.parametrize(
+        "endpoint",
+        [
+            "localhost:9/embed",
+            "127.0.0.1:{port}/x",
+            "ftp://127.0.0.1:{port}/x",
+            "/v1/embeddings",
+            "http:///v1/embeddings",
+            "http://127.0.0.1:99999/x",
+            "http://127.0.0.1:port/x",
+            "http://[::1/x",
+            "http://127.0.0.1:{port}/a b",
+            "http://127.0.0.1:{port}/\u00e9",
+            "",
+        ],
+    )
+    @pytest.mark.parametrize("key", ["encoder", "chat"])
+    def test_an_endpoint_that_is_not_an_http_url_exits_1_before_any_request(
+        self, tmp_path: Path, loopback, sleeps, capsys, key, endpoint
+    ):
+        # "localhost:9/embed" once slept through three retries, then exited 2.
+        endpoint = endpoint.format(port=loopback.server_port)
+        remote = {"provider": "openai-compat", "model": "m", "endpoint": endpoint,
+                  "dims": DIMS, "api_key_env": LOOPBACK_KEY_ENV}
+        config = write_tool_config(tmp_path / "cfg.json", **{key: remote})
+        if key == "encoder":
+            args = ["index", "--project", str(FIXTURES / "plain_app"), "--out", str(tmp_path / "i.vrix")]
+        else:
+            index = build_index_for("plain_app", tmp_path)
+            args = ["analyze", "--index", str(index), "--vuln", str(FIXTURES / "vuln_encoder_null.json"),
+                    "--report", str(tmp_path / "r.json")]
+        capsys.readouterr()
+        assert run_cli(*args, "--config", str(config)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {key} endpoint must be an absolute http:// or https:// URL, got {endpoint!r}\n"
+        assert loopback.received == [] and sleeps == []
+        assert not (tmp_path / "i.vrix").exists() and not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize(
         "key, name, bad",

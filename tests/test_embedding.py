@@ -6,14 +6,13 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import encode_alone
+from conftest import LOOPBACK_KEY_ENV, Reply, encode_alone
 from vulnreach import embedding
 from vulnreach.embedding import (
     ReferenceEncoder,
@@ -21,6 +20,7 @@ from vulnreach.embedding import (
     _gram_codes,
     _group,
     _lexical_normalize,
+    call_with_retry,
     embed,
 )
 from vulnreach.errors import EmptyText, ProviderError
@@ -517,12 +517,6 @@ class TestRetry:
 
         return Scripted()
 
-    @pytest.fixture()
-    def sleeps(self, monkeypatch) -> list[float]:
-        delays: list[float] = []
-        monkeypatch.setattr(time, "sleep", delays.append)
-        return delays
-
     @pytest.mark.parametrize(
         "error",
         [
@@ -574,36 +568,27 @@ class TestRetry:
         assert raised.value is errors[-1] and sleeps == [0.5, 1.0, 2.0]
 
 
-class _Reply:
-    """What ``post_json`` reads of a ``requests`` response."""
-
-    def __init__(self, status: int, body):
-        self.status_code = status
-        self.text = body if isinstance(body, str) else json.dumps(body)
-
-    def json(self):
-        return json.loads(self.text)
-
-
-_KEY_ENV = "VULNREACH_TEST_POST_KEY"
-# Each remote provider: its call, a reply it parses with what it returns, and its error word.
+# Each remote provider: its call at an endpoint, the JSON it sends, a reply it
+# parses, and what it returns for that reply.
 _REMOTES = {
     "embedding": (
-        lambda: RemoteEncoderProvider(
-            name="remote", model_id="m", endpoint="http://localhost:9/embed", dims=2,
-            api_key_env=_KEY_ENV,
+        lambda endpoint: RemoteEncoderProvider(
+            name="remote", model_id="m", endpoint=endpoint, dims=2, api_key_env=LOOPBACK_KEY_ENV,
         ).encode_batch(["a", "b"]),
+        {"model": "m", "input": ["a", "b"]},
         {"data": [{"index": 1, "embedding": [0, 1]}, {"index": 0, "embedding": [1, 0]}]},
         [[1.0, 0.0], [0.0, 1.0]],
     ),
     "chat": (
-        lambda: RemoteChatProvider(
-            name="remote", model_id="m", endpoint="http://localhost:9/chat", api_key_env=_KEY_ENV,
+        lambda endpoint: RemoteChatProvider(
+            name="remote", model_id="m", endpoint=endpoint, api_key_env=LOOPBACK_KEY_ENV,
         ).complete("a", RoleKind.JUDGE),
+        {"model": "m", "messages": [{"role": "user", "content": "a"}], "temperature": 0.0, "max_tokens": 2048},
         {"choices": [{"message": {"content": "yes"}}]},
         "yes",
     ),
 }
+_PROVIDERS = {"embedding": RemoteEncoderProvider, "chat": RemoteChatProvider}
 # Each remote reply, the value it carries (a vector, a chat reply's text) replaced.
 _CARRYING = {
     "embedding": lambda value: {"data": [{"index": 0, "embedding": value}, {"index": 1, "embedding": value}]},
@@ -613,65 +598,100 @@ _CARRYING = {
 
 @pytest.mark.parametrize("what", sorted(_REMOTES))
 class TestPostJson:
-    """Both remote providers through ``post_json``, against a stubbed
-    ``requests.post``: no request leaves the process."""
+    """Both remote providers through ``post_json``, over a socket to the
+    loopback server, with the retry policy's sleeps stubbed."""
 
     @pytest.fixture()
-    def stub(self, monkeypatch) -> SimpleNamespace:
-        """``requests.post`` replaced: it gives (or raises) ``stub.reply``,
-        and each request it got lands in ``stub.sent``."""
-        monkeypatch.setenv(_KEY_ENV, "secret")
-        stub = SimpleNamespace(reply=None, sent=[])
+    def post(self, what, loopback):
+        """The provider's call, retried as ``embed`` and the gateway retry
+        it, against ``/<what>`` on the loopback server (or at its closed
+        port), which answers ``reply``."""
 
-        def post(endpoint, *, json, headers, timeout):
-            stub.sent.append((endpoint, json, headers, timeout))
-            if isinstance(stub.reply, Exception):
-                raise stub.reply
-            return stub.reply
+        def post(reply: Reply | None = None, *, closed: bool = False):
+            loopback.routes[f"/{what}"] = reply
+            endpoint = (loopback.closed_url if closed else loopback.url)(f"/{what}")
+            return call_with_retry(lambda: _REMOTES[what][0](endpoint))
 
-        monkeypatch.setattr("requests.post", post)
-        return stub
+        return post
 
-    def test_a_200_reply_is_read(self, what, stub):
-        call, body, expected = _REMOTES[what]
-        stub.reply = _Reply(200, body)
-        assert call() == expected
-        (endpoint, payload, headers, timeout), = stub.sent
-        assert payload["model"] == "m" and headers == {"Authorization": "Bearer secret"}
-        provider = RemoteEncoderProvider if what == "embedding" else RemoteChatProvider
-        assert timeout == provider.TIMEOUT and endpoint.startswith("http://localhost:9/")
+    def test_a_200_reply_is_read(self, what, post, loopback, sleeps):
+        _, sent, body, expected = _REMOTES[what]
+        assert post(Reply(200, body)) == expected
+        (received,) = loopback.received
+        assert received.path == f"/{what}" and json.loads(received.body) == sent
+        assert received.headers["Authorization"] == "Bearer secret"
+        assert received.headers["Content-Type"] == "application/json"
+        assert sleeps == []
 
-    @pytest.mark.parametrize("status, transient", [(401, False), (429, True), (503, True)])
-    def test_a_status_other_than_200_fails_by_its_kind(self, what, stub, status, transient):
-        stub.reply = _Reply(status, "no")
+    @pytest.mark.parametrize(
+        "status, transient", [(401, False), (408, True), (429, True), (500, True), (201, False)]
+    )
+    def test_a_status_other_than_200_fails_by_its_kind(self, what, post, loopback, sleeps, status, transient):
         with pytest.raises(ProviderError, match=f"^{what} endpoint returned {status}: no$") as raised:
-            _REMOTES[what][0]()
+            post(Reply(status, "no"))
         assert raised.value.status == status and raised.value.transient is transient
+        assert len(loopback.received) == (4 if transient else 1)
+        assert sleeps == ([0.5, 1.0, 2.0] if transient else [])
 
-    def test_a_connection_failure_is_transient(self, what, stub):
-        import requests
-
-        stub.reply = requests.ConnectionError("refused")
-        with pytest.raises(ProviderError, match=f"^{what} request failed: refused$") as raised:
-            _REMOTES[what][0]()
+    def test_a_refused_connection_is_transient(self, what, post, loopback, sleeps):
+        with pytest.raises(ProviderError, match=f"^{what} request failed: .*[Rr]efused") as raised:
+            post(closed=True)
         assert raised.value.connection and raised.value.transient
+        assert sleeps == [0.5, 1.0, 2.0] and loopback.received == []
+
+    def test_a_reply_slower_than_the_timeout_is_transient(self, what, post, loopback, sleeps, monkeypatch):
+        monkeypatch.setattr(_PROVIDERS[what], "TIMEOUT", 0.1)
+        started = time.perf_counter()
+        with pytest.raises(ProviderError, match=f"^{what} request failed: timed out$") as raised:
+            post(Reply(200, _REMOTES[what][2], delay=30.0))
+        assert raised.value.connection and raised.value.transient
+        assert len(loopback.received) == 4 and time.perf_counter() - started < 10.0
+
+    def test_a_body_cut_short_is_transient(self, what, post, loopback, sleeps):
+        with pytest.raises(ProviderError, match=f"^{what} request failed: IncompleteRead") as raised:
+            post(Reply(200, _REMOTES[what][2], cut=True))
+        assert raised.value.connection and raised.value.transient and len(loopback.received) == 4
 
     @pytest.mark.parametrize("body", [{"unexpected": []}, "not json"])
-    def test_a_malformed_reply_is_a_provider_error(self, what, stub, body):
-        stub.reply = _Reply(200, body)
+    def test_a_malformed_reply_is_a_provider_error(self, what, post, loopback, sleeps, body):
         with pytest.raises(ProviderError, match=f"^malformed {what} response: ") as raised:
-            _REMOTES[what][0]()
-        assert not raised.value.transient
+            post(Reply(200, body))
+        assert not raised.value.transient and len(loopback.received) == 1
 
     @pytest.mark.parametrize("value", [None, 5])
-    def test_a_carried_value_of_the_wrong_type_is_a_provider_error(self, what, stub, value):
-        stub.reply = _Reply(200, _CARRYING[what](value))
+    def test_a_carried_value_of_the_wrong_type_is_a_provider_error(self, what, post, value):
         with pytest.raises(ProviderError, match=f"^malformed {what} response: ") as raised:
-            _REMOTES[what][0]()
+            post(Reply(200, _CARRYING[what](value)))
         assert not raised.value.transient
 
-    def test_an_unset_key_sends_nothing(self, what, stub, monkeypatch):
-        monkeypatch.delenv(_KEY_ENV)
-        with pytest.raises(ProviderError, match=f"^environment variable {_KEY_ENV} is not set$") as raised:
-            _REMOTES[what][0]()
-        assert not raised.value.transient and stub.sent == []
+    def test_an_unset_key_sends_nothing(self, what, post, loopback, monkeypatch, sleeps):
+        monkeypatch.delenv(LOOPBACK_KEY_ENV)
+        with pytest.raises(ProviderError, match=f"^environment variable {LOOPBACK_KEY_ENV} is not set$") as raised:
+            post(Reply(200, _REMOTES[what][2]))
+        assert not raised.value.transient and loopback.received == [] and sleeps == []
+
+
+class TestEmbeddingReplyIndices:
+    """The ``index`` keys of an embedding reply give each row its text: with
+    any, they must be 0 to n - 1, one per item."""
+
+    @staticmethod
+    def encode(loopback, data) -> list[list[float]]:
+        loopback.routes["/embed"] = Reply(200, {"data": data})
+        return RemoteEncoderProvider(
+            name="remote", model_id="m", endpoint=loopback.url("/embed"), dims=2, api_key_env=LOOPBACK_KEY_ENV,
+        ).encode_batch(["a", "b"])
+
+    @pytest.mark.parametrize(
+        "indices", [[0, 0], [1, 1], [0, 2], [1, None], [None, 0], ["0", "1"]],
+        ids=["repeated-0", "repeated-1", "skipped", "first-only", "second-only", "strings"],
+    )
+    def test_indices_that_do_not_name_each_text_once_are_malformed(self, loopback, indices):
+        data = [{"embedding": [1, 0]} if i is None else {"index": i, "embedding": [1, 0]} for i in indices]
+        named = repr([i for i in indices if i is not None])
+        with pytest.raises(ProviderError, match="^malformed embedding response: indices ") as raised:
+            self.encode(loopback, data)
+        assert named in str(raised.value) and not raised.value.transient
+
+    def test_a_reply_without_indices_keeps_its_order(self, loopback):
+        assert self.encode(loopback, [{"embedding": [0, 1]}, {"embedding": [1, 0]}]) == [[0.0, 1.0], [1.0, 0.0]]
