@@ -163,11 +163,17 @@ def post_json(
     """``read`` of the JSON reply to ``payload``, POSTed to ``endpoint`` with
     the bearer token in the environment variable ``api_key_env``. Each
     failure is a ``ProviderError`` naming ``what``; an exchange that breaks
-    off and the statuses ``ProviderError.transient`` names are worth a retry."""
+    off and the statuses ``ProviderError.transient`` names are worth a retry.
+    A redirect is not followed: its 3xx status is the failure, so the bearer
+    token goes to ``endpoint`` and nowhere else."""
     # On first use: importing these slows every command's start-up.
     from http.client import HTTPException
     from urllib.error import HTTPError
-    from urllib.request import Request, urlopen
+    from urllib.request import HTTPRedirectHandler, Request, build_opener
+
+    class NoRedirect(HTTPRedirectHandler):
+        def redirect_request(self, *args: Any) -> None:  # the 3xx is raised as an HTTPError
+            return None
 
     api_key = os.environ.get(api_key_env, "")
     if not api_key:
@@ -175,7 +181,8 @@ def post_json(
     headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
     try:
         try:
-            with urlopen(Request(endpoint, json.dumps(payload).encode(), headers), timeout=timeout) as response:
+            request = Request(endpoint, json.dumps(payload).encode(), headers)
+            with build_opener(NoRedirect).open(request, timeout=timeout) as response:
                 status, body = response.status, response.read()
         except HTTPError as exc:  # a status outside 2xx: its body is read, then closed
             with exc:

@@ -304,12 +304,14 @@ LOOPBACK_KEY_ENV = "VULNREACH_TEST_POST_KEY"
 class Reply(NamedTuple):
     """The loopback server's answer to a request: a status and a body (a str
     sent as UTF-8, any other value as JSON), after waiting up to ``delay``
-    seconds. A ``cut`` reply announces its whole body but sends half."""
+    seconds. A ``cut`` reply announces its whole body but sends half; a
+    ``location`` is sent as the Location header."""
 
     status: int = 200
     body: Any = ""
     delay: float = 0.0
     cut: bool = False
+    location: str = ""
 
 
 class Received(NamedTuple):
@@ -324,7 +326,7 @@ class _LoopbackHandler(BaseHTTPRequestHandler):
     server: LoopbackServer
 
     def do_POST(self) -> None:
-        body = self.rfile.read(int(self.headers["Content-Length"]))
+        body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
         self.server.received.append(Received(self.path, self.headers, body))
         route = self.server.routes[self.path]
         reply = route(json.loads(body)) if callable(route) else route
@@ -334,10 +336,14 @@ class _LoopbackHandler(BaseHTTPRequestHandler):
             self.send_response(reply.status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(data)))
+            if reply.location:
+                self.send_header("Location", reply.location)
             self.end_headers()
             self.wfile.write(data[: len(data) // 2] if reply.cut else data)
         except ConnectionError:  # the client stopped waiting
             pass
+
+    do_GET = do_POST  # a redirect followed as a GET is recorded too
 
     def log_message(self, format: str, *args: Any) -> None:
         """No line per request on stderr."""
@@ -346,7 +352,8 @@ class _LoopbackHandler(BaseHTTPRequestHandler):
 class LoopbackServer(ThreadingHTTPServer):
     """An HTTP server on 127.0.0.1, port 0, in this process. Each POST is
     recorded in ``received`` and answered from ``routes``: by path, a
-    ``Reply`` or a function from the request's JSON to one."""
+    ``Reply`` or a function from the request's JSON to one. A GET is
+    recorded and answered in the same way, from a ``Reply`` route."""
 
     daemon_threads = False  # server_close joins every handler thread
 

@@ -633,6 +633,15 @@ class TestPostJson:
         assert len(loopback.received) == (4 if transient else 1)
         assert sleeps == ([0.5, 1.0, 2.0] if transient else [])
 
+    @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+    def test_a_redirect_is_not_followed(self, what, post, loopback, sleeps, status):
+        loopback.routes["/elsewhere"] = Reply(200, _REMOTES[what][2])
+        with pytest.raises(ProviderError, match=f"^{what} endpoint returned {status}: moved$") as raised:
+            post(Reply(status, "moved", location=loopback.url("/elsewhere")))
+        assert raised.value.status == status and not raised.value.transient
+        assert [received.path for received in loopback.received] == [f"/{what}"]
+        assert sleeps == []
+
     def test_a_refused_connection_is_transient(self, what, post, loopback, sleeps):
         with pytest.raises(ProviderError, match=f"^{what} request failed: .*[Rr]efused") as raised:
             post(closed=True)
